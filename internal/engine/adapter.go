@@ -1,14 +1,114 @@
 package engine
 
-import "repro/internal/abort"
+import (
+	"repro/internal/abort"
+	"repro/internal/val"
+)
 
-// adapterThread is the shared worker context of the counter-set backends
-// (norec, norec/striped, tl2, glock, rstmval): it owns the per-thread retry
-// closure and the bound Run/RunReadOnly/BoxedCommits method values, all
-// created once in Engine.Thread, so a steady-state transaction allocates
-// nothing in the adapter layer. T is the backend's concrete transaction
-// pointer type; the backend-specific Thread constructor fills step with the
-// closure that lifts it to Txn.
+// The value-lane adapter: one generic Engine/Thread/Txn implementation for
+// every backend whose native package already has the shape
+//
+//	Object                                      — the cell type O
+//	Tx.Read/Write(*Object, any)                 — the boxed lane
+//	Tx.ReadValue/WriteValue(*Object, val.Value) — the typed value lane
+//	Thread.Run/RunReadOnly(func(*Tx) error), Thread.BoxedCommits()
+//	Thread.AbortCounts()                        — optional (glock never aborts)
+//
+// which is all of norec, norec/striped, norec/combined, norec/adaptive, tl2
+// (×3 time bases), rstmval and glock. Their backend files are registrations
+// only: name, summary, tunables, and a newValueEngine call.
+//
+// The LSA and wordstm adapters (lsa.go, word.go) stay outside it on purpose.
+// They hide a different int lane — core's native ReadInt/WriteInt, wordstm's
+// tagged immediate words and box side table — and keep native statistics, and
+// "lsa/shared" is the hot path of the repo benchmark's mem_* workloads:
+// folding them in would make this code branch on its caller.
+
+// valueInfo is the capability profile every value-lane backend shares; only
+// the summary and the tunables differ per registration.
+func valueInfo(summary string, tunables ...string) Info {
+	return Info{
+		Summary: summary,
+		Capabilities: Capabilities{
+			IntLane:        true,
+			AttemptCounter: true,
+			Tunables:       tunables,
+		},
+	}
+}
+
+// valueTx is the native transaction constraint: the boxed and the typed
+// value lane over the backend's own cell type O.
+type valueTx[O any] interface {
+	Read(*O) (any, error)
+	Write(*O, any) error
+	ReadValue(*O) (val.Value, error)
+	WriteValue(*O, val.Value) error
+}
+
+// valueThread is the native worker-context constraint over transaction
+// pointer type T.
+type valueThread[T any] interface {
+	Run(func(T) error) error
+	RunReadOnly(func(T) error) error
+	BoxedCommits() uint64
+}
+
+// valueEngine adapts one native universe: newCell and thread are the native
+// constructors, extra the optional hook that lifts universe-level telemetry
+// (combined's batch counters, adaptive's escalation counter) into Stats.
+type valueEngine[O any, T valueTx[O], TH valueThread[T]] struct {
+	name    string
+	newCell func(initial any) *O
+	thread  func(id int) TH
+	extra   func(*Stats)
+	counterSet
+}
+
+// newValueEngine builds the adapter; O, T and TH are inferred from the two
+// native constructors. extra may be nil.
+func newValueEngine[O any, T valueTx[O], TH valueThread[T]](
+	name string, newCell func(any) *O, thread func(int) TH, extra func(*Stats),
+) Engine {
+	return &valueEngine[O, T, TH]{name: name, newCell: newCell, thread: thread, extra: extra}
+}
+
+func (e *valueEngine[O, T, TH]) Name() string { return e.name }
+
+func (e *valueEngine[O, T, TH]) NewCell(initial any) Cell { return e.newCell(initial) }
+
+func (e *valueEngine[O, T, TH]) Stats() Stats {
+	s := e.counterSet.Stats()
+	if e.extra != nil {
+		e.extra(&s)
+	}
+	return s
+}
+
+// Thread builds the worker context with its retry closure and bound method
+// values allocated once: per-transaction Run calls only swap the fn pointer,
+// so the adapter layer adds zero allocations to the native engine's steady
+// state.
+func (e *valueEngine[O, T, TH]) Thread(id int) Thread {
+	th := e.thread(id)
+	t := &adapterThread[T]{
+		id: id, counters: e.newCounters(),
+		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
+	}
+	if r, ok := any(th).(interface{ AbortCounts() abort.Counts }); ok {
+		t.reasons = r.AbortCounts
+	}
+	t.step = func(tx T) error {
+		t.attempts++
+		return t.fn(valueTxn[O, T]{tx})
+	}
+	return t
+}
+
+// adapterThread is the worker context behind valueEngine.Thread: it owns the
+// per-thread retry closure and the bound Run/RunReadOnly/BoxedCommits method
+// values. T is the backend's concrete transaction pointer type; step lifts
+// it to Txn.
 //
 // Run and RunReadOnly save and restore the fn/attempts slots so the
 // adapter is exactly as reentrant as the engine it wraps — which, for
@@ -56,3 +156,36 @@ func (t *adapterThread[T]) do(run func(func(T) error) error, fn func(Txn) error)
 	t.fn, t.attempts = prevFn, prevAttempts
 	return err
 }
+
+// valueTxn lifts a native transaction to Txn and IntTxn. It is a one-pointer
+// struct, so converting it to the Txn interface stores the pointer directly
+// and does not allocate; the int lane is the native value lane restricted to
+// val.OfInt payloads.
+type valueTxn[O any, T valueTx[O]] struct {
+	tx T
+}
+
+func (t valueTxn[O, T]) Read(c Cell) (any, error)  { return t.tx.Read(cellOf[O](c)) }
+func (t valueTxn[O, T]) Write(c Cell, v any) error { return t.tx.Write(cellOf[O](c), v) }
+
+func (t valueTxn[O, T]) ReadInt(c Cell) (int64, bool, error) {
+	v, err := t.tx.ReadValue(cellOf[O](c))
+	if err != nil {
+		return 0, false, err
+	}
+	n, ok := v.AsInt64()
+	return n, ok, nil
+}
+
+func (t valueTxn[O, T]) WriteInt(c Cell, v int64) error {
+	return t.tx.WriteValue(cellOf[O](c), val.OfInt(int(v)))
+}
+
+func (t valueTxn[O, T]) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
+	return updateIntVia(t, c, f)
+}
+
+// cellOf recovers the backend's cell type. A handle another backend created
+// (cells are only valid with the engine that made them) fails the assertion,
+// and the runtime's panic names both the received and the expected type.
+func cellOf[O any](c Cell) *O { return c.(*O) }

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/glock"
-	"repro/internal/val"
-)
+import "repro/internal/glock"
 
 // The "glock" backend: the coarse-global-lock honesty baseline. One
 // reader/writer mutex serializes all transactions — no versions, no
@@ -13,71 +8,8 @@ import (
 // low-thread-count end of every comparison: an STM only earns its keep where
 // its curve crosses above this one.
 func init() {
-	Register("glock", Info{
-		Summary: "coarse global RWMutex reference engine (no aborts, honesty baseline)",
-		Capabilities: Capabilities{
-			IntLane:        true,
-			AttemptCounter: true,
-		},
-	}, func(o Options) (Engine, error) {
-		return &glockEngine{stm: glock.New()}, nil
-	})
-}
-
-type glockEngine struct {
-	stm *glock.STM
-	counterSet
-}
-
-func (e *glockEngine) Name() string { return "glock" }
-
-func (e *glockEngine) NewCell(initial any) Cell { return glock.NewObject(initial) }
-
-// Thread builds the worker context (see adapterThread) with its retry
-// closure and bound method values allocated once: per-transaction Run calls
-// only swap the fn pointer, so the adapter layer adds zero allocations to
-// the native engine's steady state.
-func (e *glockEngine) Thread(id int) Thread {
-	th := e.stm.Thread(id)
-	t := &adapterThread[*glock.Tx]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
-	}
-	t.step = func(tx *glock.Tx) error {
-		t.attempts++
-		return t.fn(glockTxn{tx})
-	}
-	return t
-}
-
-type glockTxn struct {
-	tx *glock.Tx
-}
-
-func (t glockTxn) Read(c Cell) (any, error)  { return t.tx.Read(glockCell(c)) }
-func (t glockTxn) Write(c Cell, v any) error { return t.tx.Write(glockCell(c), v) }
-
-func (t glockTxn) ReadInt(c Cell) (int64, bool, error) {
-	v, err := t.tx.ReadValue(glockCell(c))
-	if err != nil {
-		return 0, false, err
-	}
-	n, ok := v.AsInt64()
-	return n, ok, nil
-}
-
-func (t glockTxn) WriteInt(c Cell, v int64) error {
-	return t.tx.WriteValue(glockCell(c), val.OfInt(int(v)))
-}
-
-func (t glockTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
-func glockCell(c Cell) *glock.Object {
-	o, ok := c.(*glock.Object)
-	if !ok {
-		panic(fmt.Sprintf("engine: cell of type %T used with the glock backend", c))
-	}
-	return o
+	Register("glock", valueInfo("coarse global RWMutex reference engine (no aborts, honesty baseline)"),
+		func(o Options) (Engine, error) {
+			return newValueEngine("glock", glock.NewObject, glock.New().Thread, nil), nil
+		})
 }

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/norec"
-	"repro/internal/val"
-)
+import "repro/internal/norec"
 
 // The "norec" backend: value-based validation over a single global sequence
 // lock — no per-object metadata at all. Its time base is the sequence lock
@@ -18,7 +13,9 @@ import (
 // 64 padded stripe locks, per-stripe snapshots re-established together, and
 // commits that lock (in ascending order) and validate only the stripes they
 // touched — the ROADMAP probe for where value-based validation stops being
-// the bottleneck once commits no longer serialize on one cache line.
+// the bottleneck once commits no longer serialize on one cache line. It is
+// the adaptive universe below with escalation disabled (norec.NewStriped),
+// not a protocol of its own.
 //
 // The "norec/combined" backend keeps the single sequence lock but amortizes
 // it with flat-combining commits: committers publish validated logs into
@@ -32,30 +29,23 @@ import (
 // to a global write-window protocol whose reads validate with one shared
 // load.
 func init() {
-	norecInfo := func(summary string, tunables ...string) Info {
-		return Info{
-			Summary: summary,
-			Capabilities: Capabilities{
-				IntLane:        true,
-				AttemptCounter: true,
-				Tunables:       tunables,
-			},
-		}
-	}
-	Register("norec", norecInfo("value-validating NOrec over one global sequence lock"),
+	Register("norec", valueInfo("value-validating NOrec over one global sequence lock"),
 		func(o Options) (Engine, error) {
-			return &norecEngine{stm: norec.New()}, nil
+			return newValueEngine("norec", norec.NewObject, norec.New().Thread, nil), nil
 		})
-	Register("norec/striped", norecInfo("NOrec over 64 partitioned per-cell sequence locks"),
+	Register("norec/striped", valueInfo("NOrec over 64 partitioned per-cell sequence locks"),
 		func(o Options) (Engine, error) {
-			return &norecStripedEngine{stm: norec.NewStriped()}, nil
+			return newValueEngine("norec/striped", norec.NewObject, norec.NewStriped().Thread, nil), nil
 		})
-	Register("norec/combined", norecInfo("NOrec with flat-combining batched commits"),
+	Register("norec/combined", valueInfo("NOrec with flat-combining batched commits"),
 		func(o Options) (Engine, error) {
-			return &norecCombinedEngine{stm: norec.NewCombined()}, nil
+			stm := norec.NewCombined()
+			return newValueEngine("norec/combined", norec.NewObject, stm.Thread, func(s *Stats) {
+				s.CommitBatches, s.BatchedCommits = stm.BatchStats()
+			}), nil
 		})
 	Register("norec/adaptive",
-		norecInfo("striped NOrec escalating wide or aborting attempts to a global write window",
+		valueInfo("striped NOrec escalating wide or aborting attempts to a global write window",
 			"stripes", "escalate-stripes", "escalate-aborts"),
 		func(o Options) (Engine, error) {
 			stm, err := norec.NewAdaptive(norec.AdaptiveOptions{
@@ -66,228 +56,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return &norecAdaptiveEngine{stm: stm}, nil
+			return newValueEngine("norec/adaptive", norec.NewObject, stm.Thread, func(s *Stats) {
+				s.EscalatedCommits = stm.EscalatedCommits()
+			}), nil
 		})
-}
-
-type norecEngine struct {
-	stm *norec.STM
-	counterSet
-}
-
-func (e *norecEngine) Name() string { return "norec" }
-
-func (e *norecEngine) NewCell(initial any) Cell { return norec.NewObject(initial) }
-
-// Thread builds the worker context (see adapterThread) with its retry
-// closure and bound method values allocated once: per-transaction Run calls
-// only swap the fn pointer, so the adapter layer adds zero allocations to
-// the native engine's steady state.
-func (e *norecEngine) Thread(id int) Thread {
-	th := e.stm.Thread(id)
-	t := &adapterThread[*norec.Tx]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
-		reasons: th.AbortCounts,
-	}
-	t.step = func(tx *norec.Tx) error {
-		t.attempts++
-		return t.fn(norecTxn{tx})
-	}
-	return t
-}
-
-type norecTxn struct {
-	tx *norec.Tx
-}
-
-func (t norecTxn) Read(c Cell) (any, error)  { return t.tx.Read(norecCell(c)) }
-func (t norecTxn) Write(c Cell, v any) error { return t.tx.Write(norecCell(c), v) }
-
-func (t norecTxn) ReadInt(c Cell) (int64, bool, error) {
-	v, err := t.tx.ReadValue(norecCell(c))
-	if err != nil {
-		return 0, false, err
-	}
-	n, ok := v.AsInt64()
-	return n, ok, nil
-}
-
-func (t norecTxn) WriteInt(c Cell, v int64) error {
-	return t.tx.WriteValue(norecCell(c), val.OfInt(int(v)))
-}
-
-func (t norecTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
-// The striped variant's adapter — same shape over norec.SThread/STx.
-
-type norecStripedEngine struct {
-	stm *norec.StripedSTM
-	counterSet
-}
-
-func (e *norecStripedEngine) Name() string { return "norec/striped" }
-
-func (e *norecStripedEngine) NewCell(initial any) Cell { return norec.NewObject(initial) }
-
-func (e *norecStripedEngine) Thread(id int) Thread {
-	th := e.stm.Thread(id)
-	t := &adapterThread[*norec.STx]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
-		reasons: th.AbortCounts,
-	}
-	t.step = func(tx *norec.STx) error {
-		t.attempts++
-		return t.fn(norecSTxn{tx})
-	}
-	return t
-}
-
-type norecSTxn struct {
-	tx *norec.STx
-}
-
-func (t norecSTxn) Read(c Cell) (any, error)  { return t.tx.Read(norecCell(c)) }
-func (t norecSTxn) Write(c Cell, v any) error { return t.tx.Write(norecCell(c), v) }
-
-func (t norecSTxn) ReadInt(c Cell) (int64, bool, error) {
-	v, err := t.tx.ReadValue(norecCell(c))
-	if err != nil {
-		return 0, false, err
-	}
-	n, ok := v.AsInt64()
-	return n, ok, nil
-}
-
-func (t norecSTxn) WriteInt(c Cell, v int64) error {
-	return t.tx.WriteValue(norecCell(c), val.OfInt(int(v)))
-}
-
-func (t norecSTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
-// The combined variant's adapter — same shape over norec.CThread/CTx, plus
-// batch telemetry lifted from the universe into Stats.
-
-type norecCombinedEngine struct {
-	stm *norec.CombinedSTM
-	counterSet
-}
-
-func (e *norecCombinedEngine) Name() string { return "norec/combined" }
-
-func (e *norecCombinedEngine) NewCell(initial any) Cell { return norec.NewObject(initial) }
-
-func (e *norecCombinedEngine) Thread(id int) Thread {
-	th := e.stm.Thread(id)
-	t := &adapterThread[*norec.CTx]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
-		reasons: th.AbortCounts,
-	}
-	t.step = func(tx *norec.CTx) error {
-		t.attempts++
-		return t.fn(norecCTxn{tx})
-	}
-	return t
-}
-
-// Stats adds the combining telemetry to the thread counters.
-func (e *norecCombinedEngine) Stats() Stats {
-	s := e.counterSet.Stats()
-	s.CommitBatches, s.BatchedCommits = e.stm.BatchStats()
-	return s
-}
-
-type norecCTxn struct {
-	tx *norec.CTx
-}
-
-func (t norecCTxn) Read(c Cell) (any, error)  { return t.tx.Read(norecCell(c)) }
-func (t norecCTxn) Write(c Cell, v any) error { return t.tx.Write(norecCell(c), v) }
-
-func (t norecCTxn) ReadInt(c Cell) (int64, bool, error) {
-	v, err := t.tx.ReadValue(norecCell(c))
-	if err != nil {
-		return 0, false, err
-	}
-	n, ok := v.AsInt64()
-	return n, ok, nil
-}
-
-func (t norecCTxn) WriteInt(c Cell, v int64) error {
-	return t.tx.WriteValue(norecCell(c), val.OfInt(int(v)))
-}
-
-func (t norecCTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
-// The adaptive variant's adapter — same shape over norec.AThread/ATx, plus
-// escalation telemetry lifted from the universe into Stats.
-
-type norecAdaptiveEngine struct {
-	stm *norec.AdaptiveSTM
-	counterSet
-}
-
-func (e *norecAdaptiveEngine) Name() string { return "norec/adaptive" }
-
-func (e *norecAdaptiveEngine) NewCell(initial any) Cell { return norec.NewObject(initial) }
-
-func (e *norecAdaptiveEngine) Thread(id int) Thread {
-	th := e.stm.Thread(id)
-	t := &adapterThread[*norec.ATx]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
-		reasons: th.AbortCounts,
-	}
-	t.step = func(tx *norec.ATx) error {
-		t.attempts++
-		return t.fn(norecATxn{tx})
-	}
-	return t
-}
-
-// Stats adds the escalation telemetry to the thread counters.
-func (e *norecAdaptiveEngine) Stats() Stats {
-	s := e.counterSet.Stats()
-	s.EscalatedCommits = e.stm.EscalatedCommits()
-	return s
-}
-
-type norecATxn struct {
-	tx *norec.ATx
-}
-
-func (t norecATxn) Read(c Cell) (any, error)  { return t.tx.Read(norecCell(c)) }
-func (t norecATxn) Write(c Cell, v any) error { return t.tx.Write(norecCell(c), v) }
-
-func (t norecATxn) ReadInt(c Cell) (int64, bool, error) {
-	v, err := t.tx.ReadValue(norecCell(c))
-	if err != nil {
-		return 0, false, err
-	}
-	n, ok := v.AsInt64()
-	return n, ok, nil
-}
-
-func (t norecATxn) WriteInt(c Cell, v int64) error {
-	return t.tx.WriteValue(norecCell(c), val.OfInt(int(v)))
-}
-
-func (t norecATxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
-func norecCell(c Cell) *norec.Object {
-	o, ok := c.(*norec.Object)
-	if !ok {
-		panic(fmt.Sprintf("engine: cell of type %T used with the norec backend", c))
-	}
-	return o
 }

@@ -1,82 +1,13 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/rstmval"
-	"repro/internal/val"
-)
+import "repro/internal/rstmval"
 
 // The "rstmval" backend: the validating STM with the RSTM commit-counter
 // heuristic — consistency by read-set revalidation, gated by a global
 // counter of attempted commits.
 func init() {
-	Register("rstmval", Info{
-		Summary: "validating STM with the RSTM commit-counter revalidation heuristic",
-		Capabilities: Capabilities{
-			IntLane:        true,
-			AttemptCounter: true,
-		},
-	}, func(o Options) (Engine, error) {
-		return &rstmEngine{stm: rstmval.New()}, nil
-	})
-}
-
-type rstmEngine struct {
-	stm *rstmval.STM
-	counterSet
-}
-
-func (e *rstmEngine) Name() string { return "rstmval" }
-
-func (e *rstmEngine) NewCell(initial any) Cell { return rstmval.NewObject(initial) }
-
-// Thread builds the worker context (see adapterThread) with its retry
-// closure and bound method values allocated once: per-transaction Run calls
-// only swap the fn pointer, so the adapter layer adds zero allocations to
-// the native engine's steady state.
-func (e *rstmEngine) Thread(id int) Thread {
-	th := e.stm.Thread(id)
-	t := &adapterThread[*rstmval.Tx]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
-		reasons: th.AbortCounts,
-	}
-	t.step = func(tx *rstmval.Tx) error {
-		t.attempts++
-		return t.fn(rstmTxn{tx})
-	}
-	return t
-}
-
-type rstmTxn struct {
-	tx *rstmval.Tx
-}
-
-func (t rstmTxn) Read(c Cell) (any, error)  { return t.tx.Read(rstmCell(c)) }
-func (t rstmTxn) Write(c Cell, v any) error { return t.tx.Write(rstmCell(c), v) }
-
-func (t rstmTxn) ReadInt(c Cell) (int64, bool, error) {
-	v, err := t.tx.ReadValue(rstmCell(c))
-	if err != nil {
-		return 0, false, err
-	}
-	n, ok := v.AsInt64()
-	return n, ok, nil
-}
-
-func (t rstmTxn) WriteInt(c Cell, v int64) error {
-	return t.tx.WriteValue(rstmCell(c), val.OfInt(int(v)))
-}
-
-func (t rstmTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
-func rstmCell(c Cell) *rstmval.Object {
-	o, ok := c.(*rstmval.Object)
-	if !ok {
-		panic(fmt.Sprintf("engine: cell of type %T used with the rstmval backend", c))
-	}
-	return o
+	Register("rstmval", valueInfo("validating STM with the RSTM commit-counter revalidation heuristic"),
+		func(o Options) (Engine, error) {
+			return newValueEngine("rstmval", rstmval.NewObject, rstmval.New().Thread, nil), nil
+		})
 }

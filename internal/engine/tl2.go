@@ -1,11 +1,8 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/timebase"
 	"repro/internal/tl2"
-	"repro/internal/val"
 )
 
 // The "tl2" backend: the lean single-version TL2 reimplementation on its
@@ -26,91 +23,25 @@ import (
 // a masked uncertainty window that — with no version history to fall back
 // to — turns into aborts on freshly written objects.
 func init() {
-	tl2Info := func(summary string, tunables ...string) Info {
-		return Info{
-			Summary: summary,
-			Capabilities: Capabilities{
-				IntLane:        true,
-				AttemptCounter: true,
-				Tunables:       tunables,
-			},
-		}
-	}
-	Register("tl2", tl2Info("single-version TL2 on its classic shared version clock"),
+	Register("tl2", valueInfo("single-version TL2 on its classic shared version clock"),
 		func(o Options) (Engine, error) {
-			return &tl2Engine{name: "tl2", stm: tl2.New()}, nil
+			return newTL2("tl2", tl2.New()), nil
 		})
-	Register("tl2/extsync", tl2Info("single-version TL2 on the externally synchronized ±dev clock", "nodes", "deviation"),
+	Register("tl2/extsync", valueInfo("single-version TL2 on the externally synchronized ±dev clock", "nodes", "deviation"),
 		func(o Options) (Engine, error) {
 			tb, err := newExtSyncTimeBase(o)
 			if err != nil {
 				return nil, err
 			}
-			return &tl2Engine{name: "tl2/extsync", stm: tl2.NewWithTimeBase(tb)}, nil
+			return newTL2("tl2/extsync", tl2.NewWithTimeBase(tb)), nil
 		})
-	Register("tl2/sharded", tl2Info("single-version TL2 on the sharded software counter", "nodes", "shard-window"),
+	Register("tl2/sharded", valueInfo("single-version TL2 on the sharded software counter", "nodes", "shard-window"),
 		func(o Options) (Engine, error) {
 			tb := timebase.NewShardedCounter(o.Nodes, o.ShardWindow)
-			return &tl2Engine{name: "tl2/sharded", stm: tl2.NewWithTimeBase(tb)}, nil
+			return newTL2("tl2/sharded", tl2.NewWithTimeBase(tb)), nil
 		})
 }
 
-type tl2Engine struct {
-	name string
-	stm  *tl2.STM
-	counterSet
-}
-
-func (e *tl2Engine) Name() string { return e.name }
-
-func (e *tl2Engine) NewCell(initial any) Cell { return tl2.NewObject(initial) }
-
-// Thread builds the worker context (see adapterThread) with its retry
-// closure and bound method values allocated once: per-transaction Run calls
-// only swap the fn pointer, so the adapter layer adds zero allocations to
-// the native engine's steady state.
-func (e *tl2Engine) Thread(id int) Thread {
-	th := e.stm.Thread(id)
-	t := &adapterThread[*tl2.Tx]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
-		reasons: th.AbortCounts,
-	}
-	t.step = func(tx *tl2.Tx) error {
-		t.attempts++
-		return t.fn(tl2Txn{tx})
-	}
-	return t
-}
-
-type tl2Txn struct {
-	tx *tl2.Tx
-}
-
-func (t tl2Txn) Read(c Cell) (any, error)  { return t.tx.Read(tl2Cell(c)) }
-func (t tl2Txn) Write(c Cell, v any) error { return t.tx.Write(tl2Cell(c), v) }
-
-func (t tl2Txn) ReadInt(c Cell) (int64, bool, error) {
-	v, err := t.tx.ReadValue(tl2Cell(c))
-	if err != nil {
-		return 0, false, err
-	}
-	n, ok := v.AsInt64()
-	return n, ok, nil
-}
-
-func (t tl2Txn) WriteInt(c Cell, v int64) error {
-	return t.tx.WriteValue(tl2Cell(c), val.OfInt(int(v)))
-}
-
-func (t tl2Txn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
-func tl2Cell(c Cell) *tl2.Object {
-	o, ok := c.(*tl2.Object)
-	if !ok {
-		panic(fmt.Sprintf("engine: cell of type %T used with the tl2 backend", c))
-	}
-	return o
+func newTL2(name string, stm *tl2.STM) Engine {
+	return newValueEngine(name, tl2.NewObject, stm.Thread, nil)
 }

@@ -7,12 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/rstmval"
+	"repro/internal/engine"
 	"repro/internal/stats"
-	"repro/internal/timebase"
-	"repro/internal/tl2"
-	"repro/internal/wordstm"
 )
 
 // BaselinesConfig parameterizes the §1.2 comparison: read-only scans of
@@ -49,174 +45,14 @@ type BaselinesResult struct {
 	Table  *stats.Table
 }
 
-// stmDriver abstracts the three STMs behind the minimal surface the
-// experiment needs: build the table, run one scan, run one update.
-type stmDriver struct {
-	name   string
-	setup  func(objects, workers int)
-	scan   func(id, scan int) error
-	update func(id int) error
-}
-
-func lsaDriver(name string, tb func(nodes int) timebase.TimeBase, workers int) *stmDriver {
-	var rt *core.Runtime
-	var objs []*core.Object
-	var threads []*core.Thread
-	return &stmDriver{
-		name: name,
-		setup: func(objects, w int) {
-			rt = core.MustRuntime(core.Config{TimeBase: tb(w)})
-			objs = make([]*core.Object, objects)
-			for i := range objs {
-				objs[i] = core.NewObject(0)
-			}
-			threads = make([]*core.Thread, w)
-			for i := range threads {
-				threads[i] = rt.Thread(i)
-			}
-		},
-		scan: func(id, scan int) error {
-			th := threads[id]
-			return th.RunReadOnly(func(tx *core.Tx) error {
-				for i := 0; i < scan; i++ {
-					if _, err := tx.Read(objs[i]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		update: func(id int) error {
-			th := threads[id]
-			o := objs[id%len(objs)]
-			return th.Run(func(tx *core.Tx) error {
-				v, err := tx.Read(o)
-				if err != nil {
-					return err
-				}
-				return tx.Write(o, v.(int)+1)
-			})
-		},
-	}
-}
-
-func tl2Driver() *stmDriver {
-	var s *tl2.STM
-	var objs []*tl2.Object
-	var threads []*tl2.Thread
-	return &stmDriver{
-		name: "TL2",
-		setup: func(objects, w int) {
-			s = tl2.New()
-			objs = make([]*tl2.Object, objects)
-			for i := range objs {
-				objs[i] = tl2.NewObject(0)
-			}
-			threads = make([]*tl2.Thread, w)
-			for i := range threads {
-				threads[i] = s.Thread(i)
-			}
-		},
-		scan: func(id, scan int) error {
-			return threads[id].RunReadOnly(func(tx *tl2.Tx) error {
-				for i := 0; i < scan; i++ {
-					if _, err := tx.Read(objs[i]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		update: func(id int) error {
-			o := objs[id%len(objs)]
-			return threads[id].Run(func(tx *tl2.Tx) error {
-				v, err := tx.Read(o)
-				if err != nil {
-					return err
-				}
-				return tx.Write(o, v.(int)+1)
-			})
-		},
-	}
-}
-
-func wordDriver() *stmDriver {
-	var s *wordstm.STM
-	var threads []*wordstm.Thread
-	return &stmDriver{
-		name: "LSA-word",
-		setup: func(objects, w int) {
-			var err error
-			s, err = wordstm.New(timebase.NewSharedCounter(), objects)
-			if err != nil {
-				panic(err)
-			}
-			threads = make([]*wordstm.Thread, w)
-			for i := range threads {
-				threads[i] = s.Thread(i)
-			}
-		},
-		scan: func(id, scan int) error {
-			return threads[id].RunReadOnly(func(tx *wordstm.Tx) error {
-				for i := 0; i < scan; i++ {
-					if _, err := tx.Load(wordstm.Addr(i)); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		update: func(id int) error {
-			a := wordstm.Addr(id % s.Words())
-			return threads[id].Run(func(tx *wordstm.Tx) error {
-				v, err := tx.Load(a)
-				if err != nil {
-					return err
-				}
-				return tx.Store(a, v+1)
-			})
-		},
-	}
-}
-
-func rstmDriver() *stmDriver {
-	var s *rstmval.STM
-	var objs []*rstmval.Object
-	var threads []*rstmval.Thread
-	return &stmDriver{
-		name: "RSTM-val",
-		setup: func(objects, w int) {
-			s = rstmval.New()
-			objs = make([]*rstmval.Object, objects)
-			for i := range objs {
-				objs[i] = rstmval.NewObject(0)
-			}
-			threads = make([]*rstmval.Thread, w)
-			for i := range threads {
-				threads[i] = s.Thread(i)
-			}
-		},
-		scan: func(id, scan int) error {
-			return threads[id].RunReadOnly(func(tx *rstmval.Tx) error {
-				for i := 0; i < scan; i++ {
-					if _, err := tx.Read(objs[i]); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		},
-		update: func(id int) error {
-			o := objs[id%len(objs)]
-			return threads[id].Run(func(tx *rstmval.Tx) error {
-				v, err := tx.Read(o)
-				if err != nil {
-					return err
-				}
-				return tx.Write(o, v.(int)+1)
-			})
-		},
-	}
+// baselineSTMs maps the experiment's table labels to the registry backends
+// that stand for them; every point runs through the engine layer's int lane.
+var baselineSTMs = []struct{ label, backend string }{
+	{"LSA-RT/counter", "lsa/shared"},
+	{"LSA-RT/clock", "lsa/mmtimer"},
+	{"LSA-word", "wordstm"},
+	{"TL2", "tl2"},
+	{"RSTM-val", "rstmval"},
 }
 
 // Baselines runs the comparison.
@@ -245,20 +81,12 @@ func Baselines(cfg BaselinesConfig) (*BaselinesResult, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 150 * time.Millisecond
 	}
-	workers := cfg.Readers + cfg.Updaters
-	drivers := []*stmDriver{
-		lsaDriver("LSA-RT/counter", func(n int) timebase.TimeBase { return timebase.NewSharedCounter() }, workers),
-		lsaDriver("LSA-RT/clock", func(n int) timebase.TimeBase { return timebase.NewMMTimer(n) }, workers),
-		wordDriver(),
-		tl2Driver(),
-		rstmDriver(),
-	}
 	res := &BaselinesResult{
 		Table: stats.NewTable("stm", "scan size", "scans/s", "updates/s"),
 	}
-	for _, drv := range drivers {
+	for _, stm := range baselineSTMs {
 		for _, scan := range cfg.ScanSizes {
-			p, err := runBaselinePoint(drv, scan, cfg)
+			p, err := runBaselinePoint(stm.label, stm.backend, scan, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -277,9 +105,23 @@ type padCount struct {
 	_ [56]byte
 }
 
-func runBaselinePoint(drv *stmDriver, scan int, cfg BaselinesConfig) (BaselinesPoint, error) {
+// runBaselinePoint measures one (STM, scan size) point on a fresh engine:
+// readers scan the first scan cells read-only, each updater increments its
+// own cell.
+func runBaselinePoint(label, backend string, scan int, cfg BaselinesConfig) (BaselinesPoint, error) {
 	workers := cfg.Readers + cfg.Updaters
-	drv.setup(cfg.Objects, workers)
+	eng, err := engine.New(backend, engine.Options{Nodes: workers, Words: cfg.Objects})
+	if err != nil {
+		return BaselinesPoint{}, err
+	}
+	cells := make([]engine.Cell, cfg.Objects)
+	for i := range cells {
+		cells[i] = eng.NewCell(0)
+	}
+	threads := make([]engine.Thread, workers)
+	for i := range threads {
+		threads[i] = eng.Thread(i)
+	}
 	counts := make([]padCount, workers)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -288,13 +130,26 @@ func runBaselinePoint(drv *stmDriver, scan int, cfg BaselinesConfig) (BaselinesP
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			th := threads[id]
 			reader := id < cfg.Readers
+			scanFn := func(tx engine.Txn) error {
+				for _, c := range cells[:scan] {
+					if _, err := engine.Get[int](tx, c); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			own := cells[id%len(cells)]
+			updateFn := func(tx engine.Txn) error {
+				return engine.Update(tx, own, func(n int) int { return n + 1 })
+			}
 			for i := 0; !stop.Load(); i++ {
 				var err error
 				if reader {
-					err = drv.scan(id, scan)
+					err = th.RunReadOnly(scanFn)
 				} else {
-					err = drv.update(id)
+					err = th.Run(updateFn)
 					if i%4096 == 4095 {
 						// Updaters yield periodically so they cannot
 						// monopolize a host with fewer cores than workers
@@ -304,7 +159,7 @@ func runBaselinePoint(drv *stmDriver, scan int, cfg BaselinesConfig) (BaselinesP
 					}
 				}
 				if err != nil {
-					errs <- fmt.Errorf("%s worker %d: %w", drv.name, id, err)
+					errs <- fmt.Errorf("%s worker %d: %w", label, id, err)
 					return
 				}
 				counts[id].n.Add(1)
@@ -328,7 +183,7 @@ func runBaselinePoint(drv *stmDriver, scan int, cfg BaselinesConfig) (BaselinesP
 		return BaselinesPoint{}, err
 	}
 	return BaselinesPoint{
-		STM:       drv.name,
+		STM:       label,
 		Scan:      scan,
 		ScansPerS: float64(afterR-beforeR) / el,
 		UpdPerS:   float64(afterU-beforeU) / el,

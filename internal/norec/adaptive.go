@@ -1,14 +1,56 @@
 package norec
 
-// The adaptive variant: striped NOrec that escalates wide transactions to a
-// global-window protocol. The striped protocol (striped.go) wins when
-// transactions stay narrow — disjoint commits bump disjoint stripe lines —
-// but a transaction that fans out over many stripes pays O(touched stripes)
-// at every first touch and at every validation. AdaptiveSTM runs the
-// striped protocol by default, counts the stripes an attempt's read set
-// touches, and escalates an attempt to the global path when it crosses a
-// threshold (mid-attempt, keeping the validated log) or when striped
-// attempts keep aborting (the retry loop starts the attempt escalated).
+// The striped and adaptive variants: NOrec with a partitioned sequence lock
+// ("norec/striped"), optionally escalating wide transactions to a
+// global-window protocol ("norec/adaptive"). Both are one universe type,
+// AdaptiveSTM; the striped backend is that universe constructed with
+// escalation unreachable (NewStriped), so the striped protocol below exists
+// exactly once.
+//
+// Plain NOrec serializes every update commit on one global sequence-lock
+// cache line — the extreme single-counter design, and (per ROADMAP) the
+// probe target for where value-based validation stops being the bottleneck.
+// AdaptiveSTM shards that lock: every cell belongs to one stripe (round
+// robin at creation), each stripe carries its own sequence lock, and a
+// transaction validates only the stripes it touched. Disjoint commits bump
+// disjoint cache lines and proceed in parallel.
+//
+// Striped consistency protocol:
+//
+//   - Reads keep one snapshot per touched stripe. All per-stripe snapshots
+//     are (re)established together — establish() waits for every touched
+//     stripe to be quiescent, re-validates the whole value log, and
+//     confirms no touched stripe moved during the scan — so the log is
+//     always consistent at one common point, the latest establishment. A
+//     read in a stripe whose sequence is unchanged since that point returns
+//     a value that was current at it; a moved (or locked) stripe triggers
+//     re-establishment, which is where "validate only touched stripes"
+//     replaces NOrec's global revalidation.
+//
+//   - Commit locks the write stripes in ascending index order (no deadlock
+//     among lockers), then validates the read log: held stripes are stable
+//     by ownership, foreign stripes are checked under the quiescence
+//     re-check loop, and a stripe that stays locked by someone else aborts
+//     the commit after a bounded spin — waiting forever could deadlock with
+//     a holder that is validating against one of *our* stripes. After
+//     validation the buffered writes land in the cells and every held
+//     stripe is released with +2; an aborted commit restores the exact
+//     pre-lock sequence values (no writes happened, so readers that
+//     snapshotted them stay valid).
+//
+// The cross-commit serializability argument is the TL2-shaped one: for two
+// transactions to miss each other's writes, each would have to validate its
+// reads before the other locked its write stripes, and each validation
+// observes the other's write stripes unlocked and unchanged — which orders
+// each validation before the other's lock acquisition, a cycle.
+//
+// Escalation. The striped protocol wins when transactions stay narrow, but
+// a transaction that fans out over many stripes pays O(touched stripes) at
+// every first touch and at every validation. An adaptive universe counts
+// the stripes an attempt's read set touches and escalates the attempt to
+// the global path when it crosses a threshold (mid-attempt, keeping the
+// validated log) or when striped attempts keep aborting (the retry loop
+// starts the attempt escalated).
 //
 // The global path replaces per-stripe snapshots with one pair of shared
 // write-window counters (wstart, wfin) — a multi-writer sequence lock:
@@ -53,6 +95,7 @@ package norec
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
@@ -60,6 +103,31 @@ import (
 	"repro/internal/abort"
 	"repro/internal/val"
 )
+
+// stripeCount is the maximum (and default) number of sequence-lock stripes.
+// A power of two; 64 stripes × one cache line each keep a universe's lock
+// table at 4 KiB while making same-stripe collisions rare for the bench
+// workloads' cell counts — and let the touched-stripe sets be uint64 bitmaps.
+const stripeCount = 64
+
+// stripe is one padded sequence lock (even = quiescent, odd = locked).
+type stripe struct {
+	seq atomic.Int64
+	_   [56]byte
+}
+
+// waitQuiescent spins until the stripe is even and returns its value.
+func (s *stripe) waitQuiescent() int64 {
+	for i := 0; ; i++ {
+		v := s.seq.Load()
+		if v&1 == 0 {
+			return v
+		}
+		if i > 32 {
+			runtime.Gosched()
+		}
+	}
+}
 
 // Adaptive protocol defaults.
 const (
@@ -134,12 +202,26 @@ func NewAdaptive(o AdaptiveOptions) (*AdaptiveSTM, error) {
 	if o.EscalateAborts < 1 {
 		return nil, fmt.Errorf("norec: adaptive abort-escalation threshold %d < 1", o.EscalateAborts)
 	}
+	return newAdaptive(o.Stripes, o.EscalateStripes, o.EscalateAborts), nil
+}
+
+// NewStriped creates the purely striped universe: stripeCount stripes with
+// escalation unreachable — no read set spans more stripes than exist, and no
+// retry loop reaches the abort threshold — so esc stays 0 forever and no
+// commit ever touches the write window. What it pays over a universe without
+// the escalation machinery is the escalated/width check per read and the esc
+// load per update commit.
+func NewStriped() *AdaptiveSTM {
+	return newAdaptive(stripeCount, stripeCount, math.MaxInt)
+}
+
+func newAdaptive(stripes, escStripes, escAborts int) *AdaptiveSTM {
 	return &AdaptiveSTM{
-		nstripes:   o.Stripes,
-		mask:       uint32(o.Stripes - 1),
-		escStripes: o.EscalateStripes,
-		escAborts:  o.EscalateAborts,
-	}, nil
+		nstripes:   stripes,
+		mask:       uint32(stripes - 1),
+		escStripes: escStripes,
+		escAborts:  escAborts,
+	}
 }
 
 // EscalatedCommits returns how many commits ran escalated. Call while no
@@ -149,9 +231,10 @@ func (s *AdaptiveSTM) EscalatedCommits() uint64 { return s.escCommits.Load() }
 // sindex maps an object to its stripe under this universe's stripe count.
 func (s *AdaptiveSTM) sindex(o *Object) uint { return uint(o.sid & s.mask) }
 
-// ATx is one transaction attempt against an adaptive universe. Recycled by
-// its thread like STx; the escalated flag selects the protocol the rest of
-// the attempt runs.
+// ATx is one transaction attempt against a striped/adaptive universe. Like
+// the plain Tx it is recycled by its thread: nothing an attempt builds
+// escapes it. The escalated flag selects the protocol the rest of the
+// attempt runs.
 type ATx struct {
 	stm       *AdaptiveSTM
 	readOnly  bool
@@ -159,9 +242,13 @@ type ATx struct {
 	escalated bool
 	reads     []readEntry
 	writeSet
-	// Striped-mode state (see STx).
-	touched  uint64
-	snaps    [stripeCount]int64
+	// touched marks stripes with a valid snapshot; snaps[s] is the stripe's
+	// sequence value at the latest establishment (one common consistency
+	// point for all touched stripes).
+	touched uint64
+	snaps   [stripeCount]int64
+	// lockVals[s] is the pre-lock (even) sequence value of each stripe held
+	// during commit, for release or restore.
 	lockVals [stripeCount]int64
 	// gsnap is the escalated-mode snapshot: the wstart value the value log
 	// is consistent at (taken with wstart == wfin).
@@ -238,9 +325,9 @@ func (tx *ATx) Read(o *Object) (any, error) {
 }
 
 // ReadValue returns o's value in the transaction's snapshot. Striped mode
-// mirrors STx.ReadValue; crossing the touched-stripe threshold escalates
-// the attempt in place; escalated mode validates against the write window
-// only.
+// re-establishes the per-stripe snapshots whenever o's stripe has moved;
+// crossing the touched-stripe threshold escalates the attempt in place;
+// escalated mode validates against the write window only.
 func (tx *ATx) ReadValue(o *Object) (val.Value, error) {
 	if idx, ok := tx.lookup(o); ok {
 		return tx.writes[idx].v, nil
@@ -291,9 +378,15 @@ func (tx *ATx) readGlobal(o *Object) (val.Value, error) {
 	}
 }
 
-// establish mirrors STx.establish over the adaptive universe's stripes,
-// including the moved-bitmap fast path: a first touch with no moved stripe
-// extends the common point without walking the value log.
+// establish (re)snapshots every touched stripe plus newBits at one common
+// quiescent point. The moved bitmap marks touched stripes whose sequence
+// left our snapshot; when it is empty — the dominant case for a wide scan's
+// first touch of each new stripe — the old snapshots extend to the new
+// common point for free and the value log is never walked. When stripes did
+// move, only entries whose stripe bit is set in moved are re-validated (an
+// unchanged stripe's cells are untouched), which keeps a transaction that
+// fans out over many stripes linear in its reads instead of quadratic.
+// Called with no stripe locks held, so unbounded waiting cannot deadlock.
 func (tx *ATx) establish(newBits uint64) error {
 	stm := tx.stm
 	want := tx.touched | newBits
@@ -307,6 +400,7 @@ func (tx *ATx) establish(newBits uint64) error {
 				moved |= uint64(1) << s
 			}
 		}
+		// Entries only exist in touched stripes, whose snaps are valid.
 		if moved != 0 {
 			for i := range tx.reads {
 				r := &tx.reads[i]
@@ -318,6 +412,9 @@ func (tx *ATx) establish(newBits uint64) error {
 				}
 			}
 		}
+		// The stability re-check stays even when nothing moved: a committer
+		// spanning two want stripes could land between their first-pass
+		// reads, leaving cur a torn cross-stripe point.
 		stable := true
 		for m := want; m != 0; m &= m - 1 {
 			s := uint(bits.TrailingZeros64(m))
@@ -358,9 +455,51 @@ func (tx *ATx) WriteValue(o *Object, v val.Value) error {
 	return nil
 }
 
-// lockWriteStripes runs phase 1 of both commit modes: lock every write
-// stripe in ascending index order (no deadlock among lockers) and record
-// the pre-lock values for release or restore.
+// commit locks the write stripes, validates the read log under the
+// attempt's protocol, writes back, and releases. Write-free transactions
+// are consistent at their latest establishment (or window point) and commit
+// without touching any lock.
+//
+// While any escalated attempt is registered — this one included — the whole
+// critical section, validation through write-back or abort, is bracketed by
+// wstart/wfin so escalated readers order against it. The esc load sits
+// after phase 1, which is what the escalation drain relies on. Escalated
+// commits lock their write stripes like striped ones so that striped
+// transactions order against them through the stripe sequences.
+func (tx *ATx) commit() error {
+	if len(tx.writes) == 0 {
+		return nil
+	}
+	stm := tx.stm
+	wmask := tx.lockWriteStripes()
+	inWindow := tx.escalated || stm.esc.Load() != 0
+	if inWindow {
+		stm.wstart.Add(1)
+	}
+	var err error
+	if tx.escalated {
+		err = tx.validateGlobal()
+	} else {
+		err = tx.validateStriped(wmask)
+	}
+	if err == nil {
+		// Write back (numeric payloads allocation-free).
+		for i := range tx.writes {
+			w := &tx.writes[i]
+			w.obj.cell.Store(w.v)
+		}
+	}
+	tx.release(wmask, err == nil)
+	if inWindow {
+		stm.wfin.Add(1)
+	}
+	return err
+}
+
+// lockWriteStripes is commit phase 1: lock every write stripe in ascending
+// index order and record the pre-lock values for release or restore.
+// Spinning on a foreign holder here cannot deadlock: holders only wait
+// (boundedly) in validation, never on lower-indexed locks.
 func (tx *ATx) lockWriteStripes() (wmask uint64) {
 	stm := tx.stm
 	for i := range tx.writes {
@@ -383,48 +522,14 @@ func (tx *ATx) lockWriteStripes() (wmask uint64) {
 	return wmask
 }
 
-// release unlocks every stripe in mask: committed stripes advance by two,
-// aborted ones restore the exact pre-lock value.
-func (tx *ATx) release(mask uint64, committed bool) {
-	for m := mask; m != 0; m &= m - 1 {
-		s := uint(bits.TrailingZeros64(m))
-		v := tx.lockVals[s]
-		if committed {
-			v += 2
-		}
-		tx.stm.stripes[s].seq.Store(v)
-	}
-}
-
-// commit dispatches on the attempt's protocol. Write-free transactions are
-// consistent at their latest establishment (or window point) and commit
-// without touching any lock.
-func (tx *ATx) commit() error {
-	if len(tx.writes) == 0 {
-		return nil
-	}
-	if tx.escalated {
-		return tx.commitGlobal()
-	}
-	return tx.commitStriped()
-}
-
-// commitStriped is STx.commit plus the escalation window: while any
-// escalated attempt is registered, the whole critical section — validation
-// through write-back — is bracketed by wstart/wfin so escalated readers
-// order against it. The esc load sits after phase 1, which is what the
-// escalation drain relies on.
-func (tx *ATx) commitStriped() error {
+// validateStriped is the striped commit's phase 2, run with the wmask
+// stripes held. Entries in held stripes are stable by ownership; foreign
+// read stripes are re-checked for quiescence and stability around the scan,
+// with a bounded number of rounds — a stripe held by a committer that is
+// itself validating against one of our stripes must resolve by one of us
+// aborting.
+func (tx *ATx) validateStriped(wmask uint64) error {
 	stm := tx.stm
-	wmask := tx.lockWriteStripes()
-	inWindow := stm.esc.Load() != 0
-	if inWindow {
-		stm.wstart.Add(1)
-	}
-	// Phase 2: validate the read log. Held stripes are stable by ownership;
-	// foreign stripes are checked under the bounded quiescence re-check loop
-	// (a holder validating against one of our stripes must resolve by one of
-	// us aborting).
 	var rmask uint64
 	for i := range tx.reads {
 		rmask |= uint64(1) << stm.sindex(tx.reads[i].obj)
@@ -432,14 +537,7 @@ func (tx *ATx) commitStriped() error {
 	foreign := rmask &^ wmask
 	var cur [stripeCount]int64
 rounds:
-	for round := 0; ; round++ {
-		if round >= 64 {
-			tx.release(wmask, false)
-			if inWindow {
-				stm.wfin.Add(1)
-			}
-			return errAbortContention
-		}
+	for round := 0; round < 64; round++ {
 		for m := foreign; m != 0; m &= m - 1 {
 			s := uint(bits.TrailingZeros64(m))
 			v := stm.stripes[s].seq.Load()
@@ -451,10 +549,6 @@ rounds:
 		}
 		for i := range tx.reads {
 			if !stillValid(&tx.reads[i]) {
-				tx.release(wmask, false)
-				if inWindow {
-					stm.wfin.Add(1)
-				}
 				return errAbortValidation
 			}
 		}
@@ -464,69 +558,52 @@ rounds:
 				continue rounds
 			}
 		}
-		break
+		return nil
 	}
-	// Phase 3: write back, release every held stripe with the next even
-	// value, close the window.
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		w.obj.cell.Store(w.v)
-	}
-	tx.release(wmask, true)
-	if inWindow {
-		stm.wfin.Add(1)
-	}
-	return nil
+	return errAbortContention
 }
 
-// commitGlobal is the escalated commit: lock the write stripes (striped
-// transactions order against us through them), enter the window, validate
-// the whole value log at a point where no other writer is mid-flight, write
-// back, and leave. The only-writer check (wfin == wstart−1: our own entry
-// is the one outstanding) is bounded — a peer stuck in its own validation
-// against our stripes aborts within its bounded loop, so waiting resolves.
-func (tx *ATx) commitGlobal() error {
+// validateGlobal is the escalated commit's phase 2, run inside the window:
+// validate the whole value log at a point where no other writer is
+// mid-flight. The only-writer check (wfin == wstart−1: our own entry is the
+// one outstanding) is bounded — a peer stuck in its own validation against
+// our stripes aborts within its bounded loop, so waiting resolves.
+func (tx *ATx) validateGlobal() error {
 	stm := tx.stm
-	wmask := tx.lockWriteStripes()
-	stm.wstart.Add(1)
-	for round := 0; ; round++ {
-		if round >= 64 {
-			tx.release(wmask, false)
-			stm.wfin.Add(1)
-			return errAbortContention
-		}
+	for round := 0; round < 64; round++ {
 		s := stm.wstart.Load()
 		if stm.wfin.Load() != s-1 {
 			runtime.Gosched()
 			continue
 		}
-		valid := true
 		for i := range tx.reads {
 			if !stillValid(&tx.reads[i]) {
-				valid = false
-				break
+				return errAbortValidation
 			}
 		}
-		if !valid {
-			tx.release(wmask, false)
-			stm.wfin.Add(1)
-			return errAbortValidation
-		}
 		if stm.wstart.Load() == s {
-			break
+			return nil
 		}
 	}
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		w.obj.cell.Store(w.v)
-	}
-	tx.release(wmask, true)
-	stm.wfin.Add(1)
-	return nil
+	return errAbortContention
 }
 
-// AThread is a worker context for the adaptive universe. It owns the one
-// ATx it recycles across attempts — single goroutine only.
+// release unlocks every stripe in mask: committed stripes advance by two,
+// aborted ones restore the exact pre-lock value (no writes happened, so
+// concurrent logs snapshotted at it remain valid).
+func (tx *ATx) release(mask uint64, committed bool) {
+	for m := mask; m != 0; m &= m - 1 {
+		s := uint(bits.TrailingZeros64(m))
+		v := tx.lockVals[s]
+		if committed {
+			v += 2
+		}
+		tx.stm.stripes[s].seq.Store(v)
+	}
+}
+
+// AThread is a worker context for the striped/adaptive universe. It owns the
+// one ATx it recycles across attempts — single goroutine only.
 type AThread struct {
 	stm          *AdaptiveSTM
 	tx           ATx

@@ -133,7 +133,7 @@ func TestAllocBudgetAdaptiveUpdateSmall(t *testing.T) {
 
 // The escalated path is held to the same zero budget: with the width
 // threshold at 1 stripe every two-cell transaction escalates mid-attempt,
-// so this exercises escalate(), the global read path and commitGlobal.
+// so this exercises escalate(), the global read path and validateGlobal.
 func TestAllocBudgetAdaptiveEscalatedUpdateSmall(t *testing.T) {
 	s, err := NewAdaptive(AdaptiveOptions{EscalateStripes: 1})
 	if err != nil {
@@ -175,7 +175,7 @@ func TestAllocBudgetStripedUpdateSmall(t *testing.T) {
 	s := NewStriped()
 	a, b := NewObject(big), NewObject(big)
 	th := s.Thread(0)
-	bump := func(tx *STx, o *Object) error {
+	bump := func(tx *ATx, o *Object) error {
 		v, err := tx.ReadValue(o)
 		if err != nil {
 			return err
@@ -183,7 +183,7 @@ func TestAllocBudgetStripedUpdateSmall(t *testing.T) {
 		n, _ := v.AsInt64()
 		return tx.WriteValue(o, val.OfInt(int(big+(n+1)%100)))
 	}
-	fn := func(tx *STx) error {
+	fn := func(tx *ATx) error {
 		if err := bump(tx, a); err != nil {
 			return err
 		}

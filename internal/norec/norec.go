@@ -17,9 +17,10 @@
 // its time base is the sequence lock itself, so commits serialize on one
 // cache line just like a shared-counter STM — but reads never touch shared
 // metadata until the counter moves, which keeps read-dominated workloads
-// cheap at low thread counts. The StripedSTM variant in striped.go
-// partitions that one lock by cell and is the probe for where value-based
-// validation stops being the bottleneck.
+// cheap at low thread counts. The AdaptiveSTM universe in adaptive.go
+// partitions that one lock by cell — the probe for where value-based
+// validation stops being the bottleneck — and, as "norec/adaptive",
+// escalates wide transactions back to a global protocol.
 //
 // Cells are typed two-word slots (val.AtomicCell): numeric payloads live
 // unboxed in an atomic machine word, so an int-valued commit writes back
