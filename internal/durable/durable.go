@@ -40,7 +40,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/val"
@@ -79,8 +78,6 @@ type Options struct {
 	SnapshotBytes int64
 	// SegmentBytes rotates log segments (0 = 4 MiB default).
 	SegmentBytes int64
-	// GroupInterval bounds the group-commit flush wait (0 = 2 ms default).
-	GroupInterval time.Duration
 	// Crash arms the deterministic fault-injection seam (nil = no faults).
 	Crash *Crashpoints
 }
@@ -148,12 +145,11 @@ func Wrap(inner engine.Engine, opt Options) (*Engine, error) {
 	// across restarts.
 	e.seqCell = inner.NewCell(int64(rec.lastSeq))
 	l, err := openLog(logConfig{
-		dir:           dir,
-		policy:        opt.Fsync,
-		segmentBytes:  opt.SegmentBytes,
-		groupInterval: opt.GroupInterval,
-		startSeq:      rec.lastSeq + 1,
-		crash:         opt.Crash,
+		dir:          dir,
+		policy:       opt.Fsync,
+		segmentBytes: opt.SegmentBytes,
+		startSeq:     rec.lastSeq + 1,
+		crash:        opt.Crash,
 	})
 	if err != nil {
 		return nil, err
@@ -197,16 +193,30 @@ func (e *Engine) NewCell(initial any) engine.Cell {
 
 // Thread wraps an inner thread with the journaling transaction runner.
 func (e *Engine) Thread(id int) engine.Thread {
-	return &dthread{e: e, inner: e.inner.Thread(id)}
+	t := &dthread{e: e, inner: e.inner.Thread(id)}
+	t.body = func(itx engine.Txn) error {
+		t.tx.reset(e, itx)
+		return t.fn(&t.tx)
+	}
+	return t
 }
 
 // Stats delegates to the inner engine (snapshot-capture transactions are
 // counted like any other read-only commit).
 func (e *Engine) Stats() engine.Stats { return e.inner.Stats() }
 
-// DurabilityInfo reports the persistence configuration and what recovery
-// found at boot.
-func (e *Engine) DurabilityInfo() engine.DurabilityInfo { return e.info }
+// DurabilityInfo reports the persistence configuration, what recovery found
+// at boot, and the live fsync counters.
+func (e *Engine) DurabilityInfo() engine.DurabilityInfo {
+	info := e.info
+	e.log.mu.Lock()
+	info.Fsyncs, info.SyncedCommits = e.log.fsyncs, e.log.synced
+	e.log.mu.Unlock()
+	if info.Fsyncs > 0 && info.FsyncPolicy != FsyncNever {
+		info.CommitsPerFsync = float64(info.SyncedCommits) / float64(info.Fsyncs)
+	}
+	return info
+}
 
 // WALSync forces buffered records to stable storage regardless of policy.
 func (e *Engine) WALSync() error { return e.log.Sync() }
@@ -530,6 +540,10 @@ type dthread struct {
 	inner   engine.Thread
 	tx      dtxn
 	scratch []byte
+	// fn is the caller's closure for the Run in progress; body, built once
+	// per thread, runs it over tx — so a commit allocates no closure.
+	fn   func(engine.Txn) error
+	body func(engine.Txn) error
 }
 
 func (t *dthread) ID() int { return t.inner.ID() }
@@ -549,11 +563,8 @@ func (t *dthread) Run(fn func(engine.Txn) error) error {
 		return err
 	}
 	tx := &t.tx
-	err := t.inner.Run(func(itx engine.Txn) error {
-		tx.reset(t.e, itx)
-		return fn(tx)
-	})
-	if err != nil {
+	t.fn = fn
+	if err := t.inner.Run(t.body); err != nil {
 		return err
 	}
 	if tx.seq == 0 {
@@ -594,11 +605,8 @@ func (t *dthread) RunReadOnly(fn func(engine.Txn) error) error {
 	if err := t.e.log.Err(); err != nil {
 		return err
 	}
-	tx := &t.tx
-	return t.inner.RunReadOnly(func(itx engine.Txn) error {
-		tx.reset(t.e, itx)
-		return fn(tx)
-	})
+	t.fn = fn
+	return t.inner.RunReadOnly(t.body)
 }
 
 // dtxn is the journaling transaction: reads pass through; writes screen the
@@ -711,7 +719,7 @@ func init() {
 		}
 		caps := info.Capabilities
 		caps.Durable = true
-		caps.Tunables = append(append([]string{}, caps.Tunables...), "wal", "fsync", "snapshot", "segment", "group-interval")
+		caps.Tunables = append(append([]string{}, caps.Tunables...), "wal", "fsync", "snapshot", "segment")
 		engine.Register("durable/"+base, engine.Info{
 			Summary:      "recoverable " + base + ": redo WAL + compacting snapshot, crash recovery on boot",
 			Capabilities: caps,
@@ -725,7 +733,6 @@ func init() {
 				Fsync:         o.Fsync,
 				SnapshotBytes: o.SnapshotBytes,
 				SegmentBytes:  o.SegmentBytes,
-				GroupInterval: o.GroupInterval,
 			})
 		})
 	}

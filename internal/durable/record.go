@@ -220,6 +220,12 @@ func appendCommitPayload(b []byte, seq uint64, writes []Entry) ([]byte, error) {
 
 // DecodeCommitPayload parses a 'C' payload (type byte included).
 func DecodeCommitPayload(b []byte) (seq uint64, writes []Entry, err error) {
+	return decodeCommitInto(b, nil)
+}
+
+// decodeCommitInto is DecodeCommitPayload appending the writes to writes[:0]
+// (replay reuses one slice for the whole log).
+func decodeCommitInto(b []byte, writes []Entry) (uint64, []Entry, error) {
 	if len(b) == 0 || b[0] != recCommit {
 		return 0, nil, errors.New("durable: not a commit record")
 	}
@@ -234,17 +240,20 @@ func DecodeCommitPayload(b []byte) (seq uint64, writes []Entry, err error) {
 		return 0, nil, errors.New("durable: bad commit write count")
 	}
 	b = b[w:]
-	writes = make([]Entry, 0, n)
+	if writes == nil {
+		writes = make([]Entry, 0, n)
+	}
+	writes = writes[:0]
 	for i := uint64(0); i < n; i++ {
 		id, w := binary.Uvarint(b)
 		if w <= 0 {
 			return 0, nil, errors.New("durable: bad commit cell id")
 		}
-		var v val.Value
-		v, b, err = decodeValue(b[w:])
+		v, rest, err := decodeValue(b[w:])
 		if err != nil {
 			return 0, nil, err
 		}
+		b = rest
 		writes = append(writes, Entry{ID: id, V: v})
 	}
 	if len(b) != 0 {
@@ -320,22 +329,37 @@ func frameAround(b []byte) []byte {
 // Recovery and the replication follower share it: the wire protocol ships
 // the exact on-disk frame bytes.
 func ReadFrame(r io.Reader) (payload []byte, frameLen int64, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto is ReadFrame reading the payload into buf when it fits: the
+// returned payload then aliases buf and is valid until buf's next reuse.
+func readFrameInto(r io.Reader, buf []byte) (payload []byte, frameLen int64, err error) {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	// The header goes through buf too (a local array would escape into the
+	// Read call); its fields are decoded before the payload overwrites it.
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF
 		}
 		return nil, 0, fmt.Errorf("%w: short frame header: %v", ErrTorn, err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
+	n, want := binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
 	if n > maxFrameLen {
 		return nil, 0, fmt.Errorf("%w: implausible frame length %d", ErrTorn, n)
 	}
-	payload = make([]byte, n)
+	if int(n) <= cap(buf) {
+		payload = buf[:n]
+	} else {
+		payload = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, 0, fmt.Errorf("%w: short frame payload: %v", ErrTorn, err)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
+	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrTorn, want, got)
 	}
 	return payload, frameHeaderLen + int64(n), nil

@@ -83,7 +83,8 @@ func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
 // watermark covers: segment i is disposable when the next segment starts at
 // or below watermark+1 (so every seq in segment i is ≤ watermark). The last
 // segment (the active one) never has a successor and is never deleted, so
-// this cannot race the appender.
+// this cannot race the appender — nor a group flush in flight, which always
+// has the active segment open: rotation waits for it before switching files.
 func (l *Log) truncateCovered(watermark uint64) error {
 	segs, err := listSegments(l.cfg.dir)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/val"
 )
@@ -37,9 +36,6 @@ const (
 	// defaultSegmentBytes rotates segments at 4 MiB; tests shrink it to
 	// force rotation with tiny workloads.
 	defaultSegmentBytes = 4 << 20
-	// defaultGroupInterval bounds how long a group-commit acknowledgment
-	// may wait for the shared fsync.
-	defaultGroupInterval = 2 * time.Millisecond
 )
 
 var (
@@ -130,17 +126,25 @@ func (c *Crashpoints) Fired() string {
 
 // logConfig parameterizes openLog.
 type logConfig struct {
-	dir           string
-	policy        string // FsyncAlways | FsyncGroup | FsyncNever
-	segmentBytes  int64
-	groupInterval time.Duration
-	startSeq      uint64 // first seq this log will accept (recovered lastSeq+1)
-	crash         *Crashpoints
+	dir          string
+	policy       string // FsyncAlways | FsyncGroup | FsyncNever
+	segmentBytes int64
+	startSeq     uint64 // first seq this log will accept (recovered lastSeq+1)
+	crash        *Crashpoints
+	// sync forces a segment file to stable storage; tests substitute a slow,
+	// counting or failing one (nil = (*os.File).Sync).
+	sync func(*os.File) error
 }
 
 // Log is the append side of the WAL. Commit acknowledgments respect the
 // fsync policy: under "always" and "group" a Commit that returns nil has
 // been fsynced; under "never" it has only been buffered.
+//
+// Group commit is leader/follower: a committer whose record is not yet
+// synced and that finds no fsync in flight flushes everything appended so far
+// itself, with l.mu released; commits arriving meanwhile keep appending and
+// form the next batch. Batch size thus follows fsync latency × arrival rate,
+// and a lone committer waits for exactly one fsync.
 //
 // Appends are sequenced: Commit(seq, …) blocks until every lower seq has
 // been appended, so the on-disk log is always a dense prefix of the commit
@@ -150,7 +154,7 @@ type Log struct {
 
 	mu        sync.Mutex
 	seqCond   *sync.Cond // append turnstile: waits for nextSeq == seq
-	flushCond *sync.Cond // group-commit ack: waits for flushedSeq ≥ seq
+	flushCond *sync.Cond // signalled when flushedSeq advances or flushing clears
 
 	f           *os.File
 	buf         *bufio.Writer
@@ -158,24 +162,26 @@ type Log struct {
 	nextSeq     uint64 // seq the next append must carry
 	appendedSeq uint64 // highest seq written into buf
 	flushedSeq  uint64 // highest seq known flushed+synced (tracked under group/always)
-	sticky      error  // ErrCrashed / wrapped I/O error; wedges the log
-	closed      bool
+	// flushing: a group leader is fsyncing l.f with l.mu released. Appends
+	// proceed; whatever closes, replaces or itself syncs l.f first awaitFlush.
+	flushing bool
+	fsyncs   uint64 // data fsyncs that advanced flushedSeq
+	synced   uint64 // commits those fsyncs made durable: synced/fsyncs = batch size
+	sticky   error  // ErrCrashed / wrapped I/O error; wedges the log
+	closed   bool
 	// tap, when set, observes every appended frame in seq order (the
 	// replication feed). Called with l.mu held, immediately after the
 	// append; the frame bytes are only valid during the call. The tap must
 	// never block and never touch the Log.
 	tap func(seq uint64, frame []byte)
-
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
 }
 
 func openLog(cfg logConfig) (*Log, error) {
 	if cfg.segmentBytes <= 0 {
 		cfg.segmentBytes = defaultSegmentBytes
 	}
-	if cfg.groupInterval <= 0 {
-		cfg.groupInterval = defaultGroupInterval
+	if cfg.sync == nil {
+		cfg.sync = (*os.File).Sync
 	}
 	switch cfg.policy {
 	case FsyncAlways, FsyncGroup, FsyncNever:
@@ -195,11 +201,6 @@ func openLog(cfg logConfig) (*Log, error) {
 	if err := l.openSegment(cfg.startSeq); err != nil {
 		return nil, err
 	}
-	if cfg.policy == FsyncGroup {
-		l.stopFlusher = make(chan struct{})
-		l.flusherDone = make(chan struct{})
-		go l.flusher()
-	}
 	return l, nil
 }
 
@@ -210,14 +211,11 @@ func segmentName(firstSeq uint64) string {
 // openSegment finalizes the current segment (if any) and starts a fresh one
 // whose name records the first seq it will hold. Finalized segments are
 // always flushed and synced, whatever the policy — so only the final segment
-// of a log can ever be torn. Called with l.mu held (or before the Log is
-// shared).
+// of a log can ever be torn. Called with l.mu held and no group flush in
+// flight (or before the Log is shared).
 func (l *Log) openSegment(firstSeq uint64) error {
 	if l.f != nil {
-		if err := l.buf.Flush(); err != nil {
-			return err
-		}
-		if err := l.f.Sync(); err != nil {
+		if err := l.syncAppended(); err != nil {
 			return err
 		}
 		if err := l.f.Close(); err != nil {
@@ -357,64 +355,95 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 
 	switch l.cfg.policy {
 	case FsyncAlways:
-		if err := l.buf.Flush(); err == nil {
-			err = l.f.Sync()
-			if err != nil {
-				l.fail(fmt.Errorf("durable: fsync: %w", err))
-				return 0, l.sticky
-			}
-		} else {
-			l.fail(fmt.Errorf("durable: flush: %w", err))
+		if err := l.syncAppended(); err != nil {
+			l.fail(err)
 			return 0, l.sticky
 		}
-		l.flushedSeq = seq
 	case FsyncNever:
 		// Acknowledge immediately; acknowledged commits can be lost.
 	case FsyncGroup:
-		for l.sticky == nil && l.flushedSeq < seq {
-			l.flushCond.Wait()
+		for l.sticky == nil && !l.closed && l.flushedSeq < seq {
+			if l.flushing {
+				l.flushCond.Wait()
+			} else {
+				l.flushBatch()
+			}
 		}
 		if l.sticky != nil {
 			return 0, l.sticky
 		}
+		if l.flushedSeq < seq {
+			return 0, ErrClosed // closed before any fsync covered this record
+		}
 	}
 
 	if l.segSize >= l.cfg.segmentBytes {
-		if err := l.openSegment(l.nextSeq); err != nil {
-			l.fail(fmt.Errorf("durable: segment rotation: %w", err))
-			return 0, l.sticky
+		// Waiting releases l.mu: by the time the flush in flight is over
+		// another committer may have rotated, or the log been closed or wedged.
+		l.awaitFlush()
+		if l.segSize >= l.cfg.segmentBytes && l.sticky == nil && !l.closed {
+			if err := l.openSegment(l.nextSeq); err != nil {
+				l.fail(fmt.Errorf("durable: segment rotation: %w", err))
+				return 0, l.sticky
+			}
 		}
 	}
 	return int64(len(frame)), nil
 }
 
-// flusher is the group-commit heartbeat: every groupInterval it flushes and
-// fsyncs whatever has been appended and wakes the committers waiting on it.
-func (l *Log) flusher() {
-	defer close(l.flusherDone)
-	t := time.NewTicker(l.cfg.groupInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.stopFlusher:
-			return
-		case <-t.C:
-		}
-		l.mu.Lock()
-		if l.sticky == nil && !l.closed && l.appendedSeq > l.flushedSeq {
-			err := l.buf.Flush()
-			if err == nil {
-				err = l.f.Sync()
-			}
-			if err != nil {
-				l.fail(fmt.Errorf("durable: group fsync: %w", err))
-			} else {
-				l.flushedSeq = l.appendedSeq
-				l.flushCond.Broadcast()
-			}
-		}
-		l.mu.Unlock()
+// flushBatch makes the calling committer the group leader: everything
+// appended so far is its batch, fsynced with l.mu released so later commits
+// keep appending. A failed fsync wedges the log: nobody in the batch is
+// acknowledged and nobody retries. Called with l.mu held and no flush in
+// flight; returns with l.mu held.
+func (l *Log) flushBatch() {
+	target := l.appendedSeq
+	if err := l.buf.Flush(); err != nil {
+		l.fail(fmt.Errorf("durable: flush: %w", err))
+		return
 	}
+	f := l.f
+	l.flushing = true
+	l.mu.Unlock()
+	err := l.cfg.sync(f)
+	l.mu.Lock()
+	l.flushing = false
+	if err != nil {
+		l.fail(fmt.Errorf("durable: group fsync: %w", err))
+		return
+	}
+	l.markSynced(target)
+}
+
+// awaitFlush waits out a group flush in flight. Called with l.mu held, which
+// it releases while waiting: re-check sticky and closed afterwards.
+func (l *Log) awaitFlush() {
+	for l.flushing {
+		l.flushCond.Wait()
+	}
+}
+
+// syncAppended flushes and fsyncs everything appended so far and publishes
+// it as durable. Called with l.mu held (and kept) and no group flush in
+// flight.
+func (l *Log) syncAppended() error {
+	if err := l.buf.Flush(); err != nil {
+		return fmt.Errorf("durable: flush: %w", err)
+	}
+	if err := l.cfg.sync(l.f); err != nil {
+		return fmt.Errorf("durable: fsync: %w", err)
+	}
+	l.markSynced(l.appendedSeq)
+	return nil
+}
+
+// markSynced records that an fsync covered every seq ≤ target and wakes the
+// committers waiting for it. Called with l.mu held.
+func (l *Log) markSynced(target uint64) {
+	l.fsyncs++
+	l.synced += target - l.flushedSeq
+	l.flushedSeq = target
+	l.flushCond.Broadcast()
 }
 
 // setTap installs (or clears, with nil) the append observer. Install it
@@ -443,6 +472,7 @@ func (l *Log) AppendedSeq() uint64 {
 func (l *Log) skipTo(firstSeq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitFlush()
 	if l.sticky != nil {
 		return l.sticky
 	}
@@ -472,53 +502,43 @@ func (l *Log) skipTo(firstSeq uint64) error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitFlush()
 	if l.sticky != nil {
 		return l.sticky
 	}
 	if l.closed {
 		return nil // Close already flushed and synced
 	}
-	if err := l.buf.Flush(); err != nil {
-		l.fail(fmt.Errorf("durable: flush: %w", err))
+	if err := l.syncAppended(); err != nil {
+		l.fail(err)
 		return l.sticky
 	}
-	if err := l.f.Sync(); err != nil {
-		l.fail(fmt.Errorf("durable: fsync: %w", err))
-		return l.sticky
-	}
-	l.flushedSeq = l.appendedSeq
-	l.flushCond.Broadcast()
 	return nil
 }
 
 // Close flushes, syncs and closes the log. Idempotent; subsequent Commits
-// fail with ErrClosed.
+// fail with ErrClosed. If the final flush or fsync fails the log is wedged
+// instead, so no committer still waiting is acknowledged for a record that
+// never reached the disk.
 func (l *Log) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.awaitFlush()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
 	var err error
 	if l.sticky == nil {
-		if err = l.buf.Flush(); err == nil {
-			err = l.f.Sync()
+		if err = l.syncAppended(); err != nil {
+			l.fail(err)
 		}
-		l.flushedSeq = l.appendedSeq
 	}
-	cerr := l.f.Close()
-	if err == nil {
+	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
 	l.seqCond.Broadcast()
 	l.flushCond.Broadcast()
-	stop := l.stopFlusher
-	l.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-l.flusherDone
-	}
 	return err
 }
 
@@ -538,6 +558,11 @@ type recovery struct {
 	snapSeq uint64
 	// tornBytes is how many bytes of torn final frame were truncated away.
 	tornBytes int64
+
+	// Replay scratch, reused across every record of every segment.
+	r       *bufio.Reader
+	payload []byte
+	writes  []Entry
 }
 
 // segmentFile pairs a segment path with the first seq its name declares.
@@ -644,14 +669,19 @@ func replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
 		return err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	if rec.r == nil {
+		rec.r = bufio.NewReaderSize(f, 1<<20)
+	} else {
+		rec.r.Reset(f)
+	}
+	r := rec.r
 	magic := make([]byte, len(segmentMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segmentMagic {
 		return fmt.Errorf("durable: bad segment magic in %s", seg.path)
 	}
 	offset := int64(len(segmentMagic))
 	for {
-		payload, frameLen, err := ReadFrame(r)
+		payload, frameLen, err := readFrameInto(r, rec.payload)
 		if err == io.EOF {
 			return nil
 		}
@@ -672,12 +702,14 @@ func replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
 		if err != nil {
 			return err
 		}
-		seq, writes, err := DecodeCommitPayload(payload)
+		rec.payload = payload // readFrameInto grew it if it had to
+		seq, writes, err := decodeCommitInto(payload, rec.writes)
 		if err != nil {
 			// A CRC-valid frame with a malformed payload is corruption the
 			// CRC cannot excuse — refuse even in the final segment.
 			return fmt.Errorf("durable: malformed record in %s at offset %d: %v", seg.path, offset, err)
 		}
+		rec.writes = writes
 		if seq > rec.snapSeq {
 			if seq != rec.lastSeq+1 {
 				return fmt.Errorf("durable: sequence gap in %s at offset %d: got seq %d, want %d",

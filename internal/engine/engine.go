@@ -427,4 +427,12 @@ type DurabilityInfo struct {
 	// TornTailBytes is how many bytes of torn final record recovery
 	// truncated from the log tail (0 for a clean log).
 	TornTailBytes int64 `json:"torn_tail_bytes,omitempty"`
+	// Fsyncs counts the log fsyncs issued since boot and SyncedCommits the
+	// commits they made durable; CommitsPerFsync, their ratio, is the
+	// group-commit batch size (1 under "always"; absent before the first
+	// fsync and under "never", where only rotation, WALSync and WALClose
+	// fsync at all).
+	Fsyncs          uint64  `json:"fsyncs,omitempty"`
+	SyncedCommits   uint64  `json:"synced_commits,omitempty"`
+	CommitsPerFsync float64 `json:"commits_per_fsync,omitempty"`
 }

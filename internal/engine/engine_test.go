@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRegistryNames(t *testing.T) {
@@ -162,7 +161,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative escalate aborts", Options{EscalateAborts: -1}, "EscalateAborts"},
 		{"unknown fsync policy", Options{Fsync: "sometimes"}, "fsync policy"},
 		{"negative segment bytes", Options{SegmentBytes: -1}, "SegmentBytes"},
-		{"negative group interval", Options{GroupInterval: -time.Millisecond}, "GroupInterval"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,7 +181,7 @@ func TestOptionsValidate(t *testing.T) {
 		{ContentionManager: "karma"}, {EscalateStripes: 1, EscalateAborts: 1},
 		{Fsync: "always"}, {Fsync: "group"}, {Fsync: "never"},
 		{SnapshotBytes: -1}, {SnapshotBytes: 1 << 20},
-		{SegmentBytes: 1 << 16}, {GroupInterval: time.Millisecond},
+		{SegmentBytes: 1 << 16},
 	}
 	for _, opt := range good {
 		if err := opt.Validate(); err != nil {
@@ -204,7 +202,7 @@ func TestBindFlags(t *testing.T) {
 		"-shard-window", "64", "-words", "1024", "-cm", "karma",
 		"-stripes", "8", "-escalate-stripes", "2", "-escalate-aborts", "5",
 		"-wal", "/tmp/wal", "-fsync", "always", "-snapshot", "4096",
-		"-segment", "65536", "-group-interval", "5ms",
+		"-segment", "65536",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -214,7 +212,7 @@ func TestBindFlags(t *testing.T) {
 		Words: 1024, ContentionManager: "karma", Stripes: 8,
 		EscalateStripes: 2, EscalateAborts: 5,
 		WALDir: "/tmp/wal", Fsync: "always", SnapshotBytes: 4096,
-		SegmentBytes: 65536, GroupInterval: 5 * time.Millisecond,
+		SegmentBytes: 65536,
 	}
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("parsed options %+v, want %+v", o, want)

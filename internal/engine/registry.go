@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Options parameterize backend construction. Every field has a usable
@@ -57,10 +56,11 @@ type Options struct {
 	// process run only — benches and tests); recovery-on-boot needs a real
 	// path that survives restarts.
 	WALDir string
-	// Fsync is the durable backends' sync policy: "always" (fsync before
-	// every commit acknowledgment), "group" (acknowledgments wait for a
-	// shared flush with a bounded interval — the default) or "never"
-	// (buffered writes, no fsync; acknowledged commits can be lost).
+	// Fsync is the durable backends' sync policy: "always" (one fsync per
+	// commit, before its acknowledgment), "group" (concurrent commits share
+	// one fsync; an acknowledgment waits for the fsync that covers its
+	// record — the default) or "never" (buffered writes, no fsync;
+	// acknowledged commits can be lost).
 	Fsync string
 	// SnapshotBytes is the live-log size that triggers background snapshot
 	// compaction in the durable backends. 0 selects the default (8 MiB);
@@ -69,10 +69,6 @@ type Options struct {
 	// SegmentBytes is the durable backends' WAL segment rotation size. 0
 	// selects the default (4 MiB).
 	SegmentBytes int64
-	// GroupInterval bounds the durable backends' group-commit flush wait —
-	// how long an acknowledgment may sit in the shared flush batch. 0
-	// selects the default (2 ms).
-	GroupInterval time.Duration
 }
 
 // fsyncPolicies are the recognized Options.Fsync values ("" selects the
@@ -143,9 +139,6 @@ func (o Options) Validate() error {
 	if o.SegmentBytes < 0 {
 		return fmt.Errorf("engine: SegmentBytes = %d, must be ≥ 1 (or 0 for the default)", o.SegmentBytes)
 	}
-	if o.GroupInterval < 0 {
-		return fmt.Errorf("engine: GroupInterval = %v, must be ≥ 0 (0 selects the default)", o.GroupInterval)
-	}
 	return nil
 }
 
@@ -185,7 +178,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.Fsync, "fsync", o.Fsync, "durable/* sync policy: "+strings.Join(fsyncPolicies, "|")+" (empty = group)")
 	fs.Int64Var(&o.SnapshotBytes, "snapshot", o.SnapshotBytes, "durable/* live-log bytes that trigger snapshot compaction (0 = default 8 MiB, < 0 disables)")
 	fs.Int64Var(&o.SegmentBytes, "segment", o.SegmentBytes, "durable/* WAL segment rotation size in bytes (0 = default 4 MiB)")
-	fs.DurationVar(&o.GroupInterval, "group-interval", o.GroupInterval, "durable/* group-commit flush interval bound (0 = default 2ms)")
 }
 
 // Capabilities declares, at registration time, what an engine's threads and

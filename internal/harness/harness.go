@@ -103,6 +103,11 @@ type WalInfo struct {
 	Dir string `json:"dir,omitempty"`
 	// FsyncPolicy is the engine's sync policy: "always", "group" or "never".
 	FsyncPolicy string `json:"fsync_policy"`
+	// Fsyncs counts the log fsyncs since the engine opened (init and warm-up
+	// included); CommitsPerFsync is the commits they covered per fsync — the
+	// group-commit batch size (absent under "never").
+	Fsyncs          uint64  `json:"fsyncs,omitempty"`
+	CommitsPerFsync float64 `json:"commits_per_fsync,omitempty"`
 }
 
 // ReplInfo is the replication telemetry of a run measured on a replicated
@@ -364,7 +369,7 @@ func Run(eng engine.Engine, w Workload, opt Options) (Result, error) {
 	}
 	if d, ok := eng.(engine.Durable); ok {
 		di := d.DurabilityInfo()
-		r.Wal = &WalInfo{Dir: di.WALDir, FsyncPolicy: di.FsyncPolicy}
+		r.Wal = &WalInfo{Dir: di.WALDir, FsyncPolicy: di.FsyncPolicy, Fsyncs: di.Fsyncs, CommitsPerFsync: di.CommitsPerFsync}
 	}
 	return r, nil
 }
