@@ -8,23 +8,19 @@
 //	go run ./cmd/lsabench -experiment bench -duration 60ms -json /tmp/smoke.json
 //	go run ./cmd/benchcheck /tmp/smoke.json
 //
-// Checks, in order: the file parses as a harness.Snapshot (the current
-// {"host", "results"} form with a validated host header, or the legacy bare
-// Result array, tolerated without one); every record is well-formed and
-// shows nonzero commits (harness.Result.Validate); every registered engine
-// appears (so a backend dropped from the matrix — or an init that forgot
-// Register on the bench binary's import graph — fails here too); every
-// engine ran the same workload set as the rest of its durability group —
+// Checks, in order: the file parses as a harness.Snapshot ({"host",
+// "results"} with a validated host header); every record is well-formed and
+// shows nonzero commits (harness.Result.Validate) and carries a latency_ns
+// block (whose bucket counts sum to the record's committed transactions);
+// every registered engine appears (so a backend dropped from the matrix —
+// or an init that forgot Register on the bench binary's import graph —
+// fails here too); every engine ran the same workload set as the rest of
+// its durability group —
 // the durable wrappers skip workloads whose payloads have no registered
 // codec, so they are compared among themselves, and their set must also be
-// a subset of the in-memory reference set; and latency telemetry is
-// all-or-none — either every record carries a valid latency_ns block (whose
-// bucket counts sum to the record's committed transactions;
-// harness.Result.Validate) or none does (a legacy snapshot). Durability and
-// replication telemetry ("wal" with its fsync policy, "repl" with the
-// node's role and stream counters) are accepted per record but never
-// required; a wal block with a policy outside the -fsync domain, or a repl
-// block with an unknown role or negative counter, is rejected.
+// a subset of the in-memory reference set. Durability telemetry ("wal" with
+// its fsync policy) is accepted per record but never required; a wal block
+// with a policy outside the -fsync domain is rejected.
 // -require-engines can relax the registry comparison to an explicit list.
 package main
 
@@ -97,7 +93,6 @@ func check(data []byte, requiredEngines []string) []error {
 	var errs []error
 	workloadsByEngine := map[string]map[string]bool{}
 	sawAllocTelemetry := false
-	withLatency := 0
 	for i, r := range results {
 		if err := r.Validate(); err != nil {
 			errs = append(errs, fmt.Errorf("record %d: %w", i, err))
@@ -106,8 +101,9 @@ func check(data []byte, requiredEngines []string) []error {
 		if r.AllocsPerCommit > 0 {
 			sawAllocTelemetry = true
 		}
-		if r.Latency != nil {
-			withLatency++
+		if r.Latency == nil {
+			// The harness attaches latency to every record it produces.
+			errs = append(errs, fmt.Errorf("record %d: %s/%s lacks the latency_ns block", i, r.Workload, r.Engine))
 		}
 		wl := workloadsByEngine[r.Engine]
 		if wl == nil {
@@ -125,14 +121,6 @@ func check(data []byte, requiredEngines []string) []error {
 	// least their per-attempt Tx on every commit by design.
 	if !sawAllocTelemetry {
 		errs = append(errs, fmt.Errorf("no record carries alloc telemetry (snapshot from a pre-telemetry binary?)"))
-	}
-	// Latency telemetry is all-or-none: the harness attaches it to every
-	// record it produces, so a mix means records from different binaries were
-	// spliced together (or a block was stripped by hand). A snapshot with no
-	// latency at all is a tolerated legacy artifact.
-	if withLatency != 0 && withLatency != len(results) {
-		errs = append(errs, fmt.Errorf("latency telemetry on %d of %d records: must be all or none",
-			withLatency, len(results)))
 	}
 	for _, name := range requiredEngines {
 		if len(workloadsByEngine[name]) == 0 {

@@ -11,7 +11,11 @@ import (
 	"repro/internal/latency"
 )
 
+// record builds a healthy record with a consistent latency block: all
+// commits in the 8192ns bucket (bucket 13), so count ties out against Txs.
 func record(eng, wl string, commits uint64) harness.Result {
+	buckets := make([]uint64, 14)
+	buckets[13] = commits
 	return harness.Result{
 		Workload:        wl,
 		Engine:          eng,
@@ -22,12 +26,25 @@ func record(eng, wl string, commits uint64) harness.Result {
 		AllocsPerCommit: 12.5,
 		BytesPerCommit:  800,
 		Stats:           engine.Stats{Commits: commits},
+		Latency: &latency.Summary{
+			Count: commits, Buckets: buckets,
+			P50: 16383, P99: 16383, P999: 16383,
+		},
 	}
 }
 
+// rawSnapshot wraps hand-written record JSON in a host-stamped snapshot.
+// rawLatency is the latency block matching a 100-commit record.
+func rawSnapshot(records string) []byte {
+	return []byte(`{"host":{"num_cpu":2,"gomaxprocs":2},"results":[` + records + `]}`)
+}
+
+const rawLatency = `"latency_ns":{"count":100,"buckets":[0,0,0,0,0,0,0,0,0,0,0,0,0,100],` +
+	`"p50_ns":16383,"p99_ns":16383,"p999_ns":16383}`
+
 func marshal(t *testing.T, rs []harness.Result) []byte {
 	t.Helper()
-	data, err := json.Marshal(rs)
+	data, err := json.Marshal(harness.Snapshot{Host: &harness.HostInfo{NumCPU: 2, GOMAXPROCS: 2}, Results: rs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +65,7 @@ func TestCheckRejectsMalformedJSON(t *testing.T) {
 	if errs := check([]byte("{not json"), nil); len(errs) != 1 {
 		t.Fatalf("malformed JSON: got %v", errs)
 	}
-	if errs := check([]byte("[]"), nil); len(errs) != 1 || !strings.Contains(errs[0].Error(), "no records") {
+	if errs := check(rawSnapshot(""), nil); len(errs) != 1 || !strings.Contains(errs[0].Error(), "no records") {
 		t.Fatalf("empty snapshot: got %v", errs)
 	}
 }
@@ -166,10 +183,10 @@ func errsString(errs []error) string {
 	return sb.String()
 }
 
-// TestCheckSnapshotHostHeader pins the snapshot-header rules: the current
-// object form must carry a valid host record (required going forward), the
-// legacy bare-array form is tolerated without one, and an object-form
-// snapshot with a missing or implausible host fails the gate.
+// TestCheckSnapshotHostHeader pins the snapshot-header rules: a snapshot
+// must carry a valid host record; one with a missing or implausible host
+// fails the gate, and so does the bare result array that predates the
+// header.
 func TestCheckSnapshotHostHeader(t *testing.T) {
 	rs := []harness.Result{record("tl2", "bank/64", 100)}
 	wrap := func(host *harness.HostInfo) []byte {
@@ -191,10 +208,13 @@ func TestCheckSnapshotHostHeader(t *testing.T) {
 		!strings.Contains(errs[0].Error(), "CPUs") {
 		t.Fatalf("implausible host record not rejected: %v", errs)
 	}
-	// Legacy form: the array marshal() emits, already exercised by every
-	// other test — no host required.
-	if errs := check(marshal(t, rs), []string{"tl2"}); len(errs) != 0 {
-		t.Fatalf("legacy array snapshot rejected: %v", errs)
+	bare, err := json.Marshal(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := check(bare, []string{"tl2"}); len(errs) != 1 ||
+		!strings.Contains(errs[0].Error(), "malformed snapshot") {
+		t.Fatalf("bare result array not rejected: %v", errs)
 	}
 }
 
@@ -204,51 +224,39 @@ func TestCheckSnapshotHostHeader(t *testing.T) {
 // boxed_commits field anywhere) must keep parsing and validating — the gate
 // accepts the field without requiring it.
 func TestCheckAcceptsSnapshotWithoutBoxedCounters(t *testing.T) {
-	raw := []byte(`[{"workload":"bank/64","engine":"tl2","workers":4,` +
+	raw := rawSnapshot(`{"workload":"bank/64","engine":"tl2","workers":4,` +
 		`"elapsed_ns":50000000,"txs":100,"tx_per_s":2000,` +
 		`"allocs_per_commit":12.5,"bytes_per_commit":800,` +
-		`"stats":{"commits":100,"aborts":3}}]`)
+		`"stats":{"commits":100,"aborts":3},` + rawLatency + `}`)
 	if errs := check(raw, []string{"tl2"}); len(errs) != 0 {
 		t.Fatalf("pre-boxed-counter snapshot rejected: %v", errs)
 	}
 }
 
-// latencyRecord is record() plus a consistent latency block: all commits in
-// the 8192ns bucket (bucket 13), so count ties out against Txs.
-func latencyRecord(eng, wl string, commits uint64) harness.Result {
-	r := record(eng, wl, commits)
-	buckets := make([]uint64, 14)
-	buckets[13] = commits
-	r.Latency = &latency.Summary{
-		Count: commits, Buckets: buckets,
-		P50: 16383, P99: 16383, P999: 16383,
-	}
-	return r
-}
-
-// TestCheckLatencyAllOrNone pins the latency-telemetry snapshot gate: every
-// record carries a latency_ns block or none does. The harness attaches the
-// block to everything it produces, so a mix means spliced or hand-edited
-// records; an entirely latency-free snapshot is a tolerated legacy artifact.
+// TestCheckLatencyAllOrNone pins the latency-telemetry gate. The harness
+// attaches a latency_ns block to everything it produces, so every record
+// must carry one: a record without it was spliced in from another binary or
+// stripped by hand, and an entirely latency-free snapshot — once tolerated
+// as a legacy artifact — is rejected record by record.
 func TestCheckLatencyAllOrNone(t *testing.T) {
-	all := []harness.Result{
-		latencyRecord("tl2", "bank/64", 100), latencyRecord("tl2", "intset/128", 90),
+	bare := func(eng, wl string, commits uint64) harness.Result {
+		r := record(eng, wl, commits)
+		r.Latency = nil
+		return r
 	}
+	all := []harness.Result{record("tl2", "bank/64", 100), record("tl2", "intset/128", 90)}
 	if errs := check(marshal(t, all), []string{"tl2"}); len(errs) != 0 {
 		t.Fatalf("all-latency snapshot rejected: %v", errs)
 	}
-	none := []harness.Result{
-		record("tl2", "bank/64", 100), record("tl2", "intset/128", 90),
+	none := []harness.Result{bare("tl2", "bank/64", 100), bare("tl2", "intset/128", 90)}
+	if errs := check(marshal(t, none), []string{"tl2"}); len(errs) != 2 ||
+		!strings.Contains(errsString(errs), "lacks the latency_ns block") {
+		t.Fatalf("latency-free snapshot: got %v, want both records reported", errs)
 	}
-	if errs := check(marshal(t, none), []string{"tl2"}); len(errs) != 0 {
-		t.Fatalf("legacy latency-free snapshot rejected: %v", errs)
-	}
-	mixed := []harness.Result{
-		latencyRecord("tl2", "bank/64", 100), record("tl2", "intset/128", 90),
-	}
+	mixed := []harness.Result{record("tl2", "bank/64", 100), bare("tl2", "intset/128", 90)}
 	errs := check(marshal(t, mixed), []string{"tl2"})
-	if !strings.Contains(errsString(errs), "all or none") {
-		t.Fatalf("mixed latency telemetry not reported: %v", errs)
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "record 1: intset/128/tl2 lacks the latency_ns block") {
+		t.Fatalf("latency-less record not reported: %v", errs)
 	}
 }
 
@@ -261,7 +269,7 @@ func TestCheckLatencyAllOrNone(t *testing.T) {
 func TestCheckWalTelemetry(t *testing.T) {
 	walRecord := func(policy string) harness.Result {
 		r := record("durable/norec", "bank/64", 50)
-		r.Wal = &harness.WalInfo{Dir: "/tmp/wal", FsyncPolicy: policy}
+		r.Wal = &harness.WalInfo{FsyncPolicy: policy}
 		return r
 	}
 	for _, policy := range []string{"always", "group", "never"} {
@@ -277,54 +285,13 @@ func TestCheckWalTelemetry(t *testing.T) {
 	}
 	// A wal block with an empty policy is equally malformed — the harness
 	// always copies the engine's resolved policy, never an empty string.
-	raw := []byte(`[{"workload":"bank/64","engine":"durable/norec","workers":4,` +
+	raw := rawSnapshot(`{"workload":"bank/64","engine":"durable/norec","workers":4,` +
 		`"elapsed_ns":50000000,"txs":100,"tx_per_s":2000,` +
 		`"allocs_per_commit":12.5,"bytes_per_commit":800,` +
-		`"stats":{"commits":100},"wal":{"dir":"/tmp/wal"}}]`)
+		`"stats":{"commits":100},"wal":{"fsyncs":3},` + rawLatency + `}`)
 	errs = check(raw, []string{"durable/norec"})
 	if !strings.Contains(errsString(errs), "fsync policy") {
 		t.Fatalf("policy-less wal block not reported: %v", errs)
-	}
-}
-
-// TestCheckReplTelemetry pins the replication-telemetry compatibility rule,
-// the repl sibling of the wal rule: a record measured on a replicated node
-// carries a repl block with its role — accepted next to plain records, never
-// required, rejected when the role is outside the replication pair's two or
-// a counter went negative.
-func TestCheckReplTelemetry(t *testing.T) {
-	replRecord := func(role string) harness.Result {
-		r := record("durable/norec", "bank/64", 50)
-		r.Repl = &harness.ReplInfo{Role: role, Followers: 1, LagSeqs: 2, LagBytes: 64}
-		return r
-	}
-	for _, role := range []string{"primary", "follower"} {
-		rs := []harness.Result{record("tl2", "bank/64", 100), replRecord(role)}
-		if errs := check(marshal(t, rs), []string{"tl2", "durable/norec"}); len(errs) != 0 {
-			t.Fatalf("repl record with role=%s rejected: %v", role, errs)
-		}
-	}
-	rs := []harness.Result{replRecord("observer")}
-	errs := check(marshal(t, rs), []string{"durable/norec"})
-	if !strings.Contains(errsString(errs), "role") {
-		t.Fatalf("malformed replication role not reported: %v", errs)
-	}
-	// A repl block with no role at all is equally malformed — the adapters
-	// always stamp the node's role, never an empty string.
-	raw := []byte(`[{"workload":"bank/64","engine":"durable/norec","workers":4,` +
-		`"elapsed_ns":50000000,"txs":100,"tx_per_s":2000,` +
-		`"allocs_per_commit":12.5,"bytes_per_commit":800,` +
-		`"stats":{"commits":100},"repl":{"followers":1}}]`)
-	errs = check(raw, []string{"durable/norec"})
-	if !strings.Contains(errsString(errs), "role") {
-		t.Fatalf("role-less repl block not reported: %v", errs)
-	}
-	// Negative counters are a stripped or hand-edited record.
-	r := replRecord("primary")
-	r.Repl.LagBytes = -64
-	errs = check(marshal(t, []harness.Result{r}), []string{"durable/norec"})
-	if !strings.Contains(errsString(errs), "negative") {
-		t.Fatalf("negative repl counter not reported: %v", errs)
 	}
 }
 
@@ -332,14 +299,14 @@ func TestCheckReplTelemetry(t *testing.T) {
 // do not sum to the record's committed transactions is a stripped or edited
 // record (the harness derives Txs and the histogram from the same probes).
 func TestCheckRejectsInconsistentLatency(t *testing.T) {
-	r := latencyRecord("tl2", "bank/64", 100)
+	r := record("tl2", "bank/64", 100)
 	r.Latency.Count = 99
 	r.Latency.Buckets[13] = 99
 	errs := check(marshal(t, []harness.Result{r}), []string{"tl2"})
 	if !strings.Contains(errsString(errs), "latency count") {
 		t.Fatalf("latency/txs mismatch not reported: %v", errs)
 	}
-	r = latencyRecord("tl2", "bank/64", 100)
+	r = record("tl2", "bank/64", 100)
 	r.Latency.P99 = 1 // below the recomputed quantile
 	errs = check(marshal(t, []harness.Result{r}), []string{"tl2"})
 	if !strings.Contains(errsString(errs), "latency") {

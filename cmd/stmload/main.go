@@ -11,18 +11,15 @@
 //	stmload -addr localhost:7070 -recovery-audit -expect-recovered
 //	stmload -addr localhost:7070 -failover-audit -failover-addr localhost:7170
 //
-// -recovery-audit switches stmload from throughput measurement to the
-// crash-recovery proof: it records the last acknowledged transfer on every
-// connection before the server dies (kill -9 it mid-run), waits for the
-// restart over the same WAL, and exits non-zero unless the server reflects
-// every acked commit and conserves the bank sum (-duration bounds how long
-// it waits for the crash).
-//
-// -failover-audit is the replication sibling: load the primary at -addr
-// (started with -repl-ack quorum) until it dies, promote the hot standby at
-// -failover-addr with the PROMOTE op, and exit non-zero unless the promoted
-// standby reflects every acked transfer, conserves the bank sum, and reports
-// a nonzero replication watermark.
+// -recovery-audit and -failover-audit switch stmload from throughput
+// measurement to the acked-transfer audit (stmserve.RunAudit): record the
+// last acknowledged transfer on every connection before the server at -addr
+// dies (kill -9 it mid-run; -duration bounds the wait for that), reach the
+// survivor, and exit non-zero unless it reflects every acked commit and
+// conserves the bank sum. Under -recovery-audit the survivor is the same
+// server restarted over its WAL; under -failover-audit it is the hot standby
+// at -failover-addr, promoted with the PROMOTE op (start the primary with
+// -repl-ack quorum), which must also report a nonzero replication watermark.
 //
 // After the run, stmload fetches the server's STATS and prints the engine's
 // abort-reason mix next to the client-side latency, so one invocation shows
@@ -98,7 +95,6 @@ func main() {
 	}
 
 	var dial stmserve.Dialer
-	var svc *stmserve.Service // set in in-process mode
 	if *addr != "" {
 		dial = stmserve.NetDialer(*addr)
 	} else {
@@ -113,7 +109,7 @@ func main() {
 		if kv == 0 {
 			kv = 1024
 		}
-		svc, err = stmserve.New(eng, stmserve.Config{
+		svc, err := stmserve.New(eng, stmserve.Config{
 			Keys: kv, Mode: *connMode, PoolWorkers: *poolWorkers,
 		})
 		if err != nil {
@@ -124,39 +120,21 @@ func main() {
 		fmt.Printf("stmload: in-process engine=%s keys=%d mode=%s\n", eng.Name(), kv, svc.Mode())
 	}
 
-	if *failover {
-		if *addr == "" || *failAddr == "" {
+	if *audit || *failover {
+		// One audit, two survivors: the same node restarted over its WAL, or
+		// (with a standby to dial) the hot standby promoted.
+		var standby stmserve.Dialer
+		kind := "recovery"
+		switch {
+		case *failover && (*addr == "" || *failAddr == ""):
 			fatal(fmt.Errorf("-failover-audit requires -addr (the primary) and -failover-addr (the standby)"))
-		}
-		rep, aerr := stmserve.RunFailoverAudit(dial, stmserve.NetDialer(*failAddr), stmserve.FailoverAuditOptions{
-			Conns: *conns, Window: *duration, PromoteTimeout: *reconnectTO,
-			Keys: *keys, SkipSum: *skipSum,
-		})
-		if *jsonOut {
-			if data, jerr := json.MarshalIndent(rep, "", "  "); jerr == nil {
-				fmt.Println(string(data))
-			}
-		} else {
-			fmt.Printf("stmload: failover audit: %d conns acked %d transfers to %d follower(s), primary down after %v, standby promoted after %v, sum %d/%d, watermark seq %d\n",
-				rep.Conns, rep.Acked, rep.Followers, rep.DownAfter.Round(time.Millisecond), rep.PromoteAfter.Round(time.Millisecond),
-				rep.Sum, rep.WantSum, rep.AppliedSeq)
-		}
-		if aerr != nil {
-			fatal(aerr)
-		}
-		fmt.Println("stmload: failover audit passed: every acked commit survived the failover")
-		if err := stopDiag(); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *audit {
-		if *addr == "" {
+		case *failover:
+			standby, kind = stmserve.NetDialer(*failAddr), "failover"
+		case *addr == "":
 			fatal(fmt.Errorf("-recovery-audit requires -addr: the audit observes a real server crash and restart"))
 		}
-		rep, aerr := stmserve.RunRecoveryAudit(dial, stmserve.AuditOptions{
-			Conns: *conns, Window: *duration, ReconnectTimeout: *reconnectTO,
+		rep, aerr := stmserve.RunAudit(dial, standby, stmserve.AuditOptions{
+			Conns: *conns, Window: *duration, Timeout: *reconnectTO,
 			Keys: *keys, ExpectRecovered: *expectRec, SkipSum: *skipSum,
 		})
 		if *jsonOut {
@@ -164,14 +142,18 @@ func main() {
 				fmt.Println(string(data))
 			}
 		} else {
-			fmt.Printf("stmload: recovery audit: %d conns acked %d transfers, down after %v, back after %v, sum %d/%d, recovered %d commits (seq %d)\n",
-				rep.Conns, rep.Acked, rep.DownAfter.Round(time.Millisecond), rep.ReconnectAfter.Round(time.Millisecond),
-				rep.Sum, rep.WantSum, rep.RecoveredCommits, rep.RecoveredSeq)
+			proof := fmt.Sprintf("recovered %d commits (seq %d)", rep.RecoveredCommits, rep.RecoveredSeq)
+			if standby != nil {
+				proof = fmt.Sprintf("%d follower(s), watermark seq %d", rep.Followers, rep.AppliedSeq)
+			}
+			fmt.Printf("stmload: %s audit: %d conns acked %d transfers, down after %v, survivor up after %v, sum %d/%d, %s\n",
+				kind, rep.Conns, rep.Acked, rep.DownAfter.Round(time.Millisecond), rep.ReconnectAfter.Round(time.Millisecond),
+				rep.Sum, rep.WantSum, proof)
 		}
 		if aerr != nil {
 			fatal(aerr)
 		}
-		fmt.Println("stmload: recovery audit passed: every acked commit survived the crash")
+		fmt.Printf("stmload: %s audit passed: every acked commit survived\n", kind)
 		if err := stopDiag(); err != nil {
 			fatal(err)
 		}
@@ -194,7 +176,7 @@ func main() {
 			rep.Conns, rep.Duration, rep.Ops, rep.Throughput, rep.Errs, rep.DialErrs)
 		fmt.Print(rep.Table())
 	}
-	printServerStats(*addr, svc)
+	printServerStats(dial)
 
 	if err := stopDiag(); err != nil {
 		fatal(err)
@@ -206,28 +188,16 @@ func main() {
 
 // printServerStats shows the service-side view — most importantly the
 // engine's abort-reason mix, which the client-side report cannot see.
-func printServerStats(addr string, svc *stmserve.Service) {
-	var st stmserve.Stats
-	switch {
-	case svc != nil:
-		st = svc.Stats()
-	case addr != "":
-		c, err := stmserve.Dial(addr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stmload: stats:", err)
-			return
-		}
-		defer c.Close()
-		var resp stmserve.Response
-		if err := c.Do(&stmserve.Request{Op: stmserve.OpStats}, &resp); err != nil || resp.Err != "" {
-			fmt.Fprintf(os.Stderr, "stmload: stats: %v %s\n", err, resp.Err)
-			return
-		}
-		if err := json.Unmarshal([]byte(resp.Text), &st); err != nil {
-			fmt.Fprintln(os.Stderr, "stmload: stats:", err)
-			return
-		}
-	default:
+func printServerStats(dial stmserve.Dialer) {
+	c, err := dial()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stmload: stats:", err)
+		return
+	}
+	defer c.Close()
+	st, err := stmserve.StatsCall(c)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stmload: stats:", err)
 		return
 	}
 	es := st.EngineStats

@@ -93,11 +93,11 @@ func TestKillNineRecovery(t *testing.T) {
 		err error
 	}, 1)
 	go func() {
-		rep, err := stmserve.RunRecoveryAudit(stmserve.NetDialer(addr), stmserve.AuditOptions{
-			Conns:            4,
-			Window:           60 * time.Second,
-			ReconnectTimeout: 60 * time.Second,
-			ExpectRecovered:  true,
+		rep, err := stmserve.RunAudit(stmserve.NetDialer(addr), nil, stmserve.AuditOptions{
+			Conns:           4,
+			Window:          60 * time.Second,
+			Timeout:         60 * time.Second,
+			ExpectRecovered: true,
 		})
 		auditDone <- struct {
 			rep *stmserve.AuditReport

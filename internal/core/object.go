@@ -178,6 +178,15 @@ func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timeb
 		return *ub
 	}
 	loc := o.loc.Load()
+	if loc.cur != v {
+		// v was superseded between the two loads — and a later writer may
+		// already own the object, whose CT says nothing about v. settled
+		// publishes the fixed bound before the new head, so it is there now
+		// (nil only for asTx's own tentative version, which falls through).
+		if ub := v.fixedUB.Load(); ub != nil {
+			return *ub
+		}
+	}
 	if w := loc.writer; w != nil {
 		st := w.Status()
 		if st == StatusCommitting || st == StatusCommitted {

@@ -21,7 +21,9 @@ import "repro/internal/norec"
 // it with flat-combining commits: committers publish validated logs into
 // padded per-thread slots, one thread wins the lock and applies the whole
 // pending batch under a single hold and a single clock bump — the batching
-// pole of the scalable-time-base design space.
+// pole of the scalable-time-base design space. It is the plain universe with
+// its commit step replaced (norec.NewCombined), so it shares "norec"'s
+// adapter instantiation.
 //
 // The "norec/adaptive" backend is the hybrid pole: it runs the striped
 // protocol while transactions stay narrow, and escalates an attempt that

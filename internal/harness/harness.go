@@ -90,17 +90,10 @@ type Result struct {
 	// records which fsync policy was paying the commit-latency tax. Absent
 	// for in-memory engines; snapshots may mix durable and plain records.
 	Wal *WalInfo `json:"wal,omitempty"`
-	// Repl, when the run was measured on a node in a replication pair
-	// (internal/replica), records its role and stream counters — replication
-	// lag is a throughput tax the same way fsync policy is. Accepted, never
-	// required: the stock bench matrix runs unreplicated.
-	Repl *ReplInfo `json:"repl,omitempty"`
 }
 
 // WalInfo is the durability telemetry of a measured run.
 type WalInfo struct {
-	// Dir is the WAL directory (often a temp dir in benchmarks; informational).
-	Dir string `json:"dir,omitempty"`
 	// FsyncPolicy is the engine's sync policy: "always", "group" or "never".
 	FsyncPolicy string `json:"fsync_policy"`
 	// Fsyncs counts the log fsyncs since the engine opened (init and warm-up
@@ -108,23 +101,6 @@ type WalInfo struct {
 	// group-commit batch size (absent under "never").
 	Fsyncs          uint64  `json:"fsyncs,omitempty"`
 	CommitsPerFsync float64 `json:"commits_per_fsync,omitempty"`
-}
-
-// ReplInfo is the replication telemetry of a run measured on a replicated
-// node.
-type ReplInfo struct {
-	// Role is "primary" or "follower".
-	Role string `json:"role"`
-	// Followers is the primary's live stream count at snapshot time.
-	Followers int `json:"followers,omitempty"`
-	// LagSeqs and LagBytes measure the slowest follower's distance behind
-	// the primary's WAL high-water mark.
-	LagSeqs  int64 `json:"lag_seqs,omitempty"`
-	LagBytes int64 `json:"lag_bytes,omitempty"`
-	// Resyncs counts snapshot resyncs forced by slow followers; Reconnects
-	// counts stream re-establishments.
-	Resyncs    int64 `json:"resyncs,omitempty"`
-	Reconnects int64 `json:"reconnects,omitempty"`
 }
 
 // ScalingPoint is one worker count of a scaling curve.
@@ -187,10 +163,9 @@ func (r Result) Validate() error {
 	// snapshot that predates the telemetry entirely is therefore a
 	// snapshot-level check (cmd/benchcheck: at least one record must carry
 	// nonzero telemetry). Stats.BoxedCommits (the boxed% column) is
-	// likewise accepted but never required. Latency follows the same split:
-	// optional per record (legacy snapshots predate it), but when present it
-	// must be internally consistent, and cmd/benchcheck requires all records
-	// of a snapshot to carry it together.
+	// likewise accepted but never required. Latency is checked here for
+	// internal consistency when present; cmd/benchcheck requires it on every
+	// record of a snapshot.
 	if r.Latency != nil {
 		if err := r.Latency.Validate(); err != nil {
 			return fmt.Errorf("harness: %s/%s: latency: %w", r.Workload, r.Engine, err)
@@ -219,21 +194,6 @@ func (r Result) Validate() error {
 		default:
 			return fmt.Errorf("harness: %s/%s: wal telemetry with unknown fsync policy %q",
 				r.Workload, r.Engine, r.Wal.FsyncPolicy)
-		}
-	}
-	if r.Repl != nil {
-		switch r.Repl.Role {
-		// Mirrors the two replication roles (internal/replica); anything else
-		// is a stripped or hand-edited record.
-		case "primary", "follower":
-		default:
-			return fmt.Errorf("harness: %s/%s: repl telemetry with unknown role %q",
-				r.Workload, r.Engine, r.Repl.Role)
-		}
-		if r.Repl.Followers < 0 || r.Repl.LagSeqs < 0 || r.Repl.LagBytes < 0 ||
-			r.Repl.Resyncs < 0 || r.Repl.Reconnects < 0 {
-			return fmt.Errorf("harness: %s/%s: repl telemetry with negative counters (%+v)",
-				r.Workload, r.Engine, *r.Repl)
 		}
 	}
 	prev := 0
@@ -369,7 +329,7 @@ func Run(eng engine.Engine, w Workload, opt Options) (Result, error) {
 	}
 	if d, ok := eng.(engine.Durable); ok {
 		di := d.DurabilityInfo()
-		r.Wal = &WalInfo{Dir: di.WALDir, FsyncPolicy: di.FsyncPolicy, Fsyncs: di.Fsyncs, CommitsPerFsync: di.CommitsPerFsync}
+		r.Wal = &WalInfo{FsyncPolicy: di.FsyncPolicy, Fsyncs: di.Fsyncs, CommitsPerFsync: di.CommitsPerFsync}
 	}
 	return r, nil
 }

@@ -276,42 +276,6 @@ func TestValidateScalingCurve(t *testing.T) {
 	}
 }
 
-// TestValidateReplTelemetry pins the replication block's compatibility rule:
-// accepted next to plain records, never required, rejected when the role is
-// outside the two replication roles or a counter went negative (a stripped
-// or hand-edited record).
-func TestValidateReplTelemetry(t *testing.T) {
-	base := Result{
-		Workload: "bank/64", Engine: "durable/norec", Workers: 2,
-		Elapsed: 50 * time.Millisecond, Txs: 10, Throughput: 200,
-		Stats: engine.Stats{Commits: 10},
-	}
-	for _, role := range []string{"primary", "follower"} {
-		r := base
-		r.Repl = &ReplInfo{Role: role, Followers: 1, LagSeqs: 3, LagBytes: 96, Resyncs: 1, Reconnects: 2}
-		if err := r.Validate(); err != nil {
-			t.Errorf("repl block with role=%s rejected: %v", role, err)
-		}
-	}
-	r := base
-	r.Repl = &ReplInfo{Role: "observer"}
-	if err := r.Validate(); err == nil {
-		t.Error("unknown replication role must be rejected")
-	}
-	r.Repl = &ReplInfo{} // role stripped entirely
-	if err := r.Validate(); err == nil {
-		t.Error("role-less repl block must be rejected")
-	}
-	r.Repl = &ReplInfo{Role: "primary", LagSeqs: -1}
-	if err := r.Validate(); err == nil {
-		t.Error("negative lag must be rejected")
-	}
-	r.Repl = &ReplInfo{Role: "follower", Reconnects: -2}
-	if err := r.Validate(); err == nil {
-		t.Error("negative reconnect counter must be rejected")
-	}
-}
-
 func TestDefaultWorkerCounts(t *testing.T) {
 	cases := []struct {
 		max  int

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -36,27 +35,16 @@ func CurrentHost() HostInfo {
 }
 
 // Snapshot is the on-disk bench snapshot format: a host header plus the
-// result records. Snapshots written before the header existed are bare
-// Result arrays; ParseSnapshot still accepts those (with a nil Host), while
-// everything written going forward carries the header.
+// result records.
 type Snapshot struct {
 	Host    *HostInfo `json:"host,omitempty"`
 	Results []Result  `json:"results"`
 }
 
-// ParseSnapshot decodes a bench snapshot in either format: the current
-// object form ({"host": ..., "results": [...]}), whose host header is
-// required and validated, or the legacy bare-array form ([...]), which
-// predates host records and yields Host == nil.
+// ParseSnapshot decodes a bench snapshot ({"host": ..., "results": [...]});
+// the host header is required and validated. A bare result array — the
+// format before host records existed — fails to decode.
 func ParseSnapshot(data []byte) (Snapshot, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var results []Result
-		if err := json.Unmarshal(data, &results); err != nil {
-			return Snapshot{}, fmt.Errorf("harness: malformed legacy snapshot: %w", err)
-		}
-		return Snapshot{Results: results}, nil
-	}
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return Snapshot{}, fmt.Errorf("harness: malformed snapshot: %w", err)

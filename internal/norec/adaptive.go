@@ -116,19 +116,6 @@ type stripe struct {
 	_   [56]byte
 }
 
-// waitQuiescent spins until the stripe is even and returns its value.
-func (s *stripe) waitQuiescent() int64 {
-	for i := 0; ; i++ {
-		v := s.seq.Load()
-		if v&1 == 0 {
-			return v
-		}
-		if i > 32 {
-			runtime.Gosched()
-		}
-	}
-}
-
 // Adaptive protocol defaults.
 const (
 	// DefaultEscalateStripes is the touched-stripe count beyond which an
@@ -283,7 +270,7 @@ func (tx *ATx) escalate() error {
 	stm.esc.Add(1)
 	tx.escalated = true
 	for s := 0; s < stm.nstripes; s++ {
-		stm.stripes[s].waitQuiescent()
+		waitEven(&stm.stripes[s].seq)
 	}
 	return tx.grevalidate()
 }
@@ -301,10 +288,8 @@ func (tx *ATx) grevalidate() error {
 			}
 			continue
 		}
-		for j := range tx.reads {
-			if !stillValid(&tx.reads[j]) {
-				return errAbortSnapshot
-			}
+		if !logValid(tx.reads) {
+			return errAbortSnapshot
 		}
 		// The scan only proves consistency at s if no writer entered the
 		// window while it ran.
@@ -395,7 +380,7 @@ func (tx *ATx) establish(newBits uint64) error {
 		var moved uint64
 		for m := want; m != 0; m &= m - 1 {
 			s := uint(bits.TrailingZeros64(m))
-			cur[s] = stm.stripes[s].waitQuiescent()
+			cur[s] = waitEven(&stm.stripes[s].seq)
 			if tx.touched&(uint64(1)<<s) != 0 && cur[s] != tx.snaps[s] {
 				moved |= uint64(1) << s
 			}
@@ -483,11 +468,7 @@ func (tx *ATx) commit() error {
 		err = tx.validateStriped(wmask)
 	}
 	if err == nil {
-		// Write back (numeric payloads allocation-free).
-		for i := range tx.writes {
-			w := &tx.writes[i]
-			w.obj.cell.Store(w.v)
-		}
+		tx.writeBack()
 	}
 	tx.release(wmask, err == nil)
 	if inWindow {
@@ -547,10 +528,8 @@ rounds:
 			}
 			cur[s] = v
 		}
-		for i := range tx.reads {
-			if !stillValid(&tx.reads[i]) {
-				return errAbortValidation
-			}
+		if !logValid(tx.reads) {
+			return errAbortValidation
 		}
 		for m := foreign; m != 0; m &= m - 1 {
 			s := uint(bits.TrailingZeros64(m))
@@ -576,10 +555,8 @@ func (tx *ATx) validateGlobal() error {
 			runtime.Gosched()
 			continue
 		}
-		for i := range tx.reads {
-			if !stillValid(&tx.reads[i]) {
-				return errAbortValidation
-			}
+		if !logValid(tx.reads) {
+			return errAbortValidation
 		}
 		if stm.wstart.Load() == s {
 			return nil

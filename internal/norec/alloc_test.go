@@ -82,7 +82,7 @@ func TestAllocBudgetCombinedUpdateSmall(t *testing.T) {
 	s := NewCombined()
 	a, b := NewObject(big), NewObject(big)
 	th := s.Thread(0)
-	bump := func(tx *CTx, o *Object) error {
+	bump := func(tx *Tx, o *Object) error {
 		v, err := tx.ReadValue(o)
 		if err != nil {
 			return err
@@ -90,7 +90,7 @@ func TestAllocBudgetCombinedUpdateSmall(t *testing.T) {
 		n, _ := v.AsInt64()
 		return tx.WriteValue(o, val.OfInt(int(big+(n+1)%100)))
 	}
-	fn := func(tx *CTx) error {
+	fn := func(tx *Tx) error {
 		if err := bump(tx, a); err != nil {
 			return err
 		}

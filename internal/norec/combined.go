@@ -3,7 +3,9 @@ package norec
 // The combined variant: NOrec with flat-combining commits. Plain NOrec
 // serializes every update commit on the global sequence lock — one
 // compare-and-swap, one write-back, one +2 bump per commit, all on the same
-// cache line. CombinedSTM keeps the single lock but amortizes it: a
+// cache line. A universe from NewCombined keeps the single lock and the
+// whole execution phase — reads, incremental validation and the buffered
+// write set are the plain Tx's — and replaces only the commit step: a
 // committer publishes its validated logs into a padded per-thread slot and
 // then either finds its outcome already decided, or wins the sequence lock
 // and becomes the combiner — applying every pending commit in the slot
@@ -31,12 +33,9 @@ package norec
 // cost is paid once per batch instead of once per commit.
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/abort"
 )
 
 // Slot outcome states. The zero value is idle (no request ever armed); the
@@ -51,18 +50,17 @@ const (
 // cslot is one thread's combining slot, padded so spinning on one slot
 // never bounces a neighbour's line.
 type cslot struct {
-	req     atomic.Pointer[CTx]
+	req     atomic.Pointer[Tx]
 	outcome atomic.Int32
 	_       [52]byte
 }
 
-// CombinedSTM is a NOrec universe with flat-combining commits. The embedded
-// STM supplies the sequence lock and the execution-phase read protocol.
-type CombinedSTM struct {
-	STM
-	// Batch telemetry: lock acquisitions that applied at least one commit,
-	// and the commits they applied. BatchedCommits/Batches is the mean
-	// combining factor — how many clock bumps the batching saved.
+// combiner is the state a combined universe adds to the sequence lock: the
+// slot array and the batch telemetry.
+type combiner struct {
+	// Lock acquisitions that applied at least one commit, and the commits
+	// they applied. batchedCommits/batches is the mean combining factor —
+	// how many clock bumps the batching saved.
 	batches        atomic.Uint64
 	batchedCommits atomic.Uint64
 
@@ -70,19 +68,24 @@ type CombinedSTM struct {
 	slots atomic.Pointer[[]*cslot]
 }
 
-// NewCombined creates a combined universe with the sequence lock at zero.
-func NewCombined() *CombinedSTM { return &CombinedSTM{} }
+// NewCombined creates a universe whose commits are flat-combined, with the
+// sequence lock at zero.
+func NewCombined() *STM { return &STM{comb: &combiner{}} }
 
 // BatchStats returns the number of combining batches applied and the total
-// commits they contained. Call while no transactions run.
-func (s *CombinedSTM) BatchStats() (batches, commits uint64) {
-	return s.batches.Load(), s.batchedCommits.Load()
+// commits they contained (zero on a plain universe). Call while no
+// transactions run.
+func (s *STM) BatchStats() (batches, commits uint64) {
+	if s.comb == nil {
+		return 0, 0
+	}
+	return s.comb.batches.Load(), s.comb.batchedCommits.Load()
 }
 
 // addSlot registers a new combining slot (copy-on-write so the combiner
 // reads the slice without a lock). One allocation per Thread, none per
 // transaction.
-func (s *CombinedSTM) addSlot() *cslot {
+func (s *combiner) addSlot() *cslot {
 	sl := &cslot{}
 	s.mu.Lock()
 	var next []*cslot
@@ -96,24 +99,10 @@ func (s *CombinedSTM) addSlot() *cslot {
 	return sl
 }
 
-// CTx is one transaction attempt against a combined universe. The embedded
-// Tx provides the whole execution phase — reads, incremental validation and
-// the buffered write set run the plain NOrec protocol against the embedded
-// STM's sequence lock — only commit is replaced by the combining protocol.
-type CTx struct {
-	Tx
-	cstm *CombinedSTM
-}
-
-// commit publishes the attempt into slot and waits for a combiner (possibly
-// this thread) to decide it.
-func (tx *CTx) commit(slot *cslot) error {
-	if len(tx.writes) == 0 {
-		// Incremental validation already proved the read set consistent at
-		// tx.snapshot and nothing was written.
-		return nil
-	}
-	stm := tx.cstm
+// commitCombined publishes the attempt (whose write set is not empty) into
+// slot and waits for a combiner (possibly this thread) to decide it.
+func (tx *Tx) commitCombined(slot *cslot) error {
+	stm := tx.stm
 	slot.outcome.Store(slotPending)
 	slot.req.Store(tx)
 	for i := 0; ; i++ {
@@ -147,97 +136,33 @@ func (tx *CTx) commit(slot *cslot) error {
 // the whole batch — or restores v exactly when every request failed
 // validation, since no memory was written and concurrent value logs
 // snapshotted at v must stay valid.
-func (stm *CombinedSTM) combine(v int64) {
-	slots := *stm.slots.Load()
+func (stm *STM) combine(v int64) {
+	slots := *stm.comb.slots.Load()
 	applied := uint64(0)
 	for _, s := range slots {
 		req := s.req.Load()
 		if req == nil {
 			continue
 		}
-		ok := true
-		for i := range req.reads {
-			// Current memory includes the write-backs of earlier batch
-			// members: a request they invalidated fails here and aborts
-			// instead of being silently applied.
-			if !stillValid(&req.reads[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for i := range req.writes {
-				w := &req.writes[i]
-				w.obj.cell.Store(w.v)
-			}
+		out := slotAborted
+		// Current memory includes the write-backs of earlier batch members:
+		// a request they invalidated fails here and aborts instead of being
+		// silently applied.
+		if logValid(req.reads) {
+			req.writeBack()
 			applied++
+			out = slotCommitted
 		}
 		// Clear the request before posting the outcome: the owner is free to
 		// recycle the Tx the moment the outcome lands.
 		s.req.Store(nil)
-		if ok {
-			s.outcome.Store(slotCommitted)
-		} else {
-			s.outcome.Store(slotAborted)
-		}
+		s.outcome.Store(out)
 	}
 	if applied > 0 {
-		stm.batches.Add(1)
-		stm.batchedCommits.Add(applied)
+		stm.comb.batches.Add(1)
+		stm.comb.batchedCommits.Add(applied)
 		stm.seq.Store(v + 2)
 	} else {
 		stm.seq.Store(v)
-	}
-}
-
-// CThread is a worker context for the combined universe. It owns its
-// combining slot and the one CTx it recycles across attempts — single
-// goroutine only.
-type CThread struct {
-	stm          *CombinedSTM
-	slot         *cslot
-	tx           CTx
-	boxedCommits uint64
-	aborts       abort.Counts
-}
-
-// Thread creates a worker context (and its combining slot).
-func (s *CombinedSTM) Thread(id int) *CThread {
-	t := &CThread{stm: s, slot: s.addSlot()}
-	t.tx.cstm = s
-	return t
-}
-
-// BoxedCommits returns how many of this thread's commits wrote at least one
-// escape-hatch (boxed) payload.
-func (t *CThread) BoxedCommits() uint64 { return t.boxedCommits }
-
-// AbortCounts returns this thread's aborts classified by reason.
-func (t *CThread) AbortCounts() abort.Counts { return t.aborts }
-
-// Run executes fn transactionally, retrying on aborts.
-func (t *CThread) Run(fn func(*CTx) error) error { return t.run(false, fn) }
-
-// RunReadOnly executes fn as a read-only transaction (writes rejected).
-func (t *CThread) RunReadOnly(fn func(*CTx) error) error { return t.run(true, fn) }
-
-func (t *CThread) run(readOnly bool, fn func(*CTx) error) error {
-	tx := &t.tx
-	for {
-		tx.Tx.reset(&t.stm.STM, readOnly)
-		err := fn(tx)
-		if err == nil {
-			err = tx.commit(t.slot)
-		}
-		if err == nil {
-			if tx.boxed {
-				t.boxedCommits++
-			}
-			return nil
-		}
-		if !errors.Is(err, ErrAborted) {
-			return err
-		}
-		t.aborts.Observe(err)
 	}
 }

@@ -10,7 +10,7 @@ func TestCombinedRoundTrip(t *testing.T) {
 	s := NewCombined()
 	o := NewObject(41)
 	th := s.Thread(0)
-	if err := th.Run(func(tx *CTx) error {
+	if err := th.Run(func(tx *Tx) error {
 		v, err := tx.Read(o)
 		if err != nil {
 			return err
@@ -20,7 +20,7 @@ func TestCombinedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got any
-	if err := th.RunReadOnly(func(tx *CTx) error {
+	if err := th.RunReadOnly(func(tx *Tx) error {
 		v, err := tx.Read(o)
 		got = v
 		return err
@@ -38,7 +38,7 @@ func TestCombinedRoundTrip(t *testing.T) {
 func TestCombinedReadOnlyRejectsWrites(t *testing.T) {
 	s := NewCombined()
 	o := NewObject(0)
-	if err := s.Thread(0).RunReadOnly(func(tx *CTx) error {
+	if err := s.Thread(0).RunReadOnly(func(tx *Tx) error {
 		return tx.Write(o, 1)
 	}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("err = %v, want ErrReadOnly", err)
@@ -55,8 +55,8 @@ func TestCombinedIntraBatchInvalidation(t *testing.T) {
 	o := NewObject(0)
 	t1, t2 := stm.Thread(0), stm.Thread(1)
 	tx1, tx2 := &t1.tx, &t2.tx
-	for _, tx := range []*CTx{tx1, tx2} {
-		tx.Tx.reset(&stm.STM, false)
+	for _, tx := range []*Tx{tx1, tx2} {
+		tx.reset(stm, false)
 		if _, err := tx.Read(o); err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestCombinedIntraBatchInvalidation(t *testing.T) {
 		t.Errorf("sequence lock = %d after batch, want %d", got, v+2)
 	}
 	var got any
-	if err := stm.Thread(2).RunReadOnly(func(tx *CTx) error {
+	if err := stm.Thread(2).RunReadOnly(func(tx *Tx) error {
 		r, err := tx.Read(o)
 		got = r
 		return err
@@ -110,7 +110,7 @@ func TestCombinedAllAbortedBatchRestoresClock(t *testing.T) {
 	o := NewObject(0)
 	t1 := stm.Thread(0)
 	tx1 := &t1.tx
-	tx1.Tx.reset(&stm.STM, false)
+	tx1.reset(stm, false)
 	if _, err := tx1.Read(o); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCombinedAllAbortedBatchRestoresClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A foreign commit invalidates the logged read before the batch runs.
-	if err := stm.Thread(1).Run(func(tx *CTx) error { return tx.Write(o, 7) }); err != nil {
+	if err := stm.Thread(1).Run(func(tx *Tx) error { return tx.Write(o, 7) }); err != nil {
 		t.Fatal(err)
 	}
 	t1.slot.outcome.Store(slotPending)
@@ -155,7 +155,7 @@ func TestCombinedBatchInterleaving(t *testing.T) {
 			defer wg.Done()
 			th := stm.Thread(id)
 			for i := 0; i < perWorker; i++ {
-				if err := th.Run(func(tx *CTx) error {
+				if err := th.Run(func(tx *Tx) error {
 					// Overlap the read sets beyond the counter itself so a
 					// batch member can be invalidated by a side-cell write.
 					v, err := tx.Read(counter)
@@ -179,7 +179,7 @@ func TestCombinedBatchInterleaving(t *testing.T) {
 	}
 	wg.Wait()
 	var got int
-	if err := stm.Thread(workers).RunReadOnly(func(tx *CTx) error {
+	if err := stm.Thread(workers).RunReadOnly(func(tx *Tx) error {
 		v, err := tx.Read(counter)
 		if err != nil {
 			return err

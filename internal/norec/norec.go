@@ -69,6 +69,9 @@ type STM struct {
 	_   [64]byte
 	seq atomic.Int64 // even = quiescent, odd = a writer holds the lock
 	_   [64]byte
+	// comb, set once by NewCombined, replaces the commit step with the
+	// flat-combining protocol of combined.go; nil commits one by one.
+	comb *combiner
 }
 
 // New creates a universe with the sequence lock at zero.
@@ -77,13 +80,13 @@ func New() *STM { return &STM{} }
 // Sequence exposes the sequence-lock value, for tests.
 func (s *STM) Sequence() int64 { return s.seq.Load() }
 
-// waitQuiescent spins until the sequence lock is even and returns its value.
-// Writers hold the lock only for the write-back, so the spin is short; after
-// a few iterations it yields to the scheduler in case the writer's
-// goroutine was preempted mid-commit.
-func (s *STM) waitQuiescent() int64 {
+// waitEven spins until the sequence lock seq is even (quiescent) and returns
+// its value. Writers hold a lock only for the write-back, so the spin is
+// short; after a few iterations it yields to the scheduler in case the
+// writer's goroutine was preempted mid-commit.
+func waitEven(seq *atomic.Int64) int64 {
 	for i := 0; ; i++ {
-		v := s.seq.Load()
+		v := seq.Load()
 		if v&1 == 0 {
 			return v
 		}
@@ -141,6 +144,17 @@ func stillValid(r *readEntry) bool {
 	return true
 }
 
+// logValid re-checks a whole value log, under the same external stability
+// guarantee as stillValid.
+func logValid(reads []readEntry) bool {
+	for i := range reads {
+		if !stillValid(&reads[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 type writeEntry struct {
 	obj *Object
 	v   val.Value
@@ -169,6 +183,16 @@ type writeSet struct {
 func (ws *writeSet) reset() {
 	ws.writes = ws.writes[:0]
 	ws.windex = nil
+}
+
+// writeBack publishes the buffered values; the caller holds the lock(s)
+// covering every written cell. Numeric payloads land in the cells' atomic
+// words — no allocation.
+func (ws *writeSet) writeBack() {
+	for i := range ws.writes {
+		w := &ws.writes[i]
+		w.obj.cell.Store(w.v)
+	}
 }
 
 // lookup finds the write-set entry for o: a linear scan while the set is
@@ -228,7 +252,7 @@ type Tx struct {
 // reset rearms the attempt for reuse.
 func (tx *Tx) reset(stm *STM, readOnly bool) {
 	tx.stm = stm
-	tx.snapshot = stm.waitQuiescent()
+	tx.snapshot = waitEven(&stm.seq)
 	tx.readOnly = readOnly
 	tx.boxed = false
 	tx.reads = tx.reads[:0]
@@ -273,11 +297,9 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 // consistent at (NOrec's validate loop).
 func (tx *Tx) revalidate() error {
 	for {
-		s := tx.stm.waitQuiescent()
-		for i := range tx.reads {
-			if !stillValid(&tx.reads[i]) {
-				return errAbortSnapshot
-			}
+		s := waitEven(&tx.stm.seq)
+		if !logValid(tx.reads) {
+			return errAbortSnapshot
 		}
 		// The log only proves consistency at s if no writer committed while
 		// we scanned it.
@@ -312,12 +334,17 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 
 // commit runs the NOrec commit protocol: acquire the sequence lock at the
 // snapshot (re-validating until the acquisition succeeds), write back, and
-// release with the next even value.
-func (tx *Tx) commit() error {
+// release with the next even value. With a combining slot (a universe from
+// NewCombined) the same validated logs go through combined.go's protocol
+// instead.
+func (tx *Tx) commit(slot *cslot) error {
 	if len(tx.writes) == 0 {
 		// The value log was validated incrementally; the reads form a
 		// consistent snapshot at tx.snapshot and nothing was written.
 		return nil
+	}
+	if slot != nil {
+		return tx.commitCombined(slot)
 	}
 	for !tx.stm.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
 		// Another transaction committed (or is committing) since our
@@ -327,12 +354,8 @@ func (tx *Tx) commit() error {
 			return errAbortValidation
 		}
 	}
-	// Sequence lock held (odd): write back the buffered values. Numeric
-	// payloads land in the cells' atomic words — no allocation.
-	for i := range tx.writes {
-		w := &tx.writes[i]
-		w.obj.cell.Store(w.v)
-	}
+	// Sequence lock held (odd): write back the buffered values.
+	tx.writeBack()
 	tx.stm.seq.Store(tx.snapshot + 2)
 	return nil
 }
@@ -342,13 +365,21 @@ func (tx *Tx) commit() error {
 // across attempts — a Thread must be used by a single goroutine.
 type Thread struct {
 	stm          *STM
+	slot         *cslot // this thread's combining slot; nil on a plain universe
 	tx           Tx
 	boxedCommits uint64
 	aborts       abort.Counts
 }
 
-// Thread creates a worker context.
-func (s *STM) Thread(id int) *Thread { return &Thread{stm: s} }
+// Thread creates a worker context (and, on a combined universe, its
+// combining slot).
+func (s *STM) Thread(id int) *Thread {
+	t := &Thread{stm: s}
+	if s.comb != nil {
+		t.slot = s.comb.addSlot()
+	}
+	return t
+}
 
 // BoxedCommits returns how many of this thread's commits wrote at least one
 // escape-hatch (boxed) payload.
@@ -371,7 +402,7 @@ func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 		tx.reset(t.stm, readOnly)
 		err := fn(tx)
 		if err == nil {
-			err = tx.commit()
+			err = tx.commit(t.slot)
 		}
 		if err == nil {
 			if tx.boxed {

@@ -130,7 +130,7 @@ func TestWriteSetPromotion(t *testing.T) {
 func TestValueBasedValidationTolerates(t *testing.T) {
 	s := New()
 	a, b := NewObject(10), NewObject(20)
-	tx := &Tx{stm: s, snapshot: s.waitQuiescent()}
+	tx := &Tx{stm: s, snapshot: waitEven(&s.seq)}
 	if _, err := tx.Read(a); err != nil {
 		t.Fatal(err)
 	}

@@ -167,20 +167,12 @@ func (tx *Tx) Read(o *Object) (any, error) {
 	return v.Load(), nil
 }
 
-// ReadValue opens the object, revalidating the read set first if the commit
+// ReadValue opens the object, then revalidates the read set if the commit
 // counter indicates system progress since the last check. The version-word
 // sandwich around the two-word cell snapshot discards any torn pair.
 func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	if idx, ok := tx.wlookup(o); ok {
 		return tx.writes[idx].v, nil
-	}
-	// The heuristic: read the global counter on *every* access; skip
-	// validation while it is unchanged.
-	if cc := tx.stm.cc.Load(); cc != tx.lastCC {
-		if !tx.validate() {
-			return val.Value{}, errAbortSnapshot
-		}
-		tx.lastCC = cc
 	}
 	m1 := o.meta.Load()
 	if locked(m1) {
@@ -191,6 +183,18 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		return val.Value{}, errAbortSnapshot
 	}
 	tx.reads = append(tx.reads, readEntry{obj: o, meta: m1})
+	// The heuristic: read the global counter on *every* access; skip
+	// validation while it is unchanged. The poll comes after the object
+	// read, and the validation includes it: committers bump the counter
+	// after locking and before writing, so any commit whose writes this
+	// read could have seen has moved the counter by now — polling first
+	// would let a whole commit land between poll and read unvalidated.
+	if cc := tx.stm.cc.Load(); cc != tx.lastCC {
+		if !tx.validate() {
+			return val.Value{}, errAbortSnapshot
+		}
+		tx.lastCC = cc
+	}
 	return val.Decode(num, box), nil
 }
 

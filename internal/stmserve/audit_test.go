@@ -53,11 +53,11 @@ func TestRecoveryAuditInProcess(t *testing.T) {
 		cur.Store(newSvc())
 	}()
 
-	rep, err := RunRecoveryAudit(dial, AuditOptions{
-		Conns:            4,
-		Window:           30 * time.Second,
-		ReconnectTimeout: 30 * time.Second,
-		ExpectRecovered:  true,
+	rep, err := RunAudit(dial, nil, AuditOptions{
+		Conns:           4,
+		Window:          30 * time.Second,
+		Timeout:         30 * time.Second,
+		ExpectRecovered: true,
 	})
 	if err != nil {
 		t.Fatalf("audit failed: %v (report %+v)", err, rep)
@@ -74,26 +74,91 @@ func TestRecoveryAuditInProcess(t *testing.T) {
 	cur.Load().Close()
 }
 
-// TestRecoveryAuditServerNeverDies pins the failure mode where the kill
-// never happens: the audit must fail loudly instead of reporting success.
-func TestRecoveryAuditServerNeverDies(t *testing.T) {
-	svc := newTestService(t, Config{Keys: 64})
-	dial := ServiceDialer(svc)
-	_, err := RunRecoveryAudit(dial, AuditOptions{
-		Conns:  2,
-		Window: 100 * time.Millisecond,
-	})
-	if err == nil || !strings.Contains(err.Error(), "still up") {
-		t.Fatalf("want 'still up' failure, got %v", err)
+// TestAuditFailurePaths pins the ways the audit must fail loudly instead of
+// reporting success, each through the one driver against in-process
+// services.
+func TestAuditFailurePaths(t *testing.T) {
+	// replicated builds a service whose STATS carry a primary's replication
+	// block with one attached follower.
+	replicated := func(t *testing.T) *Service {
+		svc := newTestService(t, Config{Keys: 64})
+		svc.SetReplStats(func() *ReplStats { return &ReplStats{Role: "primary", Followers: 1} })
+		return svc
+	}
+	const timeout = 20 * time.Second
+	for _, tc := range []struct {
+		name    string
+		primary func(t *testing.T) *Service
+		standby bool // promote a plain service: it has no promote hook
+		kill    bool // close the primary once transfers are flowing
+		opts    AuditOptions
+		want    string
+		loaded  bool // whether the failure comes after the load phase
+	}{
+		{name: "server never dies",
+			primary: func(t *testing.T) *Service { return newTestService(t, Config{Keys: 64}) },
+			opts:    AuditOptions{Conns: 2, Window: 100 * time.Millisecond},
+			want:    "still up", loaded: true},
+		{name: "conns vs keys",
+			primary: func(t *testing.T) *Service { return newTestService(t, Config{Keys: 8}) },
+			opts:    AuditOptions{Conns: 5, Window: time.Second},
+			want:    "marker+sink"},
+		{name: "standby without promote hook",
+			primary: replicated, standby: true, kill: true,
+			opts: AuditOptions{Conns: 2, Window: timeout, Timeout: timeout},
+			want: "refused PROMOTE", loaded: true},
+		{name: "primary without replication block",
+			primary: func(t *testing.T) *Service { return newTestService(t, Config{Keys: 64}) },
+			standby: true,
+			opts:    AuditOptions{Conns: 2, Window: timeout, Timeout: timeout},
+			want:    "no replication block"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := tc.primary(t)
+			defer svc.Close()
+			var standby Dialer
+			if tc.standby {
+				sb := newTestService(t, Config{Keys: 64})
+				defer sb.Close()
+				standby = ServiceDialer(sb)
+			}
+			// The primary's dialer counts calls, so the killer can wait for
+			// transfers to flow without touching the service's live stats.
+			var calls atomic.Int64
+			primary := func() (Caller, error) {
+				return &countingCaller{sessionCaller{sess: svc.Session()}, &calls}, nil
+			}
+			if tc.kill {
+				go func() {
+					for calls.Load() < 20 {
+						time.Sleep(time.Millisecond)
+					}
+					svc.Close()
+				}()
+			}
+			start := time.Now()
+			rep, err := RunAudit(primary, standby, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want %q failure, got %v (report %+v)", tc.want, err, rep)
+			}
+			// A refusal or a missing precondition is final: the audit must
+			// say so at once, not poll until its timeout.
+			if d := time.Since(start); d > timeout/2 {
+				t.Errorf("failure took %v, want it prompt", d)
+			}
+			if loaded := rep.PerConn != nil; loaded != tc.loaded {
+				t.Errorf("load phase ran = %v, want %v (acked %d)", loaded, tc.loaded, rep.Acked)
+			}
+		})
 	}
 }
 
-// TestRecoveryAuditConnsVsKeys pins the marker/sink keyspace precondition.
-func TestRecoveryAuditConnsVsKeys(t *testing.T) {
-	svc := newTestService(t, Config{Keys: 8})
-	defer svc.Close()
-	_, err := RunRecoveryAudit(ServiceDialer(svc), AuditOptions{Conns: 5, Window: time.Second})
-	if err == nil || !strings.Contains(err.Error(), "marker+sink") {
-		t.Fatalf("want conns-vs-keys failure, got %v", err)
-	}
+type countingCaller struct {
+	sessionCaller
+	calls *atomic.Int64
+}
+
+func (c *countingCaller) Do(req *Request, resp *Response) error {
+	c.calls.Add(1)
+	return c.sessionCaller.Do(req, resp)
 }

@@ -123,13 +123,11 @@ func TestFailoverAuditEndToEnd(t *testing.T) {
 		svcP.Close()
 	}()
 
-	rep, err := RunFailoverAudit(primaryDial, standbyDial, FailoverAuditOptions{
-		Conns:          2,
-		Window:         20 * time.Second,
-		ReplWait:       10 * time.Second,
-		PromoteTimeout: 10 * time.Second,
-		Keys:           cfg.Keys,
-		Initial:        cfg.Initial,
+	rep, err := RunAudit(primaryDial, standbyDial, AuditOptions{
+		Conns:   2,
+		Window:  20 * time.Second,
+		Timeout: 10 * time.Second,
+		Keys:    cfg.Keys,
 	})
 	if err != nil {
 		t.Fatalf("failover audit: %v (report %+v)", err, rep)

@@ -253,21 +253,15 @@ func RunLoad(dial Dialer, opts LoadOptions) (*LoadReport, error) {
 
 	keys := opts.Keys
 	if keys == 0 {
-		// Ask the server: INFO returns the keyspace size as Vals[0].
 		c, err := dial()
 		if err != nil {
 			return nil, fmt.Errorf("stmserve: load dial: %w", err)
 		}
-		var resp Response
-		err = c.Do(&Request{Op: OpInfo}, &resp)
+		keys, _, err = infoCall(c)
 		c.Close()
 		if err != nil {
-			return nil, fmt.Errorf("stmserve: INFO: %w", err)
+			return nil, err
 		}
-		if resp.Err != "" || len(resp.Vals) == 0 {
-			return nil, fmt.Errorf("stmserve: INFO: %s", resp.Err)
-		}
-		keys = int(resp.Vals[0])
 	}
 	if keys < 2 {
 		return nil, fmt.Errorf("stmserve: keyspace of %d keys is too small to load (need ≥ 2)", keys)

@@ -196,6 +196,12 @@ func (tx *Tx) Load(a Addr) (int64, error) {
 			if ver > tx.upper {
 				return 0, errAbortSnapshot
 			}
+			// extend validated only tx.reads, which this word is not in
+			// yet: a commit to its stripe since the sandwich above would
+			// leave v stale under an upper that now covers the newer value.
+			if tx.stm.locks[st].Load() != l1 {
+				continue
+			}
 		}
 		if ver > tx.lower {
 			tx.lower = ver
