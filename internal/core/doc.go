@@ -32,12 +32,34 @@
 //
 // # Structure
 //
-// Object holds an atomically-swapped locator {writer, tentative version,
-// committed head}; committed versions chain newest-first and are trimmed to
-// the runtime's MaxVersions. Timestamp comparisons delegate to
-// internal/timebase, which masks the reading error of imprecise
-// (externally synchronized) clocks, so the same engine runs on shared
-// counters, hardware clocks, and software-corrected clocks.
+// Object holds an atomically-swapped locator {writer, version}: without a
+// writer the version is the committed head, under a writer it is the
+// writer's tentative version and its prev link is the committed head.
+// Committed versions chain newest-first and are trimmed to the runtime's
+// MaxVersions. Timestamp comparisons delegate to internal/timebase, which
+// masks the reading error of imprecise (externally synchronized) clocks, so
+// the same engine runs on shared counters, hardware clocks, and
+// software-corrected clocks.
+//
+// # Memory
+//
+// An attempt pays per transaction, not per access, and nothing is ever
+// reused (so no reclamation protocol is needed). An attempt is one Tx —
+// which embeds the first few access-set entries and writer locators — plus,
+// if it writes, one chunk holding all its tentative versions, plus one
+// overflow slice each for entries and locators when it outgrows the inline
+// ones; chunk sizes follow what the thread's recent commits used. Commit
+// builds nothing: whoever next touches an object whose writer committed
+// promotes the tentative version in place — stamps the predecessor's upper
+// bound and the version's own validFrom from the writer's commit time,
+// trims, and publishes the locator embedded in the version — and an aborted
+// writer's locator is replaced by the one embedded in the version it was
+// acquired over. A declared read-only transaction keeps no access set at
+// all: it never extends or validates, so every read is selected and
+// range-checked on its own. The one rule the layout obeys: a version
+// outlives its writer, so apart from prev it points at nothing but itself;
+// a pointer from a version into a Tx, or into another attempt's chunk,
+// would keep the whole commit history reachable (TestHeapPlateau).
 //
 // # Deviations from the paper's pseudo-code
 //

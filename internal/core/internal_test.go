@@ -33,23 +33,23 @@ func TestSettleCommittedWriter(t *testing.T) {
 	if loc.writer != nil {
 		t.Fatalf("settled locator still has writer %v", loc.writer.Status())
 	}
-	if loc.cur.value.Load().(int) != 2 {
-		t.Errorf("head value = %v, want 2", loc.cur.value)
+	if loc.head().value.Load().(int) != 2 {
+		t.Errorf("head value = %v, want 2", loc.head().value)
 	}
-	if loc.cur.validFrom.IsZero() || loc.cur.validFrom.IsInf() {
-		t.Errorf("head validFrom = %v, want a real commit time", loc.cur.validFrom)
+	if loc.head().validFrom().IsZero() || loc.head().validFrom().IsInf() {
+		t.Errorf("head validFrom = %v, want a real commit time", loc.head().validFrom())
 	}
 	// The superseded genesis version must carry a fixed upper bound one
 	// tick below the new version's start.
-	old := loc.cur.prev.Load()
+	old := loc.head().prev.Load()
 	if old == nil {
 		t.Fatal("history lost on settle")
 	}
-	ub := old.fixedUB.Load()
+	ub := old.until.Load()
 	if ub == nil {
 		t.Fatal("superseded version has no fixed upper bound")
 	}
-	if want := loc.cur.validFrom.Pred(); *ub != want {
+	if want := loc.head().validFrom().Pred(); *ub != want {
 		t.Errorf("old version UB = %v, want %v", *ub, want)
 	}
 }
@@ -71,10 +71,10 @@ func TestSettleAbortedWriterKeepsValue(t *testing.T) {
 	if loc.writer != nil {
 		t.Fatal("aborted writer not cleaned")
 	}
-	if loc.cur.value.Load().(int) != 7 {
-		t.Errorf("value = %v, want original 7", loc.cur.value)
+	if loc.head().value.Load().(int) != 7 {
+		t.Errorf("value = %v, want original 7", loc.head().value)
 	}
-	if loc.cur.fixedUB.Load() != nil {
+	if loc.head().until.Load() != nil {
 		t.Error("current version got an upper bound from an aborted commit")
 	}
 }
@@ -91,7 +91,7 @@ func TestTrimBoundsHistory(t *testing.T) {
 	}
 	loc := o.settled(maxV)
 	depth := 0
-	for v := loc.cur; v != nil; v = v.prev.Load() {
+	for v := loc.head(); v != nil; v = v.prev.Load() {
 		depth++
 		if depth > maxV+1 {
 			t.Fatalf("history deeper than MaxVersions=%d", maxV)
@@ -100,8 +100,8 @@ func TestTrimBoundsHistory(t *testing.T) {
 	if depth > maxV {
 		t.Errorf("history depth %d, want ≤ %d", depth, maxV)
 	}
-	if loc.cur.value.Load().(int) != 10 {
-		t.Errorf("head = %v, want 10", loc.cur.value)
+	if loc.head().value.Load().(int) != 10 {
+		t.Errorf("head = %v, want 10", loc.head().value)
 	}
 }
 
@@ -117,15 +117,15 @@ func TestHistoryOrderedNewestFirst(t *testing.T) {
 	loc := o.settled(8)
 	prevFrom := timebase.Inf
 	want := 6
-	for v := loc.cur; v != nil; v = v.prev.Load() {
-		if !prevFrom.LaterEq(v.validFrom) {
-			t.Fatalf("chain out of order: %v then %v", prevFrom, v.validFrom)
+	for v := loc.head(); v != nil; v = v.prev.Load() {
+		if !prevFrom.LaterEq(v.validFrom()) {
+			t.Fatalf("chain out of order: %v then %v", prevFrom, v.validFrom())
 		}
-		if !v.validFrom.IsNegInf() && v.value.Load().(int) != want {
+		if !v.validFrom().IsNegInf() && v.value.Load().(int) != want {
 			t.Fatalf("version value %v, want %d", v.value, want)
 		}
 		want--
-		prevFrom = v.validFrom
+		prevFrom = v.validFrom()
 	}
 }
 
@@ -137,13 +137,13 @@ func TestPrelimUBSupersededIsFinal(t *testing.T) {
 		t.Fatal(err)
 	}
 	loc := o.settled(rt.maxVersions)
-	old := loc.cur.prev.Load()
+	old := loc.head().prev.Load()
 	clock := rt.TimeBase().Clock(9)
 	// The fixed bound must win regardless of the caller's timestamp.
 	far := timebase.Exact(1 << 40)
 	got := prelimUB(o, old, far, nil, clock)
-	if got != *old.fixedUB.Load() {
-		t.Errorf("prelimUB(superseded) = %v, want fixed bound %v", got, *old.fixedUB.Load())
+	if got != *old.until.Load() {
+		t.Errorf("prelimUB(superseded) = %v, want fixed bound %v", got, *old.until.Load())
 	}
 }
 
@@ -153,7 +153,7 @@ func TestPrelimUBOpenVersionReturnsCallerTime(t *testing.T) {
 	clock := rt.TimeBase().Clock(0)
 	loc := o.settled(rt.maxVersions)
 	ts := timebase.Exact(12345)
-	if got := prelimUB(o, loc.cur, ts, nil, clock); got != ts {
+	if got := prelimUB(o, loc.head(), ts, nil, clock); got != ts {
 		t.Errorf("prelimUB(open, no writer) = %v, want caller's %v", got, ts)
 	}
 }
@@ -179,7 +179,7 @@ func TestPrelimUBCommittingWriterBoundsByCT(t *testing.T) {
 	// A foreign observer: the bound must be the writer's CT − 1, and CT
 	// must have been helped into place.
 	ts := timebase.Exact(1 << 40)
-	got := prelimUB(o, loc.cur, ts, nil, clock)
+	got := prelimUB(o, loc.head(), ts, nil, clock)
 	ct := w.CT()
 	if ct.IsZero() {
 		t.Fatal("prelimUB did not ensure the committing writer's CT")
@@ -187,8 +187,9 @@ func TestPrelimUBCommittingWriterBoundsByCT(t *testing.T) {
 	if got != ct.Pred() {
 		t.Errorf("foreign bound = %v, want CT−1 = %v", got, ct.Pred())
 	}
-	// The writer itself sees CT (the deliberate off-by-one).
-	if got := prelimUB(o, loc.tent, ts, w, clock); got != ct {
+	// The writer itself sees CT for the version it supersedes (the
+	// deliberate off-by-one).
+	if got := prelimUB(o, loc.head(), ts, w, clock); got != ct {
 		t.Errorf("own bound = %v, want CT = %v", got, ct)
 	}
 	// Finish the commit so the object is usable again.

@@ -23,23 +23,37 @@ type Object struct {
 // the transaction"). The object's logical head version is a function of the
 // writer's status:
 //
-//	writer == nil              → cur is the latest committed version
-//	writer active/committing   → cur is latest committed, tent is pending
-//	writer committed           → tent is logically committed at writer.CT
-//	writer aborted             → tent is logically discarded
+//	writer == nil              → ver is the latest committed version
+//	writer active/committing   → ver is pending, ver.prev is latest committed
+//	writer committed           → ver is logically committed at writer.CT
+//	writer aborted             → ver is logically discarded
 //
 // The two terminal states are settled lazily (by any thread that encounters
 // them) into a writer-free locator, so no commit-time pass over the write
-// set is needed.
+// set is needed. Both fields are written by the locator's owner before the
+// CAS that publishes it and never afterwards.
 type locator struct {
 	writer *Tx
-	tent   *version
-	cur    *version
+	ver    *version
+}
+
+// head returns the latest committed version under a locator whose writer is
+// nil, active or committing. It is nil only for a stale writer locator: the
+// writer committed, was settled, and trim cut its version's predecessor
+// (MaxVersions 1) after the caller loaded the locator — reload o.loc.
+func (l *locator) head() *version {
+	if l.writer == nil {
+		return l.ver
+	}
+	return l.ver.prev.Load()
 }
 
 // version is one committed (or tentative) value of an object. Versions form
 // a newest-first chain through prev; the chain is truncated to the runtime's
-// MaxVersions on settle.
+// MaxVersions on settle. A version outlives the transaction that wrote it,
+// so apart from prev it points at nothing but itself: a pointer from a
+// version into a Tx (or into another attempt's chunk) would keep the whole
+// commit history reachable through the Tx's access set.
 type version struct {
 	// value is the payload: the typed representation with an unboxed
 	// numeric lane (val.Value), so int-valued writes never box. It is
@@ -48,34 +62,52 @@ type version struct {
 	// (acquire), so access is race-free.
 	value val.Value
 
-	// validFrom is ⌊v.R⌋: the commit time of the writing transaction. The
-	// genesis version uses timebase.NegInf. Tentative versions have it zero
-	// until settle stamps them.
-	validFrom timebase.Timestamp
+	// from is ⌊v.R⌋: the commit time of the writing transaction, stamped by
+	// the settler that promotes the tentative version in place. nil while
+	// the version is tentative — and for good on a genesis version, which
+	// was never written by a transaction and is valid since −∞.
+	from atomic.Pointer[timebase.Timestamp]
 
-	// fixedUB is ⌈v.R⌉ once the version has been superseded: the successor's
+	// until is ⌈v.R⌉ once the version has been superseded: the successor's
 	// commit time minus one. It is nil while the version is the most recent
 	// one (⌈v.R⌉ = ∞), and is set exactly once, before the superseding
 	// locator becomes visible, so a reader that still sees this version as
-	// head also sees an unset fixedUB only if the version is truly current.
-	fixedUB atomic.Pointer[timebase.Timestamp]
+	// head also sees an unset bound only if the version is truly current.
+	until atomic.Pointer[timebase.Timestamp]
 
-	// prev links to the next older committed version. Atomic because settle
-	// truncates the history concurrently with readers walking it.
+	// stamped elects, among the settlers racing to promote this version,
+	// the one that may fill fromBuf and the predecessor's untilBuf — the
+	// inline buffers from and until normally point at, so promotion
+	// allocates nothing. (Only one successor of a version ever commits, so
+	// the successor's claim covers the predecessor's buffer too.) A settler
+	// that loses the claim cannot wait for the winner, which may be
+	// preempted between claim and publish; it publishes a heap copy of the
+	// same two values instead, as ensureCT does. Either way the stamps point
+	// at the version itself or at a pointer-free Timestamp, never at the
+	// successor: a superseded version that only a chunk neighbour keeps
+	// alive retains nothing.
+	stamped  atomic.Bool
+	fromBuf  timebase.Timestamp
+	untilBuf timebase.Timestamp
+
+	// prev links to the next older committed version; for a tentative
+	// version, to the committed head it was acquired over (set by the owner
+	// before the locator CAS). Atomic because settle truncates the history
+	// concurrently with readers walking it.
 	prev atomic.Pointer[version]
 
-	// predUB is the inline buffer behind the *superseded predecessor's*
-	// fixedUB pointer: the settler that builds this version computes the
-	// predecessor's final bound (CT−1) here, so a supersession allocates no
-	// separate Timestamp. Written once, by this version's builder, before
-	// either CAS in settled can publish it.
-	predUB timebase.Timestamp
-
 	// selfLoc is the writer-free locator that publishes this version as the
-	// object's head, embedded so settling a committed writer allocates the
-	// version node and nothing else. Filled by the builder before the
-	// locator CAS; never mutated afterwards.
+	// object's head, embedded so settling allocates nothing. Filled by the
+	// owner before the version becomes reachable; never mutated afterwards.
 	selfLoc locator
+}
+
+// validFrom returns ⌊v.R⌋ of a committed version: its stamp, −∞ without one.
+func (v *version) validFrom() timebase.Timestamp {
+	if from := v.from.Load(); from != nil {
+		return *from
+	}
+	return timebase.NegInf
 }
 
 // NewObject creates a transactional object holding an initial value. The
@@ -83,16 +115,20 @@ type version struct {
 // any time base can read it regardless of their clock's current value.
 func NewObject(initial any) *Object {
 	o := &Object{}
-	v := &version{value: val.OfAny(initial), validFrom: timebase.NegInf}
-	v.selfLoc.cur = v
+	v := &version{value: val.OfAny(initial)}
+	v.selfLoc.ver = v
 	o.loc.Store(&v.selfLoc)
 	return o
 }
 
 // settled returns the object's locator after resolving any terminal writer.
 // The returned locator's writer is nil, active, or committing — never
-// committed or aborted. Settling is idempotent and safe to race: the new
-// head version node is freshly built by each settler and only one CAS wins.
+// committed or aborted. Settling is idempotent and safe to race, and it
+// builds nothing: a committed writer's tentative version is promoted in
+// place, an aborted writer's is dropped for the version it was acquired
+// over. Racing settlers publish the same values in the same order —
+// predecessor's bound, validFrom, trim, locator — so a reader that can see
+// the new head can see both stamps.
 func (o *Object) settled(maxVersions int) *locator {
 	for {
 		loc := o.loc.Load()
@@ -102,26 +138,31 @@ func (o *Object) settled(maxVersions int) *locator {
 		}
 		switch w.Status() {
 		case StatusCommitted:
-			ct := w.CT()
-			head := &version{value: loc.tent.value, validFrom: ct}
-			head.prev.Store(loc.cur)
+			tent := loc.ver
 			// Fix the superseded version's upper bound *before* publishing
 			// the new head: a reader must never observe the new locator and
-			// then find the old head still claiming to be current. The
-			// bound lives in the candidate head's predUB buffer — racing
-			// settlers compute the identical value (ct is fixed), and each
-			// writes only its own freshly built head, so whichever pointer
-			// wins the CAS the published bound is CT−1. (A head that loses
-			// the locator CAS but wins this one stays reachable through the
-			// fixedUB pointer alone — one stale node per supersession at
-			// worst, the price of not allocating a Timestamp per settle.)
-			head.predUB = ct.Pred()
-			loc.cur.fixedUB.CompareAndSwap(nil, &head.predUB)
-			trim(head, maxVersions)
-			head.selfLoc.cur = head
-			o.loc.CompareAndSwap(loc, &head.selfLoc)
+			// then find the old head still claiming to be current. (Load
+			// order: from still unset after prev was read ⇒ nobody had
+			// reached trim ⇒ base is the predecessor, not nil.)
+			base := tent.prev.Load()
+			if tent.from.Load() == nil {
+				until, from := &base.untilBuf, &tent.fromBuf
+				if !tent.stamped.CompareAndSwap(false, true) {
+					heap := new([2]timebase.Timestamp)
+					until, from = &heap[0], &heap[1]
+				}
+				ct := w.CT()
+				*until, *from = ct.Pred(), ct
+				base.until.CompareAndSwap(nil, until)
+				tent.from.CompareAndSwap(nil, from)
+			}
+			trim(tent, maxVersions)
+			o.loc.CompareAndSwap(loc, &tent.selfLoc)
 		case StatusAborted:
-			o.loc.CompareAndSwap(loc, &locator{cur: loc.cur})
+			// Re-publishing the base's own locator is a benign ABA: same
+			// head, no writer. Only a committed writer's version is ever
+			// trimmed, so prev is set.
+			o.loc.CompareAndSwap(loc, &loc.ver.prev.Load().selfLoc)
 		default:
 			return loc
 		}
@@ -145,7 +186,7 @@ func trim(head *version, maxVersions int) {
 // upperBound returns ⌈v.R⌉ as stored: the fixed bound if the version has
 // been superseded, ∞ otherwise.
 func (v *version) upperBound() timebase.Timestamp {
-	if ub := v.fixedUB.Load(); ub != nil {
+	if ub := v.until.Load(); ub != nil {
 		return *ub
 	}
 	return timebase.Inf
@@ -153,12 +194,13 @@ func (v *version) upperBound() timebase.Timestamp {
 
 // prelimUB computes a conservative estimate of ⌈v.R⌉ according to the
 // calling thread's time reference (getPrelimUB, Algorithm 3 lines 19–35).
+// v is a committed version the caller read.
 //
 //   - A superseded version's bound is exact and final.
 //   - If the object is owned by a writer that has entered the commit phase
 //     and fixed its commit time, the current version cannot remain valid
-//     past that commit: the bound is CT−1 — except for asTx's own tentative
-//     writes, which are deliberately overestimated to CT so the commit-time
+//     past that commit: the bound is CT−1 — except under asTx's own write,
+//     where it is deliberately overestimated to CT so the commit-time
 //     overlap check passes for self-superseded objects (§2.3).
 //   - Otherwise the version is valid at least until t, where t must be a
 //     timestamp obtained (from this thread's clock) before the object state
@@ -174,18 +216,16 @@ func (v *version) upperBound() timebase.Timestamp {
 // paper's own helper mechanism) guarantees any later supersession time
 // exceeds t.
 func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timebase.Clock) timebase.Timestamp {
-	if ub := v.fixedUB.Load(); ub != nil {
+	if ub := v.until.Load(); ub != nil {
 		return *ub
 	}
 	loc := o.loc.Load()
-	if loc.cur != v {
+	if loc.head() != v {
 		// v was superseded between the two loads — and a later writer may
 		// already own the object, whose CT says nothing about v. settled
-		// publishes the fixed bound before the new head, so it is there now
-		// (nil only for asTx's own tentative version, which falls through).
-		if ub := v.fixedUB.Load(); ub != nil {
-			return *ub
-		}
+		// stamps the bound before it trims or publishes the new head, so it
+		// is there now.
+		return *v.until.Load()
 	}
 	if w := loc.writer; w != nil {
 		st := w.Status()

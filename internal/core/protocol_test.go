@@ -1,0 +1,320 @@
+package core
+
+// Deterministic tests for the in-place commit protocol: what a thread finds
+// when it comes late to a locator (after the writer was settled and trimmed,
+// after an abort put the old locator back, after the commit it wants to help
+// is long over), and what the merged access-set entry and the log-free
+// read-only path return. Each schedule is built by hand, one step at a time,
+// on one goroutine — the concurrent tests reach the same states only now and
+// then.
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/timebase"
+)
+
+// mustWrite drives a hand-built transaction through one write.
+func mustWrite(t *testing.T, tx *Tx, o *Object, v int) {
+	t.Helper()
+	if err := tx.Write(o, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleWriterLocatorAfterTrim: with MaxVersions 1, settling a committed
+// writer cuts its version's prev. A thread still holding the writer's
+// locator from before the commit must see "no head, reload" — and a settler
+// that was preempted between trim and the locator CAS leaves an object every
+// path can still be driven through.
+func TestStaleWriterLocatorAfterTrim(t *testing.T) {
+	rt := counterRT(func(c *Config) { c.MaxVersions = 1 })
+	o := NewObject(1)
+	genesis := o.loc.Load().ver
+	w := rt.Thread(0).newTx(0, false)
+	mustWrite(t, w, o, 2)
+
+	stale := o.loc.Load()
+	if stale.writer != w || stale.head() != genesis {
+		t.Fatalf("writer locator: writer %p head %p, want %p over genesis %p", stale.writer, stale.head(), w, genesis)
+	}
+	if err := w.commit(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := o.settled(rt.maxVersions)
+	if fresh.writer != nil || fresh.ver != stale.ver || fresh != &stale.ver.selfLoc {
+		t.Fatal("settle did not promote the tentative version in place")
+	}
+	if stale.head() != nil {
+		t.Fatal("stale writer locator still yields a head after its predecessor was trimmed")
+	}
+	ub := genesis.until.Load()
+	if ub == nil || *ub != w.CT().Pred() || fresh.ver.validFrom() != w.CT() {
+		t.Fatalf("stamps: genesis until %v, head from %v, CT %v", ub, fresh.ver.validFrom(), w.CT())
+	}
+
+	// Put the writer's locator back: the state a racing settler leaves when
+	// it is preempted after trim, before its locator CAS.
+	for _, use := range []struct {
+		name string
+		fn   func(t *testing.T)
+	}{
+		{"prelimUB", func(t *testing.T) {
+			clock := rt.TimeBase().Clock(3)
+			if got := prelimUB(o, genesis, timebase.Exact(1<<40), nil, clock); got != *ub {
+				t.Errorf("bound of the trimmed-away version = %v, want its stamp %v", got, *ub)
+			}
+		}},
+		{"read", func(t *testing.T) {
+			if got := mustReadInt(t, rt, o); got != 2 {
+				t.Errorf("read %d, want 2", got)
+			}
+		}},
+		{"write", func(t *testing.T) {
+			if err := rt.Thread(1).Run(func(tx *Tx) error { return tx.Write(o, 3) }); err != nil {
+				t.Fatal(err)
+			}
+			if got := mustReadInt(t, rt, o); got != 3 {
+				t.Errorf("read %d, want 3", got)
+			}
+		}},
+	} {
+		o.loc.Store(stale)
+		t.Run(use.name, use.fn)
+	}
+}
+
+// TestAbortedWriterSettlesToBaseLocator: dropping an aborted writer builds
+// nothing — the object goes back to the locator embedded in the version the
+// writer was acquired over — and that re-publication is a benign ABA for a
+// competitor whose CAS was prepared against the same locator before.
+func TestAbortedWriterSettlesToBaseLocator(t *testing.T) {
+	rt := counterRT()
+	th := rt.Thread(0)
+
+	const runs = 100
+	objs := make([]*Object, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range objs {
+		objs[i] = NewObject(7)
+		w := th.newTx(0, false)
+		mustWrite(t, w, objs[i], 99)
+		w.abort()
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		o := objs[next]
+		next++
+		if loc := o.settled(rt.maxVersions); loc.writer != nil {
+			t.Fatal("aborted writer not settled")
+		}
+	}); got != 0 {
+		t.Errorf("settling an aborted writer: %.1f allocs, want 0", got)
+	}
+
+	o := NewObject(7)
+	pre := o.loc.Load()
+	base := pre.ver
+	// The competitor prepares its acquisition against pre…
+	b := rt.Thread(1).newTx(0, false)
+	tent, nloc := b.newWrite()
+	tent.selfLoc.ver = tent
+	nloc.writer, nloc.ver = b, tent
+	tent.prev.Store(base)
+	// …then another writer takes the object, aborts and is settled away.
+	a := th.newTx(0, false)
+	mustWrite(t, a, o, 99)
+	a.abort()
+	if got := o.settled(rt.maxVersions); got != pre || got != &base.selfLoc {
+		t.Fatalf("after the abort o.loc = %p, want the base's own locator %p", got, pre)
+	}
+	if base.until.Load() != nil {
+		t.Error("aborted writer bounded the version it was acquired over")
+	}
+	if !o.loc.CompareAndSwap(pre, nloc) {
+		t.Fatal("competitor's CAS against the re-published locator failed")
+	}
+	if got := o.loc.Load().head(); got != base {
+		t.Errorf("competitor installed over %p, want base %p", got, base)
+	}
+}
+
+// TestLateHelperIsNoOp: a helper that took a reference to a committing
+// transaction and gets to run only after it committed and every object was
+// settled (and, with MaxVersions 1, trimmed) changes nothing.
+func TestLateHelperIsNoOp(t *testing.T) {
+	for _, maxV := range []int{1, DefaultMaxVersions} {
+		rt := counterRT(func(c *Config) { c.MaxVersions = maxV })
+		read, upgraded, blind := NewObject(1), NewObject(2), NewObject(3)
+		w := rt.Thread(0).newTx(0, false)
+		if _, err := w.Read(read); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Read(upgraded); err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, w, upgraded, 20)
+		mustWrite(t, w, blind, 30)
+		if err := w.commit(); err != nil {
+			t.Fatal(err)
+		}
+		ct := w.CT()
+		var locs [3]*locator
+		for i, o := range []*Object{read, upgraded, blind} {
+			locs[i] = o.settled(maxV)
+		}
+
+		if !w.finishCommit(rt.TimeBase().Clock(5)) {
+			t.Errorf("MaxVersions %d: late helper reports the committed transaction as aborted", maxV)
+		}
+		if w.Status() != StatusCommitted || w.CT() != ct {
+			t.Errorf("MaxVersions %d: late helper moved status/CT to %v/%v", maxV, w.Status(), w.CT())
+		}
+		for i, o := range []*Object{read, upgraded, blind} {
+			if o.loc.Load() != locs[i] {
+				t.Errorf("MaxVersions %d: late helper replaced the locator of object %d", maxV, i)
+			}
+			if got, want := mustReadInt(t, rt, o), []int{1, 20, 30}[i]; got != want {
+				t.Errorf("MaxVersions %d: object %d = %d, want %d", maxV, i, got, want)
+			}
+		}
+	}
+}
+
+// TestReadOnlyRereadAroundCommit: a declared read-only transaction keeps no
+// access set, so a second read of an object is selected and range-checked
+// from scratch. Around a commit to that object it must find the same version
+// again or abort — on exact and on masked (extsync) comparisons alike — and
+// with a single version there is no older one to find.
+func TestReadOnlyRereadAroundCommit(t *testing.T) {
+	for _, maxV := range []int{1, DefaultMaxVersions} {
+		forAllBases(t, Config{MaxVersions: maxV}, func(t *testing.T, rt *Runtime) {
+			o := NewObject(10)
+			th, writer := rt.Thread(0), rt.Thread(1)
+			attempts := 0
+			err := th.RunReadOnly(func(tx *Tx) error {
+				attempts++
+				first, err := tx.Read(o)
+				if err != nil {
+					return err
+				}
+				if attempts == 1 {
+					if err := writer.Run(func(w *Tx) error { return w.Write(o, first.(int)+1) }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				again, err := tx.Read(o)
+				if err != nil {
+					if attempts > 1 || !errors.Is(err, ErrAborted) {
+						t.Errorf("attempt %d: re-read failed with %v", attempts, err)
+					}
+					return err
+				}
+				if again != first {
+					t.Errorf("attempt %d: read %v, then %v in one read-only transaction", attempts, first, again)
+				}
+				if len(tx.entries) != 0 {
+					t.Errorf("read-only transaction logged %d entries", len(tx.entries))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// (A masked time base may abort the retry too: the new version is
+			// still inside the mask of the retry's clock reading.)
+			if maxV == 1 && attempts < 2 {
+				t.Errorf("single-version re-read past a commit took %d attempts, want abort + retry", attempts)
+			}
+		})
+	}
+}
+
+// TestMergedEntry: one entry per object, whatever the order of accesses; the
+// read version stays in it for validation, the tentative one serves reads.
+func TestMergedEntry(t *testing.T) {
+	forAllBases(t, Config{}, func(t *testing.T, rt *Runtime) {
+		blind, upgraded := NewObject(1), NewObject(2)
+		th := rt.Thread(0)
+		err := th.Run(func(tx *Tx) error {
+			// Blind write, then read.
+			if err := tx.Write(blind, 10); err != nil {
+				return err
+			}
+			if v, err := tx.Read(blind); err != nil || v != 10 {
+				t.Errorf("read after blind write = %v, %v; want 10", v, err)
+			}
+			// Read, write, read.
+			v, err := tx.Read(upgraded)
+			if err != nil {
+				return err
+			}
+			head := upgraded.loc.Load().ver
+			if err := tx.Write(upgraded, v.(int)+18); err != nil {
+				return err
+			}
+			if v, err := tx.Read(upgraded); err != nil || v != 20 {
+				t.Errorf("read after upgrade = %v, %v; want 20", v, err)
+			}
+			if err := tx.Write(upgraded, 21); err != nil {
+				return err
+			}
+			if len(tx.entries) != 2 || tx.writes != 2 {
+				t.Fatalf("%d entries, %d writes; want 2 and 2", len(tx.entries), tx.writes)
+			}
+			if e := tx.entries[0]; e.obj != blind || e.ver != nil || e.tent == nil {
+				t.Errorf("blind-write entry = %+v", e)
+			}
+			if e := tx.entries[1]; e.obj != upgraded || e.ver != head || e.tent == nil || e.tent.prev.Load() != head {
+				t.Errorf("upgrade entry = %+v, read version %p", e, head)
+			}
+			// Opens, as before the merge: write, read, write (the re-read and
+			// the in-place second write open nothing).
+			if tx.Ops() != 3 {
+				t.Errorf("Ops = %d, want 3", tx.Ops())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustReadInt(t, rt, blind); got != 10 {
+			t.Errorf("blind = %d, want 10", got)
+		}
+		if got := mustReadInt(t, rt, upgraded); got != 21 {
+			t.Errorf("upgraded = %d, want 21", got)
+		}
+	})
+}
+
+// TestUpgradeAfterForeignCommitAborts: the merged entry keeps the version
+// that was read, so a write upgrade over a newer head cannot commit.
+func TestUpgradeAfterForeignCommitAborts(t *testing.T) {
+	forAllBases(t, Config{}, func(t *testing.T, rt *Runtime) {
+		o := NewObject(0)
+		th, other := rt.Thread(0), rt.Thread(1)
+		attempts := 0
+		err := th.Run(func(tx *Tx) error {
+			attempts++
+			v, err := tx.Read(o)
+			if err != nil {
+				return err
+			}
+			if attempts == 1 {
+				if err := other.Run(func(w *Tx) error { return w.Write(o, 100) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return tx.Write(o, v.(int)+1)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attempts < 2 {
+			t.Errorf("%d attempts, want the first to abort", attempts)
+		}
+		if got := mustReadInt(t, rt, o); got != 101 {
+			t.Errorf("o = %d, want 101 (lost update)", got)
+		}
+	})
+}

@@ -17,26 +17,24 @@ type Thread struct {
 	// index is the reusable object→entry map lent to transactions whose
 	// access set outgrows the linear-scan fast path. Lazily allocated.
 	index map[*Object]int
-	// spare is the recycler for heap-allocated write slots (tentative
-	// version + locator) whose acquisition loop exited without ever
-	// publishing them: such a slot is provably unreachable from any other
-	// thread, so the next overflowing write reuses it instead of
-	// allocating. One slot suffices — at most one unpublished slot is in
-	// flight per thread.
-	spare *wslot
-	stats Stats
-	_     [64]byte // keep each worker's stats off its neighbours' cache lines
+	// writeHint and entryHint size the next attempt's version/locator
+	// chunks and its overflow entry slice, from what this thread's recent
+	// commits used (see sizeHint).
+	writeHint int
+	entryHint int
+	stats     Stats
+	_         [64]byte // keep each worker's stats off its neighbours' cache lines
 }
 
-// stash returns an unpublished heap write slot to the recycler. Callers
-// must only pass slots whose locator never won the object's CAS: a
-// published slot is reachable from the object (and from helpers) and must
-// die with its Tx instead. Fields need no scrubbing — every acquisition
-// overwrites them before the slot can be published again.
-func (th *Thread) stash(s *wslot) {
-	if s != nil {
-		th.spare = s
+// sizeHint moves a chunk-size hint toward what a commit just used: up at
+// once, down by a quarter of the gap. A steady workload gets exactly one
+// right-sized chunk per attempt; one odd transaction neither under-sizes the
+// next chunk nor leaves every later small commit pinning an oversized one.
+func sizeHint(hint, used int) int {
+	if used >= hint {
+		return used
 	}
+	return hint - (hint-used+3)/4
 }
 
 // ID returns the worker id the thread was created with.
@@ -73,6 +71,12 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 		case err == nil:
 			if err = tx.commit(); err == nil {
 				th.stats.Commits++
+				if tx.writes > 0 {
+					th.writeHint = sizeHint(th.writeHint, tx.writes)
+				}
+				if n := len(tx.entries); n > smallAccessSet {
+					th.entryHint = sizeHint(th.entryHint, n)
+				}
 				if tx.boxed {
 					th.stats.BoxedCommits++
 				}
@@ -111,11 +115,11 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 // small access sets are served by a linear scan, and only a transaction
 // that outgrows smallAccessSet promotes to the Thread's reusable map
 // (helpers never touch it). The Tx — and with it the inline entry array
-// and inline write slots — is never reused across attempts, because a
+// and inline writer locators — is never reused across attempts, because a
 // helper may still be validating a previous attempt's frozen access set
-// (or reading its published tentative versions); embedding the per-attempt
-// state in the per-attempt Tx is what makes the fast path one allocation
-// without reintroducing that hazard.
+// (or an object may still hold one of its locators); embedding the
+// per-attempt state in the per-attempt Tx is what makes the read-only fast
+// path one allocation without reintroducing that hazard.
 func (th *Thread) newTx(attempt int, readOnly bool) *Tx {
 	th.seq++
 	tx := &Tx{

@@ -78,27 +78,29 @@ type Tx struct {
 	// attempt (and a new Tx), which is why thread.go never recycles
 	// attempts (see newTx).
 	inline [smallAccessSet]entry
-	// wnext/wslots are the inline tentative version + locator pairs handed
-	// out by newWriteSlot: the first smallWriteSlots acquisitions of an
-	// attempt publish locators that live inside the Tx instead of two heap
-	// nodes per write. Like inline, this is sound only because the Tx is
-	// never reused.
-	wnext  int
-	wslots [smallWriteSlots]wslot
+	// vers is the chunk the attempt's tentative versions are cut from, sized
+	// by the Thread's hint so a steady-state attempt allocates one. Versions
+	// outlive the Tx (a committed one is promoted in place), which is why
+	// they are not embedded in it: see version. A full chunk is left behind
+	// and a new one started — published versions never move.
+	vers []version
+	// writes counts write acquisitions: the index of the next writer
+	// locator. The first smallWriteSet are inline (wlocs); later ones are
+	// cut from the locs chunk. Writer locators die at settle, so unlike
+	// versions they may live in (and point at) the Tx.
+	writes int
+	wlocs  [smallWriteSet]locator
+	locs   []locator
 }
 
+// entry is one element of T.O: the object, the committed version the
+// transaction read (nil for a blind write) and the tentative version it
+// wrote (nil for a plain read). Extension and validation look only at ver;
+// tent is protected by ownership from acquisition to commit.
 type entry struct {
-	obj     *Object
-	ver     *version
-	written bool
-}
-
-// wslot is one inline write acquisition: the tentative version and the
-// locator that registers it. Grouped so overflow slots (and the Thread's
-// recycled spare) stay a single allocation.
-type wslot struct {
-	ver version
-	loc locator
+	obj  *Object
+	ver  *version
+	tent *version
 }
 
 // Status returns the transaction's current state.
@@ -206,8 +208,20 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	if tx.Status() != StatusActive {
 		return val.Value{}, tx.errFromStatus()
 	}
-	if idx, ok := tx.lookup(o); ok {
-		return tx.entries[idx].ver.value, nil
+	// A declared read-only transaction keeps no access set: it never extends
+	// and commits without validation, so nothing would read the log. Every
+	// read — a repeated one too — is selected and range-checked like a first
+	// read, which is all opacity needs: a second read of an object either
+	// finds the same version (any newer one starts after the snapshot ends)
+	// or empties the range.
+	if !tx.readOnly {
+		if idx, ok := tx.lookup(o); ok {
+			e := &tx.entries[idx]
+			if e.tent != nil {
+				return e.tent.value, nil
+			}
+			return e.ver.value, nil
+		}
 	}
 	v, ok := tx.getVersion(o)
 	if !ok {
@@ -217,7 +231,7 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	}
 	// Lines 28–30: intersect T.R with the version's validity range and
 	// abort if the snapshot became (possibly) inconsistent.
-	tx.lower = timebase.Max(tx.lower, v.validFrom)
+	tx.lower = timebase.Max(tx.lower, v.validFrom())
 	limit := tx.effLimit()
 	ub := prelimUB(o, v, limit, tx, tx.th.clock)
 	tx.upper = timebase.Min(tx.upper, ub)
@@ -226,7 +240,9 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		tx.th.stats.AbortSnapshot++
 		return val.Value{}, ErrAborted
 	}
-	tx.addEntry(o, v, false)
+	if !tx.readOnly {
+		tx.addEntry(o, v, nil)
+	}
 	return v.value, nil
 }
 
@@ -255,28 +271,25 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	if v.Kind() == val.KindBoxed {
 		tx.boxed = true
 	}
-	if idx, ok := tx.lookup(o); ok && tx.entries[idx].written {
+	idx, seen := tx.lookup(o)
+	if seen && tx.entries[idx].tent != nil {
 		// Already own the object: update the tentative version in place.
-		tx.entries[idx].ver.value = v
+		tx.entries[idx].tent.value = v
 		return nil
 	}
 	// Acquisition loop (lines 11–21): become the object's registered writer,
 	// resolving conflicts through helping and the contention manager. The
-	// tentative version and its locator are built once (from an inline slot
-	// while any remain) and reused across CAS failures — until the CAS
-	// succeeds they are invisible to every other thread. If the loop exits
-	// without publishing a heap-allocated slot, the slot goes back to the
-	// Thread's recycler.
+	// tentative version and its locator are taken once and reused across CAS
+	// failures — until the CAS succeeds they are invisible to every other
+	// thread.
 	var tent *version
 	var nloc *locator
-	var slot *wslot // non-nil iff tent/nloc came from a recyclable heap slot
 	for n := 0; ; n++ {
 		if tx.Status() != StatusActive {
-			tx.th.stash(slot)
 			return tx.errFromStatus()
 		}
 		loc := o.settled(tx.rt.maxVersions)
-		if w := loc.writer; w != nil && w != tx {
+		if w := loc.writer; w != nil {
 			switch w.Status() {
 			case StatusCommitting:
 				tx.th.help(w)
@@ -289,7 +302,6 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 				case AbortSelf:
 					tx.selfAbort(CauseConflict)
 					tx.th.stats.AbortConflict++
-					tx.th.stash(slot)
 					return ErrAborted
 				default:
 					backoff(n)
@@ -299,32 +311,41 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 			}
 			continue
 		}
-		base := loc.cur
+		base := loc.ver
 		if tent == nil {
-			tent, nloc, slot = tx.newWriteSlot()
+			tent, nloc = tx.newWrite()
 			tent.value = v
-			nloc.writer, nloc.tent = tx, tent
+			tent.selfLoc.ver = tent
+			nloc.writer, nloc.ver = tx, tent
 		}
-		nloc.cur = base
+		tent.prev.Store(base)
 		if !o.loc.CompareAndSwap(loc, nloc) {
 			continue
 		}
 		tx.update = true
 		// Line 22: if the base version is possibly more recent than the
 		// snapshot's upper bound, extending may still save the transaction.
-		if base.validFrom.PossiblyLater(tx.upper) {
+		from := base.validFrom()
+		if from.PossiblyLater(tx.upper) {
 			tx.extend()
 		}
 		// Lines 28–30. The tentative version's preliminary upper bound is
 		// the caller's limit (we are the registered, still-active writer).
-		tx.lower = timebase.Max(tx.lower, base.validFrom)
+		tx.lower = timebase.Max(tx.lower, from)
 		tx.upper = timebase.Min(tx.upper, tx.effLimit())
 		if tx.lower.PossiblyLater(tx.upper) {
 			tx.selfAbort(CauseSnapshot)
 			tx.th.stats.AbortSnapshot++
 			return ErrAborted
 		}
-		tx.addEntry(o, tent, true)
+		if seen {
+			// Write upgrade: the entry keeps the version the transaction
+			// read, so commit-time validation still checks it.
+			tx.entries[idx].tent = tent
+			tx.ops.Add(1)
+		} else {
+			tx.addEntry(o, nil, tent)
+		}
 		return nil
 	}
 }
@@ -338,16 +359,14 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 // access-set backing array.
 const smallAccessSet = 8
 
-// smallWriteSlots is the number of inline tentative-version/locator pairs
-// embedded in Tx. Writes beyond it fall back to one heap allocation per
-// acquisition (recycled through the Thread when provably unpublished).
-const smallWriteSlots = 4
+// smallWriteSet is the number of writer locators embedded in Tx; a
+// transaction that writes more objects takes one locator chunk.
+const smallWriteSet = 4
 
-// lookup finds the most recent entry for o (a write upgrade appends a
-// second entry for the same object; the latest one carries the tentative
-// value). Small access sets scan backwards; larger ones use the map built
-// by addEntry. A miss returns index −1, so a caller that forgets to check
-// ok faults loudly instead of silently aliasing entry 0.
+// lookup finds the entry for o. Small access sets scan backwards; larger
+// ones use the map built by addEntry. A miss returns index −1, so a caller
+// that forgets to check ok faults loudly instead of silently aliasing
+// entry 0.
 func (tx *Tx) lookup(o *Object) (int, bool) {
 	if tx.index != nil {
 		if idx, ok := tx.index[o]; ok {
@@ -363,33 +382,50 @@ func (tx *Tx) lookup(o *Object) (int, bool) {
 	return -1, false
 }
 
-// newWriteSlot hands out the tentative version and locator for one write
-// acquisition: an inline Tx slot while any remain, then the Thread's
-// recycled spare, then a fresh heap slot. The returned slot pointer is
-// non-nil only for the heap-backed cases, which are the only ones worth
-// recycling — inline slots die with their Tx.
-func (tx *Tx) newWriteSlot() (*version, *locator, *wslot) {
-	if tx.wnext < smallWriteSlots {
-		s := &tx.wslots[tx.wnext]
-		tx.wnext++
-		return &s.ver, &s.loc, nil
+// cut returns the next element of *chunk, starting a new chunk of the given
+// size when the current one is full. Elements already handed out are
+// published by address, so a chunk is never reallocated — the old one stays
+// wherever its elements are still referenced.
+func cut[T any](chunk *[]T, size int) *T {
+	c := *chunk
+	if len(c) == cap(c) {
+		c = make([]T, 0, size)
 	}
-	s := tx.th.spare
-	if s != nil {
-		tx.th.spare = nil
-	} else {
-		s = new(wslot)
-	}
-	return &s.ver, &s.loc, s
+	c = c[:len(c)+1]
+	*chunk = c
+	return &c[len(c)-1]
 }
 
-// addEntry appends (o, v) to T.O and indexes it. A write upgrade leaves the
-// previously read entry in place so commit-time validation still checks the
-// version the transaction actually read. Crossing smallAccessSet promotes
-// the index to the Thread's reusable map (populated in entry order, so each
-// object maps to its latest entry).
-func (tx *Tx) addEntry(o *Object, v *version, written bool) {
-	tx.entries = append(tx.entries, entry{obj: o, ver: v, written: written})
+// newWrite hands out the tentative version and writer locator for one write
+// acquisition. A chunk started mid-attempt covers what the Thread's hint
+// still expects, and at least doubles what the attempt holds when the hint
+// was too small.
+func (tx *Tx) newWrite() (*version, *locator) {
+	size := max(tx.th.writeHint-tx.writes, tx.writes, 1)
+	v := cut(&tx.vers, size)
+	var l *locator
+	if tx.writes < smallWriteSet {
+		l = &tx.wlocs[tx.writes]
+	} else {
+		l = cut(&tx.locs, size)
+	}
+	tx.writes++
+	return v, l
+}
+
+// addEntry appends (o, read version, tentative version) to T.O and indexes
+// it. An access set that outgrows the inline array moves, once, to a slice
+// sized by the Thread's hint (entries are owner-only until the status CAS
+// freezes them, so they may move; helpers only ever see the final slice).
+// Crossing smallAccessSet also promotes the index to the Thread's reusable
+// map.
+func (tx *Tx) addEntry(o *Object, ver, tent *version) {
+	if n := len(tx.entries); n == cap(tx.entries) {
+		grown := make([]entry, n, max(2*n, tx.th.entryHint))
+		copy(grown, tx.entries)
+		tx.entries = grown
+	}
+	tx.entries = append(tx.entries, entry{obj: o, ver: ver, tent: tent})
 	if tx.index != nil {
 		tx.index[o] = len(tx.entries) - 1
 	} else if len(tx.entries) > smallAccessSet {
@@ -421,8 +457,12 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 			tx.th.help(w)
 			continue
 		}
-		head := loc.cur
-		if tx.upper.LaterEq(head.validFrom) {
+		head := loc.head()
+		if head == nil {
+			continue // stale writer locator: settled and trimmed under us
+		}
+		from := head.validFrom()
+		if tx.upper.LaterEq(from) {
 			return head, true
 		}
 		// Head is possibly more recent than the snapshot. Serializable
@@ -432,7 +472,7 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 		if !tx.readOnly && !tx.rt.si {
 			if !tx.closed && !tx.rt.disableExt {
 				tx.extend()
-				if tx.upper.LaterEq(head.validFrom) {
+				if tx.upper.LaterEq(from) {
 					return head, true
 				}
 			}
@@ -444,7 +484,7 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 				// end even earlier.
 				return nil, false
 			}
-			if tx.upper.LaterEq(v.validFrom) {
+			if tx.upper.LaterEq(v.validFrom()) {
 				return v, true
 			}
 		}
@@ -465,12 +505,12 @@ func (tx *Tx) extend() {
 	upper := t
 	for i := range tx.entries {
 		e := &tx.entries[i]
-		if e.written {
+		if e.ver == nil {
 			continue
 		}
 		ub := prelimUB(e.obj, e.ver, t, tx, tx.th.clock)
 		upper = timebase.Min(upper, ub)
-		if e.ver.fixedUB.Load() != nil {
+		if e.ver.until.Load() != nil {
 			tx.closed = true
 		}
 	}
@@ -514,16 +554,18 @@ func (w *Tx) finishCommit(clock timebase.Clock) bool {
 	//
 	// Under snapshot isolation only the written objects matter, and those
 	// are protected by ownership from acquisition to commit — read-write
-	// conflicts are tolerated, so the read entries are skipped.
-	for i := range w.entries {
-		e := &w.entries[i]
-		if w.rt.si && !e.written {
-			continue
-		}
-		ub := prelimUB(e.obj, e.ver, ct, w, clock)
-		if ct.PossiblyLater(ub) {
-			w.abort()
-			return w.Status() == StatusCommitted
+	// conflicts are tolerated, so nothing is left to check.
+	if !w.rt.si {
+		for i := range w.entries {
+			e := &w.entries[i]
+			if e.ver == nil {
+				continue
+			}
+			ub := prelimUB(e.obj, e.ver, ct, w, clock)
+			if ct.PossiblyLater(ub) {
+				w.abort()
+				return w.Status() == StatusCommitted
+			}
 		}
 	}
 	w.status.CompareAndSwap(int32(StatusCommitting), int32(StatusCommitted))

@@ -445,10 +445,11 @@ func TestCrossEngineCellPanics(t *testing.T) {
 // transaction on the same Thread must leave the outer retry loop's cached
 // closure intact — regression test for the save/restore in the adapter
 // threads. Only the engines whose native runtimes tolerate nesting are
-// driven: the LSA core builds a fresh Tx per attempt and wordstm likewise,
-// so the nested Run executes as a flat, independent transaction; the
-// recycled-Tx engines (norec, tl2, glock, rstmval) share one native
-// transaction per thread and do not support nesting at any layer.
+// driven: the LSA core builds a fresh Tx per attempt and wordstm hands a
+// nested Run a record of its own, so the nested Run executes as a flat,
+// independent transaction; the other recycled-Tx engines (norec, tl2,
+// glock, rstmval) share one native transaction per thread and do not
+// support nesting at any layer.
 func TestNestedRunSameThread(t *testing.T) {
 	for _, name := range []string{"lsa/shared", "wordstm"} {
 		t.Run(name, func(t *testing.T) {

@@ -123,6 +123,10 @@ type Thread struct {
 	stm    *STM
 	clock  timebase.Clock
 	aborts abort.Counts
+	// tx is the attempt record, reset and reused attempt after attempt;
+	// running marks it taken (see run).
+	tx      Tx
+	running bool
 }
 
 // AbortCounts returns this thread's aborts classified by reason.
@@ -130,10 +134,21 @@ func (t *Thread) AbortCounts() abort.Counts { return t.aborts }
 
 // Thread creates a worker context. Not safe for concurrent use.
 func (s *STM) Thread(id int) *Thread {
-	return &Thread{stm: s, clock: s.tb.Clock(id)}
+	t := &Thread{stm: s, clock: s.tb.Clock(id)}
+	t.tx.stm, t.tx.clock = s, t.clock
+	return t
 }
 
-// Tx is one word-transaction attempt.
+// smallWriteSet is the write-set size up to which wlookup scans the writes
+// slice instead of maintaining a map — the same ≤8-entry linear-scan fast
+// path as the LSA core's access set and the norec and tl2 write sets.
+const smallWriteSet = 8
+
+// Tx is one word-transaction attempt. Attempts are recycled across retries
+// by their Thread: the Tx is thread-private (there is no helping — other
+// transactions see only the lock words), so the logs and the promoted index
+// are reused attempt after attempt and the steady-state retry costs zero
+// allocations.
 type Tx struct {
 	stm      *STM
 	clock    timebase.Clock
@@ -142,8 +157,59 @@ type Tx struct {
 	lower, upper int64
 	reads        []readEntry
 	writes       []writeEntry
-	windex       map[Addr]int
-	locked       []uint32 // stripes this tx owns, in acquisition order
+	windex       map[Addr]int // nil while the write set is small
+	// spareIndex keeps the promoted map alive between attempts so a large
+	// write set pays the map allocation once per thread, not per attempt.
+	spareIndex map[Addr]int
+	locked     []uint32 // stripes this tx owns, in acquisition order
+}
+
+// reset rearms the attempt for reuse, keeping the logs' backing arrays.
+// locked is already empty: every way out of an attempt releases the locks.
+func (tx *Tx) reset(start int64, readOnly bool) {
+	tx.readOnly = readOnly
+	tx.lower, tx.upper = start, start
+	tx.reads = tx.reads[:0]
+	tx.writes = tx.writes[:0]
+	tx.windex = nil
+}
+
+// wlookup finds the write-set entry for a: a linear scan while the set is
+// small, the map built by wadd beyond that. A miss returns index −1 (0 is a
+// valid entry index).
+func (tx *Tx) wlookup(a Addr) (int, bool) {
+	if tx.windex != nil {
+		if idx, ok := tx.windex[a]; ok {
+			return idx, true
+		}
+		return -1, false
+	}
+	for i := len(tx.writes) - 1; i >= 0; i-- {
+		if tx.writes[i].addr == a {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
+// wadd appends a write-set entry; crossing smallWriteSet promotes the index
+// to the attempt's reusable map (cleared, not reallocated, after the first
+// promotion on this thread).
+func (tx *Tx) wadd(a Addr, v int64) {
+	tx.writes = append(tx.writes, writeEntry{addr: a, val: v})
+	if tx.windex != nil {
+		tx.windex[a] = len(tx.writes) - 1
+	} else if len(tx.writes) > smallWriteSet {
+		if tx.spareIndex == nil {
+			tx.spareIndex = make(map[Addr]int, 4*smallWriteSet)
+		} else {
+			clear(tx.spareIndex)
+		}
+		tx.windex = tx.spareIndex
+		for i := range tx.writes {
+			tx.windex[tx.writes[i].addr] = i
+		}
+	}
 }
 
 type readEntry struct {
@@ -161,7 +227,7 @@ func (tx *Tx) Load(a Addr) (int64, error) {
 	if int(a) >= len(tx.stm.mem) {
 		return 0, ErrOutOfRange
 	}
-	if idx, ok := tx.windex[a]; ok {
+	if idx, ok := tx.wlookup(a); ok {
 		return tx.writes[idx].val, nil
 	}
 	st := tx.stm.stripe(a)
@@ -219,7 +285,7 @@ func (tx *Tx) Store(a Addr, v int64) error {
 	if int(a) >= len(tx.stm.mem) {
 		return ErrOutOfRange
 	}
-	if idx, ok := tx.windex[a]; ok {
+	if idx, ok := tx.wlookup(a); ok {
 		tx.writes[idx].val = v
 		return nil
 	}
@@ -253,11 +319,7 @@ func (tx *Tx) Store(a Addr, v int64) error {
 			}
 		}
 	}
-	tx.writes = append(tx.writes, writeEntry{addr: a, val: v})
-	if tx.windex == nil {
-		tx.windex = make(map[Addr]int, 8)
-	}
-	tx.windex[a] = len(tx.writes) - 1
+	tx.wadd(a, v)
 	return nil
 }
 
@@ -344,14 +406,17 @@ func (t *Thread) Run(fn func(*Tx) error) error { return t.run(false, fn) }
 func (t *Thread) RunReadOnly(fn func(*Tx) error) error { return t.run(true, fn) }
 
 func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
+	tx := &t.tx
+	if t.running {
+		// A body that starts another transaction on its own Thread gets a
+		// flat, independent one: the recycled record is the outer attempt's.
+		tx = &Tx{stm: t.stm, clock: t.clock}
+	} else {
+		t.running = true
+		defer func() { t.running = false }()
+	}
 	for attempt := 0; ; attempt++ {
-		tx := &Tx{
-			stm:      t.stm,
-			clock:    t.clock,
-			readOnly: readOnly,
-		}
-		start := t.clock.GetTime().TS
-		tx.lower, tx.upper = start, start
+		tx.reset(t.clock.GetTime().TS, readOnly)
 		err := fn(tx)
 		if err == nil {
 			err = tx.commit()
