@@ -118,7 +118,7 @@ func check(data []byte, requiredEngines []string) []error {
 	// Individual records may legitimately carry zero allocs/commit (the
 	// unboxed value lane), but a snapshot where NO record allocates was
 	// regenerated by a pre-telemetry binary: the LSA engines allocate at
-	// least their per-attempt Tx on every commit by design.
+	// least their per-attempt Tx on every update commit by design.
 	if !sawAllocTelemetry {
 		errs = append(errs, fmt.Errorf("no record carries alloc telemetry (snapshot from a pre-telemetry binary?)"))
 	}

@@ -10,19 +10,23 @@ package core
 //
 // An attempt pays per transaction, not per access. Budget accounting:
 //
-//   - the Tx itself (1): embeds the first smallAccessSet entries and the
-//     first smallWriteSet writer locators. It cannot be reused across
-//     attempts (helpers may validate a frozen access set), so 1 is the floor
-//     without a reclamation protocol.
+//   - the attempt record (1 for an update attempt, 0 for a declared read-only
+//     one): a Tx with its entries and writer locators inline, in the shape
+//     the Thread's hints call for — small (smallAccessSet entries,
+//     smallWriteSet locators) or wide (wideSet of each). An update attempt's
+//     record may have been published through a locator and handed to
+//     helpers, so it is never reused: 1 is the floor without a reclamation
+//     protocol. A declared read-only attempt is reachable from its own
+//     thread only, so every one of them runs in the Thread's one record.
 //   - the version chunk (+1 for any transaction that writes): all of the
-//     attempt's tentative versions, sized by the Thread's hint. Settling
-//     promotes them in place and allocates nothing.
-//   - the entry overflow (+1 above smallAccessSet objects) and the locator
-//     overflow (+1 above smallWriteSet writes), each one slice sized by the
-//     Thread's hints.
+//     attempt's tentative versions, sized by the Thread's hint. Versions
+//     outlive the record, so they cannot ride in it. Settling promotes them
+//     in place and allocates nothing.
+//   - past the wide shape only: the entry overflow (+1 above wideSet objects)
+//     and the locator overflow (+1 above wideSet writes), each one slice
+//     sized by the Thread's hints behind a small-shape record.
 //
-// So: read-only of any length 1 (a declared read-only transaction keeps no
-// access set at all), 1- and 2-write updates 2, a 10-read-modify-write
+// So: read-only of any length 0, 1-, 2- and 10-write updates 2, a 40-write
 // update 4.
 //
 // Values are written far outside the runtime's small-int interface cache
@@ -31,6 +35,7 @@ package core
 // write on the hottest path.
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -64,7 +69,7 @@ func TestAllocBudgetReadOnlySmall(t *testing.T) {
 		_, _, err := tx.ReadInt(b)
 		return err
 	}
-	allocBudget(t, "core read-only 2 reads", 1, func() {
+	allocBudget(t, "core read-only 2 reads", 0, func() {
 		if err := th.RunReadOnly(fn); err != nil {
 			t.Fatal(err)
 		}
@@ -113,30 +118,76 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 	})
 }
 
-func TestAllocBudgetUpdateTen(t *testing.T) {
+// Ten read-modify-writes ride in the wide record.
+func TestAllocBudgetUpdateTen(t *testing.T) { updateBudget(t, 10, 2) }
+
+// Forty are past the widest shape: the small record's two hint-sized
+// overflow slices take over.
+func TestAllocBudgetUpdateForty(t *testing.T) { updateBudget(t, 40, 4) }
+
+// bumpAll read-modify-writes every object through the int lane.
+func bumpAll(tx *Tx, objs []*Object) error {
+	for _, o := range objs {
+		v, _, err := tx.ReadInt(o)
+		if err != nil {
+			return err
+		}
+		if err := tx.WriteInt(o, big+(v+1)%100); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func updateBudget(t *testing.T, writes int, budget float64) {
+	rt := counterRT()
+	objs := make([]*Object, writes)
+	for i := range objs {
+		objs[i] = NewObject(big)
+	}
+	th := rt.Thread(0)
+	fn := func(tx *Tx) error { return bumpAll(tx, objs) }
+	allocBudget(t, fmt.Sprintf("core %d-write update", writes), budget, func() {
+		if err := th.Run(fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestShapeFollowsRecentCommits: one large transaction puts the next attempt
+// in the wide record, and the hints decay on every update commit, so a run
+// of small ones ends back in the small record instead of carrying the wide
+// one for good.
+func TestShapeFollowsRecentCommits(t *testing.T) {
 	rt := counterRT()
 	objs := make([]*Object, 10)
 	for i := range objs {
 		objs[i] = NewObject(big)
 	}
 	th := rt.Thread(0)
-	fn := func(tx *Tx) error {
-		for _, o := range objs {
-			v, _, err := tx.ReadInt(o)
-			if err != nil {
-				return err
-			}
-			if err := tx.WriteInt(o, big+(v+1)%100); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	allocBudget(t, "core 10-write update", 4, func() {
-		if err := th.Run(fn); err != nil {
+	var shape int
+	commit := func(writes int) {
+		t.Helper()
+		if err := th.Run(func(tx *Tx) error {
+			shape = cap(tx.entries)
+			return bumpAll(tx, objs[:writes])
+		}); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	if commit(10); shape != smallAccessSet {
+		t.Fatalf("first attempt has %d inline entries, want %d", shape, smallAccessSet)
+	}
+	if commit(2); shape != wideSet {
+		t.Fatalf("attempt after a ten-write commit has %d inline entries, want %d", shape, wideSet)
+	}
+	for i := 1; i < 64; i++ {
+		commit(2)
+	}
+	if shape != smallAccessSet || th.entryHint != 2 || th.writeHint != 2 {
+		t.Fatalf("after 64 two-write commits: %d inline entries, hints %d/%d; want %d, 2/2",
+			shape, th.entryHint, th.writeHint, smallAccessSet)
+	}
 }
 
 func TestAllocBudgetReadOnlyScan(t *testing.T) {
@@ -154,7 +205,7 @@ func TestAllocBudgetReadOnlyScan(t *testing.T) {
 		}
 		return nil
 	}
-	allocBudget(t, "core read-only 256 reads", 1, func() {
+	allocBudget(t, "core read-only 256 reads", 0, func() {
 		if err := th.RunReadOnly(fn); err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +232,11 @@ func heapAfterGC() uint64 {
 //
 // The "cold neighbour" case co-writes one object with the hot set once and
 // never again: its version pins the chunk it was cut from for good, and the
-// superseded versions in that chunk must not lead anywhere.
+// superseded versions in that chunk must not lead anywhere. That first
+// commit runs before the hints are up, in a small record with overflow
+// slices; the "wide" variant warms the hints first, so the cold object's
+// never-settled locator sits in a wideTx's inline array and pins that
+// record — whose frozen entries must not lead anywhere either.
 func TestHeapPlateau(t *testing.T) {
 	commits := 2_000_000
 	if testing.Short() {
@@ -190,10 +245,12 @@ func TestHeapPlateau(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cold    bool
+		shape   int // of the record the cold commit runs in
 		commits int
 	}{
-		{"uniform", false, commits},
-		{"cold neighbour", true, commits / 10},
+		{"uniform", false, 0, commits},
+		{"cold neighbour", true, smallAccessSet, commits / 10},
+		{"wide cold neighbour", true, wideSet, commits / 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := counterRT()
@@ -204,7 +261,9 @@ func TestHeapPlateau(t *testing.T) {
 			th := rt.Thread(0)
 			rng := rand.New(rand.NewSource(7))
 			var pick [10]int
+			var shape int
 			fn := func(tx *Tx) error {
+				shape = cap(tx.entries)
 				for _, i := range pick {
 					v, _, err := tx.ReadInt(objs[i])
 					if err != nil {
@@ -223,8 +282,18 @@ func TestHeapPlateau(t *testing.T) {
 				for k := range pick {
 					pick[k] = hot - 10 + k
 				}
-				if err := th.Run(fn); err != nil {
-					t.Fatal(err)
+				// The first commit raises the hints; a second one runs wide.
+				runs := 1
+				if tc.shape == wideSet {
+					runs = 2
+				}
+				for range runs {
+					if err := th.Run(fn); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if shape != tc.shape {
+					t.Fatalf("cold commit ran with %d inline entries, want %d", shape, tc.shape)
 				}
 				hot--
 			}

@@ -43,20 +43,28 @@
 //
 // # Memory
 //
-// An attempt pays per transaction, not per access, and nothing is ever
-// reused (so no reclamation protocol is needed). An attempt is one Tx —
-// which embeds the first few access-set entries and writer locators — plus,
-// if it writes, one chunk holding all its tentative versions, plus one
-// overflow slice each for entries and locators when it outgrows the inline
-// ones; chunk sizes follow what the thread's recent commits used. Commit
+// An attempt pays per transaction, not per access, and nothing another
+// thread could still reach is ever reused (so no reclamation protocol is
+// needed). An update attempt is one record — a Tx and, in the same
+// allocation, the arrays its access-set entries and writer locators start
+// out in — plus, if it writes, one chunk holding all its tentative versions. The record comes in two shapes, picked from
+// what the thread's recent commits used: small (8 entries, 4 locators) and
+// wide (16 of each); past the wide shape a small record overflows, once
+// each, into a hint-sized entry slice and locator chunk. An update record
+// may sit in a locator or under a helper long after its owner moved on, so
+// every update attempt gets a new one. A declared read-only attempt keeps no
+// access set, enters no locator and is never helped or named as an enemy:
+// only its own thread can hold a pointer to it, so all of a Thread's
+// read-only attempts run in one record (a transaction nested in one gets its
+// own), and the *Tx handed to fn is good only until fn returns. Commit
 // builds nothing: whoever next touches an object whose writer committed
 // promotes the tentative version in place — stamps the predecessor's upper
 // bound and the version's own validFrom from the writer's commit time,
 // trims, and publishes the locator embedded in the version — and an aborted
 // writer's locator is replaced by the one embedded in the version it was
-// acquired over. A declared read-only transaction keeps no access set at
-// all: it never extends or validates, so every read is selected and
-// range-checked on its own. The one rule the layout obeys: a version
+// acquired over. A declared read-only transaction never extends or
+// validates, so every read is selected and range-checked on its own and
+// nothing is logged. The one rule the layout obeys: a version
 // outlives its writer, so apart from prev it points at nothing but itself;
 // a pointer from a version into a Tx, or into another attempt's chunk,
 // would keep the whole commit history reachable (TestHeapPlateau).

@@ -6,11 +6,14 @@ package core
 // is long over), and what the merged access-set entry and the log-free
 // read-only path return. Each schedule is built by hand, one step at a time,
 // on one goroutine — the concurrent tests reach the same states only now and
-// then.
+// then. The last three are about the one record a Thread's declared
+// read-only attempts share.
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/timebase"
 )
@@ -317,4 +320,186 @@ func TestUpgradeAfterForeignCommitAborts(t *testing.T) {
 			t.Errorf("o = %d, want 101 (lost update)", got)
 		}
 	})
+}
+
+// TestReadOnlyRetryOnReusedRecord: a read-only attempt that aborts (one
+// version, superseded under it) retries in the same record, and so does the
+// thread's next read-only transaction — with nothing of the earlier attempt
+// left in it.
+func TestReadOnlyRetryOnReusedRecord(t *testing.T) {
+	rt := counterRT(func(c *Config) { c.MaxVersions = 1 })
+	a, b := NewObject(10), NewObject(20)
+	th, writer := rt.Thread(0), rt.Thread(1)
+	var rec *Tx
+	var lastID uint64
+	fresh := func(tx *Tx, attempt int) {
+		t.Helper()
+		if rec == nil {
+			rec = tx
+		}
+		if tx != rec {
+			t.Errorf("attempt %d ran in a new record", attempt)
+		}
+		if tx.Status() != StatusActive || tx.cause != CauseNone || tx.closed || tx.Ops() != 0 ||
+			tx.attempt != attempt || tx.id <= lastID || tx.lower != tx.start || !tx.upper.IsInf() {
+			t.Errorf("attempt %d starts with status %v cause %v closed %v ops %d attempt %d id %d (last %d) range [%v, %v] start %v",
+				attempt, tx.Status(), tx.cause, tx.closed, tx.Ops(), tx.attempt, tx.id, lastID, tx.lower, tx.upper, tx.start)
+		}
+		lastID = tx.id
+	}
+	attempts := 0
+	sum := func(tx *Tx) error {
+		fresh(tx, attempts)
+		attempts++
+		x, err := tx.Read(a)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			if err := writer.Run(func(w *Tx) error {
+				mustWrite(t, w, a, 5)
+				mustWrite(t, w, b, 25)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		y, err := tx.Read(b)
+		if err != nil {
+			if attempts > 1 || tx.cause != CauseSnapshot || tx.Status() != StatusAborted {
+				t.Errorf("attempt %d: read failed with %v, cause %v, status %v", attempts, err, tx.cause, tx.Status())
+			}
+			return err
+		}
+		if x.(int)+y.(int) != 30 {
+			t.Errorf("attempt %d saw %v + %v, want 30", attempts, x, y)
+		}
+		return nil
+	}
+	if err := th.RunReadOnly(sum); err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 || th.stats.AbortSnapshot != 1 {
+		t.Fatalf("%d attempts, %d snapshot aborts, want 2 and 1", attempts, th.stats.AbortSnapshot)
+	}
+	if rec.Status() != StatusCommitted || th.roTx != rec {
+		t.Fatalf("after the transaction: status %v, record back on the thread: %v", rec.Status(), th.roTx == rec)
+	}
+	attempts = 0
+	if err := th.RunReadOnly(func(tx *Tx) error { fresh(tx, 0); return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNestedReadOnlyGetsOwnRecord: a read-only transaction issued from
+// inside fn on the same Thread must not run in the record the outer attempt
+// is still using.
+func TestNestedReadOnlyGetsOwnRecord(t *testing.T) {
+	rt := counterRT()
+	a, b := NewObject(1), NewObject(2)
+	th := rt.Thread(0)
+	for name, outer := range map[string]func(func(*Tx) error) error{"RunReadOnly": th.RunReadOnly, "Run": th.Run} {
+		if err := outer(func(tx *Tx) error {
+			x, err := tx.Read(a)
+			if err != nil {
+				return err
+			}
+			id, lower, upper := tx.id, tx.lower, tx.upper
+			// Twice: the second finds the record the first left behind.
+			for range 2 {
+				if err := th.RunReadOnly(func(in *Tx) error {
+					if in == tx {
+						t.Errorf("in %s: nested RunReadOnly runs in the outer record", name)
+					}
+					_, err := in.Read(b)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tx.Status() != StatusActive || tx.id != id || tx.lower != lower || tx.upper != upper {
+				t.Errorf("in %s: nested RunReadOnly changed the outer attempt: status %v id %d→%d range [%v, %v]→[%v, %v]",
+					name, tx.Status(), id, tx.id, lower, upper, tx.lower, tx.upper)
+			}
+			y, err := tx.Read(b)
+			if err != nil {
+				return err
+			}
+			if x.(int)+y.(int) != 3 {
+				t.Errorf("in %s: outer read %v + %v, want 3", name, x, y)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestReusedRecordUnderWriters: two scanners, each reusing its one record
+// for every attempt, beside four transferring writers. Every scan sees the
+// conserved total; that no other thread ever touches a scanner's record is
+// the race detector's to prove.
+func TestReusedRecordUnderWriters(t *testing.T) {
+	rt := counterRT()
+	const accounts, initial, writers, scanners = 64, 100, 4, 2
+	objs := make([]*Object, accounts)
+	for i := range objs {
+		objs[i] = NewObject(initial)
+	}
+	deadline := time.Now().Add(200 * time.Millisecond)
+	var wg sync.WaitGroup
+	for id := 0; id < writers+scanners; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := rt.Thread(id)
+			transfer := func(i int) func(*Tx) error {
+				from, to := objs[(id+i)%accounts], objs[(id+7*i+1)%accounts]
+				return func(tx *Tx) error {
+					if from == to {
+						return nil
+					}
+					f, err := tx.Read(from)
+					if err != nil {
+						return err
+					}
+					g, err := tx.Read(to)
+					if err != nil {
+						return err
+					}
+					if err := tx.Write(from, f.(int)-1); err != nil {
+						return err
+					}
+					return tx.Write(to, g.(int)+1)
+				}
+			}
+			scan := func(tx *Tx) error {
+				sum := 0
+				for _, o := range objs {
+					v, err := tx.Read(o)
+					if err != nil {
+						return err
+					}
+					sum += v.(int)
+				}
+				if sum != accounts*initial {
+					t.Errorf("scan saw total %d, want %d", sum, accounts*initial)
+				}
+				return nil
+			}
+			for i := 0; time.Now().Before(deadline); i++ {
+				var err error
+				if id < writers {
+					err = th.Run(transfer(i))
+				} else {
+					err = th.RunReadOnly(scan)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

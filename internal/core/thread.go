@@ -17,13 +17,16 @@ type Thread struct {
 	// index is the reusable object→entry map lent to transactions whose
 	// access set outgrows the linear-scan fast path. Lazily allocated.
 	index map[*Object]int
-	// writeHint and entryHint size the next attempt's version/locator
-	// chunks and its overflow entry slice, from what this thread's recent
-	// commits used (see sizeHint).
+	// writeHint and entryHint pick the next update attempt's shape and size
+	// its version chunk and any overflow slices, from what this thread's
+	// recent commits through Run used (see sizeHint).
 	writeHint int
 	entryHint int
-	stats     Stats
-	_         [64]byte // keep each worker's stats off its neighbours' cache lines
+	// roTx is the one record this thread's declared read-only attempts run
+	// in (see newTx); nil while a RunReadOnly has it out.
+	roTx  *Tx
+	stats Stats
+	_     [64]byte // keep each worker's stats off its neighbours' cache lines
 }
 
 // sizeHint moves a chunk-size hint toward what a commit just used: up at
@@ -58,7 +61,8 @@ func (th *Thread) Run(fn func(*Tx) error) error {
 // RunReadOnly executes fn as a declared read-only transaction: writes are
 // rejected, and reads may be served from older object versions, which lets
 // the transaction commit without any validation (§2.2: a read-only
-// transaction can commit iff it has used a consistent snapshot).
+// transaction can commit iff it has used a consistent snapshot). The *Tx is
+// the thread's reused read-only record: fn must not keep it past its return.
 func (th *Thread) RunReadOnly(fn func(*Tx) error) error {
 	return th.run(true, fn)
 }
@@ -67,6 +71,11 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	for attempt := 0; ; attempt++ {
 		tx := th.newTx(attempt, readOnly)
 		err := fn(tx)
+		if readOnly {
+			// fn is done with the record; the next newTx resets it. (A
+			// transaction nested in fn found roTx nil and made its own.)
+			th.roTx = tx
+		}
 		switch {
 		case err == nil:
 			if err = tx.commit(); err == nil {
@@ -74,8 +83,8 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 				if tx.writes > 0 {
 					th.writeHint = sizeHint(th.writeHint, tx.writes)
 				}
-				if n := len(tx.entries); n > smallAccessSet {
-					th.entryHint = sizeHint(th.entryHint, n)
+				if !readOnly {
+					th.entryHint = sizeHint(th.entryHint, len(tx.entries))
 				}
 				if tx.boxed {
 					th.stats.BoxedCommits++
@@ -111,24 +120,39 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	}
 }
 
-// newTx builds a fresh attempt. The attempt starts with no entry index —
-// small access sets are served by a linear scan, and only a transaction
-// that outgrows smallAccessSet promotes to the Thread's reusable map
-// (helpers never touch it). The Tx — and with it the inline entry array
-// and inline writer locators — is never reused across attempts, because a
-// helper may still be validating a previous attempt's frozen access set
-// (or an object may still hold one of its locators); embedding the
-// per-attempt state in the per-attempt Tx is what makes the read-only fast
-// path one allocation without reintroducing that hazard.
+// newTx starts an attempt. An update attempt always gets a fresh record —
+// a helper may still be validating a previous attempt's frozen access set,
+// and an object may still hold one of its locators — in the shape the
+// thread's hints call for: the inline entry and locator arrays ride in the
+// same allocation, so a steady workload pays Tx + version chunk. A declared
+// read-only attempt is never published: it keeps no access set, enters no
+// locator, and is never handed to help or to the contention manager, so no
+// other thread can hold a pointer to it. Those attempts reuse one record
+// per Thread, reset field by field (Tx holds atomics); the fields not reset
+// are ones a read-only attempt never writes.
 func (th *Thread) newTx(attempt int, readOnly bool) *Tx {
-	th.seq++
-	tx := &Tx{
-		th:       th,
-		rt:       th.rt,
-		id:       th.seq<<16 | uint64(th.id&0xffff),
-		attempt:  attempt,
-		readOnly: readOnly,
+	var tx *Tx
+	switch {
+	case readOnly && th.roTx != nil:
+		tx, th.roTx = th.roTx, nil
+		tx.closed, tx.cause = false, CauseNone
+		tx.ops.Store(0)
+		tx.status.Store(int32(StatusActive))
+	case readOnly:
+		tx = &Tx{} // no access set, no locators: no arrays
+	case max(th.writeHint, th.entryHint) <= wideSet &&
+		(th.writeHint > smallWriteSet || th.entryHint > smallAccessSet):
+		w := &wideTx{}
+		tx = &w.Tx
+		tx.entries, tx.locs = w.inlineEntries[:0], w.inlineLocs[:0]
+	default:
+		s := &smallTx{}
+		tx = &s.Tx
+		tx.entries, tx.locs = s.inlineEntries[:0], s.inlineLocs[:0]
 	}
+	th.seq++
+	tx.th, tx.rt, tx.readOnly = th, th.rt, readOnly
+	tx.id, tx.attempt = th.seq<<16|uint64(th.id&0xffff), attempt
 	tx.begin()
 	return tx
 }

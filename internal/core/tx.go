@@ -21,11 +21,10 @@ import (
 // the intersection is non-empty. Reads are invisible; writes register the
 // transaction in the object's locator.
 type Tx struct {
-	th       *Thread
-	rt       *Runtime
-	id       uint64
-	attempt  int
-	readOnly bool
+	th      *Thread
+	rt      *Runtime
+	id      uint64
+	attempt int
 
 	// start is ⌊T.R⌋ at begin: the transaction cannot execute in the past.
 	start timebase.Timestamp
@@ -40,6 +39,10 @@ type Tx struct {
 	// non-nil it is the Thread's reusable map. Owner-only; never examined
 	// by helpers.
 	index map[*Object]int
+	// readOnly marks an attempt started with RunReadOnly. It sits with the
+	// other flags so they pad to one word, not two: that word keeps the
+	// small record within the 512-byte size class.
+	readOnly bool
 	// update records whether the transaction wrote anything.
 	update bool
 	// boxed records whether any write took the escape hatch (a non-numeric
@@ -71,26 +74,38 @@ type Tx struct {
 	// by the ctClaim winner, before the ct CAS publishes it.
 	ctBuf timebase.Timestamp
 
-	// inline is the initial backing array of entries: the access set of a
-	// small transaction lives inside the Tx, so the whole attempt costs one
-	// allocation. Safe precisely because the Tx is per-attempt — helpers
-	// may validate this frozen array long after the owner moved on to a new
-	// attempt (and a new Tx), which is why thread.go never recycles
-	// attempts (see newTx).
-	inline [smallAccessSet]entry
 	// vers is the chunk the attempt's tentative versions are cut from, sized
 	// by the Thread's hint so a steady-state attempt allocates one. Versions
 	// outlive the Tx (a committed one is promoted in place), which is why
 	// they are not embedded in it: see version. A full chunk is left behind
 	// and a new one started — published versions never move.
 	vers []version
-	// writes counts write acquisitions: the index of the next writer
-	// locator. The first smallWriteSet are inline (wlocs); later ones are
-	// cut from the locs chunk. Writer locators die at settle, so unlike
-	// versions they may live in (and point at) the Tx.
+	// writes counts write acquisitions. Their writer locators are cut from
+	// locs, which starts out as the shape's inline array and overflows into
+	// a hint-sized chunk. Writer locators die at settle, so unlike versions
+	// they may live in (and point at) the attempt's record.
 	writes int
-	wlocs  [smallWriteSet]locator
 	locs   []locator
+}
+
+// smallTx and wideTx are the two shapes of an update attempt's record: the
+// Tx followed by the arrays its entries and locs start out in, so the
+// attempt's owner-side scratch is one allocation. newTx picks the wide one
+// when the thread's recent commits outgrew the small one (a steady 10-write
+// transaction still costs record + version chunk); past wideSet the small
+// shape's overflow slices take over again. Safe precisely because an update
+// attempt's record is never reused — helpers may validate the frozen entry
+// array long after the owner moved on to a new attempt (see newTx).
+type smallTx struct {
+	Tx
+	inlineEntries [smallAccessSet]entry
+	inlineLocs    [smallWriteSet]locator
+}
+
+type wideTx struct {
+	Tx
+	inlineEntries [wideSet]entry
+	inlineLocs    [wideSet]locator
 }
 
 // entry is one element of T.O: the object, the committed version the
@@ -131,7 +146,6 @@ func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
 // begin initializes the attempt (Algorithm 2, Start).
 func (tx *Tx) begin() {
-	tx.entries = tx.inline[:0]
 	tx.start = tx.th.clock.GetTime()
 	tx.lower = tx.start
 	tx.upper = timebase.Inf
@@ -350,22 +364,25 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	}
 }
 
-// smallAccessSet is the access-set size up to which lookup scans the
-// entries slice instead of maintaining a map. Most transactions in the
-// paper's workloads touch a handful of objects; for those, a backward
-// linear scan over a contiguous slice beats a map's hashing and its
-// per-attempt clearing cost. It is also the length of the inline entry
-// array embedded in Tx, so small transactions never allocate a separate
-// access-set backing array.
-const smallAccessSet = 8
+// smallAccessSet and smallWriteSet are the lengths of the entry and writer-
+// locator arrays in the small attempt shape (smallTx): most transactions in
+// the paper's workloads touch a handful of objects, and those never allocate
+// a separate access-set backing array.
+const (
+	smallAccessSet = 8
+	smallWriteSet  = 4
+)
 
-// smallWriteSet is the number of writer locators embedded in Tx; a
-// transaction that writes more objects takes one locator chunk.
-const smallWriteSet = 4
+// wideSet is the length of both arrays in the wide shape (wideTx). It is also
+// the access-set size up to which lookup scans the entries instead of
+// maintaining a map: a backward linear scan over a contiguous, warm slice
+// beats a map's hashing and its per-attempt clearing cost well past 8 (a
+// 10-read-modify-write transaction: 2.7 → 2.35 µs).
+const wideSet = 16
 
-// lookup finds the entry for o. Small access sets scan backwards; larger
-// ones use the map built by addEntry. A miss returns index −1, so a caller
-// that forgets to check ok faults loudly instead of silently aliasing
+// lookup finds the entry for o. Access sets up to wideSet scan backwards;
+// larger ones use the map built by addEntry. A miss returns index −1, so a
+// caller that forgets to check ok faults loudly instead of silently aliasing
 // entry 0.
 func (tx *Tx) lookup(o *Object) (int, bool) {
 	if tx.index != nil {
@@ -397,28 +414,20 @@ func cut[T any](chunk *[]T, size int) *T {
 }
 
 // newWrite hands out the tentative version and writer locator for one write
-// acquisition. A chunk started mid-attempt covers what the Thread's hint
-// still expects, and at least doubles what the attempt holds when the hint
-// was too small.
+// acquisition. A chunk started mid-attempt (for locators: once the shape's
+// inline array is used up) covers what the Thread's hint still expects, and
+// at least doubles what the attempt holds when the hint was too small.
 func (tx *Tx) newWrite() (*version, *locator) {
 	size := max(tx.th.writeHint-tx.writes, tx.writes, 1)
-	v := cut(&tx.vers, size)
-	var l *locator
-	if tx.writes < smallWriteSet {
-		l = &tx.wlocs[tx.writes]
-	} else {
-		l = cut(&tx.locs, size)
-	}
 	tx.writes++
-	return v, l
+	return cut(&tx.vers, size), cut(&tx.locs, size)
 }
 
 // addEntry appends (o, read version, tentative version) to T.O and indexes
-// it. An access set that outgrows the inline array moves, once, to a slice
-// sized by the Thread's hint (entries are owner-only until the status CAS
-// freezes them, so they may move; helpers only ever see the final slice).
-// Crossing smallAccessSet also promotes the index to the Thread's reusable
-// map.
+// it. An access set that outgrows the shape's inline array moves, once, to a
+// slice sized by the Thread's hint (entries are owner-only until the status
+// CAS freezes them, so they may move; helpers only ever see the final slice).
+// Crossing wideSet promotes the index to the Thread's reusable map.
 func (tx *Tx) addEntry(o *Object, ver, tent *version) {
 	if n := len(tx.entries); n == cap(tx.entries) {
 		grown := make([]entry, n, max(2*n, tx.th.entryHint))
@@ -428,9 +437,9 @@ func (tx *Tx) addEntry(o *Object, ver, tent *version) {
 	tx.entries = append(tx.entries, entry{obj: o, ver: ver, tent: tent})
 	if tx.index != nil {
 		tx.index[o] = len(tx.entries) - 1
-	} else if len(tx.entries) > smallAccessSet {
+	} else if len(tx.entries) > wideSet {
 		if tx.th.index == nil {
-			tx.th.index = make(map[*Object]int, 4*smallAccessSet)
+			tx.th.index = make(map[*Object]int, 2*wideSet)
 		} else {
 			clear(tx.th.index)
 		}

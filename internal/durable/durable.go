@@ -477,11 +477,13 @@ func (e *Engine) ApplyReplicated(seq uint64, writes []Entry) error {
 // InstallReplicaSnapshot replaces the follower's state wholesale with a
 // primary snapshot at watermark seq: the snapshot is written to the
 // follower's own WAL first (so a crash mid-install recovers to either the
-// old state or the new snapshot, never between), the log sequencer jumps to
-// seq+1 on a fresh segment, and then one inner transaction overwrites every
-// cell and the ticket. Serving reads interleave safely — they see the old
-// state or the new one atomically. Refuses to regress behind already-applied
-// records.
+// old state or the new snapshot, never between), then one inner transaction
+// overwrites every cell and the ticket, and only then does the log sequencer
+// jump to seq+1 on a fresh segment — memory first, watermark second, the
+// order ApplyReplicated uses, so AppendedSeq never advertises a seq that
+// reads do not return yet. Serving reads interleave safely — they see the
+// old state or the new one atomically. Refuses to regress behind
+// already-applied records.
 func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value) error {
 	if err := e.log.usable(); err != nil {
 		return err
@@ -506,9 +508,6 @@ func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value)
 	if err := e.log.WriteSnapshot(seq, entries); err != nil {
 		return err
 	}
-	if err := e.log.skipTo(seq + 1); err != nil {
-		return err
-	}
 	err = e.applyThread.Run(func(tx engine.Txn) error {
 		if err := engine.Set(tx, e.seqCell, int64(seq)); err != nil {
 			return err
@@ -520,11 +519,15 @@ func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value)
 		}
 		return nil
 	})
+	if err == nil {
+		err = e.log.skipTo(seq + 1)
+	}
 	if err != nil {
-		// The on-disk image already moved to the snapshot; memory failing to
-		// follow leaves the two divergent, so wedge rather than limp on.
+		// The on-disk image already moved to the snapshot; memory or the
+		// sequencer failing to follow leaves them divergent, so wedge rather
+		// than limp on.
 		e.log.mu.Lock()
-		e.log.fail(fmt.Errorf("durable: replica snapshot apply failed after install: %w", err))
+		e.log.fail(fmt.Errorf("durable: replica snapshot install failed after the snapshot was written: %w", err))
 		e.log.mu.Unlock()
 		return err
 	}

@@ -296,7 +296,9 @@ func TestEveryBackendRoundTrips(t *testing.T) {
 // Get/Set read-modify-write of values far outside the runtime's small-int
 // cache, through Thread.Run, the cached adapter closure, the IntTxn
 // dispatch in the accessors, and the backend's numeric lane. The budgets
-// are end-to-end allocations per committed transaction.
+// are end-to-end allocations per committed transaction; a declared read-only
+// Get costs none on any backend (the LSA core runs those attempts in one
+// per-thread record).
 func TestIntLaneUnboxed(t *testing.T) {
 	const big = 1 << 40
 	budgets := map[string]float64{
@@ -307,7 +309,7 @@ func TestIntLaneUnboxed(t *testing.T) {
 		"glock":          0,
 		"rstmval":        0,
 		"tl2":            1, // the shared commit version word
-		"lsa/shared":     2, // per-attempt Tx + lazy settle of the previous commit
+		"lsa/shared":     2, // the attempt's record + its version chunk
 		"wordstm":        6, // native word-Tx machinery (not tuned); the tagged lane still never boxes
 	}
 	for name, budget := range budgets {
@@ -330,6 +332,17 @@ func TestIntLaneUnboxed(t *testing.T) {
 			step()
 			if got := testing.AllocsPerRun(200, step); got > budget {
 				t.Errorf("%s: %.1f allocs per engine-layer int transaction, budget %.0f", name, got, budget)
+			}
+			get := func(tx Txn) error {
+				_, err := Get[int](tx, c)
+				return err
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				if err := th.RunReadOnly(get); err != nil {
+					t.Fatal(err)
+				}
+			}); got > 0 {
+				t.Errorf("%s: %.1f allocs per engine-layer read-only int transaction, budget 0", name, got)
 			}
 		})
 	}

@@ -138,7 +138,8 @@ func (e *lsaEngine) Stats() Stats {
 
 // lsaThread caches its retry closure: per-transaction Run calls only swap
 // the fn pointer, so the adapter layer adds zero allocations on top of the
-// core's one-Tx-per-attempt contract.
+// core's own (a record and a version chunk per update attempt, nothing per
+// declared read-only one).
 type lsaThread struct {
 	th   *core.Thread
 	fn   func(Txn) error

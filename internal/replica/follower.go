@@ -204,12 +204,14 @@ func (f *Follower) stream(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
+			// Counted before the install publishes the new watermark: whoever
+			// sees AppliedSeq jump to seq sees the snapshot that moved it.
+			f.snapshots.Add(1)
 			if seq > f.eng.AppendedSeq() {
 				if err := f.eng.InstallReplicaSnapshot(seq, values); err != nil {
 					return err
 				}
 			}
-			f.snapshots.Add(1)
 			if err := f.send(conn, seqFrame(msgAck, f.eng.AppendedSeq())); err != nil {
 				return err
 			}
