@@ -39,8 +39,8 @@ import (
 	"repro/internal/workload"
 )
 
-// benchThreads is the sweep used by the real-STM benchmarks. On a
-// single-CPU host the sweep measures overhead under interleaving, not
+// benchThreads is the sweep used by the real-STM benchmarks. On a 2-CPU
+// host every point past 2 threads measures overhead under interleaving, not
 // parallel speedup; the simulated-machine benchmarks cover the scaling
 // shape.
 var benchThreads = []int{1, 2, 4, 8, 16}

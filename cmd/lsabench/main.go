@@ -343,10 +343,9 @@ func yn(b bool) string {
 }
 
 func benchTable(results []harness.Result) *stats.Table {
-	t := stats.NewTable("engine", "workload", "workers", "tx/s", "p50", "p99", "p999", "aborts/attempt", "abort mix", "allocs/commit", "B/commit", "boxed%", "batch", "esc%", "fsync")
+	t := stats.NewTable("engine", "workload", "workers", "tx/s", "p50", "p99", "p999", "aborts/attempt", "abort mix", "allocs/commit", "B/commit", "boxed%", "batch", "fsync")
 	for _, r := range results {
 		// batch = mean commits per combining batch (flat-combining engines);
-		// esc% = share of commits that ran escalated (adaptive engines);
 		// fsync = the durable wrappers' sync policy. "-" where the engine
 		// has no such protocol.
 		fsync := "-"
@@ -356,10 +355,6 @@ func benchTable(results []harness.Result) *stats.Table {
 		batch := "-"
 		if r.Stats.CommitBatches > 0 {
 			batch = fmt.Sprintf("%.2f", float64(r.Stats.BatchedCommits)/float64(r.Stats.CommitBatches))
-		}
-		esc := "-"
-		if r.Stats.EscalatedCommits > 0 && r.Stats.Commits > 0 {
-			esc = fmt.Sprintf("%.1f", 100*float64(r.Stats.EscalatedCommits)/float64(r.Stats.Commits))
 		}
 		p50, p99, p999 := "-", "-", "-"
 		if r.Latency != nil {
@@ -375,7 +370,7 @@ func benchTable(results []harness.Result) *stats.Table {
 			fmt.Sprintf("%.1f", r.AllocsPerCommit),
 			fmt.Sprintf("%.0f", r.BytesPerCommit),
 			fmt.Sprintf("%.1f", 100*r.Stats.BoxedShare()),
-			batch, esc, fsync)
+			batch, fsync)
 	}
 	return t
 }

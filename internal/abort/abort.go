@@ -14,12 +14,9 @@
 //   - Validation: commit-time validation failed — the read set no longer
 //     holds at the serialization point (NOrec commit revalidation, TL2 phase
 //     1/3 version checks, rstmval/wordstm commit validation).
-//   - Contention: the attempt gave up waiting for a lock, stripe, or slot
-//     held by another thread (TL2 locked-orec aborts, stripe seqlock
-//     bounded-wait exhaustion, wordstm lock-spin limits).
-//   - Escalation: the abort happened on an adaptive engine's escalated
-//     (global) protocol path — charged to the escalation machinery rather
-//     than split across the above, so the cost of escalating is one number.
+//   - Contention: the attempt gave up waiting for a lock held by another
+//     thread (TL2 locked-orec aborts, rstmval held versioned locks, wordstm
+//     lock-spin limits).
 //
 // Engines tag their abort errors by wrapping the package-level sentinel in an
 // Err (the Is method keeps errors.Is(err, pkg.ErrAborted) working, so retry
@@ -37,10 +34,8 @@ const (
 	Snapshot Reason = iota
 	// Validation is a commit-time validation failure.
 	Validation
-	// Contention is a bounded wait on a lock/stripe/slot that ran out.
+	// Contention is a bounded wait on a lock that ran out.
 	Contention
-	// Escalation is any abort suffered on an escalated protocol path.
-	Escalation
 	// NumReasons sizes Counts arrays.
 	NumReasons
 )
@@ -54,8 +49,6 @@ func (r Reason) String() string {
 		return "validation"
 	case Contention:
 		return "contention"
-	case Escalation:
-		return "escalation"
 	}
 	return "unknown"
 }

@@ -31,19 +31,18 @@ func TestObserve(t *testing.T) {
 	c.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
 	c.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
 	c.Observe(&Err{Sentinel: sentinel, Reason: Contention})
-	c.Observe(&Err{Sentinel: sentinel, Reason: Escalation})
 	c.Observe(sentinel) // untagged → Validation
-	want := Counts{Snapshot: 2, Validation: 1, Contention: 1, Escalation: 1}
+	want := Counts{Snapshot: 2, Validation: 1, Contention: 1}
 	if c != want {
 		t.Errorf("counts = %v, want %v", c, want)
 	}
-	if c.Total() != 5 {
-		t.Errorf("total = %d, want 5", c.Total())
+	if c.Total() != 4 {
+		t.Errorf("total = %d, want 4", c.Total())
 	}
 	var d Counts
 	d.Observe(sentinel)
 	d.Add(c)
-	if d.Total() != 6 || d[Validation] != 2 {
+	if d.Total() != 5 || d[Validation] != 2 {
 		t.Errorf("after Add: %v", d)
 	}
 }
@@ -51,7 +50,7 @@ func TestObserve(t *testing.T) {
 func TestReasonString(t *testing.T) {
 	names := map[Reason]string{
 		Snapshot: "snapshot", Validation: "validation",
-		Contention: "contention", Escalation: "escalation", NumReasons: "unknown",
+		Contention: "contention", NumReasons: "unknown",
 	}
 	for r, want := range names {
 		if r.String() != want {

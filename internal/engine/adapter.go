@@ -14,9 +14,9 @@ import (
 //	Thread.Run/RunReadOnly(func(*Tx) error), Thread.BoxedCommits()
 //	Thread.AbortCounts()                        — optional (glock never aborts)
 //
-// which is all of norec, norec/striped, norec/combined, norec/adaptive, tl2
-// (×3 time bases), rstmval and glock. Their backend files are registrations
-// only: name, summary, tunables, and a newValueEngine call.
+// which is all of norec, norec/combined, tl2 (×3 time bases), rstmval and
+// glock. Their backend files are registrations only: name, summary,
+// tunables, and a newValueEngine call.
 //
 // The LSA and wordstm adapters (lsa.go, word.go) stay outside it on purpose.
 // They hide a different int lane — core's native ReadInt/WriteInt, wordstm's
@@ -56,7 +56,7 @@ type valueThread[T any] interface {
 
 // valueEngine adapts one native universe: newCell and thread are the native
 // constructors, extra the optional hook that lifts universe-level telemetry
-// (combined's batch counters, adaptive's escalation counter) into Stats.
+// (combined's batch counters) into Stats.
 type valueEngine[O any, T valueTx[O], TH valueThread[T]] struct {
 	name    string
 	newCell func(initial any) *O

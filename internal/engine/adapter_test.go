@@ -14,12 +14,9 @@ func TestValueLaneAdapter(t *testing.T) {
 		name     string
 		cellType string // what the foreign-cell panic must name as expected
 		batches  bool   // Stats surfaces combining telemetry
-		escalate bool   // Stats surfaces escalation telemetry
 	}{
 		{name: "norec", cellType: "*norec.Object"},
-		{name: "norec/striped", cellType: "*norec.Object"},
 		{name: "norec/combined", cellType: "*norec.Object", batches: true},
-		{name: "norec/adaptive", cellType: "*norec.Object", escalate: true},
 		{name: "tl2", cellType: "*tl2.Object"},
 		{name: "tl2/extsync", cellType: "*tl2.Object"},
 		{name: "tl2/sharded", cellType: "*tl2.Object"},
@@ -29,9 +26,7 @@ func TestValueLaneAdapter(t *testing.T) {
 	foreign := MustNew("lsa/shared", Options{}).NewCell(0)
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			// EscalateStripes 1 makes every multi-stripe transaction escalate
-			// on norec/adaptive; every other backend ignores the option.
-			eng := MustNew(b.name, Options{Nodes: 1, EscalateStripes: 1})
+			eng := MustNew(b.name, Options{Nodes: 1})
 			th := eng.Thread(0)
 			cells := make([]Cell, 8)
 			for i := range cells {
@@ -94,7 +89,7 @@ func TestValueLaneAdapter(t *testing.T) {
 			}
 
 			// The universe-level telemetry hook: batch counters for
-			// combined, the escalation counter for adaptive, zero elsewhere.
+			// combined, zero elsewhere.
 			s := eng.Stats()
 			if s.Commits != 2 || s.UserAborts != 2 {
 				t.Errorf("commits = %d, user aborts = %d; want 2 and 2", s.Commits, s.UserAborts)
@@ -102,9 +97,6 @@ func TestValueLaneAdapter(t *testing.T) {
 			if got := s.CommitBatches > 0 && s.BatchedCommits > 0; got != b.batches {
 				t.Errorf("CommitBatches = %d, BatchedCommits = %d; telemetry expected: %v",
 					s.CommitBatches, s.BatchedCommits, b.batches)
-			}
-			if got := s.EscalatedCommits > 0; got != b.escalate {
-				t.Errorf("EscalatedCommits = %d; telemetry expected: %v", s.EscalatedCommits, b.escalate)
 			}
 
 			// A cell from another backend panics on every access path, and

@@ -127,11 +127,10 @@ type Engine interface {
 // The Abort* fields are the cross-engine abort-reason taxonomy (see
 // internal/abort): every registered backend classifies each abort into
 // exactly one of them — AbortSnapshot, AbortValidation, AbortConflict,
-// AbortExternal, AbortContention, AbortEscalation — so their sum equals
-// Aborts on every engine (asserted by the conformance suite via
-// UnclassifiedAborts). The first four mirror the LSA core's native causes;
-// AbortContention and AbortEscalation come from the value-based engines'
-// bounded lock waits and the adaptive engine's escalated path.
+// AbortExternal, AbortContention — so their sum equals Aborts on every
+// engine (asserted by the conformance suite via UnclassifiedAborts). The
+// first four mirror the LSA core's native causes; AbortContention comes from
+// the lock-based engines' bounded lock waits.
 type Stats struct {
 	// Commits counts successfully committed transactions.
 	Commits uint64 `json:"commits"`
@@ -146,12 +145,9 @@ type Stats struct {
 	AbortConflict uint64 `json:"abort_conflict,omitempty"`
 	// AbortExternal counts aborts inflicted by other threads.
 	AbortExternal uint64 `json:"abort_external,omitempty"`
-	// AbortContention counts aborts from bounded waits on locks, stripes or
-	// combining slots that ran out while another thread held them.
+	// AbortContention counts aborts from bounded waits on locks that ran out
+	// while another thread held them.
 	AbortContention uint64 `json:"abort_contention,omitempty"`
-	// AbortEscalation counts aborts suffered on an adaptive engine's
-	// escalated (global) protocol path, whatever their site.
-	AbortEscalation uint64 `json:"abort_escalation,omitempty"`
 	// UserAborts counts transactions abandoned by application error.
 	UserAborts uint64 `json:"user_aborts,omitempty"`
 	// Extensions counts validity-range extension attempts.
@@ -172,9 +168,6 @@ type Stats struct {
 	// BatchedCommits counts commits applied inside combining batches;
 	// BatchedCommits/CommitBatches is the mean combining factor.
 	BatchedCommits uint64 `json:"batched_commits,omitempty"`
-	// EscalatedCommits counts commits whose attempt ran on an escalated
-	// (global) protocol path for adaptive engines; zero elsewhere.
-	EscalatedCommits uint64 `json:"escalated_commits,omitempty"`
 }
 
 // BoxedShare returns the fraction of commits that took the boxing escape
@@ -189,7 +182,7 @@ func (s Stats) BoxedShare() float64 {
 // ClassifiedAborts returns the sum of the abort-taxonomy buckets.
 func (s Stats) ClassifiedAborts() uint64 {
 	return s.AbortSnapshot + s.AbortValidation + s.AbortConflict +
-		s.AbortExternal + s.AbortContention + s.AbortEscalation
+		s.AbortExternal + s.AbortContention
 }
 
 // UnclassifiedAborts returns how many aborts no taxonomy bucket accounts
@@ -207,14 +200,14 @@ func (s Stats) UnclassifiedAborts() uint64 {
 
 // AbortMix renders the abort-reason composition compactly for tables:
 // percentage shares of Aborts as "snap12+val80+lock8" (reasons with a zero
-// share omitted, "esc" for escalation, "cm"/"ext" for the LSA core's
-// contention-manager and externally-inflicted causes, "unk" for any
-// unclassified remainder). "-" when nothing aborted.
+// share omitted, "cm"/"ext" for the LSA core's contention-manager and
+// externally-inflicted causes, "unk" for any unclassified remainder). "-"
+// when nothing aborted.
 func (s Stats) AbortMix() string {
 	if s.Aborts == 0 {
 		return "-"
 	}
-	parts := make([]string, 0, 7)
+	parts := make([]string, 0, 6)
 	add := func(label string, n uint64) {
 		if n == 0 {
 			return
@@ -226,7 +219,6 @@ func (s Stats) AbortMix() string {
 	add("cm", s.AbortConflict)
 	add("ext", s.AbortExternal)
 	add("lock", s.AbortContention)
-	add("esc", s.AbortEscalation)
 	add("unk", s.UnclassifiedAborts())
 	return strings.Join(parts, "+")
 }
@@ -370,7 +362,6 @@ func (s *counterSet) Stats() Stats {
 		total.AbortSnapshot += c.abortReasons[abort.Snapshot]
 		total.AbortValidation += c.abortReasons[abort.Validation]
 		total.AbortContention += c.abortReasons[abort.Contention]
-		total.AbortEscalation += c.abortReasons[abort.Escalation]
 	}
 	return total
 }

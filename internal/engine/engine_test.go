@@ -13,8 +13,7 @@ func TestRegistryNames(t *testing.T) {
 	for _, want := range []string{
 		"lsa/shared", "lsa/tl2ts", "lsa/sharded", "lsa/mmtimer", "lsa/ideal",
 		"lsa/extsync", "tl2", "tl2/extsync", "tl2/sharded", "wordstm",
-		"rstmval", "norec", "norec/striped", "norec/combined",
-		"norec/adaptive", "glock",
+		"rstmval", "norec", "norec/combined", "glock",
 	} {
 		found := false
 		for _, n := range names {
@@ -38,7 +37,7 @@ func TestRegistryNames(t *testing.T) {
 // -short: a backend whose init forgot to Register (or a registry refactor
 // that drops one) fails the build here, not in a bench someone runs later.
 func TestRegisteredEngineCount(t *testing.T) {
-	const floor = 16
+	const floor = 14
 	if names := Names(); len(names) < floor {
 		t.Fatalf("only %d engines registered, want ≥ %d: %v", len(names), floor, names)
 	}
@@ -74,8 +73,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 func TestDescribe(t *testing.T) {
 	knownTunables := map[string]bool{
 		"nodes": true, "max-versions": true, "deviation": true,
-		"shard-window": true, "words": true, "cm": true, "stripes": true,
-		"escalate-stripes": true, "escalate-aborts": true,
+		"shard-window": true, "words": true, "cm": true,
 	}
 	for _, name := range Names() {
 		info, ok := Describe(name)
@@ -154,11 +152,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"shard window one", Options{ShardWindow: 1}, "ShardWindow"},
 		{"negative words", Options{Words: -3}, "Words"},
 		{"unknown cm", Options{ContentionManager: "bogus"}, "contention manager"},
-		{"stripes not a power of two", Options{Stripes: 7}, "Stripes"},
-		{"stripes too wide", Options{Stripes: 128}, "Stripes"},
-		{"negative stripes", Options{Stripes: -8}, "Stripes"},
-		{"negative escalate stripes", Options{EscalateStripes: -1}, "EscalateStripes"},
-		{"negative escalate aborts", Options{EscalateAborts: -1}, "EscalateAborts"},
 		{"unknown fsync policy", Options{Fsync: "sometimes"}, "fsync policy"},
 		{"negative segment bytes", Options{SegmentBytes: -1}, "SegmentBytes"},
 	}
@@ -177,8 +170,8 @@ func TestOptionsValidate(t *testing.T) {
 		})
 	}
 	good := []Options{
-		{}, {Nodes: 4}, {MaxVersions: 1}, {ShardWindow: 2}, {Stripes: 16},
-		{ContentionManager: "karma"}, {EscalateStripes: 1, EscalateAborts: 1},
+		{}, {Nodes: 4}, {MaxVersions: 1}, {ShardWindow: 2},
+		{ContentionManager: "karma"},
 		{Fsync: "always"}, {Fsync: "group"}, {Fsync: "never"},
 		{SnapshotBytes: -1}, {SnapshotBytes: 1 << 20},
 		{SegmentBytes: 1 << 16},
@@ -200,7 +193,6 @@ func TestBindFlags(t *testing.T) {
 	args := []string{
 		"-nodes", "4", "-max-versions", "2", "-deviation", "500",
 		"-shard-window", "64", "-words", "1024", "-cm", "karma",
-		"-stripes", "8", "-escalate-stripes", "2", "-escalate-aborts", "5",
 		"-wal", "/tmp/wal", "-fsync", "always", "-snapshot", "4096",
 		"-segment", "65536",
 	}
@@ -209,8 +201,7 @@ func TestBindFlags(t *testing.T) {
 	}
 	want := Options{
 		Nodes: 4, MaxVersions: 2, Deviation: 500, ShardWindow: 64,
-		Words: 1024, ContentionManager: "karma", Stripes: 8,
-		EscalateStripes: 2, EscalateAborts: 5,
+		Words: 1024, ContentionManager: "karma",
 		WALDir: "/tmp/wal", Fsync: "always", SnapshotBytes: 4096,
 		SegmentBytes: 65536,
 	}
@@ -303,9 +294,7 @@ func TestIntLaneUnboxed(t *testing.T) {
 	const big = 1 << 40
 	budgets := map[string]float64{
 		"norec":          0,
-		"norec/striped":  0,
 		"norec/combined": 0,
-		"norec/adaptive": 0,
 		"glock":          0,
 		"rstmval":        0,
 		"tl2":            1, // the shared commit version word

@@ -3,7 +3,6 @@ package engine
 import (
 	"flag"
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -40,17 +39,6 @@ type Options struct {
 	// ("aggressive", "suicide", "polite", "karma", "timestamp"; "" = engine
 	// default).
 	ContentionManager string
-	// Stripes is the sequence-lock stripe count for "norec/adaptive": a
-	// power of two in [1, 64]. 0 selects the engine default (64).
-	Stripes int
-	// EscalateStripes is "norec/adaptive"'s touched-stripe threshold: an
-	// attempt about to span more stripes than this escalates to the global
-	// protocol. 0 selects the engine default (8).
-	EscalateStripes int
-	// EscalateAborts is how many striped attempts of one "norec/adaptive"
-	// transaction may abort before attempts start escalated. 0 selects the
-	// engine default (3).
-	EscalateAborts int
 	// WALDir is the write-ahead-log directory for the "durable/*" backends.
 	// Empty selects an engine-managed temp directory (durability within the
 	// process run only — benches and tests); recovery-on-boot needs a real
@@ -114,15 +102,6 @@ func (o Options) Validate() error {
 				o.ContentionManager, strings.Join(contentionManagers, ", "))
 		}
 	}
-	if o.Stripes != 0 && (o.Stripes < 1 || o.Stripes > 64 || bits.OnesCount(uint(o.Stripes)) != 1) {
-		return fmt.Errorf("engine: Stripes = %d, must be a power of two in [1, 64] (or 0 for the default)", o.Stripes)
-	}
-	if o.EscalateStripes < 0 {
-		return fmt.Errorf("engine: EscalateStripes = %d, must be ≥ 1 (or 0 for the default)", o.EscalateStripes)
-	}
-	if o.EscalateAborts < 0 {
-		return fmt.Errorf("engine: EscalateAborts = %d, must be ≥ 1 (or 0 for the default)", o.EscalateAborts)
-	}
 	if o.Fsync != "" {
 		known := false
 		for _, n := range fsyncPolicies {
@@ -171,9 +150,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Words, "words", o.Words, "word-based backend memory size in words (0 = default 1<<20)")
 	fs.StringVar(&o.ContentionManager, "cm", o.ContentionManager,
 		"LSA contention manager: "+strings.Join(contentionManagers, "|")+" (empty = engine default)")
-	fs.IntVar(&o.Stripes, "stripes", o.Stripes, "norec/adaptive stripe count, power of two in [1,64] (0 = default 64)")
-	fs.IntVar(&o.EscalateStripes, "escalate-stripes", o.EscalateStripes, "norec/adaptive touched-stripe escalation threshold (0 = default)")
-	fs.IntVar(&o.EscalateAborts, "escalate-aborts", o.EscalateAborts, "norec/adaptive striped aborts before attempts start escalated (0 = default)")
 	fs.StringVar(&o.WALDir, "wal", o.WALDir, "durable/* write-ahead-log directory (empty = temp dir, no cross-restart recovery)")
 	fs.StringVar(&o.Fsync, "fsync", o.Fsync, "durable/* sync policy: "+strings.Join(fsyncPolicies, "|")+" (empty = group)")
 	fs.Int64Var(&o.SnapshotBytes, "snapshot", o.SnapshotBytes, "durable/* live-log bytes that trigger snapshot compaction (0 = default 8 MiB, < 0 disables)")
@@ -203,7 +179,7 @@ type Capabilities struct {
 	Durable bool `json:"durable,omitempty"`
 	// Tunables are the Options fields the backend consumes, named as the
 	// BindFlags flags ("nodes", "max-versions", "deviation", "shard-window",
-	// "words", "cm", "stripes", "escalate-stripes", "escalate-aborts").
+	// "words", "cm").
 	Tunables []string `json:"tunables,omitempty"`
 }
 

@@ -13,7 +13,7 @@ package norec
 //     lane in place; only escape-hatch (boxed) payloads publish a fresh
 //     snapshot pointer.
 //
-// The striped variant is held to the same zero-allocation budgets.
+// The combined variant is held to the same zero-allocation budgets.
 //
 // Values are written far outside the runtime's small-int interface cache
 // (> 2⁴⁰) through the typed lane, so these budgets prove zero boxing
@@ -97,99 +97,6 @@ func TestAllocBudgetCombinedUpdateSmall(t *testing.T) {
 		return bump(tx, b)
 	}
 	allocBudget(t, "norec/combined 2-write update", 0, func() {
-		if err := th.Run(fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestAllocBudgetAdaptiveUpdateSmall(t *testing.T) {
-	s, err := NewAdaptive(AdaptiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := NewObject(big), NewObject(big)
-	th := s.Thread(0)
-	bump := func(tx *ATx, o *Object) error {
-		v, err := tx.ReadValue(o)
-		if err != nil {
-			return err
-		}
-		n, _ := v.AsInt64()
-		return tx.WriteValue(o, val.OfInt(int(big+(n+1)%100)))
-	}
-	fn := func(tx *ATx) error {
-		if err := bump(tx, a); err != nil {
-			return err
-		}
-		return bump(tx, b)
-	}
-	allocBudget(t, "norec/adaptive 2-write update (striped path)", 0, func() {
-		if err := th.Run(fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// The escalated path is held to the same zero budget: with the width
-// threshold at 1 stripe every two-cell transaction escalates mid-attempt,
-// so this exercises escalate(), the global read path and validateGlobal.
-func TestAllocBudgetAdaptiveEscalatedUpdateSmall(t *testing.T) {
-	s, err := NewAdaptive(AdaptiveOptions{EscalateStripes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := NewObject(big), NewObject(big)
-	if s.sindex(a) == s.sindex(b) {
-		t.Fatal("test objects landed in one stripe; the escalated path needs two")
-	}
-	th := s.Thread(0)
-	bump := func(tx *ATx, o *Object) error {
-		v, err := tx.ReadValue(o)
-		if err != nil {
-			return err
-		}
-		n, _ := v.AsInt64()
-		return tx.WriteValue(o, val.OfInt(int(big+(n+1)%100)))
-	}
-	fn := func(tx *ATx) error {
-		if err := bump(tx, a); err != nil {
-			return err
-		}
-		if err := bump(tx, b); err != nil {
-			return err
-		}
-		if !tx.escalated {
-			t.Error("two-stripe attempt did not escalate at threshold 1")
-		}
-		return nil
-	}
-	allocBudget(t, "norec/adaptive 2-write update (escalated path)", 0, func() {
-		if err := th.Run(fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestAllocBudgetStripedUpdateSmall(t *testing.T) {
-	s := NewStriped()
-	a, b := NewObject(big), NewObject(big)
-	th := s.Thread(0)
-	bump := func(tx *ATx, o *Object) error {
-		v, err := tx.ReadValue(o)
-		if err != nil {
-			return err
-		}
-		n, _ := v.AsInt64()
-		return tx.WriteValue(o, val.OfInt(int(big+(n+1)%100)))
-	}
-	fn := func(tx *ATx) error {
-		if err := bump(tx, a); err != nil {
-			return err
-		}
-		return bump(tx, b)
-	}
-	allocBudget(t, "norec/striped 2-write update", 0, func() {
 		if err := th.Run(fn); err != nil {
 			t.Fatal(err)
 		}

@@ -17,10 +17,7 @@
 // its time base is the sequence lock itself, so commits serialize on one
 // cache line just like a shared-counter STM — but reads never touch shared
 // metadata until the counter moves, which keeps read-dominated workloads
-// cheap at low thread counts. The AdaptiveSTM universe in adaptive.go
-// partitions that one lock by cell — the probe for where value-based
-// validation stops being the bottleneck — and, as "norec/adaptive",
-// escalates wide transactions back to a global protocol.
+// cheap at low thread counts.
 //
 // Cells are typed two-word slots (val.AtomicCell): numeric payloads live
 // unboxed in an atomic machine word, so an int-valued commit writes back
@@ -57,10 +54,6 @@ var (
 	// sequence lock.
 	errAbortValidation = &abort.Err{Sentinel: ErrAborted, Reason: abort.Validation,
 		Msg: "norec: transaction aborted: commit-time validation failed"}
-	// errAbortContention: a bounded wait on a stripe seqlock ran out
-	// (striped/adaptive variants).
-	errAbortContention = &abort.Err{Sentinel: ErrAborted, Reason: abort.Contention,
-		Msg: "norec: transaction aborted: stripe contention"}
 )
 
 // STM is a NOrec universe: the global sequence lock shared by all
@@ -96,21 +89,15 @@ func waitEven(seq *atomic.Int64) int64 {
 	}
 }
 
-// sidCounter assigns stripe ids to objects at creation, round-robin, so the
-// striped variant spreads adjacent cells evenly with no pointer hashing.
-var sidCounter atomic.Uint32
-
 // Object is a transactional cell: just the current typed value slot. NOrec
-// keeps no per-object consistency metadata — that is the point; sid only
-// names the stripe the cell validates against under the striped variant.
+// keeps no per-object consistency metadata — that is the point.
 type Object struct {
 	cell val.AtomicCell
-	sid  uint32
 }
 
 // NewObject creates an object holding initial.
 func NewObject(initial any) *Object {
-	o := &Object{sid: sidCounter.Add(1) - 1}
+	o := &Object{}
 	o.cell.Store(val.OfAny(initial))
 	return o
 }
@@ -167,10 +154,9 @@ type writeEntry struct {
 // contiguous slice beats a map's hashing and per-attempt clearing cost.
 const smallWriteSet = 8
 
-// writeSet is the buffered write log shared by the plain and striped
-// transaction types: entries, the promoted index beyond smallWriteSet, and
-// the spare map that survives attempts so a large write set pays the map
-// allocation once per thread.
+// writeSet is the buffered write log: entries, the promoted index beyond
+// smallWriteSet, and the spare map that survives attempts so a large write
+// set pays the map allocation once per thread.
 type writeSet struct {
 	writes     []writeEntry
 	windex     map[*Object]int // nil while the write set is small
@@ -185,9 +171,8 @@ func (ws *writeSet) reset() {
 	ws.windex = nil
 }
 
-// writeBack publishes the buffered values; the caller holds the lock(s)
-// covering every written cell. Numeric payloads land in the cells' atomic
-// words — no allocation.
+// writeBack publishes the buffered values; the caller holds the sequence
+// lock. Numeric payloads land in the cells' atomic words — no allocation.
 func (ws *writeSet) writeBack() {
 	for i := range ws.writes {
 		w := &ws.writes[i]

@@ -1,9 +1,9 @@
 // Package simmachine is a discrete-event simulation of a cache-coherent
 // multiprocessor running the paper's disjoint-update workload (§4.2). It
 // exists because reproducing Figure 2's *scalability* shape requires real
-// parallel hardware: on this reproduction's single-CPU host, goroutines
-// interleave on one core, so neither the coherence contention on a shared
-// counter nor linear clock-based speedup can physically appear. The
+// parallel hardware the reproduction's 2-CPU hosts lack: with at most two
+// cores, neither the coherence contention of a 16-way shared counter nor
+// linear clock-based speedup beyond two can physically appear. The
 // simulator substitutes a mechanism-level model of the 16-CPU Altix:
 //
 //   - Every simulated CPU executes the LSA-RT disjoint-update loop: one

@@ -153,82 +153,3 @@ func (q *Queue) Step(eng engine.Engine, th engine.Thread, id int) func() error {
 		return th.Run(pop)
 	}
 }
-
-// ReadMostly is an array of cells scanned by everyone and occasionally
-// updated: the workload where invisible reads and cheap per-access
-// consistency pay off most.
-type ReadMostly struct {
-	// Objects is the table size (default 128).
-	Objects int
-	// WriteRatio is the fraction of update transactions (default 0.05).
-	WriteRatio float64
-	// ScanLen is how many objects a reader scans (default 32).
-	ScanLen int
-	// Seed seeds the per-worker RNGs.
-	Seed int64
-
-	cells []engine.Cell
-}
-
-// Name implements harness.Workload.
-func (r *ReadMostly) Name() string { return fmt.Sprintf("readmostly/%d", r.objects()) }
-
-func (r *ReadMostly) objects() int {
-	if r.Objects == 0 {
-		return 128
-	}
-	return r.Objects
-}
-
-func (r *ReadMostly) writeRatio() float64 {
-	if r.WriteRatio == 0 {
-		return 0.05
-	}
-	return r.WriteRatio
-}
-
-func (r *ReadMostly) scanLen() int {
-	if r.ScanLen == 0 {
-		return 32
-	}
-	return r.ScanLen
-}
-
-// Init implements harness.Workload.
-func (r *ReadMostly) Init(eng engine.Engine, workers int) error {
-	if r.scanLen() > r.objects() {
-		return fmt.Errorf("workload: scan %d exceeds table %d", r.scanLen(), r.objects())
-	}
-	r.cells = make([]engine.Cell, r.objects())
-	for i := range r.cells {
-		r.cells[i] = eng.NewCell(0)
-	}
-	return nil
-}
-
-// Step implements harness.Workload. The transaction closures are built once
-// per worker; the counter updates ride the unboxed int lane.
-func (r *ReadMostly) Step(eng engine.Engine, th engine.Thread, id int) func() error {
-	rng := rand.New(rand.NewSource(r.Seed + int64(id)*977 + 13))
-	var c engine.Cell
-	var start int
-	update := func(tx engine.Txn) error {
-		return engine.Update(tx, c, func(v int) int { return v + 1 })
-	}
-	scan := func(tx engine.Txn) error {
-		for i := 0; i < r.scanLen(); i++ {
-			if _, err := engine.Get[int](tx, r.cells[(start+i)%len(r.cells)]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return func() error {
-		if rng.Float64() < r.writeRatio() {
-			c = r.cells[rng.Intn(len(r.cells))]
-			return th.Run(update)
-		}
-		start = rng.Intn(len(r.cells))
-		return th.RunReadOnly(scan)
-	}
-}

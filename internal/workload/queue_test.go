@@ -145,37 +145,3 @@ func TestQueueAsHarnessWorkload(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestReadMostlyValidation(t *testing.T) {
-	r := &ReadMostly{Objects: 8, ScanLen: 100}
-	if err := r.Init(newEng(t), 1); err == nil {
-		t.Error("scan longer than table must be rejected")
-	}
-}
-
-func TestReadMostlyRuns(t *testing.T) {
-	eng := newClockEng(t)
-	r := &ReadMostly{Objects: 32, ScanLen: 8, WriteRatio: 0.3, Seed: 5}
-	if err := r.Init(eng, 3); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for id := 0; id < 3; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := eng.Thread(id)
-			step := r.Step(eng, th, id)
-			for i := 0; i < 200; i++ {
-				if err := step(); err != nil {
-					t.Errorf("worker %d: %v", id, err)
-					return
-				}
-			}
-		}(id)
-	}
-	wg.Wait()
-	if s := eng.Stats(); s.Commits == 0 {
-		t.Error("no commits recorded")
-	}
-}
