@@ -31,10 +31,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harness"
 	"repro/internal/hwclock"
-	"repro/internal/rstmval"
 	"repro/internal/simmachine"
 	"repro/internal/timebase"
-	"repro/internal/tl2"
 	"repro/internal/wordstm"
 	"repro/internal/workload"
 )
@@ -69,10 +67,10 @@ func BenchmarkFig1_ClockComparison(b *testing.B) {
 }
 
 // runDisjoint drives b.N disjoint-update transactions of the given size
-// across the given worker count on a fresh runtime and reports tx/s.
-func runDisjoint(b *testing.B, tb timebase.TimeBase, size, threads int) {
+// across the given worker count on a fresh registry engine and reports tx/s.
+func runDisjoint(b *testing.B, name string, size, threads int) {
 	b.Helper()
-	eng := engine.WrapLSA(tb.Name(), core.MustRuntime(core.Config{TimeBase: tb}))
+	eng := engine.MustNew(name, engine.Options{Nodes: threads})
 	runWorkload(b, eng, &workload.Disjoint{Accesses: size}, threads)
 }
 
@@ -206,14 +204,10 @@ func BenchmarkReadSetIndex(b *testing.B) {
 // transactions of 10/50/100 accesses, shared counter vs simulated MMTimer.
 func BenchmarkFig2_RealSTM(b *testing.B) {
 	for _, size := range experiments.DefaultSizes {
-		for _, base := range []string{"counter", "mmtimer"} {
+		for _, name := range []string{"lsa/shared", "lsa/mmtimer"} {
 			for _, threads := range benchThreads {
-				b.Run(fmt.Sprintf("accesses=%d/base=%s/threads=%d", size, base, threads), func(b *testing.B) {
-					tb, err := experiments.NewTimeBase(base, threads)
-					if err != nil {
-						b.Fatal(err)
-					}
-					runDisjoint(b, tb, size, threads)
+				b.Run(fmt.Sprintf("accesses=%d/engine=%s/threads=%d", size, name, threads), func(b *testing.B) {
+					runDisjoint(b, name, size, threads)
 				})
 			}
 		}
@@ -249,14 +243,10 @@ func BenchmarkFig2_SimMachine(b *testing.B) {
 // BenchmarkTL2CounterOpt is the §4.2 comparison: plain fetch-and-add
 // counter vs the TL2 sharing counter, on the real engine.
 func BenchmarkTL2CounterOpt(b *testing.B) {
-	for _, base := range []string{"counter", "tl2counter"} {
+	for _, name := range []string{"lsa/shared", "lsa/tl2ts"} {
 		for _, threads := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("base=%s/threads=%d", base, threads), func(b *testing.B) {
-				tb, err := experiments.NewTimeBase(base, threads)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runDisjoint(b, tb, 10, threads)
+			b.Run(fmt.Sprintf("engine=%s/threads=%d", name, threads), func(b *testing.B) {
+				runDisjoint(b, name, 10, threads)
 			})
 		}
 	}
@@ -270,57 +260,13 @@ func BenchmarkSyncErrorAborts(b *testing.B) {
 	for _, mv := range []int{1, 8} {
 		for _, dev := range []int64{0, 1_000, 100_000, 10_000_000} {
 			b.Run(fmt.Sprintf("versions=%d/dev=%dns", mv, dev), func(b *testing.B) {
-				var tb timebase.TimeBase
+				name := "lsa/extsync"
 				if dev == 0 {
-					tb = timebase.NewPerfectClock(hwclock.New(hwclock.IdealConfig(4)))
-				} else {
-					d := hwclock.New(hwclock.Config{TickHz: 1_000_000_000, Nodes: 4, Seed: 1})
-					etb, err := timebase.NewExtSyncClockFrom(d, dev)
-					if err != nil {
-						b.Fatal(err)
-					}
-					tb = etb
+					name = "lsa/ideal"
 				}
-				rt := core.MustRuntime(core.Config{TimeBase: tb, MaxVersions: mv})
-				objs := make([]*core.Object, 64)
-				for i := range objs {
-					objs[i] = core.NewObject(0)
-				}
-				var wg sync.WaitGroup
-				per := b.N/4 + 1
-				b.ResetTimer()
-				for id := 0; id < 4; id++ {
-					wg.Add(1)
-					go func(id int) {
-						defer wg.Done()
-						th := rt.Thread(id)
-						for i := 0; i < per; i++ {
-							if id%2 == 0 {
-								o := objs[(id*7+i)%len(objs)]
-								_ = th.Run(func(tx *core.Tx) error {
-									v, err := tx.Read(o)
-									if err != nil {
-										return err
-									}
-									return tx.Write(o, v.(int)+1)
-								})
-							} else {
-								start := (id*13 + i) % len(objs)
-								_ = th.RunReadOnly(func(tx *core.Tx) error {
-									for k := 0; k < 16; k++ {
-										if _, err := tx.Read(objs[(start+k)%len(objs)]); err != nil {
-											return err
-										}
-									}
-									return nil
-								})
-							}
-						}
-					}(id)
-				}
-				wg.Wait()
-				b.StopTimer()
-				s := rt.Stats()
+				eng := engine.MustNew(name, engine.Options{Nodes: 4, Deviation: dev, MaxVersions: mv})
+				runWorkload(b, eng, &experiments.ReadWriteMix{}, 4)
+				s := eng.Stats()
 				b.ReportMetric(s.AbortRate(), "aborts/attempt")
 				b.ReportMetric(float64(s.AbortSnapshot), "snapshot-aborts")
 			})
@@ -333,70 +279,30 @@ func BenchmarkSyncErrorAborts(b *testing.B) {
 // STM. The interesting shape is how scans/s decays with scan size.
 func BenchmarkBaselines_ReadScan(b *testing.B) {
 	const tableSize = 256
-	for _, scan := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("stm=LSA-RT/scan=%d", scan), func(b *testing.B) {
-			rt := core.MustRuntime(core.Config{TimeBase: timebase.NewSharedCounter()})
-			objs := make([]*core.Object, tableSize)
-			for i := range objs {
-				objs[i] = core.NewObject(0)
-			}
-			th := rt.Thread(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := th.RunReadOnly(func(tx *core.Tx) error {
-					for k := 0; k < scan; k++ {
-						if _, err := tx.Read(objs[k]); err != nil {
-							return err
-						}
-					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
+	for _, name := range []string{"lsa/shared", "tl2", "rstmval"} {
+		for _, scan := range []int{16, 64, 256} {
+			b.Run(fmt.Sprintf("stm=%s/scan=%d", name, scan), func(b *testing.B) {
+				eng := engine.MustNew(name, engine.Options{Nodes: 1})
+				cells := make([]engine.Cell, tableSize)
+				for i := range cells {
+					cells[i] = eng.NewCell(0)
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("stm=TL2/scan=%d", scan), func(b *testing.B) {
-			s := tl2.New()
-			objs := make([]*tl2.Object, tableSize)
-			for i := range objs {
-				objs[i] = tl2.NewObject(0)
-			}
-			th := s.Thread(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := th.RunReadOnly(func(tx *tl2.Tx) error {
-					for k := 0; k < scan; k++ {
-						if _, err := tx.Read(objs[k]); err != nil {
-							return err
+				th := eng.Thread(0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := th.RunReadOnly(func(tx engine.Txn) error {
+						for _, c := range cells[:scan] {
+							if _, err := tx.Read(c); err != nil {
+								return err
+							}
 						}
+						return nil
+					}); err != nil {
+						b.Fatal(err)
 					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("stm=RSTM-val/scan=%d", scan), func(b *testing.B) {
-			s := rstmval.New()
-			objs := make([]*rstmval.Object, tableSize)
-			for i := range objs {
-				objs[i] = rstmval.NewObject(0)
-			}
-			th := s.Thread(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := th.RunReadOnly(func(tx *rstmval.Tx) error {
-					for k := 0; k < scan; k++ {
-						if _, err := tx.Read(objs[k]); err != nil {
-							return err
-						}
-					}
-					return nil
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

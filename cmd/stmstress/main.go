@@ -8,7 +8,7 @@
 //	stmstress -duration 1m -workers 8 -engine lsa/extsync
 //	stmstress -engine tl2,wordstm,rstmval
 //	stmstress -engine norec,glock,tl2/extsync   the value-based backend family
-//	stmstress -timebase extsync:5000            LSA core on a custom time base
+//	stmstress -engine lsa/extsync -deviation 5000   LSA on a custom clock deviation
 //
 // The workload mixes bank transfers with read-only audits of the conserved
 // total, plus a writer/checker pair whose two cells must always sum to
@@ -29,10 +29,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 )
 
 func main() {
@@ -40,7 +38,6 @@ func main() {
 		duration   = flag.Duration("duration", 5*time.Second, "stress duration per engine")
 		workers    = flag.Int("workers", 8, "concurrent workers")
 		engFlag    = flag.String("engine", "", "comma-separated engines to stress (default: all registered)")
-		tbFlag     = flag.String("timebase", "", "stress the LSA core on this time base instead (counter|tl2counter|mmtimer|ideal|extsync:<dev>)")
 		accounts   = flag.Int("accounts", 32, "bank accounts")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -61,47 +58,28 @@ func main() {
 		fatal(err)
 	}
 
-	type target struct {
-		name string
-		eng  engine.Engine
+	names := engine.Names()
+	if *engFlag != "" {
+		names = names[:0]
+		for _, n := range strings.Split(*engFlag, ",") {
+			if n = strings.TrimSpace(n); n != "" {
+				names = append(names, n)
+			}
+		}
 	}
-	var targets []target
-	switch {
-	case *tbFlag != "" && *engFlag != "":
-		fatal(fmt.Errorf("-timebase and -engine are mutually exclusive"))
-	case *tbFlag != "":
-		tb, err := experiments.NewTimeBase(*tbFlag, *workers)
-		if err != nil {
+	// Build every engine before stressing any, so a bad name or option
+	// fails fast.
+	engines := make([]engine.Engine, len(names))
+	for i, n := range names {
+		if engines[i], err = engine.New(n, opt); err != nil {
 			fatal(err)
-		}
-		rt, err := core.NewRuntime(core.Config{TimeBase: tb, MaxVersions: opt.MaxVersions})
-		if err != nil {
-			fatal(err)
-		}
-		targets = append(targets, target{"lsa(" + *tbFlag + ")", engine.WrapLSA(tb.Name(), rt)})
-	default:
-		names := engine.Names()
-		if *engFlag != "" {
-			names = names[:0]
-			for _, n := range strings.Split(*engFlag, ",") {
-				if n = strings.TrimSpace(n); n != "" {
-					names = append(names, n)
-				}
-			}
-		}
-		for _, n := range names {
-			eng, err := engine.New(n, opt)
-			if err != nil {
-				fatal(err)
-			}
-			targets = append(targets, target{n, eng})
 		}
 	}
 
 	failed := false
-	for _, t := range targets {
-		if err := stress(t.eng, t.name, *workers, *accounts, *duration); err != nil {
-			fmt.Fprintf(os.Stderr, "stmstress: %s: %v\n", t.name, err)
+	for i, eng := range engines {
+		if err := stress(eng, names[i], *workers, *accounts, *duration); err != nil {
+			fmt.Fprintf(os.Stderr, "stmstress: %s: %v\n", names[i], err)
 			failed = true
 		}
 	}

@@ -5,7 +5,30 @@
 // adapted to the engine's Resolve(us, enemy, attempt) calling convention.
 package contention
 
-import "repro/internal/core"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
+
+// ByName returns the manager with the given lower-case name: "aggressive",
+// "suicide", "polite", "karma" or "timestamp". Callers prefix the error
+// with their own package.
+func ByName(name string) (core.ContentionManager, error) {
+	switch name {
+	case "aggressive":
+		return Aggressive{}, nil
+	case "suicide":
+		return Suicide{}, nil
+	case "polite":
+		return Polite{}, nil
+	case "karma":
+		return Karma{}, nil
+	case "timestamp":
+		return Timestamp{}, nil
+	}
+	return nil, fmt.Errorf("unknown contention manager %q", name)
+}
 
 // Aggressive always aborts the enemy. Maximum progress for the acquirer,
 // but it can livelock two writers ping-ponging an object under extreme

@@ -99,6 +99,18 @@ func TestNames(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for name, want := range map[string]core.ContentionManager{
+		"aggressive": Aggressive{}, "suicide": Suicide{}, "polite": Polite{},
+		"karma": Karma{}, "timestamp": Timestamp{}, "bogus": nil,
+	} {
+		got, err := ByName(name)
+		if got != want || (err != nil) != (want == nil) {
+			t.Errorf("ByName(%q) = (%v, %v), want %v", name, got, err, want)
+		}
+	}
+}
+
 // TestManagersUnderRealContention runs every manager against a genuinely
 // contended hot object and checks liveness and atomicity.
 func TestManagersUnderRealContention(t *testing.T) {

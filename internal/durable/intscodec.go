@@ -33,7 +33,7 @@ func encodeInts(x any) ([]byte, error) {
 
 func decodeInts(b []byte) (any, error) {
 	n, w := binary.Uvarint(b)
-	if w <= 0 {
+	if w <= 0 || n > uint64(len(b)-w) { // every delta takes at least a byte
 		return nil, errors.New("durable: ints codec: bad count")
 	}
 	b = b[w:]

@@ -235,8 +235,10 @@ func decodeCommitInto(b []byte, writes []Entry) (uint64, []Entry, error) {
 		return 0, nil, errors.New("durable: bad commit seq")
 	}
 	b = b[w:]
+	// Every write takes at least one byte: a larger count is corrupt, and
+	// preallocating for it could exhaust memory.
 	n, w := binary.Uvarint(b)
-	if w <= 0 {
+	if w <= 0 || n > uint64(len(b)-w) {
 		return 0, nil, errors.New("durable: bad commit write count")
 	}
 	b = b[w:]
@@ -291,7 +293,7 @@ func DecodeSnapshotPayload(b []byte) (seq uint64, values map[uint64]val.Value, e
 	}
 	b = b[w:]
 	n, w := binary.Uvarint(b)
-	if w <= 0 {
+	if w <= 0 || n > uint64(len(b)-w) {
 		return 0, nil, errors.New("durable: bad snapshot cell count")
 	}
 	b = b[w:]

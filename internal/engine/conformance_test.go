@@ -184,53 +184,31 @@ func TestConformanceIntSet(t *testing.T) {
 	}
 }
 
-// TestConformanceQueues runs both bounded-FIFO variants — the plain
-// two-cursor Queue and the per-slot-cursor SlotQueue — concurrently on
+// TestConformanceQueues runs two SlotQueue shapes — one group (a strict
+// FIFO through a single head/tail cursor pair) and four groups with their
+// own cursors — concurrently on
 // every backend and checks element conservation: pushes that reported ok
 // minus pops that reported ok must equal the surviving queue length, and
 // the length must fit the capacity. The queue transactions mix two hot
 // cursor cells (or many cooler ones) with mostly cold slots, a shape the
 // other conformance workloads do not exercise.
 func TestConformanceQueues(t *testing.T) {
-	type (
-		pushFn   = func(th engine.Thread, v, hint int) (bool, error)
-		popFn    = func(th engine.Thread, hint int) (int, bool, error)
-		lengthFn = func(th engine.Thread) (int, error)
-	)
-	type queueOps struct {
+	variants := []struct {
 		name string
-		cap  int // total capacity, derived from the workload parameters
-		init func(eng engine.Engine) (pushFn, popFn, lengthFn, error)
-	}
-	const capacity, groups, perGroup = 8, 4, 2
-	variants := []queueOps{
-		{
-			name: "queue", cap: capacity,
-			init: func(eng engine.Engine) (pushFn, popFn, lengthFn, error) {
-				q := &workload.Queue{Capacity: capacity, Seed: 7}
-				err := q.Init(eng, confWorkers)
-				return func(th engine.Thread, v, _ int) (bool, error) { return q.Push(th, v) },
-					func(th engine.Thread, _ int) (int, bool, error) { return q.Pop(th) },
-					q.Len, err
-			},
-		},
-		{
-			name: "slotqueue", cap: groups * perGroup,
-			init: func(eng engine.Engine) (pushFn, popFn, lengthFn, error) {
-				q := &workload.SlotQueue{Groups: groups, SlotsPerGroup: perGroup, Seed: 7}
-				err := q.Init(eng, confWorkers)
-				return q.Push, q.Pop, q.Len, err
-			},
-		},
+		q    workload.SlotQueue
+	}{
+		{"queue", workload.SlotQueue{Groups: 1, SlotsPerGroup: 8, Seed: 7}},
+		{"slotqueue", workload.SlotQueue{Groups: 4, SlotsPerGroup: 2, Seed: 7}},
 	}
 	for _, variant := range variants {
 		for _, name := range engine.Names() {
 			t.Run(variant.name+"/"+name, func(t *testing.T) {
 				eng := engine.MustNew(name, engine.Options{Nodes: confWorkers})
-				push, pop, length, err := variant.init(eng)
-				if err != nil {
+				q := variant.q
+				if err := q.Init(eng, confWorkers); err != nil {
 					t.Fatal(err)
 				}
+				capacity := q.Groups * q.SlotsPerGroup
 				var pushed, popped atomic.Int64
 				var wg sync.WaitGroup
 				for id := 0; id < confWorkers; id++ {
@@ -240,7 +218,7 @@ func TestConformanceQueues(t *testing.T) {
 						th := eng.Thread(id)
 						for i := 0; i < confIters(t, 200); i++ {
 							if id%2 == 0 {
-								ok, err := push(th, id*1000+i, id+i)
+								ok, err := q.Push(th, id*1000+i, id+i)
 								if err != nil {
 									t.Errorf("worker %d push: %v", id, err)
 									return
@@ -249,7 +227,7 @@ func TestConformanceQueues(t *testing.T) {
 									pushed.Add(1)
 								}
 							} else {
-								_, ok, err := pop(th, id+i)
+								_, ok, err := q.Pop(th, id+i)
 								if err != nil {
 									t.Errorf("worker %d pop: %v", id, err)
 									return
@@ -262,7 +240,7 @@ func TestConformanceQueues(t *testing.T) {
 					}(id)
 				}
 				wg.Wait()
-				remaining, err := length(eng.Thread(confWorkers))
+				remaining, err := q.Len(eng.Thread(confWorkers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -270,8 +248,8 @@ func TestConformanceQueues(t *testing.T) {
 					t.Errorf("conservation broken: pushed %d, popped %d, remaining %d",
 						pushed.Load(), popped.Load(), remaining)
 				}
-				if remaining < 0 || remaining > variant.cap {
-					t.Errorf("remaining %d outside [0,%d]", remaining, variant.cap)
+				if remaining < 0 || remaining > capacity {
+					t.Errorf("remaining %d outside [0,%d]", remaining, capacity)
 				}
 			})
 		}

@@ -366,7 +366,7 @@ func TestReadOnlyRejectsWrites(t *testing.T) {
 }
 
 func TestWordEncoding(t *testing.T) {
-	e, err := newWord(Options{Words: 64}.withDefaults())
+	e, err := New("wordstm", Options{Words: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestWordEncoding(t *testing.T) {
 }
 
 func TestWordCellExhaustion(t *testing.T) {
-	eng, err := newWord(Options{Words: 2}.withDefaults())
+	eng, err := New("wordstm", Options{Words: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,20 +72,11 @@ func newExtSyncTimeBase(o Options) (timebase.TimeBase, error) {
 
 func newLSA(name string, tb timebase.TimeBase, o Options) (Engine, error) {
 	var cm core.ContentionManager
-	switch o.ContentionManager {
-	case "":
-	case "aggressive":
-		cm = contention.Aggressive{}
-	case "suicide":
-		cm = contention.Suicide{}
-	case "polite":
-		cm = contention.Polite{}
-	case "karma":
-		cm = contention.Karma{}
-	case "timestamp":
-		cm = contention.Timestamp{}
-	default:
-		return nil, fmt.Errorf("engine: unknown contention manager %q", o.ContentionManager)
+	if o.ContentionManager != "" {
+		var err error
+		if cm, err = contention.ByName(o.ContentionManager); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
 	}
 	rt, err := core.NewRuntime(core.Config{
 		TimeBase:    tb,
@@ -95,14 +86,7 @@ func newLSA(name string, tb timebase.TimeBase, o Options) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return WrapLSA(name, rt), nil
-}
-
-// WrapLSA adapts an already-configured LSA core runtime to the Engine
-// interface under the given display name. Experiments that need a custom
-// time base or ablation knobs build the core.Runtime themselves and wrap it.
-func WrapLSA(name string, rt *core.Runtime) Engine {
-	return &lsaEngine{name: name, rt: rt}
+	return &lsaEngine{name: name, rt: rt}, nil
 }
 
 type lsaEngine struct {

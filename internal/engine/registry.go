@@ -64,8 +64,7 @@ type Options struct {
 var fsyncPolicies = []string{"always", "group", "never"}
 
 // contentionManagers are the recognized Options.ContentionManager names
-// ("" selects the engine default). The lookup itself lives in the LSA
-// adapter; this list keeps Validate and that switch honest together.
+// ("" selects the engine default), as contention.ByName accepts them.
 var contentionManagers = []string{"aggressive", "suicide", "polite", "karma", "timestamp"}
 
 // Validate rejects option values no backend can honor, with an error naming

@@ -39,19 +39,23 @@ func init() {
 			Tunables:       []string{"words"},
 		},
 	}, func(o Options) (Engine, error) {
-		return newWord(o)
+		stm, err := wordstm.New(timebase.NewSharedCounter(), o.Words)
+		if err != nil {
+			return nil, err
+		}
+		return WrapWord("wordstm", stm), nil
 	})
 }
 
-func newWord(o Options) (Engine, error) {
-	stm, err := wordstm.New(timebase.NewSharedCounter(), o.Words)
-	if err != nil {
-		return nil, err
-	}
-	return &wordEngine{stm: stm}, nil
+// WrapWord adapts a word STM built on any exact time base to the Engine
+// interface under the given display name — the seam for experiments that
+// run the word engine on a time base the registry does not pair it with.
+func WrapWord(name string, stm *wordstm.STM) Engine {
+	return &wordEngine{name: name, stm: stm}
 }
 
 type wordEngine struct {
+	name string
 	stm  *wordstm.STM
 	next atomic.Int64 // next free word
 
@@ -65,7 +69,7 @@ type wordEngine struct {
 // wordCell is a cell handle: the index of the cell's word.
 type wordCell wordstm.Addr
 
-func (e *wordEngine) Name() string { return "wordstm" }
+func (e *wordEngine) Name() string { return e.name }
 
 func (e *wordEngine) NewCell(initial any) Cell {
 	a := e.next.Add(1) - 1

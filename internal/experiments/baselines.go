@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/stats"
 )
 
@@ -45,15 +44,9 @@ type BaselinesResult struct {
 	Table  *stats.Table
 }
 
-// baselineSTMs maps the experiment's table labels to the registry backends
-// that stand for them; every point runs through the engine layer's int lane.
-var baselineSTMs = []struct{ label, backend string }{
-	{"LSA-RT/counter", "lsa/shared"},
-	{"LSA-RT/clock", "lsa/mmtimer"},
-	{"LSA-word", "wordstm"},
-	{"TL2", "tl2"},
-	{"RSTM-val", "rstmval"},
-}
+// baselineEngines are the compared backends: LSA-RT on a counter and on a
+// clock, the word-based LSA engine, TL2, and the validating STM.
+var baselineEngines = []string{"lsa/shared", "lsa/mmtimer", "wordstm", "tl2", "rstmval"}
 
 // Baselines runs the comparison.
 func Baselines(cfg BaselinesConfig) (*BaselinesResult, error) {
@@ -84,11 +77,31 @@ func Baselines(cfg BaselinesConfig) (*BaselinesResult, error) {
 	res := &BaselinesResult{
 		Table: stats.NewTable("stm", "scan size", "scans/s", "updates/s"),
 	}
-	for _, stm := range baselineSTMs {
+	workers := cfg.Readers + cfg.Updaters
+	for _, name := range baselineEngines {
 		for _, scan := range cfg.ScanSizes {
-			p, err := runBaselinePoint(stm.label, stm.backend, scan, cfg)
+			eng, err := engine.New(name, engine.Options{Nodes: workers, Words: cfg.Objects})
 			if err != nil {
 				return nil, err
+			}
+			r, err := harness.Run(eng, &scanUnderUpdates{objects: cfg.Objects, scan: scan, readers: cfg.Readers},
+				harness.Options{Workers: workers, Duration: cfg.Duration, Warmup: cfg.Warmup})
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			var scans, updates uint64
+			for id, n := range r.WorkerTxs {
+				if id < cfg.Readers {
+					scans += n
+				} else {
+					updates += n
+				}
+			}
+			p := BaselinesPoint{
+				STM:       name,
+				Scan:      scan,
+				ScansPerS: float64(scans) / r.Elapsed.Seconds(),
+				UpdPerS:   float64(updates) / r.Elapsed.Seconds(),
 			}
 			res.Points = append(res.Points, p)
 			res.Table.AddRowf(p.STM, p.Scan,
@@ -99,104 +112,49 @@ func Baselines(cfg BaselinesConfig) (*BaselinesResult, error) {
 	return res, nil
 }
 
-// padCount is a per-worker counter padded to its own cache line.
-type padCount struct {
-	n atomic.Uint64
-	_ [56]byte
+// scanUnderUpdates is the §1.2 mix: workers below readers scan the first
+// scan cells read-only, every other worker increments its own cell.
+type scanUnderUpdates struct {
+	objects, scan, readers int
+	cells                  []engine.Cell
 }
 
-// runBaselinePoint measures one (STM, scan size) point on a fresh engine:
-// readers scan the first scan cells read-only, each updater increments its
-// own cell.
-func runBaselinePoint(label, backend string, scan int, cfg BaselinesConfig) (BaselinesPoint, error) {
-	workers := cfg.Readers + cfg.Updaters
-	eng, err := engine.New(backend, engine.Options{Nodes: workers, Words: cfg.Objects})
-	if err != nil {
-		return BaselinesPoint{}, err
+func (w *scanUnderUpdates) Name() string { return fmt.Sprintf("scan/%d", w.scan) }
+
+func (w *scanUnderUpdates) Init(eng engine.Engine, workers int) error {
+	w.cells = make([]engine.Cell, w.objects)
+	for i := range w.cells {
+		w.cells[i] = eng.NewCell(0)
 	}
-	cells := make([]engine.Cell, cfg.Objects)
-	for i := range cells {
-		cells[i] = eng.NewCell(0)
-	}
-	threads := make([]engine.Thread, workers)
-	for i := range threads {
-		threads[i] = eng.Thread(i)
-	}
-	counts := make([]padCount, workers)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for id := 0; id < workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := threads[id]
-			reader := id < cfg.Readers
-			scanFn := func(tx engine.Txn) error {
-				for _, c := range cells[:scan] {
-					if _, err := engine.Get[int](tx, c); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			own := cells[id%len(cells)]
-			updateFn := func(tx engine.Txn) error {
-				return engine.Update(tx, own, func(n int) int { return n + 1 })
-			}
-			for i := 0; !stop.Load(); i++ {
-				var err error
-				if reader {
-					err = th.RunReadOnly(scanFn)
-				} else {
-					err = th.Run(updateFn)
-					if i%4096 == 4095 {
-						// Updaters yield periodically so they cannot
-						// monopolize a host with fewer cores than workers
-						// and starve the readers entirely; on real parallel
-						// hardware this is a no-op.
-						runtime.Gosched()
-					}
-				}
-				if err != nil {
-					errs <- fmt.Errorf("%s worker %d: %w", label, id, err)
-					return
-				}
-				counts[id].n.Add(1)
-			}
-		}(id)
-	}
-	warmup := cfg.Warmup
-	if warmup == 0 {
-		warmup = cfg.Duration / 5
-	}
-	time.Sleep(warmup)
-	beforeR, beforeU := split(counts, cfg.Readers)
-	t0 := time.Now()
-	time.Sleep(cfg.Duration)
-	afterR, afterU := split(counts, cfg.Readers)
-	el := time.Since(t0).Seconds()
-	stop.Store(true)
-	wg.Wait()
-	close(errs)
-	if err, ok := <-errs; ok {
-		return BaselinesPoint{}, err
-	}
-	return BaselinesPoint{
-		STM:       label,
-		Scan:      scan,
-		ScansPerS: float64(afterR-beforeR) / el,
-		UpdPerS:   float64(afterU-beforeU) / el,
-	}, nil
+	return nil
 }
 
-func split(counts []padCount, readers int) (r, u uint64) {
-	for i := range counts {
-		if i < readers {
-			r += counts[i].n.Load()
-		} else {
-			u += counts[i].n.Load()
+func (w *scanUnderUpdates) Step(eng engine.Engine, th engine.Thread, id int) func() error {
+	if id < w.readers {
+		scan := func(tx engine.Txn) error {
+			for _, c := range w.cells[:w.scan] {
+				if _, err := engine.Get[int](tx, c); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
+		return func() error { return th.RunReadOnly(scan) }
 	}
-	return r, u
+	own := w.cells[id%len(w.cells)]
+	update := func(tx engine.Txn) error {
+		return engine.Update(tx, own, func(n int) int { return n + 1 })
+	}
+	i := 0
+	return func() error {
+		// Updaters yield every 4096 updates. Without it, on a host with
+		// fewer cores than workers, an updater holds its core for a whole
+		// 10 ms preemption slice and aborts every single-version scan run
+		// against it: tl2 and rstmval scans fall from millions per second
+		// to near zero on 2 CPUs.
+		if i++; i%4096 == 0 {
+			runtime.Gosched()
+		}
+		return th.Run(update)
+	}
 }

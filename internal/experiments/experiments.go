@@ -4,12 +4,17 @@
 //
 //   - Fig1: MMTimer synchronization errors and offsets (Figure 1)
 //   - Fig2: time-base overhead for disjoint update transactions (Figure 2)
+//   - Fig2Word: Figure 2 on the word-based LSA engine (§1.1)
 //   - TL2Opt: the TL2 commit-timestamp-sharing comparison (§4.2)
 //   - SyncErrors: abort behaviour vs clock deviation (§4.3)
 //   - Baselines: LSA-RT vs validating/TL2 baselines on read-dominated scans
 //     (§1.2)
 //
-// The CLI (cmd/lsabench) and the root benchmark suite both drive these.
+// Every series is an engine registry name ("lsa/shared", "lsa/mmtimer",
+// ...): the registry alone turns a name into a time base plus engine, and
+// every point is measured by harness.Run. Fig2Word labels its series
+// "wordstm@<name>": the word engine on that engine's time base. The CLI
+// (cmd/lsabench) and the root benchmark suite both drive these.
 package experiments
 
 import (
@@ -22,7 +27,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hwclock"
 	"repro/internal/stats"
-	"repro/internal/timebase"
+	"repro/internal/wordstm"
 	"repro/internal/workload"
 )
 
@@ -32,28 +37,6 @@ var DefaultThreads = []int{1, 2, 4, 6, 8, 12, 16}
 // DefaultSizes is the paper's Figure 2 transaction sizes (accesses per
 // update transaction).
 var DefaultSizes = []int{10, 50, 100}
-
-// NewTimeBase constructs a time base by name: "counter", "tl2counter",
-// "mmtimer", "ideal", or "extsync:<devTicks>".
-func NewTimeBase(name string, nodes int) (timebase.TimeBase, error) {
-	switch name {
-	case "counter":
-		return timebase.NewSharedCounter(), nil
-	case "tl2counter":
-		return timebase.NewTL2Counter(), nil
-	case "mmtimer":
-		return timebase.NewMMTimer(nodes), nil
-	case "ideal":
-		return timebase.NewPerfectClock(hwclock.New(hwclock.IdealConfig(nodes))), nil
-	default:
-		var dev int64
-		if _, err := fmt.Sscanf(name, "extsync:%d", &dev); err == nil {
-			d := hwclock.New(hwclock.Config{TickHz: 1_000_000_000, Nodes: nodes, Seed: 1})
-			return timebase.NewExtSyncClockFrom(d, dev)
-		}
-		return nil, fmt.Errorf("experiments: unknown time base %q", name)
-	}
-}
 
 // Fig1Config parameterizes the clock-synchronization measurement.
 type Fig1Config struct {
@@ -111,8 +94,9 @@ type Fig2Config struct {
 	Sizes []int
 	// Threads is the worker sweep.
 	Threads []int
-	// TimeBases are the bases to compare (default counter and mmtimer).
-	TimeBases []string
+	// Engines are the registry names to compare (default lsa/shared and
+	// lsa/mmtimer: the shared counter against the hardware clock).
+	Engines []string
 	// Duration is the measured interval per point.
 	Duration time.Duration
 	// Warmup before each measurement.
@@ -121,11 +105,11 @@ type Fig2Config struct {
 
 // Fig2Point is one measured point of a Figure 2 series.
 type Fig2Point struct {
-	Size     int
-	TimeBase string
-	Threads  int
-	MTxPerS  float64 // 10⁶ transactions per second, the paper's unit
-	Result   harness.Result
+	Size    int
+	Engine  string
+	Threads int
+	MTxPerS float64 // 10⁶ transactions per second, the paper's unit
+	Result  harness.Result
 }
 
 // Fig2Result groups all points and the rendered table.
@@ -135,37 +119,72 @@ type Fig2Result struct {
 }
 
 // Fig2 runs the Figure 2 experiment: disjoint update transactions of each
-// size, on each time base, across the thread sweep.
+// size, on each engine, across the thread sweep.
 func Fig2(cfg Fig2Config) (*Fig2Result, error) {
+	return fig2(cfg, func(name string, threads, _ int) (engine.Engine, error) {
+		return engine.New(name, engine.Options{Nodes: threads})
+	})
+}
+
+// TL2Opt runs the §4.2 counter-optimization comparison: the Figure 2
+// workload on the plain shared counter versus the TL2-style sharing
+// counter.
+func TL2Opt(cfg Fig2Config) (*Fig2Result, error) {
+	cfg.Engines = []string{"lsa/shared", "lsa/tl2ts"}
+	return Fig2(cfg)
+}
+
+// Fig2Word runs the Figure 2 workload on the word-based LSA engine: §1.1
+// states the time-based approach applies to word-based STMs unchanged, and
+// this experiment demonstrates it — the same disjoint-update sweep, the
+// same time bases, a different memory representation. Each series runs the
+// word engine on the time base of the named LSA engine, so only exact bases
+// are eligible (lock words cannot carry deviations).
+func Fig2Word(cfg Fig2Config) (*Fig2Result, error) {
+	return fig2(cfg, func(name string, threads, size int) (engine.Engine, error) {
+		lsa, err := engine.New(name, engine.Options{Nodes: threads})
+		if err != nil {
+			return nil, err
+		}
+		rt, ok := lsa.(interface{ Unwrap() *core.Runtime })
+		if !ok {
+			return nil, fmt.Errorf("experiments: %s is not an LSA engine", name)
+		}
+		// One private partition of 2×size words per worker (workload.Disjoint).
+		stm, err := wordstm.New(rt.Unwrap().TimeBase(), threads*2*size)
+		if err != nil {
+			return nil, err
+		}
+		return engine.WrapWord("wordstm@"+name, stm), nil
+	})
+}
+
+// fig2 measures workload.Disjoint at each size on a fresh engine per
+// (engine name, thread count) point, built by build.
+func fig2(cfg Fig2Config, build func(name string, threads, size int) (engine.Engine, error)) (*Fig2Result, error) {
 	if len(cfg.Sizes) == 0 {
 		cfg.Sizes = DefaultSizes
 	}
 	if len(cfg.Threads) == 0 {
 		cfg.Threads = DefaultThreads
 	}
-	if len(cfg.TimeBases) == 0 {
-		cfg.TimeBases = []string{"counter", "mmtimer"}
+	if len(cfg.Engines) == 0 {
+		cfg.Engines = []string{"lsa/shared", "lsa/mmtimer"}
 	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 300 * time.Millisecond
 	}
 	res := &Fig2Result{
-		Table: stats.NewTable("accesses", "timebase", "threads", "tx/s", "Mtx/s", "aborts/attempt"),
+		Table: stats.NewTable("accesses", "engine", "threads", "tx/s", "Mtx/s", "aborts/attempt"),
 	}
 	for _, size := range cfg.Sizes {
-		for _, tbName := range cfg.TimeBases {
+		for _, name := range cfg.Engines {
 			for _, threads := range cfg.Threads {
-				tb, err := NewTimeBase(tbName, threads)
+				eng, err := build(name, threads, size)
 				if err != nil {
 					return nil, err
 				}
-				rt, err := core.NewRuntime(core.Config{TimeBase: tb})
-				if err != nil {
-					return nil, err
-				}
-				eng := engine.WrapLSA(tb.Name(), rt)
-				w := &workload.Disjoint{Accesses: size}
-				r, err := harness.Run(eng, w, harness.Options{
+				r, err := harness.Run(eng, &workload.Disjoint{Accesses: size}, harness.Options{
 					Workers:  threads,
 					Duration: cfg.Duration,
 					Warmup:   cfg.Warmup,
@@ -174,11 +193,11 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 					return nil, err
 				}
 				p := Fig2Point{
-					Size:     size,
-					TimeBase: r.Engine,
-					Threads:  threads,
-					MTxPerS:  r.Throughput / 1e6,
-					Result:   r,
+					Size:    size,
+					Engine:  r.Engine,
+					Threads: threads,
+					MTxPerS: r.Throughput / 1e6,
+					Result:  r,
 				}
 				res.Points = append(res.Points, p)
 				res.Table.AddRowf(size, r.Engine, threads,
@@ -189,12 +208,4 @@ func Fig2(cfg Fig2Config) (*Fig2Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// TL2Opt runs the §4.2 counter-optimization comparison: the Figure 2
-// workload on the plain shared counter versus the TL2-style sharing
-// counter.
-func TL2Opt(cfg Fig2Config) (*Fig2Result, error) {
-	cfg.TimeBases = []string{"counter", "tl2counter"}
-	return Fig2(cfg)
 }

@@ -9,22 +9,6 @@ import (
 // Experiment tests use tiny durations: they verify plumbing and shape, not
 // absolute performance (the bench suite does the real measurements).
 
-func TestNewTimeBase(t *testing.T) {
-	for _, name := range []string{"counter", "tl2counter", "mmtimer", "ideal", "extsync:500"} {
-		tb, err := NewTimeBase(name, 4)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if tb.Name() == "" {
-			t.Errorf("%s: empty time base name", name)
-		}
-	}
-	if _, err := NewTimeBase("bogus", 4); err == nil {
-		t.Error("unknown time base must be rejected")
-	}
-}
-
 func TestFig1SmallRun(t *testing.T) {
 	res, err := Fig1(Fig1Config{Nodes: 4, Rounds: 5})
 	if err != nil {
@@ -62,16 +46,16 @@ func TestFig2SmallRun(t *testing.T) {
 	}
 	for _, p := range res.Points {
 		if p.Result.Txs == 0 {
-			t.Errorf("%s@%d threads: no transactions", p.TimeBase, p.Threads)
+			t.Errorf("%s@%d threads: no transactions", p.Engine, p.Threads)
 		}
 		if p.Result.Stats.AbortConflict != 0 {
-			t.Errorf("%s@%d threads: conflicts in disjoint workload", p.TimeBase, p.Threads)
+			t.Errorf("%s@%d threads: conflicts in disjoint workload", p.Engine, p.Threads)
 		}
 	}
-	if !strings.Contains(res.Table.String(), "SharedCounter") {
+	if !strings.Contains(res.Table.String(), "lsa/shared") {
 		t.Error("table missing counter series")
 	}
-	if !strings.Contains(res.Table.String(), "MMTimer") {
+	if !strings.Contains(res.Table.String(), "lsa/mmtimer") {
 		t.Error("table missing MMTimer series")
 	}
 }
@@ -91,9 +75,9 @@ func TestTL2OptSmallRun(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, p := range res.Points {
-		names[p.TimeBase] = true
+		names[p.Engine] = true
 	}
-	if !names["SharedCounter"] || !names["TL2Counter"] {
+	if !names["lsa/shared"] || !names["lsa/tl2ts"] {
 		t.Errorf("wrong bases measured: %v", names)
 	}
 }
@@ -145,7 +129,7 @@ func TestBaselinesSmallRun(t *testing.T) {
 			t.Errorf("%s: no updates measured", p.STM)
 		}
 	}
-	for _, want := range []string{"LSA-RT/counter", "LSA-RT/clock", "LSA-word", "TL2", "RSTM-val"} {
+	for _, want := range baselineEngines {
 		if !seen[want] {
 			t.Errorf("missing driver %s", want)
 		}
@@ -206,11 +190,14 @@ func TestFig2WordSmallRun(t *testing.T) {
 	}
 	for _, p := range res.Points {
 		if p.MTxPerS <= 0 {
-			t.Errorf("%s@%d: no throughput", p.TimeBase, p.Threads)
+			t.Errorf("%s@%d: no throughput", p.Engine, p.Threads)
 		}
 	}
-	if !strings.Contains(res.Table.String(), "/word") {
-		t.Error("table missing word-engine marker")
+	if !strings.Contains(res.Table.String(), "wordstm@lsa/mmtimer") {
+		t.Error("table missing word-engine series")
+	}
+	if _, err := Fig2Word(Fig2Config{Engines: []string{"tl2"}, Sizes: []int{4}, Threads: []int{1}}); err == nil {
+		t.Error("a non-LSA engine has no time base to lend the word engine")
 	}
 }
 

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
-	"repro/internal/hwclock"
 	"repro/internal/stats"
-	"repro/internal/timebase"
 )
 
 // SyncErrorsConfig parameterizes the §4.3 experiment: how the advertised
@@ -19,7 +16,8 @@ import (
 // at each end and 2·dev gaps open between versions.
 type SyncErrorsConfig struct {
 	// Deviations are the advertised bounds in ticks (on a 1 GHz device,
-	// ticks are nanoseconds). 0 means "use the perfect clock instead".
+	// ticks are nanoseconds): lsa/extsync at each, except that 0 runs
+	// lsa/ideal, the perfect clock.
 	Deviations []int64
 	// Threads is the worker count (default 8).
 	Threads int
@@ -49,26 +47,28 @@ type SyncErrorsResult struct {
 	Table  *stats.Table
 }
 
-// readWriteMix is a contended workload whose read-only transactions scan a
+// ReadWriteMix is a contended workload whose read-only transactions scan a
 // window of shared objects while update transactions rewrite them — the
-// configuration in which shrunken validity ranges actually bite.
-type readWriteMix struct {
-	objects int
-	scan    int
-	cells   []engine.Cell
+// configuration in which shrunken validity ranges actually bite. Even
+// worker ids update one of 64 shared cells, odd ones scan 16 of them.
+type ReadWriteMix struct {
+	cells []engine.Cell
 }
 
-func (m *readWriteMix) Name() string { return fmt.Sprintf("rwmix/%d", m.objects) }
+// Name implements harness.Workload.
+func (m *ReadWriteMix) Name() string { return "rwmix/64" }
 
-func (m *readWriteMix) Init(eng engine.Engine, workers int) error {
-	m.cells = make([]engine.Cell, m.objects)
+// Init implements harness.Workload.
+func (m *ReadWriteMix) Init(eng engine.Engine, workers int) error {
+	m.cells = make([]engine.Cell, 64)
 	for i := range m.cells {
 		m.cells[i] = eng.NewCell(0)
 	}
 	return nil
 }
 
-func (m *readWriteMix) Step(eng engine.Engine, th engine.Thread, id int) func() error {
+// Step implements harness.Workload.
+func (m *ReadWriteMix) Step(eng engine.Engine, th engine.Thread, id int) func() error {
 	n := 0
 	return func() error {
 		n++
@@ -82,7 +82,7 @@ func (m *readWriteMix) Step(eng engine.Engine, th engine.Thread, id int) func() 
 		// Reader: scan a window read-only.
 		start := (id*13 + n) % len(m.cells)
 		return th.RunReadOnly(func(tx engine.Txn) error {
-			for i := 0; i < m.scan; i++ {
+			for i := 0; i < 16; i++ {
 				if _, err := tx.Read(m.cells[(start+i)%len(m.cells)]); err != nil {
 					return err
 				}
@@ -111,24 +111,15 @@ func SyncErrors(cfg SyncErrorsConfig) (*SyncErrorsResult, error) {
 	}
 	for _, mv := range cfg.MaxVersions {
 		for _, dev := range cfg.Deviations {
-			var tb timebase.TimeBase
+			name := "lsa/extsync"
 			if dev == 0 {
-				tb = timebase.NewPerfectClock(hwclock.New(hwclock.IdealConfig(cfg.Threads)))
-			} else {
-				d := hwclock.New(hwclock.Config{TickHz: 1_000_000_000, Nodes: cfg.Threads, Seed: 1})
-				etb, err := timebase.NewExtSyncClockFrom(d, dev)
-				if err != nil {
-					return nil, err
-				}
-				tb = etb
+				name = "lsa/ideal"
 			}
-			rt, err := core.NewRuntime(core.Config{TimeBase: tb, MaxVersions: mv})
+			eng, err := engine.New(name, engine.Options{Nodes: cfg.Threads, Deviation: dev, MaxVersions: mv})
 			if err != nil {
 				return nil, err
 			}
-			eng := engine.WrapLSA(tb.Name(), rt)
-			w := &readWriteMix{objects: 64, scan: 16}
-			r, err := harness.Run(eng, w, harness.Options{
+			r, err := harness.Run(eng, &ReadWriteMix{}, harness.Options{
 				Workers:  cfg.Threads,
 				Duration: cfg.Duration,
 				Warmup:   cfg.Warmup,

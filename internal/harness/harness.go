@@ -53,6 +53,9 @@ type Result struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// Txs is the number of transactions committed inside the interval.
 	Txs uint64 `json:"txs"`
+	// WorkerTxs splits Txs by worker id, for workloads whose workers play
+	// different roles (readers and updaters). Not part of the snapshot.
+	WorkerTxs []uint64 `json:"-"`
 	// Throughput is Txs per second.
 	Throughput float64 `json:"tx_per_s"`
 	// AllocsPerCommit and BytesPerCommit are the process-wide heap
@@ -295,12 +298,13 @@ func Run(eng engine.Engine, w Workload, opt Options) (Result, error) {
 	// snapshots and the memstats reads — while workers keep running — are
 	// noise proportional to gap/interval, negligible at the default 300 ms
 	// and acceptable at CI's 60 ms smoke interval.
+	workerBefore, workerTxs := make([]uint64, opt.Workers), make([]uint64, opt.Workers)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	commitBefore, retryBefore := snapshot(probes)
+	commitBefore, retryBefore := snapshot(probes, workerBefore)
 	t0 := time.Now()
 	time.Sleep(opt.Duration)
-	commitAfter, retryAfter := snapshot(probes)
+	commitAfter, retryAfter := snapshot(probes, workerTxs)
 	elapsed := time.Since(t0)
 	runtime.ReadMemStats(&m1)
 	stop.Store(true)
@@ -310,6 +314,9 @@ func Run(eng engine.Engine, w Workload, opt Options) (Result, error) {
 		return Result{}, err
 	}
 
+	for i, n := range workerBefore {
+		workerTxs[i] -= n
+	}
 	commitDelta := commitAfter.Sub(commitBefore)
 	txs := commitDelta.Count()
 	r := Result{
@@ -318,6 +325,7 @@ func Run(eng engine.Engine, w Workload, opt Options) (Result, error) {
 		Workers:    opt.Workers,
 		Elapsed:    elapsed,
 		Txs:        txs,
+		WorkerTxs:  workerTxs,
 		Throughput: float64(txs) / elapsed.Seconds(),
 		Stats:      eng.Stats(),
 		Latency:    commitDelta.Summary(),
@@ -337,33 +345,15 @@ func Run(eng engine.Engine, w Workload, opt Options) (Result, error) {
 // snapshot merges the per-worker commit and retry histograms into two value
 // snapshots. Workers keep running while it reads, so the two totals may skew
 // by a few in-flight steps — delta pairs of the same histogram are exact.
-func snapshot(ps []workerProbe) (commit, retry latency.Buckets) {
+// perWorker receives each worker's commit count.
+func snapshot(ps []workerProbe, perWorker []uint64) (commit, retry latency.Buckets) {
 	for i := range ps {
-		commit.Accumulate(ps[i].commit.Load())
+		c := ps[i].commit.Load()
+		perWorker[i] = c.Count()
+		commit.Accumulate(c)
 		retry.Accumulate(ps[i].retry.Load())
 	}
 	return commit, retry
-}
-
-// Sweep runs the workload at each worker count with a fresh engine built
-// by mkEngine, returning one Result per point. This is the Figure 2 inner
-// loop: same workload, growing thread count, fixed backend.
-func Sweep(mkEngine func() (engine.Engine, error), w Workload, workerCounts []int, opt Options) ([]Result, error) {
-	results := make([]Result, 0, len(workerCounts))
-	for _, n := range workerCounts {
-		eng, err := mkEngine()
-		if err != nil {
-			return nil, err
-		}
-		o := opt
-		o.Workers = n
-		r, err := Run(eng, w, o)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	return results, nil
 }
 
 // DefaultWorkerCounts returns the standard scaling-curve worker counts:
@@ -427,28 +417,6 @@ func SweepAcross(engineNames []string, mkWorkloads func() []Workload, workerCoun
 			}, w, workerCounts, opt)
 			if err != nil {
 				return nil, fmt.Errorf("harness: sweep %s on %s: %w", w.Name(), name, err)
-			}
-			results = append(results, r)
-		}
-	}
-	return results, nil
-}
-
-// RunAcross runs a fresh instance of each workload on each named backend
-// from the engine registry — the cross-engine comparison loop. mkWorkloads
-// builds fresh workload values per engine (workloads keep engine-bound
-// state after Init, so they cannot be shared between runs).
-func RunAcross(engineNames []string, mkWorkloads func() []Workload, engOpt engine.Options, opt Options) ([]Result, error) {
-	var results []Result
-	for _, name := range engineNames {
-		for _, w := range mkWorkloads() {
-			eng, err := engine.New(name, engOpt)
-			if err != nil {
-				return nil, err
-			}
-			r, err := Run(eng, w, opt)
-			if err != nil {
-				return nil, fmt.Errorf("harness: %s on %s: %w", w.Name(), name, err)
 			}
 			results = append(results, r)
 		}

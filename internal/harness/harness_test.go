@@ -34,6 +34,9 @@ func TestRunMeasuresThroughput(t *testing.T) {
 	if res.Txs == 0 {
 		t.Error("no transactions measured")
 	}
+	if len(res.WorkerTxs) != 2 || res.WorkerTxs[0]+res.WorkerTxs[1] != res.Txs {
+		t.Errorf("per-worker txs %v do not split %d txs", res.WorkerTxs, res.Txs)
+	}
 	if res.Throughput <= 0 {
 		t.Errorf("throughput = %v", res.Throughput)
 	}
@@ -111,60 +114,6 @@ func TestRunPropagatesStepError(t *testing.T) {
 	_, err := Run(eng, &failingWorkload{boom: boom}, Options{Workers: 2, Duration: 30 * time.Millisecond, Warmup: time.Millisecond})
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want boom", err)
-	}
-}
-
-func TestSweep(t *testing.T) {
-	w := &workload.Disjoint{Accesses: 2}
-	results, err := Sweep(mkCounterEng, w, []int{1, 2}, Options{Duration: 30 * time.Millisecond, Warmup: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-	if results[0].Workers != 1 || results[1].Workers != 2 {
-		t.Errorf("worker counts wrong: %d, %d", results[0].Workers, results[1].Workers)
-	}
-}
-
-func TestRunAcross(t *testing.T) {
-	engines := []string{"lsa/shared", "tl2", "rstmval", "wordstm"}
-	mk := func() []Workload {
-		// AuditRatio < 0 disables the read-only audits: on a 1-core CI host
-		// an 8-cell audit can starve against nonstop transfers for the whole
-		// short measured interval on the single-version engines, and this
-		// test checks RunAcross's plumbing, not STM fairness.
-		return []Workload{&workload.Bank{Accounts: 8, Seed: 3, AuditRatio: -1}}
-	}
-	// 60 ms: on a loaded 1-core CI host a 20 ms measured interval can land
-	// entirely inside one scheduling hiccup and see zero commits.
-	results, err := RunAcross(engines, mk, engine.Options{Nodes: 2},
-		Options{Workers: 2, Duration: 60 * time.Millisecond, Warmup: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(engines) {
-		t.Fatalf("results = %d, want %d", len(results), len(engines))
-	}
-	for i, r := range results {
-		if r.Engine != engines[i] {
-			t.Errorf("result %d engine = %q, want %q", i, r.Engine, engines[i])
-		}
-		if r.Txs == 0 {
-			t.Errorf("%s: no transactions", r.Engine)
-		}
-		if r.Stats.Commits == 0 {
-			t.Errorf("%s: no commits counted", r.Engine)
-		}
-	}
-}
-
-func TestRunAcrossUnknownEngine(t *testing.T) {
-	mk := func() []Workload { return []Workload{&workload.Bank{Accounts: 4}} }
-	if _, err := RunAcross([]string{"nope"}, mk, engine.Options{},
-		Options{Workers: 1, Duration: time.Millisecond}); err == nil {
-		t.Error("unknown engine must error")
 	}
 }
 

@@ -7,13 +7,13 @@ import (
 	"repro/internal/engine"
 )
 
-// SlotQueue is the queue variant with per-slot cursors: where Queue funnels
-// every operation through one global head/tail cursor pair (two cells hotter
-// than anything else in the transaction), SlotQueue splits the ring into
-// slot groups, each with its own head and tail cursor and its own slots.
-// Producers and consumers start probing from a per-worker rotating group
-// hint, so concurrent operations mostly land on disjoint cursor pairs and
-// the cursor contention drops by roughly the group count.
+// SlotQueue is a bounded transactional queue split into slot groups, each
+// with its own head and tail cursor and its own ring of slots. With one
+// group it is a strict FIFO ring whose every operation funnels through one
+// head/tail cursor pair, two cells hotter than anything else in the
+// transaction. With more, producers and consumers start probing from a
+// per-worker rotating group hint, so concurrent operations mostly land on
+// disjoint cursor pairs and cursor contention drops by about the group count.
 //
 // The contract is the usual one of relaxed concurrent queues: FIFO holds
 // within each slot group, elements are conserved globally, but the global

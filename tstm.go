@@ -164,20 +164,11 @@ func WithExtSyncClocks(nodes int, maxOffsetTicks int64) Option {
 // "aggressive", "suicide", "polite", "karma" or "timestamp".
 func WithContentionManager(name string) Option {
 	return func(c *config) error {
-		switch name {
-		case "aggressive":
-			c.manager = contention.Aggressive{}
-		case "suicide":
-			c.manager = contention.Suicide{}
-		case "polite":
-			c.manager = contention.Polite{}
-		case "karma":
-			c.manager = contention.Karma{}
-		case "timestamp":
-			c.manager = contention.Timestamp{}
-		default:
-			return fmt.Errorf("tstm: unknown contention manager %q", name)
+		m, err := contention.ByName(name)
+		if err != nil {
+			return fmt.Errorf("tstm: %w", err)
 		}
+		c.manager = m
 		return nil
 	}
 }
