@@ -343,18 +343,13 @@ func yn(b bool) string {
 }
 
 func benchTable(results []harness.Result) *stats.Table {
-	t := stats.NewTable("engine", "workload", "workers", "tx/s", "p50", "p99", "p999", "aborts/attempt", "abort mix", "allocs/commit", "B/commit", "boxed%", "batch", "fsync")
+	t := stats.NewTable("engine", "workload", "workers", "tx/s", "p50", "p99", "p999", "aborts/attempt", "abort mix", "allocs/commit", "B/commit", "boxed%", "fsync")
 	for _, r := range results {
-		// batch = mean commits per combining batch (flat-combining engines);
-		// fsync = the durable wrappers' sync policy. "-" where the engine
-		// has no such protocol.
+		// fsync = the durable wrappers' sync policy; "-" for in-memory
+		// engines.
 		fsync := "-"
 		if r.Wal != nil {
 			fsync = r.Wal.FsyncPolicy
-		}
-		batch := "-"
-		if r.Stats.CommitBatches > 0 {
-			batch = fmt.Sprintf("%.2f", float64(r.Stats.BatchedCommits)/float64(r.Stats.CommitBatches))
 		}
 		p50, p99, p999 := "-", "-", "-"
 		if r.Latency != nil {
@@ -370,7 +365,7 @@ func benchTable(results []harness.Result) *stats.Table {
 			fmt.Sprintf("%.1f", r.AllocsPerCommit),
 			fmt.Sprintf("%.0f", r.BytesPerCommit),
 			fmt.Sprintf("%.1f", 100*r.Stats.BoxedShare()),
-			batch, fsync)
+			fsync)
 	}
 	return t
 }

@@ -7,7 +7,7 @@
 //	stmstress -duration 10s
 //	stmstress -duration 1m -workers 8 -engine lsa/extsync
 //	stmstress -engine tl2,wordstm,rstmval
-//	stmstress -engine norec,glock,tl2/extsync   the value-based backend family
+//	stmstress -engine norec,glock,tl2   the value-based backend family
 //	stmstress -engine lsa/extsync -deviation 5000   LSA on a custom clock deviation
 //
 // The workload mixes bank transfers with read-only audits of the conserved

@@ -14,9 +14,8 @@ import (
 //	Thread.Run/RunReadOnly(func(*Tx) error), Thread.BoxedCommits()
 //	Thread.AbortCounts()                        — optional (glock never aborts)
 //
-// which is all of norec, norec/combined, tl2 (×3 time bases), rstmval and
-// glock. Their backend files are registrations only: name, summary,
-// tunables, and a newValueEngine call.
+// which is all of norec, tl2, rstmval and glock. Their backend files are
+// registrations only: name, summary, and a newValueEngine call.
 //
 // The LSA and wordstm adapters (lsa.go, word.go) stay outside it on purpose.
 // They hide a different int lane — core's native ReadInt/WriteInt, wordstm's
@@ -25,14 +24,13 @@ import (
 // folding them in would make this code branch on its caller.
 
 // valueInfo is the capability profile every value-lane backend shares; only
-// the summary and the tunables differ per registration.
-func valueInfo(summary string, tunables ...string) Info {
+// the summary differs per registration (none of them takes a tunable).
+func valueInfo(summary string) Info {
 	return Info{
 		Summary: summary,
 		Capabilities: Capabilities{
 			IntLane:        true,
 			AttemptCounter: true,
-			Tunables:       tunables,
 		},
 	}
 }
@@ -55,35 +53,25 @@ type valueThread[T any] interface {
 }
 
 // valueEngine adapts one native universe: newCell and thread are the native
-// constructors, extra the optional hook that lifts universe-level telemetry
-// (combined's batch counters) into Stats.
+// constructors.
 type valueEngine[O any, T valueTx[O], TH valueThread[T]] struct {
 	name    string
 	newCell func(initial any) *O
 	thread  func(id int) TH
-	extra   func(*Stats)
 	counterSet
 }
 
 // newValueEngine builds the adapter; O, T and TH are inferred from the two
-// native constructors. extra may be nil.
+// native constructors.
 func newValueEngine[O any, T valueTx[O], TH valueThread[T]](
-	name string, newCell func(any) *O, thread func(int) TH, extra func(*Stats),
+	name string, newCell func(any) *O, thread func(int) TH,
 ) Engine {
-	return &valueEngine[O, T, TH]{name: name, newCell: newCell, thread: thread, extra: extra}
+	return &valueEngine[O, T, TH]{name: name, newCell: newCell, thread: thread}
 }
 
 func (e *valueEngine[O, T, TH]) Name() string { return e.name }
 
 func (e *valueEngine[O, T, TH]) NewCell(initial any) Cell { return e.newCell(initial) }
-
-func (e *valueEngine[O, T, TH]) Stats() Stats {
-	s := e.counterSet.Stats()
-	if e.extra != nil {
-		e.extra(&s)
-	}
-	return s
-}
 
 // Thread builds the worker context with its retry closure and bound method
 // values allocated once: per-transaction Run calls only swap the fn pointer,

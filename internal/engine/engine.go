@@ -7,12 +7,11 @@
 // validating STM designs — so the repository carries several engines:
 //
 //   - the multi-version object-based LSA core (internal/core), under every
-//     pluggable time base ("lsa/shared", "lsa/tl2ts", "lsa/mmtimer",
-//     "lsa/ideal", "lsa/extsync"),
+//     pluggable time base ("lsa/shared", "lsa/tl2ts", "lsa/sharded",
+//     "lsa/mmtimer", "lsa/ideal", "lsa/extsync"); with MaxVersions 1 the
+//     same core is the single-version ablation on any of them,
 //   - the word-based LSA variant ("wordstm"),
-//   - a TL2 reimplementation ("tl2"), also composed with the externally
-//     synchronized time base ("tl2/extsync") to isolate what
-//     multi-versioning buys under clock deviation,
+//   - a TL2 reimplementation ("tl2") on its own integer version clock,
 //   - a validating STM with the RSTM commit-counter heuristic ("rstmval"),
 //   - a NOrec-style value-validating STM over a single global sequence lock
 //     ("norec") — the minimal-metadata counterpoint,
@@ -162,12 +161,6 @@ type Stats struct {
 	// lane. Omitted when zero, so snapshots from engines (or eras) without
 	// the counter parse unchanged.
 	BoxedCommits uint64 `json:"boxed_commits,omitempty"`
-	// CommitBatches counts combining batches (lock acquisitions that applied
-	// at least one commit) for flat-combining engines; zero elsewhere.
-	CommitBatches uint64 `json:"commit_batches,omitempty"`
-	// BatchedCommits counts commits applied inside combining batches;
-	// BatchedCommits/CommitBatches is the mean combining factor.
-	BatchedCommits uint64 `json:"batched_commits,omitempty"`
 }
 
 // BoxedShare returns the fraction of commits that took the boxing escape

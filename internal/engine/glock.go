@@ -10,6 +10,6 @@ import "repro/internal/glock"
 func init() {
 	Register("glock", valueInfo("coarse global RWMutex reference engine (no aborts, honesty baseline)"),
 		func(o Options) (Engine, error) {
-			return newValueEngine("glock", glock.NewObject, glock.New().Thread, nil), nil
+			return newValueEngine("glock", glock.NewObject, glock.New().Thread), nil
 		})
 }

@@ -52,22 +52,15 @@ func init() {
 		})
 	Register("lsa/extsync", lsaInfo("multi-version LSA on the externally synchronized ±dev clock", "nodes", "deviation"),
 		func(o Options) (Engine, error) {
-			tb, err := newExtSyncTimeBase(o)
+			// One simulated 1 GHz per-node clock device (ticks are
+			// nanoseconds) with the advertised deviation bound from Options.
+			dev := hwclock.New(hwclock.Config{TickHz: 1_000_000_000, Nodes: o.Nodes, Seed: 1})
+			tb, err := timebase.NewExtSyncClockFrom(dev, o.Deviation)
 			if err != nil {
 				return nil, err
 			}
 			return newLSA("lsa/extsync", tb, o)
 		})
-}
-
-// newExtSyncTimeBase builds the externally synchronized time base the
-// "*/extsync" backends share: one simulated 1 GHz per-node clock device and
-// the advertised deviation bound from Options. Both engines must run on
-// identically configured clocks, or the lsa/extsync-vs-tl2/extsync
-// comparison would measure device differences instead of the algorithms.
-func newExtSyncTimeBase(o Options) (timebase.TimeBase, error) {
-	dev := hwclock.New(hwclock.Config{TickHz: 1_000_000_000, Nodes: o.Nodes, Seed: 1})
-	return timebase.NewExtSyncClockFrom(dev, o.Deviation)
 }
 
 func newLSA(name string, tb timebase.TimeBase, o Options) (Engine, error) {

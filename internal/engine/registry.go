@@ -24,8 +24,8 @@ type Options struct {
 	// "lsa/extsync" (1 GHz device, so ticks are nanoseconds). Default 2000.
 	Deviation int64
 	// ShardWindow is the epoch window (in ticks) a shard of the sharded
-	// counter time base may run ahead of the shared epoch base, for the
-	// "*/sharded" backends. 0 selects timebase.DefaultShardWindow; odd
+	// counter time base may run ahead of the shared epoch base, for
+	// "lsa/sharded". 0 selects timebase.DefaultShardWindow; odd
 	// windows are rounded up to even (the window halves into the masked
 	// deviation). Larger windows write the shared epoch line less often but
 	// widen the masked uncertainty gap (more aborts on freshly written hot

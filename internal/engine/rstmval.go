@@ -8,6 +8,6 @@ import "repro/internal/rstmval"
 func init() {
 	Register("rstmval", valueInfo("validating STM with the RSTM commit-counter revalidation heuristic"),
 		func(o Options) (Engine, error) {
-			return newValueEngine("rstmval", rstmval.NewObject, rstmval.New().Thread, nil), nil
+			return newValueEngine("rstmval", rstmval.NewObject, rstmval.New().Thread), nil
 		})
 }

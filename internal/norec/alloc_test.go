@@ -13,8 +13,6 @@ package norec
 //     lane in place; only escape-hatch (boxed) payloads publish a fresh
 //     snapshot pointer.
 //
-// The combined variant is held to the same zero-allocation budgets.
-//
 // Values are written far outside the runtime's small-int interface cache
 // (> 2⁴⁰) through the typed lane, so these budgets prove zero boxing
 // allocations per int write.
@@ -72,31 +70,6 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 		return bump(tx, b)
 	}
 	allocBudget(t, "norec 2-write update", 0, func() {
-		if err := th.Run(fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestAllocBudgetCombinedUpdateSmall(t *testing.T) {
-	s := NewCombined()
-	a, b := NewObject(big), NewObject(big)
-	th := s.Thread(0)
-	bump := func(tx *Tx, o *Object) error {
-		v, err := tx.ReadValue(o)
-		if err != nil {
-			return err
-		}
-		n, _ := v.AsInt64()
-		return tx.WriteValue(o, val.OfInt(int(big+(n+1)%100)))
-	}
-	fn := func(tx *Tx) error {
-		if err := bump(tx, a); err != nil {
-			return err
-		}
-		return bump(tx, b)
-	}
-	allocBudget(t, "norec/combined 2-write update", 0, func() {
 		if err := th.Run(fn); err != nil {
 			t.Fatal(err)
 		}

@@ -62,9 +62,6 @@ type STM struct {
 	_   [64]byte
 	seq atomic.Int64 // even = quiescent, odd = a writer holds the lock
 	_   [64]byte
-	// comb, set once by NewCombined, replaces the commit step with the
-	// flat-combining protocol of combined.go; nil commits one by one.
-	comb *combiner
 }
 
 // New creates a universe with the sequence lock at zero.
@@ -154,44 +151,18 @@ type writeEntry struct {
 // contiguous slice beats a map's hashing and per-attempt clearing cost.
 const smallWriteSet = 8
 
-// writeSet is the buffered write log: entries, the promoted index beyond
-// smallWriteSet, and the spare map that survives attempts so a large write
-// set pays the map allocation once per thread.
-type writeSet struct {
-	writes     []writeEntry
-	windex     map[*Object]int // nil while the write set is small
-	spareIndex map[*Object]int
-}
-
-// reset rearms the log for reuse. Truncating keeps the backing array (and,
-// harmlessly, stale pointers in the unused capacity until overwritten —
-// bounded by the largest set this thread has seen).
-func (ws *writeSet) reset() {
-	ws.writes = ws.writes[:0]
-	ws.windex = nil
-}
-
-// writeBack publishes the buffered values; the caller holds the sequence
-// lock. Numeric payloads land in the cells' atomic words — no allocation.
-func (ws *writeSet) writeBack() {
-	for i := range ws.writes {
-		w := &ws.writes[i]
-		w.obj.cell.Store(w.v)
-	}
-}
-
 // lookup finds the write-set entry for o: a linear scan while the set is
 // small, the map built by add beyond that. A miss returns index −1 (0 is a
 // valid entry index).
-func (ws *writeSet) lookup(o *Object) (int, bool) {
-	if ws.windex != nil {
-		if idx, ok := ws.windex[o]; ok {
+func (tx *Tx) lookup(o *Object) (int, bool) {
+	if tx.windex != nil {
+		if idx, ok := tx.windex[o]; ok {
 			return idx, true
 		}
 		return -1, false
 	}
-	for i := len(ws.writes) - 1; i >= 0; i-- {
-		if ws.writes[i].obj == o {
+	for i := len(tx.writes) - 1; i >= 0; i-- {
+		if tx.writes[i].obj == o {
 			return i, true
 		}
 	}
@@ -201,19 +172,19 @@ func (ws *writeSet) lookup(o *Object) (int, bool) {
 // add appends a write-set entry; crossing smallWriteSet promotes the index
 // to the reusable map (cleared, not reallocated, after the first promotion
 // on this thread).
-func (ws *writeSet) add(o *Object, v val.Value) {
-	ws.writes = append(ws.writes, writeEntry{obj: o, v: v})
-	if ws.windex != nil {
-		ws.windex[o] = len(ws.writes) - 1
-	} else if len(ws.writes) > smallWriteSet {
-		if ws.spareIndex == nil {
-			ws.spareIndex = make(map[*Object]int, 4*smallWriteSet)
+func (tx *Tx) add(o *Object, v val.Value) {
+	tx.writes = append(tx.writes, writeEntry{obj: o, v: v})
+	if tx.windex != nil {
+		tx.windex[o] = len(tx.writes) - 1
+	} else if len(tx.writes) > smallWriteSet {
+		if tx.spareIndex == nil {
+			tx.spareIndex = make(map[*Object]int, 4*smallWriteSet)
 		} else {
-			clear(ws.spareIndex)
+			clear(tx.spareIndex)
 		}
-		ws.windex = ws.spareIndex
-		for i := range ws.writes {
-			ws.windex[ws.writes[i].obj] = i
+		tx.windex = tx.spareIndex
+		for i := range tx.writes {
+			tx.windex[tx.writes[i].obj] = i
 		}
 	}
 }
@@ -231,17 +202,24 @@ type Tx struct {
 	readOnly bool
 	boxed    bool // some write took the escape hatch
 	reads    []readEntry
-	writeSet
+	writes   []writeEntry
+	windex   map[*Object]int // nil while the write set is small
+	// spareIndex keeps the promoted map alive between attempts so a large
+	// write set pays the map allocation once per thread, not per attempt.
+	spareIndex map[*Object]int
 }
 
-// reset rearms the attempt for reuse.
+// reset rearms the attempt for reuse. Truncating the logs keeps their
+// backing arrays (stale pointers in the unused capacity persist until
+// overwritten — bounded by the largest set this thread has seen).
 func (tx *Tx) reset(stm *STM, readOnly bool) {
 	tx.stm = stm
 	tx.snapshot = waitEven(&stm.seq)
 	tx.readOnly = readOnly
 	tx.boxed = false
 	tx.reads = tx.reads[:0]
-	tx.writeSet.reset()
+	tx.writes = tx.writes[:0]
+	tx.windex = nil
 }
 
 // Read returns o's value in the transaction's snapshot as `any` — the
@@ -319,17 +297,12 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 
 // commit runs the NOrec commit protocol: acquire the sequence lock at the
 // snapshot (re-validating until the acquisition succeeds), write back, and
-// release with the next even value. With a combining slot (a universe from
-// NewCombined) the same validated logs go through combined.go's protocol
-// instead.
-func (tx *Tx) commit(slot *cslot) error {
+// release with the next even value.
+func (tx *Tx) commit() error {
 	if len(tx.writes) == 0 {
 		// The value log was validated incrementally; the reads form a
 		// consistent snapshot at tx.snapshot and nothing was written.
 		return nil
-	}
-	if slot != nil {
-		return tx.commitCombined(slot)
 	}
 	for !tx.stm.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
 		// Another transaction committed (or is committing) since our
@@ -339,8 +312,12 @@ func (tx *Tx) commit(slot *cslot) error {
 			return errAbortValidation
 		}
 	}
-	// Sequence lock held (odd): write back the buffered values.
-	tx.writeBack()
+	// Sequence lock held (odd): write back the buffered values. Numeric
+	// payloads land in the cells' atomic words — no allocation.
+	for i := range tx.writes {
+		w := &tx.writes[i]
+		w.obj.cell.Store(w.v)
+	}
 	tx.stm.seq.Store(tx.snapshot + 2)
 	return nil
 }
@@ -350,21 +327,13 @@ func (tx *Tx) commit(slot *cslot) error {
 // across attempts — a Thread must be used by a single goroutine.
 type Thread struct {
 	stm          *STM
-	slot         *cslot // this thread's combining slot; nil on a plain universe
 	tx           Tx
 	boxedCommits uint64
 	aborts       abort.Counts
 }
 
-// Thread creates a worker context (and, on a combined universe, its
-// combining slot).
-func (s *STM) Thread(id int) *Thread {
-	t := &Thread{stm: s}
-	if s.comb != nil {
-		t.slot = s.comb.addSlot()
-	}
-	return t
-}
+// Thread creates a worker context.
+func (s *STM) Thread(id int) *Thread { return &Thread{stm: s} }
 
 // BoxedCommits returns how many of this thread's commits wrote at least one
 // escape-hatch (boxed) payload.
@@ -387,7 +356,7 @@ func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 		tx.reset(t.stm, readOnly)
 		err := fn(tx)
 		if err == nil {
-			err = tx.commit(t.slot)
+			err = tx.commit()
 		}
 		if err == nil {
 			if tx.boxed {

@@ -9,10 +9,10 @@ package tl2
 //
 //   - read-only, small read set: 0 — TL2 read-only transactions keep no
 //     read set at all.
-//   - update, 2 int writes: 1 — commit publishes one fresh shared version
-//     word (*verMeta) per transaction; it escapes to readers by design and
-//     is the floor for the versioned-word representation. Escape-hatch
-//     (boxed) payloads would add one snapshot pointer per written object.
+//   - update, 2 int writes: 0 — commit stores the new version into each
+//     object's integer lock word and the numeric lane into its cell.
+//     Escape-hatch (boxed) payloads would add one snapshot pointer per
+//     written object.
 //
 // Values are written far outside the runtime's small-int interface cache
 // (> 2⁴⁰) through the typed lane, so these budgets prove zero boxing
@@ -70,7 +70,7 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 		}
 		return bump(tx, b)
 	}
-	allocBudget(t, "tl2 2-write update", 1, func() {
+	allocBudget(t, "tl2 2-write update", 0, func() {
 		if err := th.Run(fn); err != nil {
 			t.Fatal(err)
 		}

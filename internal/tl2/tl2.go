@@ -11,15 +11,12 @@
 //   - commit locks the write set, fetches a new timestamp from the version
 //     clock, and validates the read set against the start time.
 //
-// The version clock is pluggable (NewWithTimeBase): by default it is the
-// same shared-counter time base whose scalability the paper questions; the
-// optional commit-timestamp sharing optimization lives in the counter itself
-// (timebase.TL2Counter) and is benchmarked separately. Running TL2 on the
-// externally synchronized clock of §3.2 (timebase.ExtSyncClock) isolates
-// what multi-versioning buys under clock deviation: versions and snapshots
-// compare through the masked ⪰ operator, so the deviation virtually ages
-// recent versions — and TL2, having no history to fall back to, turns every
-// masked gap into an abort where LSA serves an older version.
+// The version clock is TL2's own: one padded integer word that every update
+// commit increments — the shared-counter time base whose scalability the
+// paper questions — and each object's versioned lock is a single integer
+// word beside its value, so a commit publishes versions without allocating.
+// The commit-timestamp sharing optimization is measured on the LSA core
+// instead ("lsa/tl2ts"), where it does not break a validation short cut.
 package tl2
 
 import (
@@ -27,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/abort"
-	"repro/internal/timebase"
 	"repro/internal/val"
 )
 
@@ -55,75 +51,44 @@ var (
 		Msg: "tl2: transaction aborted: versioned lock held by another commit"}
 )
 
-// STM is a TL2 universe: a version clock shared by all objects created
-// against it.
+// STM is a TL2 universe: the global version clock shared by all objects
+// created against it.
 type STM struct {
-	tb timebase.TimeBase
-	// exclusive records that GetNewTS values are obtained by an exclusive
-	// atomic increment, which the rv+1 validation short cut requires: a
-	// shared timestamp (TL2Counter's sharing path) can equal rv+1 even
-	// though another transaction committed in between.
-	exclusive bool
+	_ [64]byte
+	// clock is the global version clock: the write version of the last
+	// update commit to fetch one (0 before any). Padded to its own cache line
+	// like timebase.SharedCounter, so commits contend on it and nothing else.
+	clock atomic.Uint64
+	_     [64]byte
 }
 
-// New creates a TL2 universe on the classic shared-counter version clock.
-func New() *STM { return NewWithTimeBase(timebase.NewSharedCounter()) }
+// New creates a TL2 universe with the version clock at 0.
+func New() *STM { return &STM{} }
 
-// NewWithTimeBase creates a TL2 universe whose read and write versions come
-// from tb. The plain shared counter reproduces the original algorithm
-// including its validation short cut; every other base — the
-// timestamp-sharing TL2Counter (whose shared values may collide with rv+1
-// without excluding intervening commits) as well as imprecise clocks —
-// validates the read set on every update commit. Imprecise bases
-// (ExtSyncClock) are compared through the deviation-masking Timestamp
-// operators, which keeps the algorithm safe at the price of extra aborts
-// near the deviation bound.
-func NewWithTimeBase(tb timebase.TimeBase) *STM {
-	_, exclusive := tb.(*timebase.SharedCounter)
-	return &STM{tb: tb, exclusive: exclusive}
-}
-
-// TimeBase returns the version clock the universe runs on.
-func (s *STM) TimeBase() timebase.TimeBase { return s.tb }
-
-// verMeta is one immutable version-lock state of an object. Every state
-// transition installs a fresh *verMeta, so two equal pointers observed
-// around a value load prove the object did not change in between. (A failed
-// commit restores the exact pre-lock pointer, but it also leaves the value
-// untouched, so that ABA is harmless.)
-type verMeta struct {
-	ver    timebase.Timestamp
-	locked bool
-}
-
-// genesisMeta is the shared version word of freshly created objects: valid
-// since −∞, so a transaction on any time base — including one whose clock
-// values are small compared to its deviation — can read new objects.
-var genesisMeta = &verMeta{ver: timebase.NegInf}
-
-// lockedMeta is the shared "locked" version word installed on every
-// write-set object during commit. It is immutable, and every path that
-// observes a locked word aborts (or, in the lock phase, fails) before
-// reading anything else from it, so one global sentinel serves all
-// transactions: pointer identity across distinct commits is harmless
-// because ownership — the successful CAS from an *unlocked* word — is what
-// authorizes unlock, and two transactions can never own the same object.
-var lockedMeta = &verMeta{locked: true}
+// lockBit marks a versioned lock word as held by a committer; the version
+// lives in the bits above it. A word is version<<1 while unlocked.
+const lockBit = 1
 
 // Object is a single-version transactional cell: a versioned lock word and
 // the current typed value slot (numeric payloads live unboxed in the cell's
 // atomic word; see val.AtomicCell for the consistency contract — here the
-// verMeta pointer sandwich is the reader's discard signal).
+// lock word sandwich is the reader's discard signal).
+//
+// Two equal unlocked words observed around a value load prove the object
+// did not change in between: every commit installs a version fetched from
+// the clock after it locked the object, so an object's versions strictly
+// increase, and a failed commit restores the exact pre-lock word without
+// having touched the value.
 type Object struct {
-	meta atomic.Pointer[verMeta]
+	meta atomic.Uint64
 	cell val.AtomicCell
 }
 
-// NewObject creates an object at the genesis version holding initial.
+// NewObject creates an object at version 0 holding initial; every
+// transaction's read version is ≥ 0, so new objects are always readable.
 func NewObject(initial any) *Object {
 	o := &Object{}
 	o.cell.Store(val.OfAny(initial))
-	o.meta.Store(genesisMeta)
 	return o
 }
 
@@ -136,16 +101,16 @@ const smallWriteSet = 8
 
 // Tx is one TL2 transaction attempt. Attempts are recycled across retries
 // by their Thread: nothing a TL2 attempt builds escapes it — commit
-// publishes a fresh shared version word and fresh value snapshots, never
-// pointers into the logs — so the read/write sets and the promoted index
+// publishes version numbers and value snapshots, never pointers into the
+// logs — so the read/write sets and the promoted index
 // are reused attempt after attempt and the steady-state retry costs zero
 // allocations.
 type Tx struct {
 	stm      *STM
-	rv       timebase.Timestamp // read version: clock reading at start
+	rv       uint64 // read version: clock reading at start
 	readOnly bool
-	boxed    bool // some write took the escape hatch
-	reads    []readEntry
+	boxed    bool      // some write took the escape hatch
+	reads    []*Object // update attempts only; validated at commit
 	writes   []writeEntry
 	windex   map[*Object]int // nil while the write set is small
 	// spareIndex keeps the promoted map alive between attempts so a large
@@ -156,7 +121,7 @@ type Tx struct {
 // reset rearms the attempt for reuse. Truncating the logs keeps their
 // backing arrays (stale pointers in the unused capacity persist until
 // overwritten — bounded by the largest set this thread has seen).
-func (tx *Tx) reset(rv timebase.Timestamp, readOnly bool) {
+func (tx *Tx) reset(rv uint64, readOnly bool) {
 	tx.rv = rv
 	tx.readOnly = readOnly
 	tx.boxed = false
@@ -165,14 +130,10 @@ func (tx *Tx) reset(rv timebase.Timestamp, readOnly bool) {
 	tx.windex = nil
 }
 
-type readEntry struct {
-	obj *Object
-}
-
 type writeEntry struct {
 	obj  *Object
 	v    val.Value
-	prev *verMeta // pre-lock version word, restored on a failed commit
+	prev uint64 // pre-lock version word, restored on a failed commit
 }
 
 // wlookup finds the write-set entry for o: a linear scan while the set is
@@ -225,22 +186,22 @@ func (tx *Tx) Read(o *Object) (any, error) {
 
 // ReadValue returns the object's value if its version precedes the
 // transaction's start time; otherwise the attempt aborts (TL2 has no
-// extensions and no old versions). The verMeta pointer sandwich around the
+// extensions and no old versions). The lock word sandwich around the
 // two-word cell snapshot discards any torn pair.
 func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	if idx, ok := tx.wlookup(o); ok {
 		return tx.writes[idx].v, nil
 	}
 	m1 := o.meta.Load()
-	if m1.locked {
+	if m1&lockBit != 0 {
 		return val.Value{}, errAbortContention
 	}
 	num, box := o.cell.Snapshot()
-	if o.meta.Load() != m1 || !tx.rv.LaterEq(m1.ver) {
+	if o.meta.Load() != m1 || m1>>1 > tx.rv {
 		return val.Value{}, errAbortSnapshot
 	}
 	if !tx.readOnly {
-		tx.reads = append(tx.reads, readEntry{obj: o})
+		tx.reads = append(tx.reads, o)
 	}
 	return val.Decode(num, box), nil
 }
@@ -267,42 +228,28 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	return nil
 }
 
-// exactSuccessor reports that wv is the immediate successor of rv on an
-// exact clock — TL2's validation short cut: when wv additionally comes from
-// an exclusive increment (STM.exclusive), no transaction can have committed
-// between the two, so the read set needs no commit-time check. Imprecise
-// timestamps never qualify.
-func exactSuccessor(rv, wv timebase.Timestamp) bool {
-	return rv.CID == timebase.CIDExact && wv.CID == timebase.CIDExact &&
-		rv.Dev == 0 && wv.Dev == 0 && wv.TS == rv.TS+1
-}
-
 // commit runs the TL2 commit protocol.
-func (tx *Tx) commit(clock timebase.Clock) error {
+func (tx *Tx) commit() error {
 	if len(tx.writes) == 0 {
 		// Reads were individually validated against rv; nothing to do.
 		return nil
 	}
-	// Phase 1: lock the write set (try-lock; abort on any conflict). The
-	// global lockedMeta sentinel serves every set: nothing ever reads ver
-	// from a locked word (every path aborts on locked first), and unlock
-	// restores the saved per-object prev pointers.
-	locked := lockedMeta
+	// Phase 1: lock the write set (try-lock; abort on any conflict).
 	lockedUpTo := -1
 	for i := range tx.writes {
 		o := tx.writes[i].obj
 		m := o.meta.Load()
-		if m.locked {
+		if m&lockBit != 0 {
 			tx.unlock(lockedUpTo)
 			return errAbortContention
 		}
-		if !tx.rv.LaterEq(m.ver) {
+		if m>>1 > tx.rv {
 			// A write-set object was committed past rv: the read of it (or the
 			// blind write's implicit freshness requirement) no longer holds.
 			tx.unlock(lockedUpTo)
 			return errAbortValidation
 		}
-		if !o.meta.CompareAndSwap(m, locked) {
+		if !o.meta.CompareAndSwap(m, m|lockBit) {
 			// Lost the lock race to a concurrent committer.
 			tx.unlock(lockedUpTo)
 			return errAbortContention
@@ -310,33 +257,29 @@ func (tx *Tx) commit(clock timebase.Clock) error {
 		tx.writes[i].prev = m
 		lockedUpTo = i
 	}
-	// Phase 2: fetch the write version from the clock.
-	wv := clock.GetNewTS()
-	// Phase 3: validate the read set — unless wv is provably the immediate
-	// successor of rv obtained by an exclusive increment, in which case no
-	// transaction can have committed in between (the TL2 short cut).
-	if !tx.stm.exclusive || !exactSuccessor(tx.rv, wv) {
-		for _, r := range tx.reads {
-			if _, own := tx.wlookup(r.obj); own {
+	// Phase 2: fetch the write version by incrementing the clock.
+	wv := tx.stm.clock.Add(1)
+	// Phase 3: validate the read set — unless wv is rv's immediate
+	// successor: the increment is exclusive, so no transaction can have
+	// committed in between (the TL2 short cut).
+	if wv != tx.rv+1 {
+		for _, o := range tx.reads {
+			if _, own := tx.wlookup(o); own {
 				continue
 			}
-			m := r.obj.meta.Load()
-			if m.locked || !tx.rv.LaterEq(m.ver) {
+			if m := o.meta.Load(); m&lockBit != 0 || m>>1 > tx.rv {
 				tx.unlock(lockedUpTo)
 				return errAbortValidation
 			}
 		}
 	}
-	// Phase 4: install values and release locks with the new version. One
-	// version word is shared by the whole write set: pointer identity is
-	// only ever compared per object, so sharing is safe and saves
-	// allocations — with the numeric lane it is the only allocation of an
-	// int-valued commit.
-	next := &verMeta{ver: wv}
+	// Phase 4: install values, then release each lock with the new version.
+	// Numeric payloads land in the cells' atomic words, so an int-valued
+	// commit allocates nothing.
 	for i := range tx.writes {
 		w := &tx.writes[i]
 		w.obj.cell.Store(w.v)
-		w.obj.meta.Store(next)
+		w.obj.meta.Store(wv << 1)
 	}
 	return nil
 }
@@ -354,7 +297,6 @@ func (tx *Tx) unlock(upTo int) {
 // across attempts — a Thread must be used by a single goroutine.
 type Thread struct {
 	stm          *STM
-	clock        timebase.Clock
 	tx           Tx
 	boxedCommits uint64
 	aborts       abort.Counts
@@ -367,11 +309,9 @@ func (t *Thread) BoxedCommits() uint64 { return t.boxedCommits }
 // AbortCounts returns this thread's aborts classified by reason.
 func (t *Thread) AbortCounts() abort.Counts { return t.aborts }
 
-// Thread creates a worker context. id selects the worker's clock for
-// per-node time bases.
-func (s *STM) Thread(id int) *Thread {
-	return &Thread{stm: s, clock: s.tb.Clock(id)}
-}
+// Thread creates a worker context. TL2 has one version clock for all
+// threads, so id is unused; it keeps the shape of the other engines.
+func (s *STM) Thread(id int) *Thread { return &Thread{stm: s} }
 
 // Run executes fn transactionally, retrying on aborts.
 func (t *Thread) Run(fn func(*Tx) error) error { return t.run(false, fn) }
@@ -385,10 +325,10 @@ func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	tx := &t.tx
 	tx.stm = t.stm
 	for {
-		tx.reset(t.clock.GetTime(), readOnly)
+		tx.reset(t.stm.clock.Load(), readOnly)
 		err := fn(tx)
 		if err == nil {
-			err = tx.commit(t.clock)
+			err = tx.commit()
 		}
 		if err == nil {
 			if tx.boxed {
@@ -400,14 +340,5 @@ func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 			return err
 		}
 		t.aborts.Observe(err)
-		// TL2 aborts whenever a version is possibly newer than rv; on time
-		// bases with a stale local view (timebase.ShardedCounter) that can
-		// simply mean this thread's shard is behind. Reconcile so the next
-		// attempt reads a fresh rv — and, because reconciliation ticks the
-		// clock, so that a fixed version eventually ages past the masked
-		// deviation window.
-		if r, ok := t.clock.(timebase.Reconciler); ok {
-			r.Reconcile()
-		}
 	}
 }

@@ -5,8 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/hwclock"
-	"repro/internal/timebase"
+	"repro/internal/abort"
 )
 
 func TestReadInitial(t *testing.T) {
@@ -39,10 +38,9 @@ func TestWriteCommitRead(t *testing.T) {
 	if got := readInt(t, s, o); got != 7 {
 		t.Errorf("value = %d, want 7", got)
 	}
-	// The default universe runs on a shared counter starting at 1; one
-	// update commit advances it once.
-	if now := s.TimeBase().(*timebase.SharedCounter).Now(); now != 2 {
-		t.Errorf("version clock = %d, want 2", now)
+	// The version clock starts at 0; one update commit advances it once.
+	if now := s.clock.Load(); now != 1 {
+		t.Errorf("version clock = %d, want 1", now)
 	}
 }
 
@@ -240,109 +238,48 @@ func TestBankConservation(t *testing.T) {
 	}
 }
 
+// TestExactSuccessor pins TL2's validation short cut to its one safe case:
+// an update whose write version is rv+1 skips read-set validation, so one
+// whose write version is not must validate — here a concurrent commit
+// overwrites an object the first attempt read, making that attempt's write
+// version rv+2, and commit-time validation has to abort it.
 func TestExactSuccessor(t *testing.T) {
-	if !exactSuccessor(timebase.Exact(4), timebase.Exact(5)) {
-		t.Error("4→5 exact must qualify for the validation short cut")
-	}
-	if exactSuccessor(timebase.Exact(4), timebase.Exact(6)) {
-		t.Error("4→6 must not qualify")
-	}
-	imprecise := timebase.Timestamp{TS: 5, CID: 1, Dev: 10}
-	if exactSuccessor(timebase.Exact(4), imprecise) || exactSuccessor(imprecise, timebase.Exact(6)) {
-		t.Error("imprecise timestamps must never qualify for the short cut")
-	}
-}
-
-// TestTL2CounterNoShortCut: the timestamp-sharing counter's GetNewTS may
-// return a shared value equal to rv+1 even though another transaction
-// committed in between, so a universe on it must not take the rv+1
-// validation short cut — and must therefore survive concurrent increments
-// without lost updates.
-func TestTL2CounterNoShortCut(t *testing.T) {
-	s := NewWithTimeBase(timebase.NewTL2Counter())
-	if s.exclusive {
-		t.Fatal("TL2Counter universe must not be marked exclusive: its shared timestamps break the rv+1 short cut")
-	}
-	o := NewObject(0)
-	const workers, per = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := s.Thread(id)
-			for i := 0; i < per; i++ {
-				if err := th.Run(func(tx *Tx) error {
-					v, err := tx.Read(o)
-					if err != nil {
-						return err
-					}
-					return tx.Write(o, v.(int)+1)
-				}); err != nil {
-					t.Errorf("worker %d: %v", id, err)
-					return
-				}
+	s := New()
+	a, b := NewObject(0), NewObject(0)
+	th := s.Thread(0)
+	attempts := 0
+	if err := th.Run(func(tx *Tx) error {
+		attempts++
+		if _, err := tx.Read(a); err != nil {
+			return err
+		}
+		if attempts == 1 {
+			if err := s.Thread(1).Run(func(tx *Tx) error { return tx.Write(a, 1) }); err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	if got := readInt(t, s, o); got != workers*per {
-		t.Errorf("counter = %d, want %d (lost updates)", got, workers*per)
-	}
-}
-
-// TestExtSyncPairInvariant runs TL2 on the externally synchronized clock of
-// §3.2: the deviation-masking comparisons must preserve snapshot consistency
-// (a {n, −n} pair always sums to zero) even though versions are imprecise.
-func TestExtSyncPairInvariant(t *testing.T) {
-	const workers = 4
-	dev := hwclock.New(hwclock.Config{TickHz: 1_000_000_000, Nodes: workers, Seed: 1})
-	tb, err := timebase.NewExtSyncClockFrom(dev, 2000)
-	if err != nil {
+		}
+		return tx.Write(b, 1)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	s := NewWithTimeBase(tb)
-	a, b := NewObject(0), NewObject(0)
-	var wg sync.WaitGroup
-	for id := 0; id < workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := s.Thread(id)
-			for i := 1; i <= 200; i++ {
-				var err error
-				if id%2 == 0 {
-					n := id*1000 + i
-					err = th.Run(func(tx *Tx) error {
-						if err := tx.Write(a, n); err != nil {
-							return err
-						}
-						return tx.Write(b, -n)
-					})
-				} else {
-					err = th.RunReadOnly(func(tx *Tx) error {
-						av, err := tx.Read(a)
-						if err != nil {
-							return err
-						}
-						bv, err := tx.Read(b)
-						if err != nil {
-							return err
-						}
-						if av.(int)+bv.(int) != 0 {
-							t.Errorf("torn pair: %v/%v", av, bv)
-						}
-						return nil
-					})
-				}
-				if err != nil {
-					t.Errorf("worker %d: %v", id, err)
-					return
-				}
-			}
-		}(id)
+	if attempts != 2 {
+		t.Errorf("attempts = %d, want 2 (the stale first attempt must abort)", attempts)
 	}
-	wg.Wait()
+	if got := th.AbortCounts(); got[abort.Validation] != 1 || got.Total() != 1 {
+		t.Errorf("abort counts = %v, want exactly one validation abort", got)
+	}
+	// Uncontended, the write version is rv+1 and the short cut commits the
+	// first attempt.
+	attempts = 0
+	if err := th.Run(func(tx *Tx) error {
+		attempts++
+		if _, err := tx.Read(a); err != nil {
+			return err
+		}
+		return tx.Write(b, 2)
+	}); err != nil || attempts != 1 {
+		t.Errorf("uncontended update: %v after %d attempts, want nil after 1", err, attempts)
+	}
 }
 
 // TestFailedLockRetryCommits locks an object by hand so a transaction's
@@ -352,7 +289,7 @@ func TestFailedLockRetryCommits(t *testing.T) {
 	s := New()
 	o := NewObject(1)
 	before := o.meta.Load()
-	o.meta.Store(&verMeta{ver: before.ver, locked: true})
+	o.meta.Store(before | lockBit)
 	done := make(chan error, 1)
 	go func() {
 		done <- s.Thread(0).Run(func(tx *Tx) error { return tx.Write(o, 2) })
@@ -362,11 +299,11 @@ func TestFailedLockRetryCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := o.meta.Load()
-	if after.locked {
+	if after&lockBit != 0 {
 		t.Error("object left locked after commit")
 	}
-	if after == before || !after.ver.LaterEq(before.ver) {
-		t.Error("commit did not install a fresh, later version word")
+	if after>>1 <= before>>1 {
+		t.Error("commit did not install a later version")
 	}
 	if got := readInt(t, s, o); got != 2 {
 		t.Errorf("value = %d, want 2", got)
