@@ -1,7 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: version
-// history depth, validity-range extension, contention management policy,
-// and snapshot isolation. These are not paper figures; they quantify the
-// engine's own knobs.
+// Ablation benchmark for the engine's own design knob, the version history
+// depth. It is not a paper figure (those live in bench_test.go, indexed by
+// README's internal/experiments row); it quantifies what a deeper history
+// buys read-only scans.
 package tstm_test
 
 import (
@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/timebase"
 )
@@ -76,149 +75,6 @@ func BenchmarkAblation_MaxVersions(b *testing.B) {
 				TimeBase:    timebase.NewSharedCounter(),
 				MaxVersions: mv,
 			}, 64)
-		})
-	}
-}
-
-// BenchmarkAblation_Extension compares lazy-snapshot extension against the
-// TL2-style no-extension mode on read-modify-write transactions whose
-// snapshot frequently needs to grow.
-func BenchmarkAblation_Extension(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "extension=on"
-		if disable {
-			name = "extension=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt := core.MustRuntime(core.Config{
-				TimeBase:         timebase.NewSharedCounter(),
-				DisableExtension: disable,
-			})
-			objs := make([]*core.Object, 16)
-			for i := range objs {
-				objs[i] = core.NewObject(0)
-			}
-			var wg sync.WaitGroup
-			per := b.N/2 + 1
-			b.ResetTimer()
-			for id := 0; id < 2; id++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					th := rt.Thread(id)
-					for i := 0; i < per; i++ {
-						_ = th.Run(func(tx *core.Tx) error {
-							for k := 0; k < 4; k++ {
-								o := objs[(id*3+i+k*5)%len(objs)]
-								v, err := tx.Read(o)
-								if err != nil {
-									return err
-								}
-								if err := tx.Write(o, v.(int)+1); err != nil {
-									return err
-								}
-							}
-							return nil
-						})
-					}
-				}(id)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(rt.Stats().AbortRate(), "aborts/attempt")
-			b.ReportMetric(float64(rt.Stats().Extensions)/float64(b.N), "extensions/tx")
-		})
-	}
-}
-
-// BenchmarkAblation_ContentionManagers compares the arbitration policies on
-// a deliberately hot object.
-func BenchmarkAblation_ContentionManagers(b *testing.B) {
-	managers := []core.ContentionManager{
-		contention.Aggressive{}, contention.Suicide{}, contention.Polite{},
-		contention.Karma{}, contention.Timestamp{},
-	}
-	for _, m := range managers {
-		b.Run("cm="+m.Name(), func(b *testing.B) {
-			rt := core.MustRuntime(core.Config{
-				TimeBase: timebase.NewSharedCounter(),
-				Manager:  m,
-			})
-			hot := core.NewObject(0)
-			var wg sync.WaitGroup
-			per := b.N/4 + 1
-			b.ResetTimer()
-			for id := 0; id < 4; id++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					th := rt.Thread(id)
-					for i := 0; i < per; i++ {
-						_ = th.Run(func(tx *core.Tx) error {
-							v, err := tx.Read(hot)
-							if err != nil {
-								return err
-							}
-							return tx.Write(hot, v.(int)+1)
-						})
-					}
-				}(id)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(rt.Stats().AbortRate(), "aborts/attempt")
-		})
-	}
-}
-
-// BenchmarkAblation_SnapshotIsolation compares serializable and SI commits
-// on read-heavy update transactions (large read set, single write): SI
-// skips the read-set revalidation at commit.
-func BenchmarkAblation_SnapshotIsolation(b *testing.B) {
-	for _, si := range []bool{false, true} {
-		name := "mode=serializable"
-		if si {
-			name = "mode=snapshot-isolation"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt := core.MustRuntime(core.Config{
-				TimeBase:          timebase.NewSharedCounter(),
-				SnapshotIsolation: si,
-				MaxVersions:       8,
-			})
-			objs := make([]*core.Object, 64)
-			for i := range objs {
-				objs[i] = core.NewObject(0)
-			}
-			var wg sync.WaitGroup
-			per := b.N/2 + 1
-			b.ResetTimer()
-			for id := 0; id < 2; id++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					th := rt.Thread(id)
-					for i := 0; i < per; i++ {
-						_ = th.Run(func(tx *core.Tx) error {
-							// Read half the table, write one own-partition cell.
-							for k := 0; k < 32; k++ {
-								if _, err := tx.Read(objs[(k*2+id)%len(objs)]); err != nil {
-									return err
-								}
-							}
-							o := objs[(id*32+i%32)%len(objs)]
-							v, err := tx.Read(o)
-							if err != nil {
-								return err
-							}
-							return tx.Write(o, v.(int)+1)
-						})
-					}
-				}(id)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(rt.Stats().AbortRate(), "aborts/attempt")
 		})
 	}
 }

@@ -1,5 +1,6 @@
 // Benchmarks regenerating every figure and measured claim of the paper's
-// evaluation (§4). Mapping (see DESIGN.md for the full experiment index):
+// evaluation (§4). Mapping (see README's internal/experiments row and its
+// "Build, test, bench" commands for the full experiment index):
 //
 //	BenchmarkFig1_ClockComparison   — Figure 1: clock synchronization errors
 //	BenchmarkFig2_RealSTM           — Figure 2 on the real engine (this host)
@@ -11,13 +12,12 @@
 //	BenchmarkTimeBaseOps            — micro: GetTime/GetNewTS per time base
 //	BenchmarkTxOps                  — micro: read/write/commit path costs
 //
-// Ablation benchmarks for the engine's own design knobs (history depth,
-// extension, contention managers, snapshot isolation) live in
-// ablation_bench_test.go.
+// The ablation benchmark for the engine's own design knob (history depth)
+// lives in ablation_bench_test.go.
 //
 // Custom metrics: tx/s (or scans/s) is the figure's y-axis; ns/op reflects
 // per-transaction latency. Absolute values on this host are not the paper's
-// Altix values; EXPERIMENTS.md records the shape comparison.
+// Altix values; README's bench snapshot section records measured numbers.
 package tstm_test
 
 import (

@@ -22,7 +22,7 @@ func TestRacingHelpersAgreeOnOutcome(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		o := NewObject(0)
 		th := rt.Thread(0)
-		w := th.newTx(0, false)
+		w := th.newTx(false)
 		if err := w.Write(o, round+1); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestAbortIdempotentFromAllStates(t *testing.T) {
 	rt := counterRT()
 	th := rt.Thread(0)
 
-	active := th.newTx(0, false)
+	active := th.newTx(false)
 	active.abort()
 	if active.Status() != StatusAborted {
 		t.Errorf("abort(active) = %v", active.Status())
@@ -171,7 +171,7 @@ func TestAbortIdempotentFromAllStates(t *testing.T) {
 		t.Errorf("double abort = %v", active.Status())
 	}
 
-	committing := th.newTx(0, false)
+	committing := th.newTx(false)
 	committing.update = true
 	committing.status.Store(int32(StatusCommitting))
 	committing.abort()
@@ -179,7 +179,7 @@ func TestAbortIdempotentFromAllStates(t *testing.T) {
 		t.Errorf("abort(committing) = %v", committing.Status())
 	}
 
-	committed := th.newTx(0, false)
+	committed := th.newTx(false)
 	committed.status.Store(int32(StatusCommitted))
 	committed.abort()
 	if committed.Status() != StatusCommitted {
@@ -189,7 +189,7 @@ func TestAbortIdempotentFromAllStates(t *testing.T) {
 	if committed.abortExternal() {
 		t.Error("abortExternal on committed must fail")
 	}
-	parked := th.newTx(0, false)
+	parked := th.newTx(false)
 	parked.status.Store(int32(StatusCommitting))
 	if parked.abortExternal() {
 		t.Error("abortExternal must not kill committing transactions (they are helped)")

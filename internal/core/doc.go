@@ -22,8 +22,10 @@
 //     is too old for a version the transaction needs. A superseded version
 //     in the read set closes the transaction (no extension can help).
 //   - Open (write): register as the object's writer (visible writes,
-//     DSTM-style), buffer a tentative version, and resolve conflicts with
-//     registered writers through the pluggable ContentionManager.
+//     DSTM-style) and buffer a tentative version. A committing owner is
+//     helped to completion; an active one gets three backed-off rounds to
+//     finish and is then aborted — the paper's configurable contention
+//     manager, fixed to that one policy.
 //   - Commit (update transactions): CAS active→committing, fix the commit
 //     time CT with a fresh timestamp, check every accessed version is still
 //     valid at CT, then CAS committing→committed — which atomically
@@ -86,7 +88,7 @@
 //     extension impossible, so the flexibility is reserved for read-only
 //     transactions, as in the authors' LSA-STM.
 //
-// Config.SnapshotIsolation additionally provides the weaker isolation level
-// of the authors' companion work (reference [10] of the paper): reads stay
-// at the begin snapshot and only write-write conflicts abort.
+// Like the paper's LSA-RT, update transactions always extend their snapshot
+// when needed and always commit serializably (commit-time validation of the
+// whole read set); there is no switch for either.
 package core

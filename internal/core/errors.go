@@ -3,8 +3,8 @@ package core
 import "errors"
 
 // ErrAborted is returned by transactional operations once the transaction is
-// doomed — its snapshot cannot be kept consistent, it lost a conflict, or a
-// helper/contention manager aborted it. It plays the role of the paper's
+// doomed — its snapshot cannot be kept consistent, or a helper or a
+// conflicting writer aborted it. It plays the role of the paper's
 // AbortedException (Algorithm 2 line 58): the transaction body must stop and
 // the runner retries it. Callers inside a transaction should propagate it
 // unchanged; swallowing it is safe for consistency (Commit re-checks the

@@ -19,72 +19,67 @@ func FuzzEngineAgainstModel(f *testing.F) {
 		if len(program) > 512 {
 			program = program[:512]
 		}
-		for _, si := range []bool{false, true} {
-			rt := MustRuntime(Config{
-				TimeBase:          timebase.NewSharedCounter(),
-				SnapshotIsolation: si,
-			})
-			const nObjs = 4
-			objs := make([]*Object, nObjs)
-			model := make([]int, nObjs)
-			for i := range objs {
-				objs[i] = NewObject(0)
-			}
-			th := rt.Thread(0)
-			boom := errors.New("rollback")
+		rt := MustRuntime(Config{TimeBase: timebase.NewSharedCounter()})
+		const nObjs = 4
+		objs := make([]*Object, nObjs)
+		model := make([]int, nObjs)
+		for i := range objs {
+			objs[i] = NewObject(0)
+		}
+		th := rt.Thread(0)
+		boom := errors.New("rollback")
 
-			pc := 0
-			for pc < len(program) {
-				// One transaction consumes bytes until a terminator byte
-				// (≥ 0xF0 → user abort, ≥ 0xE0 → commit) or input ends.
-				scratch := append([]int(nil), model...)
-				abort := false
-				start := pc
-				err := th.Run(func(tx *Tx) error {
-					copy(scratch, model)
-					abort = false
-					for pc = start; pc < len(program); pc++ {
-						b := program[pc]
-						if b >= 0xF0 {
-							pc++
-							abort = true
-							return boom
+		pc := 0
+		for pc < len(program) {
+			// One transaction consumes bytes until a terminator byte
+			// (≥ 0xF0 → user abort, ≥ 0xE0 → commit) or input ends.
+			scratch := append([]int(nil), model...)
+			abort := false
+			start := pc
+			err := th.Run(func(tx *Tx) error {
+				copy(scratch, model)
+				abort = false
+				for pc = start; pc < len(program); pc++ {
+					b := program[pc]
+					if b >= 0xF0 {
+						pc++
+						abort = true
+						return boom
+					}
+					if b >= 0xE0 {
+						pc++
+						return nil
+					}
+					obj := int(b) % nObjs
+					if b&0x10 != 0 {
+						scratch[obj] += int(b>>5) + 1
+						if err := tx.Write(objs[obj], scratch[obj]); err != nil {
+							return err
 						}
-						if b >= 0xE0 {
-							pc++
-							return nil
+					} else {
+						v, err := tx.Read(objs[obj])
+						if err != nil {
+							return err
 						}
-						obj := int(b) % nObjs
-						if b&0x10 != 0 {
-							scratch[obj] += int(b>>5) + 1
-							if err := tx.Write(objs[obj], scratch[obj]); err != nil {
-								return err
-							}
-						} else {
-							v, err := tx.Read(objs[obj])
-							if err != nil {
-								return err
-							}
-							if v.(int) != scratch[obj] {
-								t.Fatalf("si=%v pc=%d: read objs[%d] = %v, model %d", si, pc, obj, v, scratch[obj])
-							}
+						if v.(int) != scratch[obj] {
+							t.Fatalf("pc=%d: read objs[%d] = %v, model %d", pc, obj, v, scratch[obj])
 						}
 					}
-					return nil
-				})
-				switch {
-				case abort && errors.Is(err, boom):
-					// Rolled back; model unchanged.
-				case !abort && err == nil:
-					model = scratch
-				default:
-					t.Fatalf("si=%v: unexpected result err=%v abort=%v", si, err, abort)
 				}
+				return nil
+			})
+			switch {
+			case abort && errors.Is(err, boom):
+				// Rolled back; model unchanged.
+			case !abort && err == nil:
+				model = scratch
+			default:
+				t.Fatalf("unexpected result err=%v abort=%v", err, abort)
 			}
-			for i, o := range objs {
-				if got := mustReadIntFuzz(t, rt, o); got != model[i] {
-					t.Fatalf("si=%v: final objs[%d] = %d, model %d", si, i, got, model[i])
-				}
+		}
+		for i, o := range objs {
+			if got := mustReadIntFuzz(t, rt, o); got != model[i] {
+				t.Fatalf("final objs[%d] = %d, model %d", i, got, model[i])
 			}
 		}
 	})

@@ -164,7 +164,7 @@ func TestPrelimUBCommittingWriterBoundsByCT(t *testing.T) {
 	th := rt.Thread(0)
 
 	// Drive a transaction manually into the committing state.
-	w := th.newTx(0, false)
+	w := th.newTx(false)
 	if err := w.Write(o, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestHelpCompletesStalledCommit(t *testing.T) {
 	rt := counterRT()
 	o := NewObject(0)
 	th := rt.Thread(0)
-	w := th.newTx(0, false)
+	w := th.newTx(false)
 	if err := w.Write(o, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestClosedTransactionSkipsExtension(t *testing.T) {
 func TestEnsureCTIdempotent(t *testing.T) {
 	rt := counterRT()
 	th := rt.Thread(0)
-	w := th.newTx(0, false)
+	w := th.newTx(false)
 	w.update = true
 	if !w.status.CompareAndSwap(int32(StatusActive), int32(StatusCommitting)) {
 		t.Fatal("could not enter committing")
@@ -296,7 +296,7 @@ func TestConcurrentEnsureCTSingleWinner(t *testing.T) {
 	rt := counterRT()
 	for round := 0; round < 50; round++ {
 		th := rt.Thread(0)
-		w := th.newTx(0, false)
+		w := th.newTx(false)
 		w.update = true
 		w.status.Store(int32(StatusCommitting))
 		var wg sync.WaitGroup
@@ -323,59 +323,57 @@ func TestConcurrentEnsureCTSingleWinner(t *testing.T) {
 // catches bookkeeping bugs (read-own-write, upgrade, double write, rollback)
 // that structured tests might miss.
 func TestSequentialFuzzAgainstModel(t *testing.T) {
-	for _, si := range []bool{false, true} {
-		rt := counterRT(func(c *Config) { c.SnapshotIsolation = si })
-		const nObjs = 8
-		objs := make([]*Object, nObjs)
-		model := make([]int, nObjs)
-		for i := range objs {
-			objs[i] = NewObject(i * 100)
-			model[i] = i * 100
-		}
-		th := rt.Thread(0)
-		rng := rand.New(rand.NewSource(99))
-		boom := errors.New("rollback")
-		for step := 0; step < 2000; step++ {
-			scratch := append([]int(nil), model...)
-			willAbort := rng.Intn(5) == 0
-			nops := 1 + rng.Intn(6)
-			err := th.Run(func(tx *Tx) error {
-				for k := 0; k < nops; k++ {
-					i := rng.Intn(nObjs)
-					if rng.Intn(2) == 0 {
-						v, err := tx.Read(objs[i])
-						if err != nil {
-							return err
-						}
-						if v.(int) != scratch[i] {
-							t.Fatalf("step %d (si=%v): read objs[%d] = %v, model %d", step, si, i, v, scratch[i])
-						}
-					} else {
-						scratch[i] += 1 + rng.Intn(9)
-						if err := tx.Write(objs[i], scratch[i]); err != nil {
-							return err
-						}
+	rt := counterRT()
+	const nObjs = 8
+	objs := make([]*Object, nObjs)
+	model := make([]int, nObjs)
+	for i := range objs {
+		objs[i] = NewObject(i * 100)
+		model[i] = i * 100
+	}
+	th := rt.Thread(0)
+	rng := rand.New(rand.NewSource(99))
+	boom := errors.New("rollback")
+	for step := 0; step < 2000; step++ {
+		scratch := append([]int(nil), model...)
+		willAbort := rng.Intn(5) == 0
+		nops := 1 + rng.Intn(6)
+		err := th.Run(func(tx *Tx) error {
+			for k := 0; k < nops; k++ {
+				i := rng.Intn(nObjs)
+				if rng.Intn(2) == 0 {
+					v, err := tx.Read(objs[i])
+					if err != nil {
+						return err
+					}
+					if v.(int) != scratch[i] {
+						t.Fatalf("step %d: read objs[%d] = %v, model %d", step, i, v, scratch[i])
+					}
+				} else {
+					scratch[i] += 1 + rng.Intn(9)
+					if err := tx.Write(objs[i], scratch[i]); err != nil {
+						return err
 					}
 				}
-				if willAbort {
-					return boom
-				}
-				return nil
-			})
-			switch {
-			case willAbort && errors.Is(err, boom):
-				// Rolled back: model unchanged.
-			case !willAbort && err == nil:
-				model = scratch
-			default:
-				t.Fatalf("step %d (si=%v): err = %v, willAbort = %v", step, si, err, willAbort)
 			}
+			if willAbort {
+				return boom
+			}
+			return nil
+		})
+		switch {
+		case willAbort && errors.Is(err, boom):
+			// Rolled back: model unchanged.
+		case !willAbort && err == nil:
+			model = scratch
+		default:
+			t.Fatalf("step %d: err = %v, willAbort = %v", step, err, willAbort)
 		}
-		// Final state check.
-		for i, o := range objs {
-			if got := mustReadInt(t, rt, o); got != model[i] {
-				t.Errorf("si=%v: objs[%d] = %d, model %d", si, i, got, model[i])
-			}
+	}
+	// Final state check.
+	for i, o := range objs {
+		if got := mustReadInt(t, rt, o); got != model[i] {
+			t.Errorf("objs[%d] = %d, model %d", i, got, model[i])
 		}
 	}
 }

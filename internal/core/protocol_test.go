@@ -35,7 +35,7 @@ func TestStaleWriterLocatorAfterTrim(t *testing.T) {
 	rt := counterRT(func(c *Config) { c.MaxVersions = 1 })
 	o := NewObject(1)
 	genesis := o.loc.Load().ver
-	w := rt.Thread(0).newTx(0, false)
+	w := rt.Thread(0).newTx(false)
 	mustWrite(t, w, o, 2)
 
 	stale := o.loc.Load()
@@ -100,7 +100,7 @@ func TestAbortedWriterSettlesToBaseLocator(t *testing.T) {
 	objs := make([]*Object, runs+1) // AllocsPerRun adds one warm-up call
 	for i := range objs {
 		objs[i] = NewObject(7)
-		w := th.newTx(0, false)
+		w := th.newTx(false)
 		mustWrite(t, w, objs[i], 99)
 		w.abort()
 	}
@@ -119,13 +119,13 @@ func TestAbortedWriterSettlesToBaseLocator(t *testing.T) {
 	pre := o.loc.Load()
 	base := pre.ver
 	// The competitor prepares its acquisition against pre…
-	b := rt.Thread(1).newTx(0, false)
+	b := rt.Thread(1).newTx(false)
 	tent, nloc := b.newWrite()
 	tent.selfLoc.ver = tent
 	nloc.writer, nloc.ver = b, tent
 	tent.prev.Store(base)
 	// …then another writer takes the object, aborts and is settled away.
-	a := th.newTx(0, false)
+	a := th.newTx(false)
 	mustWrite(t, a, o, 99)
 	a.abort()
 	if got := o.settled(rt.maxVersions); got != pre || got != &base.selfLoc {
@@ -149,7 +149,7 @@ func TestLateHelperIsNoOp(t *testing.T) {
 	for _, maxV := range []int{1, DefaultMaxVersions} {
 		rt := counterRT(func(c *Config) { c.MaxVersions = maxV })
 		read, upgraded, blind := NewObject(1), NewObject(2), NewObject(3)
-		w := rt.Thread(0).newTx(0, false)
+		w := rt.Thread(0).newTx(false)
 		if _, err := w.Read(read); err != nil {
 			t.Fatal(err)
 		}
@@ -271,11 +271,6 @@ func TestMergedEntry(t *testing.T) {
 			if e := tx.entries[1]; e.obj != upgraded || e.ver != head || e.tent == nil || e.tent.prev.Load() != head {
 				t.Errorf("upgrade entry = %+v, read version %p", e, head)
 			}
-			// Opens, as before the merge: write, read, write (the re-read and
-			// the in-place second write open nothing).
-			if tx.Ops() != 3 {
-				t.Errorf("Ops = %d, want 3", tx.Ops())
-			}
 			return nil
 		})
 		if err != nil {
@@ -331,7 +326,6 @@ func TestReadOnlyRetryOnReusedRecord(t *testing.T) {
 	a, b := NewObject(10), NewObject(20)
 	th, writer := rt.Thread(0), rt.Thread(1)
 	var rec *Tx
-	var lastID uint64
 	fresh := func(tx *Tx, attempt int) {
 		t.Helper()
 		if rec == nil {
@@ -340,12 +334,14 @@ func TestReadOnlyRetryOnReusedRecord(t *testing.T) {
 		if tx != rec {
 			t.Errorf("attempt %d ran in a new record", attempt)
 		}
-		if tx.Status() != StatusActive || tx.cause != CauseNone || tx.closed || tx.Ops() != 0 ||
-			tx.attempt != attempt || tx.id <= lastID || tx.lower != tx.start || !tx.upper.IsInf() {
-			t.Errorf("attempt %d starts with status %v cause %v closed %v ops %d attempt %d id %d (last %d) range [%v, %v] start %v",
-				attempt, tx.Status(), tx.cause, tx.closed, tx.Ops(), tx.attempt, tx.id, lastID, tx.lower, tx.upper, tx.start)
+		// The shared counter is exact and nothing commits between begin and
+		// this check, so a re-begun record's lower bound is the current time.
+		now := th.Clock().GetTime()
+		if tx.Status() != StatusActive || tx.cause != CauseNone || tx.closed ||
+			tx.lower != now || !tx.upper.IsInf() {
+			t.Errorf("attempt %d starts with status %v cause %v closed %v range [%v, %v], now %v",
+				attempt, tx.Status(), tx.cause, tx.closed, tx.lower, tx.upper, now)
 		}
-		lastID = tx.id
 	}
 	attempts := 0
 	sum := func(tx *Tx) error {
@@ -404,7 +400,7 @@ func TestNestedReadOnlyGetsOwnRecord(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			id, lower, upper := tx.id, tx.lower, tx.upper
+			lower, upper := tx.lower, tx.upper
 			// Twice: the second finds the record the first left behind.
 			for range 2 {
 				if err := th.RunReadOnly(func(in *Tx) error {
@@ -417,9 +413,9 @@ func TestNestedReadOnlyGetsOwnRecord(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tx.Status() != StatusActive || tx.id != id || tx.lower != lower || tx.upper != upper {
-				t.Errorf("in %s: nested RunReadOnly changed the outer attempt: status %v id %d→%d range [%v, %v]→[%v, %v]",
-					name, tx.Status(), id, tx.id, lower, upper, tx.lower, tx.upper)
+			if tx.Status() != StatusActive || tx.lower != lower || tx.upper != upper {
+				t.Errorf("in %s: nested RunReadOnly changed the outer attempt: status %v range [%v, %v]→[%v, %v]",
+					name, tx.Status(), lower, upper, tx.lower, tx.upper)
 			}
 			y, err := tx.Read(b)
 			if err != nil {

@@ -18,40 +18,19 @@ type Config struct {
 	// TimeBase supplies timestamps. Required.
 	TimeBase timebase.TimeBase
 
-	// Manager arbitrates write-write conflicts. Defaults to an escalating
-	// manager that waits a few rounds and then aborts the enemy.
-	Manager ContentionManager
-
 	// MaxVersions is the number of committed versions kept per object
 	// (≥ 1). 1 yields a single-version STM in which read-only transactions
 	// lose their abort-freedom — the §4.3 discussion's configuration.
 	MaxVersions int
-
-	// DisableExtension turns off validity-range extension except for the
-	// implicit one at commit (TL2's behaviour, §1.2) — an ablation knob.
-	DisableExtension bool
-
-	// SnapshotIsolation weakens update transactions from linearizability to
-	// snapshot isolation, following the authors' companion work the paper
-	// cites as [10] (Riegel, Fetzer, Felber, "Snapshot isolation for
-	// software transactional memory", TRANSACT 2006): commits no longer
-	// extend the read snapshot to the commit time, so read-write conflicts
-	// are tolerated (write skew becomes possible) while write-write
-	// conflicts are still prevented by object ownership. Transactions read
-	// a consistent snapshot either way.
-	SnapshotIsolation bool
 }
 
-// Runtime is an instantiated transactional memory: a time base, a conflict
-// policy, and version-management settings shared by a set of worker
-// threads. Create per-worker Threads with Thread; aggregate statistics with
-// Stats after the workers have quiesced.
+// Runtime is an instantiated transactional memory: a time base and a
+// version-history depth shared by a set of worker threads. Create
+// per-worker Threads with Thread; aggregate statistics with Stats after the
+// workers have quiesced.
 type Runtime struct {
 	tb          timebase.TimeBase
-	cm          ContentionManager
 	maxVersions int
-	disableExt  bool
-	si          bool
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -68,16 +47,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.MaxVersions == 0 {
 		cfg.MaxVersions = DefaultMaxVersions
 	}
-	if cfg.Manager == nil {
-		cfg.Manager = defaultManager{}
-	}
-	return &Runtime{
-		tb:          cfg.TimeBase,
-		cm:          cfg.Manager,
-		maxVersions: cfg.MaxVersions,
-		disableExt:  cfg.DisableExtension,
-		si:          cfg.SnapshotIsolation,
-	}, nil
+	return &Runtime{tb: cfg.TimeBase, maxVersions: cfg.MaxVersions}, nil
 }
 
 // MustRuntime is NewRuntime for static configurations; it panics on error.
@@ -94,10 +64,6 @@ func (rt *Runtime) TimeBase() timebase.TimeBase { return rt.tb }
 
 // MaxVersions returns the per-object history depth.
 func (rt *Runtime) MaxVersions() int { return rt.maxVersions }
-
-// SnapshotIsolation reports whether update transactions commit under
-// snapshot isolation instead of linearizability.
-func (rt *Runtime) SnapshotIsolation() bool { return rt.si }
 
 // Thread creates the execution context for one worker. id selects the
 // worker's clock (for per-node time bases); ids should be dense indices
@@ -123,16 +89,4 @@ func (rt *Runtime) Stats() Stats {
 		total.add(&th.stats)
 	}
 	return total
-}
-
-// defaultManager waits a few rounds for the enemy to finish, then aborts it.
-type defaultManager struct{}
-
-func (defaultManager) Name() string { return "Default" }
-
-func (defaultManager) Resolve(us, enemy TxInfo, n int) Decision {
-	if n < 3 {
-		return Wait
-	}
-	return AbortEnemy
 }

@@ -17,9 +17,6 @@ type Stats struct {
 	AbortSnapshot uint64
 	// AbortValidation counts commit-time validation failures.
 	AbortValidation uint64
-	// AbortConflict counts aborts decreed against self by the contention
-	// manager.
-	AbortConflict uint64
 	// AbortExternal counts aborts inflicted by other threads.
 	AbortExternal uint64
 	// UserAborts counts transactions abandoned by application error.
@@ -41,7 +38,6 @@ func (s *Stats) add(o *Stats) {
 	s.Aborts += o.Aborts
 	s.AbortSnapshot += o.AbortSnapshot
 	s.AbortValidation += o.AbortValidation
-	s.AbortConflict += o.AbortConflict
 	s.AbortExternal += o.AbortExternal
 	s.UserAborts += o.UserAborts
 	s.Extensions += o.Extensions
@@ -62,7 +58,7 @@ func (s Stats) AbortRate() float64 {
 // String renders the counters compactly.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"commits=%d aborts=%d (snapshot=%d validation=%d conflict=%d external=%d) ext=%d helps=%d",
-		s.Commits, s.Aborts, s.AbortSnapshot, s.AbortValidation, s.AbortConflict, s.AbortExternal,
+		"commits=%d aborts=%d (snapshot=%d validation=%d external=%d) ext=%d helps=%d",
+		s.Commits, s.Aborts, s.AbortSnapshot, s.AbortValidation, s.AbortExternal,
 		s.Extensions, s.Helps)
 }

@@ -56,11 +56,9 @@ const (
 	// CauseValidation — commit-time extension failed: some read version was
 	// superseded before the commit time (Algorithm 2 line 46).
 	CauseValidation
-	// CauseConflict — the contention manager resolved a write-write conflict
-	// against this transaction.
-	CauseConflict
-	// CauseExternal — another thread aborted this transaction (it lost a
-	// conflict it never saw, or a helper failed its validation).
+	// CauseExternal — another thread aborted this transaction (a writer that
+	// waited it out on an object it owns, or a helper that failed its
+	// validation).
 	CauseExternal
 )
 
@@ -73,8 +71,6 @@ func (c AbortCause) String() string {
 		return "snapshot"
 	case CauseValidation:
 		return "validation"
-	case CauseConflict:
-		return "conflict"
 	case CauseExternal:
 		return "external"
 	default:

@@ -13,7 +13,6 @@ type Thread struct {
 	rt    *Runtime
 	id    int
 	clock timebase.Clock
-	seq   uint64
 	// index is the reusable object→entry map lent to transactions whose
 	// access set outgrows the linear-scan fast path. Lazily allocated.
 	index map[*Object]int
@@ -69,7 +68,7 @@ func (th *Thread) RunReadOnly(fn func(*Tx) error) error {
 
 func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	for attempt := 0; ; attempt++ {
-		tx := th.newTx(attempt, readOnly)
+		tx := th.newTx(readOnly)
 		err := fn(tx)
 		if readOnly {
 			// fn is done with the record; the next newTx resets it. (A
@@ -126,17 +125,16 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 // thread's hints call for: the inline entry and locator arrays ride in the
 // same allocation, so a steady workload pays Tx + version chunk. A declared
 // read-only attempt is never published: it keeps no access set, enters no
-// locator, and is never handed to help or to the contention manager, so no
-// other thread can hold a pointer to it. Those attempts reuse one record
-// per Thread, reset field by field (Tx holds atomics); the fields not reset
-// are ones a read-only attempt never writes.
-func (th *Thread) newTx(attempt int, readOnly bool) *Tx {
+// locator, and is never helped or aborted as an enemy, so no other thread
+// can hold a pointer to it. Those attempts reuse one record per Thread,
+// reset field by field (Tx holds atomics); the fields not reset are ones a
+// read-only attempt never writes.
+func (th *Thread) newTx(readOnly bool) *Tx {
 	var tx *Tx
 	switch {
 	case readOnly && th.roTx != nil:
 		tx, th.roTx = th.roTx, nil
 		tx.closed, tx.cause = false, CauseNone
-		tx.ops.Store(0)
 		tx.status.Store(int32(StatusActive))
 	case readOnly:
 		tx = &Tx{} // no access set, no locators: no arrays
@@ -150,9 +148,7 @@ func (th *Thread) newTx(attempt int, readOnly bool) *Tx {
 		tx = &s.Tx
 		tx.entries, tx.locs = s.inlineEntries[:0], s.inlineLocs[:0]
 	}
-	th.seq++
 	tx.th, tx.rt, tx.readOnly = th, th.rt, readOnly
-	tx.id, tx.attempt = th.seq<<16|uint64(th.id&0xffff), attempt
 	tx.begin()
 	return tx
 }

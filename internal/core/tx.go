@@ -21,14 +21,11 @@ import (
 // the intersection is non-empty. Reads are invisible; writes register the
 // transaction in the object's locator.
 type Tx struct {
-	th      *Thread
-	rt      *Runtime
-	id      uint64
-	attempt int
+	th *Thread
+	rt *Runtime
 
-	// start is ⌊T.R⌋ at begin: the transaction cannot execute in the past.
-	start timebase.Timestamp
-	// lower, upper are the current bounds of T.R. Owner-only.
+	// lower, upper are the current bounds of T.R; lower starts at the begin
+	// time (the transaction cannot execute in the past). Owner-only.
 	lower, upper timebase.Timestamp
 	// entries is T.O, the set of accessed (object, version) pairs. Appended
 	// only while active; frozen (and readable by helpers) once the status
@@ -41,7 +38,7 @@ type Tx struct {
 	index map[*Object]int
 	// readOnly marks an attempt started with RunReadOnly. It sits with the
 	// other flags so they pad to one word, not two: that word keeps the
-	// small record within the 512-byte size class.
+	// small record (472 bytes) within the 480-byte size class.
 	readOnly bool
 	// update records whether the transaction wrote anything.
 	update bool
@@ -56,8 +53,6 @@ type Tx struct {
 	// leave it CauseNone and are classified by the runner.
 	cause AbortCause
 
-	// ops counts opened objects; read by contention managers.
-	ops atomic.Int32
 	// status is the transaction state machine; all transitions are CAS.
 	status atomic.Int32
 	// ct is T.CT, the commit time. CASed from nil exactly once, by the
@@ -129,25 +124,12 @@ func (tx *Tx) CT() timebase.Timestamp {
 	return timebase.Zero
 }
 
-// ID implements TxInfo.
-func (tx *Tx) ID() uint64 { return tx.id }
-
-// Start implements TxInfo.
-func (tx *Tx) Start() timebase.Timestamp { return tx.start }
-
-// Ops implements TxInfo.
-func (tx *Tx) Ops() int { return int(tx.ops.Load()) }
-
-// Attempt implements TxInfo.
-func (tx *Tx) Attempt() int { return tx.attempt }
-
 // ReadOnly reports whether the transaction was started with RunReadOnly.
 func (tx *Tx) ReadOnly() bool { return tx.readOnly }
 
 // begin initializes the attempt (Algorithm 2, Start).
 func (tx *Tx) begin() {
-	tx.start = tx.th.clock.GetTime()
-	tx.lower = tx.start
+	tx.lower = tx.th.clock.GetTime()
 	tx.upper = timebase.Inf
 }
 
@@ -186,9 +168,9 @@ func (tx *Tx) abort() {
 	}
 }
 
-// abortExternal aborts an active enemy transaction on behalf of the
-// contention manager. It only targets the active state: committing enemies
-// are helped, not killed.
+// abortExternal aborts an active enemy transaction that a writer has waited
+// out. It only targets the active state: committing enemies are helped, not
+// killed.
 func (tx *Tx) abortExternal() bool {
 	return tx.status.CompareAndSwap(int32(StatusActive), int32(StatusAborted))
 }
@@ -292,10 +274,11 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 		return nil
 	}
 	// Acquisition loop (lines 11–21): become the object's registered writer,
-	// resolving conflicts through helping and the contention manager. The
-	// tentative version and its locator are taken once and reused across CAS
-	// failures — until the CAS succeeds they are invisible to every other
-	// thread.
+	// helping a committing owner to completion and giving an active one
+	// three backed-off rounds to finish before aborting it (§2.3's contention
+	// manager, as one fixed policy). The tentative version and its locator
+	// are taken once and reused across CAS failures — until the CAS succeeds
+	// they are invisible to every other thread.
 	var tent *version
 	var nloc *locator
 	for n := 0; ; n++ {
@@ -308,17 +291,10 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 			case StatusCommitting:
 				tx.th.help(w)
 			case StatusActive:
-				switch tx.rt.cm.Resolve(tx, w, n) {
-				case AbortEnemy:
-					if w.abortExternal() {
-						tx.th.stats.EnemyAborts++
-					}
-				case AbortSelf:
-					tx.selfAbort(CauseConflict)
-					tx.th.stats.AbortConflict++
-					return ErrAborted
-				default:
+				if n < 3 {
 					backoff(n)
+				} else if w.abortExternal() {
+					tx.th.stats.EnemyAborts++
 				}
 			default:
 				// Terminal writer: the next settled() call resolves it.
@@ -356,7 +332,6 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 			// Write upgrade: the entry keeps the version the transaction
 			// read, so commit-time validation still checks it.
 			tx.entries[idx].tent = tent
-			tx.ops.Add(1)
 		} else {
 			tx.addEntry(o, nil, tent)
 		}
@@ -448,7 +423,6 @@ func (tx *Tx) addEntry(o *Object, ver, tent *version) {
 			tx.index[tx.entries[i].obj] = i
 		}
 	}
-	tx.ops.Add(1)
 }
 
 // getVersion selects the version of o to read (Algorithm 3, getVersion).
@@ -474,16 +448,13 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 		if tx.upper.LaterEq(from) {
 			return head, true
 		}
-		// Head is possibly more recent than the snapshot. Serializable
-		// update transactions must read the head (and so try to extend);
-		// read-only transactions — and, under snapshot isolation, all
-		// transactions — read at their snapshot from older versions.
-		if !tx.readOnly && !tx.rt.si {
-			if !tx.closed && !tx.rt.disableExt {
-				tx.extend()
-				if tx.upper.LaterEq(from) {
-					return head, true
-				}
+		// Head is possibly more recent than the snapshot. Update
+		// transactions must read the head (and so try to extend); read-only
+		// transactions read at their snapshot from older versions.
+		if !tx.readOnly {
+			tx.extend()
+			if tx.upper.LaterEq(from) {
+				return head, true
 			}
 			return nil, false
 		}
@@ -505,9 +476,7 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 // (Algorithm 3, Extend). It re-derives the bound of every read version; a
 // superseded version closes the transaction (no future extension can help).
 func (tx *Tx) extend() {
-	// Snapshot-isolation transactions never move their snapshot forward:
-	// reads stay at begin time and conflicting writes abort instead.
-	if tx.closed || tx.rt.disableExt || tx.rt.si {
+	if tx.closed {
 		return
 	}
 	t := tx.th.clock.GetTime()
@@ -560,21 +529,15 @@ func (w *Tx) finishCommit(clock timebase.Clock) bool {
 	// Lines 43–48: the snapshot must extend to the commit time. Every
 	// accessed version must still be (possibly) valid at ct; a version
 	// superseded before ct kills the commit.
-	//
-	// Under snapshot isolation only the written objects matter, and those
-	// are protected by ownership from acquisition to commit — read-write
-	// conflicts are tolerated, so nothing is left to check.
-	if !w.rt.si {
-		for i := range w.entries {
-			e := &w.entries[i]
-			if e.ver == nil {
-				continue
-			}
-			ub := prelimUB(e.obj, e.ver, ct, w, clock)
-			if ct.PossiblyLater(ub) {
-				w.abort()
-				return w.Status() == StatusCommitted
-			}
+	for i := range w.entries {
+		e := &w.entries[i]
+		if e.ver == nil {
+			continue
+		}
+		ub := prelimUB(e.obj, e.ver, ct, w, clock)
+		if ct.PossiblyLater(ub) {
+			w.abort()
+			return w.Status() == StatusCommitted
 		}
 	}
 	w.status.CompareAndSwap(int32(StatusCommitting), int32(StatusCommitted))

@@ -456,17 +456,10 @@ func TestStatusAndCauseStrings(t *testing.T) {
 	}
 	for c, want := range map[AbortCause]string{
 		CauseNone: "none", CauseSnapshot: "snapshot", CauseValidation: "validation",
-		CauseConflict: "conflict", CauseExternal: "external", AbortCause(99): "invalid",
+		CauseExternal: "external", AbortCause(99): "invalid",
 	} {
 		if got := c.String(); got != want {
 			t.Errorf("AbortCause(%d).String() = %q, want %q", c, got, want)
-		}
-	}
-	for d, want := range map[Decision]string{
-		Wait: "wait", AbortEnemy: "abort-enemy", AbortSelf: "abort-self", Decision(99): "invalid",
-	} {
-		if got := d.String(); got != want {
-			t.Errorf("Decision(%d).String() = %q, want %q", d, got, want)
 		}
 	}
 }
@@ -569,42 +562,9 @@ func TestSingleVersionStaysConsistent(t *testing.T) {
 	})
 }
 
-// TestDisableExtensionStillCorrect checks the TL2-style ablation commits
-// correctly, just with more aborts.
-func TestDisableExtensionStillCorrect(t *testing.T) {
-	forAllBases(t, Config{DisableExtension: true}, func(t *testing.T, rt *Runtime) {
-		o := NewObject(0)
-		const workers, per = 4, 100
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				th := rt.Thread(id)
-				for i := 0; i < per; i++ {
-					if err := th.Run(func(tx *Tx) error {
-						v, err := tx.Read(o)
-						if err != nil {
-							return err
-						}
-						return tx.Write(o, v.(int)+1)
-					}); err != nil {
-						t.Errorf("worker %d: %v", id, err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		if got := mustReadInt(t, rt, o); got != workers*per {
-			t.Errorf("counter = %d, want %d", got, workers*per)
-		}
-	})
-}
-
 func TestManyObjectsDisjointWriters(t *testing.T) {
 	// The Figure 2 workload in miniature: disjoint updates must all commit
-	// with zero conflict aborts.
+	// with no writer ever aborting another.
 	forAllBases(t, Config{}, func(t *testing.T, rt *Runtime) {
 		const workers, perWorker, objsEach = 4, 50, 10
 		objs := make([][]*Object, workers)
@@ -641,7 +601,7 @@ func TestManyObjectsDisjointWriters(t *testing.T) {
 		}
 		wg.Wait()
 		s := rt.Stats()
-		if s.AbortConflict != 0 || s.EnemyAborts != 0 {
+		if s.EnemyAborts != 0 || s.AbortExternal != 0 {
 			t.Errorf("disjoint workload saw conflicts: %s", s.String())
 		}
 		for w := range objs {

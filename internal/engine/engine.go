@@ -125,11 +125,12 @@ type Engine interface {
 //
 // The Abort* fields are the cross-engine abort-reason taxonomy (see
 // internal/abort): every registered backend classifies each abort into
-// exactly one of them — AbortSnapshot, AbortValidation, AbortConflict,
-// AbortExternal, AbortContention — so their sum equals Aborts on every
-// engine (asserted by the conformance suite via UnclassifiedAborts). The
-// first four mirror the LSA core's native causes; AbortContention comes from
-// the lock-based engines' bounded lock waits.
+// exactly one of them — AbortSnapshot, AbortValidation, AbortExternal,
+// AbortContention — so their sum equals Aborts on every engine (asserted by
+// the conformance suite via UnclassifiedAborts). The first three mirror the
+// LSA core's native causes; AbortContention comes from the lock-based
+// engines' bounded lock waits. AbortConflict is a fifth bucket no in-tree
+// engine sets.
 type Stats struct {
 	// Commits counts successfully committed transactions.
 	Commits uint64 `json:"commits"`
@@ -139,8 +140,9 @@ type Stats struct {
 	AbortSnapshot uint64 `json:"abort_snapshot,omitempty"`
 	// AbortValidation counts commit-time validation failures.
 	AbortValidation uint64 `json:"abort_validation,omitempty"`
-	// AbortConflict counts aborts decreed against self by the contention
-	// manager.
+	// AbortConflict counts aborts a transaction decreed against itself on a
+	// write-write conflict. No in-tree engine sets this; kept for bench/,
+	// which reports its share.
 	AbortConflict uint64 `json:"abort_conflict,omitempty"`
 	// AbortExternal counts aborts inflicted by other threads.
 	AbortExternal uint64 `json:"abort_external,omitempty"`
@@ -193,9 +195,9 @@ func (s Stats) UnclassifiedAborts() uint64 {
 
 // AbortMix renders the abort-reason composition compactly for tables:
 // percentage shares of Aborts as "snap12+val80+lock8" (reasons with a zero
-// share omitted, "cm"/"ext" for the LSA core's contention-manager and
-// externally-inflicted causes, "unk" for any unclassified remainder). "-"
-// when nothing aborted.
+// share omitted, "ext" for the LSA core's externally inflicted aborts, "cm"
+// for AbortConflict, which no in-tree engine sets, "unk" for any
+// unclassified remainder). "-" when nothing aborted.
 func (s Stats) AbortMix() string {
 	if s.Aborts == 0 {
 		return "-"

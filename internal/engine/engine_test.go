@@ -72,7 +72,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 func TestDescribe(t *testing.T) {
 	knownTunables := map[string]bool{
 		"nodes": true, "max-versions": true, "deviation": true,
-		"shard-window": true, "words": true, "cm": true,
+		"shard-window": true, "words": true,
 	}
 	for _, name := range Names() {
 		info, ok := Describe(name)
@@ -150,7 +150,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative shard window", Options{ShardWindow: -1}, "ShardWindow"},
 		{"shard window one", Options{ShardWindow: 1}, "ShardWindow"},
 		{"negative words", Options{Words: -3}, "Words"},
-		{"unknown cm", Options{ContentionManager: "bogus"}, "contention manager"},
 		{"unknown fsync policy", Options{Fsync: "sometimes"}, "fsync policy"},
 		{"negative segment bytes", Options{SegmentBytes: -1}, "SegmentBytes"},
 	}
@@ -170,7 +169,6 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	good := []Options{
 		{}, {Nodes: 4}, {MaxVersions: 1}, {ShardWindow: 2},
-		{ContentionManager: "karma"},
 		{Fsync: "always"}, {Fsync: "group"}, {Fsync: "never"},
 		{SnapshotBytes: -1}, {SnapshotBytes: 1 << 20},
 		{SegmentBytes: 1 << 16},
@@ -191,7 +189,7 @@ func TestBindFlags(t *testing.T) {
 	o.BindFlags(fs)
 	args := []string{
 		"-nodes", "4", "-max-versions", "2", "-deviation", "500",
-		"-shard-window", "64", "-words", "1024", "-cm", "karma",
+		"-shard-window", "64", "-words", "1024",
 		"-wal", "/tmp/wal", "-fsync", "always", "-snapshot", "4096",
 		"-segment", "65536",
 	}
@@ -199,8 +197,7 @@ func TestBindFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{
-		Nodes: 4, MaxVersions: 2, Deviation: 500, ShardWindow: 64,
-		Words: 1024, ContentionManager: "karma",
+		Nodes: 4, MaxVersions: 2, Deviation: 500, ShardWindow: 64, Words: 1024,
 		WALDir: "/tmp/wal", Fsync: "always", SnapshotBytes: 4096,
 		SegmentBytes: 65536,
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/hwclock"
 	"repro/internal/timebase"
@@ -26,7 +25,7 @@ func init() {
 				IntLane:        true,
 				AttemptCounter: true,
 				MultiVersion:   true,
-				Tunables:       append(extraTunables, "max-versions", "cm"),
+				Tunables:       append(extraTunables, "max-versions"),
 			},
 		}
 	}
@@ -64,18 +63,7 @@ func init() {
 }
 
 func newLSA(name string, tb timebase.TimeBase, o Options) (Engine, error) {
-	var cm core.ContentionManager
-	if o.ContentionManager != "" {
-		var err error
-		if cm, err = contention.ByName(o.ContentionManager); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-	}
-	rt, err := core.NewRuntime(core.Config{
-		TimeBase:    tb,
-		Manager:     cm,
-		MaxVersions: o.MaxVersions,
-	})
+	rt, err := core.NewRuntime(core.Config{TimeBase: tb, MaxVersions: o.MaxVersions})
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +91,6 @@ func (e *lsaEngine) Stats() Stats {
 		Aborts:          s.Aborts,
 		AbortSnapshot:   s.AbortSnapshot,
 		AbortValidation: s.AbortValidation,
-		AbortConflict:   s.AbortConflict,
 		AbortExternal:   s.AbortExternal,
 		UserAborts:      s.UserAborts,
 		Extensions:      s.Extensions,

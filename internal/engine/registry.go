@@ -35,10 +35,6 @@ type Options struct {
 	// Default 1<<20. Dynamic cell allocation (e.g. linked-list inserts)
 	// consumes words permanently, so size generously for long runs.
 	Words int
-	// ContentionManager selects the LSA conflict arbitration policy by name
-	// ("aggressive", "suicide", "polite", "karma", "timestamp"; "" = engine
-	// default).
-	ContentionManager string
 	// WALDir is the write-ahead-log directory for the "durable/*" backends.
 	// Empty selects an engine-managed temp directory (durability within the
 	// process run only — benches and tests); recovery-on-boot needs a real
@@ -63,10 +59,6 @@ type Options struct {
 // durable backends' default, group).
 var fsyncPolicies = []string{"always", "group", "never"}
 
-// contentionManagers are the recognized Options.ContentionManager names
-// ("" selects the engine default), as contention.ByName accepts them.
-var contentionManagers = []string{"aggressive", "suicide", "polite", "karma", "timestamp"}
-
 // Validate rejects option values no backend can honor, with an error naming
 // the field and the constraint. Zero values always pass (they select
 // defaults); New runs this before construction so a bad tunable surfaces as
@@ -87,19 +79,6 @@ func (o Options) Validate() error {
 	}
 	if o.Words < 0 {
 		return fmt.Errorf("engine: Words = %d, must be ≥ 1 (or 0 for the default)", o.Words)
-	}
-	if o.ContentionManager != "" {
-		known := false
-		for _, n := range contentionManagers {
-			if n == o.ContentionManager {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("engine: unknown contention manager %q (known: %s)",
-				o.ContentionManager, strings.Join(contentionManagers, ", "))
-		}
 	}
 	if o.Fsync != "" {
 		known := false
@@ -147,8 +126,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&o.Deviation, "deviation", o.Deviation, "advertised ext-sync clock deviation bound, ticks (0 = default 2000)")
 	fs.Int64Var(&o.ShardWindow, "shard-window", o.ShardWindow, "sharded-counter epoch window, ticks (0 = default)")
 	fs.IntVar(&o.Words, "words", o.Words, "word-based backend memory size in words (0 = default 1<<20)")
-	fs.StringVar(&o.ContentionManager, "cm", o.ContentionManager,
-		"LSA contention manager: "+strings.Join(contentionManagers, "|")+" (empty = engine default)")
 	fs.StringVar(&o.WALDir, "wal", o.WALDir, "durable/* write-ahead-log directory (empty = temp dir, no cross-restart recovery)")
 	fs.StringVar(&o.Fsync, "fsync", o.Fsync, "durable/* sync policy: "+strings.Join(fsyncPolicies, "|")+" (empty = group)")
 	fs.Int64Var(&o.SnapshotBytes, "snapshot", o.SnapshotBytes, "durable/* live-log bytes that trigger snapshot compaction (0 = default 8 MiB, < 0 disables)")
@@ -178,7 +155,7 @@ type Capabilities struct {
 	Durable bool `json:"durable,omitempty"`
 	// Tunables are the Options fields the backend consumes, named as the
 	// BindFlags flags ("nodes", "max-versions", "deviation", "shard-window",
-	// "words", "cm").
+	// "words").
 	Tunables []string `json:"tunables,omitempty"`
 }
 

@@ -444,6 +444,12 @@ func TestWireMalformed(t *testing.T) {
 	if _, err := parseSeqPayload([]byte{msgAck, 1, 2}); err == nil {
 		t.Error("trailing ack bytes accepted")
 	}
+	if _, err := parseSeqPayload([]byte{msgAck, 0x80, 0}); err == nil {
+		t.Error("zero-padded ack accepted")
+	}
+	if _, err := parseHello(helloPayload(0, 5)); err == nil {
+		t.Error("protocol version 0 accepted")
+	}
 	// Round trips.
 	last, err := parseHello(helloPayload(protoVersion, 42))
 	if err != nil || last != 42 {

@@ -76,12 +76,24 @@ func seqFrame(tag byte, seq uint64) []byte {
 	return frame(p)
 }
 
+// uvarint decodes the uvarint at the front of b; w ≤ 0 flags a truncated,
+// overflowing or zero-padded encoding. The encoders (binary.AppendUvarint)
+// only emit the shortest form, so a padded one is malformed, not another
+// spelling of the same message.
+func uvarint(b []byte) (v uint64, w int) {
+	v, w = binary.Uvarint(b)
+	if w > 1 && b[w-1] == 0 {
+		return 0, 0
+	}
+	return v, w
+}
+
 // parseSeqPayload decodes a tagged one-uvarint payload.
 func parseSeqPayload(p []byte) (uint64, error) {
 	if len(p) < 2 {
 		return 0, fmt.Errorf("replica: truncated %q message", p)
 	}
-	seq, w := binary.Uvarint(p[1:])
+	seq, w := uvarint(p[1:])
 	if w <= 0 || 1+w != len(p) {
 		return 0, fmt.Errorf("replica: malformed %q message", p[0])
 	}
@@ -94,14 +106,15 @@ func parseHello(p []byte) (lastApplied uint64, err error) {
 		return 0, errors.New("replica: stream did not open with hello")
 	}
 	p = p[1:]
-	ver, w := binary.Uvarint(p)
+	ver, w := uvarint(p)
 	if w <= 0 {
 		return 0, errors.New("replica: malformed hello version")
 	}
-	if ver > protoVersion {
+	// Versions count from 1: a 0 was never sent by any follower.
+	if ver == 0 || ver > protoVersion {
 		return 0, fmt.Errorf("replica: hello speaks protocol %d, this primary speaks %d", ver, protoVersion)
 	}
-	last, w2 := binary.Uvarint(p[w:])
+	last, w2 := uvarint(p[w:])
 	if w2 <= 0 || w+w2 != len(p) {
 		return 0, errors.New("replica: malformed hello watermark")
 	}

@@ -40,7 +40,6 @@ package tstm
 import (
 	"fmt"
 
-	"repro/internal/contention"
 	"repro/internal/core"
 	"repro/internal/hwclock"
 	"repro/internal/timebase"
@@ -62,11 +61,8 @@ var ErrReadOnly = core.ErrReadOnly
 
 // config collects the options for New.
 type config struct {
-	tb          timebase.TimeBase
-	manager     core.ContentionManager
-	maxVers     int
-	noExtend    bool
-	snapshotIso bool
+	tb      timebase.TimeBase
+	maxVers int
 }
 
 // Option configures a Runtime.
@@ -160,19 +156,6 @@ func WithExtSyncClocks(nodes int, maxOffsetTicks int64) Option {
 	}
 }
 
-// WithContentionManager selects the conflict arbitration policy by name:
-// "aggressive", "suicide", "polite", "karma" or "timestamp".
-func WithContentionManager(name string) Option {
-	return func(c *config) error {
-		m, err := contention.ByName(name)
-		if err != nil {
-			return fmt.Errorf("tstm: %w", err)
-		}
-		c.manager = m
-		return nil
-	}
-}
-
 // WithMaxVersions sets how many committed versions each object keeps.
 // 1 yields a single-version STM; larger histories let read-only
 // transactions dodge concurrent updates.
@@ -186,37 +169,13 @@ func WithMaxVersions(n int) Option {
 	}
 }
 
-// WithoutExtension disables validity-range extensions (TL2-like behaviour),
-// an ablation knob: transactions must then fit entirely inside the validity
-// range established by their reads.
-func WithoutExtension() Option {
-	return func(c *config) error {
-		c.noExtend = true
-		return nil
-	}
-}
-
-// WithSnapshotIsolation weakens update transactions from linearizability to
-// snapshot isolation: all reads come from the transaction's begin snapshot
-// (older versions included) and only write-write conflicts abort. Long
-// read-modify-write transactions abort far less, at the price of
-// permitting write skew — the trade-off of the authors' companion work on
-// snapshot isolation for STM (TRANSACT 2006).
-func WithSnapshotIsolation() Option {
-	return func(c *config) error {
-		c.snapshotIso = true
-		return nil
-	}
-}
-
 // Runtime is an instantiated transactional memory.
 type Runtime struct {
 	rt *core.Runtime
 }
 
 // New builds a Runtime from the given options. With no options it uses the
-// shared-counter time base, the default contention manager, and a
-// four-version history.
+// shared-counter time base and a four-version history.
 func New(opts ...Option) (*Runtime, error) {
 	c := &config{}
 	for _, opt := range opts {
@@ -227,13 +186,7 @@ func New(opts ...Option) (*Runtime, error) {
 	if c.tb == nil {
 		c.tb = timebase.NewSharedCounter()
 	}
-	rt, err := core.NewRuntime(core.Config{
-		TimeBase:          c.tb,
-		Manager:           c.manager,
-		MaxVersions:       c.maxVers,
-		DisableExtension:  c.noExtend,
-		SnapshotIsolation: c.snapshotIso,
-	})
+	rt, err := core.NewRuntime(core.Config{TimeBase: c.tb, MaxVersions: c.maxVers})
 	if err != nil {
 		return nil, err
 	}

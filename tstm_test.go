@@ -16,7 +16,6 @@ func allRuntimes(t *testing.T) map[string]*Runtime {
 		"extsync":  MustNew(WithExtSyncClocks(8, 1000)),
 		"mmtimer":  MustNew(WithMMTimer(8)),
 		"1version": MustNew(WithSharedCounter(), WithMaxVersions(1)),
-		"noextend": MustNew(WithSharedCounter(), WithoutExtension()),
 	}
 }
 
@@ -205,7 +204,6 @@ func TestOptionValidation(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"bad manager", []Option{WithContentionManager("nope")}},
 		{"zero nodes mmtimer", []Option{WithMMTimer(0)}},
 		{"zero shards", []Option{WithShardedCounter(0, 0)}},
 		{"zero nodes ideal", []Option{WithIdealClock(0)}},
@@ -219,19 +217,6 @@ func TestOptionValidation(t *testing.T) {
 				t.Error("want error")
 			}
 		})
-	}
-}
-
-func TestContentionManagerOptions(t *testing.T) {
-	for _, name := range []string{"aggressive", "suicide", "polite", "karma", "timestamp"} {
-		rt, err := New(WithSharedCounter(), WithContentionManager(name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		v := NewVar(0)
-		if err := rt.Thread(0).Atomic(func(tx *Tx) error { return v.Set(tx, 1) }); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
 	}
 }
 
@@ -267,51 +252,4 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew(WithMaxVersions(-3))
-}
-
-func TestSnapshotIsolationOption(t *testing.T) {
-	rt := MustNew(WithSnapshotIsolation(), WithIdealClock(4))
-	if !rt.Unwrap().SnapshotIsolation() {
-		t.Fatal("option did not enable snapshot isolation")
-	}
-	// Read-heavy update transactions commit under concurrent writes.
-	vars := make([]*Var[int], 32)
-	for i := range vars {
-		vars[i] = NewVar(0)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			th := rt.Thread(id)
-			for i := 0; i < 100; i++ {
-				if err := th.Atomic(func(tx *Tx) error {
-					for _, v := range vars {
-						if _, err := v.Get(tx); err != nil {
-							return err
-						}
-					}
-					return vars[id].Update(tx, func(n int) int { return n + 1 })
-				}); err != nil {
-					t.Errorf("worker %d: %v", id, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for id := 0; id < 3; id++ {
-		var got int
-		if err := rt.Thread(9).AtomicReadOnly(func(tx *Tx) error {
-			n, err := vars[id].Get(tx)
-			got = n
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got != 100 {
-			t.Errorf("vars[%d] = %d, want 100", id, got)
-		}
-	}
 }
