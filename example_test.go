@@ -9,7 +9,7 @@ import (
 // The basic pattern: a runtime, one thread per goroutine, typed variables,
 // atomic blocks.
 func Example() {
-	rt := tstm.MustNew(tstm.WithSharedCounter())
+	rt := tstm.MustNew("lsa/shared", tstm.Options{})
 	balance := tstm.NewVar(100)
 
 	th := rt.Thread(0)
@@ -37,7 +37,7 @@ func Example() {
 
 // Update is the read-modify-write shorthand.
 func ExampleVar_Update() {
-	rt := tstm.MustNew()
+	rt := tstm.MustNew("", tstm.Options{})
 	counter := tstm.NewVar(0)
 	th := rt.Thread(0)
 	for i := 0; i < 3; i++ {
@@ -56,7 +56,7 @@ func ExampleVar_Update() {
 // Multi-variable transactions are atomic: both sides of the swap move
 // together or not at all.
 func ExampleThread_Atomic() {
-	rt := tstm.MustNew(tstm.WithMMTimer(2))
+	rt := tstm.MustNew("lsa/mmtimer", tstm.Options{Nodes: 2})
 	left, right := tstm.NewVar("L"), tstm.NewVar("R")
 	th := rt.Thread(0)
 	_ = th.Atomic(func(tx *tstm.Tx) error {

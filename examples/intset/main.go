@@ -132,7 +132,7 @@ func main() {
 	keyRange := flag.Int("range", 128, "key universe size")
 	flag.Parse()
 
-	rt, err := tstm.New(tstm.WithIdealClock(*workers + 1))
+	rt, err := tstm.New("lsa/ideal", tstm.Options{Nodes: *workers + 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,11 +2,11 @@
 //
 // Eight goroutines shuffle money between accounts while auditors verify,
 // in read-only transactions, that the total never changes. Run it twice
-// with different time bases to see the same program on a shared counter
+// with different LSA engines to see the same program on a shared counter
 // and on (simulated) synchronized hardware clocks:
 //
 //	go run ./examples/quickstart
-//	go run ./examples/quickstart -timebase mmtimer
+//	go run ./examples/quickstart -engine lsa/mmtimer
 package main
 
 import (
@@ -19,23 +19,10 @@ import (
 )
 
 func main() {
-	timebase := flag.String("timebase", "counter", "counter|tl2|mmtimer|ideal")
+	name := flag.String("engine", "lsa/shared", "an lsa/* engine name (see lsabench -list-engines)")
 	flag.Parse()
 
-	var opt tstm.Option
-	switch *timebase {
-	case "counter":
-		opt = tstm.WithSharedCounter()
-	case "tl2":
-		opt = tstm.WithTL2Counter()
-	case "mmtimer":
-		opt = tstm.WithMMTimer(8)
-	case "ideal":
-		opt = tstm.WithIdealClock(8)
-	default:
-		log.Fatalf("unknown time base %q", *timebase)
-	}
-	rt, err := tstm.New(opt)
+	rt, err := tstm.New(*name, tstm.Options{Nodes: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

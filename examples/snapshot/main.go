@@ -34,7 +34,7 @@ func main() {
 	duration := flag.Duration("duration", 2*time.Second, "run time")
 	flag.Parse()
 
-	rt, err := tstm.New(tstm.WithIdealClock(*writers+2), tstm.WithMaxVersions(*versions))
+	rt, err := tstm.New("lsa/ideal", tstm.Options{Nodes: *writers + 2, MaxVersions: *versions})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,7 +23,7 @@
 //     in the read set closes the transaction (no extension can help).
 //   - Open (write): register as the object's writer (visible writes,
 //     DSTM-style) and buffer a tentative version. A committing owner is
-//     helped to completion; an active one gets three backed-off rounds to
+//     helped to completion; an active one gets three yielding rounds to
 //     finish and is then aborted — the paper's configurable contention
 //     manager, fixed to that one policy.
 //   - Commit (update transactions): CAS active→committing, fix the commit

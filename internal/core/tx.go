@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/timebase"
 	"repro/internal/val"
@@ -275,7 +274,7 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	}
 	// Acquisition loop (lines 11–21): become the object's registered writer,
 	// helping a committing owner to completion and giving an active one
-	// three backed-off rounds to finish before aborting it (§2.3's contention
+	// three yielding rounds to finish before aborting it (§2.3's contention
 	// manager, as one fixed policy). The tentative version and its locator
 	// are taken once and reused across CAS failures — until the CAS succeeds
 	// they are invisible to every other thread.
@@ -292,7 +291,7 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 				tx.th.help(w)
 			case StatusActive:
 				if n < 3 {
-					backoff(n)
+					runtime.Gosched()
 				} else if w.abortExternal() {
 					tx.th.stats.EnemyAborts++
 				}
@@ -568,18 +567,4 @@ func ensureCT(w *Tx, clock timebase.Clock) {
 	}
 	t := clock.GetNewTS()
 	w.ct.CompareAndSwap(nil, &t)
-}
-
-// backoff yields (briefly at first, then sleeping) between conflict
-// resolution attempts.
-func backoff(n int) {
-	if n < 4 {
-		runtime.Gosched()
-		return
-	}
-	shift := n
-	if shift > 14 {
-		shift = 14
-	}
-	time.Sleep(time.Microsecond << uint(shift-4))
 }

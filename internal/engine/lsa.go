@@ -15,6 +15,8 @@ import (
 // synchronization (the scalable software counter), "lsa/mmtimer" and
 // "lsa/ideal" are perfectly synchronized hardware clocks, and "lsa/extsync"
 // is the externally synchronized clock with a bounded, masked deviation.
+// This is the one table that turns a time-base name into a time base; the
+// public tstm package builds through it.
 func init() {
 	// lsaInfo is the capability profile every LSA-core backend shares; only
 	// the summary and the time-base tunables differ per registration.

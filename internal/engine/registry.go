@@ -155,7 +155,8 @@ type Capabilities struct {
 	Durable bool `json:"durable,omitempty"`
 	// Tunables are the Options fields the backend consumes, named as the
 	// BindFlags flags ("nodes", "max-versions", "deviation", "shard-window",
-	// "words").
+	// "words", and the durable backends' "wal", "fsync", "snapshot",
+	// "segment").
 	Tunables []string `json:"tunables,omitempty"`
 }
 

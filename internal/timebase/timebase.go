@@ -48,14 +48,3 @@ type Reconciler interface {
 	// between transactions.
 	Reconcile() bool
 }
-
-// Exactness classifies how a time base's timestamps compare.
-type Exactness int
-
-const (
-	// ExactBase timestamps have zero deviation: ⪰ is plain ≥.
-	ExactBase Exactness = iota
-	// ImpreciseBase timestamps carry a nonzero deviation that comparisons
-	// must mask (Algorithm 5).
-	ImpreciseBase
-)

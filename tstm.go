@@ -6,22 +6,29 @@
 // every transaction, a validity range — the intersection of the validity
 // ranges of all versions it has read. As long as that range is non-empty the
 // transaction's snapshot is consistent, without re-validating the whole read
-// set on every access. The timestamps come from a pluggable time base:
+// set on every access. The timestamps come from one of the paper's time
+// bases, chosen by engine name:
 //
-//   - a shared integer counter (the classic LSA/TL2 time base — simple, but
-//     a coherence bottleneck on large machines),
-//   - the same counter with TL2's commit-timestamp sharing optimization,
-//   - perfectly synchronized hardware clocks (modeled on the SGI Altix
-//     MMTimer), whose reads are contention-free,
-//   - externally synchronized clocks with a bounded deviation, whose
-//     comparison operators mask the reading uncertainty.
+//   - "lsa/shared": a shared integer counter (the classic LSA/TL2 time
+//     base — simple, but a coherence bottleneck on large machines; the
+//     default),
+//   - "lsa/tl2ts": the same counter with TL2's commit-timestamp sharing,
+//   - "lsa/sharded": per-shard counters lazily synchronized through a
+//     shared epoch, whose timestamps carry a masked deviation,
+//   - "lsa/mmtimer": perfectly synchronized hardware clocks modeled on the
+//     SGI Altix MMTimer, whose reads are contention-free,
+//   - "lsa/ideal": a free-to-read, nanosecond-granularity perfectly
+//     synchronized clock,
+//   - "lsa/extsync": externally synchronized clocks with an advertised
+//     deviation bound (Options.Deviation, in 1 GHz ticks) that the
+//     comparison operators mask.
 //
 // # Usage
 //
 // Create a Runtime, then one Thread per worker goroutine, and run atomic
 // blocks on typed transactional variables:
 //
-//	rt, _ := tstm.New(tstm.WithSharedCounter())
+//	rt, _ := tstm.New("lsa/mmtimer", tstm.Options{Nodes: 8})
 //	acct := tstm.NewVar(100)
 //	th := rt.Thread(0)
 //	err := th.Atomic(func(tx *tstm.Tx) error {
@@ -41,8 +48,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/hwclock"
-	"repro/internal/timebase"
+	"repro/internal/engine"
 )
 
 // Tx is a transaction attempt. See the core engine for the protocol; user
@@ -59,143 +65,42 @@ var ErrAborted = core.ErrAborted
 // ErrReadOnly is returned by Var.Set inside AtomicReadOnly.
 var ErrReadOnly = core.ErrReadOnly
 
-// config collects the options for New.
-type config struct {
-	tb      timebase.TimeBase
-	maxVers int
-}
-
-// Option configures a Runtime.
-type Option func(*config) error
-
-// WithSharedCounter selects the shared integer counter time base (the
-// default): exact, linearizable, and contended under frequent commits.
-func WithSharedCounter() Option {
-	return func(c *config) error {
-		c.tb = timebase.NewSharedCounter()
-		return nil
-	}
-}
-
-// WithTL2Counter selects the shared counter with TL2-style commit-timestamp
-// sharing on CAS failure.
-func WithTL2Counter() Option {
-	return func(c *config) error {
-		c.tb = timebase.NewTL2Counter()
-		return nil
-	}
-}
-
-// WithShardedCounter selects the sharded software counter time base:
-// per-shard cache-line-padded counters (thread ids map to shards modulo
-// shards) lazily synchronized through a shared epoch base that commits touch
-// only once per window/2 ticks. Scales commits like a hardware clock without
-// needing one; timestamps carry a masked deviation of window/2 ticks, so
-// freshly committed versions look "possibly concurrent" for one window.
-// window < 2 selects the default window.
-func WithShardedCounter(shards int, window int64) Option {
-	return func(c *config) error {
-		if shards <= 0 {
-			return fmt.Errorf("tstm: WithShardedCounter shards must be positive, got %d", shards)
-		}
-		c.tb = timebase.NewShardedCounter(shards, window)
-		return nil
-	}
-}
-
-// WithMMTimer selects a simulated perfectly synchronized hardware clock
-// with the MMTimer's parameters (20 MHz, 7-tick read latency) and one
-// register per worker node.
-func WithMMTimer(nodes int) Option {
-	return func(c *config) error {
-		if nodes <= 0 {
-			return fmt.Errorf("tstm: WithMMTimer nodes must be positive, got %d", nodes)
-		}
-		c.tb = timebase.NewMMTimer(nodes)
-		return nil
-	}
-}
-
-// WithIdealClock selects a free-to-read, nanosecond-granularity perfectly
-// synchronized clock — the upper bound on what a hardware time base could
-// provide.
-func WithIdealClock(nodes int) Option {
-	return func(c *config) error {
-		if nodes <= 0 {
-			return fmt.Errorf("tstm: WithIdealClock nodes must be positive, got %d", nodes)
-		}
-		c.tb = timebase.NewPerfectClock(hwclock.New(hwclock.IdealConfig(nodes)))
-		return nil
-	}
-}
-
-// WithExtSyncClocks selects externally synchronized per-node clocks: each
-// node's clock is offset from true time by at most maxOffsetTicks, and the
-// STM masks a total advertised deviation derived from the device's worst
-// case. The tick rate is 1 GHz.
-func WithExtSyncClocks(nodes int, maxOffsetTicks int64) Option {
-	return func(c *config) error {
-		if nodes <= 0 {
-			return fmt.Errorf("tstm: WithExtSyncClocks nodes must be positive, got %d", nodes)
-		}
-		if maxOffsetTicks < 0 {
-			return fmt.Errorf("tstm: negative clock offset bound %d", maxOffsetTicks)
-		}
-		dev := hwclock.New(hwclock.Config{
-			TickHz:         1_000_000_000,
-			Nodes:          nodes,
-			MaxOffsetTicks: maxOffsetTicks,
-			Seed:           1,
-		})
-		ec, err := timebase.NewExtSyncClock(dev, dev.Config().MaxErrorTicks())
-		if err != nil {
-			return fmt.Errorf("tstm: %w", err)
-		}
-		c.tb = ec
-		return nil
-	}
-}
-
-// WithMaxVersions sets how many committed versions each object keeps.
-// 1 yields a single-version STM; larger histories let read-only
-// transactions dodge concurrent updates.
-func WithMaxVersions(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("tstm: MaxVersions must be ≥ 1, got %d", n)
-		}
-		c.maxVers = n
-		return nil
-	}
-}
+// Options configures New: Nodes sizes the per-node clocks, MaxVersions the
+// per-object history (1 yields a single-version STM) and Deviation the
+// ext-sync bound. The remaining fields apply to no LSA engine.
+type Options = engine.Options
 
 // Runtime is an instantiated transactional memory.
 type Runtime struct {
 	rt *core.Runtime
 }
 
-// New builds a Runtime from the given options. With no options it uses the
-// shared-counter time base and a four-version history.
-func New(opts ...Option) (*Runtime, error) {
-	c := &config{}
-	for _, opt := range opts {
-		if err := opt(c); err != nil {
-			return nil, err
-		}
+// New builds a Runtime on the named LSA engine of the engine registry, with
+// the registry's defaults for zero Options fields. An empty name selects
+// "lsa/shared". Engines that are not the LSA core are rejected.
+func New(name string, o Options) (*Runtime, error) {
+	if name == "" {
+		name = "lsa/shared"
 	}
-	if c.tb == nil {
-		c.tb = timebase.NewSharedCounter()
-	}
-	rt, err := core.NewRuntime(core.Config{TimeBase: c.tb, MaxVersions: c.maxVers})
+	e, err := engine.New(name, o)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tstm: %w", err)
 	}
-	return &Runtime{rt: rt}, nil
+	lsa, ok := e.(interface{ Unwrap() *core.Runtime })
+	if !ok {
+		if d, ok := e.(engine.Durable); ok {
+			// Release the discarded engine's log; the rejection is the
+			// error the caller needs.
+			_ = d.WALClose()
+		}
+		return nil, fmt.Errorf("tstm: engine %q is not an LSA-core engine", name)
+	}
+	return &Runtime{rt: lsa.Unwrap()}, nil
 }
 
 // MustNew is New for static configurations; it panics on error.
-func MustNew(opts ...Option) *Runtime {
-	r, err := New(opts...)
+func MustNew(name string, o Options) *Runtime {
+	r, err := New(name, o)
 	if err != nil {
 		panic(err)
 	}

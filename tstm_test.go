@@ -2,21 +2,29 @@ package tstm
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+
+	_ "repro/internal/durable" // registers durable/*, which New must reject
+	"repro/internal/engine"
 )
 
+// allRuntimes builds every registered lsa/ engine on eight nodes, keyed by
+// its time-base suffix, plus the single-version ablation, so a new lsa/
+// registration is covered here without an edit.
 func allRuntimes(t *testing.T) map[string]*Runtime {
 	t.Helper()
-	return map[string]*Runtime{
-		"counter":  MustNew(WithSharedCounter()),
-		"tl2":      MustNew(WithTL2Counter()),
-		"sharded":  MustNew(WithShardedCounter(8, 0)),
-		"ideal":    MustNew(WithIdealClock(8)),
-		"extsync":  MustNew(WithExtSyncClocks(8, 1000)),
-		"mmtimer":  MustNew(WithMMTimer(8)),
-		"1version": MustNew(WithSharedCounter(), WithMaxVersions(1)),
+	rts := map[string]*Runtime{"1version": MustNew("", Options{MaxVersions: 1})}
+	for _, name := range engine.Names() {
+		if tb, ok := strings.CutPrefix(name, "lsa/"); ok {
+			rts[tb] = MustNew(name, Options{Nodes: 8})
+		}
 	}
+	if len(rts) < 2 {
+		t.Fatalf("no lsa/ engines registered: %v", engine.Names())
+	}
+	return rts
 }
 
 func TestVarGetSet(t *testing.T) {
@@ -49,7 +57,7 @@ func TestVarGetSet(t *testing.T) {
 }
 
 func TestVarUpdate(t *testing.T) {
-	rt := MustNew()
+	rt := MustNew("", Options{})
 	v := NewVar(10)
 	th := rt.Thread(0)
 	if err := th.Atomic(func(tx *Tx) error {
@@ -72,7 +80,7 @@ func TestVarUpdate(t *testing.T) {
 
 func TestTypedStructVar(t *testing.T) {
 	type point struct{ X, Y int }
-	rt := MustNew(WithIdealClock(2))
+	rt := MustNew("lsa/ideal", Options{Nodes: 2})
 	v := NewVar(point{1, 2})
 	th := rt.Thread(0)
 	if err := th.Atomic(func(tx *Tx) error {
@@ -163,7 +171,7 @@ func TestConcurrentTransfersAllBases(t *testing.T) {
 }
 
 func TestSetInReadOnlyFails(t *testing.T) {
-	rt := MustNew()
+	rt := MustNew("", Options{})
 	v := NewVar(1)
 	err := rt.Thread(0).AtomicReadOnly(func(tx *Tx) error {
 		return v.Set(tx, 2)
@@ -174,7 +182,7 @@ func TestSetInReadOnlyFails(t *testing.T) {
 }
 
 func TestUserErrorPropagates(t *testing.T) {
-	rt := MustNew()
+	rt := MustNew("", Options{})
 	v := NewVar(1)
 	boom := errors.New("boom")
 	err := rt.Thread(0).Atomic(func(tx *Tx) error {
@@ -199,38 +207,45 @@ func TestUserErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestOptionValidation: bad options and engines that are not the LSA core
+// fail New with an error naming the engine.
 func TestOptionValidation(t *testing.T) {
 	cases := []struct {
-		name string
-		opts []Option
+		name   string
+		engine string
+		opt    Options
 	}{
-		{"zero nodes mmtimer", []Option{WithMMTimer(0)}},
-		{"zero shards", []Option{WithShardedCounter(0, 0)}},
-		{"zero nodes ideal", []Option{WithIdealClock(0)}},
-		{"zero nodes extsync", []Option{WithExtSyncClocks(0, 10)}},
-		{"negative offset", []Option{WithExtSyncClocks(2, -1)}},
-		{"zero versions", []Option{WithMaxVersions(0)}},
+		{"negative nodes mmtimer", "lsa/mmtimer", Options{Nodes: -1}},
+		{"negative nodes ideal", "lsa/ideal", Options{Nodes: -1}},
+		{"negative nodes extsync", "lsa/extsync", Options{Nodes: -1}},
+		{"negative nodes sharded", "lsa/sharded", Options{Nodes: -1}},
+		{"negative deviation", "lsa/extsync", Options{Deviation: -1}},
+		{"negative versions", "lsa/shared", Options{MaxVersions: -1}},
+		{"norec", "norec", Options{}},
+		{"durable norec", "durable/norec", Options{WALDir: t.TempDir()}},
+		{"unknown", "no-such-stm", Options{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := New(c.opts...); err == nil {
-				t.Error("want error")
+			_, err := New(c.engine, c.opt)
+			if err == nil || !strings.Contains(err.Error(), `"`+c.engine+`"`) {
+				t.Errorf("New(%q, %+v) = %v, want an error naming the engine", c.engine, c.opt, err)
 			}
 		})
 	}
 }
 
 func TestTimeBaseName(t *testing.T) {
-	if got := MustNew(WithSharedCounter()).TimeBaseName(); got != "SharedCounter" {
+	if got := MustNew("", Options{}).TimeBaseName(); got != "SharedCounter" {
 		t.Errorf("name = %q", got)
 	}
-	if got := MustNew(WithMMTimer(4)).TimeBaseName(); got != "MMTimer" {
+	if got := MustNew("lsa/mmtimer", Options{Nodes: 4}).TimeBaseName(); got != "MMTimer" {
 		t.Errorf("name = %q", got)
 	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	rt := MustNew()
+	rt := MustNew("", Options{})
 	v := NewVar(0)
 	th := rt.Thread(0)
 	for i := 0; i < 10; i++ {
@@ -251,5 +266,5 @@ func TestMustNewPanics(t *testing.T) {
 			t.Error("MustNew with bad option must panic")
 		}
 	}()
-	MustNew(WithMaxVersions(-3))
+	MustNew("", Options{MaxVersions: -3})
 }
