@@ -2,9 +2,10 @@ package core
 
 import "testing"
 
-// The two single-threaded shapes that price the LSA core's per-access cost,
-// both on the int lane over the shared counter with 64 objects: an update
-// (Transfer) and a long declared read-only scan (Scan256). Run with
+// The single-threaded shapes that price the LSA core's per-access cost, all
+// on the int lane over the shared counter with 64 objects: an update
+// (Transfer) and a long declared read-only scan over genesis versions
+// (Scan256) and over written ones (Scan256Stamped). Run with
 //
 //	go test -run '^$' -bench 'Transfer|Scan256' -benchmem ./internal/core
 
@@ -49,10 +50,32 @@ func BenchmarkTransfer(b *testing.B) {
 }
 
 // BenchmarkScan256: one declared read-only transaction of 256 ReadInt
-// calls, four passes over the 64 objects.
+// calls, four passes over the 64 objects. Every object still holds its
+// genesis version, which is valid since −∞.
 func BenchmarkScan256(b *testing.B) {
+	benchScan256(b, counterRT(), benchTable())
+}
+
+// BenchmarkScan256Stamped: the same scan after every object was written and
+// settled once, so each read meets a head stamped with its writer's commit
+// time — the state of the accounts under mem_bank's audit.
+func BenchmarkScan256Stamped(b *testing.B) {
+	rt := counterRT()
 	objs := benchTable()
-	th := counterRT().Thread(0)
+	th := rt.Thread(1)
+	for _, o := range objs {
+		if err := th.Run(func(tx *Tx) error { return tx.WriteInt(o, big) }); err != nil {
+			b.Fatal(err)
+		}
+		if o.settled(rt.maxVersions).ver.from.Load() == nil {
+			b.Fatal("settled head carries no commit time")
+		}
+	}
+	benchScan256(b, rt, objs)
+}
+
+func benchScan256(b *testing.B, rt *Runtime, objs []*Object) {
+	th := rt.Thread(0)
 	fn := func(tx *Tx) error {
 		for i := 0; i < 256; i++ {
 			if _, _, err := tx.ReadInt(objs[i%benchObjects]); err != nil {

@@ -17,7 +17,10 @@
 //   - Open (read): select the most recent committed version overlapping
 //     T.R; intersect T.R with its range; abort if empty. Declared read-only
 //     transactions may instead select an older version overlapping T.R —
-//     that is what makes long scans abort-free while history suffices.
+//     that is what makes long scans abort-free while history suffices. Once
+//     their upper bound is finite, a writer-free head that starts inside
+//     T.R costs them one locator load: its range provably covers ⌈T.R⌉, so
+//     only ⌊T.R⌋ can move (see prelimUB).
 //   - Extend: recompute ⌈T.R⌉ against the current time when the snapshot
 //     is too old for a version the transaction needs. A superseded version
 //     in the read set closes the transaction (no extension can help).

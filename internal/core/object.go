@@ -215,6 +215,16 @@ func (v *version) upperBound() timebase.Timestamp {
 // commit retroactively falsifies. Helping the CT into place first (the
 // paper's own helper mechanism) guarantees any later supersession time
 // exceeds t.
+//
+// A declared read-only read with a finite upper bound skips this function
+// for a writer-free head that starts inside its snapshot (Tx.ReadValue). A
+// writer-free locator loaded after the upper bound was fixed proves v was
+// current at a real time after it: called at that load, this function would
+// return its t — the upper bound itself — and Min would leave the bound as
+// it is. v's validFrom is stamped before a writer-free locator publishes it
+// and its value is immutable, so that one load decides the read; the until
+// load and the locator reload below close a window the fast path never
+// opens.
 func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timebase.Clock) timebase.Timestamp {
 	if ub := v.until.Load(); ub != nil {
 		return *ub

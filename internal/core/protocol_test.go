@@ -11,6 +11,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,110 @@ func TestReadOnlyRereadAroundCommit(t *testing.T) {
 	}
 }
 
+// TestReadOnlyReadPastSnapshot: once a declared read-only transaction's
+// upper bound is finite (after its first read), a read is decided from one
+// locator load when the head is writer-free and starts inside the snapshot.
+// Every other state of the object must reach the general path, and there the
+// answer is the version B held before the foreign commit — or an abort when
+// that version is gone (MaxVersions 1) or the clock cannot prove it still
+// overlaps the snapshot. Never the new value.
+func TestReadOnlyReadPastSnapshot(t *testing.T) {
+	const before, after = 20, 21
+	// w has written B's new value; each case takes it on from there, inside
+	// the reader's first attempt (after the reader read A). after is the
+	// status the reader must leave w in.
+	cases := []struct {
+		name  string
+		state func(t *testing.T, rt *Runtime, b *Object, w *Tx)
+		after Status
+	}{
+		{"settled", func(t *testing.T, rt *Runtime, b *Object, w *Tx) {
+			if err := w.commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := mustReadInt(t, rt, b); got != after {
+				t.Fatalf("third thread read %d, want %d", got, after)
+			}
+			if loc := b.loc.Load(); loc.writer != nil || loc.ver.validFrom() != w.CT() {
+				t.Fatal("B's locator is not the settled, stamped head")
+			}
+		}, StatusCommitted},
+		{"committed", func(t *testing.T, rt *Runtime, b *Object, w *Tx) {
+			if err := w.commit(); err != nil {
+				t.Fatal(err)
+			}
+			if b.loc.Load().writer != w {
+				t.Fatal("B's committed writer was settled before the read")
+			}
+		}, StatusCommitted},
+		{"active", func(t *testing.T, rt *Runtime, b *Object, w *Tx) {}, StatusActive},
+		{"committing", func(t *testing.T, rt *Runtime, b *Object, w *Tx) {
+			if !w.status.CompareAndSwap(int32(StatusActive), int32(StatusCommitting)) {
+				t.Fatal("writer did not enter the commit phase")
+			}
+			ensureCT(w, w.th.clock)
+		}, StatusCommitted},
+	}
+	for _, c := range cases {
+		for _, maxV := range []int{1, DefaultMaxVersions} {
+			t.Run(fmt.Sprintf("%s/MaxVersions=%d", c.name, maxV), func(t *testing.T) {
+				forAllBases(t, Config{MaxVersions: maxV}, func(t *testing.T, rt *Runtime) {
+					a, b := NewObject(10), NewObject(before)
+					attempts := 0
+					err := rt.Thread(0).RunReadOnly(func(tx *Tx) error {
+						attempts++
+						if _, err := tx.Read(a); err != nil {
+							return err
+						}
+						if tx.upper.IsInf() {
+							t.Fatal("upper bound still infinite after the first read")
+						}
+						if attempts > 1 {
+							_, err := tx.Read(b)
+							return err
+						}
+						w := rt.Thread(1).newTx(false)
+						mustWrite(t, w, b, after)
+						c.state(t, rt, b, w)
+						lower, upper := tx.lower, tx.upper
+						got, err := tx.Read(b)
+						if w.Status() != c.after {
+							t.Errorf("the reader left B's writer %v, want %v", w.Status(), c.after)
+						}
+						w.abort() // the active writer; a no-op on a committed one
+						// B's old version is still its head under an active
+						// writer. Past a commit it survives only with
+						// MaxVersions > 1, and it must be found when its end
+						// (the new CT less one) provably lies inside the
+						// snapshot — a masked clock may fail to prove it.
+						kept := c.after == StatusActive
+						if !kept && maxV > 1 {
+							end := w.CT().Pred()
+							kept = end.LaterEq(lower) && timebase.Min(upper, end).LaterEq(lower)
+						}
+						switch {
+						case err == nil && got == before:
+						case err == nil:
+							t.Errorf("read %v, want the pre-commit value %d", got, before)
+						case !errors.Is(err, ErrAborted):
+							t.Errorf("read failed with %v", err)
+						case kept:
+							t.Errorf("aborted although version %d is still valid inside the snapshot", before)
+						}
+						return err
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.after != StatusActive && maxV == 1 && attempts < 2 {
+						t.Errorf("read past a single-version commit took %d attempts, want abort + retry", attempts)
+					}
+				})
+			})
+		}
+	}
+}
+
 // TestMergedEntry: one entry per object, whatever the order of accesses; the
 // read version stays in it for validation, the tentative one serves reads.
 func TestMergedEntry(t *testing.T) {
@@ -432,17 +537,26 @@ func TestNestedReadOnlyGetsOwnRecord(t *testing.T) {
 }
 
 // TestReusedRecordUnderWriters: two scanners, each reusing its one record
-// for every attempt, beside four transferring writers. Every scan sees the
-// conserved total; that no other thread ever touches a scanner's record is
-// the race detector's to prove.
+// for every attempt, sum 64 accounts while two threads transfer between
+// them — on every time base, with one version per object and with eight.
+// Every committed scan sees the conserved total (and so does every attempt
+// that got through all its reads: opacity); that no other thread ever
+// touches a scanner's record is the race detector's to prove.
 func TestReusedRecordUnderWriters(t *testing.T) {
-	rt := counterRT()
-	const accounts, initial, writers, scanners = 64, 100, 4, 2
+	for _, maxV := range []int{1, 8} {
+		t.Run(fmt.Sprintf("MaxVersions=%d", maxV), func(t *testing.T) {
+			forAllBases(t, Config{MaxVersions: maxV}, scanUnderTransfers)
+		})
+	}
+}
+
+func scanUnderTransfers(t *testing.T, rt *Runtime) {
+	const accounts, initial, writers, scanners = 64, 100, 2, 2
 	objs := make([]*Object, accounts)
 	for i := range objs {
 		objs[i] = NewObject(initial)
 	}
-	deadline := time.Now().Add(200 * time.Millisecond)
+	deadline := time.Now().Add(100 * time.Millisecond)
 	var wg sync.WaitGroup
 	for id := 0; id < writers+scanners; id++ {
 		wg.Add(1)
@@ -483,7 +597,7 @@ func TestReusedRecordUnderWriters(t *testing.T) {
 				}
 				return nil
 			}
-			for i := 0; time.Now().Before(deadline); i++ {
+			for i := 0; i == 0 || time.Now().Before(deadline); i++ {
 				var err error
 				if id < writers {
 					err = th.Run(transfer(i))

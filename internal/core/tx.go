@@ -152,10 +152,13 @@ func (tx *Tx) errFromStatus() error {
 	return ErrNotActive
 }
 
-// selfAbort aborts the transaction from its own thread, recording the cause.
-func (tx *Tx) selfAbort(cause AbortCause) {
-	tx.cause = cause
+// abortSnapshot aborts the transaction from its own thread because its
+// validity range became (possibly) empty, and returns the API error.
+func (tx *Tx) abortSnapshot() error {
+	tx.cause = CauseSnapshot
 	tx.abort()
+	tx.th.stats.AbortSnapshot++
+	return ErrAborted
 }
 
 // abort drives the transaction to the aborted state unless it has already
@@ -209,20 +212,39 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	// read, which is all opacity needs: a second read of an object either
 	// finds the same version (any newer one starts after the snapshot ends)
 	// or empties the range.
-	if !tx.readOnly {
-		if idx, ok := tx.lookup(o); ok {
-			e := &tx.entries[idx]
-			if e.tent != nil {
-				return e.tent.value, nil
+	if tx.readOnly {
+		// Once the upper bound is finite, a writer-free head that starts
+		// inside the snapshot is decided from this one locator load: the
+		// head was current after the upper bound was fixed, so prelimUB
+		// would bound it by exactly tx.upper (see prelimUB). Anything else —
+		// an owned or unsettled locator, a head newer than the snapshot —
+		// takes the general path below.
+		if !tx.upper.IsInf() {
+			if loc := o.loc.Load(); loc.writer == nil {
+				v := loc.ver
+				from := v.validFrom()
+				if tx.lower.LaterEq(from) {
+					return v.value, nil
+				}
+				if tx.upper.LaterEq(from) {
+					tx.lower = timebase.Max(tx.lower, from)
+					if tx.lower.PossiblyLater(tx.upper) {
+						return val.Value{}, tx.abortSnapshot()
+					}
+					return v.value, nil
+				}
 			}
-			return e.ver.value, nil
 		}
+	} else if idx, ok := tx.lookup(o); ok {
+		e := &tx.entries[idx]
+		if e.tent != nil {
+			return e.tent.value, nil
+		}
+		return e.ver.value, nil
 	}
 	v, ok := tx.getVersion(o)
 	if !ok {
-		tx.selfAbort(CauseSnapshot)
-		tx.th.stats.AbortSnapshot++
-		return val.Value{}, ErrAborted
+		return val.Value{}, tx.abortSnapshot()
 	}
 	// Lines 28–30: intersect T.R with the version's validity range and
 	// abort if the snapshot became (possibly) inconsistent.
@@ -231,9 +253,7 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	ub := prelimUB(o, v, limit, tx, tx.th.clock)
 	tx.upper = timebase.Min(tx.upper, ub)
 	if tx.lower.PossiblyLater(tx.upper) {
-		tx.selfAbort(CauseSnapshot)
-		tx.th.stats.AbortSnapshot++
-		return val.Value{}, ErrAborted
+		return val.Value{}, tx.abortSnapshot()
 	}
 	if !tx.readOnly {
 		tx.addEntry(o, v, nil)
@@ -323,9 +343,7 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 		tx.lower = timebase.Max(tx.lower, from)
 		tx.upper = timebase.Min(tx.upper, tx.effLimit())
 		if tx.lower.PossiblyLater(tx.upper) {
-			tx.selfAbort(CauseSnapshot)
-			tx.th.stats.AbortSnapshot++
-			return ErrAborted
+			return tx.abortSnapshot()
 		}
 		if seen {
 			// Write upgrade: the entry keeps the version the transaction
