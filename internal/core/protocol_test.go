@@ -537,26 +537,37 @@ func TestNestedReadOnlyGetsOwnRecord(t *testing.T) {
 }
 
 // TestReusedRecordUnderWriters: two scanners, each reusing its one record
-// for every attempt, sum 64 accounts while two threads transfer between
-// them — on every time base, with one version per object and with eight.
-// Every committed scan sees the conserved total (and so does every attempt
-// that got through all its reads: opacity); that no other thread ever
-// touches a scanner's record is the race detector's to prove.
+// for every attempt, beside four transferring writers. Every scan sees the
+// conserved total; that no other thread ever touches a scanner's record is
+// the race detector's to prove.
 func TestReusedRecordUnderWriters(t *testing.T) {
-	for _, maxV := range []int{1, 8} {
+	scanUnderTransfers(t, counterRT(), 4, 200*time.Millisecond)
+}
+
+// TestScanUnderTransfers: read-only scanners sum 64 accounts while two
+// threads transfer between them — on every time base, with one version per
+// object, the default and eight. Every committed scan sees the conserved
+// total (and so does every attempt that got through all its reads: opacity).
+func TestScanUnderTransfers(t *testing.T) {
+	for _, maxV := range []int{1, DefaultMaxVersions, 8} {
 		t.Run(fmt.Sprintf("MaxVersions=%d", maxV), func(t *testing.T) {
-			forAllBases(t, Config{MaxVersions: maxV}, scanUnderTransfers)
+			forAllBases(t, Config{MaxVersions: maxV}, func(t *testing.T, rt *Runtime) {
+				scanUnderTransfers(t, rt, 2, 100*time.Millisecond)
+			})
 		})
 	}
 }
 
-func scanUnderTransfers(t *testing.T, rt *Runtime) {
-	const accounts, initial, writers, scanners = 64, 100, 2, 2
+// scanUnderTransfers runs two read-only scanners over 64 accounts beside
+// the given number of transferring writers for d; every thread runs at
+// least one transaction.
+func scanUnderTransfers(t *testing.T, rt *Runtime, writers int, d time.Duration) {
+	const accounts, initial, scanners = 64, 100, 2
 	objs := make([]*Object, accounts)
 	for i := range objs {
 		objs[i] = NewObject(initial)
 	}
-	deadline := time.Now().Add(100 * time.Millisecond)
+	deadline := time.Now().Add(d)
 	var wg sync.WaitGroup
 	for id := 0; id < writers+scanners; id++ {
 		wg.Add(1)

@@ -212,26 +212,24 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 	// read, which is all opacity needs: a second read of an object either
 	// finds the same version (any newer one starts after the snapshot ends)
 	// or empties the range.
+	var v *version
 	if tx.readOnly {
 		// Once the upper bound is finite, a writer-free head that starts
 		// inside the snapshot is decided from this one locator load: the
 		// head was current after the upper bound was fixed, so prelimUB
-		// would bound it by exactly tx.upper (see prelimUB). Anything else —
-		// an owned or unsettled locator, a head newer than the snapshot —
-		// takes the general path below.
+		// would bound it by exactly tx.upper (see prelimUB). A head that
+		// starts no later than the lower bound moves neither bound and is
+		// returned here; one that starts inside the snapshot skips only the
+		// selection. Anything else — an owned or unsettled locator, a head
+		// newer than the snapshot — takes the general path below.
 		if !tx.upper.IsInf() {
 			if loc := o.loc.Load(); loc.writer == nil {
-				v := loc.ver
-				from := v.validFrom()
+				from := loc.ver.validFrom()
 				if tx.lower.LaterEq(from) {
-					return v.value, nil
+					return loc.ver.value, nil
 				}
 				if tx.upper.LaterEq(from) {
-					tx.lower = timebase.Max(tx.lower, from)
-					if tx.lower.PossiblyLater(tx.upper) {
-						return val.Value{}, tx.abortSnapshot()
-					}
-					return v.value, nil
+					v = loc.ver
 				}
 			}
 		}
@@ -242,16 +240,16 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		}
 		return e.ver.value, nil
 	}
-	v, ok := tx.getVersion(o)
-	if !ok {
-		return val.Value{}, tx.abortSnapshot()
+	if v == nil {
+		var ok bool
+		if v, ok = tx.getVersion(o); !ok {
+			return val.Value{}, tx.abortSnapshot()
+		}
+		tx.upper = timebase.Min(tx.upper, prelimUB(o, v, tx.effLimit(), tx, tx.th.clock))
 	}
 	// Lines 28–30: intersect T.R with the version's validity range and
 	// abort if the snapshot became (possibly) inconsistent.
 	tx.lower = timebase.Max(tx.lower, v.validFrom())
-	limit := tx.effLimit()
-	ub := prelimUB(o, v, limit, tx, tx.th.clock)
-	tx.upper = timebase.Min(tx.upper, ub)
 	if tx.lower.PossiblyLater(tx.upper) {
 		return val.Value{}, tx.abortSnapshot()
 	}
