@@ -135,15 +135,15 @@ func TestCorrectedBacksExtSyncTimeBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tb.Deviation() != cor.Bound() {
+		t.Fatalf("time base deviation %d, want %d", tb.Deviation(), cor.Bound())
+	}
 	c := tb.Clock(1)
 	prev := c.GetTime()
 	for i := 0; i < 100; i++ {
 		cur := c.GetTime()
 		if cur.TS < prev.TS {
 			t.Fatalf("corrected time base went backwards: %v → %v", prev, cur)
-		}
-		if cur.Dev != cor.Bound() {
-			t.Fatalf("timestamp deviation %d, want %d", cur.Dev, cor.Bound())
 		}
 		prev = cur
 	}

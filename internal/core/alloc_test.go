@@ -39,7 +39,26 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"repro/internal/timebase"
 )
+
+// TestRecordSizes pins the layout the budgets are priced in: a timestamp is
+// a tick count and a clock ID, a version publishes each of its two stamps as
+// one atomic word, and the small update record fits the 448-byte size
+// class.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(timebase.Timestamp{}); got != 16 {
+		t.Errorf("timebase.Timestamp is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(version{}); got > 80 {
+		t.Errorf("version is %d bytes, want ≤ 80", got)
+	}
+	if got := unsafe.Sizeof(smallTx{}); got > 448 {
+		t.Errorf("smallTx is %d bytes, want ≤ 448", got)
+	}
+}
 
 // allocBudget asserts the steady-state allocations per run. It reports the
 // measured value so a failure shows the regression size immediately.

@@ -41,9 +41,10 @@
 // writer the version is the committed head, under a writer it is the
 // writer's tentative version and its prev link is the committed head.
 // Committed versions chain newest-first and are trimmed to the runtime's
-// MaxVersions. Timestamp comparisons delegate to internal/timebase, which
-// masks the reading error of imprecise (externally synchronized) clocks, so
-// the same engine runs on shared counters, hardware clocks, and
+// MaxVersions. Timestamp comparisons go through the time base's
+// timebase.Order, built once per Runtime, which masks the base's deviation
+// (the reading error of externally synchronized clocks, 0 for exact bases),
+// so the same engine runs on shared counters, hardware clocks, and
 // software-corrected clocks.
 //
 // # Memory
@@ -64,10 +65,11 @@
 // own), and the *Tx handed to fn is good only until fn returns. Commit
 // builds nothing: whoever next touches an object whose writer committed
 // promotes the tentative version in place — stamps the predecessor's upper
-// bound and the version's own validFrom from the writer's commit time,
-// trims, and publishes the locator embedded in the version — and an aborted
-// writer's locator is replaced by the one embedded in the version it was
-// acquired over. A declared read-only transaction never extends or
+// bound and the version's own validFrom, trims, and publishes the locator
+// embedded in the version — and an aborted writer's locator is replaced by
+// the one embedded in the version it was acquired over. Each stamp is one
+// atomic word that racing settlers CAS from 0 to the same value (see
+// settled), so settling allocates nothing either. A declared read-only transaction never extends or
 // validates, so every read is selected and range-checked on its own and
 // nothing is logged. The one rule the layout obeys: a version
 // outlives its writer, so apart from prev it points at nothing but itself;

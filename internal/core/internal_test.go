@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/timebase"
@@ -45,12 +46,12 @@ func TestSettleCommittedWriter(t *testing.T) {
 	if old == nil {
 		t.Fatal("history lost on settle")
 	}
-	ub := old.until.Load()
-	if ub == nil {
+	ub := old.upperBound()
+	if ub.IsInf() {
 		t.Fatal("superseded version has no fixed upper bound")
 	}
-	if want := loc.head().validFrom().Pred(); *ub != want {
-		t.Errorf("old version UB = %v, want %v", *ub, want)
+	if want := loc.head().validFrom().Pred(); ub != want {
+		t.Errorf("old version UB = %v, want %v", ub, want)
 	}
 }
 
@@ -74,8 +75,87 @@ func TestSettleAbortedWriterKeepsValue(t *testing.T) {
 	if loc.head().value.Load().(int) != 7 {
 		t.Errorf("value = %v, want original 7", loc.head().value)
 	}
-	if loc.head().until.Load() != nil {
+	if loc.head().until.Load() != 0 {
 		t.Error("current version got an upper bound from an aborted commit")
+	}
+}
+
+// zeroBase is an exact time base whose one clock starts at 0, as a
+// hardware clock read right after power-on does: its first GetNewTS issues
+// commit time 1, whose predecessor bound 0 packs to the unset word.
+type zeroBase struct{ c atomic.Int64 }
+
+func (b *zeroBase) Clock(int) timebase.Clock     { return b }
+func (b *zeroBase) Name() string                 { return "zero" }
+func (b *zeroBase) Deviation() int64             { return 0 }
+func (b *zeroBase) GetTime() timebase.Timestamp  { return timebase.Exact(b.c.Load()) }
+func (b *zeroBase) GetNewTS() timebase.Timestamp { return timebase.Exact(b.c.Add(1)) }
+
+// TestSettleCommitTimeOne: a version superseded at CT 1 ends at 0 — not at
+// ∞, which is what storing CT−1 as a word would publish, since 0 is the
+// "unset" word.
+func TestSettleCommitTimeOne(t *testing.T) {
+	rt := MustRuntime(Config{TimeBase: &zeroBase{}})
+	o := NewObject(1)
+	genesis := o.loc.Load().ver
+	w := rt.Thread(0).newTx(false)
+	mustWrite(t, w, o, 2)
+	if err := w.commit(); err != nil {
+		t.Fatal(err)
+	}
+	if w.CT() != timebase.Exact(1) {
+		t.Fatalf("CT = %v, want 1", w.CT())
+	}
+	head := o.settled(rt.maxVersions).ver
+	if got := genesis.upperBound(); got != timebase.Exact(0) {
+		t.Errorf("predecessor's upper bound = %v, want 0", got)
+	}
+	if got := head.validFrom(); got != w.CT() {
+		t.Errorf("head validFrom = %v, want CT %v", got, w.CT())
+	}
+}
+
+// TestSettleRace: racing settlers of one committed writer CAS the same
+// words from 0, so every one of them returns the same head, stamped with
+// the writer's CT over a predecessor bounded at CT−1 — from the first
+// commit (CT 1, the zero-word case) on.
+func TestSettleRace(t *testing.T) {
+	rt := MustRuntime(Config{TimeBase: &zeroBase{}})
+	th := rt.Thread(0)
+	const racers = 8
+	for round := 0; round < 200; round++ {
+		o := NewObject(0)
+		base := o.loc.Load().ver
+		w := th.newTx(false)
+		mustWrite(t, w, o, round)
+		if err := w.commit(); err != nil {
+			t.Fatal(err)
+		}
+		var start, done sync.WaitGroup
+		start.Add(1)
+		heads := make([]*locator, racers)
+		for i := range heads {
+			done.Add(1)
+			go func(i int) {
+				defer done.Done()
+				start.Wait()
+				heads[i] = o.settled(rt.maxVersions)
+			}(i)
+		}
+		start.Done()
+		done.Wait()
+		ct := w.CT()
+		for i, loc := range heads {
+			if loc != heads[0] || loc.writer != nil {
+				t.Fatalf("round %d: racer %d settled to %p (writer %v), racer 0 to %p", round, i, loc, loc.writer, heads[0])
+			}
+		}
+		if got := heads[0].ver.validFrom(); got != ct {
+			t.Fatalf("round %d: head validFrom = %v, want CT %v", round, got, ct)
+		}
+		if got := base.upperBound(); got != ct.Pred() {
+			t.Fatalf("round %d: predecessor bounded at %v, want %v", round, got, ct.Pred())
+		}
 	}
 }
 
@@ -118,7 +198,7 @@ func TestHistoryOrderedNewestFirst(t *testing.T) {
 	prevFrom := timebase.Inf
 	want := 6
 	for v := loc.head(); v != nil; v = v.prev.Load() {
-		if !prevFrom.LaterEq(v.validFrom()) {
+		if !rt.ord.LaterEq(prevFrom, v.validFrom()) {
 			t.Fatalf("chain out of order: %v then %v", prevFrom, v.validFrom())
 		}
 		if !v.validFrom().IsNegInf() && v.value.Load().(int) != want {
@@ -142,8 +222,8 @@ func TestPrelimUBSupersededIsFinal(t *testing.T) {
 	// The fixed bound must win regardless of the caller's timestamp.
 	far := timebase.Exact(1 << 40)
 	got := prelimUB(o, old, far, nil, clock)
-	if got != *old.until.Load() {
-		t.Errorf("prelimUB(superseded) = %v, want fixed bound %v", got, *old.until.Load())
+	if got != old.upperBound() {
+		t.Errorf("prelimUB(superseded) = %v, want fixed bound %v", got, old.upperBound())
 	}
 }
 

@@ -62,33 +62,21 @@ type version struct {
 	// (acquire), so access is race-free.
 	value val.Value
 
-	// from is ⌊v.R⌋: the commit time of the writing transaction, stamped by
-	// the settler that promotes the tentative version in place. nil while
-	// the version is tentative — and for good on a genesis version, which
-	// was never written by a transaction and is valid since −∞.
-	from atomic.Pointer[timebase.Timestamp]
+	// from is the Word of ⌊v.R⌋: the commit time of the writing
+	// transaction, stamped by the settler that promotes the tentative
+	// version in place. 0 while the version is tentative — and for good on a
+	// genesis version, which was never written by a transaction and is
+	// valid since −∞.
+	from atomic.Int64
 
-	// until is ⌈v.R⌉ once the version has been superseded: the successor's
-	// commit time minus one. It is nil while the version is the most recent
-	// one (⌈v.R⌉ = ∞), and is set exactly once, before the superseding
-	// locator becomes visible, so a reader that still sees this version as
-	// head also sees an unset bound only if the version is truly current.
-	until atomic.Pointer[timebase.Timestamp]
-
-	// stamped elects, among the settlers racing to promote this version,
-	// the one that may fill fromBuf and the predecessor's untilBuf — the
-	// inline buffers from and until normally point at, so promotion
-	// allocates nothing. (Only one successor of a version ever commits, so
-	// the successor's claim covers the predecessor's buffer too.) A settler
-	// that loses the claim cannot wait for the winner, which may be
-	// preempted between claim and publish; it publishes a heap copy of the
-	// same two values instead, as ensureCT does. Either way the stamps point
-	// at the version itself or at a pointer-free Timestamp, never at the
-	// successor: a superseded version that only a chunk neighbour keeps
-	// alive retains nothing.
-	stamped  atomic.Bool
-	fromBuf  timebase.Timestamp
-	untilBuf timebase.Timestamp
+	// until is the Word of the successor's commit time once the version has
+	// been superseded, 0 while it is the most recent one (⌈v.R⌉ = ∞). It is
+	// set exactly once, before the superseding locator becomes visible, so a
+	// reader that still sees this version as head also sees it unset only
+	// if the version is truly current. ⌈v.R⌉ is that CT minus one, taken on
+	// load (upperBound): CT−1 itself may be the zero timestamp (CT 1 on an
+	// exact clock that starts at 0), whose word is the unset 0.
+	until atomic.Int64
 
 	// prev links to the next older committed version; for a tentative
 	// version, to the committed head it was acquired over (set by the owner
@@ -104,8 +92,8 @@ type version struct {
 
 // validFrom returns ⌊v.R⌋ of a committed version: its stamp, −∞ without one.
 func (v *version) validFrom() timebase.Timestamp {
-	if from := v.from.Load(); from != nil {
-		return *from
+	if w := v.from.Load(); w != 0 {
+		return timebase.FromWord(w)
 	}
 	return timebase.NegInf
 }
@@ -128,7 +116,10 @@ func NewObject(initial any) *Object {
 // place, an aborted writer's is dropped for the version it was acquired
 // over. Racing settlers publish the same values in the same order —
 // predecessor's bound, validFrom, trim, locator — so a reader that can see
-// the new head can see both stamps.
+// the new head can see both stamps. Both stamps are the writer's CT word,
+// CASed from 0: only one successor of a version ever commits, and its CT is
+// fixed before StatusCommitted, so every settler writes the same word and
+// none has to win anything first.
 func (o *Object) settled(maxVersions int) *locator {
 	for {
 		loc := o.loc.Load()
@@ -145,16 +136,10 @@ func (o *Object) settled(maxVersions int) *locator {
 			// order: from still unset after prev was read ⇒ nobody had
 			// reached trim ⇒ base is the predecessor, not nil.)
 			base := tent.prev.Load()
-			if tent.from.Load() == nil {
-				until, from := &base.untilBuf, &tent.fromBuf
-				if !tent.stamped.CompareAndSwap(false, true) {
-					heap := new([2]timebase.Timestamp)
-					until, from = &heap[0], &heap[1]
-				}
-				ct := w.CT()
-				*until, *from = ct.Pred(), ct
-				base.until.CompareAndSwap(nil, until)
-				tent.from.CompareAndSwap(nil, from)
+			if tent.from.Load() == 0 {
+				ct := w.ct.Load()
+				base.until.CompareAndSwap(0, ct)
+				tent.from.CompareAndSwap(0, ct)
 			}
 			trim(tent, maxVersions)
 			o.loc.CompareAndSwap(loc, &tent.selfLoc)
@@ -183,11 +168,11 @@ func trim(head *version, maxVersions int) {
 	v.prev.Store(nil)
 }
 
-// upperBound returns ⌈v.R⌉ as stored: the fixed bound if the version has
-// been superseded, ∞ otherwise.
+// upperBound returns ⌈v.R⌉ as stored: the successor's CT minus one if the
+// version has been superseded, ∞ otherwise.
 func (v *version) upperBound() timebase.Timestamp {
-	if ub := v.until.Load(); ub != nil {
-		return *ub
+	if w := v.until.Load(); w != 0 {
+		return timebase.FromWord(w).Pred()
 	}
 	return timebase.Inf
 }
@@ -226,8 +211,8 @@ func (v *version) upperBound() timebase.Timestamp {
 // load and the locator reload below close a window the fast path never
 // opens.
 func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timebase.Clock) timebase.Timestamp {
-	if ub := v.until.Load(); ub != nil {
-		return *ub
+	if ub := v.upperBound(); !ub.IsInf() {
+		return ub
 	}
 	loc := o.loc.Load()
 	if loc.head() != v {
@@ -235,7 +220,7 @@ func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timeb
 		// already own the object, whose CT says nothing about v. settled
 		// stamps the bound before it trims or publishes the new head, so it
 		// is there now.
-		return *v.until.Load()
+		return v.upperBound()
 	}
 	if w := loc.writer; w != nil {
 		st := w.Status()

@@ -53,8 +53,8 @@ func TestStaleWriterLocatorAfterTrim(t *testing.T) {
 	if stale.head() != nil {
 		t.Fatal("stale writer locator still yields a head after its predecessor was trimmed")
 	}
-	ub := genesis.until.Load()
-	if ub == nil || *ub != w.CT().Pred() || fresh.ver.validFrom() != w.CT() {
+	ub := genesis.upperBound()
+	if ub != w.CT().Pred() || fresh.ver.validFrom() != w.CT() {
 		t.Fatalf("stamps: genesis until %v, head from %v, CT %v", ub, fresh.ver.validFrom(), w.CT())
 	}
 
@@ -66,8 +66,8 @@ func TestStaleWriterLocatorAfterTrim(t *testing.T) {
 	}{
 		{"prelimUB", func(t *testing.T) {
 			clock := rt.TimeBase().Clock(3)
-			if got := prelimUB(o, genesis, timebase.Exact(1<<40), nil, clock); got != *ub {
-				t.Errorf("bound of the trimmed-away version = %v, want its stamp %v", got, *ub)
+			if got := prelimUB(o, genesis, timebase.Exact(1<<40), nil, clock); got != ub {
+				t.Errorf("bound of the trimmed-away version = %v, want its stamp %v", got, ub)
 			}
 		}},
 		{"read", func(t *testing.T) {
@@ -132,7 +132,7 @@ func TestAbortedWriterSettlesToBaseLocator(t *testing.T) {
 	if got := o.settled(rt.maxVersions); got != pre || got != &base.selfLoc {
 		t.Fatalf("after the abort o.loc = %p, want the base's own locator %p", got, pre)
 	}
-	if base.until.Load() != nil {
+	if base.until.Load() != 0 {
 		t.Error("aborted writer bounded the version it was acquired over")
 	}
 	if !o.loc.CompareAndSwap(pre, nloc) {
@@ -313,7 +313,7 @@ func TestReadOnlyReadPastSnapshot(t *testing.T) {
 						kept := c.after == StatusActive
 						if !kept && maxV > 1 {
 							end := w.CT().Pred()
-							kept = end.LaterEq(lower) && timebase.Min(upper, end).LaterEq(lower)
+							kept = rt.ord.LaterEq(end, lower) && rt.ord.LaterEq(rt.ord.Min(upper, end), lower)
 						}
 						switch {
 						case err == nil && got == before:

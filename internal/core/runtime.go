@@ -30,6 +30,7 @@ type Config struct {
 // workers have quiesced.
 type Runtime struct {
 	tb          timebase.TimeBase
+	ord         timebase.Order // tb's comparison operators
 	maxVersions int
 
 	mu      sync.Mutex
@@ -47,7 +48,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.MaxVersions == 0 {
 		cfg.MaxVersions = DefaultMaxVersions
 	}
-	return &Runtime{tb: cfg.TimeBase, maxVersions: cfg.MaxVersions}, nil
+	return &Runtime{tb: cfg.TimeBase, ord: timebase.OrderOf(cfg.TimeBase), maxVersions: cfg.MaxVersions}, nil
 }
 
 // MustRuntime is NewRuntime for static configurations; it panics on error.

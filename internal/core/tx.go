@@ -36,8 +36,8 @@ type Tx struct {
 	// by helpers.
 	index map[*Object]int
 	// readOnly marks an attempt started with RunReadOnly. It sits with the
-	// other flags so they pad to one word, not two: that word keeps the
-	// small record (472 bytes) within the 480-byte size class.
+	// other flags so they pad to one word, not two (the small record is 424
+	// bytes, in the 448-byte size class; TestRecordSizes).
 	readOnly bool
 	// update records whether the transaction wrote anything.
 	update bool
@@ -54,19 +54,9 @@ type Tx struct {
 
 	// status is the transaction state machine; all transitions are CAS.
 	status atomic.Int32
-	// ct is T.CT, the commit time. CASed from nil exactly once, by the
-	// owner or by any helper (Algorithm 2 line 42).
-	ct atomic.Pointer[timebase.Timestamp]
-
-	// ctClaim elects the single thread allowed to publish ctBuf as the
-	// commit time. The winner fills ctBuf and CASes its address into ct, so
-	// the common (uncontended) commit fixes its timestamp without
-	// allocating; losers fall back to the classic allocate-and-CAS, which
-	// keeps ensureCT lock-free — nobody ever waits for the claim winner.
-	ctClaim atomic.Bool
-	// ctBuf is the inline commit-timestamp buffer behind ct. Written only
-	// by the ctClaim winner, before the ct CAS publishes it.
-	ctBuf timebase.Timestamp
+	// ct is the Word of T.CT, the commit time; 0 while unset. CASed from 0
+	// exactly once, by the owner or by any helper (Algorithm 2 line 42).
+	ct atomic.Int64
 
 	// vers is the chunk the attempt's tentative versions are cut from, sized
 	// by the Thread's hint so a steady-state attempt allocates one. Versions
@@ -117,10 +107,7 @@ func (tx *Tx) Status() Status { return Status(tx.status.Load()) }
 
 // CT returns the commit time, or the zero timestamp if none has been fixed.
 func (tx *Tx) CT() timebase.Timestamp {
-	if p := tx.ct.Load(); p != nil {
-		return *p
-	}
-	return timebase.Zero
+	return timebase.FromWord(tx.ct.Load())
 }
 
 // ReadOnly reports whether the transaction was started with RunReadOnly.
@@ -225,10 +212,10 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		if !tx.upper.IsInf() {
 			if loc := o.loc.Load(); loc.writer == nil {
 				from := loc.ver.validFrom()
-				if tx.lower.LaterEq(from) {
+				if tx.rt.ord.LaterEq(tx.lower, from) {
 					return loc.ver.value, nil
 				}
-				if tx.upper.LaterEq(from) {
+				if tx.rt.ord.LaterEq(tx.upper, from) {
 					v = loc.ver
 				}
 			}
@@ -245,12 +232,12 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		if v, ok = tx.getVersion(o); !ok {
 			return val.Value{}, tx.abortSnapshot()
 		}
-		tx.upper = timebase.Min(tx.upper, prelimUB(o, v, tx.effLimit(), tx, tx.th.clock))
+		tx.upper = tx.rt.ord.Min(tx.upper, prelimUB(o, v, tx.effLimit(), tx, tx.th.clock))
 	}
 	// Lines 28–30: intersect T.R with the version's validity range and
 	// abort if the snapshot became (possibly) inconsistent.
-	tx.lower = timebase.Max(tx.lower, v.validFrom())
-	if tx.lower.PossiblyLater(tx.upper) {
+	tx.lower = tx.rt.ord.Max(tx.lower, v.validFrom())
+	if tx.rt.ord.PossiblyLater(tx.lower, tx.upper) {
 		return val.Value{}, tx.abortSnapshot()
 	}
 	if !tx.readOnly {
@@ -333,14 +320,14 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 		// Line 22: if the base version is possibly more recent than the
 		// snapshot's upper bound, extending may still save the transaction.
 		from := base.validFrom()
-		if from.PossiblyLater(tx.upper) {
+		if tx.rt.ord.PossiblyLater(from, tx.upper) {
 			tx.extend()
 		}
 		// Lines 28–30. The tentative version's preliminary upper bound is
 		// the caller's limit (we are the registered, still-active writer).
-		tx.lower = timebase.Max(tx.lower, from)
-		tx.upper = timebase.Min(tx.upper, tx.effLimit())
-		if tx.lower.PossiblyLater(tx.upper) {
+		tx.lower = tx.rt.ord.Max(tx.lower, from)
+		tx.upper = tx.rt.ord.Min(tx.upper, tx.effLimit())
+		if tx.rt.ord.PossiblyLater(tx.lower, tx.upper) {
 			return tx.abortSnapshot()
 		}
 		if seen {
@@ -460,7 +447,7 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 			continue // stale writer locator: settled and trimmed under us
 		}
 		from := head.validFrom()
-		if tx.upper.LaterEq(from) {
+		if tx.rt.ord.LaterEq(tx.upper, from) {
 			return head, true
 		}
 		// Head is possibly more recent than the snapshot. Update
@@ -468,18 +455,18 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 		// transactions read at their snapshot from older versions.
 		if !tx.readOnly {
 			tx.extend()
-			if tx.upper.LaterEq(from) {
+			if tx.rt.ord.LaterEq(tx.upper, from) {
 				return head, true
 			}
 			return nil, false
 		}
 		for v := head.prev.Load(); v != nil; v = v.prev.Load() {
-			if !v.upperBound().LaterEq(tx.lower) {
+			if !tx.rt.ord.LaterEq(v.upperBound(), tx.lower) {
 				// This version ends before the snapshot starts; older ones
 				// end even earlier.
 				return nil, false
 			}
-			if tx.upper.LaterEq(v.validFrom()) {
+			if tx.rt.ord.LaterEq(tx.upper, v.validFrom()) {
 				return v, true
 			}
 		}
@@ -502,8 +489,8 @@ func (tx *Tx) extend() {
 			continue
 		}
 		ub := prelimUB(e.obj, e.ver, t, tx, tx.th.clock)
-		upper = timebase.Min(upper, ub)
-		if e.ver.until.Load() != nil {
+		upper = tx.rt.ord.Min(upper, ub)
+		if e.ver.until.Load() != 0 {
 			tx.closed = true
 		}
 	}
@@ -550,7 +537,7 @@ func (w *Tx) finishCommit(clock timebase.Clock) bool {
 			continue
 		}
 		ub := prelimUB(e.obj, e.ver, ct, w, clock)
-		if ct.PossiblyLater(ub) {
+		if w.rt.ord.PossiblyLater(ct, ub) {
 			w.abort()
 			return w.Status() == StatusCommitted
 		}
@@ -563,24 +550,10 @@ func (w *Tx) finishCommit(clock timebase.Clock) bool {
 // the calling thread's clock (Algorithm 2 lines 41–42; any thread may win
 // the CAS). LSA-RT's §2.4 argument requires that no thread reasons about a
 // committing transaction whose commit time could still land in the past —
-// setting it here, before drawing conclusions, closes that window.
-//
-// The first thread in claims the inline ctBuf: it is ctBuf's only writer
-// ever, and the ct CAS publishes the buffer with release/acquire ordering,
-// so the uncontended commit fixes its timestamp without allocating. A
-// thread that loses the claim must not wait (the winner may be preempted
-// between claim and publish — exactly the schedule helping exists for), so
-// it falls back to allocating its own candidate and racing the CAS, which
-// preserves lock-freedom.
+// setting it here, before drawing conclusions, closes that window. An
+// issued timestamp is never Zero, so its word is never the unset 0.
 func ensureCT(w *Tx, clock timebase.Clock) {
-	if w.ct.Load() != nil {
-		return
+	if w.ct.Load() == 0 {
+		w.ct.CompareAndSwap(0, clock.GetNewTS().Word())
 	}
-	if w.ctClaim.CompareAndSwap(false, true) {
-		w.ctBuf = clock.GetNewTS()
-		w.ct.CompareAndSwap(nil, &w.ctBuf)
-		return
-	}
-	t := clock.GetNewTS()
-	w.ct.CompareAndSwap(nil, &t)
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/timebase"
 )
 
 func TestRegistryNames(t *testing.T) {
@@ -177,6 +179,29 @@ func TestOptionsValidate(t *testing.T) {
 		if err := opt.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", opt, err)
 		}
+	}
+}
+
+// TestNodesBeyondClockIDs: the per-node time bases give every node its own
+// clock ID, and a stamp word holds timebase.MaxCID of them. lsa/extsync
+// refuses more nodes; lsa/sharded clamps its shard count (ids beyond it
+// share shards, as they share nodes past Nodes).
+func TestNodesBeyondClockIDs(t *testing.T) {
+	opt := Options{Nodes: timebase.MaxCID + 1}
+	if _, err := New("lsa/extsync", opt); err == nil || !strings.Contains(err.Error(), "nodes") {
+		t.Errorf("New(lsa/extsync, Nodes %d) = %v, want an error about nodes", opt.Nodes, err)
+	}
+	e, err := New("lsa/sharded", opt)
+	if err != nil {
+		t.Fatalf("New(lsa/sharded, Nodes %d): %v", opt.Nodes, err)
+	}
+	tb := e.(*lsaEngine).rt.TimeBase().(*timebase.ShardedCounter)
+	if tb.Shards() != timebase.MaxCID {
+		t.Errorf("lsa/sharded with Nodes %d has %d shards, want %d", opt.Nodes, tb.Shards(), timebase.MaxCID)
+	}
+	opt.Nodes = timebase.MaxCID
+	if _, err := New("lsa/extsync", opt); err != nil {
+		t.Errorf("New(lsa/extsync, Nodes %d): %v", opt.Nodes, err)
 	}
 }
 

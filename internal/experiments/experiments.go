@@ -139,7 +139,7 @@ func TL2Opt(cfg Fig2Config) (*Fig2Result, error) {
 // this experiment demonstrates it — the same disjoint-update sweep, the
 // same time bases, a different memory representation. Each series runs the
 // word engine on the time base of the named LSA engine, so only exact bases
-// are eligible (lock words cannot carry deviations).
+// are eligible (lock words hold bare tick counts).
 func Fig2Word(cfg Fig2Config) (*Fig2Result, error) {
 	return fig2(cfg, func(name string, threads, size int) (engine.Engine, error) {
 		lsa, err := engine.New(name, engine.Options{Nodes: threads})

@@ -28,7 +28,7 @@ func allBases(t *testing.T) []TimeBase {
 func TestGetNewTSStrictlyLaterThanInvocation(t *testing.T) {
 	for _, tb := range allBases(t) {
 		t.Run(tb.Name(), func(t *testing.T) {
-			c := tb.Clock(0)
+			c, ord := tb.Clock(0), OrderOf(tb)
 			for i := 0; i < 200; i++ {
 				before := c.GetTime()
 				nts := c.GetNewTS()
@@ -36,7 +36,7 @@ func TestGetNewTSStrictlyLaterThanInvocation(t *testing.T) {
 				// than the invocation time. For exact bases it must be
 				// strictly greater; for imprecise bases the masking makes
 				// "possibly later" the strongest obtainable guarantee.
-				if before.LaterEq(nts) && before != nts {
+				if ord.LaterEq(before, nts) && before != nts {
 					t.Fatalf("iteration %d: GetNewTS %v guaranteed earlier than prior GetTime %v", i, nts, before)
 				}
 				if nts.CID == CIDExact && nts.TS <= before.TS {
@@ -157,7 +157,19 @@ func TestExtSyncClockRejectsTooSmallBound(t *testing.T) {
 	}
 }
 
-func TestExtSyncTimestampsCarryDeviation(t *testing.T) {
+func TestBaseDeviations(t *testing.T) {
+	want := map[string]int64{
+		"SharedCounter": 0, "TL2Counter": 0, "MMTimer": 0,
+		"Sharded(4, w=16)": 8, "ExtSync(dev=200)": 200,
+	}
+	for _, tb := range allBases(t) {
+		if got, ok := want[tb.Name()]; !ok || tb.Deviation() != got {
+			t.Errorf("%s: Deviation() = %d, want %d", tb.Name(), tb.Deviation(), got)
+		}
+	}
+}
+
+func TestExtSyncTimestampsCarryNodeCID(t *testing.T) {
 	dev := hwclock.New(hwclock.Config{
 		TickHz: 1_000_000_000, Nodes: 3, MaxOffsetTicks: 10, Seed: 7,
 	})
@@ -167,13 +179,32 @@ func TestExtSyncTimestampsCarryDeviation(t *testing.T) {
 	}
 	for id := 0; id < 6; id++ {
 		ts := ec.Clock(id).GetTime()
-		if ts.Dev != 64 {
-			t.Errorf("clock %d: Dev = %d, want 64", id, ts.Dev)
-		}
 		wantCID := int32(1 + id%3)
 		if ts.CID != wantCID {
 			t.Errorf("clock %d: CID = %d, want %d", id, ts.CID, wantCID)
 		}
+	}
+}
+
+// nodeCount is a node-clock source of n registers that all read 1.
+type nodeCount int
+
+func (n nodeCount) NodeRead(int) int64 { return 1 }
+func (n nodeCount) Nodes() int         { return int(n) }
+
+func TestExtSyncRejectsMoreNodesThanClockIDs(t *testing.T) {
+	if _, err := NewExtSyncClockFrom(nodeCount(MaxCID+1), 10); err == nil {
+		t.Fatalf("%d nodes accepted: their clock IDs do not fit a stamp word", MaxCID+1)
+	}
+	if _, err := NewExtSyncClockFrom(nodeCount(0), 10); err == nil {
+		t.Fatal("a source without nodes accepted")
+	}
+	ec, err := NewExtSyncClockFrom(nodeCount(MaxCID), 10)
+	if err != nil {
+		t.Fatalf("%d nodes rejected: %v", MaxCID, err)
+	}
+	if ts := ec.Clock(MaxCID - 1).GetNewTS(); ts.CID != MaxCID || FromWord(ts.Word()) != ts {
+		t.Fatalf("last node's stamp %v does not round-trip its word", ts)
 	}
 }
 

@@ -32,6 +32,9 @@ func (sc *SharedCounter) Clock(id int) Clock { return counterClock{sc} }
 // Name implements TimeBase.
 func (sc *SharedCounter) Name() string { return "SharedCounter" }
 
+// Deviation implements TimeBase: the counter is exact.
+func (sc *SharedCounter) Deviation() int64 { return 0 }
+
 // Now exposes the current counter value for tests.
 func (sc *SharedCounter) Now() int64 { return sc.c.Load() }
 
@@ -79,6 +82,9 @@ func (tc *TL2Counter) Clock(id int) Clock { return &tl2Clock{tc: tc} }
 
 // Name implements TimeBase.
 func (tc *TL2Counter) Name() string { return "TL2Counter" }
+
+// Deviation implements TimeBase: the counter is exact.
+func (tc *TL2Counter) Deviation() int64 { return 0 }
 
 // Now exposes the current counter value for tests.
 func (tc *TL2Counter) Now() int64 { return tc.c.Load() }

@@ -20,9 +20,9 @@ type NodeClock interface {
 // ExtSyncClock is the time base of §3.2: externally synchronized real-time
 // clocks. Each thread reads its node's clock register, which deviates from
 // real time by at most a known bound dev: |ECp(t) − t| ≤ dev. Timestamps
-// carry (value, clock ID, deviation); the comparison operators mask the
-// uncertainty, which virtually shrinks version validity ranges by dev on
-// each side and opens gaps of 2·dev between consecutive versions.
+// carry (value, clock ID); the base's Order masks the uncertainty, which
+// virtually shrinks version validity ranges by dev on each side and opens
+// gaps of 2·dev between consecutive versions.
 //
 // Because dev > 0 masks the "valid exactly at commit time" case, getNewTS
 // does not need to wait for a tick (Algorithm 5: "the loop is not necessary
@@ -52,8 +52,8 @@ func NewExtSyncClockFrom(src NodeClock, devBound int64) (*ExtSyncClock, error) {
 	if devBound <= 0 {
 		return nil, fmt.Errorf("timebase: deviation bound must be positive, got %d", devBound)
 	}
-	if src.Nodes() <= 0 {
-		return nil, fmt.Errorf("timebase: node clock source has no nodes")
+	if n := src.Nodes(); n <= 0 || n > MaxCID {
+		return nil, fmt.Errorf("timebase: node clock source has %d nodes, want 1..%d (one clock ID each)", n, MaxCID)
 	}
 	return &ExtSyncClock{src: src, devBound: devBound}, nil
 }
@@ -63,26 +63,25 @@ func NewExtSyncClockFrom(src NodeClock, devBound int64) (*ExtSyncClock, error) {
 // without deviation (Algorithm 5 line 12).
 func (ec *ExtSyncClock) Clock(id int) Clock {
 	node := id % ec.src.Nodes()
-	return &extClock{src: ec.src, node: node, cid: int32(1 + node), bound: ec.devBound}
+	return &extClock{src: ec.src, node: node, cid: int32(1 + node)}
 }
 
 // Name implements TimeBase.
 func (ec *ExtSyncClock) Name() string { return fmt.Sprintf("ExtSync(dev=%d)", ec.devBound) }
 
-// Deviation returns the advertised deviation bound in ticks.
+// Deviation implements TimeBase: the advertised deviation bound in ticks.
 func (ec *ExtSyncClock) Deviation() int64 { return ec.devBound }
 
 type extClock struct {
-	src   NodeClock
-	node  int
-	cid   int32
-	bound int64
+	src  NodeClock
+	node int
+	cid  int32
 }
 
 // GetTime reads the local, imprecisely synchronized register and stamps the
-// value with the clock ID and deviation bound (Algorithm 5 lines 1–5).
+// value with the clock ID (Algorithm 5 lines 1–5).
 func (c *extClock) GetTime() Timestamp {
-	return Timestamp{TS: c.src.NodeRead(c.node), CID: c.cid, Dev: c.bound}
+	return Timestamp{TS: c.src.NodeRead(c.node), CID: c.cid}
 }
 
 // GetNewTS is GetTime: with dev > 0 the uncertainty masking already

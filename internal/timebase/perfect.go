@@ -43,6 +43,9 @@ func (pc *PerfectClock) Clock(id int) Clock {
 // Name implements TimeBase.
 func (pc *PerfectClock) Name() string { return "MMTimer" }
 
+// Deviation implements TimeBase: the registers are perfectly synchronized.
+func (pc *PerfectClock) Deviation() int64 { return 0 }
+
 // Device exposes the underlying simulated hardware for experiments.
 func (pc *PerfectClock) Device() *hwclock.Device { return pc.dev }
 

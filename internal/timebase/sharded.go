@@ -26,10 +26,10 @@ const DefaultShardWindow = 32
 // at the moment of issue (GetNewTS lifts a stale shard above the base and
 // pushes the base up when the shard runs more than a window ahead), and the
 // base is monotone. Two issued values more than window apart are therefore
-// strictly ordered by base history, so timestamps carry Dev = window/2 and
-// the masked ⪰ operators of Algorithm 5 order them exactly like clocks with
-// bounded deviation: same-shard comparisons are exact (CID = 1+shard),
-// cross-shard comparisons mask ±window/2.
+// strictly ordered by base history, so the base advertises Deviation =
+// window/2 and the masked ⪰ operators of Algorithm 5 order its timestamps
+// exactly like clocks with bounded deviation: same-shard comparisons are
+// exact (CID = 1+shard), cross-shard comparisons mask ±window/2.
 //
 // The lazy part: GetTime reads the local shard plus the read-mostly epoch
 // line (for the window clamp) and writes nothing shared, so a shard that
@@ -46,7 +46,7 @@ const DefaultShardWindow = 32
 type ShardedCounter struct {
 	shards []shard
 	window int64 // even; issued values stay within [base, base+window]
-	dev    int64 // window/2: the advertised deviation of issued timestamps
+	dev    int64 // window/2: the advertised Deviation
 
 	_    [64]byte
 	base atomic.Int64 // shared epoch base; read on commit, written ~2/window per commit
@@ -64,13 +64,12 @@ type shard struct {
 
 // NewShardedCounter returns a sharded time base with the given number of
 // shards (thread ids are taken modulo shards) and epoch window in ticks.
-// shards < 1 is clamped to 1 (degenerating to a plain, exact-per-shard
-// counter); window < 2 selects DefaultShardWindow, and odd windows are
-// rounded up so the advertised deviation window/2 stays conservative.
+// shards is clamped to 1..MaxCID (1 degenerates to a plain, exact-per-shard
+// counter; past MaxCID shards would run out of clock IDs); window < 2
+// selects DefaultShardWindow, and odd windows are rounded up so the
+// advertised deviation window/2 stays conservative.
 func NewShardedCounter(shards int, window int64) *ShardedCounter {
-	if shards < 1 {
-		shards = 1
-	}
+	shards = min(max(shards, 1), MaxCID)
 	if window < 2 {
 		window = DefaultShardWindow
 	}
@@ -100,6 +99,9 @@ func (sc *ShardedCounter) Clock(id int) Clock {
 func (sc *ShardedCounter) Name() string {
 	return fmt.Sprintf("Sharded(%d, w=%d)", len(sc.shards), sc.window)
 }
+
+// Deviation implements TimeBase: window/2.
+func (sc *ShardedCounter) Deviation() int64 { return sc.dev }
 
 // Shards returns the shard count.
 func (sc *ShardedCounter) Shards() int { return len(sc.shards) }
@@ -145,7 +147,7 @@ func (c *shardClock) GetTime() Timestamp {
 	if lim := c.sc.base.Load() + c.sc.window; v > lim {
 		v = lim
 	}
-	return Timestamp{TS: v, CID: c.cid, Dev: c.sc.dev}
+	return Timestamp{TS: v, CID: c.cid}
 }
 
 // GetNewTS bumps the local shard and maintains the epoch invariant: the
@@ -170,7 +172,7 @@ func (c *shardClock) GetNewTS() Timestamp {
 		// commits of this shard touch no shared line at all.
 		atomicMax(&sc.base, v-sc.dev)
 	}
-	return Timestamp{TS: v, CID: c.cid, Dev: sc.dev}
+	return Timestamp{TS: v, CID: c.cid}
 }
 
 // Reconcile implements Reconciler: it synchronizes the local shard with the

@@ -30,6 +30,9 @@ func TestShardedNewTSUniquePairs(t *testing.T) {
 		cid int32
 		ts  int64
 	}
+	if sc.Deviation() != sc.Window()/2 {
+		t.Fatalf("Deviation %d, want window/2 = %d", sc.Deviation(), sc.Window()/2)
+	}
 	seen := make(map[pair]bool, workers*per)
 	for w, vals := range out {
 		for _, v := range vals {
@@ -38,9 +41,6 @@ func TestShardedNewTSUniquePairs(t *testing.T) {
 				t.Fatalf("worker %d: duplicate (shard, epoch) pair %v", w, v)
 			}
 			seen[p] = true
-			if v.Dev != sc.Window()/2 {
-				t.Fatalf("timestamp %v carries Dev %d, want window/2 = %d", v, v.Dev, sc.Window()/2)
-			}
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestShardedMonotonicPerThread(t *testing.T) {
 // guaranteed-later than everything shard 0 issued more than a window ago.
 func TestShardedCrossShardOrderingAfterReconcile(t *testing.T) {
 	sc := NewShardedCounter(2, 16)
-	a, b := sc.Clock(0), sc.Clock(1)
+	a, b, ord := sc.Clock(0), sc.Clock(1), OrderOf(sc)
 
 	early := a.GetNewTS()
 	var lastA Timestamp
@@ -92,7 +92,7 @@ func TestShardedCrossShardOrderingAfterReconcile(t *testing.T) {
 	// Stale local view: b has issued nothing, so its time sits at the
 	// initial value — possibly earlier than everything a issued.
 	stale := b.GetTime()
-	if stale.LaterEq(lastA) {
+	if ord.LaterEq(stale, lastA) {
 		t.Fatalf("stale view %v claims to be later than fresh %v", stale, lastA)
 	}
 
@@ -105,11 +105,11 @@ func TestShardedCrossShardOrderingAfterReconcile(t *testing.T) {
 	}
 	// After reconciliation the view is guaranteed-later than values issued
 	// more than a window before the leader's current time.
-	if !fresh.LaterEq(early) {
+	if !ord.LaterEq(fresh, early) {
 		t.Fatalf("reconciled view %v not ⪰ early timestamp %v", fresh, early)
 	}
 	// And the leader's aged timestamps order correctly against b's new ones.
-	if !b.GetNewTS().LaterEq(early) {
+	if !ord.LaterEq(b.GetNewTS(), early) {
 		t.Fatalf("post-reconcile GetNewTS not ⪰ %v", early)
 	}
 }
@@ -126,7 +126,7 @@ func TestShardedReconcileTicksTheClock(t *testing.T) {
 	for i := int64(0); i < 2*sc.Window(); i++ {
 		r.Reconcile()
 	}
-	if now := r.GetTime(); !now.LaterEq(ct) {
+	if now := r.GetTime(); !OrderOf(sc).LaterEq(now, ct) {
 		t.Fatalf("after 2·window reconciles, %v still not ⪰ commit time %v", now, ct)
 	}
 }
@@ -211,7 +211,7 @@ func TestShardedTimestampsDominateZero(t *testing.T) {
 	for id := 0; id < 2; id++ {
 		c := sc.Clock(id)
 		for _, ts := range []Timestamp{c.GetTime(), c.GetNewTS()} {
-			if !ts.LaterEq(Zero) {
+			if !OrderOf(sc).LaterEq(ts, Zero) {
 				t.Fatalf("clock %d issued %v not ⪰ Zero", id, ts)
 			}
 			if ts.IsZero() {
@@ -223,8 +223,8 @@ func TestShardedTimestampsDominateZero(t *testing.T) {
 
 // TestShardedSingleShardDegeneratesToCounter: with one shard every handle
 // aliases the same word, values strictly increase under concurrency, and
-// same-CID comparisons are exact — the SharedCounter behaviour with Dev
-// masking that same-shard comparison never consults.
+// same-CID comparisons are exact — the SharedCounter behaviour with a
+// Deviation that same-shard comparison never consults.
 func TestShardedSingleShardDegeneratesToCounter(t *testing.T) {
 	sc := NewShardedCounter(1, 8)
 	const workers, per = 4, 1000
@@ -253,10 +253,18 @@ func TestShardedSingleShardDegeneratesToCounter(t *testing.T) {
 }
 
 // TestShardedConstructorNormalization: degenerate parameters are clamped,
-// and odd windows round up to keep Dev = window/2 conservative.
+// and odd windows round up to keep Deviation = window/2 conservative.
 func TestShardedConstructorNormalization(t *testing.T) {
 	if sc := NewShardedCounter(0, 0); sc.Shards() != 1 || sc.Window() != DefaultShardWindow {
 		t.Errorf("NewShardedCounter(0,0) = %d shards, window %d", sc.Shards(), sc.Window())
+	}
+	// Past MaxCID the shards would run out of clock IDs.
+	sc := NewShardedCounter(MaxCID+50, 0)
+	if sc.Shards() != MaxCID {
+		t.Errorf("NewShardedCounter(%d, 0) = %d shards, want MaxCID = %d", MaxCID+50, sc.Shards(), MaxCID)
+	}
+	if ts := sc.Clock(MaxCID - 1).GetNewTS(); ts.CID != MaxCID || FromWord(ts.Word()) != ts {
+		t.Errorf("last shard's stamp %v does not round-trip its word", ts)
 	}
 	if sc := NewShardedCounter(3, 7); sc.Window() != 8 {
 		t.Errorf("odd window not rounded up: %d", sc.Window())

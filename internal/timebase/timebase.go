@@ -16,6 +16,12 @@ type TimeBase interface {
 
 	// Name identifies the time base in benchmark output.
 	Name() string
+
+	// Deviation is the bound, in ticks, on how far any of the base's clocks
+	// reads from real time (§3.2: |ECp(t) − t| ≤ dev for every clock p). It
+	// is 0 for exact bases. OrderOf builds the base's comparison operators
+	// from it.
+	Deviation() int64
 }
 
 // Clock is a thread's view of the time base.

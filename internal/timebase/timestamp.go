@@ -6,8 +6,8 @@
 // versions. The paper's key observation is that the time base does not have
 // to be a shared integer counter: any clock whose reading error is bounded
 // works, provided the comparison operators mask the uncertainty. This package
-// implements the generic utility functions of Algorithm 1 and the concrete
-// function sets for perfectly synchronized clocks (Algorithm 4) and
+// implements the generic utility functions of Algorithm 1 (Order) and the
+// concrete function sets for perfectly synchronized clocks (Algorithm 4) and
 // externally synchronized clocks (Algorithm 5).
 package timebase
 
@@ -28,6 +28,17 @@ const CIDUndefined int32 = -1
 // value, which makes Algorithm 5 degenerate to Algorithm 4.
 const CIDExact int32 = 0
 
+// MaxCID is the largest clock ID a stamp word carries (see Word): the low 7
+// bits of a word hold the ID, and the all-ones pattern is CIDUndefined.
+// Time bases with one clock ID per node refuse (ExtSyncClock) or clamp
+// (ShardedCounter) more nodes than this.
+const MaxCID = cidMask - 1
+
+const (
+	cidBits = 7
+	cidMask = 1<<cidBits - 1
+)
+
 // infTS is the sentinel tick value representing "still valid" (∞): the upper
 // bound of the validity range of a version that has not been superseded.
 const infTS int64 = math.MaxInt64
@@ -38,18 +49,17 @@ const infTS int64 = math.MaxInt64
 const negInfTS int64 = math.MinInt64
 
 // Timestamp is a point of the time base, possibly imprecise. For exact time
-// bases (counters, perfectly synchronized clocks) Dev is zero and CID is
-// CIDExact. For externally synchronized clocks a timestamp read at real time
-// t carries the local clock value TS = ECp(t), the reader's clock ID, and the
-// clock's maximum deviation from real time: |ECp(t) − t| ≤ Dev (§3.2).
+// bases (counters, perfectly synchronized clocks) CID is CIDExact. For
+// externally synchronized clocks a timestamp read at real time t carries the
+// local clock value TS = ECp(t) and the reader's clock ID; how far TS may be
+// from t is a property of the whole clock set, the base's Deviation (§3.2),
+// so the comparison operators live on the base's Order, not here.
 type Timestamp struct {
 	// TS is the clock value in ticks of the time base.
 	TS int64
 	// CID identifies the clock the value was read from, CIDExact for exact
 	// bases, or CIDUndefined once the origin has been mixed away by Max/Min.
 	CID int32
-	// Dev is the maximum deviation, in ticks, between TS and real time.
-	Dev int64
 }
 
 // Inf is the timestamp "infinitely far in the future". It bounds the validity
@@ -64,7 +74,7 @@ var NegInf = Timestamp{TS: negInfTS, CID: CIDExact}
 
 // Zero is the unset timestamp. Transactions use it as the "commit time not
 // yet chosen" sentinel (T.CT ← 0 in Algorithm 2), so all time bases issue
-// timestamps with TS ≥ 1.
+// timestamps other than Zero — whose Word is therefore never 0.
 var Zero = Timestamp{}
 
 // Exact wraps a raw tick count as an exact timestamp (no reading error).
@@ -79,62 +89,19 @@ func (t Timestamp) IsNegInf() bool { return t.TS == negInfTS }
 // IsZero reports whether t is the unset sentinel.
 func (t Timestamp) IsZero() bool { return t == Zero }
 
-// LaterEq reports t1 ⪰ t2: t1 is guaranteed to have been read no earlier
-// than t2 (the paper's "<" operator, Algorithm 1 line 3). For timestamps from
-// the same known clock no deviation applies; across clocks (or when a clock
-// ID has been erased by Max/Min) the deviations of both sides are masked
-// (Algorithm 5 line 14).
-func (t1 Timestamp) LaterEq(t2 Timestamp) bool {
-	if t2.IsNegInf() || t1.IsInf() {
-		return true
-	}
-	if t1.IsNegInf() || t2.IsInf() {
-		return false
-	}
-	if t1.CID == t2.CID && t1.CID != CIDUndefined {
-		return t1.TS >= t2.TS
-	}
-	return t1.TS-t1.Dev >= t2.TS+t2.Dev
-}
+// Word packs t into one int64, TS<<7 | CID — the versioned-lock-word
+// encoding of TL2 — so a stamp can be published with a single atomic store
+// or CAS. Only Zero packs to 0, which leaves 0 free as "unset". TS must fit
+// in 56 bits; the ±∞ sentinels do not and are never packed.
+func (t Timestamp) Word() int64 { return t.TS<<cidBits | int64(t.CID)&cidMask }
 
-// PossiblyLater reports t1 ≿ t2: t1 was possibly read at a later point than
-// t2 (Algorithm 1 lines 4–6). It is the negation of t2 ⪰ t1.
-func (t1 Timestamp) PossiblyLater(t2 Timestamp) bool {
-	return !t2.LaterEq(t1)
-}
-
-// Max returns a timestamp m such that any t3 ⪰ m is guaranteed to be later
-// than both t1 and t2 (Algorithm 5 lines 17–27). If neither side dominates,
-// the result takes the larger upper bound TS+Dev and erases the clock ID so
-// that future comparisons keep masking the uncertainty.
-func Max(t1, t2 Timestamp) Timestamp {
-	if t1.LaterEq(t2) {
-		return t1
+// FromWord unpacks a Word.
+func FromWord(w int64) Timestamp {
+	cid := int32(w & cidMask)
+	if cid > MaxCID {
+		cid = CIDUndefined
 	}
-	if t2.LaterEq(t1) {
-		return t2
-	}
-	if t1.TS+t1.Dev > t2.TS+t2.Dev {
-		return Timestamp{TS: t1.TS, CID: CIDUndefined, Dev: t1.Dev}
-	}
-	return Timestamp{TS: t2.TS, CID: CIDUndefined, Dev: t2.Dev}
-}
-
-// Min returns a timestamp m such that any t3 with m ⪰ t3 is guaranteed to be
-// earlier than both t1 and t2 (Algorithm 5 lines 28–38). If neither side
-// dominates, the result takes the smaller lower bound TS−Dev and erases the
-// clock ID.
-func Min(t1, t2 Timestamp) Timestamp {
-	if t1.LaterEq(t2) {
-		return t2
-	}
-	if t2.LaterEq(t1) {
-		return t1
-	}
-	if t1.TS-t1.Dev < t2.TS-t2.Dev {
-		return Timestamp{TS: t1.TS, CID: CIDUndefined, Dev: t1.Dev}
-	}
-	return Timestamp{TS: t2.TS, CID: CIDUndefined, Dev: t2.Dev}
+	return Timestamp{TS: w >> cidBits, CID: cid}
 }
 
 // Pred returns the timestamp immediately preceding t in ticks. getPrelimUB
@@ -149,24 +116,6 @@ func (t Timestamp) Pred() Timestamp {
 	return t
 }
 
-// Upper returns the latest real time at which t could have been read
-// (TS+Dev). It is the pessimistic upper edge used when mixing clocks.
-func (t Timestamp) Upper() int64 {
-	if t.IsInf() {
-		return infTS
-	}
-	return t.TS + t.Dev
-}
-
-// Lower returns the earliest real time at which t could have been read
-// (TS−Dev).
-func (t Timestamp) Lower() int64 {
-	if t.IsInf() {
-		return infTS
-	}
-	return t.TS - t.Dev
-}
-
 // String renders the timestamp for diagnostics.
 func (t Timestamp) String() string {
 	switch {
@@ -174,11 +123,71 @@ func (t Timestamp) String() string {
 		return "∞"
 	case t.IsNegInf():
 		return "-∞"
-	case t.IsZero():
-		return "0"
-	case t.Dev == 0 && t.CID == CIDExact:
+	case t.CID == CIDExact:
 		return fmt.Sprintf("%d", t.TS)
 	default:
-		return fmt.Sprintf("%d±%d@c%d", t.TS, t.Dev, t.CID)
+		return fmt.Sprintf("%d@c%d", t.TS, t.CID)
 	}
+}
+
+// Order is the comparison operator set of one time base (Algorithm 1 lines
+// 3–6 with Algorithm 5's masking): the deviation bound it masks is the
+// base's, shared by every clock of the set. Build it once per base with
+// OrderOf.
+//
+// With deviation 0 every operator is a plain tick comparison: the sentinels
+// are the extreme tick values, so no sentinel or clock-ID test is needed.
+type Order struct {
+	dev int64
+}
+
+// OrderOf returns the comparison operators for tb's timestamps.
+func OrderOf(tb TimeBase) Order { return Order{dev: tb.Deviation()} }
+
+// LaterEq reports t1 ⪰ t2: t1 is guaranteed to have been read no earlier
+// than t2 (the paper's "<" operator, Algorithm 1 line 3). For timestamps from
+// the same known clock no deviation applies; across clocks (or when a clock
+// ID has been erased by Max/Min) the deviation of both sides is masked
+// (Algorithm 5 line 14).
+//
+// −∞ on the left or ∞ on the right holds only against itself; testing them
+// unmasked also keeps the masked sums from overflowing.
+func (o Order) LaterEq(t1, t2 Timestamp) bool {
+	if o.dev == 0 || t1.CID == t2.CID && t1.CID != CIDUndefined || t1.IsNegInf() || t2.IsInf() {
+		return t1.TS >= t2.TS
+	}
+	return t1.TS-o.dev >= t2.TS+o.dev
+}
+
+// PossiblyLater reports t1 ≿ t2: t1 was possibly read at a later point than
+// t2 (Algorithm 1 lines 4–6). It is the negation of t2 ⪰ t1.
+func (o Order) PossiblyLater(t1, t2 Timestamp) bool {
+	return !o.LaterEq(t2, t1)
+}
+
+// Max returns a timestamp m such that any t3 ⪰ m is guaranteed to be later
+// than both t1 and t2 (Algorithm 5 lines 17–27). If neither side dominates,
+// the result keeps the larger TS and erases the clock ID so that future
+// comparisons keep masking the uncertainty.
+func (o Order) Max(t1, t2 Timestamp) Timestamp {
+	switch {
+	case o.LaterEq(t1, t2):
+		return t1
+	case o.LaterEq(t2, t1):
+		return t2
+	}
+	return Timestamp{TS: max(t1.TS, t2.TS), CID: CIDUndefined}
+}
+
+// Min returns a timestamp m such that any t3 with m ⪰ t3 is guaranteed to be
+// earlier than both t1 and t2 (Algorithm 5 lines 28–38). If neither side
+// dominates, the result keeps the smaller TS and erases the clock ID.
+func (o Order) Min(t1, t2 Timestamp) Timestamp {
+	switch {
+	case o.LaterEq(t1, t2):
+		return t2
+	case o.LaterEq(t2, t1):
+		return t1
+	}
+	return Timestamp{TS: min(t1.TS, t2.TS), CID: CIDUndefined}
 }

@@ -7,49 +7,66 @@ import (
 	"testing/quick"
 )
 
-// genTS produces a random timestamp mixing exact, imprecise, and undefined
+// genOrder draws one generated base's operators: exact (deviation 0) or a
+// small deviation bound shared by every clock of the base.
+func genOrder(r *rand.Rand) Order {
+	if r.Intn(3) == 0 {
+		return Order{}
+	}
+	return Order{dev: r.Int63n(10) + 1}
+}
+
+// genTS produces a random timestamp mixing exact, per-clock, and undefined
 // clock IDs in a small value range so comparisons of all flavours occur.
-// Each clock ID always carries the same deviation — a clock advertises one
-// bound — which is what makes ⪰ transitive at the operator level; timestamps
-// with an erased clock ID may carry any deviation.
 func genTS(r *rand.Rand) Timestamp {
 	switch r.Intn(5) {
 	case 0:
 		return Exact(r.Int63n(100) + 1)
 	case 1:
-		return Timestamp{TS: r.Int63n(100) + 1, CID: CIDUndefined, Dev: r.Int63n(10)}
+		return Timestamp{TS: r.Int63n(100) + 1, CID: CIDUndefined}
 	default:
-		cid := int32(1 + r.Intn(4))
-		return Timestamp{TS: r.Int63n(100) + 1, CID: cid, Dev: int64(2 + 3*cid)}
+		return Timestamp{TS: r.Int63n(100) + 1, CID: int32(1 + r.Intn(4))}
 	}
 }
 
-// quickCfg makes testing/quick generate Timestamps via genTS.
+// quickCfg makes testing/quick generate an Order (the first argument) and
+// Timestamps (the rest) via genOrder and genTS.
 var quickCfg = &quick.Config{
 	MaxCount: 5000,
 	Values: func(args []reflect.Value, r *rand.Rand) {
-		for i := range args {
+		args[0] = reflect.ValueOf(genOrder(r))
+		for i := 1; i < len(args); i++ {
 			args[i] = reflect.ValueOf(genTS(r))
 		}
 	},
 }
 
 func TestExactOrdering(t *testing.T) {
+	var o Order
 	a, b := Exact(5), Exact(7)
-	if !b.LaterEq(a) {
+	if !o.LaterEq(b, a) {
 		t.Errorf("7 ⪰ 5 must hold for exact timestamps")
 	}
-	if a.LaterEq(b) {
+	if o.LaterEq(a, b) {
 		t.Errorf("5 ⪰ 7 must not hold")
 	}
-	if !a.LaterEq(a) {
+	if !o.LaterEq(a, a) {
 		t.Errorf("⪰ must be reflexive for exact timestamps")
 	}
-	if a.PossiblyLater(b) {
+	if o.PossiblyLater(a, b) {
 		t.Errorf("5 ≿ 7 must not hold: 7 is guaranteed later")
 	}
-	if !b.PossiblyLater(a) {
+	if !o.PossiblyLater(b, a) {
 		t.Errorf("7 ≿ 5 must hold")
+	}
+}
+
+func TestOrderOfTakesTheBaseDeviation(t *testing.T) {
+	if got := OrderOf(NewSharedCounter()); got != (Order{}) {
+		t.Errorf("OrderOf(SharedCounter) = %+v, want the exact order", got)
+	}
+	if got := OrderOf(NewShardedCounter(2, 16)); got.dev != 8 {
+		t.Errorf("OrderOf(Sharded w=16) masks %d, want 8", got.dev)
 	}
 }
 
@@ -57,56 +74,59 @@ func TestInfinitySentinel(t *testing.T) {
 	if !Inf.IsInf() {
 		t.Fatal("Inf must report IsInf")
 	}
-	for _, ts := range []Timestamp{Exact(1), Exact(1 << 40), {TS: 3, CID: 2, Dev: 100}} {
-		if !Inf.LaterEq(ts) {
-			t.Errorf("∞ ⪰ %v must hold", ts)
+	for _, o := range []Order{{}, {dev: 100}} {
+		for _, ts := range []Timestamp{Exact(1), Exact(1 << 40), {TS: 3, CID: 2}} {
+			if !o.LaterEq(Inf, ts) {
+				t.Errorf("dev %d: ∞ ⪰ %v must hold", o.dev, ts)
+			}
+			if o.LaterEq(ts, Inf) {
+				t.Errorf("dev %d: %v ⪰ ∞ must not hold", o.dev, ts)
+			}
+			if !o.PossiblyLater(ts, Zero) {
+				t.Errorf("dev %d: %v ≿ 0 must hold", o.dev, ts)
+			}
 		}
-		if ts.LaterEq(Inf) {
-			t.Errorf("%v ⪰ ∞ must not hold", ts)
+		if !o.LaterEq(Inf, Inf) {
+			t.Errorf("dev %d: ∞ ⪰ ∞ must hold", o.dev)
 		}
-		if !ts.PossiblyLater(Zero) {
-			t.Errorf("%v ≿ 0 must hold", ts)
-		}
-	}
-	if !Inf.LaterEq(Inf) {
-		t.Error("∞ ⪰ ∞ must hold")
 	}
 }
 
 func TestDeviationMasking(t *testing.T) {
-	// Two timestamps from different clocks with deviation 5 each: guaranteed
-	// order requires a gap larger than the combined deviations.
-	a := Timestamp{TS: 10, CID: 1, Dev: 5}
-	b := Timestamp{TS: 19, CID: 2, Dev: 5}
-	if b.LaterEq(a) {
-		t.Errorf("19±5 ⪰ 10±5 must not hold: 19−5 < 10+5")
+	// Two timestamps from different clocks of a base with deviation 5:
+	// guaranteed order requires a gap of at least twice the deviation.
+	o := Order{dev: 5}
+	a := Timestamp{TS: 10, CID: 1}
+	b := Timestamp{TS: 19, CID: 2}
+	if o.LaterEq(b, a) {
+		t.Errorf("19 ⪰ 10 must not hold across clocks: 19−5 < 10+5")
 	}
-	if !b.PossiblyLater(a) {
-		t.Errorf("19±5 ≿ 10±5 must hold")
+	if !o.PossiblyLater(b, a) {
+		t.Errorf("19 ≿ 10 must hold")
 	}
-	c := Timestamp{TS: 20, CID: 2, Dev: 5}
-	if !c.LaterEq(a) {
-		t.Errorf("20±5 ⪰ 10±5 must hold: 20−5 ≥ 10+5")
+	c := Timestamp{TS: 20, CID: 2}
+	if !o.LaterEq(c, a) {
+		t.Errorf("20 ⪰ 10 must hold across clocks: 20−5 ≥ 10+5")
 	}
 	// Same clock: no deviation applies (Algorithm 5 line 12).
-	d := Timestamp{TS: 11, CID: 1, Dev: 5}
-	if !d.LaterEq(a) {
+	d := Timestamp{TS: 11, CID: 1}
+	if !o.LaterEq(d, a) {
 		t.Errorf("same-clock 11 ⪰ 10 must hold regardless of deviation")
 	}
 	// Undefined clock ID: deviation always applies, even to itself.
-	u := Timestamp{TS: 10, CID: CIDUndefined, Dev: 5}
-	if u.LaterEq(u) {
-		t.Errorf("10±5@undefined ⪰ itself must NOT hold: origin unknown")
+	u := Timestamp{TS: 10, CID: CIDUndefined}
+	if o.LaterEq(u, u) {
+		t.Errorf("10@undefined ⪰ itself must NOT hold: origin unknown")
 	}
 }
 
 func TestLaterEqExcludesPossiblyLater(t *testing.T) {
 	// t2 ⪰ t1 ⟹ ¬(t1 ≿ t2) and t2 ≿ t1 ⟹ ¬(t1 ⪰ t2) (§2.1).
-	f := func(t1, t2 Timestamp) bool {
-		if t2.LaterEq(t1) && t1.PossiblyLater(t2) {
+	f := func(o Order, t1, t2 Timestamp) bool {
+		if o.LaterEq(t2, t1) && o.PossiblyLater(t1, t2) {
 			return false
 		}
-		if t2.PossiblyLater(t1) && t1.LaterEq(t2) {
+		if o.PossiblyLater(t2, t1) && o.LaterEq(t1, t2) {
 			return false
 		}
 		return true
@@ -117,10 +137,12 @@ func TestLaterEqExcludesPossiblyLater(t *testing.T) {
 }
 
 func TestLaterEqTransitive(t *testing.T) {
-	// ⪰ must be transitive: the STM chains guarantees across versions.
-	f := func(a, b, c Timestamp) bool {
-		if a.LaterEq(b) && b.LaterEq(c) {
-			return a.LaterEq(c)
+	// ⪰ must be transitive: the STM chains guarantees across versions. One
+	// deviation for every clock of the base is what makes it so at the
+	// operator level.
+	f := func(o Order, a, b, c Timestamp) bool {
+		if o.LaterEq(a, b) && o.LaterEq(b, c) {
+			return o.LaterEq(a, c)
 		}
 		return true
 	}
@@ -138,23 +160,27 @@ type stamped struct {
 	real int64
 }
 
+// genBase draws one base: its operators and, per clock, a constant offset
+// from real time bounded by the base's deviation.
+func genBase(r *rand.Rand) (Order, map[int32]int64) {
+	o := Order{dev: r.Int63n(16)}
+	offsets := map[int32]int64{}
+	for cid := int32(1); cid <= 3; cid++ {
+		offsets[cid] = r.Int63n(2*o.dev+1) - o.dev
+	}
+	return o, offsets
+}
+
 // genStamped models clocks as monotone functions of real time with a
-// constant per-clock offset bounded by the advertised deviation, then reads
-// one timestamp at a random real time. Exact clocks (CIDExact) have zero
-// offset and deviation.
-func genStamped(r *rand.Rand, offsets map[int32]int64, devs map[int32]int64) stamped {
+// constant per-clock offset, then reads one timestamp at a random real time.
+// Exact clocks (CIDExact) have zero offset.
+func genStamped(r *rand.Rand, offsets map[int32]int64) stamped {
 	real := r.Int63n(200) + 1
 	if r.Intn(4) == 0 {
 		return stamped{ts: Exact(real), real: real}
 	}
 	cid := int32(1 + r.Intn(3))
-	dev, ok := devs[cid]
-	if !ok {
-		dev = r.Int63n(15) + 1
-		devs[cid] = dev
-		offsets[cid] = r.Int63n(2*dev+1) - dev
-	}
-	return stamped{ts: Timestamp{TS: real + offsets[cid], CID: cid, Dev: dev}, real: real}
+	return stamped{ts: Timestamp{TS: real + offsets[cid], CID: cid}, real: real}
 }
 
 func TestLaterEqSoundAgainstHiddenTruth(t *testing.T) {
@@ -162,11 +188,11 @@ func TestLaterEqSoundAgainstHiddenTruth(t *testing.T) {
 	// but must never invent one.
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
-		offsets, devs := map[int32]int64{}, map[int32]int64{}
-		a := genStamped(r, offsets, devs)
-		b := genStamped(r, offsets, devs)
-		if a.ts.LaterEq(b.ts) && a.real < b.real {
-			t.Fatalf("unsound ⪰: %v (real %d) claimed ⪰ %v (real %d)", a.ts, a.real, b.ts, b.real)
+		o, offsets := genBase(r)
+		a := genStamped(r, offsets)
+		b := genStamped(r, offsets)
+		if o.LaterEq(a.ts, b.ts) && a.real < b.real {
+			t.Fatalf("dev %d: unsound ⪰: %v (real %d) claimed ⪰ %v (real %d)", o.dev, a.ts, a.real, b.ts, b.real)
 		}
 	}
 }
@@ -178,14 +204,14 @@ func TestMaxSemantics(t *testing.T) {
 	// cross-clock value test cannot reconstruct).
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 20000; i++ {
-		offsets, devs := map[int32]int64{}, map[int32]int64{}
-		t1 := genStamped(r, offsets, devs)
-		t2 := genStamped(r, offsets, devs)
-		t3 := genStamped(r, offsets, devs)
-		m := Max(t1.ts, t2.ts)
-		if t3.ts.LaterEq(m) && (t3.real < t1.real || t3.real < t2.real) {
-			t.Fatalf("Max unsound: t3=%v (real %d) ⪰ Max(%v real %d, %v real %d) = %v",
-				t3.ts, t3.real, t1.ts, t1.real, t2.ts, t2.real, m)
+		o, offsets := genBase(r)
+		t1 := genStamped(r, offsets)
+		t2 := genStamped(r, offsets)
+		t3 := genStamped(r, offsets)
+		m := o.Max(t1.ts, t2.ts)
+		if o.LaterEq(t3.ts, m) && (t3.real < t1.real || t3.real < t2.real) {
+			t.Fatalf("dev %d: Max unsound: t3=%v (real %d) ⪰ Max(%v real %d, %v real %d) = %v",
+				o.dev, t3.ts, t3.real, t1.ts, t1.real, t2.ts, t2.real, m)
 		}
 	}
 }
@@ -194,50 +220,44 @@ func TestMinSemantics(t *testing.T) {
 	// §2.1: if min(t1,t2) ⪰ t3 then t3 is guaranteed earlier than both.
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
-		offsets, devs := map[int32]int64{}, map[int32]int64{}
-		t1 := genStamped(r, offsets, devs)
-		t2 := genStamped(r, offsets, devs)
-		t3 := genStamped(r, offsets, devs)
-		m := Min(t1.ts, t2.ts)
-		if m.LaterEq(t3.ts) && (t3.real > t1.real || t3.real > t2.real) {
-			t.Fatalf("Min unsound: Min(%v real %d, %v real %d) = %v ⪰ t3=%v (real %d)",
-				t1.ts, t1.real, t2.ts, t2.real, m, t3.ts, t3.real)
+		o, offsets := genBase(r)
+		t1 := genStamped(r, offsets)
+		t2 := genStamped(r, offsets)
+		t3 := genStamped(r, offsets)
+		m := o.Min(t1.ts, t2.ts)
+		if o.LaterEq(m, t3.ts) && (t3.real > t1.real || t3.real > t2.real) {
+			t.Fatalf("dev %d: Min unsound: Min(%v real %d, %v real %d) = %v ⪰ t3=%v (real %d)",
+				o.dev, t1.ts, t1.real, t2.ts, t2.real, m, t3.ts, t3.real)
 		}
 	}
 }
 
 func TestMaxMinExactDegenerate(t *testing.T) {
 	// For exact timestamps Max/Min are plain max/min (Algorithm 4).
-	if got := Max(Exact(3), Exact(9)); got != Exact(9) {
+	var o Order
+	if got := o.Max(Exact(3), Exact(9)); got != Exact(9) {
 		t.Errorf("Max(3,9) = %v, want 9", got)
 	}
-	if got := Min(Exact(3), Exact(9)); got != Exact(3) {
+	if got := o.Min(Exact(3), Exact(9)); got != Exact(3) {
 		t.Errorf("Min(3,9) = %v, want 3", got)
 	}
-	if got := Max(Exact(4), Inf); got != Inf {
+	if got := o.Max(Exact(4), Inf); got != Inf {
 		t.Errorf("Max(4,∞) = %v, want ∞", got)
 	}
-	if got := Min(Exact(4), Inf); got != Exact(4) {
+	if got := o.Min(Exact(4), Inf); got != Exact(4) {
 		t.Errorf("Min(4,∞) = %v, want 4", got)
 	}
 }
 
 func TestMaxMixedClocksErasesCID(t *testing.T) {
-	a := Timestamp{TS: 10, CID: 1, Dev: 3}
-	b := Timestamp{TS: 11, CID: 2, Dev: 3}
-	m := Max(a, b)
-	if m.CID != CIDUndefined {
-		t.Errorf("Max of overlapping cross-clock timestamps must erase CID, got %v", m)
+	o := Order{dev: 3}
+	a := Timestamp{TS: 10, CID: 1}
+	b := Timestamp{TS: 11, CID: 2}
+	if m := o.Max(a, b); m != (Timestamp{TS: 11, CID: CIDUndefined}) {
+		t.Errorf("Max of overlapping cross-clock timestamps = %v, want the larger TS 11 with the CID erased", m)
 	}
-	if m.Upper() != 14 {
-		t.Errorf("Max must keep the larger upper bound 14, got %d", m.Upper())
-	}
-	n := Min(a, b)
-	if n.CID != CIDUndefined {
-		t.Errorf("Min of overlapping cross-clock timestamps must erase CID, got %v", n)
-	}
-	if n.Lower() != 7 {
-		t.Errorf("Min must keep the smaller lower bound 7, got %d", n.Lower())
+	if n := o.Min(a, b); n != (Timestamp{TS: 10, CID: CIDUndefined}) {
+		t.Errorf("Min of overlapping cross-clock timestamps = %v, want the smaller TS 10 with the CID erased", n)
 	}
 }
 
@@ -246,8 +266,8 @@ func TestPred(t *testing.T) {
 	if p != Exact(4) {
 		t.Errorf("Pred(5) = %v, want 4", p)
 	}
-	it := Timestamp{TS: 9, CID: 2, Dev: 4}
-	if got := it.Pred(); got.TS != 8 || got.CID != 2 || got.Dev != 4 {
+	it := Timestamp{TS: 9, CID: 2}
+	if got := it.Pred(); got.TS != 8 || got.CID != 2 {
 		t.Errorf("Pred must only decrement TS, got %v", got)
 	}
 	for _, bad := range []Timestamp{Inf, Zero} {
@@ -264,11 +284,11 @@ func TestPred(t *testing.T) {
 
 func TestStringForms(t *testing.T) {
 	cases := map[string]Timestamp{
-		"∞":       Inf,
-		"0":       Zero,
-		"42":      Exact(42),
-		"7±2@c3":  {TS: 7, CID: 3, Dev: 2},
-		"7±2@c-1": {TS: 7, CID: CIDUndefined, Dev: 2},
+		"∞":     Inf,
+		"0":     Zero,
+		"42":    Exact(42),
+		"7@c3":  {TS: 7, CID: 3},
+		"7@c-1": {TS: 7, CID: CIDUndefined},
 	}
 	for want, ts := range cases {
 		if got := ts.String(); got != want {
@@ -277,14 +297,28 @@ func TestStringForms(t *testing.T) {
 	}
 }
 
-func TestZeroIsEarliest(t *testing.T) {
-	f := func(ts Timestamp) bool {
-		// All issued timestamps have TS ≥ 1, so with dev < 1 they are
-		// possibly later than Zero; exact ones are guaranteed later.
-		if ts.CID == CIDExact && ts.Dev == 0 {
-			return ts.LaterEq(Zero)
+func TestWordRoundTrip(t *testing.T) {
+	for _, ts := range []Timestamp{
+		Zero, Exact(0), Exact(1), Exact(1<<55 - 1), Exact(-3),
+		{TS: 0, CID: 1}, {TS: 7, CID: MaxCID}, {TS: -7, CID: 5}, {TS: 7, CID: CIDUndefined},
+	} {
+		if got := FromWord(ts.Word()); got != ts {
+			t.Errorf("FromWord(%v.Word()) = %v", ts, got)
 		}
-		return true
+		if (ts.Word() == 0) != ts.IsZero() {
+			t.Errorf("%v.Word() = %d: only Zero may pack to 0", ts, ts.Word())
+		}
+	}
+}
+
+func TestZeroIsEarliest(t *testing.T) {
+	f := func(o Order, ts Timestamp) bool {
+		// All issued timestamps have TS ≥ 1, so with dev ≥ 1 they are
+		// possibly later than Zero; exact ones are guaranteed later.
+		if ts.CID == CIDExact {
+			return o.LaterEq(ts, Zero)
+		}
+		return o.PossiblyLater(ts, Zero)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
@@ -295,25 +329,27 @@ func TestNegInfSentinel(t *testing.T) {
 	if !NegInf.IsNegInf() {
 		t.Fatal("NegInf must report IsNegInf")
 	}
-	for _, ts := range []Timestamp{Exact(1), Zero, Inf, {TS: 3, CID: 2, Dev: 100}} {
-		if !ts.LaterEq(NegInf) {
-			t.Errorf("%v ⪰ -∞ must hold", ts)
+	for _, o := range []Order{{}, {dev: 100}} {
+		for _, ts := range []Timestamp{Exact(1), Zero, Inf, {TS: 3, CID: 2}} {
+			if !o.LaterEq(ts, NegInf) {
+				t.Errorf("dev %d: %v ⪰ -∞ must hold", o.dev, ts)
+			}
+			if o.LaterEq(NegInf, ts) {
+				t.Errorf("dev %d: -∞ ⪰ %v must not hold", o.dev, ts)
+			}
 		}
-		if ts != NegInf && NegInf.LaterEq(ts) {
-			t.Errorf("-∞ ⪰ %v must not hold", ts)
+		if !o.LaterEq(NegInf, NegInf) {
+			t.Errorf("dev %d: -∞ ⪰ -∞ must hold", o.dev)
 		}
-	}
-	if !NegInf.LaterEq(NegInf) {
-		t.Error("-∞ ⪰ -∞ must hold")
+		if got := o.Max(NegInf, Exact(5)); got != Exact(5) {
+			t.Errorf("dev %d: Max(-∞, 5) = %v, want 5", o.dev, got)
+		}
+		if got := o.Min(NegInf, Exact(5)); got != NegInf {
+			t.Errorf("dev %d: Min(-∞, 5) = %v, want -∞", o.dev, got)
+		}
 	}
 	if Inf.String() != "∞" || NegInf.String() != "-∞" {
 		t.Errorf("sentinel strings: %q, %q", Inf.String(), NegInf.String())
-	}
-	if got := Max(NegInf, Exact(5)); got != Exact(5) {
-		t.Errorf("Max(-∞, 5) = %v, want 5", got)
-	}
-	if got := Min(NegInf, Exact(5)); got != NegInf {
-		t.Errorf("Min(-∞, 5) = %v, want -∞", got)
 	}
 	func() {
 		defer func() {
@@ -329,8 +365,8 @@ func TestGenesisReadableUnderLargeDeviation(t *testing.T) {
 	// A freshly created object's genesis version (validFrom = -∞) must be
 	// readable even by a clock whose value is tiny compared to its
 	// deviation — the scenario that motivated the -∞ sentinel.
-	early := Timestamp{TS: 3, CID: 1, Dev: 1000}
-	if !early.LaterEq(NegInf) {
+	early := Timestamp{TS: 3, CID: 1}
+	if !(Order{dev: 1000}).LaterEq(early, NegInf) {
 		t.Error("small-value high-deviation timestamp must be ⪰ -∞")
 	}
 }

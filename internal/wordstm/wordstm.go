@@ -21,9 +21,11 @@
 //
 // Single version per word (word STMs keep no history), so read-only
 // transactions validate like updaters. Only exact time bases (shared
-// counters, perfectly synchronized clocks) are supported: a lock word has
-// no room for a clock ID and deviation, which is precisely why the
-// object-based engine exists for externally synchronized clocks.
+// counters, perfectly synchronized clocks) are supported: a lock word holds
+// a bare tick count. The deviation is the base's, not the timestamp's, and
+// a clock ID fits in the low bits (timebase.Timestamp.Word), so the masked
+// bases are a lock-word encoding away; until then the object-based engine
+// serves externally synchronized clocks.
 package wordstm
 
 import (
@@ -83,9 +85,8 @@ func New(tb timebase.TimeBase, words int) (*STM, error) {
 	if words <= 0 {
 		return nil, fmt.Errorf("wordstm: words must be positive, got %d", words)
 	}
-	probe := tb.Clock(0).GetTime()
-	if probe.CID != timebase.CIDExact || probe.Dev != 0 {
-		return nil, fmt.Errorf("wordstm: time base %s is not exact; word-based lock tables cannot carry clock deviations (use the object-based engine)", tb.Name())
+	if tb.Deviation() != 0 {
+		return nil, fmt.Errorf("wordstm: time base %s is not exact; word-based lock tables hold bare tick counts (use the object-based engine)", tb.Name())
 	}
 	stripes := 64
 	for stripes < words/4 {
