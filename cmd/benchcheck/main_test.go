@@ -141,7 +141,7 @@ func TestCheckAgainstRealBenchRun(t *testing.T) {
 		t.Skip("measured-interval run")
 	}
 	var results []harness.Result
-	for _, name := range []string{"tl2", "lsa/sharded"} {
+	for _, name := range []string{"tl2", "lsa/extsync"} {
 		for _, mk := range []func() harness.Workload{
 			func() harness.Workload { return &benchBank{} },
 		} {
@@ -153,7 +153,7 @@ func TestCheckAgainstRealBenchRun(t *testing.T) {
 			results = append(results, r)
 		}
 	}
-	if errs := check(marshal(t, results), []string{"tl2", "lsa/sharded"}); len(errs) != 0 {
+	if errs := check(marshal(t, results), []string{"tl2", "lsa/extsync"}); len(errs) != 0 {
 		t.Fatalf("real bench run rejected: %v", errs)
 	}
 }

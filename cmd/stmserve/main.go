@@ -7,7 +7,7 @@
 //	stmserve -engine norec                          line protocol on :7070
 //	stmserve -engine lsa/shared -conn-mode pool     bounded worker pool instead of thread-per-conn
 //	stmserve -engine tl2 -http-api localhost:8080   plus the HTTP/JSON API (/op, /engines, /stats)
-//	stmserve -engine lsa/sharded -shard-window 64   engine tunables via the shared Options flags
+//	stmserve -engine lsa/extsync -deviation 500     engine tunables via the shared Options flags
 //
 // The two -conn-mode values are the experiment cmd/stmload exists to run:
 // "thread" gives every connection its own engine thread (state grows with

@@ -102,17 +102,6 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 		if tx.cause == CauseNone {
 			th.stats.AbortExternal++
 		}
-		// Lazy time-base synchronization: a snapshot or validation abort
-		// means some version compared as possibly-too-recent for this
-		// thread's view of the clock. On time bases with a stale local view
-		// (timebase.ShardedCounter), reconcile before retrying — the retry
-		// then starts from the freshest cross-shard time, and the
-		// reconciliation tick ages the conflicting version.
-		if tx.cause == CauseSnapshot || tx.cause == CauseValidation {
-			if r, ok := th.clock.(timebase.Reconciler); ok {
-				r.Reconcile()
-			}
-		}
 		if attempt > 2 {
 			runtime.Gosched()
 		}

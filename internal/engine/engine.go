@@ -7,9 +7,9 @@
 // validating STM designs — so the repository carries several engines:
 //
 //   - the multi-version object-based LSA core (internal/core), under every
-//     pluggable time base ("lsa/shared", "lsa/tl2ts", "lsa/sharded",
-//     "lsa/mmtimer", "lsa/ideal", "lsa/extsync"); with MaxVersions 1 the
-//     same core is the single-version ablation on any of them,
+//     pluggable time base ("lsa/shared", "lsa/tl2ts", "lsa/mmtimer",
+//     "lsa/ideal", "lsa/extsync"); with MaxVersions 1 the same core is
+//     the single-version ablation on any of them,
 //   - the word-based LSA variant ("wordstm"),
 //   - a TL2 reimplementation ("tl2") on its own integer version clock,
 //   - a validating STM with the RSTM commit-counter heuristic ("rstmval"),

@@ -11,26 +11,12 @@ import (
 )
 
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	for _, want := range []string{
-		"lsa/shared", "lsa/tl2ts", "lsa/sharded", "lsa/mmtimer", "lsa/ideal",
-		"lsa/extsync", "tl2", "wordstm", "rstmval", "norec", "glock",
-	} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("backend %q not registered (have %v)", want, names)
-		}
+	want := []string{
+		"glock", "lsa/extsync", "lsa/ideal", "lsa/mmtimer", "lsa/shared",
+		"lsa/tl2ts", "norec", "rstmval", "tl2", "wordstm",
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("names not sorted: %v", names)
-		}
+	if names := Names(); !reflect.DeepEqual(names, want) {
+		t.Errorf("registered in-memory backends %v, want exactly %v", names, want)
 	}
 }
 
@@ -38,7 +24,7 @@ func TestRegistryNames(t *testing.T) {
 // -short: a backend whose init forgot to Register (or a registry refactor
 // that drops one) fails the build here, not in a bench someone runs later.
 func TestRegisteredEngineCount(t *testing.T) {
-	const floor = 11
+	const floor = 10
 	if names := Names(); len(names) < floor {
 		t.Fatalf("only %d engines registered, want ≥ %d: %v", len(names), floor, names)
 	}
@@ -73,8 +59,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 // drawn from the BindFlags flag vocabulary.
 func TestDescribe(t *testing.T) {
 	knownTunables := map[string]bool{
-		"nodes": true, "max-versions": true, "deviation": true,
-		"shard-window": true, "words": true,
+		"nodes": true, "max-versions": true, "deviation": true, "words": true,
 	}
 	for _, name := range Names() {
 		info, ok := Describe(name)
@@ -149,8 +134,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative nodes", Options{Nodes: -1}, "Nodes"},
 		{"negative max versions", Options{MaxVersions: -2}, "MaxVersions"},
 		{"negative deviation", Options{Deviation: -5}, "Deviation"},
-		{"negative shard window", Options{ShardWindow: -1}, "ShardWindow"},
-		{"shard window one", Options{ShardWindow: 1}, "ShardWindow"},
 		{"negative words", Options{Words: -3}, "Words"},
 		{"unknown fsync policy", Options{Fsync: "sometimes"}, "fsync policy"},
 		{"negative segment bytes", Options{SegmentBytes: -1}, "SegmentBytes"},
@@ -170,7 +153,7 @@ func TestOptionsValidate(t *testing.T) {
 		})
 	}
 	good := []Options{
-		{}, {Nodes: 4}, {MaxVersions: 1}, {ShardWindow: 2},
+		{}, {Nodes: 4}, {MaxVersions: 1},
 		{Fsync: "always"}, {Fsync: "group"}, {Fsync: "never"},
 		{SnapshotBytes: -1}, {SnapshotBytes: 1 << 20},
 		{SegmentBytes: 1 << 16},
@@ -183,21 +166,12 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestNodesBeyondClockIDs: the per-node time bases give every node its own
-// clock ID, and a stamp word holds timebase.MaxCID of them. lsa/extsync
-// refuses more nodes; lsa/sharded clamps its shard count (ids beyond it
-// share shards, as they share nodes past Nodes).
+// clock ID, and a stamp word holds timebase.MaxCID of them, so lsa/extsync
+// refuses more nodes.
 func TestNodesBeyondClockIDs(t *testing.T) {
 	opt := Options{Nodes: timebase.MaxCID + 1}
 	if _, err := New("lsa/extsync", opt); err == nil || !strings.Contains(err.Error(), "nodes") {
 		t.Errorf("New(lsa/extsync, Nodes %d) = %v, want an error about nodes", opt.Nodes, err)
-	}
-	e, err := New("lsa/sharded", opt)
-	if err != nil {
-		t.Fatalf("New(lsa/sharded, Nodes %d): %v", opt.Nodes, err)
-	}
-	tb := e.(*lsaEngine).rt.TimeBase().(*timebase.ShardedCounter)
-	if tb.Shards() != timebase.MaxCID {
-		t.Errorf("lsa/sharded with Nodes %d has %d shards, want %d", opt.Nodes, tb.Shards(), timebase.MaxCID)
 	}
 	opt.Nodes = timebase.MaxCID
 	if _, err := New("lsa/extsync", opt); err != nil {
@@ -214,7 +188,7 @@ func TestBindFlags(t *testing.T) {
 	o.BindFlags(fs)
 	args := []string{
 		"-nodes", "4", "-max-versions", "2", "-deviation", "500",
-		"-shard-window", "64", "-words", "1024",
+		"-words", "1024",
 		"-wal", "/tmp/wal", "-fsync", "always", "-snapshot", "4096",
 		"-segment", "65536",
 	}
@@ -222,7 +196,7 @@ func TestBindFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{
-		Nodes: 4, MaxVersions: 2, Deviation: 500, ShardWindow: 64, Words: 1024,
+		Nodes: 4, MaxVersions: 2, Deviation: 500, Words: 1024,
 		WALDir: "/tmp/wal", Fsync: "always", SnapshotBytes: 4096,
 		SegmentBytes: 65536,
 	}

@@ -11,10 +11,9 @@ import (
 // The LSA backends: the multi-version object-based core under each of the
 // paper's time bases. "lsa/shared" is the classic shared-counter LSA,
 // "lsa/tl2ts" adds TL2's commit-timestamp sharing to the counter,
-// "lsa/sharded" runs on per-shard counters with lazy cross-shard
-// synchronization (the scalable software counter), "lsa/mmtimer" and
-// "lsa/ideal" are perfectly synchronized hardware clocks, and "lsa/extsync"
-// is the externally synchronized clock with a bounded, masked deviation.
+// "lsa/mmtimer" and "lsa/ideal" are perfectly synchronized hardware clocks
+// (§3.1), and "lsa/extsync" is the externally synchronized clock with a
+// bounded, masked deviation (§3.2).
 // This is the one table that turns a time-base name into a time base; the
 // public tstm package builds through it.
 func init() {
@@ -38,10 +37,6 @@ func init() {
 	Register("lsa/tl2ts", lsaInfo("multi-version LSA with TL2 commit-timestamp sharing"),
 		func(o Options) (Engine, error) {
 			return newLSA("lsa/tl2ts", timebase.NewTL2Counter(), o)
-		})
-	Register("lsa/sharded", lsaInfo("multi-version LSA on the sharded software counter", "nodes", "shard-window"),
-		func(o Options) (Engine, error) {
-			return newLSA("lsa/sharded", timebase.NewShardedCounter(o.Nodes, o.ShardWindow), o)
 		})
 	Register("lsa/mmtimer", lsaInfo("multi-version LSA on the simulated MMTimer hardware clock", "nodes"),
 		func(o Options) (Engine, error) {

@@ -23,14 +23,6 @@ type Options struct {
 	// Deviation is the advertised clock deviation bound in ticks for
 	// "lsa/extsync" (1 GHz device, so ticks are nanoseconds). Default 2000.
 	Deviation int64
-	// ShardWindow is the epoch window (in ticks) a shard of the sharded
-	// counter time base may run ahead of the shared epoch base, for
-	// "lsa/sharded". 0 selects timebase.DefaultShardWindow; odd
-	// windows are rounded up to even (the window halves into the masked
-	// deviation). Larger windows write the shared epoch line less often but
-	// widen the masked uncertainty gap (more aborts on freshly written hot
-	// objects).
-	ShardWindow int64
 	// Words is the transactional memory size of the word-based backend.
 	// Default 1<<20. Dynamic cell allocation (e.g. linked-list inserts)
 	// consumes words permanently, so size generously for long runs.
@@ -73,9 +65,6 @@ func (o Options) Validate() error {
 	}
 	if o.Deviation < 0 {
 		return fmt.Errorf("engine: Deviation = %d ticks, must be ≥ 0 (0 selects the default)", o.Deviation)
-	}
-	if o.ShardWindow < 0 || o.ShardWindow == 1 {
-		return fmt.Errorf("engine: ShardWindow = %d ticks, must be ≥ 2 (or 0 for the default)", o.ShardWindow)
 	}
 	if o.Words < 0 {
 		return fmt.Errorf("engine: Words = %d, must be ≥ 1 (or 0 for the default)", o.Words)
@@ -124,7 +113,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Nodes, "nodes", o.Nodes, "per-node time-base clock registers (0 = match the worker count)")
 	fs.IntVar(&o.MaxVersions, "max-versions", o.MaxVersions, "LSA per-object history depth (0 = engine default; 1 = single-version)")
 	fs.Int64Var(&o.Deviation, "deviation", o.Deviation, "advertised ext-sync clock deviation bound, ticks (0 = default 2000)")
-	fs.Int64Var(&o.ShardWindow, "shard-window", o.ShardWindow, "sharded-counter epoch window, ticks (0 = default)")
 	fs.IntVar(&o.Words, "words", o.Words, "word-based backend memory size in words (0 = default 1<<20)")
 	fs.StringVar(&o.WALDir, "wal", o.WALDir, "durable/* write-ahead-log directory (empty = temp dir, no cross-restart recovery)")
 	fs.StringVar(&o.Fsync, "fsync", o.Fsync, "durable/* sync policy: "+strings.Join(fsyncPolicies, "|")+" (empty = group)")
@@ -154,9 +142,8 @@ type Capabilities struct {
 	// float64, []byte); arbitrary boxed structs fail the write.
 	Durable bool `json:"durable,omitempty"`
 	// Tunables are the Options fields the backend consumes, named as the
-	// BindFlags flags ("nodes", "max-versions", "deviation", "shard-window",
-	// "words", and the durable backends' "wal", "fsync", "snapshot",
-	// "segment").
+	// BindFlags flags ("nodes", "max-versions", "deviation", "words", and
+	// the durable backends' "wal", "fsync", "snapshot", "segment").
 	Tunables []string `json:"tunables,omitempty"`
 }
 

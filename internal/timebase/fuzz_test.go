@@ -3,8 +3,8 @@ package timebase
 import "testing"
 
 // FuzzShardedCounterOrdering drives a ShardedCounter with an arbitrary
-// sequential interleaving of GetNewTS/GetTime/Reconcile calls across several
-// handles and checks the ordering contract the STM relies on: a GetNewTS
+// sequential interleaving of GetNewTS/GetTime calls across several
+// handles and checks the ordering contract every time base owes: a GetNewTS
 // value issued earlier is never guaranteed-later (⪰) than one issued
 // afterwards — neither within a shard (exact comparison) nor across shards
 // (masked comparison) — and values stay unique as (shard, epoch) pairs.
@@ -33,13 +33,11 @@ func FuzzShardedCounterOrdering(f *testing.F) {
 			switch b & 3 {
 			case 0, 1:
 				news = append(news, issued{c.GetNewTS(), i})
-			case 2:
+			case 2, 3:
 				ts := c.GetTime()
 				if !ord.LaterEq(ts, Zero) {
 					t.Fatalf("op %d: GetTime %v not ⪰ Zero", i, ts)
 				}
-			case 3:
-				c.(Reconciler).Reconcile()
 			}
 		}
 		seen := make(map[Timestamp]int, len(news))

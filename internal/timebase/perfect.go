@@ -52,16 +52,11 @@ func (pc *PerfectClock) Device() *hwclock.Device { return pc.dev }
 type perfectClock struct {
 	dev  *hwclock.Device
 	node int
-	last int64
 }
 
 // GetTime reads the local register (Algorithm 4 lines 1–4).
 func (c *perfectClock) GetTime() Timestamp {
-	v := c.dev.NodeRead(c.node)
-	if v > c.last {
-		c.last = v
-	}
-	return Exact(v)
+	return Exact(c.dev.NodeRead(c.node))
 }
 
 // GetNewTS re-reads the local register until the value is strictly greater
@@ -72,9 +67,6 @@ func (c *perfectClock) GetNewTS() Timestamp {
 	t := ts
 	for t <= ts {
 		t = c.dev.NodeRead(c.node)
-	}
-	if t > c.last {
-		c.last = t
 	}
 	return Exact(t)
 }

@@ -6,19 +6,17 @@ import (
 )
 
 // DefaultShardWindow is the default epoch window of NewShardedCounter, in
-// ticks. Larger windows touch the shared epoch base less often (better
-// commit scaling) but widen the masked uncertainty gap 2·dev = window, which
-// ages freshly committed versions more aggressively (more aborts on hot,
-// recently written objects).
+// ticks. Larger windows touch the shared epoch base less often but widen
+// the masked uncertainty gap 2·dev = window.
 const DefaultShardWindow = 32
 
-// ShardedCounter is the scalable counter time base the paper's §1.2 analysis
-// asks for: instead of one integer whose cache line every commit invalidates
-// system-wide, time is kept in N cache-line-padded per-shard counters.
-// GetNewTS bumps only the caller's shard — an uncontended fetch-and-add for
-// workers on distinct shards — and the shards are lazily synchronized
-// through a shared epoch base that is written only once per window/2 commits
-// of the leading shard, not once per commit.
+// ShardedCounter is a software counter sharded for commit scaling: instead
+// of one integer whose cache line every commit invalidates system-wide,
+// time is kept in N cache-line-padded per-shard counters. GetNewTS bumps
+// only the caller's shard — an uncontended fetch-and-add for workers on
+// distinct shards — and the shards are lazily synchronized through a shared
+// epoch base that is written only once per window/2 commits of the leading
+// shard, not once per commit.
 //
 // Soundness comes from mapping the construction onto the paper's externally
 // synchronized clock framework (§3.2) with the epoch base playing the role
@@ -33,16 +31,12 @@ const DefaultShardWindow = 32
 //
 // The lazy part: GetTime reads the local shard plus the read-mostly epoch
 // line (for the window clamp) and writes nothing shared, so a shard that
-// has not committed recently serves deliberately stale snapshots. Consistency is unaffected (reads at an old snapshot are still
-// consistent, and update transactions revalidate at a fresh commit
-// timestamp), but a stale or conflict-stuck thread makes no progress against
-// fresh versions; Reconcile is the repair hook: it takes the max across all
-// shards, advances it by one tick, and installs it as the local view. STM
-// retry loops call it after an abort caused by a failed read-set validation,
-// which both refreshes the local view and — because reconciliation itself
-// ticks the clock — guarantees that repeated validation failures eventually
-// age any fixed version past the masked window ("mostly-local clock,
-// globally reconciled on conflict").
+// has not committed recently keeps returning a stale time. Only a GetNewTS
+// on the shard moves it, so an STM thread on a stale shard could find
+// a fresh version possibly-later than every snapshot it can take and abort
+// forever. No STM engine runs on this base: it stays only as the bench
+// ladder's timebase.sharded rung, which times GetNewTS alone, until that
+// rung is dropped (ROADMAP item 9(v)).
 type ShardedCounter struct {
 	shards []shard
 	window int64 // even; issued values stay within [base, base+window]
@@ -112,18 +106,6 @@ func (sc *ShardedCounter) Window() int64 { return sc.window }
 // Base exposes the shared epoch base for tests.
 func (sc *ShardedCounter) Base() int64 { return sc.base.Load() }
 
-// Now returns the maximum value across all shards (the freshest view any
-// reconciled clock could obtain), for tests and diagnostics.
-func (sc *ShardedCounter) Now() int64 {
-	m := sc.base.Load()
-	for i := range sc.shards {
-		if v := sc.shards[i].c.Load(); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 type shardClock struct {
 	sc  *ShardedCounter
 	sh  *shard
@@ -141,7 +123,7 @@ type shardClock struct {
 // read-mostly and cached everywhere — the contended word of SharedCounter
 // was hot because of the per-commit writes, not the reads. Stale values
 // (below base) are returned as-is; claiming an older reading is always
-// conservative, and the Reconcile repair path bounds how stale a view gets.
+// conservative.
 func (c *shardClock) GetTime() Timestamp {
 	v := c.sh.c.Load()
 	if lim := c.sc.base.Load() + c.sc.window; v > lim {
@@ -175,21 +157,6 @@ func (c *shardClock) GetNewTS() Timestamp {
 	return Timestamp{TS: v, CID: c.cid}
 }
 
-// Reconcile implements Reconciler: it synchronizes the local shard with the
-// freshest value across all shards and advances the clock by one tick, so a
-// thread whose validations keep failing against its stale local view both
-// catches up and ages the offending versions. Reports whether the local
-// shard moved.
-func (c *shardClock) Reconcile() bool {
-	sc := c.sc
-	m := sc.Now() + 1
-	// Raise the base before publishing the lifted shard value, so the
-	// window invariant (shard ≤ base+window) holds at every intermediate
-	// point and concurrent GetTime readers never need their clamp here.
-	atomicMax(&sc.base, m-sc.window)
-	return atomicMax(&c.sh.c, m)
-}
-
 // lift raises the shard counter to at least target and returns a value not
 // previously issued on this shard. Every return value is the result of an
 // atomic read-modify-write that strictly increased the counter, so values
@@ -206,15 +173,12 @@ func (s *shard) lift(target int64) int64 {
 	}
 }
 
-// atomicMax raises a to at least v, reporting whether it advanced.
-func atomicMax(a *atomic.Int64, v int64) bool {
+// atomicMax raises a to at least v.
+func atomicMax(a *atomic.Int64, v int64) {
 	for {
 		cur := a.Load()
-		if cur >= v {
-			return false
-		}
-		if a.CompareAndSwap(cur, v) {
-			return true
+		if cur >= v || a.CompareAndSwap(cur, v) {
+			return
 		}
 	}
 }

@@ -46,10 +46,10 @@ func TestShardedNewTSUniquePairs(t *testing.T) {
 }
 
 // TestShardedMonotonicPerThread: within one handle, GetNewTS is strictly
-// increasing and GetTime never goes backwards, including across Reconcile.
+// increasing and GetTime never goes backwards.
 func TestShardedMonotonicPerThread(t *testing.T) {
 	sc := NewShardedCounter(3, 16)
-	c := sc.Clock(1).(*shardClock)
+	c := sc.Clock(1)
 	last := c.GetTime()
 	for i := 0; i < 1000; i++ {
 		var cur Timestamp
@@ -59,9 +59,6 @@ func TestShardedMonotonicPerThread(t *testing.T) {
 			if cur.TS <= last.TS {
 				t.Fatalf("iteration %d: GetNewTS %v not strictly greater than %v", i, cur, last)
 			}
-		case 3:
-			c.Reconcile()
-			cur = c.GetTime()
 		default:
 			cur = c.GetTime()
 		}
@@ -72,62 +69,6 @@ func TestShardedMonotonicPerThread(t *testing.T) {
 			t.Fatalf("iteration %d: clock ID changed %v → %v", i, last, cur)
 		}
 		last = cur
-	}
-}
-
-// TestShardedCrossShardOrderingAfterReconcile reproduces the lazy-sync
-// round trip: shard 0 runs far ahead, shard 1's stale local view cannot be
-// ordered against it, and one Reconcile makes shard 1's next timestamps
-// guaranteed-later than everything shard 0 issued more than a window ago.
-func TestShardedCrossShardOrderingAfterReconcile(t *testing.T) {
-	sc := NewShardedCounter(2, 16)
-	a, b, ord := sc.Clock(0), sc.Clock(1), OrderOf(sc)
-
-	early := a.GetNewTS()
-	var lastA Timestamp
-	for i := int64(0); i < 3*sc.Window(); i++ {
-		lastA = a.GetNewTS()
-	}
-
-	// Stale local view: b has issued nothing, so its time sits at the
-	// initial value — possibly earlier than everything a issued.
-	stale := b.GetTime()
-	if ord.LaterEq(stale, lastA) {
-		t.Fatalf("stale view %v claims to be later than fresh %v", stale, lastA)
-	}
-
-	if !b.(Reconciler).Reconcile() {
-		t.Fatal("Reconcile of a stale shard must advance it")
-	}
-	fresh := b.GetTime()
-	if fresh.TS <= stale.TS {
-		t.Fatalf("Reconcile did not advance the local view: %v → %v", stale, fresh)
-	}
-	// After reconciliation the view is guaranteed-later than values issued
-	// more than a window before the leader's current time.
-	if !ord.LaterEq(fresh, early) {
-		t.Fatalf("reconciled view %v not ⪰ early timestamp %v", fresh, early)
-	}
-	// And the leader's aged timestamps order correctly against b's new ones.
-	if !ord.LaterEq(b.GetNewTS(), early) {
-		t.Fatalf("post-reconcile GetNewTS not ⪰ %v", early)
-	}
-}
-
-// TestShardedReconcileTicksTheClock: reconciliation must advance global time
-// even when nothing commits — this is what lets a lone reader age a fresh
-// version past the masked window instead of livelocking.
-func TestShardedReconcileTicksTheClock(t *testing.T) {
-	sc := NewShardedCounter(2, 8)
-	w := sc.Clock(0)
-	r := sc.Clock(1).(*shardClock)
-
-	ct := w.GetNewTS() // one commit, then the writer goes idle
-	for i := int64(0); i < 2*sc.Window(); i++ {
-		r.Reconcile()
-	}
-	if now := r.GetTime(); !OrderOf(sc).LaterEq(now, ct) {
-		t.Fatalf("after 2·window reconciles, %v still not ⪰ commit time %v", now, ct)
 	}
 }
 
@@ -155,16 +96,14 @@ func TestShardedWindowInvariant(t *testing.T) {
 		switch i % 5 {
 		case 0, 1, 2:
 			c.GetNewTS()
-		case 3:
+		default:
 			c.GetTime()
-		case 4:
-			c.(*shardClock).Reconcile()
 		}
 		check(i)
 	}
 }
 
-// TestShardedIssueBoundUnderContention hammers GetTime/GetNewTS/Reconcile
+// TestShardedIssueBoundUnderContention hammers GetTime/GetNewTS
 // from several threads per shard and checks the soundness invariant on
 // every issued timestamp: its value never exceeds base+window, where base
 // is read after the issuing call returns. Since the base is monotone, a
@@ -187,9 +126,6 @@ func TestShardedIssueBoundUnderContention(t *testing.T) {
 				switch i % 4 {
 				case 0:
 					ts = c.GetNewTS()
-				case 3:
-					c.(Reconciler).Reconcile()
-					continue
 				default:
 					ts = c.GetTime()
 				}

@@ -39,18 +39,3 @@ type Clock interface {
 	// to choose their commit time.
 	GetNewTS() Timestamp
 }
-
-// Reconciler is an optional capability of Clock handles whose time base
-// keeps a deliberately stale local view (ShardedCounter). Reconcile
-// synchronizes the handle's view with the freshest global state — for the
-// sharded counter, the max across all shards plus one tick. STM retry loops
-// call it after an abort caused by a failed read-set validation: purely
-// local reads stay uncontended on the fast path, and the cross-shard
-// synchronization price is paid only when a conflict proves the local view
-// too old. Clocks without a stale view simply do not implement it.
-type Reconciler interface {
-	// Reconcile refreshes the local view; it reports whether the view
-	// advanced. Safe to call from the handle's owning thread at any point
-	// between transactions.
-	Reconcile() bool
-}

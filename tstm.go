@@ -13,8 +13,6 @@
 //     base — simple, but a coherence bottleneck on large machines; the
 //     default),
 //   - "lsa/tl2ts": the same counter with TL2's commit-timestamp sharing,
-//   - "lsa/sharded": per-shard counters lazily synchronized through a
-//     shared epoch, whose cross-shard comparisons mask a deviation,
 //   - "lsa/mmtimer": perfectly synchronized hardware clocks modeled on the
 //     SGI Altix MMTimer, whose reads are contention-free,
 //   - "lsa/ideal": a free-to-read, nanosecond-granularity perfectly

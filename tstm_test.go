@@ -218,7 +218,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative nodes mmtimer", "lsa/mmtimer", Options{Nodes: -1}},
 		{"negative nodes ideal", "lsa/ideal", Options{Nodes: -1}},
 		{"negative nodes extsync", "lsa/extsync", Options{Nodes: -1}},
-		{"negative nodes sharded", "lsa/sharded", Options{Nodes: -1}},
 		{"negative deviation", "lsa/extsync", Options{Deviation: -1}},
 		{"negative versions", "lsa/shared", Options{MaxVersions: -1}},
 		{"norec", "norec", Options{}},
