@@ -99,10 +99,9 @@ func main() {
 	if *listEng {
 		// The registry's introspection API replaces the ad-hoc per-engine
 		// type assertions this listing used to need.
-		t := stats.NewTable("engine", "int-lane", "attempts", "multi-version", "durable", "tunables", "summary")
+		t := stats.NewTable("engine", "attempts", "multi-version", "durable", "tunables", "summary")
 		for _, info := range engine.Infos() {
 			t.AddRowf(info.Name,
-				yn(info.Capabilities.IntLane),
 				yn(info.Capabilities.AttemptCounter),
 				yn(info.Capabilities.MultiVersion),
 				yn(info.Capabilities.Durable),

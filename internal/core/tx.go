@@ -177,14 +177,13 @@ func (tx *Tx) Read(o *Object) (any, error) {
 
 // ReadInt opens the object in read mode through the unboxed numeric lane.
 // ok reports whether the value currently lives in the lane; when false the
-// caller falls back to Read.
+// caller falls back to Read. On error ReadValue returns the zero Value, a
+// boxed payload, so n is 0 and ok false with no branch of its own — which
+// keeps ReadInt within the inliner's budget.
 func (tx *Tx) ReadInt(o *Object) (n int64, ok bool, err error) {
 	v, err := tx.ReadValue(o)
-	if err != nil {
-		return 0, false, err
-	}
 	n, ok = v.AsInt64()
-	return n, ok, nil
+	return
 }
 
 // ReadValue opens the object in read mode (Algorithm 2, Open with m = read)

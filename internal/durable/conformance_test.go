@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,8 +26,7 @@ func TestRegistryWrappers(t *testing.T) {
 				t.Error("Durable capability not claimed")
 			}
 			baseInfo, _ := engine.Describe(base)
-			if info.Capabilities.IntLane != baseInfo.Capabilities.IntLane ||
-				info.Capabilities.MultiVersion != baseInfo.Capabilities.MultiVersion {
+			if info.Capabilities.MultiVersion != baseInfo.Capabilities.MultiVersion {
 				t.Errorf("capabilities %+v diverge from base %+v", info.Capabilities, baseInfo.Capabilities)
 			}
 			for _, tun := range []string{"wal", "fsync", "snapshot"} {
@@ -59,13 +59,31 @@ func TestRegistryWrappers(t *testing.T) {
 			if _, ok := th.(engine.AttemptCounter); ok != info.Capabilities.AttemptCounter {
 				t.Errorf("AttemptCounter claim %v, thread says %v", info.Capabilities.AttemptCounter, ok)
 			}
-			if err := th.Run(func(tx engine.Txn) error {
-				if _, ok := tx.(engine.IntTxn); ok != info.Capabilities.IntLane {
-					t.Errorf("IntLane claim %v, transaction says %v", info.Capabilities.IntLane, ok)
+			if err := th.Run(func(tx engine.Txn) error { return engine.Set(tx, c, 2) }); err != nil {
+				t.Fatal(err)
+			}
+			// The typed accessors' boxed fallback through the journaling
+			// transaction: a string round-trips, and Get[int] on it names the
+			// held type.
+			s := eng.NewCell("")
+			if err := th.Run(func(tx engine.Txn) error { return engine.Set(tx, s, "a string") }); err != nil {
+				t.Fatal(err)
+			}
+			if err := th.RunReadOnly(func(tx engine.Txn) error {
+				got, err := engine.Get[string](tx, s)
+				if err == nil && got != "a string" {
+					t.Errorf("Get[string] = %q, want %q", got, "a string")
 				}
-				return engine.Set(tx, c, 2)
+				return err
 			}); err != nil {
 				t.Fatal(err)
+			}
+			err = th.Run(func(tx engine.Txn) error {
+				_, err := engine.Get[int](tx, s)
+				return err
+			})
+			if err == nil || !strings.Contains(err.Error(), "holds string") {
+				t.Errorf("type mismatch must surface, got %v", err)
 			}
 			if err := d.WALSync(); err != nil {
 				t.Fatal(err)

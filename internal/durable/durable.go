@@ -618,7 +618,6 @@ func (t *dthread) RunReadOnly(fn func(engine.Txn) error) error {
 type dtxn struct {
 	e      *Engine
 	itx    engine.Txn
-	iint   engine.IntTxn // itx's lane, nil if absent
 	seq    uint64
 	writes []Entry
 }
@@ -626,7 +625,6 @@ type dtxn struct {
 func (t *dtxn) reset(e *Engine, itx engine.Txn) {
 	t.e = e
 	t.itx = itx
-	t.iint, _ = itx.(engine.IntTxn)
 	t.seq = 0
 	t.writes = t.writes[:0]
 }
@@ -678,10 +676,7 @@ func (t *dtxn) Write(c engine.Cell, v any) error {
 }
 
 func (t *dtxn) ReadInt(c engine.Cell) (int64, bool, error) {
-	if t.iint == nil {
-		return 0, false, nil
-	}
-	return t.iint.ReadInt(c.(*dcell).inner)
+	return t.itx.ReadInt(c.(*dcell).inner)
 }
 
 func (t *dtxn) WriteInt(c engine.Cell, v int64) error {
@@ -689,13 +684,7 @@ func (t *dtxn) WriteInt(c engine.Cell, v int64) error {
 	if err := t.ticket(); err != nil {
 		return err
 	}
-	if t.iint == nil {
-		// Lane writes have canonical dynamic type int; mirror that through
-		// the boxed fallback.
-		if err := t.itx.Write(dc.inner, int(v)); err != nil {
-			return err
-		}
-	} else if err := t.iint.WriteInt(dc.inner, v); err != nil {
+	if err := t.itx.WriteInt(dc.inner, v); err != nil {
 		return err
 	}
 	t.writes = append(t.writes, Entry{ID: dc.id, V: val.OfInt(int(v))})

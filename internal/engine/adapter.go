@@ -29,7 +29,6 @@ func valueInfo(summary string) Info {
 	return Info{
 		Summary: summary,
 		Capabilities: Capabilities{
-			IntLane:        true,
 			AttemptCounter: true,
 		},
 	}
@@ -145,10 +144,10 @@ func (t *adapterThread[T]) do(run func(func(T) error) error, fn func(Txn) error)
 	return err
 }
 
-// valueTxn lifts a native transaction to Txn and IntTxn. It is a one-pointer
-// struct, so converting it to the Txn interface stores the pointer directly
-// and does not allocate; the int lane is the native value lane restricted to
-// val.OfInt payloads.
+// valueTxn lifts a native transaction to Txn (both lanes). It is a
+// one-pointer struct, so converting it to the Txn interface stores the
+// pointer directly and does not allocate; the int lane is the native value
+// lane restricted to val.OfInt payloads.
 type valueTxn[O any, T valueTx[O]] struct {
 	tx T
 }

@@ -36,13 +36,9 @@ func TestValueLaneAdapter(t *testing.T) {
 			before := ac.Attempts()
 			// A wide read-modify-write through the int lane.
 			if err := th.Run(func(tx Txn) error {
-				it, ok := tx.(IntTxn)
-				if !ok {
-					t.Fatal("transaction does not implement IntTxn")
-				}
 				var sum int64
 				for _, c := range cells {
-					n, isNum, err := it.ReadInt(c)
+					n, isNum, err := tx.ReadInt(c)
 					if err != nil {
 						return err
 					}
@@ -54,10 +50,10 @@ func TestValueLaneAdapter(t *testing.T) {
 				if sum != 28 {
 					t.Errorf("sum = %d, want 28", sum)
 				}
-				if _, err := it.UpdateInt(cells[0], func(n int64) int64 { return n + sum }); err != nil {
+				if _, err := tx.UpdateInt(cells[0], func(n int64) int64 { return n + sum }); err != nil {
 					return err
 				}
-				return it.WriteInt(cells[1], sum)
+				return tx.WriteInt(cells[1], sum)
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +65,7 @@ func TestValueLaneAdapter(t *testing.T) {
 			if err := th.RunReadOnly(func(tx Txn) error { return tx.Write(cells[2], 1) }); err == nil {
 				t.Error("Write inside RunReadOnly must fail")
 			}
-			if err := th.RunReadOnly(func(tx Txn) error { return tx.(IntTxn).WriteInt(cells[2], 1) }); err == nil {
+			if err := th.RunReadOnly(func(tx Txn) error { return tx.WriteInt(cells[2], 1) }); err == nil {
 				t.Error("WriteInt inside RunReadOnly must fail")
 			}
 			if err := th.RunReadOnly(func(tx Txn) error {
@@ -93,8 +89,8 @@ func TestValueLaneAdapter(t *testing.T) {
 			ops := map[string]func(Txn) error{
 				"Read":     func(tx Txn) error { _, err := tx.Read(foreign); return err },
 				"Write":    func(tx Txn) error { return tx.Write(foreign, 1) },
-				"ReadInt":  func(tx Txn) error { _, _, err := tx.(IntTxn).ReadInt(foreign); return err },
-				"WriteInt": func(tx Txn) error { return tx.(IntTxn).WriteInt(foreign, 1) },
+				"ReadInt":  func(tx Txn) error { _, _, err := tx.ReadInt(foreign); return err },
+				"WriteInt": func(tx Txn) error { return tx.WriteInt(foreign, 1) },
 			}
 			for op, fn := range ops {
 				msg := panicMessage(func() { _ = eng.Thread(1).Run(fn) })

@@ -25,8 +25,10 @@
 // A Cell is an engine-specific handle for one transactional variable; it
 // must only be used with transactions of the engine that created it. Values
 // are stored as immutable snapshots (callers copy mutable values before
-// storing). The typed accessors Get, Set and Update recover static typing on
-// top of the any-valued Txn interface.
+// storing). Every Txn carries two lanes: the any-valued Read/Write pair and
+// the unboxed int64 lane of IntTxn. The typed accessors Get, Set and Update
+// recover static typing on top of both, routing int and int64 through the
+// unboxed lane.
 package engine
 
 import (
@@ -42,22 +44,24 @@ import (
 type Cell interface{}
 
 // Txn is one transaction attempt. The closure passed to Thread.Run receives
-// a Txn and must confine its side effects to Read and Write; on error it
-// must return promptly (the engine retries aborted attempts).
+// a Txn and must confine its side effects to its reads and writes; on error
+// it must return promptly (the engine retries aborted attempts).
+//
+// Every Txn implements both lanes: Read/Write move any value, boxed; the
+// embedded IntTxn moves int-typed payloads as plain int64 words.
 type Txn interface {
 	// Read returns the cell's value in the transaction's snapshot.
 	Read(c Cell) (any, error)
 	// Write installs val as the cell's tentative new value; it becomes
 	// visible atomically at commit.
 	Write(c Cell, val any) error
+	IntTxn
 }
 
-// IntTxn is the optional unboxed numeric lane: a Txn that additionally
-// implements it moves int-typed payloads as plain int64 words, with no
-// interface boxing anywhere on the path. Every backend in this repository
-// implements it; the typed accessors Get, Set and Update detect it with one
-// type assertion and use it automatically, so int-valued workloads ride the
-// lane with no code changes.
+// IntTxn is the unboxed numeric lane every Txn carries: int-typed payloads
+// move as plain int64 words, with no interface boxing anywhere on the path.
+// The typed accessors Get, Set and Update use it for T = int or int64, so
+// int-valued workloads ride the lane with no code changes.
 //
 // Lane semantics: values written through WriteInt have canonical dynamic
 // type int (a raw Txn.Read returns int), and ReadInt serves any numeric
@@ -232,37 +236,42 @@ func (s Stats) String() string {
 	return fmt.Sprintf("commits=%d aborts=%d (rate=%.4f)", s.Commits, s.Aborts, s.AbortRate())
 }
 
-// Get reads the cell and asserts its value to T. For T = int or int64 on a
-// lane-capable transaction the read goes through IntTxn.ReadInt and never
-// boxes; the pointer-typed switch on &zero compiles to a static dispatch
-// with no interface allocation (pointers are direct interface values, and
-// the interface does not escape).
+// Get reads the cell and asserts its value to T. For T = int or int64 the
+// read goes through the transaction's IntTxn.ReadInt and never boxes; a cell
+// holding a boxed payload falls back to Read. The switch on &zero is not
+// resolved at compile time: Go compiles one body per GC shape, so it
+// compares *T, read from the instantiation's dictionary, with each case. It
+// does not allocate (pointers are direct interface values, and the
+// interface does not escape).
 func Get[T any](tx Txn, c Cell) (T, error) {
 	var zero T
 	switch p := any(&zero).(type) {
 	case *int:
-		if it, ok := tx.(IntTxn); ok {
-			n, isNum, err := it.ReadInt(c)
-			if err != nil {
-				return zero, err
-			}
-			if isNum {
-				*p = int(n)
-				return zero, nil
-			}
+		n, isNum, err := tx.ReadInt(c)
+		if err != nil {
+			return zero, err
+		}
+		if isNum {
+			*p = int(n)
+			return zero, nil
 		}
 	case *int64:
-		if it, ok := tx.(IntTxn); ok {
-			n, isNum, err := it.ReadInt(c)
-			if err != nil {
-				return zero, err
-			}
-			if isNum {
-				*p = n
-				return zero, nil
-			}
+		n, isNum, err := tx.ReadInt(c)
+		if err != nil {
+			return zero, err
+		}
+		if isNum {
+			*p = n
+			return zero, nil
 		}
 	}
+	return getBoxed[T](tx, c)
+}
+
+// getBoxed is Get's escape hatch: the boxed Read and a dynamic assertion
+// to T.
+func getBoxed[T any](tx Txn, c Cell) (T, error) {
+	var zero T
 	v, err := tx.Read(c)
 	if err != nil {
 		return zero, err
@@ -274,19 +283,14 @@ func Get[T any](tx Txn, c Cell) (T, error) {
 	return t, nil
 }
 
-// Set writes a typed value to the cell. For T = int or int64 on a
-// lane-capable transaction the write goes through IntTxn.WriteInt and never
-// boxes.
+// Set writes a typed value to the cell. For T = int or int64 the write goes
+// through the transaction's IntTxn.WriteInt and never boxes.
 func Set[T any](tx Txn, c Cell, v T) error {
 	switch p := any(&v).(type) {
 	case *int:
-		if it, ok := tx.(IntTxn); ok {
-			return it.WriteInt(c, int64(*p))
-		}
+		return tx.WriteInt(c, int64(*p))
 	case *int64:
-		if it, ok := tx.(IntTxn); ok {
-			return it.WriteInt(c, *p)
-		}
+		return tx.WriteInt(c, *p)
 	}
 	return tx.Write(c, v)
 }
@@ -378,7 +382,7 @@ type AttemptCounter interface {
 // internal/durable wrappers are the in-tree implementation; callers that
 // hold only an Engine (the service layer, the harness) reach durability
 // controls through this interface instead of concrete types, mirroring how
-// IntTxn and AttemptCounter are detected.
+// AttemptCounter is detected.
 type Durable interface {
 	// DurabilityInfo reports the persistence configuration and the
 	// recovery-on-boot outcome. Cheap; callable at any time.

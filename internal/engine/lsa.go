@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/hwclock"
 	"repro/internal/timebase"
@@ -23,7 +21,6 @@ func init() {
 		return Info{
 			Summary: summary,
 			Capabilities: Capabilities{
-				IntLane:        true,
 				AttemptCounter: true,
 				MultiVersion:   true,
 				Tunables:       append(extraTunables, "max-versions"),
@@ -154,10 +151,6 @@ func (t lsaTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
 	return updateIntVia(t, c, f)
 }
 
-func lsaCell(c Cell) *core.Object {
-	o, ok := c.(*core.Object)
-	if !ok {
-		panic(fmt.Sprintf("engine: cell of type %T used with an LSA backend", c))
-	}
-	return o
-}
+// lsaCell recovers the core's cell type; like cellOf, a foreign handle fails
+// the assertion with a runtime panic naming both types.
+func lsaCell(c Cell) *core.Object { return c.(*core.Object) }

@@ -120,15 +120,12 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&o.SegmentBytes, "segment", o.SegmentBytes, "durable/* WAL segment rotation size in bytes (0 = default 4 MiB)")
 }
 
-// Capabilities declares, at registration time, what an engine's threads and
-// transactions implement beyond the core Engine/Thread/Txn contract — the
-// introspection surface behind Describe, `lsabench -list-engines`, and
-// stmserve's /engines endpoint, replacing ad-hoc type assertions scattered
-// through callers.
+// Capabilities declares, at registration time, what an engine offers beyond
+// the Engine/Thread/Txn contract — the introspection surface behind
+// Describe, `lsabench -list-engines`, and stmserve's /engines endpoint,
+// replacing ad-hoc type assertions scattered through callers. The unboxed
+// int lane is not listed: every Txn carries it (see IntTxn).
 type Capabilities struct {
-	// IntLane: the engine's transactions implement IntTxn (unboxed int64
-	// payloads through the typed accessors).
-	IntLane bool `json:"int_lane"`
 	// AttemptCounter: the engine's threads implement AttemptCounter (the
 	// harness's per-attempt retry-latency feed).
 	AttemptCounter bool `json:"attempt_counter"`

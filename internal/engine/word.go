@@ -34,7 +34,6 @@ func init() {
 	Register("wordstm", Info{
 		Summary: "word-based LSA over striped versioned locks and flat memory",
 		Capabilities: Capabilities{
-			IntLane:        true,
 			AttemptCounter: true,
 			Tunables:       []string{"words"},
 		},

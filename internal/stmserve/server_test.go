@@ -175,7 +175,7 @@ func TestHTTPHandler(t *testing.T) {
 	found := false
 	for _, info := range infos {
 		if info.Name == "lsa/shared" {
-			found = info.Capabilities.MultiVersion && info.Capabilities.IntLane
+			found = info.Capabilities.MultiVersion
 		}
 	}
 	if !found {
