@@ -16,13 +16,13 @@
 //     1/3 version checks, rstmval/wordstm commit validation).
 //   - Contention: the attempt gave up waiting for a lock held by another
 //     thread (TL2 locked-orec aborts, rstmval held versioned locks, wordstm
-//     lock-spin limits).
+//     lock-spin limits). The shared retry policy (Pause) yields on it at once.
 //
 // Engines tag their abort errors by wrapping the package-level sentinel in an
-// Err (the Is method keeps errors.Is(err, pkg.ErrAborted) working, so retry
-// loops don't change), and count them per thread in a Counts array. User
-// aborts — application errors carried out of the closure — are counted by the
-// engine layer itself and are not a Reason here.
+// Err (the Is method keeps errors.Is(err, pkg.ErrAborted) working) and run
+// their attempts through Retry, which counts them per thread in a Counts
+// array. User aborts — application errors carried out of the closure — pass
+// through uncounted; the engine layer counts them itself.
 package abort
 
 // Reason is one abort-cause class of the cross-engine taxonomy.
@@ -57,17 +57,18 @@ func (r Reason) String() string {
 // single-threaded in the retry loop) and expose a copy for aggregation.
 type Counts [NumReasons]uint64
 
-// Observe classifies err and increments the matching bucket. An untagged
-// abort error (the bare sentinel, from an engine path that predates the
-// taxonomy) counts as Validation — the historical meaning of every engine's
-// generic abort. Call only with abort errors; user errors are the caller's
-// to count.
-func (c *Counts) Observe(err error) {
+// Observe classifies err, increments the matching bucket and returns the
+// reason it counted. An untagged abort error (the bare sentinel, from an
+// engine path that predates the taxonomy) counts as Validation — the
+// historical meaning of every engine's generic abort. Call only with abort
+// errors; user errors are the caller's to count.
+func (c *Counts) Observe(err error) Reason {
+	r := Validation
 	if e, ok := err.(*Err); ok {
-		c[e.Reason]++
-		return
+		r = e.Reason
 	}
-	c[Validation]++
+	c[r]++
+	return r
 }
 
 // Add accumulates o into c.

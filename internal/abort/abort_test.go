@@ -30,8 +30,12 @@ func TestObserve(t *testing.T) {
 	var c Counts
 	c.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
 	c.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
-	c.Observe(&Err{Sentinel: sentinel, Reason: Contention})
-	c.Observe(sentinel) // untagged → Validation
+	if r := c.Observe(&Err{Sentinel: sentinel, Reason: Contention}); r != Contention {
+		t.Errorf("Observe(tagged contention) returned %v", r)
+	}
+	if r := c.Observe(sentinel); r != Validation { // untagged → Validation
+		t.Errorf("Observe(bare sentinel) returned %v, want validation", r)
+	}
 	want := Counts{Snapshot: 2, Validation: 1, Contention: 1}
 	if c != want {
 		t.Errorf("counts = %v, want %v", c, want)

@@ -1,8 +1,7 @@
 package core
 
 import (
-	"runtime"
-
+	"repro/internal/abort"
 	"repro/internal/timebase"
 )
 
@@ -99,12 +98,16 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 			tx.abort() // release any owned objects before retrying
 		}
 		th.stats.Aborts++
-		if tx.cause == CauseNone {
+		r := abort.Contention // CauseNone: another thread aborted it
+		switch tx.cause {
+		case CauseNone:
 			th.stats.AbortExternal++
+		case CauseSnapshot:
+			r = abort.Snapshot
+		case CauseValidation:
+			r = abort.Validation
 		}
-		if attempt > 2 {
-			runtime.Gosched()
-		}
+		abort.Pause(attempt, r)
 	}
 }
 

@@ -294,6 +294,7 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 			case StatusCommitting:
 				tx.th.help(w)
 			case StatusActive:
+				// Protocol, not retry policy: abort.Pause runs after aborts.
 				if n < 3 {
 					runtime.Gosched()
 				} else if w.abortExternal() {

@@ -73,7 +73,7 @@ func (s *STM) Sequence() int64 { return s.seq.Load() }
 // waitEven spins until the sequence lock seq is even (quiescent) and returns
 // its value. Writers hold a lock only for the write-back, so the spin is
 // short; after a few iterations it yields to the scheduler in case the
-// writer's goroutine was preempted mid-commit.
+// writer's goroutine was preempted mid-commit. Protocol, not retry policy.
 func waitEven(seq *atomic.Int64) int64 {
 	for i := 0; ; i++ {
 		v := seq.Load()
@@ -352,21 +352,15 @@ func (t *Thread) RunReadOnly(fn func(*Tx) error) error { return t.run(true, fn) 
 
 func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	tx := &t.tx
-	for {
+	return abort.Retry(&t.aborts, ErrAborted, func() error {
 		tx.reset(t.stm, readOnly)
 		err := fn(tx)
 		if err == nil {
 			err = tx.commit()
 		}
-		if err == nil {
-			if tx.boxed {
-				t.boxedCommits++
-			}
-			return nil
+		if err == nil && tx.boxed {
+			t.boxedCommits++
 		}
-		if !errors.Is(err, ErrAborted) {
-			return err
-		}
-		t.aborts.Observe(err)
-	}
+		return err
+	})
 }

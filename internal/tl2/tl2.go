@@ -324,21 +324,15 @@ func (t *Thread) RunReadOnly(fn func(*Tx) error) error { return t.run(true, fn) 
 func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	tx := &t.tx
 	tx.stm = t.stm
-	for {
+	return abort.Retry(&t.aborts, ErrAborted, func() error {
 		tx.reset(t.stm.clock.Load(), readOnly)
 		err := fn(tx)
 		if err == nil {
 			err = tx.commit()
 		}
-		if err == nil {
-			if tx.boxed {
-				t.boxedCommits++
-			}
-			return nil
+		if err == nil && tx.boxed {
+			t.boxedCommits++
 		}
-		if !errors.Is(err, ErrAborted) {
-			return err
-		}
-		t.aborts.Observe(err)
-	}
+		return err
+	})
 }

@@ -2,6 +2,7 @@ package tl2
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -324,4 +325,29 @@ func readInt(t *testing.T, s *STM, o *Object) int {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// TestLockedReadYields pins the retry loop's contention policy: a read that
+// finds a locked word aborts, and the retry must yield so the lock holder
+// can run. On one P the holder (here: the goroutine that unlocks) gets no
+// CPU until the reader yields, so a loop that retried at once would spin
+// until asynchronous preemption, thousands of attempts later.
+func TestLockedReadYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := New()
+	o := NewObject(7)
+	before := o.meta.Load()
+	o.meta.Store(before | lockBit)
+	go o.meta.Store(before)
+	attempts := 0
+	if err := s.Thread(0).Run(func(tx *Tx) error {
+		attempts++
+		_, err := tx.Read(o)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if attempts > 3 {
+		t.Errorf("read of a locked word took %d attempts, want <= 3", attempts)
+	}
 }

@@ -31,9 +31,7 @@ package wordstm
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/abort"
 	"repro/internal/timebase"
@@ -243,10 +241,11 @@ func (tx *Tx) Load(a Addr) (int64, error) {
 			// Owned by a writer, very possibly one that is preempted
 			// mid-commit (likely on few cores): yield briefly so it can
 			// finish rather than throwing away the whole snapshot.
+			// Protocol, not retry policy: it only borrows Pause's schedule.
 			if n > 32 {
 				return 0, errAbortContention
 			}
-			backoff(n)
+			abort.Pause(n, abort.Contention)
 			continue
 		}
 		v := tx.stm.mem[a].Load()
@@ -296,13 +295,12 @@ func (tx *Tx) Store(a Addr, v int64) error {
 			l := tx.stm.locks[st].Load()
 			if l&lockBit != 0 {
 				// Owned by another transaction: back off briefly, then
-				// surrender (suicide policy — the word engine keeps
-				// arbitration simple; the object engine has the pluggable
-				// managers).
+				// surrender (suicide policy: the holder is never aborted).
+				// Protocol, not retry policy: it only borrows Pause's schedule.
 				if n > 8 {
 					return errAbortContention
 				}
-				backoff(n)
+				abort.Pause(n, abort.Contention)
 				continue
 			}
 			ver := l >> 1
@@ -416,35 +414,12 @@ func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 		t.running = true
 		defer func() { t.running = false }()
 	}
-	for attempt := 0; ; attempt++ {
+	return abort.Retry(&t.aborts, ErrAborted, func() error {
 		tx.reset(t.clock.GetTime().TS, readOnly)
-		err := fn(tx)
-		if err == nil {
-			err = tx.commit()
-		} else {
+		if err := fn(tx); err != nil {
 			tx.releaseLocks(0)
-		}
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, ErrAborted) {
 			return err
 		}
-		t.aborts.Observe(err)
-		if attempt > 2 {
-			backoff(attempt)
-		}
-	}
-}
-
-func backoff(n int) {
-	if n < 4 {
-		runtime.Gosched()
-		return
-	}
-	shift := n
-	if shift > 12 {
-		shift = 12
-	}
-	time.Sleep(time.Microsecond << uint(shift-4))
+		return tx.commit()
+	})
 }
