@@ -13,7 +13,10 @@
 // The workload mixes bank transfers with read-only audits of the conserved
 // total, plus a writer/checker pair whose two cells must always sum to
 // zero — torn reads, lost updates, and inconsistent snapshots all surface
-// as counted violations.
+// as counted violations. Afterwards the engine's statistics must account
+// for the run: every abort classified by reason, and one commit per
+// transaction the workers finished (durable engines may count more: their
+// snapshot capture commits on a thread of its own).
 //
 // Runtime diagnostics match cmd/lsabench: -cpuprofile/-memprofile/-trace
 // write the standard Go profiles, -http serves expvar and pprof while the
@@ -30,6 +33,8 @@ import (
 	"time"
 
 	"repro/internal/diag"
+	// Registers the durable/* wrappers, so the default run covers them too.
+	_ "repro/internal/durable"
 	"repro/internal/engine"
 )
 
@@ -68,19 +73,39 @@ func main() {
 		}
 	}
 	// Build every engine before stressing any, so a bad name or option
-	// fails fast.
+	// fails fast. Without -wal, each durable engine logs to a directory of
+	// its own, removed after its run.
 	engines := make([]engine.Engine, len(names))
+	walDirs := make([]string, len(names))
 	for i, n := range names {
-		if engines[i], err = engine.New(n, opt); err != nil {
+		o := opt
+		if info, _ := engine.Describe(n); info.Capabilities.Durable && o.WALDir == "" {
+			if o.WALDir, err = os.MkdirTemp("", "stmstress-wal-"); err != nil {
+				fatal(err)
+			}
+			walDirs[i] = o.WALDir
+		}
+		if engines[i], err = engine.New(n, o); err != nil {
 			fatal(err)
 		}
 	}
 
 	failed := false
 	for i, eng := range engines {
-		if err := stress(eng, names[i], *workers, *accounts, *duration); err != nil {
+		err := stress(eng, names[i], *workers, *accounts, *duration)
+		if d, ok := eng.(engine.Durable); ok {
+			if cerr := d.WALClose(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "stmstress: %s: %v\n", names[i], err)
 			failed = true
+		}
+		if walDirs[i] != "" {
+			if err := os.RemoveAll(walDirs[i]); err != nil {
+				fmt.Fprintln(os.Stderr, "stmstress:", err)
+			}
 		}
 	}
 	// Explicit rather than deferred: os.Exit on the failure path would skip
@@ -197,6 +222,13 @@ func stress(eng engine.Engine, name string, workers, accounts int, d time.Durati
 		return fmt.Errorf("%d invariant violations", v)
 	}
 	s := eng.Stats()
+	if u := s.UnclassifiedAborts(); u != 0 {
+		return fmt.Errorf("%d of %d aborts unclassified (mix %s)", u, s.Aborts, s.AbortMix())
+	}
+	n := uint64(txs.Load())
+	if _, durable := eng.(engine.Durable); s.Commits < n || !durable && s.Commits != n {
+		return fmt.Errorf("engine counted %d commits, the workers finished %d transactions", s.Commits, n)
+	}
 	fmt.Printf("%-16s ok: %d txs in %v (%.0f tx/s), aborts/attempt=%.4f, helps=%d, extensions=%d\n",
 		name, txs.Load(), d, float64(txs.Load())/d.Seconds(), s.AbortRate(), s.Helps, s.Extensions)
 	return nil

@@ -1,4 +1,5 @@
-// Package abort defines the engine-family-wide abort-reason taxonomy. Every
+// Package abort defines the engine family's abort-reason taxonomy, its
+// per-thread statistics record (Stats) and its retry loop (Retry). Every
 // backend classifies each aborted attempt into one of a small fixed set of
 // reasons, so the bench snapshot can report a uniform abort mix — which
 // failure mode dominates under contention is the paper's actual subject —
@@ -20,9 +21,8 @@
 //
 // Engines tag their abort errors by wrapping the package-level sentinel in an
 // Err (the Is method keeps errors.Is(err, pkg.ErrAborted) working) and run
-// their attempts through Retry, which counts them per thread in a Counts
-// array. User aborts — application errors carried out of the closure — pass
-// through uncounted; the engine layer counts them itself.
+// their attempts through Retry, which counts every outcome — commit, abort
+// by reason, user abort — in the thread's Stats record.
 package abort
 
 // Reason is one abort-cause class of the cross-engine taxonomy.
@@ -36,8 +36,6 @@ const (
 	Validation
 	// Contention is a bounded wait on a lock that ran out.
 	Contention
-	// NumReasons sizes Counts arrays.
-	NumReasons
 )
 
 // String names the reason for tables and errors.
@@ -51,40 +49,6 @@ func (r Reason) String() string {
 		return "contention"
 	}
 	return "unknown"
-}
-
-// Counts tallies aborts by reason. Engines keep one per thread (written
-// single-threaded in the retry loop) and expose a copy for aggregation.
-type Counts [NumReasons]uint64
-
-// Observe classifies err, increments the matching bucket and returns the
-// reason it counted. An untagged abort error (the bare sentinel, from an
-// engine path that predates the taxonomy) counts as Validation — the
-// historical meaning of every engine's generic abort. Call only with abort
-// errors; user errors are the caller's to count.
-func (c *Counts) Observe(err error) Reason {
-	r := Validation
-	if e, ok := err.(*Err); ok {
-		r = e.Reason
-	}
-	c[r]++
-	return r
-}
-
-// Add accumulates o into c.
-func (c *Counts) Add(o Counts) {
-	for i := range o {
-		c[i] += o[i]
-	}
-}
-
-// Total returns the sum over all reasons.
-func (c Counts) Total() uint64 {
-	var n uint64
-	for _, v := range c {
-		n += v
-	}
-	return n
 }
 
 // Err is a reason-tagged abort error. Engines declare package-level instances

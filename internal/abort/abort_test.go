@@ -27,34 +27,38 @@ func TestErrIsSentinel(t *testing.T) {
 
 func TestObserve(t *testing.T) {
 	sentinel := errors.New("aborted")
-	var c Counts
-	c.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
-	c.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
-	if r := c.Observe(&Err{Sentinel: sentinel, Reason: Contention}); r != Contention {
+	var s Stats
+	s.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
+	s.Observe(&Err{Sentinel: sentinel, Reason: Snapshot})
+	if r := s.Observe(&Err{Sentinel: sentinel, Reason: Contention}); r != Contention {
 		t.Errorf("Observe(tagged contention) returned %v", r)
 	}
-	if r := c.Observe(sentinel); r != Validation { // untagged → Validation
+	if r := s.Observe(sentinel); r != Validation { // untagged → Validation
 		t.Errorf("Observe(bare sentinel) returned %v, want validation", r)
 	}
-	want := Counts{Snapshot: 2, Validation: 1, Contention: 1}
-	if c != want {
-		t.Errorf("counts = %v, want %v", c, want)
+	want := Stats{Aborts: 4, AbortSnapshot: 2, AbortValidation: 1, AbortContention: 1}
+	if s != want {
+		t.Errorf("stats = %#v, want %#v", s, want)
 	}
-	if c.Total() != 4 {
-		t.Errorf("total = %d, want 4", c.Total())
+	if u := s.UnclassifiedAborts(); u != 0 {
+		t.Errorf("unclassified = %d, want 0", u)
 	}
-	var d Counts
+	var d Stats
 	d.Observe(sentinel)
-	d.Add(c)
-	if d.Total() != 5 || d[Validation] != 2 {
-		t.Errorf("after Add: %v", d)
+	d.Commits = 3
+	d.Add(&s)
+	if want := (Stats{Commits: 3, Aborts: 5, AbortSnapshot: 2, AbortValidation: 2, AbortContention: 1}); d != want {
+		t.Errorf("after Add: %#v, want %#v", d, want)
+	}
+	if d.Attempts() != 8 {
+		t.Errorf("attempts = %d, want 8", d.Attempts())
 	}
 }
 
 func TestReasonString(t *testing.T) {
 	names := map[Reason]string{
 		Snapshot: "snapshot", Validation: "validation",
-		Contention: "contention", NumReasons: "unknown",
+		Contention: "contention", Contention + 1: "unknown",
 	}
 	for r, want := range names {
 		if r.String() != want {

@@ -8,14 +8,20 @@ import (
 
 // Retry runs attempt, which resets its own transaction, until it returns nil
 // or an error that is not an abort (errors.Is against sentinel fails), and
-// returns that. Each abort is counted in c and followed by Pause.
-func Retry(c *Counts, sentinel error, attempt func() error) error {
+// returns that. It counts every outcome in s: a commit, a user abort, and
+// each abort by reason, followed by Pause.
+func Retry(s *Stats, sentinel error, attempt func() error) error {
 	for n := 0; ; n++ {
 		err := attempt()
-		if err == nil || !errors.Is(err, sentinel) {
+		switch {
+		case err == nil:
+			s.Commits++
+			return nil
+		case !errors.Is(err, sentinel):
+			s.UserAborts++
 			return err
 		}
-		Pause(n, c.Observe(err))
+		Pause(n, s.Observe(err))
 	}
 }
 

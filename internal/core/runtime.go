@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/abort"
 	"repro/internal/timebase"
 )
 
@@ -82,12 +83,12 @@ func (rt *Runtime) Thread(id int) *Thread {
 // executing transactions (the per-thread counters are intentionally
 // unsynchronized so that collecting statistics cannot perturb the
 // scalability the benchmarks measure).
-func (rt *Runtime) Stats() Stats {
+func (rt *Runtime) Stats() abort.Stats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	var total Stats
+	var total abort.Stats
 	for _, th := range rt.threads {
-		total.add(&th.stats)
+		total.Add(&th.stats)
 	}
 	return total
 }

@@ -23,7 +23,7 @@ type Thread struct {
 	// roTx is the one record this thread's declared read-only attempts run
 	// in (see newTx); nil while a RunReadOnly has it out.
 	roTx  *Tx
-	stats Stats
+	stats abort.Stats
 	_     [64]byte // keep each worker's stats off its neighbours' cache lines
 }
 
@@ -45,8 +45,9 @@ func (th *Thread) ID() int { return th.id }
 // timestamps consistent with the STM's time base).
 func (th *Thread) Clock() timebase.Clock { return th.clock }
 
-// Stats returns a copy of this thread's counters.
-func (th *Thread) Stats() Stats { return th.stats }
+// Stats returns this thread's counters. Read them only while the thread
+// runs no transaction.
+func (th *Thread) Stats() *abort.Stats { return &th.stats }
 
 // Run executes fn as an update-capable transaction, retrying on aborts
 // until it commits. fn may be invoked many times and must confine its side
@@ -104,8 +105,10 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 			th.stats.AbortExternal++
 		case CauseSnapshot:
 			r = abort.Snapshot
+			th.stats.AbortSnapshot++
 		case CauseValidation:
 			r = abort.Validation
+			th.stats.AbortValidation++
 		}
 		abort.Pause(attempt, r)
 	}

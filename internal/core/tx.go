@@ -144,7 +144,6 @@ func (tx *Tx) errFromStatus() error {
 func (tx *Tx) abortSnapshot() error {
 	tx.cause = CauseSnapshot
 	tx.abort()
-	tx.th.stats.AbortSnapshot++
 	return ErrAborted
 }
 
@@ -516,7 +515,6 @@ func (tx *Tx) commit() error {
 	}
 	if tx.cause == CauseNone {
 		tx.cause = CauseValidation
-		tx.th.stats.AbortValidation++
 	}
 	return ErrAborted
 }

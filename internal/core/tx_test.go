@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/abort"
 	"repro/internal/hwclock"
 	"repro/internal/timebase"
 )
@@ -481,14 +482,14 @@ func TestRuntimeConfigValidation(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := Stats{Commits: 3, Aborts: 1, AbortSnapshot: 1}
+	s := abort.Stats{Commits: 3, Aborts: 1, AbortSnapshot: 1}
 	if s.String() == "" {
 		t.Error("empty stats string")
 	}
 	if got := s.AbortRate(); got != 0.25 {
 		t.Errorf("AbortRate = %v, want 0.25", got)
 	}
-	if got := (Stats{}).AbortRate(); got != 0 {
+	if got := (abort.Stats{}).AbortRate(); got != 0 {
 		t.Errorf("zero AbortRate = %v, want 0", got)
 	}
 }

@@ -11,28 +11,17 @@ import (
 //	Object                                      — the cell type O
 //	Tx.Read/Write(*Object, any)                 — the boxed lane
 //	Tx.ReadValue/WriteValue(*Object, val.Value) — the typed value lane
-//	Thread.Run/RunReadOnly(func(*Tx) error), Thread.BoxedCommits()
-//	Thread.AbortCounts()                        — optional (glock never aborts)
+//	Thread.Run/RunReadOnly(func(*Tx) error)
+//	Thread.Stats() *abort.Stats                 — the thread's counters
 //
 // which is all of norec, tl2, rstmval and glock. Their backend files are
 // registrations only: name, summary, and a newValueEngine call.
 //
 // The LSA and wordstm adapters (lsa.go, word.go) stay outside it on purpose.
 // They hide a different int lane — core's native ReadInt/WriteInt, wordstm's
-// tagged immediate words and box side table — and keep native statistics, and
-// "lsa/shared" is the hot path of the repo benchmark's mem_* workloads:
-// folding them in would make this code branch on its caller.
-
-// valueInfo is the capability profile every value-lane backend shares; only
-// the summary differs per registration (none of them takes a tunable).
-func valueInfo(summary string) Info {
-	return Info{
-		Summary: summary,
-		Capabilities: Capabilities{
-			AttemptCounter: true,
-		},
-	}
-}
+// tagged immediate words and box side table — and "lsa/shared" is the hot
+// path of the repo benchmark's mem_* workloads: folding them in would make
+// this code branch on its caller.
 
 // valueTx is the native transaction constraint: the boxed and the typed
 // value lane over the backend's own cell type O.
@@ -48,7 +37,7 @@ type valueTx[O any] interface {
 type valueThread[T any] interface {
 	Run(func(T) error) error
 	RunReadOnly(func(T) error) error
-	BoxedCommits() uint64
+	Stats() *abort.Stats
 }
 
 // valueEngine adapts one native universe: newCell and thread are the native
@@ -72,75 +61,53 @@ func (e *valueEngine[O, T, TH]) Name() string { return e.name }
 
 func (e *valueEngine[O, T, TH]) NewCell(initial any) Cell { return e.newCell(initial) }
 
-// Thread builds the worker context with its retry closure and bound method
+// Thread builds the worker context with its step closure and bound method
 // values allocated once: per-transaction Run calls only swap the fn pointer,
 // so the adapter layer adds zero allocations to the native engine's steady
 // state.
 func (e *valueEngine[O, T, TH]) Thread(id int) Thread {
 	th := e.thread(id)
 	t := &adapterThread[T]{
-		id: id, counters: e.newCounters(),
-		run: th.Run, runRO: th.RunReadOnly, boxed: th.BoxedCommits,
+		id: id, stats: e.track(th.Stats()),
+		run: th.Run, runRO: th.RunReadOnly,
 	}
-	if r, ok := any(th).(interface{ AbortCounts() abort.Counts }); ok {
-		t.reasons = r.AbortCounts
-	}
-	t.step = func(tx T) error {
-		t.attempts++
-		return t.fn(valueTxn[O, T]{tx})
-	}
+	t.step = func(tx T) error { return t.fn(valueTxn[O, T]{tx}) }
 	return t
 }
 
 // adapterThread is the worker context behind valueEngine.Thread: it owns the
-// per-thread retry closure and the bound Run/RunReadOnly/BoxedCommits method
-// values. T is the backend's concrete transaction pointer type; step lifts
-// it to Txn.
+// per-thread step closure and the bound Run/RunReadOnly method values. T is
+// the backend's concrete transaction pointer type; step lifts it to Txn.
 //
-// Run and RunReadOnly save and restore the fn/attempts slots so the
-// adapter is exactly as reentrant as the engine it wraps — which, for
-// every backend served by this type, is not at all: their native Threads
-// recycle one transaction, so a nested Run on the same Thread corrupts the
-// outer attempt's logs regardless of any adapter bookkeeping (see
-// TestNestedRunSameThread for the engines that do support flat nesting).
-// The save/restore only guarantees the adapter never turns that misuse
-// into a nil-closure panic of its own.
+// Run and RunReadOnly save and restore the fn slot so the adapter is exactly
+// as reentrant as the engine it wraps — which, for every backend served by
+// this type, is not at all: their native Threads recycle one transaction, so
+// a nested Run on the same Thread corrupts the outer attempt's logs
+// regardless of any adapter bookkeeping (see TestNestedRunSameThread for the
+// engines that do support flat nesting). The save/restore only guarantees
+// the adapter never turns that misuse into a nil-closure panic of its own.
 type adapterThread[T any] struct {
-	id       int
-	counters *txnCounters
-	fn       func(Txn) error
-	attempts uint64
-	step     func(T) error
-	run      func(func(T) error) error
-	runRO    func(func(T) error) error
-	boxed    func() uint64
-	// reasons reads the native thread's cumulative per-reason abort counts
-	// (nil for backends that never abort, e.g. glock).
-	reasons func() abort.Counts
+	id    int
+	stats *abort.Stats // the native thread's record
+	fn    func(Txn) error
+	step  func(T) error
+	run   func(func(T) error) error
+	runRO func(func(T) error) error
 }
 
 func (t *adapterThread[T]) ID() int { return t.id }
 
-// Attempts implements AttemptCounter: cumulative attempts across the
-// thread's life (commits + aborted attempts + user-aborted finals).
-func (t *adapterThread[T]) Attempts() uint64 {
-	c := t.counters
-	return c.commits + c.aborts + c.userAborts
-}
+// Attempts implements AttemptCounter from the native thread's record.
+func (t *adapterThread[T]) Attempts() uint64 { return t.stats.Attempts() }
 
 func (t *adapterThread[T]) Run(fn func(Txn) error) error         { return t.do(t.run, fn) }
 func (t *adapterThread[T]) RunReadOnly(fn func(Txn) error) error { return t.do(t.runRO, fn) }
 
 func (t *adapterThread[T]) do(run func(func(T) error) error, fn func(Txn) error) error {
-	prevFn, prevAttempts := t.fn, t.attempts
-	t.fn, t.attempts = fn, 0
+	prev := t.fn
+	t.fn = fn
 	err := run(t.step)
-	t.counters.record(t.attempts, err)
-	t.counters.boxedCommits = t.boxed()
-	if t.reasons != nil {
-		t.counters.abortReasons = t.reasons()
-	}
-	t.fn, t.attempts = prevFn, prevAttempts
+	t.fn = prev
 	return err
 }
 

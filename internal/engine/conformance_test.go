@@ -465,24 +465,29 @@ func TestConformanceMixedTypeCell(t *testing.T) {
 
 // TestConformanceAbortTaxonomy runs a deliberately contended workload on
 // every registered engine and asserts that each abort landed in exactly one
-// taxonomy bucket: UnclassifiedAborts must be zero, and the attempt counter
-// (AttemptCounter, which the harness's retry-latency histogram relies on)
-// must tie out against commits + aborts + user aborts.
+// taxonomy bucket (UnclassifiedAborts must be zero), and that the engine's
+// record counts every attempt: the test counts the closure's runs itself,
+// sharing no code with the engines, and that count must equal both the
+// AttemptCounter total (which the harness's retry-latency histogram relies
+// on) and commits + aborts + user aborts.
 func TestConformanceAbortTaxonomy(t *testing.T) {
 	for _, name := range engine.Names() {
 		t.Run(name, func(t *testing.T) {
 			eng := engine.MustNew(name, engine.Options{Nodes: confWorkers})
 			// Two hot cells shared by every worker: plenty of conflicts.
 			a, b := eng.NewCell(0), eng.NewCell(0)
-			var attempts atomic.Uint64
+			var runs, attempts atomic.Uint64
 			var wg sync.WaitGroup
 			for id := 0; id < confWorkers; id++ {
 				wg.Add(1)
 				go func(id int) {
 					defer wg.Done()
 					th := eng.Thread(id)
+					var n uint64
+					defer func() { runs.Add(n) }()
 					for i := 0; i < confIters(t, 400); i++ {
 						err := th.Run(func(tx engine.Txn) error {
+							n++
 							av, err := engine.Get[int](tx, a)
 							if err != nil {
 								return err
@@ -512,8 +517,12 @@ func TestConformanceAbortTaxonomy(t *testing.T) {
 			if u := s.UnclassifiedAborts(); u != 0 {
 				t.Errorf("%d of %d aborts unclassified (stats %+v)", u, s.Aborts, s)
 			}
-			if got, want := attempts.Load(), s.Commits+s.Aborts+s.UserAborts; got != want {
-				t.Errorf("AttemptCounter total = %d, want commits+aborts+userAborts = %d", got, want)
+			want := runs.Load()
+			if got := attempts.Load(); got != want {
+				t.Errorf("AttemptCounter total = %d, want the %d closure runs the test counted", got, want)
+			}
+			if got := s.Commits + s.Aborts + s.UserAborts; got != want {
+				t.Errorf("commits+aborts+userAborts = %d, want the %d closure runs the test counted (stats %+v)", got, want, s)
 			}
 		})
 	}

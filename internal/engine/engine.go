@@ -33,7 +33,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/abort"
@@ -125,116 +124,10 @@ type Engine interface {
 	Stats() Stats
 }
 
-// Stats aggregates commit/abort counters across an engine's threads.
-//
-// The Abort* fields are the cross-engine abort-reason taxonomy (see
-// internal/abort): every registered backend classifies each abort into
-// exactly one of them — AbortSnapshot, AbortValidation, AbortExternal,
-// AbortContention — so their sum equals Aborts on every engine (asserted by
-// the conformance suite via UnclassifiedAborts). The first three mirror the
-// LSA core's native causes; AbortContention comes from the lock-based
-// engines' bounded lock waits. AbortConflict is a fifth bucket no in-tree
-// engine sets.
-type Stats struct {
-	// Commits counts successfully committed transactions.
-	Commits uint64 `json:"commits"`
-	// Aborts counts aborted attempts (every retry is one abort).
-	Aborts uint64 `json:"aborts"`
-	// AbortSnapshot counts aborts for lack of a consistent snapshot.
-	AbortSnapshot uint64 `json:"abort_snapshot,omitempty"`
-	// AbortValidation counts commit-time validation failures.
-	AbortValidation uint64 `json:"abort_validation,omitempty"`
-	// AbortConflict counts aborts a transaction decreed against itself on a
-	// write-write conflict. No in-tree engine sets this; kept for bench/,
-	// which reports its share.
-	AbortConflict uint64 `json:"abort_conflict,omitempty"`
-	// AbortExternal counts aborts inflicted by other threads.
-	AbortExternal uint64 `json:"abort_external,omitempty"`
-	// AbortContention counts aborts from bounded waits on locks that ran out
-	// while another thread held them.
-	AbortContention uint64 `json:"abort_contention,omitempty"`
-	// UserAborts counts transactions abandoned by application error.
-	UserAborts uint64 `json:"user_aborts,omitempty"`
-	// Extensions counts validity-range extension attempts.
-	Extensions uint64 `json:"extensions,omitempty"`
-	// Helps counts completions of other transactions' commits.
-	Helps uint64 `json:"helps,omitempty"`
-	// EnemyAborts counts enemy transactions aborted by this engine's
-	// threads.
-	EnemyAborts uint64 `json:"enemy_aborts,omitempty"`
-	// BoxedCommits counts commits that wrote at least one escape-hatch
-	// (boxed, non-numeric) payload — the complement of the unboxed int
-	// lane. Omitted when zero, so snapshots from engines (or eras) without
-	// the counter parse unchanged.
-	BoxedCommits uint64 `json:"boxed_commits,omitempty"`
-}
-
-// BoxedShare returns the fraction of commits that took the boxing escape
-// hatch (0 when nothing committed).
-func (s Stats) BoxedShare() float64 {
-	if s.Commits == 0 {
-		return 0
-	}
-	return float64(s.BoxedCommits) / float64(s.Commits)
-}
-
-// ClassifiedAborts returns the sum of the abort-taxonomy buckets.
-func (s Stats) ClassifiedAborts() uint64 {
-	return s.AbortSnapshot + s.AbortValidation + s.AbortConflict +
-		s.AbortExternal + s.AbortContention
-}
-
-// UnclassifiedAborts returns how many aborts no taxonomy bucket accounts
-// for. Every registered backend classifies all of its aborts, so this is 0
-// on freshly produced stats (the conformance suite asserts it); legacy
-// snapshot records may carry a nonzero value. Classified counts exceeding
-// Aborts (impossible by construction) also report 0 rather than wrapping.
-func (s Stats) UnclassifiedAborts() uint64 {
-	c := s.ClassifiedAborts()
-	if c >= s.Aborts {
-		return 0
-	}
-	return s.Aborts - c
-}
-
-// AbortMix renders the abort-reason composition compactly for tables:
-// percentage shares of Aborts as "snap12+val80+lock8" (reasons with a zero
-// share omitted, "ext" for the LSA core's externally inflicted aborts, "cm"
-// for AbortConflict, which no in-tree engine sets, "unk" for any
-// unclassified remainder). "-" when nothing aborted.
-func (s Stats) AbortMix() string {
-	if s.Aborts == 0 {
-		return "-"
-	}
-	parts := make([]string, 0, 6)
-	add := func(label string, n uint64) {
-		if n == 0 {
-			return
-		}
-		parts = append(parts, fmt.Sprintf("%s%.0f", label, 100*float64(n)/float64(s.Aborts)))
-	}
-	add("snap", s.AbortSnapshot)
-	add("val", s.AbortValidation)
-	add("cm", s.AbortConflict)
-	add("ext", s.AbortExternal)
-	add("lock", s.AbortContention)
-	add("unk", s.UnclassifiedAborts())
-	return strings.Join(parts, "+")
-}
-
-// AbortRate returns aborts per attempt: Aborts / (Commits + Aborts).
-func (s Stats) AbortRate() float64 {
-	total := s.Commits + s.Aborts
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Aborts) / float64(total)
-}
-
-// String renders the counters compactly.
-func (s Stats) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d (rate=%.4f)", s.Commits, s.Aborts, s.AbortRate())
-}
+// Stats is the commit/abort record every engine keeps per thread and sums
+// across its threads: the cross-engine abort-reason taxonomy lives with it
+// in internal/abort.
+type Stats = abort.Stats
 
 // Get reads the cell and asserts its value to T. For T = int or int64 the
 // read goes through the transaction's IntTxn.ReadInt and never boxes; a cell
@@ -306,61 +199,27 @@ func Update[T any](tx Txn, c Cell, f func(T) T) error {
 	return Set(tx, c, f(cur))
 }
 
-// txnCounters are the per-thread commit/abort tallies shared by the adapter
-// backends whose native runtimes keep no statistics. The attempt count of a
-// retry loop (how many times the closure ran) fully determines them: the
-// last attempt either committed or carried the user error out, every
-// earlier one was an abort. The trailing padding keeps each worker's
-// counters off its neighbours' cache lines.
-type txnCounters struct {
-	commits      uint64
-	aborts       uint64
-	userAborts   uint64
-	boxedCommits uint64
-	abortReasons abort.Counts
-	_            [32]byte
-}
-
-func (c *txnCounters) record(attempts uint64, err error) {
-	if attempts == 0 {
-		return
-	}
-	c.aborts += attempts - 1
-	if err == nil {
-		c.commits++
-	} else {
-		c.userAborts++
-	}
-}
-
-// counterSet is the per-engine registry of thread counters embedded by the
-// adapter backends: Thread() allocates one entry per worker, Stats() sums
-// them.
+// counterSet lists the native per-thread records of an adapter backend's
+// threads, which their retry loops keep; Stats sums them.
 type counterSet struct {
-	mu       sync.Mutex
-	counters []*txnCounters
+	mu    sync.Mutex
+	stats []*abort.Stats
 }
 
-func (s *counterSet) newCounters() *txnCounters {
-	c := &txnCounters{}
+// track registers a new thread's record and returns it.
+func (s *counterSet) track(st *abort.Stats) *abort.Stats {
 	s.mu.Lock()
-	s.counters = append(s.counters, c)
-	s.mu.Unlock()
-	return c
+	defer s.mu.Unlock()
+	s.stats = append(s.stats, st)
+	return st
 }
 
 func (s *counterSet) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total Stats
-	for _, c := range s.counters {
-		total.Commits += c.commits
-		total.Aborts += c.aborts
-		total.UserAborts += c.userAborts
-		total.BoxedCommits += c.boxedCommits
-		total.AbortSnapshot += c.abortReasons[abort.Snapshot]
-		total.AbortValidation += c.abortReasons[abort.Validation]
-		total.AbortContention += c.abortReasons[abort.Contention]
+	for _, st := range s.stats {
+		total.Add(st)
 	}
 	return total
 }

@@ -93,7 +93,7 @@ func TestDescribe(t *testing.T) {
 }
 
 // TestCapabilityClaims cross-checks every backend's declared capabilities
-// against what its threads actually implement — the conformance gate that
+// against what it actually implements and accepts — the conformance gate that
 // keeps Describe's answers truthful, so callers like stmserve's /engines
 // endpoint never need ad-hoc type assertions.
 func TestCapabilityClaims(t *testing.T) {
@@ -104,10 +104,16 @@ func TestCapabilityClaims(t *testing.T) {
 				t.Fatalf("no Info for %q", name)
 			}
 			eng := MustNew(name, Options{Nodes: 1})
-			th := eng.Thread(0)
-			if _, has := th.(AttemptCounter); has != info.Capabilities.AttemptCounter {
-				t.Errorf("AttemptCounter claim %v, implementation says %v",
-					info.Capabilities.AttemptCounter, has)
+			if _, has := eng.(Durable); has != info.Capabilities.Durable {
+				t.Errorf("Durable claim %v, implementation says %v",
+					info.Capabilities.Durable, has)
+			}
+			fs := flag.NewFlagSet(name, flag.ContinueOnError)
+			new(Options).BindFlags(fs)
+			for _, tun := range info.Capabilities.Tunables {
+				if fs.Lookup(tun) == nil {
+					t.Errorf("tunable %q names no BindFlags flag", tun)
+				}
 			}
 		})
 	}

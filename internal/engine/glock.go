@@ -8,7 +8,7 @@ import "repro/internal/glock"
 // low-thread-count end of every comparison: an STM only earns its keep where
 // its curve crosses above this one.
 func init() {
-	Register("glock", valueInfo("coarse global RWMutex reference engine (no aborts, honesty baseline)"),
+	Register("glock", Info{Summary: "coarse global RWMutex reference engine (no aborts, honesty baseline)"},
 		func(o Options) (Engine, error) {
 			return newValueEngine("glock", glock.NewObject, glock.New().Thread), nil
 		})

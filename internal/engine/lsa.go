@@ -21,9 +21,8 @@ func init() {
 		return Info{
 			Summary: summary,
 			Capabilities: Capabilities{
-				AttemptCounter: true,
-				MultiVersion:   true,
-				Tunables:       append(extraTunables, "max-versions"),
+				MultiVersion: true,
+				Tunables:     append(extraTunables, "max-versions"),
 			},
 		}
 	}
@@ -78,21 +77,7 @@ func (e *lsaEngine) NewCell(initial any) Cell { return core.NewObject(initial) }
 
 func (e *lsaEngine) Thread(id int) Thread { return newLSAThread(e.rt.Thread(id)) }
 
-func (e *lsaEngine) Stats() Stats {
-	s := e.rt.Stats()
-	return Stats{
-		Commits:         s.Commits,
-		Aborts:          s.Aborts,
-		AbortSnapshot:   s.AbortSnapshot,
-		AbortValidation: s.AbortValidation,
-		AbortExternal:   s.AbortExternal,
-		UserAborts:      s.UserAborts,
-		Extensions:      s.Extensions,
-		Helps:           s.Helps,
-		EnemyAborts:     s.EnemyAborts,
-		BoxedCommits:    s.BoxedCommits,
-	}
-}
+func (e *lsaEngine) Stats() Stats { return e.rt.Stats() }
 
 // lsaThread caches its retry closure: per-transaction Run calls only swap
 // the fn pointer, so the adapter layer adds zero allocations on top of the
@@ -112,11 +97,8 @@ func newLSAThread(th *core.Thread) *lsaThread {
 
 func (t *lsaThread) ID() int { return t.th.ID() }
 
-// Attempts implements AttemptCounter via the core thread's own counters.
-func (t *lsaThread) Attempts() uint64 {
-	s := t.th.Stats()
-	return s.Commits + s.Aborts + s.UserAborts
-}
+// Attempts implements AttemptCounter from the core thread's record.
+func (t *lsaThread) Attempts() uint64 { return t.th.Stats().Attempts() }
 
 // Run saves and restores the fn slot, so a nested transaction on the same
 // Thread (the core runs it as a flat, independent transaction) leaves the

@@ -9,7 +9,7 @@ import "repro/internal/norec"
 // workloads stay cheap at low thread counts. The minimal-metadata
 // counterpoint to every timestamp-ordered engine in the registry.
 func init() {
-	Register("norec", valueInfo("value-validating NOrec over one global sequence lock"),
+	Register("norec", Info{Summary: "value-validating NOrec over one global sequence lock"},
 		func(o Options) (Engine, error) {
 			return newValueEngine("norec", norec.NewObject, norec.New().Thread), nil
 		})

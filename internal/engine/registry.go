@@ -126,9 +126,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 // replacing ad-hoc type assertions scattered through callers. The unboxed
 // int lane is not listed: every Txn carries it (see IntTxn).
 type Capabilities struct {
-	// AttemptCounter: the engine's threads implement AttemptCounter (the
-	// harness's per-attempt retry-latency feed).
-	AttemptCounter bool `json:"attempt_counter"`
 	// MultiVersion: read-only transactions may be served from older
 	// versions, so long scans do not abort concurrent updates.
 	MultiVersion bool `json:"multi_version"`

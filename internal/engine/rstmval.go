@@ -6,7 +6,7 @@ import "repro/internal/rstmval"
 // heuristic — consistency by read-set revalidation, gated by a global
 // counter of attempted commits.
 func init() {
-	Register("rstmval", valueInfo("validating STM with the RSTM commit-counter revalidation heuristic"),
+	Register("rstmval", Info{Summary: "validating STM with the RSTM commit-counter revalidation heuristic"},
 		func(o Options) (Engine, error) {
 			return newValueEngine("rstmval", rstmval.NewObject, rstmval.New().Thread), nil
 		})

@@ -26,7 +26,9 @@ import (
 // and reused by later encodes — long stress sessions with struct values no
 // longer grow the table per retry. Boxes that become garbage because a
 // committed word was later overwritten are still leaked (reclaiming those
-// needs a transactional read-before-write or epoch scheme; see ROADMAP).
+// needs a transactional read-before-write or epoch scheme, which this
+// adapter does not have): a workload that overwrites boxed values grows the
+// table by one slot per such commit for the engine's lifetime.
 //
 // Cells consume words permanently (Options.Words sizes the memory), and the
 // backend inherits the word engine's restriction to exact time bases.
@@ -34,8 +36,7 @@ func init() {
 	Register("wordstm", Info{
 		Summary: "word-based LSA over striped versioned locks and flat memory",
 		Capabilities: Capabilities{
-			AttemptCounter: true,
-			Tunables:       []string{"words"},
+			Tunables: []string{"words"},
 		},
 	}, func(o Options) (Engine, error) {
 		stm, err := wordstm.New(timebase.NewSharedCounter(), o.Words)
@@ -139,9 +140,9 @@ func (e *wordEngine) decode(w int64) any {
 // wrapper stays a single pointer and converts to the Txn interface without
 // allocating.
 func (e *wordEngine) Thread(id int) Thread {
-	t := &wordThread{id: id, eng: e, th: e.stm.Thread(id), counters: e.newCounters()}
+	t := &wordThread{id: id, eng: e, th: e.stm.Thread(id)}
+	e.track(t.th.Stats())
 	t.step = func(tx *wordstm.Tx) error {
-		t.attempts++
 		// A previous attempt of this transaction aborted: its boxes were
 		// never published and can be reused.
 		if len(t.pending) > 0 {
@@ -156,14 +157,12 @@ func (e *wordEngine) Thread(id int) Thread {
 }
 
 type wordThread struct {
-	id       int
-	eng      *wordEngine
-	th       *wordstm.Thread
-	counters *txnCounters
-	fn       func(Txn) error
-	attempts uint64
-	step     func(*wordstm.Tx) error
-	cur      *wordstm.Tx
+	id   int
+	eng  *wordEngine
+	th   *wordstm.Thread
+	fn   func(Txn) error
+	step func(*wordstm.Tx) error
+	cur  *wordstm.Tx
 	// pending holds the side-table slots boxed by the current attempt; they
 	// are freed when the attempt provably never committed.
 	pending      []int64
@@ -172,12 +171,8 @@ type wordThread struct {
 
 func (t *wordThread) ID() int { return t.id }
 
-// Attempts implements AttemptCounter: cumulative attempts across the
-// thread's life (commits + aborted attempts + user-aborted finals).
-func (t *wordThread) Attempts() uint64 {
-	c := t.counters
-	return c.commits + c.aborts + c.userAborts
-}
+// Attempts implements AttemptCounter from the native thread's record.
+func (t *wordThread) Attempts() uint64 { return t.th.Stats().Attempts() }
 
 func (t *wordThread) Run(fn func(Txn) error) error         { return t.run(false, fn) }
 func (t *wordThread) RunReadOnly(fn func(Txn) error) error { return t.run(true, fn) }
@@ -188,8 +183,8 @@ func (t *wordThread) RunReadOnly(fn func(Txn) error) error { return t.run(true, 
 // pending boxes are dropped untracked — they leak rather than dangle, the
 // safe direction.)
 func (t *wordThread) run(readOnly bool, fn func(Txn) error) error {
-	prevFn, prevAttempts, prevCur := t.fn, t.attempts, t.cur
-	t.fn, t.attempts = fn, 0
+	prevFn, prevCur := t.fn, t.cur
+	t.fn = fn
 	t.pending = t.pending[:0]
 	t.attemptBoxed = false
 	var err error
@@ -198,11 +193,9 @@ func (t *wordThread) run(readOnly bool, fn func(Txn) error) error {
 	} else {
 		err = t.th.Run(t.step)
 	}
-	t.counters.record(t.attempts, err)
-	t.counters.abortReasons = t.th.AbortCounts()
 	if err == nil {
 		if t.attemptBoxed {
-			t.counters.boxedCommits++
+			t.th.Stats().BoxedCommits++
 		}
 		t.pending = t.pending[:0] // committed: the boxes are live
 	} else if len(t.pending) > 0 {
@@ -210,7 +203,7 @@ func (t *wordThread) run(readOnly bool, fn func(Txn) error) error {
 		t.eng.freeBoxes(t.pending)
 		t.pending = t.pending[:0]
 	}
-	t.fn, t.attempts, t.cur = prevFn, prevAttempts, prevCur
+	t.fn, t.cur = prevFn, prevCur
 	return err
 }
 

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/abort"
 	"repro/internal/val"
 )
 
@@ -119,17 +120,18 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 // Thread so workloads translate directly). It owns the one Tx it recycles —
 // a Thread must be used by a single goroutine.
 type Thread struct {
-	stm          *STM
-	tx           Tx
-	boxedCommits uint64
+	stm   *STM
+	tx    Tx
+	stats abort.Stats
 }
 
 // Thread creates a worker context.
 func (s *STM) Thread(id int) *Thread { return &Thread{stm: s} }
 
-// BoxedCommits returns how many of this thread's commits wrote at least one
-// escape-hatch (boxed) payload.
-func (t *Thread) BoxedCommits() uint64 { return t.boxedCommits }
+// Stats returns this thread's counters. glock has no retry loop, so Run and
+// RunReadOnly count each transaction's one attempt themselves. Read them
+// only while the thread runs no transaction.
+func (t *Thread) Stats() *abort.Stats { return &t.stats }
 
 // Run executes fn under the global write lock. There are no retries: the
 // first execution is the only one, and it cannot abort.
@@ -139,13 +141,15 @@ func (t *Thread) Run(fn func(*Tx) error) error {
 	tx := &t.tx
 	tx.reset(false)
 	if err := fn(tx); err != nil {
+		t.stats.UserAborts++
 		return err
 	}
 	for i := range tx.writes {
 		tx.writes[i].obj.v = tx.writes[i].v
 	}
+	t.stats.Commits++
 	if tx.boxed {
-		t.boxedCommits++
+		t.stats.BoxedCommits++
 	}
 	return nil
 }
@@ -157,5 +161,10 @@ func (t *Thread) RunReadOnly(fn func(*Tx) error) error {
 	defer t.stm.mu.RUnlock()
 	tx := &t.tx
 	tx.reset(true)
-	return fn(tx)
+	if err := fn(tx); err != nil {
+		t.stats.UserAborts++
+		return err
+	}
+	t.stats.Commits++
+	return nil
 }

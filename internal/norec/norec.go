@@ -326,21 +326,17 @@ func (tx *Tx) commit() error {
 // Thread so workloads translate directly). It owns the one Tx it recycles
 // across attempts — a Thread must be used by a single goroutine.
 type Thread struct {
-	stm          *STM
-	tx           Tx
-	boxedCommits uint64
-	aborts       abort.Counts
+	stm   *STM
+	tx    Tx
+	stats abort.Stats
 }
 
 // Thread creates a worker context.
 func (s *STM) Thread(id int) *Thread { return &Thread{stm: s} }
 
-// BoxedCommits returns how many of this thread's commits wrote at least one
-// escape-hatch (boxed) payload.
-func (t *Thread) BoxedCommits() uint64 { return t.boxedCommits }
-
-// AbortCounts returns this thread's aborts classified by reason.
-func (t *Thread) AbortCounts() abort.Counts { return t.aborts }
+// Stats returns this thread's counters, which its retry loop keeps. Read
+// them only while the thread runs no transaction.
+func (t *Thread) Stats() *abort.Stats { return &t.stats }
 
 // Run executes fn transactionally, retrying on aborts.
 func (t *Thread) Run(fn func(*Tx) error) error { return t.run(false, fn) }
@@ -352,14 +348,14 @@ func (t *Thread) RunReadOnly(fn func(*Tx) error) error { return t.run(true, fn) 
 
 func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	tx := &t.tx
-	return abort.Retry(&t.aborts, ErrAborted, func() error {
+	return abort.Retry(&t.stats, ErrAborted, func() error {
 		tx.reset(t.stm, readOnly)
 		err := fn(tx)
 		if err == nil {
 			err = tx.commit()
 		}
 		if err == nil && tx.boxed {
-			t.boxedCommits++
+			t.stats.BoxedCommits++
 		}
 		return err
 	})

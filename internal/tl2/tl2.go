@@ -296,18 +296,14 @@ func (tx *Tx) unlock(upTo int) {
 // Thread so workloads translate directly). It owns the one Tx it recycles
 // across attempts — a Thread must be used by a single goroutine.
 type Thread struct {
-	stm          *STM
-	tx           Tx
-	boxedCommits uint64
-	aborts       abort.Counts
+	stm   *STM
+	tx    Tx
+	stats abort.Stats
 }
 
-// BoxedCommits returns how many of this thread's commits wrote at least one
-// escape-hatch (boxed) payload.
-func (t *Thread) BoxedCommits() uint64 { return t.boxedCommits }
-
-// AbortCounts returns this thread's aborts classified by reason.
-func (t *Thread) AbortCounts() abort.Counts { return t.aborts }
+// Stats returns this thread's counters, which its retry loop keeps. Read
+// them only while the thread runs no transaction.
+func (t *Thread) Stats() *abort.Stats { return &t.stats }
 
 // Thread creates a worker context. TL2 has one version clock for all
 // threads, so id is unused; it keeps the shape of the other engines.
@@ -324,14 +320,14 @@ func (t *Thread) RunReadOnly(fn func(*Tx) error) error { return t.run(true, fn) 
 func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	tx := &t.tx
 	tx.stm = t.stm
-	return abort.Retry(&t.aborts, ErrAborted, func() error {
+	return abort.Retry(&t.stats, ErrAborted, func() error {
 		tx.reset(t.stm.clock.Load(), readOnly)
 		err := fn(tx)
 		if err == nil {
 			err = tx.commit()
 		}
 		if err == nil && tx.boxed {
-			t.boxedCommits++
+			t.stats.BoxedCommits++
 		}
 		return err
 	})

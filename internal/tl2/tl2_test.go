@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"repro/internal/abort"
 )
 
 func TestReadInitial(t *testing.T) {
@@ -266,8 +264,8 @@ func TestExactSuccessor(t *testing.T) {
 	if attempts != 2 {
 		t.Errorf("attempts = %d, want 2 (the stale first attempt must abort)", attempts)
 	}
-	if got := th.AbortCounts(); got[abort.Validation] != 1 || got.Total() != 1 {
-		t.Errorf("abort counts = %v, want exactly one validation abort", got)
+	if got := th.Stats(); got.AbortValidation != 1 || got.Aborts != 1 {
+		t.Errorf("aborts = %d (%d validation), want exactly one validation abort", got.Aborts, got.AbortValidation)
 	}
 	// Uncontended, the write version is rv+1 and the short cut commits the
 	// first attempt.

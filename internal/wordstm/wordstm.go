@@ -119,17 +119,18 @@ func (s *STM) SetInitial(a Addr, v int64) error {
 
 // Thread creates a worker context bound to the time base's clock for id.
 type Thread struct {
-	stm    *STM
-	clock  timebase.Clock
-	aborts abort.Counts
+	stm   *STM
+	clock timebase.Clock
+	stats abort.Stats
 	// tx is the attempt record, reset and reused attempt after attempt;
 	// running marks it taken (see run).
 	tx      Tx
 	running bool
 }
 
-// AbortCounts returns this thread's aborts classified by reason.
-func (t *Thread) AbortCounts() abort.Counts { return t.aborts }
+// Stats returns this thread's counters, which its retry loop keeps. Read
+// them only while the thread runs no transaction.
+func (t *Thread) Stats() *abort.Stats { return &t.stats }
 
 // Thread creates a worker context. Not safe for concurrent use.
 func (s *STM) Thread(id int) *Thread {
@@ -414,7 +415,7 @@ func (t *Thread) run(readOnly bool, fn func(*Tx) error) error {
 		t.running = true
 		defer func() { t.running = false }()
 	}
-	return abort.Retry(&t.aborts, ErrAborted, func() error {
+	return abort.Retry(&t.stats, ErrAborted, func() error {
 		tx.reset(t.clock.GetTime().TS, readOnly)
 		if err := fn(tx); err != nil {
 			tx.releaseLocks(0)

@@ -54,7 +54,7 @@ import (
 type Tx = core.Tx
 
 // Stats aggregates commit/abort/extension counters across threads.
-type Stats = core.Stats
+type Stats = engine.Stats
 
 // ErrAborted is the internal retry signal. User closures should propagate
 // it unchanged (returning it from an Atomic closure is always safe).
@@ -136,7 +136,7 @@ func (t *Thread) Atomic(fn func(*Tx) error) error { return t.th.Run(fn) }
 func (t *Thread) AtomicReadOnly(fn func(*Tx) error) error { return t.th.RunReadOnly(fn) }
 
 // Stats returns this thread's counters.
-func (t *Thread) Stats() Stats { return t.th.Stats() }
+func (t *Thread) Stats() Stats { return *t.th.Stats() }
 
 // Unwrap exposes the underlying engine thread.
 func (t *Thread) Unwrap() *core.Thread { return t.th }
