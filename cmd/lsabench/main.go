@@ -313,6 +313,13 @@ func runBench(engines []string, opt engine.Options, workers int, duration, warmu
 				return nil, err
 			}
 			r, err := harness.Run(eng, w, hopt)
+			if d, ok := eng.(engine.Durable); ok {
+				// Close the log, and with it the temp directory a run
+				// without -wal logs to.
+				if cerr := d.WALClose(); err == nil {
+					err = cerr
+				}
+			}
 			if errors.Is(err, durable.ErrUnsupportedPayload) {
 				// Durable wrappers reject payloads without a codec at Write
 				// time: the linked-list and skip-list workloads store node

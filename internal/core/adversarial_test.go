@@ -36,7 +36,7 @@ func TestRacingHelpersAgreeOnOutcome(t *testing.T) {
 			wg.Add(1)
 			go func(h int) {
 				defer wg.Done()
-				results[h] = w.finishCommit(rt.TimeBase().Clock(h + 1))
+				results[h] = w.finishCommit(rt.Thread(h + 1))
 			}(h)
 		}
 		wg.Wait()

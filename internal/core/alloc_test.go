@@ -10,14 +10,15 @@ package core
 //
 // An attempt pays per transaction, not per access. Budget accounting:
 //
-//   - the attempt record (1 for an update attempt, 0 for a declared read-only
-//     one): a Tx with its entries and writer locators inline, in the shape
-//     the Thread's hints call for — small (smallAccessSet entries,
-//     smallWriteSet locators) or wide (wideSet of each). An update attempt's
-//     record may have been published through a locator and handed to
-//     helpers, so it is never reused: 1 is the floor without a reclamation
-//     protocol. A declared read-only attempt is reachable from its own
-//     thread only, so every one of them runs in the Thread's one record.
+//   - the attempt record (0 in steady state): a Tx with its entries and
+//     writer locators inline, in the shape the Thread's hints call for —
+//     small (smallAccessSet entries, smallWriteSet locators) or wide
+//     (wideSet of each). An update attempt's record may have been published
+//     through a locator and handed to helpers, so its owner reuses it only
+//     once no locator names it and after an epoch grace period; a thread
+//     allocates records until it has retired enough to cycle through.
+//     A declared read-only attempt is reachable from its own thread only, so
+//     every one of them runs in the Thread's one record.
 //   - the version chunk (+1 for any transaction that writes): all of the
 //     attempt's tentative versions, sized by the Thread's hint. Versions
 //     outlive the record, so they cannot ride in it. Settling promotes them
@@ -26,8 +27,8 @@ package core
 //     and the locator overflow (+1 above wideSet writes), each one slice
 //     sized by the Thread's hints behind a small-shape record.
 //
-// So: read-only of any length 0, 1-, 2- and 10-write updates 2, a 40-write
-// update 4.
+// So: read-only of any length 0, 1-, 2- and 10-write updates 1, a 40-write
+// update 3.
 //
 // Values are written far outside the runtime's small-int interface cache
 // (> 2⁴⁰) through the typed lane (ReadValue/WriteInt), so these budgets
@@ -106,7 +107,7 @@ func TestAllocBudgetUpdateOne(t *testing.T) {
 		}
 		return tx.WriteInt(a, big+(v+1)%100)
 	}
-	allocBudget(t, "core 1-write update", 2, func() {
+	allocBudget(t, "core 1-write update", 1, func() {
 		if err := th.Run(fn); err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 		}
 		return bump(tx, b)
 	}
-	allocBudget(t, "core 2-write update", 2, func() {
+	allocBudget(t, "core 2-write update", 1, func() {
 		if err := th.Run(fn); err != nil {
 			t.Fatal(err)
 		}
@@ -138,11 +139,11 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 }
 
 // Ten read-modify-writes ride in the wide record.
-func TestAllocBudgetUpdateTen(t *testing.T) { updateBudget(t, 10, 2) }
+func TestAllocBudgetUpdateTen(t *testing.T) { updateBudget(t, 10, 1) }
 
 // Forty are past the widest shape: the small record's two hint-sized
 // overflow slices take over.
-func TestAllocBudgetUpdateForty(t *testing.T) { updateBudget(t, 40, 4) }
+func TestAllocBudgetUpdateForty(t *testing.T) { updateBudget(t, 40, 3) }
 
 // bumpAll read-modify-writes every object through the int lane.
 func bumpAll(tx *Tx, objs []*Object) error {
@@ -253,9 +254,9 @@ func heapAfterGC() uint64 {
 // never again: its version pins the chunk it was cut from for good, and the
 // superseded versions in that chunk must not lead anywhere. That first
 // commit runs before the hints are up, in a small record with overflow
-// slices; the "wide" variant warms the hints first, so the cold object's
-// never-settled locator sits in a wideTx's inline array and pins that
-// record — whose frozen entries must not lead anywhere either.
+// slices; the "wide" variant warms the hints first, so the cold commit runs
+// in a wideTx. Either record is then retired and reused, and a reused record
+// must drop what its previous attempt's entries and locators pointed at.
 func TestHeapPlateau(t *testing.T) {
 	commits := 2_000_000
 	if testing.Short() {

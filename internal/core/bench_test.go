@@ -67,7 +67,7 @@ func BenchmarkScan256Stamped(b *testing.B) {
 		if err := th.Run(func(tx *Tx) error { return tx.WriteInt(o, big) }); err != nil {
 			b.Fatal(err)
 		}
-		if o.settled(rt.maxVersions).ver.from.Load() == 0 {
+		if o.settled(rt.maxVersions, nil).ver.from.Load() == 0 {
 			b.Fatal("settled head carries no commit time")
 		}
 	}

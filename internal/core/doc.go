@@ -49,32 +49,55 @@
 //
 // # Memory
 //
-// An attempt pays per transaction, not per access, and nothing another
-// thread could still reach is ever reused (so no reclamation protocol is
-// needed). An update attempt is one record — a Tx and, in the same
-// allocation, the arrays its access-set entries and writer locators start
-// out in — plus, if it writes, one chunk holding all its tentative versions. The record comes in two shapes, picked from
-// what the thread's recent commits used: small (8 entries, 4 locators) and
-// wide (16 of each); past the wide shape a small record overflows, once
-// each, into a hint-sized entry slice and locator chunk. An update record
-// may sit in a locator or under a helper long after its owner moved on, so
-// every update attempt gets a new one. A declared read-only attempt keeps no
-// access set, enters no locator and is never helped or named as an enemy:
-// only its own thread can hold a pointer to it, so all of a Thread's
-// read-only attempts run in one record (a transaction nested in one gets its
-// own), and the *Tx handed to fn is good only until fn returns. Commit
-// builds nothing: whoever next touches an object whose writer committed
-// promotes the tentative version in place — stamps the predecessor's upper
-// bound and the version's own validFrom, trims, and publishes the locator
-// embedded in the version — and an aborted writer's locator is replaced by
-// the one embedded in the version it was acquired over. Each stamp is one
-// atomic word that racing settlers CAS from 0 to the same value (see
-// settled), so settling allocates nothing either. A declared read-only transaction never extends or
+// An attempt pays per transaction, not per access. An update attempt runs
+// in a record — a Tx and, in the same allocation, the arrays its
+// access-set entries and writer locators start out in — and, if it writes,
+// takes one chunk holding all its tentative versions. The record comes in
+// two shapes, picked from what the thread's recent commits used: small (8
+// entries, 4 locators) and wide (16 of each); past the wide shape a small
+// record overflows, once each, into a hint-sized entry slice and locator
+// chunk. Commit builds nothing: whoever settles an object whose writer
+// committed promotes the tentative version in place — stamps the
+// predecessor's upper bound and the version's own validFrom, trims, and
+// publishes the locator embedded in the version — and an aborted writer's
+// locator is replaced by the one embedded in the version it was acquired
+// over. Each stamp is one atomic word that racing settlers CAS from 0 to the
+// same value (see settled), so settling allocates nothing either.
+//
+// Records are recycled, by epoch-based reclamation. A finished update
+// attempt waits while its thread runs two more; by then the next access to
+// an object it wrote may have settled it, and its owner settles any object
+// that still names the record, so no locator names it any more. The
+// owner then retires the record to a per-thread, per-shape list, tagged
+// with the runtime's epoch; newTx reuses it once the epoch is two past the
+// tag, and a thread that has retired a batch of records in one epoch moves
+// the epoch on itself. Another thread may still hold the record
+// from a locator it loaded earlier: to help its commit, to abort it as an
+// enemy, or to read the version under it. The one field of a locator it
+// may read without more ado is its writer, which for a locator in a record
+// is that record, set when the record is allocated and never changed; to
+// read anything else through another thread's record it first pins the
+// epoch (Thread.protect) and loads the locator again, and it stays pinned
+// until its attempt ends. The epoch advances only when every pinned thread
+// has pinned the current one, so a record is not reused while a thread that
+// found it is pinned, and an attempt that never meets another thread's
+// writer never pins and never holds reuse up. A record that never published
+// a locator is reusable at once. Each list keeps at most limboCap records;
+// past that, and while the epoch is held up, a thread allocates. So a
+// steady update workload costs one allocation per attempt, the version
+// chunk. Versions are not recycled: a version outlives its writer in the
+// history chains, so apart from prev it points at nothing but itself; a
+// pointer from a version into a Tx, or into another attempt's chunk, would
+// keep the whole commit history reachable (TestHeapPlateau). The *Tx handed
+// to fn is good only until fn returns, for update and read-only attempts
+// alike.
+//
+// A declared read-only attempt keeps no access set, enters no locator and
+// is never helped or named as an enemy: only its own thread can hold a
+// pointer to it, so all of a Thread's read-only attempts run in one record
+// (a transaction nested in one gets its own). It never extends or
 // validates, so every read is selected and range-checked on its own and
-// nothing is logged. The one rule the layout obeys: a version
-// outlives its writer, so apart from prev it points at nothing but itself;
-// a pointer from a version into a Tx, or into another attempt's chunk,
-// would keep the whole commit history reachable (TestHeapPlateau).
+// nothing is logged.
 //
 // # Deviations from the paper's pseudo-code
 //

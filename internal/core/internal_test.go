@@ -30,7 +30,7 @@ func TestSettleCommittedWriter(t *testing.T) {
 	if err := th.Run(func(tx *Tx) error { return tx.Write(o, 2) }); err != nil {
 		t.Fatal(err)
 	}
-	loc := o.settled(rt.maxVersions)
+	loc := o.settled(rt.maxVersions, nil)
 	if loc.writer != nil {
 		t.Fatalf("settled locator still has writer %v", loc.writer.Status())
 	}
@@ -68,7 +68,7 @@ func TestSettleAbortedWriterKeepsValue(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
-	loc := o.settled(rt.maxVersions)
+	loc := o.settled(rt.maxVersions, nil)
 	if loc.writer != nil {
 		t.Fatal("aborted writer not cleaned")
 	}
@@ -106,7 +106,7 @@ func TestSettleCommitTimeOne(t *testing.T) {
 	if w.CT() != timebase.Exact(1) {
 		t.Fatalf("CT = %v, want 1", w.CT())
 	}
-	head := o.settled(rt.maxVersions).ver
+	head := o.settled(rt.maxVersions, nil).ver
 	if got := genesis.upperBound(); got != timebase.Exact(0) {
 		t.Errorf("predecessor's upper bound = %v, want 0", got)
 	}
@@ -139,7 +139,7 @@ func TestSettleRace(t *testing.T) {
 			go func(i int) {
 				defer done.Done()
 				start.Wait()
-				heads[i] = o.settled(rt.maxVersions)
+				heads[i] = o.settled(rt.maxVersions, nil)
 			}(i)
 		}
 		start.Done()
@@ -169,7 +169,7 @@ func TestTrimBoundsHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loc := o.settled(maxV)
+	loc := o.settled(maxV, nil)
 	depth := 0
 	for v := loc.head(); v != nil; v = v.prev.Load() {
 		depth++
@@ -194,7 +194,7 @@ func TestHistoryOrderedNewestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loc := o.settled(8)
+	loc := o.settled(8, nil)
 	prevFrom := timebase.Inf
 	want := 6
 	for v := loc.head(); v != nil; v = v.prev.Load() {
@@ -216,12 +216,12 @@ func TestPrelimUBSupersededIsFinal(t *testing.T) {
 	if err := th.Run(func(tx *Tx) error { return tx.Write(o, 1) }); err != nil {
 		t.Fatal(err)
 	}
-	loc := o.settled(rt.maxVersions)
+	loc := o.settled(rt.maxVersions, nil)
 	old := loc.head().prev.Load()
-	clock := rt.TimeBase().Clock(9)
+	obs := rt.Thread(9)
 	// The fixed bound must win regardless of the caller's timestamp.
 	far := timebase.Exact(1 << 40)
-	got := prelimUB(o, old, far, nil, clock)
+	got := prelimUB(o, old, far, nil, obs)
 	if got != old.upperBound() {
 		t.Errorf("prelimUB(superseded) = %v, want fixed bound %v", got, old.upperBound())
 	}
@@ -230,10 +230,10 @@ func TestPrelimUBSupersededIsFinal(t *testing.T) {
 func TestPrelimUBOpenVersionReturnsCallerTime(t *testing.T) {
 	rt := counterRT()
 	o := NewObject(0)
-	clock := rt.TimeBase().Clock(0)
-	loc := o.settled(rt.maxVersions)
+	obs := rt.Thread(0)
+	loc := o.settled(rt.maxVersions, nil)
 	ts := timebase.Exact(12345)
-	if got := prelimUB(o, loc.head(), ts, nil, clock); got != ts {
+	if got := prelimUB(o, loc.head(), ts, nil, obs); got != ts {
 		t.Errorf("prelimUB(open, no writer) = %v, want caller's %v", got, ts)
 	}
 }
@@ -251,7 +251,7 @@ func TestPrelimUBCommittingWriterBoundsByCT(t *testing.T) {
 	if !w.status.CompareAndSwap(int32(StatusActive), int32(StatusCommitting)) {
 		t.Fatal("could not enter committing")
 	}
-	clock := rt.TimeBase().Clock(1)
+	obs := rt.Thread(1)
 	loc := o.loc.Load()
 	if loc.writer != w {
 		t.Fatal("writer not registered")
@@ -259,7 +259,7 @@ func TestPrelimUBCommittingWriterBoundsByCT(t *testing.T) {
 	// A foreign observer: the bound must be the writer's CT − 1, and CT
 	// must have been helped into place.
 	ts := timebase.Exact(1 << 40)
-	got := prelimUB(o, loc.head(), ts, nil, clock)
+	got := prelimUB(o, loc.head(), ts, nil, obs)
 	ct := w.CT()
 	if ct.IsZero() {
 		t.Fatal("prelimUB did not ensure the committing writer's CT")
@@ -269,11 +269,11 @@ func TestPrelimUBCommittingWriterBoundsByCT(t *testing.T) {
 	}
 	// The writer itself sees CT for the version it supersedes (the
 	// deliberate off-by-one).
-	if got := prelimUB(o, loc.head(), ts, w, clock); got != ct {
+	if got := prelimUB(o, loc.head(), ts, w, obs); got != ct {
 		t.Errorf("own bound = %v, want CT = %v", got, ct)
 	}
 	// Finish the commit so the object is usable again.
-	if !w.finishCommit(clock) {
+	if !w.finishCommit(obs) {
 		t.Fatal("helped commit failed")
 	}
 	if got := mustReadInt(t, rt, o); got != 42 {

@@ -28,10 +28,17 @@ type Object struct {
 //	writer committed           → ver is logically committed at writer.CT
 //	writer aborted             → ver is logically discarded
 //
-// The two terminal states are settled lazily (by any thread that encounters
-// them) into a writer-free locator, so no commit-time pass over the write
-// set is needed. Both fields are written by the locator's owner before the
-// CAS that publishes it and never afterwards.
+// The two terminal states are settled lazily, by any thread that
+// encounters them, into a writer-free locator — at the latest by the
+// writer's owner before it reuses the record (Thread.retire) — so no
+// commit-time pass over the write set is needed. A writer-free locator is the one embedded in its version
+// and never changes. A writer locator lives in its attempt's record (or in
+// an overflow chunk of it), and its ver is rewritten, before the CAS that
+// publishes it, each time a reused record's attempt takes it; its writer is
+// the record itself and is set once, when the record is allocated. So a
+// thread may read the writer of any locator it loaded, but must be pinned
+// before it reads anything else through another thread's record (see
+// Thread.protect).
 type locator struct {
 	writer *Tx
 	ver    *version
@@ -120,12 +127,26 @@ func NewObject(initial any) *Object {
 // CASed from 0: only one successor of a version ever commits, and its CT is
 // fixed before StatusCommitted, so every settler writes the same word and
 // none has to win anything first.
-func (o *Object) settled(maxVersions int) *locator {
+//
+// th is the calling thread, pinned before it looks into another thread's
+// record; nil only where no record can be reused meanwhile.
+func (o *Object) settled(maxVersions int, th *Thread) *locator {
+	if loc := o.loc.Load(); loc.writer == nil {
+		return loc // the common case, inlined into every access
+	}
+	return o.settle(maxVersions, th)
+}
+
+// settle is settled's loop, for a locator that had a writer.
+func (o *Object) settle(maxVersions int, th *Thread) *locator {
 	for {
 		loc := o.loc.Load()
 		w := loc.writer
 		if w == nil {
 			return loc
+		}
+		if th.protect(w) {
+			continue
 		}
 		switch w.Status() {
 		case StatusCommitted:
@@ -210,11 +231,17 @@ func (v *version) upperBound() timebase.Timestamp {
 // and its value is immutable, so that one load decides the read; the until
 // load and the locator reload below close a window the fast path never
 // opens.
-func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timebase.Clock) timebase.Timestamp {
+//
+// th is the calling thread, as for settled: a helper passes its own, not the
+// owner of asTx.
+func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, th *Thread) timebase.Timestamp {
 	if ub := v.upperBound(); !ub.IsInf() {
 		return ub
 	}
 	loc := o.loc.Load()
+	for loc.writer != nil && th.protect(loc.writer) {
+		loc = o.loc.Load()
+	}
 	if loc.head() != v {
 		// v was superseded between the two loads — and a later writer may
 		// already own the object, whose CT says nothing about v. settled
@@ -226,7 +253,7 @@ func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, clock timeb
 		st := w.Status()
 		if st == StatusCommitting || st == StatusCommitted {
 			if st == StatusCommitting {
-				ensureCT(w, clock)
+				ensureCT(w, th.clock)
 			}
 			if ct := w.CT(); !ct.IsZero() {
 				if w == asTx {

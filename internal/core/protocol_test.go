@@ -46,7 +46,7 @@ func TestStaleWriterLocatorAfterTrim(t *testing.T) {
 	if err := w.commit(); err != nil {
 		t.Fatal(err)
 	}
-	fresh := o.settled(rt.maxVersions)
+	fresh := o.settled(rt.maxVersions, nil)
 	if fresh.writer != nil || fresh.ver != stale.ver || fresh != &stale.ver.selfLoc {
 		t.Fatal("settle did not promote the tentative version in place")
 	}
@@ -65,8 +65,7 @@ func TestStaleWriterLocatorAfterTrim(t *testing.T) {
 		fn   func(t *testing.T)
 	}{
 		{"prelimUB", func(t *testing.T) {
-			clock := rt.TimeBase().Clock(3)
-			if got := prelimUB(o, genesis, timebase.Exact(1<<40), nil, clock); got != ub {
+			if got := prelimUB(o, genesis, timebase.Exact(1<<40), nil, rt.Thread(3)); got != ub {
 				t.Errorf("bound of the trimmed-away version = %v, want its stamp %v", got, ub)
 			}
 		}},
@@ -109,7 +108,7 @@ func TestAbortedWriterSettlesToBaseLocator(t *testing.T) {
 	if got := testing.AllocsPerRun(runs, func() {
 		o := objs[next]
 		next++
-		if loc := o.settled(rt.maxVersions); loc.writer != nil {
+		if loc := o.settled(rt.maxVersions, nil); loc.writer != nil {
 			t.Fatal("aborted writer not settled")
 		}
 	}); got != 0 {
@@ -129,7 +128,7 @@ func TestAbortedWriterSettlesToBaseLocator(t *testing.T) {
 	a := th.newTx(false)
 	mustWrite(t, a, o, 99)
 	a.abort()
-	if got := o.settled(rt.maxVersions); got != pre || got != &base.selfLoc {
+	if got := o.settled(rt.maxVersions, nil); got != pre || got != &base.selfLoc {
 		t.Fatalf("after the abort o.loc = %p, want the base's own locator %p", got, pre)
 	}
 	if base.until.Load() != 0 {
@@ -165,10 +164,10 @@ func TestLateHelperIsNoOp(t *testing.T) {
 		ct := w.CT()
 		var locs [3]*locator
 		for i, o := range []*Object{read, upgraded, blind} {
-			locs[i] = o.settled(maxV)
+			locs[i] = o.settled(maxV, nil)
 		}
 
-		if !w.finishCommit(rt.TimeBase().Clock(5)) {
+		if !w.finishCommit(rt.Thread(5)) {
 			t.Errorf("MaxVersions %d: late helper reports the committed transaction as aborted", maxV)
 		}
 		if w.Status() != StatusCommitted || w.CT() != ct {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/abort"
 	"repro/internal/timebase"
@@ -34,8 +34,34 @@ type Runtime struct {
 	ord         timebase.Order // tb's comparison operators
 	maxVersions int
 
-	mu      sync.Mutex
-	threads []*Thread
+	// threads heads the list of every Thread created, linked through
+	// Thread.next: pushed by CAS, walked without a lock by advance and Stats.
+	threads atomic.Pointer[Thread]
+
+	_ [64]byte // every attempt loads epoch: keep its writes off tb and ord
+	// epoch is the reclamation epoch update records are retired in (see
+	// advance). It starts at epochGrace, so a record tagged 0 — one that was
+	// never published — is reusable at once.
+	epoch atomic.Uint64
+	_     [56]byte
+}
+
+// epochGrace is how many epochs a retired update record waits before its
+// thread reuses it. A thread that could still hold a pointer to the record
+// pinned an epoch no later than the record's tag before loading it; the
+// epoch cannot pass tag+1 while that thread stays pinned, so at tag+2 it has
+// let go.
+const epochGrace = 2
+
+// advance moves the epoch from now to now+1 unless some thread is still
+// pinned in an earlier one, and reports whether the epoch is now+1.
+func (rt *Runtime) advance(now uint64) bool {
+	for th := rt.threads.Load(); th != nil; th = th.next {
+		if p := th.pin.Load(); p != 0 && p != now {
+			return false
+		}
+	}
+	return rt.epoch.CompareAndSwap(now, now+1)
 }
 
 // NewRuntime validates the configuration and builds a runtime.
@@ -49,7 +75,9 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.MaxVersions == 0 {
 		cfg.MaxVersions = DefaultMaxVersions
 	}
-	return &Runtime{tb: cfg.TimeBase, ord: timebase.OrderOf(cfg.TimeBase), maxVersions: cfg.MaxVersions}, nil
+	rt := &Runtime{tb: cfg.TimeBase, ord: timebase.OrderOf(cfg.TimeBase), maxVersions: cfg.MaxVersions}
+	rt.epoch.Store(epochGrace)
+	return rt, nil
 }
 
 // MustRuntime is NewRuntime for static configurations; it panics on error.
@@ -73,10 +101,12 @@ func (rt *Runtime) MaxVersions() int { return rt.maxVersions }
 // goroutine.
 func (rt *Runtime) Thread(id int) *Thread {
 	th := &Thread{rt: rt, id: id, clock: rt.tb.Clock(id)}
-	rt.mu.Lock()
-	rt.threads = append(rt.threads, th)
-	rt.mu.Unlock()
-	return th
+	for {
+		th.next = rt.threads.Load()
+		if rt.threads.CompareAndSwap(th.next, th) {
+			return th
+		}
+	}
 }
 
 // Stats sums the per-thread counters. Call it only while no thread is
@@ -84,10 +114,8 @@ func (rt *Runtime) Thread(id int) *Thread {
 // unsynchronized so that collecting statistics cannot perturb the
 // scalability the benchmarks measure).
 func (rt *Runtime) Stats() abort.Stats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	var total abort.Stats
-	for _, th := range rt.threads {
+	for th := rt.threads.Load(); th != nil; th = th.next {
 		total.Add(&th.stats)
 	}
 	return total

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"repro/internal/abort"
 	"repro/internal/timebase"
 )
@@ -22,9 +24,97 @@ type Thread struct {
 	entryHint int
 	// roTx is the one record this thread's declared read-only attempts run
 	// in (see newTx); nil while a RunReadOnly has it out.
-	roTx  *Tx
+	roTx *Tx
+	// pending holds the thread's last pendingLen finished update attempts,
+	// oldest at pendingAt, before retire checks them (see retire).
+	pending   [pendingLen]*Tx
+	pendingAt int
+	// small and wide hold the update records of each shape this thread has
+	// retired (see retire); allocated by the first retire.
+	small *limbo[smallTx]
+	wide  *limbo[wideTx]
 	stats abort.Stats
 	_     [64]byte // keep each worker's stats off its neighbours' cache lines
+	// pin is the epoch the thread pinned in its current attempt, 0 while it
+	// holds no other thread's record (see protect); other threads read it
+	// in Runtime.advance. next links the runtime's thread list and is never
+	// written once published.
+	pin  atomic.Uint64
+	next *Thread
+	_    [48]byte
+}
+
+// pendingLen is how many later update attempts a finished one waits for
+// before its owner checks that no locator names it any more (see retire).
+//
+// limboCap bounds the records a thread keeps per shape; past it a retired
+// record is left to the collector. The spares carry the thread through a
+// stretch in which the epoch cannot advance, because a pinned thread was
+// descheduled in mid-attempt. advanceAt is how many records a thread
+// retires in one epoch before it moves the epoch on itself: the epoch then
+// advances every few attempts, not on every one.
+const (
+	pendingLen = 2
+	limboCap   = 64
+	advanceAt  = 8
+)
+
+// limbo holds the update records of one shape that a thread has finished
+// with: retired ones in a FIFO, tagged with the epoch they were retired in,
+// until their grace period is over, then on a stack of free ones. newTx
+// takes the most recently freed one, so a steady workload cycles through a
+// few cache-warm records while the spares stay at the bottom.
+type limbo[R any] struct {
+	retired [limboCap]*R
+	tags    [limboCap]uint64
+	first   int // index of the oldest retired record
+	n       int // retired records
+	free    [limboCap]*R
+	nfree   int
+}
+
+// put retires r with tag. A record tagged 0 was never published and is free
+// at once.
+func (l *limbo[R]) put(r *R, tag uint64) {
+	switch {
+	case l.n+l.nfree == limboCap:
+	case tag == 0:
+		l.free[l.nfree] = r
+		l.nfree++
+	default:
+		i := (l.first + l.n) % limboCap
+		l.retired[i], l.tags[i] = r, tag
+		l.n++
+	}
+}
+
+// crowded reports whether the newest advanceAt retired records were all
+// retired in epoch now.
+func (l *limbo[R]) crowded(now uint64) bool {
+	return l.n >= advanceAt && l.tags[(l.first+l.n-advanceAt)%limboCap] == now
+}
+
+// take returns the most recently freed record, or nil. Only when there is
+// none does it look at the epoch and free every retired record whose grace
+// period is over.
+func (l *limbo[R]) take(rt *Runtime) *R {
+	if l.nfree == 0 && l.n > 0 {
+		now := rt.epoch.Load()
+		for l.n > 0 && l.tags[l.first]+epochGrace <= now {
+			l.free[l.nfree] = l.retired[l.first]
+			l.nfree++
+			l.retired[l.first] = nil
+			l.first = (l.first + 1) % limboCap
+			l.n--
+		}
+	}
+	if l.nfree == 0 {
+		return nil
+	}
+	l.nfree--
+	r := l.free[l.nfree]
+	l.free[l.nfree] = nil
+	return r
 }
 
 // sizeHint moves a chunk-size hint toward what a commit just used: up at
@@ -52,7 +142,8 @@ func (th *Thread) Stats() *abort.Stats { return &th.stats }
 // Run executes fn as an update-capable transaction, retrying on aborts
 // until it commits. fn may be invoked many times and must confine its side
 // effects to transactional reads and writes. A non-ErrAborted error from fn
-// aborts the transaction and is returned unchanged.
+// aborts the transaction and is returned unchanged. The *Tx runs in a
+// record that a later attempt reuses: fn must not keep it past its return.
 func (th *Thread) Run(fn func(*Tx) error) error {
 	return th.run(false, fn)
 }
@@ -67,17 +158,19 @@ func (th *Thread) RunReadOnly(fn func(*Tx) error) error {
 }
 
 func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
+	// A transaction nested in an attempt on this thread that is pinned
+	// leaves the pin to that attempt; otherwise every attempt ends unpinned.
+	held := th.pin.Load() != 0
+	if !held {
+		defer th.unpin()
+	}
 	for attempt := 0; ; attempt++ {
 		tx := th.newTx(readOnly)
 		err := fn(tx)
-		if readOnly {
-			// fn is done with the record; the next newTx resets it. (A
-			// transaction nested in fn found roTx nil and made its own.)
-			th.roTx = tx
-		}
 		switch {
 		case err == nil:
 			if err = tx.commit(); err == nil {
+				th.finish(tx)
 				th.stats.Commits++
 				if tx.writes > 0 {
 					th.writeHint = sizeHint(th.writeHint, tx.writes)
@@ -93,10 +186,15 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 		case err != ErrAborted:
 			// Application-level failure: roll back and propagate.
 			tx.abort()
+			th.finish(tx)
 			th.stats.UserAborts++
 			return err
 		default:
 			tx.abort() // release any owned objects before retrying
+		}
+		th.finish(tx)
+		if !held {
+			th.unpin()
 		}
 		th.stats.Aborts++
 		r := abort.Contention // CauseNone: another thread aborted it
@@ -114,16 +212,15 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	}
 }
 
-// newTx starts an attempt. An update attempt always gets a fresh record —
-// a helper may still be validating a previous attempt's frozen access set,
-// and an object may still hold one of its locators — in the shape the
-// thread's hints call for: the inline entry and locator arrays ride in the
-// same allocation, so a steady workload pays Tx + version chunk. A declared
-// read-only attempt is never published: it keeps no access set, enters no
-// locator, and is never helped or aborted as an enemy, so no other thread
-// can hold a pointer to it. Those attempts reuse one record per Thread,
-// reset field by field (Tx holds atomics); the fields not reset are ones a
-// read-only attempt never writes.
+// newTx starts an attempt. An update attempt runs in a record of the shape
+// the thread's hints call for: the inline entry and locator arrays ride in
+// the same allocation, so a steady workload pays Tx + version chunk, and
+// once the thread has retired enough records, only the chunk (see retire).
+// A declared read-only attempt is never published: it keeps no access set,
+// enters no locator, and is never helped or aborted as an enemy, so no other
+// thread can hold a pointer to it. Those attempts reuse one record per
+// Thread, reset field by field; the fields not reset are ones a read-only
+// attempt never writes.
 func (th *Thread) newTx(readOnly bool) *Tx {
 	var tx *Tx
 	switch {
@@ -132,25 +229,144 @@ func (th *Thread) newTx(readOnly bool) *Tx {
 		tx.closed, tx.cause = false, CauseNone
 		tx.status.Store(int32(StatusActive))
 	case readOnly:
-		tx = &Tx{} // no access set, no locators: no arrays
+		tx = &Tx{th: th, rt: th.rt, readOnly: true} // no access set, no locators: no arrays
 	case max(th.writeHint, th.entryHint) <= wideSet &&
 		(th.writeHint > smallWriteSet || th.entryHint > smallAccessSet):
-		w := &wideTx{}
-		tx = &w.Tx
-		tx.entries, tx.locs = w.inlineEntries[:0], w.inlineLocs[:0]
+		var w *wideTx
+		if th.wide != nil {
+			w = th.wide.take(th.rt)
+		}
+		if w == nil {
+			w = &wideTx{}
+			w.wide = w
+		}
+		tx = w.ready(th, w.inlineEntries[:], w.inlineLocs[:])
 	default:
-		s := &smallTx{}
-		tx = &s.Tx
-		tx.entries, tx.locs = s.inlineEntries[:0], s.inlineLocs[:0]
+		var s *smallTx
+		if th.small != nil {
+			s = th.small.take(th.rt)
+		}
+		if s == nil {
+			s = &smallTx{}
+			s.small = s
+		}
+		tx = s.ready(th, s.inlineEntries[:], s.inlineLocs[:])
 	}
-	tx.th, tx.rt, tx.readOnly = th, th.rt, readOnly
 	tx.begin()
 	return tx
+}
+
+// ready prepares an update record of th for a new attempt; entries and
+// locs are its inline arrays. A fresh record gets its owner and the writer
+// of each inline locator, for good. A reused one is reset field by field: it
+// drops its stale entries and locator versions, so that it keeps no old
+// version reachable, but not the writers, which a thread that loaded one of
+// its locators may still read (see locator).
+func (tx *Tx) ready(th *Thread, entries []entry, locs []locator) *Tx {
+	if tx.th == nil {
+		tx.th, tx.rt = th, th.rt
+		for i := range locs {
+			locs[i].writer = tx
+		}
+	} else {
+		clear(entries[:min(len(tx.entries), len(entries))])
+		for i := range locs[:min(tx.writes, len(locs))] {
+			locs[i].ver = nil
+		}
+		tx.index, tx.vers, tx.writes = nil, nil, 0
+		tx.update, tx.boxed, tx.closed, tx.cause = false, false, false, CauseNone
+		tx.ct.Store(0)
+		tx.status.Store(int32(StatusActive))
+	}
+	tx.entries, tx.locs = entries[:0], locs[:0]
+	return tx
+}
+
+// protect makes it safe for th to look into w, the writer of a locator it
+// just loaded, and reports whether th must load the locator again first.
+// A record of th's own is not reused while th runs an attempt. For another
+// thread's, th pins the current epoch unless it is pinned already: a record
+// th finds after that is not reused before th unpins, but the one it found
+// before may already belong to a new attempt. An attempt that never meets
+// another thread's writer never pins, and so never holds up reuse. A nil th
+// protects nothing. A pinned thread looks no further: w's line may be
+// another core's.
+func (th *Thread) protect(w *Tx) bool {
+	if th == nil || th.pin.Load() != 0 || w.th == th {
+		return false
+	}
+	th.pin.Store(th.rt.epoch.Load())
+	return true
+}
+
+// unpin ends the thread's pin, if it has one.
+func (th *Thread) unpin() {
+	if th.pin.Load() != 0 {
+		th.pin.Store(0)
+	}
+}
+
+// finish hands back the record of an attempt that reached a terminal state:
+// a read-only one to the thread (a transaction nested in fn found roTx nil
+// and made its own), an update one to retire.
+func (th *Thread) finish(tx *Tx) {
+	if tx.readOnly {
+		th.roTx = tx
+	} else {
+		th.retire(tx)
+	}
+}
+
+// retire puts a finished update record on its shape's list, tagged with the
+// epoch it is retired in. Before that, no locator may name the record: one
+// that never published a locator was reachable from this thread only and is
+// free at once. One that did waits in pending for pendingLen later update
+// attempts — by then the next access to an object it wrote may have settled
+// it, as it would without reuse — and then its owner settles every object
+// that still names it; once an object's locator has moved on, it never
+// names the record again. Settling at once instead made the fastest
+// disjoint 10-write transactions about a fifth slower (2-CPU host), and
+// waiting longer leaves concurrent read-only scans more writers to settle.
+// A thread that found one of its locators before that was pinned when it
+// looked into the record (see protect), so the record waits epochGrace
+// epochs after its tag before newTx reuses it.
+func (th *Thread) retire(tx *Tx) {
+	tag := uint64(0)
+	if tx.update {
+		tx, th.pending[th.pendingAt] = th.pending[th.pendingAt], tx
+		th.pendingAt = (th.pendingAt + 1) % pendingLen
+		if tx == nil {
+			return
+		}
+		for i := range tx.entries {
+			if e := &tx.entries[i]; e.tent != nil && e.obj.loc.Load().writer == tx {
+				e.obj.settle(th.rt.maxVersions, th)
+			}
+		}
+		tag = th.rt.epoch.Load()
+	}
+	var crowded bool
+	if tx.small != nil {
+		if th.small == nil {
+			th.small = new(limbo[smallTx])
+		}
+		th.small.put(tx.small, tag)
+		crowded = th.small.crowded(tag)
+	} else {
+		if th.wide == nil {
+			th.wide = new(limbo[wideTx])
+		}
+		th.wide.put(tx.wide, tag)
+		crowded = th.wide.crowded(tag)
+	}
+	if crowded {
+		th.rt.advance(tag)
+	}
 }
 
 // help completes another transaction's two-phase commit with this thread's
 // clock (Algorithm 3 line 13).
 func (th *Thread) help(w *Tx) {
 	th.stats.Helps++
-	w.finishCommit(th.clock)
+	w.finishCommit(th)
 }

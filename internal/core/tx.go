@@ -70,16 +70,22 @@ type Tx struct {
 	// they may live in (and point at) the attempt's record.
 	writes int
 	locs   []locator
+
+	// small or wide is the update record this Tx heads, so that the owner
+	// can retire it to the thread's list of that shape; nil for read-only.
+	small *smallTx
+	wide  *wideTx
 }
 
 // smallTx and wideTx are the two shapes of an update attempt's record: the
 // Tx followed by the arrays its entries and locs start out in, so the
 // attempt's owner-side scratch is one allocation. newTx picks the wide one
 // when the thread's recent commits outgrew the small one (a steady 10-write
-// transaction still costs record + version chunk); past wideSet the small
-// shape's overflow slices take over again. Safe precisely because an update
-// attempt's record is never reused — helpers may validate the frozen entry
-// array long after the owner moved on to a new attempt (see newTx).
+// transaction still costs one record); past wideSet the small shape's
+// overflow slices take over again. Helpers may validate the frozen entry
+// array, and an object may hold one of the inline locators, after the owner
+// moved on, so a finished record is reused only once no locator names it
+// and after an epoch grace period (see Thread.retire).
 type smallTx struct {
 	Tx
 	inlineEntries [smallAccessSet]entry
@@ -230,7 +236,7 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		if v, ok = tx.getVersion(o); !ok {
 			return val.Value{}, tx.abortSnapshot()
 		}
-		tx.upper = tx.rt.ord.Min(tx.upper, prelimUB(o, v, tx.effLimit(), tx, tx.th.clock))
+		tx.upper = tx.rt.ord.Min(tx.upper, prelimUB(o, v, tx.effLimit(), tx, tx.th))
 	}
 	// Lines 28–30: intersect T.R with the version's validity range and
 	// abort if the snapshot became (possibly) inconsistent.
@@ -287,7 +293,7 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 		if tx.Status() != StatusActive {
 			return tx.errFromStatus()
 		}
-		loc := o.settled(tx.rt.maxVersions)
+		loc := o.settled(tx.rt.maxVersions, tx.th)
 		if w := loc.writer; w != nil {
 			switch w.Status() {
 			case StatusCommitting:
@@ -309,13 +315,23 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 			tent, nloc = tx.newWrite()
 			tent.value = v
 			tent.selfLoc.ver = tent
-			nloc.writer, nloc.ver = tx, tent
+			nloc.ver = tent
 		}
 		tent.prev.Store(base)
 		if !o.loc.CompareAndSwap(loc, nloc) {
 			continue
 		}
+		// Log the acquisition before anything can abort the attempt: the
+		// entry is how the owner finds the locator before it reuses the
+		// record (Thread.retire).
 		tx.update = true
+		if seen {
+			// Write upgrade: the entry keeps the version the transaction
+			// read, so commit-time validation still checks it.
+			tx.entries[idx].tent = tent
+		} else {
+			tx.addEntry(o, nil, tent)
+		}
 		// Line 22: if the base version is possibly more recent than the
 		// snapshot's upper bound, extending may still save the transaction.
 		from := base.validFrom()
@@ -328,13 +344,6 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 		tx.upper = tx.rt.ord.Min(tx.upper, tx.effLimit())
 		if tx.rt.ord.PossiblyLater(tx.lower, tx.upper) {
 			return tx.abortSnapshot()
-		}
-		if seen {
-			// Write upgrade: the entry keeps the version the transaction
-			// read, so commit-time validation still checks it.
-			tx.entries[idx].tent = tent
-		} else {
-			tx.addEntry(o, nil, tent)
 		}
 		return nil
 	}
@@ -396,7 +405,11 @@ func cut[T any](chunk *[]T, size int) *T {
 func (tx *Tx) newWrite() (*version, *locator) {
 	size := max(tx.th.writeHint-tx.writes, tx.writes, 1)
 	tx.writes++
-	return cut(&tx.vers, size), cut(&tx.locs, size)
+	loc := cut(&tx.locs, size)
+	if loc.writer == nil {
+		loc.writer = tx // an overflow chunk's; the inline ones have theirs
+	}
+	return cut(&tx.vers, size), loc
 }
 
 // addEntry appends (o, read version, tentative version) to T.O and indexes
@@ -434,7 +447,7 @@ func (tx *Tx) addEntry(o *Object, ver, tent *version) {
 // them abort-free under concurrent updates as long as history suffices.
 func (tx *Tx) getVersion(o *Object) (*version, bool) {
 	for {
-		loc := o.settled(tx.rt.maxVersions)
+		loc := o.settled(tx.rt.maxVersions, tx.th)
 		if w := loc.writer; w != nil && w != tx && w.Status() == StatusCommitting {
 			// Line 13: help the committing writer to completion so the
 			// settled state (and its commit time) becomes definite.
@@ -487,7 +500,7 @@ func (tx *Tx) extend() {
 		if e.ver == nil {
 			continue
 		}
-		ub := prelimUB(e.obj, e.ver, t, tx, tx.th.clock)
+		ub := prelimUB(e.obj, e.ver, t, tx, tx.th)
 		upper = tx.rt.ord.Min(upper, ub)
 		if e.ver.until.Load() != 0 {
 			tx.closed = true
@@ -510,7 +523,7 @@ func (tx *Tx) commit() error {
 	if !tx.status.CompareAndSwap(int32(StatusActive), int32(StatusCommitting)) {
 		return ErrAborted
 	}
-	if tx.finishCommit(tx.th.clock) {
+	if tx.finishCommit(tx.th) {
 		return nil
 	}
 	if tx.cause == CauseNone {
@@ -521,10 +534,10 @@ func (tx *Tx) commit() error {
 
 // finishCommit drives a committing transaction to a terminal state and
 // reports whether it committed. It is invoked by the owner and by helping
-// threads (with their own clocks) and is idempotent: every step is a CAS
-// and validation reads only the frozen access set.
-func (w *Tx) finishCommit(clock timebase.Clock) bool {
-	ensureCT(w, clock)
+// threads (th is the caller, whose clock is used) and is idempotent: every
+// step is a CAS and validation reads only the frozen access set.
+func (w *Tx) finishCommit(th *Thread) bool {
+	ensureCT(w, th.clock)
 	ct := w.CT()
 	// Lines 43–48: the snapshot must extend to the commit time. Every
 	// accessed version must still be (possibly) valid at ct; a version
@@ -534,7 +547,7 @@ func (w *Tx) finishCommit(clock timebase.Clock) bool {
 		if e.ver == nil {
 			continue
 		}
-		ub := prelimUB(e.obj, e.ver, ct, w, clock)
+		ub := prelimUB(e.obj, e.ver, ct, w, th)
 		if w.rt.ord.PossiblyLater(ct, ub) {
 			w.abort()
 			return w.Status() == StatusCommitted

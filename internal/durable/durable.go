@@ -90,6 +90,9 @@ type Engine struct {
 	log   *Log
 	opt   Options
 	info  engine.DurabilityInfo
+	// tempDir records that Wrap made the WAL directory (Options.Dir was
+	// empty), so WALClose removes it.
+	tempDir bool
 
 	mu        sync.Mutex
 	cells     []engine.Cell
@@ -119,13 +122,17 @@ type Engine struct {
 // inner. Recovery happens here — before the first NewCell — so the caller
 // must not have created any cell on inner yet, and must create its cells in
 // the same order as the run that produced the log.
-func Wrap(inner engine.Engine, opt Options) (*Engine, error) {
-	dir := opt.Dir
-	if dir == "" {
-		var err error
+func Wrap(inner engine.Engine, opt Options) (e *Engine, err error) {
+	dir, tempDir := opt.Dir, opt.Dir == ""
+	if tempDir {
 		if dir, err = os.MkdirTemp("", "durable-wal-"); err != nil {
 			return nil, err
 		}
+		defer func() {
+			if err != nil {
+				os.RemoveAll(dir)
+			}
+		}()
 	}
 	rec, err := recoverDir(dir)
 	if err != nil {
@@ -134,11 +141,12 @@ func Wrap(inner engine.Engine, opt Options) (*Engine, error) {
 	if opt.SnapshotBytes == 0 {
 		opt.SnapshotBytes = defaultSnapshotBytes
 	}
-	e := &Engine{
+	e = &Engine{
 		inner:     inner,
 		name:      "durable/" + inner.Name(),
 		opt:       opt,
 		recovered: rec.values,
+		tempDir:   tempDir,
 	}
 	// The ticket cell is created before any application cell and resumes
 	// from the recovered sequence, so commit numbering continues densely
@@ -222,11 +230,16 @@ func (e *Engine) DurabilityInfo() engine.DurabilityInfo {
 func (e *Engine) WALSync() error { return e.log.Sync() }
 
 // WALClose flushes, syncs and closes the log after waiting out any
-// in-flight compaction. The engine stays readable; update transactions fail
-// from here on. Idempotent.
+// in-flight compaction, and removes the log directory if Wrap created it
+// (an empty Options.Dir). The engine stays readable; update transactions
+// fail from here on. Idempotent.
 func (e *Engine) WALClose() error {
 	e.compactWG.Wait()
-	return e.log.Close()
+	err := e.log.Close()
+	if e.tempDir {
+		err = errors.Join(err, os.RemoveAll(e.info.WALDir))
+	}
+	return err
 }
 
 // Crashed returns the sticky crash error, or nil. After a crashpoint or

@@ -575,3 +575,41 @@ func TestWALCloseSemantics(t *testing.T) {
 		t.Errorf("post-close update err = %v, want ErrClosed", err)
 	}
 }
+
+// TestWALCloseRemovesOnlyItsOwnDir: a log directory Wrap made for an empty
+// Options.Dir is removed by WALClose, commits and all; a caller's directory
+// is left for recovery to reopen.
+func TestWALCloseRemovesOnlyItsOwnDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	e, err := Wrap(engine.MustNew("norec", engine.Options{}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := bankCells(e)
+	if err := transfer(e.Thread(0), a, b, c, 1); err != nil {
+		t.Fatal(err)
+	}
+	if dir := e.DurabilityInfo().WALDir; filepath.Dir(dir) != tmp {
+		t.Fatalf("temp log directory %q is not under TMPDIR %q", dir, tmp)
+	}
+	if err := e.WALClose(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("TMPDIR after WALClose: %v, %v; want empty", left, err)
+	}
+
+	dir := t.TempDir()
+	e = newTestEngine(t, "norec", dir, Options{})
+	a, b, c = bankCells(e)
+	if err := transfer(e.Thread(0), a, b, c, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WALClose(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, n, _ := readState(t, dir); n != 1 {
+		t.Errorf("explicit directory after WALClose recovers counter %d, want 1", n)
+	}
+}

@@ -50,7 +50,9 @@ import (
 )
 
 // Tx is a transaction attempt. See the core engine for the protocol; user
-// code only passes it to Var.Get and Var.Set.
+// code only passes it to Var.Get and Var.Set. The *Tx handed to a closure is
+// good only until the closure returns: later attempts of the same Thread
+// reuse it, update and read-only attempts alike.
 type Tx = core.Tx
 
 // Stats aggregates commit/abort/extension counters across threads.
