@@ -19,16 +19,20 @@ package core
 //     allocates records until it has retired enough to cycle through.
 //     A declared read-only attempt is reachable from its own thread only, so
 //     every one of them runs in the Thread's one record.
-//   - the version chunk (+1 for any transaction that writes): all of the
-//     attempt's tentative versions, sized by the Thread's hint. Versions
-//     outlive the record, so they cannot ride in it. Settling promotes them
-//     in place and allocates nothing.
+//   - the tentative versions (0 in steady state): versions outlive the
+//     record, so they cannot ride in it; they are cut from a per-thread
+//     chunk sized by the Thread's hint. Settling promotes them in place and
+//     allocates nothing. A version is reused by the thread that wrote it,
+//     once a settle of that thread's own has cut it off its history (or its
+//     attempt aborted) and an epoch grace period has passed; a thread
+//     allocates chunks until it has retired enough versions to cycle
+//     through.
 //   - past the wide shape only: the entry overflow (+1 above wideSet objects)
 //     and the locator overflow (+1 above wideSet writes), each one slice
 //     sized by the Thread's hints behind a small-shape record.
 //
-// So: read-only of any length 0, 1-, 2- and 10-write updates 1, a 40-write
-// update 3.
+// So: read-only of any length 0, 1-, 2- and 10-write updates 0, a 40-write
+// update 2.
 //
 // Values are written far outside the runtime's small-int interface cache
 // (> 2⁴⁰) through the typed lane (ReadValue/WriteInt), so these budgets
@@ -107,7 +111,7 @@ func TestAllocBudgetUpdateOne(t *testing.T) {
 		}
 		return tx.WriteInt(a, big+(v+1)%100)
 	}
-	allocBudget(t, "core 1-write update", 1, func() {
+	allocBudget(t, "core 1-write update", 0, func() {
 		if err := th.Run(fn); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +135,7 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 		}
 		return bump(tx, b)
 	}
-	allocBudget(t, "core 2-write update", 1, func() {
+	allocBudget(t, "core 2-write update", 0, func() {
 		if err := th.Run(fn); err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +143,11 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 }
 
 // Ten read-modify-writes ride in the wide record.
-func TestAllocBudgetUpdateTen(t *testing.T) { updateBudget(t, 10, 1) }
+func TestAllocBudgetUpdateTen(t *testing.T) { updateBudget(t, 10, 0) }
 
 // Forty are past the widest shape: the small record's two hint-sized
 // overflow slices take over.
-func TestAllocBudgetUpdateForty(t *testing.T) { updateBudget(t, 40, 3) }
+func TestAllocBudgetUpdateForty(t *testing.T) { updateBudget(t, 40, 2) }
 
 // bumpAll read-modify-writes every object through the int lane.
 func bumpAll(tx *Tx, objs []*Object) error {
@@ -257,6 +261,9 @@ func heapAfterGC() uint64 {
 // slices; the "wide" variant warms the hints first, so the cold commit runs
 // in a wideTx. Either record is then retired and reused, and a reused record
 // must drop what its previous attempt's entries and locators pointed at.
+// The other versions of the cold commit's chunk are cut, retired and reused
+// as tentative versions of the hot set, each with a new prev: a recycled
+// version must not keep its earlier history reachable either.
 func TestHeapPlateau(t *testing.T) {
 	commits := 2_000_000
 	if testing.Short() {

@@ -49,48 +49,62 @@
 //
 // # Memory
 //
-// An attempt pays per transaction, not per access. An update attempt runs
-// in a record — a Tx and, in the same allocation, the arrays its
-// access-set entries and writer locators start out in — and, if it writes,
-// takes one chunk holding all its tentative versions. The record comes in
-// two shapes, picked from what the thread's recent commits used: small (8
-// entries, 4 locators) and wide (16 of each); past the wide shape a small
-// record overflows, once each, into a hint-sized entry slice and locator
-// chunk. Commit builds nothing: whoever settles an object whose writer
-// committed promotes the tentative version in place — stamps the
+// An attempt pays per transaction, not per access, and a steady workload
+// pays nothing. An update attempt runs in a record — a Tx and, in the same
+// allocation, the arrays its access-set entries and writer locators start
+// out in — and cuts its tentative versions from its thread's chunk. The
+// record comes in two shapes, picked from what the thread's recent commits
+// used: small (8 entries, 4 locators) and wide (16 of each); past the wide
+// shape a small record overflows, once each, into a hint-sized entry slice
+// and locator chunk. Commit builds nothing: whoever settles an object whose
+// writer committed promotes the tentative version in place — stamps the
 // predecessor's upper bound and the version's own validFrom, trims, and
 // publishes the locator embedded in the version — and an aborted writer's
 // locator is replaced by the one embedded in the version it was acquired
 // over. Each stamp is one atomic word that racing settlers CAS from 0 to the
 // same value (see settled), so settling allocates nothing either.
 //
-// Records are recycled, by epoch-based reclamation. A finished update
-// attempt waits while its thread runs two more; by then the next access to
-// an object it wrote may have settled it, and its owner settles any object
-// that still names the record, so no locator names it any more. The
-// owner then retires the record to a per-thread, per-shape list, tagged
-// with the runtime's epoch; newTx reuses it once the epoch is two past the
-// tag, and a thread that has retired a batch of records in one epoch moves
-// the epoch on itself. Another thread may still hold the record
-// from a locator it loaded earlier: to help its commit, to abort it as an
-// enemy, or to read the version under it. The one field of a locator it
-// may read without more ado is its writer, which for a locator in a record
-// is that record, set when the record is allocated and never changed; to
-// read anything else through another thread's record it first pins the
-// epoch (Thread.protect) and loads the locator again, and it stays pinned
-// until its attempt ends. The epoch advances only when every pinned thread
-// has pinned the current one, so a record is not reused while a thread that
-// found it is pinned, and an attempt that never meets another thread's
-// writer never pins and never holds reuse up. A record that never published
-// a locator is reusable at once. Each list keeps at most limboCap records;
-// past that, and while the epoch is held up, a thread allocates. So a
-// steady update workload costs one allocation per attempt, the version
-// chunk. Versions are not recycled: a version outlives its writer in the
-// history chains, so apart from prev it points at nothing but itself; a
-// pointer from a version into a Tx, or into another attempt's chunk, would
-// keep the whole commit history reachable (TestHeapPlateau). The *Tx handed
-// to fn is good only until fn returns, for update and read-only attempts
-// alike.
+// Records and versions are recycled, by epoch-based reclamation. A
+// finished update attempt waits while its thread runs two more; by then
+// the next access to an object it wrote may have settled it, and its owner
+// settles any object that still names the record, so no locator names it
+// any more. The owner then retires the record to a per-thread, per-shape
+// list, tagged with the runtime's epoch; newTx reuses it once the epoch is
+// two past the tag, and a thread that has retired a batch of records in
+// one epoch moves the epoch on itself. A version has an owner, the thread
+// whose attempts write it, set when it is cut from a chunk. The settler
+// whose trim unlinks a version from its history (by CAS, so exactly one
+// does) retires it to its own list with the same tag rule if it is the
+// owner; a version another thread cuts, and a genesis version, go to the
+// collector. The owner also retires the tentative versions of an aborted
+// attempt once no locator names them. A version is reused only as a
+// tentative version of its owner's (newWrite), and only if its grace
+// period was over when the owner's outermost attempt began: an attempt
+// reads its own thread's versions unpinned, so one it read and then cut
+// must not come back before that attempt is over.
+//
+// Another thread may still hold a record or version: to help a commit, to
+// abort an enemy, to read the version under a writer, or to walk a
+// history. What it may read of them without more ado is what never
+// changes: a locator's writer (for a locator in a record, that record, set
+// when the record is allocated) and a version's owner and embedded
+// locator. To read anything else of another thread's record or version it
+// first pins the epoch (Thread.protect) and loads the pointer again, and
+// it stays pinned until its attempt ends. The epoch advances only when
+// every pinned thread has pinned the current one, so nothing is reused
+// while a thread that found it is pinned; its own records and versions,
+// and genesis versions, a thread reads unpinned, so an attempt that never
+// meets another thread's writer or version never pins and never holds
+// reuse up. A record or version that was never published is reusable at
+// once. A thread keeps at most limboCap records per shape and versionCap
+// versions (what it retires in epochGrace+1 epochs); past that, and while
+// the epoch is held up, it allocates. The owner pointer does not break the
+// rule that keeps old histories collectable (TestHeapPlateau): apart from
+// prev, a version points at nothing but itself and its owner thread, which
+// the runtime holds anyway; a pointer from a version into a Tx, or into
+// another attempt's chunk, would keep the whole commit history reachable.
+// The *Tx handed to fn is good only until fn returns, for update and
+// read-only attempts alike.
 //
 // A declared read-only attempt keeps no access set, enters no locator and
 // is never helped or named as an enemy: only its own thread can hold a

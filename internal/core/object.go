@@ -31,14 +31,17 @@ type Object struct {
 // The two terminal states are settled lazily, by any thread that
 // encounters them, into a writer-free locator — at the latest by the
 // writer's owner before it reuses the record (Thread.retire) — so no
-// commit-time pass over the write set is needed. A writer-free locator is the one embedded in its version
-// and never changes. A writer locator lives in its attempt's record (or in
-// an overflow chunk of it), and its ver is rewritten, before the CAS that
-// publishes it, each time a reused record's attempt takes it; its writer is
-// the record itself and is set once, when the record is allocated. So a
-// thread may read the writer of any locator it loaded, but must be pinned
-// before it reads anything else through another thread's record (see
-// Thread.protect).
+// commit-time pass over the write set is needed. A writer-free locator is
+// the one embedded in its version: its writer is nil and its ver is that
+// version, both set when the version is cut from its chunk and never
+// changed, so any thread may read both through any writer-free locator it
+// loaded. A writer locator lives in its attempt's record (or in an overflow
+// chunk of it), and its ver is rewritten, before the CAS that publishes it,
+// each time a reused record's attempt takes it; its writer is the record
+// itself and is set once, when the record is allocated. So a thread may
+// read the writer of any locator it loaded, but must be pinned before it
+// reads anything else through another thread's record, or any field but
+// owner and selfLoc of another thread's version (see Thread.protect).
 type locator struct {
 	writer *Tx
 	ver    *version
@@ -58,10 +61,55 @@ func (l *locator) head() *version {
 // version is one committed (or tentative) value of an object. Versions form
 // a newest-first chain through prev; the chain is truncated to the runtime's
 // MaxVersions on settle. A version outlives the transaction that wrote it,
-// so apart from prev it points at nothing but itself: a pointer from a
-// version into a Tx (or into another attempt's chunk) would keep the whole
-// commit history reachable through the Tx's access set.
+// so apart from prev and its owner thread it points at nothing but itself:
+// a pointer from a version into a Tx (or into another attempt's chunk) would
+// keep the whole commit history reachable through the Tx's access set. The
+// owner is alive anyway, held by the runtime's thread list.
+//
+// Versions are recycled by the thread that wrote them: the settler that
+// cuts one of its own versions off a history retires it, and its owner
+// takes it as a tentative version again an epoch grace period later (see
+// trim and Tx.newWrite). A genesis version has no owner and is never reused.
 type version struct {
+	content
+
+	// until is the Word of the successor's commit time once the version has
+	// been superseded, 0 while it is the most recent one (⌈v.R⌉ = ∞). It is
+	// set exactly once, before the superseding locator becomes visible, so a
+	// reader that still sees this version as head also sees it unset only
+	// if the version is truly current. ⌈v.R⌉ is that CT minus one, taken on
+	// load (upperBound): CT−1 itself may be the zero timestamp (CT 1 on an
+	// exact clock that starts at 0), whose word is the unset 0. Unlike
+	// content, a helper may load it unprotected: validating another
+	// thread's access set (finishCommit), it reads the bounds of versions
+	// that thread protected, and may still do so after that thread's
+	// attempt is over and the versions are reused. Its load finds some
+	// word, and the attempt, already terminal, is not changed by what it
+	// concludes; so a reuse resets until atomically.
+	until atomic.Int64
+
+	// prev links to the next older committed version; for a tentative
+	// version, to the committed head it was acquired over (set by the owner
+	// before the locator CAS). Atomic because settle truncates the history
+	// concurrently with readers walking it.
+	prev atomic.Pointer[version]
+
+	// owner is the thread whose attempts write this version, set when it is
+	// cut from its chunk and never changed; nil on a genesis version. Any
+	// thread may read it unpinned (see Thread.protect).
+	owner *Thread
+
+	// selfLoc is the writer-free locator that publishes this version as the
+	// object's head, embedded so settling allocates nothing. Its ver is set
+	// with owner, when the version is cut from its chunk, and never changes:
+	// a reused version publishes itself through the same locator.
+	selfLoc locator
+}
+
+// content is the part of a version that only the thread that wrote it and
+// readers that looked into it protected (see Thread.protect) ever read, so
+// that a reuse may clear it with plain stores (Thread.newVersion).
+type content struct {
 	// value is the payload: the typed representation with an unboxed
 	// numeric lane (val.Value), so int-valued writes never box. It is
 	// written only by the owning transaction while active, and read by
@@ -75,26 +123,6 @@ type version struct {
 	// genesis version, which was never written by a transaction and is
 	// valid since −∞.
 	from atomic.Int64
-
-	// until is the Word of the successor's commit time once the version has
-	// been superseded, 0 while it is the most recent one (⌈v.R⌉ = ∞). It is
-	// set exactly once, before the superseding locator becomes visible, so a
-	// reader that still sees this version as head also sees it unset only
-	// if the version is truly current. ⌈v.R⌉ is that CT minus one, taken on
-	// load (upperBound): CT−1 itself may be the zero timestamp (CT 1 on an
-	// exact clock that starts at 0), whose word is the unset 0.
-	until atomic.Int64
-
-	// prev links to the next older committed version; for a tentative
-	// version, to the committed head it was acquired over (set by the owner
-	// before the locator CAS). Atomic because settle truncates the history
-	// concurrently with readers walking it.
-	prev atomic.Pointer[version]
-
-	// selfLoc is the writer-free locator that publishes this version as the
-	// object's head, embedded so settling allocates nothing. Filled by the
-	// owner before the version becomes reachable; never mutated afterwards.
-	selfLoc locator
 }
 
 // validFrom returns ⌊v.R⌋ of a committed version: its stamp, −∞ without one.
@@ -110,7 +138,7 @@ func (v *version) validFrom() timebase.Timestamp {
 // any time base can read it regardless of their clock's current value.
 func NewObject(initial any) *Object {
 	o := &Object{}
-	v := &version{value: val.OfAny(initial)}
+	v := &version{content: content{value: val.OfAny(initial)}}
 	v.selfLoc.ver = v
 	o.loc.Store(&v.selfLoc)
 	return o
@@ -129,7 +157,10 @@ func NewObject(initial any) *Object {
 // none has to win anything first.
 //
 // th is the calling thread, pinned before it looks into another thread's
-// record; nil only where no record can be reused meanwhile.
+// record or version, and the one that retires what its trim cuts; nil only
+// where nothing can be reused meanwhile (a nil th retires nothing). The
+// returned locator's head is not protected: a caller that reads its fields
+// protects it first.
 func (o *Object) settled(maxVersions int, th *Thread) *locator {
 	if loc := o.loc.Load(); loc.writer == nil {
 		return loc // the common case, inlined into every access
@@ -145,7 +176,7 @@ func (o *Object) settle(maxVersions int, th *Thread) *locator {
 		if w == nil {
 			return loc
 		}
-		if th.protect(w) {
+		if th.protect(w.th) {
 			continue
 		}
 		switch w.Status() {
@@ -158,11 +189,16 @@ func (o *Object) settle(maxVersions int, th *Thread) *locator {
 			// reached trim ⇒ base is the predecessor, not nil.)
 			base := tent.prev.Load()
 			if tent.from.Load() == 0 {
+				if th.protect(base.owner) {
+					continue
+				}
 				ct := w.ct.Load()
 				base.until.CompareAndSwap(0, ct)
 				tent.from.CompareAndSwap(0, ct)
 			}
-			trim(tent, maxVersions)
+			if !trim(tent, maxVersions, th) {
+				continue
+			}
 			o.loc.CompareAndSwap(loc, &tent.selfLoc)
 		case StatusAborted:
 			// Re-publishing the base's own locator is a benign ABA: same
@@ -175,18 +211,29 @@ func (o *Object) settle(maxVersions int, th *Thread) *locator {
 	}
 }
 
-// trim cuts the version chain after maxVersions entries. maxVersions is at
-// least 1 (the head itself).
-func trim(head *version, maxVersions int) {
+// trim cuts the version chain after maxVersions entries (at least 1, the
+// head itself). It unlinks by CAS, so of the settlers racing to trim one
+// history exactly one cuts each version, and that one hands it to th.cut,
+// which retires it if th wrote it. The cut version is left as it is: a
+// pinned reader may still be walking through it. trim reports false when th
+// had to pin before looking into another thread's version: the caller loads
+// the locator again.
+func trim(head *version, maxVersions int, th *Thread) bool {
 	v := head
 	for i := 1; i < maxVersions; i++ {
 		next := v.prev.Load()
 		if next == nil {
-			return
+			return true
+		}
+		if th.protect(next.owner) {
+			return false
 		}
 		v = next
 	}
-	v.prev.Store(nil)
+	if next := v.prev.Load(); next != nil && v.prev.CompareAndSwap(next, nil) {
+		th.cut(next)
+	}
+	return true
 }
 
 // upperBound returns ⌈v.R⌉ as stored: the successor's CT minus one if the
@@ -239,7 +286,7 @@ func prelimUB(o *Object, v *version, t timebase.Timestamp, asTx *Tx, th *Thread)
 		return ub
 	}
 	loc := o.loc.Load()
-	for loc.writer != nil && th.protect(loc.writer) {
+	for loc.writer != nil && th.protect(loc.writer.th) {
 		loc = o.loc.Load()
 	}
 	if loc.head() != v {

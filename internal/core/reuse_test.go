@@ -1,14 +1,18 @@
 package core
 
-// Reuse-safety tests for update records: the owner settles a finished
-// attempt out of every locator, and a retired record is handed to a new
-// attempt only once no thread that looked into it is still pinned. All of
-// them drive the engine through Run and RunReadOnly, so the pins are the
-// ones the protocol sets when an attempt meets another thread's writer.
+// Reuse-safety tests for update records and versions: the owner settles a
+// finished attempt out of every locator, a retired record or version is
+// handed to a new attempt only once no thread that looked into it is still
+// pinned, and a version an attempt read unpinned (its thread's own) does not
+// come back before that attempt is over. They drive the engine through Run
+// and RunReadOnly, so the pins are the ones the protocol sets when an
+// attempt meets another thread's writer or version.
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 )
 
 // holdStale starts a read-only attempt on a that stays open until release
@@ -67,8 +71,8 @@ func holdStale(t *testing.T, a, b *Thread, o *Object) (stale *Tx, inA func(f fun
 // TestReuseWaitsForPinnedReader: while a thread that loaded a record is
 // still in its attempt, none of the owner's later attempts runs in that
 // record — however many it commits; once the reader is done, the owner's
-// update commits cost one allocation (the version chunk) again, and the held
-// record is among the ones reused.
+// update commits allocate nothing again, and the held record is among the
+// ones reused.
 func TestReuseWaitsForPinnedReader(t *testing.T) {
 	rt := counterRT()
 	o := NewObject(big)
@@ -113,8 +117,8 @@ func TestReuseWaitsForPinnedReader(t *testing.T) {
 	if !reused {
 		t.Error("the held record was never reused after its reader unpinned")
 	}
-	if got := testing.AllocsPerRun(200, step); got != 1 {
-		t.Errorf("%.1f allocs per update commit after the reader unpinned, want 1", got)
+	if got := testing.AllocsPerRun(200, step); got != 0 {
+		t.Errorf("%.1f allocs per update commit after the reader unpinned, want 0", got)
 	}
 }
 
@@ -335,4 +339,335 @@ func TestReuseFinishedRecordLeavesNoLocator(t *testing.T) {
 		t.Fatalf("%d attempts, first aborted for %v; want 2, snapshot", attempts, cause)
 	}
 	drain("after the retried commit")
+}
+
+// tents returns the tentative versions an attempt has written so far.
+func tents(tx *Tx) []*version {
+	var out []*version
+	for _, e := range tx.entries {
+		if e.tent != nil {
+			out = append(out, e.tent)
+		}
+	}
+	return out
+}
+
+// TestReuseWaitsForPinnedVersionReader: a read-only reader that holds a
+// version of another thread's, as getVersion's walk through a history does,
+// keeps it from being reused while it stays pinned, though its writer cuts
+// it, retires it and commits on past what would be two epoch advances; once
+// the reader is done, the writer reuses it.
+func TestReuseWaitsForPinnedVersionReader(t *testing.T) {
+	rt := counterRT(func(c *Config) { c.MaxVersions = 2 })
+	o := NewObject(big)
+	a, b := rt.Thread(0), rt.Thread(1)
+	var seen *version // a version b wrote that the check below looks for
+	bump := func(tx *Tx) error {
+		v, _, err := tx.ReadInt(o)
+		if err != nil {
+			return err
+		}
+		if err := tx.WriteInt(o, big+(v+1)%100); err != nil {
+			return err
+		}
+		for _, v := range tents(tx) {
+			if v == seen {
+				return errReused
+			}
+		}
+		return nil
+	}
+	for range 4 {
+		if err := b.Run(bump); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// b settles its last commit, so that o's locator names no writer.
+	if err := b.RunReadOnly(func(tx *Tx) error { _, _, err := tx.ReadInt(o); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if o.loc.Load().writer != nil {
+		t.Fatal("o still has a writer")
+	}
+
+	// a's read pins it: o's head is b's version. Then a walks one step down
+	// the history, to the version b's next commit cuts.
+	held := make(chan *version)
+	release, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		sent := false
+		if err := a.RunReadOnly(func(tx *Tx) error {
+			if _, _, err := tx.ReadInt(o); err != nil || sent {
+				return err
+			}
+			sent = true
+			held <- o.loc.Load().head().prev.Load()
+			<-release
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	var v *version
+	select {
+	case v = <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reader never got to the history")
+	}
+	if v == nil || v.owner != b {
+		t.Fatal("the reader holds no version of b's")
+	}
+	value, _ := v.value.AsInt64()
+	from, until := v.from.Load(), v.until.Load()
+	pinned := a.pin.Load()
+	seen = v
+	for i := range 200 {
+		if err := b.Run(bump); err == errReused {
+			t.Fatalf("commit %d reused the version a pinned reader holds", i)
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if now := rt.epoch.Load(); pinned == 0 || now > pinned+1 {
+		t.Errorf("epoch %d with a reader pinned at %d", now, pinned)
+	}
+	if b.cuts < 100 {
+		t.Fatalf("b cut %d versions in 200 commits", b.cuts)
+	}
+	if n, _ := v.value.AsInt64(); n != value || v.from.Load() != from || v.until.Load() != until {
+		t.Error("the held version changed while its reader was pinned")
+	}
+	close(release)
+	<-done
+
+	reused := false
+	for range 200 {
+		switch err := b.Run(bump); err {
+		case nil:
+		case errReused:
+			reused = true
+			seen = nil
+		default:
+			t.Fatal(err)
+		}
+	}
+	if !reused {
+		t.Error("the held version was never reused after its reader unpinned")
+	}
+}
+
+var errReused = errors.New("reused")
+
+// ownCutFixture has the update attempt tx of th read o's head — v, a
+// version of th's own, so read unpinned — and then cut v itself: a nested
+// update supersedes it and a nested read-only attempt settles that commit
+// (MaxVersions 1 cuts the predecessor), so v is on th's list. Then the
+// epoch advances twice, so v has served its grace period. It returns v.
+func ownCutFixture(t *testing.T, rt *Runtime, th *Thread, tx *Tx, o *Object) *version {
+	t.Helper()
+	if _, _, err := tx.ReadInt(o); err != nil {
+		t.Fatal(err)
+	}
+	v := tx.entries[len(tx.entries)-1].ver
+	if v.owner != th {
+		t.Fatal("o's head is not the thread's own")
+	}
+	if err := th.Run(func(tx *Tx) error { return tx.WriteInt(o, big+1) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := th.RunReadOnly(func(tx *Tx) error {
+		_, _, err := tx.ReadInt(o)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if th.vers.n != 1 || th.vers.ring[th.vers.first] != v {
+		t.Fatal("the thread did not retire the version it cut")
+	}
+	if th.pin.Load() != 0 {
+		t.Fatal("the attempt pinned, though it met only its own thread's versions")
+	}
+	for range 2 {
+		if !rt.advance(rt.epoch.Load()) {
+			t.Fatal("the epoch did not advance")
+		}
+	}
+	return v
+}
+
+// ownCutRun runs an update attempt that sets up ownCutFixture and then
+// calls write, which returns the tentative versions it got. None of them
+// may be the cut version, and the attempt, which wrote and read a
+// superseded version, must fail validation; its retry only commits.
+func ownCutRun(t *testing.T, write func(tx *Tx, p *Object) []*version) {
+	rt := counterRT(func(c *Config) { c.MaxVersions = 1 })
+	o, p, q := NewObject(big), NewObject(big), NewObject(big)
+	th := rt.Thread(0)
+	if err := th.Run(func(tx *Tx) error { return tx.WriteInt(o, big) }); err != nil {
+		t.Fatal(err)
+	}
+	attempts := 0
+	if err := th.Run(func(tx *Tx) error {
+		if attempts++; attempts > 1 {
+			return nil
+		}
+		v := ownCutFixture(t, rt, th, tx, o)
+		got := write(tx, p)
+		if err := tx.WriteInt(q, big+3); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range append(got, tents(tx)...) {
+			if w == v {
+				t.Error("the attempt got the version it read and cut back as a tentative one")
+			}
+		}
+		if v.until.Load() == 0 {
+			t.Error("the version the attempt read lost its upper bound")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 || th.Stats().AbortValidation != 1 {
+		t.Fatalf("%d attempts, %d validation aborts; the first read a superseded version and must not commit",
+			attempts, th.Stats().AbortValidation)
+	}
+}
+
+// TestReuseOwnCutVersionAbortsAttempt: an update attempt that read one of
+// its thread's own versions and cut it does not get it back as a tentative
+// version for its later writes, though the version's grace period is
+// over, and its commit fails validation on the superseded version.
+func TestReuseOwnCutVersionAbortsAttempt(t *testing.T) {
+	ownCutRun(t, func(tx *Tx, p *Object) []*version {
+		if err := tx.WriteInt(p, big+2); err != nil {
+			t.Fatal(err)
+		}
+		return nil
+	})
+}
+
+// TestReuseOwnCutVersionNestedRun: the same with a write made by a
+// transaction nested in the attempt: a nested attempt frees no versions
+// either.
+func TestReuseOwnCutVersionNestedRun(t *testing.T) {
+	ownCutRun(t, func(tx *Tx, p *Object) []*version {
+		var got []*version
+		if err := tx.th.Run(func(tx *Tx) error {
+			if err := tx.WriteInt(p, big+2); err != nil {
+				return err
+			}
+			got = tents(tx)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	})
+}
+
+// TestRecycleCutsEachVersionOnce: racing settlers — read-only attempts
+// settling one commit together, and stale ones settling a commit while the
+// next is settled — cut each superseded version exactly once. Every
+// version of o but the MaxVersions left in its history is cut: the genesis
+// one and one per commit.
+func TestRecycleCutsEachVersionOnce(t *testing.T) {
+	for _, maxV := range []int{1, 2, DefaultMaxVersions} {
+		rt := counterRT(func(c *Config) { c.MaxVersions = maxV })
+		o := NewObject(big)
+		const writers, readers, commits = 2, 3, 2000
+		var wg, rwg sync.WaitGroup
+		stop := make(chan struct{})
+		threads := make([]*Thread, writers+readers)
+		for i := range threads {
+			threads[i] = rt.Thread(i)
+		}
+		for _, th := range threads[writers:] {
+			rwg.Add(1)
+			go func() {
+				defer rwg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := th.RunReadOnly(func(tx *Tx) error {
+						_, _, err := tx.ReadInt(o)
+						return err
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		for _, th := range threads[:writers] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range commits {
+					if err := th.Run(func(tx *Tx) error {
+						v, _, err := tx.ReadInt(o)
+						if err != nil {
+							return err
+						}
+						return tx.WriteInt(o, v+1)
+					}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		rwg.Wait()
+		last := rt.Thread(writers + readers)
+		var final int64
+		if err := last.Run(func(tx *Tx) error {
+			v, _, err := tx.ReadInt(o)
+			final = v
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if final != big+writers*commits {
+			t.Fatalf("MaxVersions %d: o is %d, want %d", maxV, final-big, writers*commits)
+		}
+		kept := 0
+		for v := o.loc.Load().ver; v != nil; v = v.prev.Load() {
+			kept++
+		}
+		cuts := 0
+		for th := rt.threads.Load(); th != nil; th = th.next {
+			cuts += th.cuts
+		}
+		if want := 1 + writers*commits - kept; cuts != want {
+			t.Errorf("MaxVersions %d: %d cuts of %d superseded versions (%d kept)", maxV, cuts, want, kept)
+		}
+	}
+}
+
+// TestRecycleMaxVersionsOne: with no history beyond the head, every settle
+// cuts the predecessor, and a steady update workload still allocates
+// nothing: the thread retires what it cut. (TestScanUnderTransfers runs
+// MaxVersions 1 under concurrent transfers and scans.)
+func TestRecycleMaxVersionsOne(t *testing.T) {
+	rt := counterRT(func(c *Config) { c.MaxVersions = 1 })
+	objs := make([]*Object, 4)
+	for i := range objs {
+		objs[i] = NewObject(big)
+	}
+	th := rt.Thread(0)
+	fn := func(tx *Tx) error { return bumpAll(tx, objs) }
+	allocBudget(t, "core 4-write update, MaxVersions 1", 0, func() {
+		if err := th.Run(fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if th.vers.n == 0 {
+		t.Error("the thread retired none of the versions it cut")
+	}
 }

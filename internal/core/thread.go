@@ -33,6 +33,23 @@ type Thread struct {
 	// retired (see retire); allocated by the first retire.
 	small *limbo[smallTx]
 	wide  *limbo[wideTx]
+	// chunk is what the thread's new versions are cut from when vers has no
+	// free one, sized by writeHint so that a thread that has not yet retired
+	// enough versions allocates one chunk per attempt. Published versions
+	// never move, so a full chunk is left behind and a new one started; what
+	// an attempt leaves unused is cut by the next one.
+	chunk []version
+	// vers holds the versions this thread wrote that a settle of its own cut
+	// off a history, or that its aborted attempts published (see cut and
+	// retire), until newWrite reuses them.
+	vers verLimbo
+	// depth counts the transactions the thread is running, nested ones
+	// included: retired versions are freed only when an outermost attempt
+	// starts (see newTx).
+	depth int
+	// cuts counts the versions the thread's trims unlinked.
+	cuts int
+
 	stats abort.Stats
 	_     [64]byte // keep each worker's stats off its neighbours' cache lines
 	// pin is the epoch the thread pinned in its current attempt, 0 while it
@@ -52,7 +69,8 @@ type Thread struct {
 // stretch in which the epoch cannot advance, because a pinned thread was
 // descheduled in mid-attempt. advanceAt is how many records a thread
 // retires in one epoch before it moves the epoch on itself: the epoch then
-// advances every few attempts, not on every one.
+// advances every few attempts, not on every one. The same constants bound
+// the thread's versions (see versionCap).
 const (
 	pendingLen = 2
 	limboCap   = 64
@@ -117,6 +135,71 @@ func (l *limbo[R]) take(rt *Runtime) *R {
 	return r
 }
 
+// verLimbo holds the versions a thread wrote and has finished with, in a
+// FIFO ring tagged with the epoch each was retired in. newWrite takes the
+// oldest once its grace period was over when the thread's outermost
+// attempt started (see Thread.newTx), and a version that never got
+// published from a stack of free ones. The ring grows up to the thread's
+// versionCap and then stays: a steady workload recycles versions without
+// allocating.
+type verLimbo struct {
+	ring  []*version // the FIFO; its length is its capacity
+	tags  []uint64
+	first int    // index of the oldest retired version
+	n     int    // retired versions
+	now   uint64 // the epoch when the thread's outermost attempt started
+	free  []*version
+}
+
+// put retires v with tag, unless the list already holds limit versions:
+// then v is left to the collector.
+func (l *verLimbo) put(v *version, tag uint64, limit int) {
+	if l.n+len(l.free) >= limit {
+		return
+	}
+	if l.n == len(l.ring) {
+		ring, tags := make([]*version, limit), make([]uint64, limit)
+		k := copy(ring, l.ring[l.first:])
+		copy(ring[k:], l.ring[:l.first])
+		k = copy(tags, l.tags[l.first:])
+		copy(tags[k:], l.tags[:l.first])
+		l.ring, l.tags, l.first = ring, tags, 0
+	}
+	i := l.first + l.n
+	if i >= len(l.ring) {
+		i -= len(l.ring)
+	}
+	l.ring[i], l.tags[i] = v, tag
+	l.n++
+}
+
+// take returns a version whose grace period was over by l.now, or nil.
+func (l *verLimbo) take() *version {
+	if n := len(l.free) - 1; n >= 0 {
+		v := l.free[n]
+		l.free = l.free[:n]
+		return v
+	}
+	if l.n == 0 || l.tags[l.first]+epochGrace > l.now {
+		return nil
+	}
+	v := l.ring[l.first]
+	l.ring[l.first] = nil
+	if l.first++; l.first == len(l.ring) {
+		l.first = 0
+	}
+	l.n--
+	return v
+}
+
+// versionCap bounds the versions th keeps. It holds what th retires in
+// epochGrace+1 epochs: when th is the one that advances the epoch, that is
+// every advanceAt attempts, and an attempt retires about as many versions
+// as it writes.
+func (th *Thread) versionCap() int {
+	return advanceAt * (epochGrace + 1) * max(th.writeHint, 1)
+}
+
 // sizeHint moves a chunk-size hint toward what a commit just used: up at
 // once, down by a quarter of the gap. A steady workload gets exactly one
 // right-sized chunk per attempt; one odd transaction neither under-sizes the
@@ -161,9 +244,8 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	// A transaction nested in an attempt on this thread that is pinned
 	// leaves the pin to that attempt; otherwise every attempt ends unpinned.
 	held := th.pin.Load() != 0
-	if !held {
-		defer th.unpin()
-	}
+	th.depth++
+	defer th.leave(held)
 	for attempt := 0; ; attempt++ {
 		tx := th.newTx(readOnly)
 		err := fn(tx)
@@ -214,19 +296,27 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 
 // newTx starts an attempt. An update attempt runs in a record of the shape
 // the thread's hints call for: the inline entry and locator arrays ride in
-// the same allocation, so a steady workload pays Tx + version chunk, and
-// once the thread has retired enough records, only the chunk (see retire).
+// the same allocation, and once the thread has retired enough records it
+// allocates none (see retire). An outermost update attempt also fixes which
+// of the thread's retired versions newWrite may reuse: those whose grace
+// period is over now. Nowhere else: an attempt reads the thread's own
+// versions unpinned, so one it read and then cut itself (in a settle of its
+// own or of a nested transaction's) must not come back as a tentative
+// version before the attempt is over, however far the epoch has moved.
 // A declared read-only attempt is never published: it keeps no access set,
 // enters no locator, and is never helped or aborted as an enemy, so no other
 // thread can hold a pointer to it. Those attempts reuse one record per
 // Thread, reset field by field; the fields not reset are ones a read-only
 // attempt never writes.
 func (th *Thread) newTx(readOnly bool) *Tx {
+	if !readOnly && th.depth == 1 {
+		th.vers.now = th.rt.epoch.Load()
+	}
 	var tx *Tx
 	switch {
 	case readOnly && th.roTx != nil:
 		tx, th.roTx = th.roTx, nil
-		tx.closed, tx.cause = false, CauseNone
+		tx.closed, tx.pinned, tx.cause = false, false, CauseNone
 		tx.status.Store(int32(StatusActive))
 	case readOnly:
 		tx = &Tx{th: th, rt: th.rt, readOnly: true} // no access set, no locators: no arrays
@@ -273,7 +363,7 @@ func (tx *Tx) ready(th *Thread, entries []entry, locs []locator) *Tx {
 		for i := range locs[:min(tx.writes, len(locs))] {
 			locs[i].ver = nil
 		}
-		tx.index, tx.vers, tx.writes = nil, nil, 0
+		tx.index, tx.writes = nil, 0
 		tx.update, tx.boxed, tx.closed, tx.cause = false, false, false, CauseNone
 		tx.ct.Store(0)
 		tx.status.Store(int32(StatusActive))
@@ -282,21 +372,59 @@ func (tx *Tx) ready(th *Thread, entries []entry, locs []locator) *Tx {
 	return tx
 }
 
-// protect makes it safe for th to look into w, the writer of a locator it
-// just loaded, and reports whether th must load the locator again first.
-// A record of th's own is not reused while th runs an attempt. For another
-// thread's, th pins the current epoch unless it is pinned already: a record
-// th finds after that is not reused before th unpins, but the one it found
-// before may already belong to a new attempt. An attempt that never meets
-// another thread's writer never pins, and so never holds up reuse. A nil th
-// protects nothing. A pinned thread looks no further: w's line may be
-// another core's.
-func (th *Thread) protect(w *Tx) bool {
-	if th == nil || th.pin.Load() != 0 || w.th == th {
+// protect makes it safe for th to look into a record or a version of
+// owner's that it found through a locator or prev link it just loaded, and
+// reports whether th must load that locator or link again first. th's own
+// records and versions are not reused while th runs a transaction, and a
+// genesis version (owner nil) never is. For another thread's, th pins the
+// current epoch unless it is pinned already: what th finds after that is
+// not reused before th unpins, but what it found before may already serve
+// a new attempt. An attempt that never meets another thread's writer or
+// version never pins, and so never holds up reuse. A nil th protects
+// nothing. A pinned thread looks no further.
+func (th *Thread) protect(owner *Thread) bool {
+	if th == nil || th.pin.Load() != 0 || owner == nil || owner == th {
 		return false
 	}
 	th.pin.Store(th.rt.epoch.Load())
 	return true
+}
+
+// cut takes a version that a trim by th unlinked from a history: th retires
+// it, tagged with the current epoch, if th wrote it. Another thread's
+// version, and a genesis one, are left to the collector.
+func (th *Thread) cut(v *version) {
+	if th == nil {
+		return
+	}
+	th.cuts++
+	if v.owner == th {
+		th.vers.put(v, th.rt.epoch.Load(), th.versionCap())
+	}
+}
+
+// newVersion returns a version of th's for a tentative write: a freed one,
+// or else the next one cut from th's chunk (a new chunk of size if it is
+// full). A reused version gets its stamps cleared here; the caller sets
+// value and prev. Nothing was cleared when it was retired: a pinned reader
+// may have read it until its grace period was over.
+func (th *Thread) newVersion(size int) *version {
+	if v := th.vers.take(); v != nil {
+		v.content = content{}
+		v.until.Store(0)
+		return v
+	}
+	v := cut(&th.chunk, size)
+	v.owner, v.selfLoc.ver = th, v
+	return v
+}
+
+// leave ends a transaction started with the thread's pin held or not.
+func (th *Thread) leave(held bool) {
+	th.depth--
+	if !held {
+		th.unpin()
+	}
 }
 
 // unpin ends the thread's pin, if it has one.
@@ -329,7 +457,10 @@ func (th *Thread) finish(tx *Tx) {
 // waiting longer leaves concurrent read-only scans more writers to settle.
 // A thread that found one of its locators before that was pinned when it
 // looked into the record (see protect), so the record waits epochGrace
-// epochs after its tag before newTx reuses it.
+// epochs after its tag before newTx reuses it. The tentative versions of an
+// aborted record are unreachable from every object once it is settled, and
+// retire with the same tag; a committed record's versions live on in the
+// histories until a trim cuts them.
 func (th *Thread) retire(tx *Tx) {
 	tag := uint64(0)
 	if tx.update {
@@ -344,6 +475,13 @@ func (th *Thread) retire(tx *Tx) {
 			}
 		}
 		tag = th.rt.epoch.Load()
+		if tx.Status() == StatusAborted {
+			for i := range tx.entries {
+				if t := tx.entries[i].tent; t != nil {
+					th.vers.put(t, tag, th.versionCap())
+				}
+			}
+		}
 	}
 	var crowded bool
 	if tx.small != nil {

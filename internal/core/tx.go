@@ -36,9 +36,12 @@ type Tx struct {
 	// by helpers.
 	index map[*Object]int
 	// readOnly marks an attempt started with RunReadOnly. It sits with the
-	// other flags so they pad to one word, not two (the small record is 424
-	// bytes, in the 448-byte size class; TestRecordSizes).
+	// other flags so they pad to one word, not two (TestRecordSizes).
 	readOnly bool
+	// pinned records that a declared read-only attempt has made sure its
+	// thread is pinned: a pin outlives every transaction nested in the
+	// attempt, so its reads need not check again.
+	pinned bool
 	// update records whether the transaction wrote anything.
 	update bool
 	// boxed records whether any write took the escape hatch (a non-numeric
@@ -58,16 +61,13 @@ type Tx struct {
 	// exactly once, by the owner or by any helper (Algorithm 2 line 42).
 	ct atomic.Int64
 
-	// vers is the chunk the attempt's tentative versions are cut from, sized
-	// by the Thread's hint so a steady-state attempt allocates one. Versions
-	// outlive the Tx (a committed one is promoted in place), which is why
-	// they are not embedded in it: see version. A full chunk is left behind
-	// and a new one started — published versions never move.
-	vers []version
-	// writes counts write acquisitions. Their writer locators are cut from
-	// locs, which starts out as the shape's inline array and overflows into
-	// a hint-sized chunk. Writer locators die at settle, so unlike versions
-	// they may live in (and point at) the attempt's record.
+	// writes counts write acquisitions. Their tentative versions are the
+	// thread's (Thread.newVersion): versions outlive the Tx (a committed one
+	// is promoted in place), which is why they are not embedded in it (see
+	// version). Their writer locators are cut from locs, which starts out as
+	// the shape's inline array and overflows into a hint-sized chunk. Writer
+	// locators die at settle, so unlike versions they may live in (and point
+	// at) the attempt's record.
 	writes int
 	locs   []locator
 
@@ -214,7 +214,18 @@ func (tx *Tx) ReadValue(o *Object) (val.Value, error) {
 		// selection. Anything else — an owned or unsettled locator, a head
 		// newer than the snapshot — takes the general path below.
 		if !tx.upper.IsInf() {
-			if loc := o.loc.Load(); loc.writer == nil {
+			// Another thread's head is looked into only pinned
+			// (Thread.protect); once pinned, the scan tests just its flag.
+			loc := o.loc.Load()
+			if loc.writer == nil && !tx.pinned {
+				if owner := loc.ver.owner; owner != nil && owner != tx.th {
+					if tx.th.protect(owner) {
+						loc = o.loc.Load()
+					}
+					tx.pinned = true
+				}
+			}
+			if loc.writer == nil {
 				from := loc.ver.validFrom()
 				if tx.rt.ord.LaterEq(tx.lower, from) {
 					return loc.ver.value, nil
@@ -286,11 +297,15 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	// three yielding rounds to finish before aborting it (§2.3's contention
 	// manager, as one fixed policy). The tentative version and its locator
 	// are taken once and reused across CAS failures — until the CAS succeeds
-	// they are invisible to every other thread.
+	// they are invisible to every other thread, so a version that never got
+	// published goes back to the thread's free ones at once.
 	var tent *version
 	var nloc *locator
 	for n := 0; ; n++ {
 		if tx.Status() != StatusActive {
+			if tent != nil {
+				tx.th.vers.free = append(tx.th.vers.free, tent)
+			}
 			return tx.errFromStatus()
 		}
 		loc := o.settled(tx.rt.maxVersions, tx.th)
@@ -311,10 +326,12 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 			continue
 		}
 		base := loc.ver
+		if tx.th.protect(base.owner) {
+			continue
+		}
 		if tent == nil {
 			tent, nloc = tx.newWrite()
 			tent.value = v
-			tent.selfLoc.ver = tent
 			nloc.ver = tent
 		}
 		tent.prev.Store(base)
@@ -399,9 +416,11 @@ func cut[T any](chunk *[]T, size int) *T {
 }
 
 // newWrite hands out the tentative version and writer locator for one write
-// acquisition. A chunk started mid-attempt (for locators: once the shape's
-// inline array is used up) covers what the Thread's hint still expects, and
-// at least doubles what the attempt holds when the hint was too small.
+// acquisition: a version the thread freed, or one cut from its chunk (see
+// Thread.newVersion). A chunk started mid-attempt (for locators: once the
+// shape's inline array is used up) covers what the Thread's hint still
+// expects, and at least doubles what the attempt holds when the hint was
+// too small.
 func (tx *Tx) newWrite() (*version, *locator) {
 	size := max(tx.th.writeHint-tx.writes, tx.writes, 1)
 	tx.writes++
@@ -409,7 +428,7 @@ func (tx *Tx) newWrite() (*version, *locator) {
 	if loc.writer == nil {
 		loc.writer = tx // an overflow chunk's; the inline ones have theirs
 	}
-	return cut(&tx.vers, size), loc
+	return tx.th.newVersion(size), loc
 }
 
 // addEntry appends (o, read version, tentative version) to T.O and indexes
@@ -445,7 +464,12 @@ func (tx *Tx) addEntry(o *Object, ver, tent *version) {
 // snapshot if the head is too recent. Read-only transactions instead walk
 // back to an older version overlapping their snapshot — this is what makes
 // them abort-free under concurrent updates as long as history suffices.
+//
+// Every version it looks into is the thread's own, a genesis version, or one
+// found after the thread pinned (see Thread.protect): meeting another
+// thread's version unpinned, it pins and starts over.
 func (tx *Tx) getVersion(o *Object) (*version, bool) {
+retry:
 	for {
 		loc := o.settled(tx.rt.maxVersions, tx.th)
 		if w := loc.writer; w != nil && w != tx && w.Status() == StatusCommitting {
@@ -455,8 +479,10 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 			continue
 		}
 		head := loc.head()
-		if head == nil {
-			continue // stale writer locator: settled and trimmed under us
+		if head == nil || tx.th.protect(head.owner) {
+			// A stale writer locator, settled and trimmed under us; or
+			// pinned just now to look into another thread's version.
+			continue
 		}
 		from := head.validFrom()
 		if tx.rt.ord.LaterEq(tx.upper, from) {
@@ -473,6 +499,9 @@ func (tx *Tx) getVersion(o *Object) (*version, bool) {
 			return nil, false
 		}
 		for v := head.prev.Load(); v != nil; v = v.prev.Load() {
+			if tx.th.protect(v.owner) {
+				continue retry
+			}
 			if !tx.rt.ord.LaterEq(v.upperBound(), tx.lower) {
 				// This version ends before the snapshot starts; older ones
 				// end even earlier.

@@ -284,7 +284,7 @@ func TestIntLaneUnboxed(t *testing.T) {
 		"glock":      0,
 		"rstmval":    0,
 		"tl2":        0,
-		"lsa/shared": 1, // the version chunk (update records are recycled)
+		"lsa/shared": 0, // update records and versions are recycled
 		"wordstm":    6, // native word-Tx machinery (not tuned); the tagged lane still never boxes
 	}
 	for name, budget := range budgets {

@@ -81,8 +81,8 @@ func (e *lsaEngine) Stats() Stats { return e.rt.Stats() }
 
 // lsaThread caches its retry closure: per-transaction Run calls only swap
 // the fn pointer, so the adapter layer adds zero allocations on top of the
-// core's own (a version chunk per update attempt once the thread recycles
-// its records, nothing per declared read-only one).
+// core's own (none per attempt once the thread recycles its records and
+// versions).
 type lsaThread struct {
 	th   *core.Thread
 	fn   func(Txn) error
