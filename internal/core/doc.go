@@ -68,20 +68,21 @@
 // finished update attempt waits while its thread runs two more; by then
 // the next access to an object it wrote may have settled it, and its owner
 // settles any object that still names the record, so no locator names it
-// any more. The owner then retires the record to a per-thread, per-shape
-// list, tagged with the runtime's epoch; newTx reuses it once the epoch is
-// two past the tag, and a thread that has retired a batch of records in
-// one epoch moves the epoch on itself. A version has an owner, the thread
-// whose attempts write it, set when it is cut from a chunk. The settler
-// whose trim unlinks a version from its history (by CAS, so exactly one
-// does) retires it to its own list with the same tag rule if it is the
-// owner; a version another thread cuts, and a genesis version, go to the
-// collector. The owner also retires the tentative versions of an aborted
-// attempt once no locator names them. A version is reused only as a
-// tentative version of its owner's (newWrite), and only if its grace
-// period was over when the owner's outermost attempt began: an attempt
-// reads its own thread's versions unpinned, so one it read and then cut
-// must not come back before that attempt is over.
+// any more. The owner then retires the record to its list for the
+// record's shape, tagged with the runtime's epoch, and a thread that has
+// retired a batch of records in one epoch moves the epoch on itself. A
+// version has an owner, the thread whose attempts write it, set when it is
+// cut from a chunk. The settler whose trim unlinks a version from its
+// history (by CAS, so exactly one does) retires it to its version list,
+// tagged the same way, if it is the owner; a version another thread cuts,
+// and a genesis version, go to the collector. The owner also retires the
+// tentative versions of an aborted attempt once no locator names them.
+// All three lists are one type (limbo): a FIFO ring of tagged items and a
+// stack of never-published ones. A record or version is reused only by
+// its owner (newTx, newWrite), and only if the epoch was two past its tag
+// when the owner's outermost update attempt began: an attempt reads its
+// own thread's versions unpinned, so one it read and then cut must not
+// come back before that attempt is over.
 //
 // Another thread may still hold a record or version: to help a commit, to
 // abort an enemy, to read the version under a writer, or to walk a

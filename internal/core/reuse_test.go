@@ -10,6 +10,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -669,5 +670,84 @@ func TestRecycleMaxVersionsOne(t *testing.T) {
 	})
 	if th.vers.n == 0 {
 		t.Error("the thread retired none of the versions it cut")
+	}
+}
+
+// TestRecycleLimbo pins the list records and versions share: a retired item
+// is held until its grace period is over, a never-published one is free at
+// once, the list holds at most the caller's limit, the ring stays FIFO as it
+// grows and wraps, and crowded sees a batch retired in one epoch.
+func TestRecycleLimbo(t *testing.T) {
+	const g, n = epochGrace, advanceAt
+	var items [2*n + 3]int
+	type step func(t *testing.T, l *limbo[int])
+	put := func(i int, tag uint64, limit int) step {
+		return func(t *testing.T, l *limbo[int]) { l.put(&items[i], tag, limit) }
+	}
+	take := func(now uint64, want int) step { // want -1: nothing is free
+		return func(t *testing.T, l *limbo[int]) {
+			got := l.take(now)
+			if want < 0 && got != nil || want >= 0 && got != &items[want] {
+				t.Fatalf("take(%d) = %p, want item %d (%p)", now, got, want, &items[max(want, 0)])
+			}
+		}
+	}
+	crowded := func(now uint64, want bool) step {
+		return func(t *testing.T, l *limbo[int]) {
+			if got := l.crowded(now); got != want {
+				t.Fatalf("crowded(%d) = %v, want %v", now, got, want)
+			}
+		}
+	}
+	// retire puts items first..first+k-1, and drain takes them back.
+	retire := func(first, k int, tag uint64, limit int) (s []step) {
+		for i := range k {
+			s = append(s, put(first+i, tag, limit))
+		}
+		return s
+	}
+	drain := func(first, k int, now uint64) (s []step) {
+		for i := range k {
+			s = append(s, take(now, first+i))
+		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"held for the grace period", []step{
+			put(1, 5, 8), take(5+g-1, -1), take(5+g, 1), take(100, -1),
+		}},
+		{"tag 0 is free at once", []step{
+			put(1, 5, 8), put(2, 0, 8), take(0, 2), take(5+g-1, -1), take(5+g, 1),
+		}},
+		{"put past the limit drops the item", []step{
+			put(1, 0, 2), put(2, 3, 2), put(3, 3, 2), put(4, 0, 2),
+			take(100, 1), take(100, 2), take(100, -1),
+		}},
+		{"growth keeps FIFO order across the wrap", []step{
+			put(1, 3, 4), put(2, 3, 4), put(3, 4, 4), take(3+g, 1), take(3+g, 2), take(3+g, -1),
+			put(4, 5, 4), put(5, 5, 4), put(6, 6, 4), // ring full, wrapped
+			put(7, 6, 4),               // dropped
+			put(8, 7, 8), put(9, 7, 8), // grows
+			take(4+g, 3), take(5+g, 4), take(5+g, 5), take(5+g, -1),
+			take(100, 6), take(100, 8), take(100, 9), take(100, -1),
+		}},
+		// The ring holds n+2; the batch in epoch 9 wraps.
+		{"crowded", slices.Concat(
+			retire(1, n, 7, n+2), drain(1, n, 7+g),
+			[]step{put(n+1, 8, n+2), put(n+2, 8, n+2), crowded(8, false)},
+			retire(n+3, n-1, 9, n+2),
+			[]step{crowded(9, false), put(2*n+2, 9, n+2), crowded(9, true), crowded(10, false)},
+		)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var l limbo[int]
+			for _, s := range c.steps {
+				s(t, &l)
+			}
+		})
 	}
 }

@@ -30,23 +30,24 @@ type Thread struct {
 	pending   [pendingLen]*Tx
 	pendingAt int
 	// small and wide hold the update records of each shape this thread has
-	// retired (see retire); allocated by the first retire.
-	small *limbo[smallTx]
-	wide  *limbo[wideTx]
+	// retired (see retire), vers the versions it wrote that a settle of its
+	// own cut off a history or that its aborted attempts published (see cut),
+	// until newTx and newWrite reuse them.
+	small limbo[smallTx]
+	wide  limbo[wideTx]
+	vers  limbo[version]
+	// now is the epoch when the thread's outermost update attempt started:
+	// the lists free what was retired epochGrace epochs before it (see
+	// newTx). depth counts the transactions the thread is running, nested
+	// ones included.
+	now   uint64
+	depth int
 	// chunk is what the thread's new versions are cut from when vers has no
 	// free one, sized by writeHint so that a thread that has not yet retired
 	// enough versions allocates one chunk per attempt. Published versions
 	// never move, so a full chunk is left behind and a new one started; what
 	// an attempt leaves unused is cut by the next one.
 	chunk []version
-	// vers holds the versions this thread wrote that a settle of its own cut
-	// off a history, or that its aborted attempts published (see cut and
-	// retire), until newWrite reuses them.
-	vers verLimbo
-	// depth counts the transactions the thread is running, nested ones
-	// included: retired versions are freed only when an outermost attempt
-	// starts (see newTx).
-	depth int
 	// cuts counts the versions the thread's trims unlinked.
 	cuts int
 
@@ -77,119 +78,73 @@ const (
 	advanceAt  = 8
 )
 
-// limbo holds the update records of one shape that a thread has finished
-// with: retired ones in a FIFO, tagged with the epoch they were retired in,
-// until their grace period is over, then on a stack of free ones. newTx
-// takes the most recently freed one, so a steady workload cycles through a
-// few cache-warm records while the spares stay at the bottom.
-type limbo[R any] struct {
-	retired [limboCap]*R
-	tags    [limboCap]uint64
-	first   int // index of the oldest retired record
-	n       int // retired records
-	free    [limboCap]*R
-	nfree   int
+// limbo holds what a thread has finished with and may reuse: its update
+// records of one shape, or the versions it wrote. Retired items wait in a
+// FIFO ring, tagged with the epoch each was retired in, until their grace
+// period is over; take pops the oldest. An item that was never published
+// goes on a stack and is free at once. A full ring grows to the limit the
+// caller passes, so a steady workload recycles without allocating.
+type limbo[T any] struct {
+	ring  []*T // the FIFO; its length is its capacity
+	tags  []uint64
+	first int // index of the oldest retired item
+	n     int // retired items
+	free  []*T
 }
 
-// put retires r with tag. A record tagged 0 was never published and is free
-// at once.
-func (l *limbo[R]) put(r *R, tag uint64) {
+// put retires x with tag, unless the list already holds limit items: then x
+// is left to the collector. An item tagged 0 was never published and is
+// free at once.
+func (l *limbo[T]) put(x *T, tag uint64, limit int) {
 	switch {
-	case l.n+l.nfree == limboCap:
+	case l.n+len(l.free) >= limit:
 	case tag == 0:
-		l.free[l.nfree] = r
-		l.nfree++
+		l.free = append(l.free, x)
 	default:
-		i := (l.first + l.n) % limboCap
-		l.retired[i], l.tags[i] = r, tag
+		if l.n == len(l.ring) {
+			ring, tags := make([]*T, limit), make([]uint64, limit)
+			k := copy(ring, l.ring[l.first:])
+			copy(ring[k:], l.ring[:l.first])
+			k = copy(tags, l.tags[l.first:])
+			copy(tags[k:], l.tags[:l.first])
+			l.ring, l.tags, l.first = ring, tags, 0
+		}
+		i := l.at(l.n)
+		l.ring[i], l.tags[i] = x, tag
 		l.n++
 	}
 }
 
-// crowded reports whether the newest advanceAt retired records were all
-// retired in epoch now.
-func (l *limbo[R]) crowded(now uint64) bool {
-	return l.n >= advanceAt && l.tags[(l.first+l.n-advanceAt)%limboCap] == now
-}
-
-// take returns the most recently freed record, or nil. Only when there is
-// none does it look at the epoch and free every retired record whose grace
-// period is over.
-func (l *limbo[R]) take(rt *Runtime) *R {
-	if l.nfree == 0 && l.n > 0 {
-		now := rt.epoch.Load()
-		for l.n > 0 && l.tags[l.first]+epochGrace <= now {
-			l.free[l.nfree] = l.retired[l.first]
-			l.nfree++
-			l.retired[l.first] = nil
-			l.first = (l.first + 1) % limboCap
-			l.n--
-		}
-	}
-	if l.nfree == 0 {
-		return nil
-	}
-	l.nfree--
-	r := l.free[l.nfree]
-	l.free[l.nfree] = nil
-	return r
-}
-
-// verLimbo holds the versions a thread wrote and has finished with, in a
-// FIFO ring tagged with the epoch each was retired in. newWrite takes the
-// oldest once its grace period was over when the thread's outermost
-// attempt started (see Thread.newTx), and a version that never got
-// published from a stack of free ones. The ring grows up to the thread's
-// versionCap and then stays: a steady workload recycles versions without
-// allocating.
-type verLimbo struct {
-	ring  []*version // the FIFO; its length is its capacity
-	tags  []uint64
-	first int    // index of the oldest retired version
-	n     int    // retired versions
-	now   uint64 // the epoch when the thread's outermost attempt started
-	free  []*version
-}
-
-// put retires v with tag, unless the list already holds limit versions:
-// then v is left to the collector.
-func (l *verLimbo) put(v *version, tag uint64, limit int) {
-	if l.n+len(l.free) >= limit {
-		return
-	}
-	if l.n == len(l.ring) {
-		ring, tags := make([]*version, limit), make([]uint64, limit)
-		k := copy(ring, l.ring[l.first:])
-		copy(ring[k:], l.ring[:l.first])
-		k = copy(tags, l.tags[l.first:])
-		copy(tags[k:], l.tags[:l.first])
-		l.ring, l.tags, l.first = ring, tags, 0
-	}
-	i := l.first + l.n
-	if i >= len(l.ring) {
+// at returns the ring index of the i-th oldest retired item.
+func (l *limbo[T]) at(i int) int {
+	if i += l.first; i >= len(l.ring) {
 		i -= len(l.ring)
 	}
-	l.ring[i], l.tags[i] = v, tag
-	l.n++
+	return i
 }
 
-// take returns a version whose grace period was over by l.now, or nil.
-func (l *verLimbo) take() *version {
+// crowded reports whether the newest advanceAt retired items were all
+// retired in epoch now.
+func (l *limbo[T]) crowded(now uint64) bool {
+	return l.n >= advanceAt && l.tags[l.at(l.n-advanceAt)] == now
+}
+
+// take returns a free item, or else the oldest retired one if its grace
+// period was over by epoch now, or nil.
+func (l *limbo[T]) take(now uint64) *T {
 	if n := len(l.free) - 1; n >= 0 {
-		v := l.free[n]
-		l.free = l.free[:n]
-		return v
+		x := l.free[n]
+		l.free[n], l.free = nil, l.free[:n]
+		return x
 	}
-	if l.n == 0 || l.tags[l.first]+epochGrace > l.now {
+	if l.n == 0 || l.tags[l.first]+epochGrace > now {
 		return nil
 	}
-	v := l.ring[l.first]
+	x := l.ring[l.first]
 	l.ring[l.first] = nil
-	if l.first++; l.first == len(l.ring) {
-		l.first = 0
-	}
+	l.first = l.at(1)
 	l.n--
-	return v
+	return x
 }
 
 // versionCap bounds the versions th keeps. It holds what th retires in
@@ -298,11 +253,12 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 // the thread's hints call for: the inline entry and locator arrays ride in
 // the same allocation, and once the thread has retired enough records it
 // allocates none (see retire). An outermost update attempt also fixes which
-// of the thread's retired versions newWrite may reuse: those whose grace
-// period is over now. Nowhere else: an attempt reads the thread's own
-// versions unpinned, so one it read and then cut itself (in a settle of its
-// own or of a nested transaction's) must not come back as a tentative
-// version before the attempt is over, however far the epoch has moved.
+// of the thread's retired records and versions it and its nested attempts
+// may reuse: those whose grace period is over now. Nowhere else: an attempt
+// reads the thread's own versions unpinned, so one it read and then cut
+// itself (in a settle of its own or of a nested transaction's) must not
+// come back as a tentative version before the attempt is over, however far
+// the epoch has moved.
 // A declared read-only attempt is never published: it keeps no access set,
 // enters no locator, and is never helped or aborted as an enemy, so no other
 // thread can hold a pointer to it. Those attempts reuse one record per
@@ -310,7 +266,7 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 // attempt never writes.
 func (th *Thread) newTx(readOnly bool) *Tx {
 	if !readOnly && th.depth == 1 {
-		th.vers.now = th.rt.epoch.Load()
+		th.now = th.rt.epoch.Load()
 	}
 	var tx *Tx
 	switch {
@@ -322,20 +278,14 @@ func (th *Thread) newTx(readOnly bool) *Tx {
 		tx = &Tx{th: th, rt: th.rt, readOnly: true} // no access set, no locators: no arrays
 	case max(th.writeHint, th.entryHint) <= wideSet &&
 		(th.writeHint > smallWriteSet || th.entryHint > smallAccessSet):
-		var w *wideTx
-		if th.wide != nil {
-			w = th.wide.take(th.rt)
-		}
+		w := th.wide.take(th.now)
 		if w == nil {
 			w = &wideTx{}
 			w.wide = w
 		}
 		tx = w.ready(th, w.inlineEntries[:], w.inlineLocs[:])
 	default:
-		var s *smallTx
-		if th.small != nil {
-			s = th.small.take(th.rt)
-		}
+		s := th.small.take(th.now)
 		if s == nil {
 			s = &smallTx{}
 			s.small = s
@@ -409,7 +359,7 @@ func (th *Thread) cut(v *version) {
 // value and prev. Nothing was cleared when it was retired: a pinned reader
 // may have read it until its grace period was over.
 func (th *Thread) newVersion(size int) *version {
-	if v := th.vers.take(); v != nil {
+	if v := th.vers.take(th.now); v != nil {
 		v.content = content{}
 		v.until.Store(0)
 		return v
@@ -485,16 +435,10 @@ func (th *Thread) retire(tx *Tx) {
 	}
 	var crowded bool
 	if tx.small != nil {
-		if th.small == nil {
-			th.small = new(limbo[smallTx])
-		}
-		th.small.put(tx.small, tag)
+		th.small.put(tx.small, tag, limboCap)
 		crowded = th.small.crowded(tag)
 	} else {
-		if th.wide == nil {
-			th.wide = new(limbo[wideTx])
-		}
-		th.wide.put(tx.wide, tag)
+		th.wide.put(tx.wide, tag, limboCap)
 		crowded = th.wide.crowded(tag)
 	}
 	if crowded {

@@ -304,7 +304,7 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	for n := 0; ; n++ {
 		if tx.Status() != StatusActive {
 			if tent != nil {
-				tx.th.vers.free = append(tx.th.vers.free, tent)
+				tx.th.vers.put(tent, 0, tx.th.versionCap())
 			}
 			return tx.errFromStatus()
 		}

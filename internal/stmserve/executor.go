@@ -1,5 +1,7 @@
 package stmserve
 
+import "sync"
+
 // The two connection→engine.Thread mappings behind Session. Both implement
 // the same pair of internal interfaces so the Service, the servers and the
 // conformance suite are indifferent to the choice; cmd/stmload exists to
@@ -7,7 +9,7 @@ package stmserve
 
 // executor owns the Service's engine Threads and hands out sessions.
 type executor interface {
-	// session creates one connection's execution context.
+	// session opens one connection's execution context.
 	session() execSession
 	// close shuts the executor down; in-flight pool requests fail with
 	// ErrClosed.
@@ -15,33 +17,50 @@ type executor interface {
 }
 
 // execSession runs transactional requests for one connection. Like Session,
-// single-goroutine.
+// single-goroutine; it is not used after close.
 type execSession interface {
 	do(req *Request, resp *Response) error
 	close()
 }
 
-// threadExecutor is the goroutine-per-connection mapping: every session owns
-// a freshly created engine.Thread (plus its prebuilt applier), so requests
-// run inline on the calling goroutine with no queueing. Thread state scales
-// with the connection count.
+// threadExecutor is the goroutine-per-connection mapping: every open session
+// owns an engine.Thread (plus its prebuilt applier), so requests run inline
+// on the calling goroutine with no queueing. A closed session hands its
+// applier back to free, and the next session takes it before a new Thread
+// is made: Thread state scales with the peak count of open sessions.
 type threadExecutor struct {
-	svc *Service
+	svc  *Service
+	mu   sync.Mutex
+	free []*applier
 }
 
 func (e *threadExecutor) session() execSession {
-	svc := e.svc
-	return &threadSession{ap: newApplier(svc, svc.eng.Thread(svc.nextThreadID()))}
+	var ap *applier
+	e.mu.Lock()
+	if n := len(e.free) - 1; n >= 0 {
+		ap, e.free = e.free[n], e.free[:n]
+	}
+	e.mu.Unlock()
+	if ap == nil {
+		ap = newApplier(e.svc, e.svc.eng.Thread(e.svc.nextThreadID()))
+	}
+	return &threadSession{exec: e, ap: ap}
 }
 
 func (e *threadExecutor) close() {}
 
 type threadSession struct {
-	ap *applier
+	exec *threadExecutor
+	ap   *applier
 }
 
 func (s *threadSession) do(req *Request, resp *Response) error { return s.ap.do(req, resp) }
-func (s *threadSession) close()                                {}
+
+func (s *threadSession) close() {
+	s.exec.mu.Lock()
+	s.exec.free = append(s.exec.free, s.ap)
+	s.exec.mu.Unlock()
+}
 
 // poolExecutor is the bounded-worker mapping: a fixed set of workers, each
 // owning one long-lived engine.Thread, drains a shared queue that all

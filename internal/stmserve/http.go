@@ -3,7 +3,6 @@ package stmserve
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
 
 	"repro/internal/engine"
 )
@@ -17,11 +16,10 @@ import (
 //	GET  /stats    → Stats for this service instance
 //	GET  /healthz  → 200 "ok"
 //
-// Handler state is a pool of Sessions: HTTP has no connection affinity
-// worth preserving, so sessions are borrowed per request. In ModeThread the
-// pool's high-water mark tracks the peak concurrent request count.
+// HTTP has no connection affinity worth preserving, so each request opens a
+// Session and closes it. In ModeThread the closed session hands its engine
+// Thread on, so the Thread count tracks the peak concurrent request count.
 func NewHTTPHandler(svc *Service) http.Handler {
-	sessions := sync.Pool{New: func() any { return svc.Session() }}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /op", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
@@ -29,10 +27,10 @@ func NewHTTPHandler(svc *Service) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		sess := sessions.Get().(*Session)
+		sess := svc.Session()
 		var resp Response
 		sess.Exec(&req, &resp) // failure is already in resp.Err
-		sessions.Put(sess)
+		sess.Close()
 		writeJSON(w, &resp)
 	})
 	mux.HandleFunc("GET /engines", func(w http.ResponseWriter, r *http.Request) {

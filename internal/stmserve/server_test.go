@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -204,5 +205,31 @@ func TestHTTPHandler(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz = %d", r.StatusCode)
+	}
+}
+
+// TestHTTPSequentialReuseThread: every POST /op opens and closes a session,
+// so requests one after another run on one engine thread, however often the
+// collector runs between them.
+func TestHTTPSequentialReuseThread(t *testing.T) {
+	svc := newLSAService(t)
+	ts := httptest.NewServer(NewHTTPHandler(svc))
+	defer ts.Close()
+	for i := range 100 {
+		body, _ := json.Marshal(Request{Op: OpTransfer, Key: i % 8, Key2: (i + 1) % 8, Val: 1})
+		r, err := http.Post(ts.URL+"/op", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		err = json.NewDecoder(r.Body).Decode(&resp)
+		r.Body.Close()
+		if err != nil || resp.Err != "" {
+			t.Fatalf("transfer %d: %v %q", i, err, resp.Err)
+		}
+		runtime.GC()
+	}
+	if got := svc.nextID.Load(); got != 1 {
+		t.Fatalf("100 sequential requests created %d engine threads, want 1", got)
 	}
 }

@@ -22,11 +22,11 @@
 // unit of reuse — so the Service supports two executors, selectable by
 // Config.Mode and designed to be compared under load (cmd/stmload):
 //
-//   - ModeThread (goroutine-per-connection): every Session owns a freshly
-//     created Thread; thousands of connections mean thousands of Threads.
-//     No queueing, no cross-connection interference, but per-node time
-//     bases share clock registers modulo Options.Nodes and per-thread
-//     engine state multiplies.
+//   - ModeThread (goroutine-per-connection): every open Session owns a
+//     Thread, which a closed one hands on to the next; thousands of
+//     concurrent connections mean thousands of Threads. No queueing, no
+//     cross-connection interference, but per-node time bases share clock
+//     registers modulo Options.Nodes and per-thread engine state multiplies.
 //   - ModePool: a bounded set of workers, each owning one long-lived
 //     Thread, multiplexes all sessions' requests over one queue. Thread
 //     count (and engine-side state) stays fixed no matter how many
@@ -177,7 +177,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ErrClosed is returned by Session.Exec after the Service shut down.
+// ErrClosed is returned by Session.Exec after the Service shut down or the
+// Session was closed.
 var ErrClosed = errors.New("stmserve: service closed")
 
 // opMetrics is one operation's service-side telemetry: a latency histogram
@@ -320,18 +321,24 @@ func (s *Service) nextThreadID() int { return int(s.nextID.Add(1) - 1) }
 // may own, a Session must be driven by a single goroutine at a time.
 type Session struct {
 	svc  *Service
-	sess execSession
+	sess execSession // nil once closed
 }
 
-// Session creates a connection context. In ModeThread it owns a fresh
-// engine.Thread; in ModePool it is a lightweight handle onto the shared
-// queue.
+// Session opens a connection context. In ModeThread it owns an
+// engine.Thread until Close, a closed session's or else a new one; in
+// ModePool it is a lightweight handle onto the shared queue.
 func (s *Service) Session() *Session {
 	return &Session{svc: s, sess: s.exec.session()}
 }
 
-// Close releases the session's executor resources.
-func (ss *Session) Close() { ss.sess.close() }
+// Close releases the session's executor resources; Exec then fails with
+// ErrClosed. Closing twice is a no-op.
+func (ss *Session) Close() {
+	if ss.sess != nil {
+		ss.sess.close()
+		ss.sess = nil
+	}
+}
 
 // Exec runs one request to completion, filling resp. Operation failures are
 // reported both in resp.Err and as the returned error (they are the same
@@ -340,7 +347,7 @@ func (ss *Session) Close() { ss.sess.close() }
 func (ss *Session) Exec(req *Request, resp *Response) error {
 	resp.Reset()
 	svc := ss.svc
-	if svc.closed.Load() {
+	if svc.closed.Load() || ss.sess == nil {
 		resp.Err = ErrClosed.Error()
 		return ErrClosed
 	}

@@ -3,6 +3,7 @@ package stmserve
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -286,5 +287,97 @@ func TestPoolModeSharedThreads(t *testing.T) {
 	}
 	if want := int64(8 * 1000); sum != want {
 		t.Fatalf("sum after transfers = %d, want %d", sum, want)
+	}
+}
+
+// newLSAService builds a ModeThread Service over lsa/shared, whose engine
+// threads each keep their own recycled records and versions.
+func newLSAService(t *testing.T) *Service {
+	t.Helper()
+	eng, err := engine.New("lsa/shared", engine.Options{})
+	if err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	svc, err := New(eng, Config{Keys: 8, Initial: 100})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	return svc
+}
+
+// TestSessionSequentialReuseThread: in ModeThread a closed session hands its
+// engine thread to the next one, so sessions opened one after another share
+// a single thread.
+func TestSessionSequentialReuseThread(t *testing.T) {
+	svc := newLSAService(t)
+	for i := range 1000 {
+		sess := svc.Session()
+		exec(t, sess, &Request{Op: OpTransfer, Key: i % 8, Key2: (i + 1) % 8, Val: 1})
+		sess.Close()
+	}
+	if got := svc.nextID.Load(); got != 1 {
+		t.Fatalf("1000 sequential sessions created %d engine threads, want 1", got)
+	}
+}
+
+// TestSessionConcurrentDistinctThreads: sessions open at the same time never
+// share an engine thread, and once closed their threads serve new sessions,
+// also when two goroutines open and close sessions side by side.
+func TestSessionConcurrentDistinctThreads(t *testing.T) {
+	svc := newLSAService(t)
+	thread := func(s *Session) engine.Thread { return s.sess.(*threadSession).ap.th }
+	for range 3 {
+		a, b := svc.Session(), svc.Session()
+		if thread(a) == thread(b) {
+			t.Fatal("two open sessions share one engine thread")
+		}
+		exec(t, a, &Request{Op: OpTransfer, Key: 0, Key2: 1, Val: 1})
+		exec(t, b, &Request{Op: OpTransfer, Key: 1, Key2: 0, Val: 1})
+		a.Close()
+		b.Close()
+	}
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var resp Response
+			for i := range 200 {
+				sess := svc.Session()
+				if err := sess.Exec(&Request{Op: OpTransfer, Key: g, Key2: 2 + i%6, Val: 1}, &resp); err != nil {
+					t.Error(err)
+				}
+				sess.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := svc.nextID.Load(); got != 2 {
+		t.Fatalf("two sessions at a time created %d engine threads, want 2", got)
+	}
+}
+
+// TestSessionExecAfterClose: a closed session fails every op with ErrClosed
+// and never runs on the thread it handed on.
+func TestSessionExecAfterClose(t *testing.T) {
+	for _, mode := range []string{ModeThread, ModePool} {
+		t.Run(mode, func(t *testing.T) {
+			svc := newTestService(t, Config{Keys: 4, Initial: 100, Mode: mode, PoolWorkers: 1})
+			old := svc.Session()
+			old.Close()
+			old.Close() // idempotent
+			sess := svc.Session()
+			defer sess.Close()
+			for _, req := range []Request{{Op: OpPing}, {Op: OpWrite, Key: 0, Val: 7}} {
+				var resp Response
+				if err := old.Exec(&req, &resp); err != ErrClosed || resp.Err != ErrClosed.Error() {
+					t.Fatalf("%v on a closed session = %v %q, want ErrClosed", req.Op, err, resp.Err)
+				}
+			}
+			if got := exec(t, sess, &Request{Op: OpRead, Key: 0}).Vals[0]; got != 100 {
+				t.Fatalf("key 0 = %d after a write on a closed session, want 100", got)
+			}
+		})
 	}
 }
