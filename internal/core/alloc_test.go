@@ -178,6 +178,29 @@ func updateBudget(t *testing.T, writes int, budget float64) {
 	})
 }
 
+// TestAllocBudgetForeignCut: two threads take turns updating the same two
+// objects, so many of the versions each one's settles cut are the other's.
+// The cutter hands those to their writer, which reuses them as it does the
+// ones it cut itself: a pair of commits allocates nothing.
+func TestAllocBudgetForeignCut(t *testing.T) {
+	for _, maxV := range []int{2, DefaultMaxVersions} {
+		rt := counterRT(func(c *Config) { c.MaxVersions = maxV })
+		objs := []*Object{NewObject(big), NewObject(big)}
+		a, b := rt.Thread(0), rt.Thread(1)
+		fn := func(tx *Tx) error { return bumpAll(tx, objs) }
+		allocBudget(t, fmt.Sprintf("core 2-write updates by two threads in turn, MaxVersions %d", maxV), 0, func() {
+			for _, th := range []*Thread{a, b} {
+				if err := th.Run(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if a.handed == 0 || b.handed == 0 {
+			t.Errorf("MaxVersions %d: the threads handed back %d and %d versions, want some each", maxV, a.handed, b.handed)
+		}
+	}
+}
+
 // TestShapeFollowsRecentCommits: one large transaction puts the next attempt
 // in the wide record, and the hints decay on every update commit, so a run
 // of small ones ends back in the small record instead of carrying the wide

@@ -74,9 +74,20 @@
 // version has an owner, the thread whose attempts write it, set when it is
 // cut from a chunk. The settler whose trim unlinks a version from its
 // history (by CAS, so exactly one does) retires it to its version list,
-// tagged the same way, if it is the owner; a version another thread cuts,
-// and a genesis version, go to the collector. The owner also retires the
-// tentative versions of an aborted attempt once no locator names them.
+// tagged the same way, if it is the owner. Another thread's version it
+// hands back: it pushes it to the owner's inbox, a ring of slots on cache
+// lines of their own, claiming a slot with one atomic add and filling it
+// by CAS from nil. A version whose slot is still full goes to the
+// collector, as does a genesis version. The owner drains its inbox at the
+// start of each outermost update attempt, into its version list, tagged
+// with an epoch it loads after it has taken the versions. That order is
+// what keeps a handed-back version safe: each cut happened before the
+// push, so its epoch is no later than the tag, and a thread that found the
+// version before the cut pinned no later than the tag either. An epoch
+// loaded before the take could precede a cut: tagged with it, the version
+// would come back two epochs later, while a reader pinned in the cut's
+// epoch may still hold it. The owner also retires the tentative versions
+// of an aborted attempt once no locator names them.
 // All three lists are one type (limbo): a FIFO ring of tagged items and a
 // stack of never-published ones. A record or version is reused only by
 // its owner (newTx, newWrite), and only if the epoch was two past its tag

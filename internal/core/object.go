@@ -67,9 +67,13 @@ func (l *locator) head() *version {
 // owner is alive anyway, held by the runtime's thread list.
 //
 // Versions are recycled by the thread that wrote them: the settler that
-// cuts one of its own versions off a history retires it, and its owner
-// takes it as a tentative version again an epoch grace period later (see
-// trim and Tx.newWrite). A genesis version has no owner and is never reused.
+// cuts one off a history retires it if it is the owner and otherwise hands
+// it to the owner's inbox, and the owner takes it as a tentative version
+// again an epoch grace period later (see trim, Thread.cut and Tx.newWrite).
+// No field of a version links it into a list: a pinned reader may still
+// read prev, until, content and selfLoc after the cut, so the inbox and the
+// owner's list hold pointers to it instead. A genesis version has no owner
+// and is never reused.
 type version struct {
 	content
 
@@ -214,8 +218,9 @@ func (o *Object) settle(maxVersions int, th *Thread) *locator {
 // trim cuts the version chain after maxVersions entries (at least 1, the
 // head itself). It unlinks by CAS, so of the settlers racing to trim one
 // history exactly one cuts each version, and that one hands it to th.cut,
-// which retires it if th wrote it. The cut version is left as it is: a
-// pinned reader may still be walking through it. trim reports false when th
+// which retires it if th wrote it and passes it to its writer's inbox
+// otherwise. The cut version is left as it is: a pinned reader may still be
+// walking through it. trim reports false when th
 // had to pin before looking into another thread's version: the caller loads
 // the locator again.
 func trim(head *version, maxVersions int, th *Thread) bool {

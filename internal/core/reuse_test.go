@@ -355,51 +355,61 @@ func tents(tx *Tx) []*version {
 
 // TestReuseWaitsForPinnedVersionReader: a read-only reader that holds a
 // version of another thread's, as getVersion's walk through a history does,
-// keeps it from being reused while it stays pinned, though its writer cuts
-// it, retires it and commits on past what would be two epoch advances; once
-// the reader is done, the writer reuses it.
+// keeps it from being reused while it stays pinned, though the version is
+// cut and its writer retires it and commits on past what would be two epoch
+// advances; once the reader is done, the writer reuses it. The version is
+// cut by its writer's own settle, or by a third thread's, which hands it to
+// the writer's inbox: the writer drains it and keeps it for a grace period
+// counted from the epoch of the drain, not from the older one its previous
+// attempt began in (the reader pins two epochs after that).
 func TestReuseWaitsForPinnedVersionReader(t *testing.T) {
+	t.Run("own cut", func(t *testing.T) { waitsForPinnedVersionReader(t, false) })
+	t.Run("foreign cut", func(t *testing.T) { waitsForPinnedVersionReader(t, true) })
+}
+
+func waitsForPinnedVersionReader(t *testing.T, foreign bool) {
 	rt := counterRT(func(c *Config) { c.MaxVersions = 2 })
 	o := NewObject(big)
-	a, b := rt.Thread(0), rt.Thread(1)
+	a, b, c := rt.Thread(0), rt.Thread(1), rt.Thread(2)
 	var seen *version // a version b wrote that the check below looks for
 	bump := func(tx *Tx) error {
-		v, _, err := tx.ReadInt(o)
-		if err != nil {
+		if err := bumpAll(tx, []*Object{o}); err != nil {
 			return err
 		}
-		if err := tx.WriteInt(o, big+(v+1)%100); err != nil {
-			return err
-		}
-		for _, v := range tents(tx) {
-			if v == seen {
-				return errReused
-			}
+		if slices.Contains(tents(tx), seen) {
+			return errReused
 		}
 		return nil
 	}
+	readO := func(tx *Tx) error { _, _, err := tx.ReadInt(o); return err }
 	for range 4 {
 		if err := b.Run(bump); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// b settles its last commit, so that o's locator names no writer.
-	if err := b.RunReadOnly(func(tx *Tx) error { _, _, err := tx.ReadInt(o); return err }); err != nil {
+	if err := b.RunReadOnly(readO); err != nil {
 		t.Fatal(err)
 	}
 	if o.loc.Load().writer != nil {
 		t.Fatal("o still has a writer")
 	}
+	// b's last update attempt began two epochs before the reader pins.
+	for range 2 {
+		if !rt.advance(rt.epoch.Load()) {
+			t.Fatal("the epoch did not advance")
+		}
+	}
 
 	// a's read pins it: o's head is b's version. Then a walks one step down
-	// the history, to the version b's next commit cuts.
+	// the history, to the version the next settled commit cuts.
 	held := make(chan *version)
 	release, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
 		sent := false
 		if err := a.RunReadOnly(func(tx *Tx) error {
-			if _, _, err := tx.ReadInt(o); err != nil || sent {
+			if err := readO(tx); err != nil || sent {
 				return err
 			}
 			sent = true
@@ -419,9 +429,21 @@ func TestReuseWaitsForPinnedVersionReader(t *testing.T) {
 	if v == nil || v.owner != b {
 		t.Fatal("the reader holds no version of b's")
 	}
+	pinned := a.pin.Load()
+	if foreign {
+		// c supersedes b's head and settles its commit: the trim cuts v.
+		if err := c.Run(func(tx *Tx) error { return tx.WriteInt(o, big+7) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunReadOnly(readO); err != nil {
+			t.Fatal(err)
+		}
+		if c.handed != 1 || b.inbox.slots[0].Load() != v {
+			t.Fatalf("c handed back %d versions; b's inbox does not hold the one the reader holds", c.handed)
+		}
+	}
 	value, _ := v.value.AsInt64()
 	from, until := v.from.Load(), v.until.Load()
-	pinned := a.pin.Load()
 	seen = v
 	for i := range 200 {
 		if err := b.Run(bump); err == errReused {
@@ -430,11 +452,14 @@ func TestReuseWaitsForPinnedVersionReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if now := rt.epoch.Load(); pinned == 0 || now > pinned+1 {
+	if now := rt.epoch.Load(); now > pinned+1 {
 		t.Errorf("epoch %d with a reader pinned at %d", now, pinned)
 	}
 	if b.cuts < 100 {
 		t.Fatalf("b cut %d versions in 200 commits", b.cuts)
+	}
+	if b.inbox.slots[0].Load() != nil {
+		t.Fatal("b did not drain its inbox")
 	}
 	if n, _ := v.value.AsInt64(); n != value || v.from.Load() != from || v.until.Load() != until {
 		t.Error("the held version changed while its reader was pinned")
@@ -459,6 +484,65 @@ func TestReuseWaitsForPinnedVersionReader(t *testing.T) {
 }
 
 var errReused = errors.New("reused")
+
+// TestRecycleInboxFull: a thread that cuts more of another thread's versions
+// than its inbox has slots, while the owner runs nothing, hands back what
+// fits and leaves the rest to the collector; the owner's next update
+// attempt retires what was handed back, and every cut is counted once.
+func TestRecycleInboxFull(t *testing.T) {
+	rt := counterRT(func(c *Config) { c.MaxVersions = 1 })
+	const extra = 4
+	objs := make([]*Object, inboxLen+extra)
+	for i := range objs {
+		objs[i] = NewObject(big)
+	}
+	b, c := rt.Thread(0), rt.Thread(1)
+	for _, o := range objs {
+		if err := b.Run(func(tx *Tx) error { return bumpAll(tx, []*Object{o}) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// c supersedes each of b's versions; its own settles cut b's.
+	for _, o := range objs {
+		if err := c.Run(func(tx *Tx) error { return bumpAll(tx, []*Object{o}) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunReadOnly(func(tx *Tx) error { _, _, err := tx.ReadInt(o); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.handed != inboxLen || c.dropped != extra {
+		t.Fatalf("c handed back %d and dropped %d of b's versions, want %d and %d", c.handed, c.dropped, inboxLen, extra)
+	}
+	retired := b.retired
+	if err := b.Run(func(*Tx) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.retired - retired; got != inboxLen {
+		t.Errorf("b retired %d versions from its inbox, want %d", got, inboxLen)
+	}
+	checkCutsCounted(t, rt, len(objs))
+}
+
+// checkCutsCounted checks that each cut of rt's threads was counted once:
+// retired by the version's owner, dropped, or still in an inbox, apart from
+// the given number of genesis versions, which nobody reuses.
+func checkCutsCounted(t *testing.T, rt *Runtime, genesis int) {
+	t.Helper()
+	cuts, counted := 0, genesis
+	for th := rt.threads.Load(); th != nil; th = th.next {
+		cuts += th.cuts
+		counted += th.retired + th.dropped
+		for i := range th.inbox.slots {
+			if th.inbox.slots[i].Load() != nil {
+				counted++
+			}
+		}
+	}
+	if cuts != counted {
+		t.Errorf("%d cuts, %d counted as retired, dropped or in an inbox (%d genesis)", cuts, counted, genesis)
+	}
+}
 
 // ownCutFixture has the update attempt tx of th read o's head — v, a
 // version of th's own, so read unpinned — and then cut v itself: a nested
@@ -572,7 +656,10 @@ func TestReuseOwnCutVersionNestedRun(t *testing.T) {
 // settling one commit together, and stale ones settling a commit while the
 // next is settled — cut each superseded version exactly once. Every
 // version of o but the MaxVersions left in its history is cut: the genesis
-// one and one per commit.
+// one and one per commit. Each cut is counted once: the readers hand back
+// every version they cut, and the writers each other's, to the owner's
+// inbox, and every version ends retired by its owner, dropped, or still in
+// an inbox.
 func TestRecycleCutsEachVersionOnce(t *testing.T) {
 	for _, maxV := range []int{1, 2, DefaultMaxVersions} {
 		rt := counterRT(func(c *Config) { c.MaxVersions = maxV })
@@ -641,13 +728,18 @@ func TestRecycleCutsEachVersionOnce(t *testing.T) {
 		for v := o.loc.Load().ver; v != nil; v = v.prev.Load() {
 			kept++
 		}
-		cuts := 0
+		cuts, handed := 0, 0
 		for th := rt.threads.Load(); th != nil; th = th.next {
 			cuts += th.cuts
+			handed += th.handed
 		}
 		if want := 1 + writers*commits - kept; cuts != want {
 			t.Errorf("MaxVersions %d: %d cuts of %d superseded versions (%d kept)", maxV, cuts, want, kept)
 		}
+		if handed == 0 {
+			t.Errorf("MaxVersions %d: no cut version was handed back to its writer", maxV)
+		}
+		checkCutsCounted(t, rt, 1)
 	}
 }
 

@@ -30,8 +30,8 @@ type Thread struct {
 	pending   [pendingLen]*Tx
 	pendingAt int
 	// small and wide hold the update records of each shape this thread has
-	// retired (see retire), vers the versions it wrote that a settle of its
-	// own cut off a history or that its aborted attempts published (see cut),
+	// retired (see retire), vers the versions it wrote that a trim cut off a
+	// history or that its aborted attempts published (see cut and drain),
 	// until newTx and newWrite reuse them.
 	small limbo[smallTx]
 	wide  limbo[wideTx]
@@ -42,14 +42,21 @@ type Thread struct {
 	// ones included.
 	now   uint64
 	depth int
+	// drained is the inbox's pushed count at the thread's last drain.
+	drained uint64
 	// chunk is what the thread's new versions are cut from when vers has no
 	// free one, sized by writeHint so that a thread that has not yet retired
 	// enough versions allocates one chunk per attempt. Published versions
 	// never move, so a full chunk is left behind and a new one started; what
 	// an attempt leaves unused is cut by the next one.
 	chunk []version
-	// cuts counts the versions the thread's trims unlinked.
-	cuts int
+	// Counters only tests read. cuts counts the versions the thread's trims
+	// unlinked; handed, those of another thread's it pushed to the owner's
+	// inbox. retired counts the versions it put on vers after a cut: its own
+	// and those drained from its inbox. dropped counts the versions it left
+	// to the collector after a cut: an owner's inbox slot was full, or vers
+	// was at versionCap. chunks counts the chunks newVersion allocated.
+	cuts, handed, retired, dropped, chunks int
 
 	stats abort.Stats
 	_     [64]byte // keep each worker's stats off its neighbours' cache lines
@@ -60,6 +67,31 @@ type Thread struct {
 	pin  atomic.Uint64
 	next *Thread
 	_    [48]byte
+	// inbox holds the thread's versions that other threads' trims cut, until
+	// drain; cutters write it, so it has cache lines of its own.
+	inbox inbox
+	_     [56]byte
+}
+
+// inbox is where other threads hand a thread the versions of its that their
+// trims cut (see Thread.cut). A cutter claims slot pushed mod inboxLen with
+// one Add and fills it by CAS from nil; if the slot is still full, the
+// version goes to the collector. Only the owner empties slots (drain).
+type inbox struct {
+	pushed atomic.Uint64
+	slots  [inboxLen]atomic.Pointer[version]
+}
+
+// inboxLen is the number of inbox slots. On mem_bank (two threads
+// transferring beside read-only audits, 2 CPUs) 64 slots allocate about as
+// much as 16: what a full slot no longer drops is dropped at versionCap
+// instead, while a pinned reader holds the epoch up. 4 slots allocate more.
+const inboxLen = 16
+
+// push hands v to the inbox's owner, and reports false if the slot it
+// claimed was still full.
+func (in *inbox) push(v *version) bool {
+	return in.slots[(in.pushed.Add(1)-1)%inboxLen].CompareAndSwap(nil, v)
 }
 
 // pendingLen is how many later update attempts a finished one waits for
@@ -93,11 +125,12 @@ type limbo[T any] struct {
 }
 
 // put retires x with tag, unless the list already holds limit items: then x
-// is left to the collector. An item tagged 0 was never published and is
-// free at once.
-func (l *limbo[T]) put(x *T, tag uint64, limit int) {
+// is left to the collector, and put reports false. An item tagged 0 was
+// never published and is free at once.
+func (l *limbo[T]) put(x *T, tag uint64, limit int) bool {
 	switch {
 	case l.n+len(l.free) >= limit:
+		return false
 	case tag == 0:
 		l.free = append(l.free, x)
 	default:
@@ -113,6 +146,7 @@ func (l *limbo[T]) put(x *T, tag uint64, limit int) {
 		l.ring[i], l.tags[i] = x, tag
 		l.n++
 	}
+	return true
 }
 
 // at returns the ring index of the i-th oldest retired item.
@@ -252,13 +286,13 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 // newTx starts an attempt. An update attempt runs in a record of the shape
 // the thread's hints call for: the inline entry and locator arrays ride in
 // the same allocation, and once the thread has retired enough records it
-// allocates none (see retire). An outermost update attempt also fixes which
-// of the thread's retired records and versions it and its nested attempts
-// may reuse: those whose grace period is over now. Nowhere else: an attempt
-// reads the thread's own versions unpinned, so one it read and then cut
-// itself (in a settle of its own or of a nested transaction's) must not
-// come back as a tentative version before the attempt is over, however far
-// the epoch has moved.
+// allocates none (see retire). An outermost update attempt also drains the
+// thread's inbox and fixes which of the thread's retired records and
+// versions it and its nested attempts may reuse: those whose grace period
+// is over now. Nowhere else: an attempt reads the thread's own versions
+// unpinned, so one it read and then cut itself (in a settle of its own or
+// of a nested transaction's) must not come back as a tentative version
+// before the attempt is over, however far the epoch has moved.
 // A declared read-only attempt is never published: it keeps no access set,
 // enters no locator, and is never helped or aborted as an enemy, so no other
 // thread can hold a pointer to it. Those attempts reuse one record per
@@ -266,7 +300,7 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 // attempt never writes.
 func (th *Thread) newTx(readOnly bool) *Tx {
 	if !readOnly && th.depth == 1 {
-		th.now = th.rt.epoch.Load()
+		th.now = th.drain()
 	}
 	var tx *Tx
 	switch {
@@ -341,16 +375,62 @@ func (th *Thread) protect(owner *Thread) bool {
 }
 
 // cut takes a version that a trim by th unlinked from a history: th retires
-// it, tagged with the current epoch, if th wrote it. Another thread's
-// version, and a genesis one, are left to the collector.
+// it, tagged with the current epoch, if th wrote it, and hands another
+// thread's to that thread's inbox, which drain empties. A genesis version,
+// and one whose inbox slot is still full, are left to the collector.
 func (th *Thread) cut(v *version) {
 	if th == nil {
 		return
 	}
 	th.cuts++
-	if v.owner == th {
-		th.vers.put(v, th.rt.epoch.Load(), th.versionCap())
+	switch o := v.owner; {
+	case o == th:
+		th.keep(v, th.rt.epoch.Load())
+	case o == nil:
+	case o.inbox.push(v):
+		th.handed++
+	default:
+		th.dropped++
 	}
+}
+
+// keep retires a version th wrote and a trim cut, tagged with tag, and
+// counts whether vers had room for it.
+func (th *Thread) keep(v *version, tag uint64) {
+	if th.vers.put(v, tag, th.versionCap()) {
+		th.retired++
+	} else {
+		th.dropped++
+	}
+}
+
+// drain retires the versions other threads pushed to th's inbox since its
+// last drain and returns the epoch it tags them with, loaded after it took
+// them: each cut came before its push, so no reader that found a version
+// before its cut pinned later than the tag (see # Memory in the package
+// doc). A slot claimed but not yet filled when th looked is drained once
+// the count passes it again.
+func (th *Thread) drain() uint64 {
+	n := th.inbox.pushed.Load()
+	if n == th.drained {
+		return th.rt.epoch.Load()
+	}
+	var got [inboxLen]*version
+	k := 0
+	for i := n - min(n-th.drained, inboxLen); i < n; i++ {
+		s := &th.inbox.slots[i%inboxLen]
+		if v := s.Load(); v != nil {
+			s.Store(nil) // only the owner empties a slot
+			got[k] = v
+			k++
+		}
+	}
+	th.drained = n
+	now := th.rt.epoch.Load()
+	for _, v := range got[:k] {
+		th.keep(v, now)
+	}
+	return now
 }
 
 // newVersion returns a version of th's for a tentative write: a freed one,
@@ -363,6 +443,9 @@ func (th *Thread) newVersion(size int) *version {
 		v.content = content{}
 		v.until.Store(0)
 		return v
+	}
+	if len(th.chunk) == cap(th.chunk) {
+		th.chunks++
 	}
 	v := cut(&th.chunk, size)
 	v.owner, v.selfLoc.ver = th, v

@@ -1,11 +1,11 @@
 // Deterministic fault injection for replication streams: Link is an
 // in-process conn pair (net.Pipe under the hood, so deadlines work) whose
 // ends can drop traffic silently (partition — peers discover it only
-// through deadlines), delay writes (slow follower — backpressure into the
-// primary's send buffer), cut hard (process death), or break mid-frame
-// after a byte budget (torn stream). The fault matrix tests and the
-// stmserve failover tests drive these instead of real sockets, so every
-// scenario runs single-process and race-clean.
+// through deadlines), stall writes (a follower that stops reading —
+// backpressure into the primary's send buffer), cut hard (process death),
+// or break mid-frame after a byte budget (torn stream). The fault matrix
+// tests and the stmserve failover tests drive these instead of real
+// sockets, so every scenario runs single-process and race-clean.
 package replica
 
 import (
@@ -64,9 +64,18 @@ func (l *Link) Cut() {
 // tearing a frame mid-stream.
 func (l *Link) CutAfterWrites(n int64) { l.b.setLimit(n) }
 
-// DelayWrites makes every B (primary) end write sleep d first — a slow
-// follower's backpressure without touching the follower itself.
-func (l *Link) DelayWrites(d time.Duration) { l.b.setDelay(d) }
+// Stall blocks every B (primary) end write until release is called — a
+// follower that stops reading, without touching the follower itself.
+// However slowly commits arrive, the primary's send buffer fills behind the
+// blocked write. release may be called more than once.
+func (l *Link) Stall() (release func()) {
+	gate := make(chan struct{})
+	l.b.setStall(gate)
+	return sync.OnceFunc(func() {
+		l.b.setStall(nil)
+		close(gate)
+	})
+}
 
 // faultEnd wraps one pipe end with the fault switchboard.
 type faultEnd struct {
@@ -75,8 +84,8 @@ type faultEnd struct {
 
 	mu    sync.Mutex
 	drop  bool
-	delay time.Duration
-	limit int64 // bytes this end may still write; -1 = unlimited
+	stall chan struct{} // non-nil: writes wait until it is closed
+	limit int64         // bytes this end may still write; -1 = unlimited
 }
 
 func (e *faultEnd) setDrop(on bool) {
@@ -85,9 +94,9 @@ func (e *faultEnd) setDrop(on bool) {
 	e.mu.Unlock()
 }
 
-func (e *faultEnd) setDelay(d time.Duration) {
+func (e *faultEnd) setStall(gate chan struct{}) {
 	e.mu.Lock()
-	e.delay = d
+	e.stall = gate
 	e.mu.Unlock()
 }
 
@@ -99,10 +108,10 @@ func (e *faultEnd) setLimit(n int64) {
 
 func (e *faultEnd) Write(b []byte) (int, error) {
 	e.mu.Lock()
-	drop, delay, limit := e.drop, e.delay, e.limit
+	drop, stall, limit := e.drop, e.stall, e.limit
 	e.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
+	if stall != nil {
+		<-stall
 	}
 	if drop {
 		return len(b), nil // swallowed: the partition eats it

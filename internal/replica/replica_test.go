@@ -280,12 +280,20 @@ func TestSlowFollowerResyncNeverBlocksCommits(t *testing.T) {
 	fn := newNode(t, 2)
 	fol := NewFollower(fn.eng, c.dial, fastFollower())
 	defer fol.Close()
-	waitFor(t, 5*time.Second, "follower connect", func() bool { return fol.Stats().Connected })
+	// The follower counts itself connected once its dial returns, before the
+	// primary has read its hello and registered the stream; a burst before
+	// that would reach the stream only as a catch-up snapshot.
+	waitFor(t, 5*time.Second, "follower connect", func() bool {
+		return fol.Stats().Connected && c.prim.Stats().Followers == 1
+	})
 	c.mu.Lock()
-	c.link.DelayWrites(3 * time.Millisecond)
+	release := c.link.Stall()
 	c.mu.Unlock()
+	defer release()
 
-	// Burst far past the send buffer. Async mode: every commit must return
+	// Burst far past the send buffer while the stream's writes are blocked:
+	// the writer holds at most one batch in its blocked write, so the queue
+	// overflows at any commit rate. Async mode: every commit must return
 	// promptly no matter how slow the stream is.
 	start := time.Now()
 	for i := 0; i < 300; i++ {
@@ -298,9 +306,7 @@ func TestSlowFollowerResyncNeverBlocksCommits(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, "resync", func() bool { return c.prim.Stats().Resyncs > 0 })
 
-	c.mu.Lock()
-	c.link.DelayWrites(0)
-	c.mu.Unlock()
+	release()
 	c.waitCaughtUp(fn, 20*time.Second)
 	if got := fn.read(t, 0) + fn.read(t, 1); got != 300 {
 		t.Errorf("follower total %d, want 300", got)
