@@ -76,7 +76,10 @@ type Options struct {
 	// compaction. 0 selects the 8 MiB default; negative disables
 	// compaction.
 	SnapshotBytes int64
-	// SegmentBytes rotates log segments (0 = 4 MiB default).
+	// SegmentBytes rotates log segments (0 = 4 MiB default). It is also
+	// the disk space the open segment holds: each new segment is
+	// preallocated to SegmentBytes, and cut back to its data when it is
+	// sealed or the log closes.
 	SegmentBytes int64
 	// Crash arms the deterministic fault-injection seam (nil = no faults).
 	Crash *Crashpoints

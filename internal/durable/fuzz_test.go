@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/val"
@@ -91,6 +93,69 @@ func FuzzDecodeCommit(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("reused decode %x, fresh decode %x", got, want)
+		}
+	})
+}
+
+// FuzzReplayTail: a final segment of valid frames followed by arbitrary bytes
+// and zero padding, as a crash can leave a preallocated segment. Recovery
+// must not panic. It either fails or replays the valid frames and stops no
+// later than the first zero header; it cuts the segment where replay
+// stopped, counts as torn exactly the bytes up to the last non-zero one past
+// that point, and a second recovery finds the same log with nothing to cut.
+func FuzzReplayTail(f *testing.F) {
+	next := frameAround(testFrame(4))
+	f.Add(uint8(2), []byte(nil), uint16(0))
+	f.Add(uint8(2), []byte(nil), uint16(4096))
+	f.Add(uint8(3), next[:5], uint16(100))
+	f.Add(uint8(3), next[:frameHeaderLen+2], uint16(100))
+	f.Add(uint8(3), next, uint16(30))
+	f.Add(uint8(3), append(make([]byte, frameHeaderLen), next...), uint16(0))
+	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff}, uint16(7))
+	f.Fuzz(func(t *testing.T, nframes uint8, tail []byte, pad uint16) {
+		valid := uint64(nframes % 5)
+		img := []byte(segmentMagic)
+		for seq := uint64(1); seq <= valid; seq++ {
+			img = append(img, frameAround(testFrame(seq))...)
+		}
+		img = append(img, tail...)
+		img = append(img, make([]byte, pad%8192)...)
+		// ends[i] is where the i-th whole frame ends, up to the first zero
+		// header: recovery may replay no frame past it.
+		ends := frameEnds(img)
+		dir := t.TempDir()
+		path := filepath.Join(dir, segmentName(1))
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := recoverDir(dir)
+		if err != nil {
+			return // a CRC-valid frame past the valid ones that is malformed or out of sequence
+		}
+		if rec.lastSeq < valid || rec.lastSeq >= uint64(len(ends)) {
+			t.Fatalf("recovered through seq %d: %d valid frames, %d whole frames before any zero header", rec.lastSeq, valid, len(ends)-1)
+		}
+		end := ends[rec.lastSeq]
+		torn := int64(0)
+		for i := int64(len(img)) - 1; i >= end; i-- {
+			if img[i] != 0 {
+				torn = i + 1 - end
+				break
+			}
+		}
+		if rec.tornBytes != torn {
+			t.Fatalf("tornBytes = %d, want %d", rec.tornBytes, torn)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != end {
+			t.Fatalf("recovery left %d bytes, replay ended at %d", st.Size(), end)
+		}
+		rec2, err := recoverDir(dir)
+		if err != nil || rec2.lastSeq != rec.lastSeq || rec2.tornBytes != 0 {
+			t.Fatalf("second recovery: %v, seq %d, torn %d; first: seq %d", err, rec2.lastSeq, rec2.tornBytes, rec.lastSeq)
 		}
 	})
 }

@@ -1,11 +1,20 @@
 // Redo-record and snapshot frame encoding for the write-ahead log.
 //
-// Every frame on disk is length-prefixed and CRC-framed:
+// A log segment is the magic "DWAL0001" followed by frames. Every frame on
+// disk is length-prefixed and CRC-framed:
 //
 //	[u32 len][u32 crc32(payload)][payload]
 //
 // both fixed fields little-endian, crc over the payload bytes only. The
-// payload's first byte is the record type: 'C' for a commit redo record,
+// active segment is preallocated to Options.SegmentBytes, so past its last
+// frame it holds zeros up to that size; a sealed segment (rotated away from,
+// or closed) is cut to end at its last frame. Recovery therefore reads an
+// all-zero frame header in the final segment as the end of the log, and in
+// any other segment as corruption. No real frame has an empty payload, so a
+// zero header is never a frame. ReadFrame, which the replication stream
+// shares, knows nothing of this rule: a stream has no reservation.
+//
+// The payload's first byte is the record type: 'C' for a commit redo record,
 // 'S' for a snapshot. A commit payload is
 //
 //	'C' | uvarint seq | uvarint nwrites | nwrites × (uvarint cellID, value)

@@ -134,6 +134,9 @@ type logConfig struct {
 	// sync forces a segment file to stable storage; tests substitute a slow,
 	// counting or failing one (nil = (*os.File).Sync).
 	sync func(*os.File) error
+	// prealloc reserves a new segment's segmentBytes on disk; tests
+	// substitute a failing one (nil = preallocate).
+	prealloc func(f *os.File, size int64) error
 }
 
 // Log is the append side of the WAL. Commit acknowledgments respect the
@@ -183,6 +186,9 @@ func openLog(cfg logConfig) (*Log, error) {
 	if cfg.sync == nil {
 		cfg.sync = (*os.File).Sync
 	}
+	if cfg.prealloc == nil {
+		cfg.prealloc = preallocate
+	}
 	switch cfg.policy {
 	case FsyncAlways, FsyncGroup, FsyncNever:
 	case "":
@@ -208,14 +214,17 @@ func segmentName(firstSeq uint64) string {
 	return fmt.Sprintf("%s%016x%s", segmentPrefix, firstSeq, segmentSuffix)
 }
 
-// openSegment finalizes the current segment (if any) and starts a fresh one
-// whose name records the first seq it will hold. Finalized segments are
-// always flushed and synced, whatever the policy — so only the final segment
-// of a log can ever be torn. Called with l.mu held and no group flush in
-// flight (or before the Log is shared).
+// openSegment seals the current segment (if any) and starts a fresh one
+// whose name records the first seq it will hold. Sealed segments are always
+// flushed, cut to their data end and synced, whatever the policy — so only
+// the final segment of a log can ever be torn or end in zeros. The fresh
+// segment is preallocated to segmentBytes, so that an fsync of appends
+// within the reservation flushes data and no new file size. Preallocation
+// is best-effort: where it fails, the segment grows by append. Called with
+// l.mu held and no group flush in flight (or before the Log is shared).
 func (l *Log) openSegment(firstSeq uint64) error {
 	if l.f != nil {
-		if err := l.syncAppended(); err != nil {
+		if err := l.seal(); err != nil {
 			return err
 		}
 		if err := l.f.Close(); err != nil {
@@ -230,6 +239,9 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	if err != nil {
 		return err
 	}
+	// A failed reservation leaves a segment that grows by append: slower
+	// fsyncs, the same log.
+	_ = l.cfg.prealloc(f, l.cfg.segmentBytes)
 	if _, err := f.WriteString(segmentMagic); err != nil {
 		f.Close()
 		return err
@@ -423,6 +435,20 @@ func (l *Log) awaitFlush() {
 	}
 }
 
+// seal is syncAppended for a segment that takes no more appends: between the
+// flush and the fsync it cuts the file to its data end, so that what is left
+// of the preallocated reservation never reaches a sealed segment. Called with
+// l.mu held (and kept) and no group flush in flight.
+func (l *Log) seal() error {
+	if err := l.buf.Flush(); err != nil {
+		return fmt.Errorf("durable: flush: %w", err)
+	}
+	if err := l.f.Truncate(l.segSize); err != nil {
+		return fmt.Errorf("durable: trim segment: %w", err)
+	}
+	return l.syncAppended()
+}
+
 // syncAppended flushes and fsyncs everything appended so far and publishes
 // it as durable. Called with l.mu held (and kept) and no group flush in
 // flight.
@@ -516,10 +542,12 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Close flushes, syncs and closes the log. Idempotent; subsequent Commits
-// fail with ErrClosed. If the final flush or fsync fails the log is wedged
-// instead, so no committer still waiting is acknowledged for a record that
-// never reached the disk.
+// Close flushes the log, cuts the active segment to its data end (dropping
+// the rest of its preallocated reservation), syncs and closes it. Idempotent;
+// subsequent Commits fail with ErrClosed. If the final flush, cut or fsync
+// fails the log is wedged instead, so no committer still waiting is
+// acknowledged for a record that never reached the disk. A wedged log is
+// closed as it stands, zero tail included, as a crash would leave it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -530,7 +558,7 @@ func (l *Log) Close() error {
 	l.closed = true
 	var err error
 	if l.sticky == nil {
-		if err = l.syncAppended(); err != nil {
+		if err = l.seal(); err != nil {
 			l.fail(err)
 		}
 	}
@@ -556,7 +584,13 @@ type recovery struct {
 	commits uint64
 	// snapSeq is the snapshot watermark boot started from (0 = none).
 	snapSeq uint64
-	// tornBytes is how many bytes of torn final frame were truncated away.
+	// tornBytes is how many bytes of a torn final frame reached the disk:
+	// from the end of the last whole frame up to the last non-zero byte
+	// after it. The zeros of a preallocated segment's reservation, which
+	// recovery truncates away as well, do not count, so a log abandoned
+	// between frames reports 0; and a torn frame whose last written bytes
+	// are zero cannot be told from the reservation, so they do not count
+	// either.
 	tornBytes int64
 
 	// Replay scratch, reused across every record of every segment.
@@ -595,10 +629,10 @@ func listSegments(dir string) ([]segmentFile, error) {
 
 // recoverDir scans a WAL directory: loads the snapshot (if any), replays
 // every segment's redo records above the snapshot watermark in sequence
-// order, truncates a torn final frame (reporting how many bytes), and
-// rejects mid-log corruption or sequence gaps as hard errors. A leftover
-// snapshot.tmp from an interrupted compaction is deleted. An empty or
-// absent directory recovers to the empty state.
+// order, truncates a torn final frame or a zero tail (reporting the torn
+// bytes), and rejects mid-log corruption or sequence gaps as hard errors. A
+// leftover snapshot.tmp from an interrupted compaction is deleted. An empty
+// or absent directory recovers to the empty state.
 func recoverDir(dir string) (*recovery, error) {
 	rec := &recovery{values: map[uint64]val.Value{}}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -659,10 +693,15 @@ func loadSnapshot(dir string, rec *recovery) error {
 }
 
 // replaySegment applies seg's redo records above the snapshot watermark to
-// rec. Torn frames are tolerated (truncated, counted) only in the final
-// segment: every earlier segment was flushed and synced at rotation, so a
-// bad frame there is mid-log corruption and recovery refuses to guess past
-// it.
+// rec. The final segment may end early: in a torn frame (a crash mid-append)
+// or at an all-zero frame header (the unwritten rest of its preallocated
+// reservation, or a frame whose bytes never reached the disk). No real frame
+// has an empty payload, so a zero header is never data. Recovery truncates
+// the final segment there, syncs the cut and stops: nothing past it was ever
+// acknowledged. Every earlier segment was flushed, cut to its data end and
+// synced at rotation, so a torn frame or zero header there is mid-log
+// corruption and recovery refuses to guess past it. The zero-header rule
+// lives here and not in readFrameInto, which the replication stream shares.
 func replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
 	f, err := os.Open(seg.path)
 	if err != nil {
@@ -681,7 +720,13 @@ func replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
 	}
 	offset := int64(len(segmentMagic))
 	for {
-		payload, frameLen, err := readFrameInto(r, rec.payload)
+		var payload []byte
+		var frameLen int64
+		if hdr, _ := r.Peek(frameHeaderLen); len(hdr) == frameHeaderLen && zeroHeader(hdr) {
+			err = fmt.Errorf("%w: zero frame header", ErrTorn)
+		} else {
+			payload, frameLen, err = readFrameInto(r, rec.payload)
+		}
 		if err == io.EOF {
 			return nil
 		}
@@ -689,15 +734,7 @@ func replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
 			if !lastSegment {
 				return fmt.Errorf("durable: corrupt frame mid-log in %s at offset %d: %v", seg.path, offset, err)
 			}
-			st, serr := f.Stat()
-			if serr != nil {
-				return serr
-			}
-			rec.tornBytes = st.Size() - offset
-			if terr := os.Truncate(seg.path, offset); terr != nil {
-				return terr
-			}
-			return nil
+			return cutTail(f, seg.path, offset, rec)
 		}
 		if err != nil {
 			return err
@@ -723,4 +760,65 @@ func replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
 		}
 		offset += frameLen
 	}
+}
+
+func zeroHeader(hdr []byte) bool {
+	for _, b := range hdr {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// cutTail ends the final segment at offset, the end of its last whole frame:
+// it counts the torn bytes past offset into rec, truncates the file there and
+// syncs the cut, so that a later segment can never follow a tail that comes
+// back.
+func cutTail(f *os.File, path string, offset int64, rec *recovery) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	end, err := dataEnd(f, offset, st.Size())
+	if err != nil {
+		return err
+	}
+	rec.tornBytes = end - offset
+	w, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	if err := w.Truncate(offset); err != nil {
+		w.Close()
+		return err
+	}
+	if err := w.Sync(); err != nil {
+		w.Close()
+		return err
+	}
+	return w.Close()
+}
+
+// dataEnd returns the offset just past the last non-zero byte of f in
+// [from, size), or from when there is none. It reads backwards from size and
+// stops at the first non-zero byte; the zeros of a preallocated tail before
+// it are unwritten blocks, which the filesystem serves without touching the
+// device.
+func dataEnd(f *os.File, from, size int64) (int64, error) {
+	buf := make([]byte, 64<<10)
+	for end := size; end > from; {
+		n := min(int64(len(buf)), end-from)
+		b := buf[:n]
+		if _, err := f.ReadAt(b, end-n); err != nil {
+			return 0, err
+		}
+		for i := len(b) - 1; i >= 0; i-- {
+			if b[i] != 0 {
+				return end - n + int64(i) + 1, nil
+			}
+		}
+		end -= n
+	}
+	return from, nil
 }

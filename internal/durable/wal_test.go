@@ -127,26 +127,45 @@ func readState(t *testing.T, dir string) (a, b, c int, rec *recovery) {
 // TestTornFinalRecordEveryTruncationPoint drives the after-partial-record
 // crashpoint through every possible cut of the final frame: recovery must
 // truncate the torn tail (reporting its size) and restore exactly the
-// acknowledged prefix, for every cut.
+// acknowledged prefix, for every cut. The active segment is preallocated, so
+// the cut bytes are followed by zeros: tornBytes counts the written bytes up
+// to the last non-zero one, and the expected value per cut is computed from
+// the bytes of the frame the crashpoint writes.
 func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
-	// Probe the frame length once: a cut far past the end clamps to len−1.
-	frameLen := func() int {
+	// The frames of a clean log of three transfers: the crashpoint cuts the
+	// third.
+	frames := func() [][]byte {
 		dir := t.TempDir()
-		crash := &Crashpoints{AfterPartialRecord: true, PartialBytes: 1 << 20}
-		e := newTestEngine(t, "norec", dir, Options{Crash: crash})
+		e := newTestEngine(t, "norec", dir, Options{})
 		th := e.Thread(0)
 		a, b, c := bankCells(e)
-		if err := transfer(th, a, b, c, 1); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("crashpoint transfer: err = %v, want ErrCrashed", err)
+		for i := 1; i <= 3; i++ {
+			if err := transfer(th, a, b, c, i); err != nil {
+				t.Fatal(err)
+			}
 		}
-		rec, err := recoverDir(dir)
-		if err != nil {
+		if err := e.WALClose(); err != nil {
 			t.Fatal(err)
 		}
-		return int(rec.tornBytes) + 1
+		frames := segmentFrames(t, dir)
+		if len(frames) != 3 {
+			t.Fatalf("reference log holds %d frames, want 3", len(frames))
+		}
+		return frames
 	}()
+	frame, frameLen := frames[2], len(frames[2])
+	keptBytes := int64(len(segmentMagic) + len(frames[0]) + len(frames[1]))
 	if frameLen < frameHeaderLen+3 {
-		t.Fatalf("implausible probed frame length %d", frameLen)
+		t.Fatalf("implausible frame length %d", frameLen)
+	}
+	// wantTorn is what recovery can see of a cut: the written bytes up to
+	// the last non-zero one.
+	wantTorn := func(cut int) int64 {
+		n := cut
+		for n > 0 && frame[n-1] == 0 {
+			n--
+		}
+		return int64(n)
 	}
 
 	cuts := make([]int, 0, frameLen)
@@ -188,11 +207,15 @@ func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
 		if cv != 2 || rec.commits != 2 || rec.lastSeq != 2 {
 			t.Errorf("cut %d: recovered counter=%d commits=%d lastSeq=%d, want 2/2/2", cut, cv, rec.commits, rec.lastSeq)
 		}
-		if rec.tornBytes != int64(cut) {
-			t.Errorf("cut %d: tornBytes = %d, want %d", cut, rec.tornBytes, cut)
+		if want := wantTorn(cut); rec.tornBytes != want {
+			t.Errorf("cut %d: tornBytes = %d, want %d", cut, rec.tornBytes, want)
 		}
-		// Recovery truncated the torn tail: a second recovery sees a clean
-		// log with nothing more to truncate.
+		// Recovery truncated the torn tail and the reservation after it: the
+		// segment ends at the second frame, and a second recovery sees a
+		// clean log with nothing more to truncate.
+		if sizes, _ := segmentSizes(t, dir); sizes[0] != keptBytes {
+			t.Errorf("cut %d: recovered segment holds %d bytes, want %d", cut, sizes[0], keptBytes)
+		}
 		if _, _, _, rec2 := readState(t, dir); rec2.tornBytes != 0 || rec2.commits != 2 {
 			t.Errorf("cut %d: second recovery tornBytes=%d commits=%d, want 0/2", cut, rec2.tornBytes, rec2.commits)
 		}

@@ -273,8 +273,10 @@ type DurabilityInfo struct {
 	// SnapshotSeq is the watermark of the snapshot recovery started from
 	// (0 when boot replayed the log alone).
 	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
-	// TornTailBytes is how many bytes of torn final record recovery
-	// truncated from the log tail (0 for a clean log).
+	// TornTailBytes is how many bytes of a torn final record recovery
+	// truncated from the log tail, up to the last non-zero one: the zero
+	// rest of a preallocated segment is truncated too but not counted (0
+	// for a clean log, and for one abandoned between records).
 	TornTailBytes int64 `json:"torn_tail_bytes,omitempty"`
 	// Fsyncs counts the log fsyncs issued since boot and SyncedCommits the
 	// commits they made durable; CommitsPerFsync, their ratio, is the

@@ -42,8 +42,9 @@ type Options struct {
 	// compaction in the durable backends. 0 selects the default (8 MiB);
 	// negative disables automatic compaction.
 	SnapshotBytes int64
-	// SegmentBytes is the durable backends' WAL segment rotation size. 0
-	// selects the default (4 MiB).
+	// SegmentBytes is the durable backends' WAL segment rotation size, and
+	// the disk space their open segment reserves. 0 selects the default
+	// (4 MiB).
 	SegmentBytes int64
 }
 
