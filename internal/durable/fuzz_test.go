@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,24 +40,29 @@ func fuzzSeedPayloads(t testing.TB) [][]byte {
 }
 
 // FuzzReadFrame: any byte stream either fails to frame or yields a payload
-// that frames back to exactly the bytes read, and every payload framed by
-// frameAround reads back unchanged through a reused, dirty buffer. Neither
-// may panic.
+// that frames back to exactly the bytes read, and parsing the same bytes in
+// memory, as recovery does, gives the same frame or fails too. Every payload
+// framed by frameAround reads back unchanged. Nothing may panic.
 func FuzzReadFrame(f *testing.F) {
 	for _, p := range fuzzSeedPayloads(f) {
 		f.Add(p)
 		f.Add(frameAround(append(make([]byte, frameHeaderLen), p...)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dirty := bytes.Repeat([]byte{0xa5}, 64)
-		if payload, n, err := readFrameInto(bytes.NewReader(data), dirty); err == nil {
+		payload, n, err := ReadFrame(bytes.NewReader(data))
+		if err == nil {
 			again := frameAround(append(make([]byte, frameHeaderLen), payload...))
 			if !bytes.Equal(again, data[:n]) {
 				t.Fatalf("frame of %d bytes re-frames to %x, read %x", n, again, data[:n])
 			}
 		}
+		inPlace, size, perr := parseFrame(data)
+		if (err == nil) != (perr == nil) || errors.Is(err, ErrTorn) != errors.Is(perr, ErrTorn) ||
+			int64(size) != n || !bytes.Equal(inPlace, payload) {
+			t.Fatalf("ReadFrame = (%x, %d, %v), parseFrame = (%x, %d, %v)", payload, n, err, inPlace, size, perr)
+		}
 		framed := frameAround(append(make([]byte, frameHeaderLen), data...))
-		payload, n, err := readFrameInto(bytes.NewReader(framed), dirty)
+		payload, n, err = ReadFrame(bytes.NewReader(framed))
 		if err != nil || n != int64(len(framed)) || !bytes.Equal(payload, data) {
 			t.Fatalf("round trip of %x = (%x, %d, %v)", data, payload, n, err)
 		}
@@ -99,10 +105,11 @@ func FuzzDecodeCommit(f *testing.F) {
 
 // FuzzReplayTail: a final segment of valid frames followed by arbitrary bytes
 // and zero padding, as a crash can leave a preallocated segment. Recovery
-// must not panic. It either fails or replays the valid frames and stops no
-// later than the first zero header; it cuts the segment where replay
-// stopped, counts as torn exactly the bytes up to the last non-zero one past
-// that point, and a second recovery finds the same log with nothing to cut.
+// must not panic, and must recover exactly what referenceReplay does, refusal
+// included. It either fails or replays the valid frames and stops no later
+// than the first zero header; it cuts the segment where replay stopped,
+// counts as torn exactly the bytes up to the last non-zero one past that
+// point, and a second recovery finds the same log with nothing to cut.
 func FuzzReplayTail(f *testing.F) {
 	next := frameAround(testFrame(4))
 	f.Add(uint8(2), []byte(nil), uint16(0))
@@ -128,8 +135,12 @@ func FuzzReplayTail(f *testing.F) {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := recoverDir(dir)
-		if err != nil {
+		want := referenceReplay(t, 0, nil, [][]byte{img})
+		rec := recoverOutcome(t, dir)
+		if !equalOutcome(rec, want) {
+			t.Fatalf("recovered %v, the reference replay %v", rec, want)
+		}
+		if rec.errClass != "" {
 			return // a CRC-valid frame past the valid ones that is malformed or out of sequence
 		}
 		if rec.lastSeq < valid || rec.lastSeq >= uint64(len(ends)) {
@@ -146,16 +157,15 @@ func FuzzReplayTail(f *testing.F) {
 		if rec.tornBytes != torn {
 			t.Fatalf("tornBytes = %d, want %d", rec.tornBytes, torn)
 		}
-		st, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Size() != end {
-			t.Fatalf("recovery left %d bytes, replay ended at %d", st.Size(), end)
+		if rec.sizes[0] != end {
+			t.Fatalf("recovery left %d bytes, replay ended at %d", rec.sizes[0], end)
 		}
 		rec2, err := recoverDir(dir)
-		if err != nil || rec2.lastSeq != rec.lastSeq || rec2.tornBytes != 0 {
-			t.Fatalf("second recovery: %v, seq %d, torn %d; first: seq %d", err, rec2.lastSeq, rec2.tornBytes, rec.lastSeq)
+		if err != nil {
+			t.Fatalf("second recovery: %v", err)
+		}
+		if rec2.lastSeq != rec.lastSeq || rec2.tornBytes != 0 {
+			t.Fatalf("second recovery: seq %d, torn %d; first: seq %d", rec2.lastSeq, rec2.tornBytes, rec.lastSeq)
 		}
 	})
 }

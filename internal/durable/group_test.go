@@ -12,6 +12,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,6 +247,55 @@ func TestCloseSyncErrorAcknowledgesNobody(t *testing.T) {
 			t.Error("log not wedged after the failed fsync")
 		}
 	})
+}
+
+// TestGroupCloseWaitsOutOneFlush: Close waits for the group flush in flight
+// and for no other, however many commits keep arriving: once it waits, no
+// committer leads a new flush, and its own sync covers what they appended.
+// Without that, committers that win the log mutex back from a woken Close
+// can keep it waiting for as long as they commit (seconds on one CPU).
+func TestGroupCloseWaitsOutOneFlush(t *testing.T) {
+	var syncs atomic.Int64
+	release := make(chan struct{})
+	l := openTestLog(t, logConfig{policy: FsyncGroup, sync: func(*os.File) error {
+		if syncs.Add(1) == 1 {
+			<-release
+		}
+		return nil
+	}})
+	var ticket atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				seq := ticket.Add(1)
+				if _, err := l.Commit(seq, testFrame(seq)); err != nil {
+					return
+				}
+			}
+		}()
+	}
+	for syncs.Load() == 0 {
+		runtime.Gosched() // until the first flush is in flight
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	for closing := false; !closing; {
+		runtime.Gosched()
+		l.mu.Lock()
+		closing = l.closing
+		l.mu.Unlock()
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+	if n := syncs.Load(); n != 2 {
+		t.Errorf("%d fsyncs, want 2: the flush Close found in flight and Close's own", n)
+	}
 }
 
 // TestGroupFlushRaces: segment rotation, Sync, skipTo and Close each race

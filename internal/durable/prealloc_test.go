@@ -24,7 +24,7 @@ import (
 func frameEnds(data []byte) []int64 {
 	ends := []int64{int64(len(segmentMagic))}
 	for off := ends[0]; ; {
-		if off+frameHeaderLen <= int64(len(data)) && zeroHeader(data[off:off+frameHeaderLen]) {
+		if off+frameHeaderLen <= int64(len(data)) && bytes.Equal(data[off:off+frameHeaderLen], make([]byte, frameHeaderLen)) {
 			return ends
 		}
 		_, n, err := ReadFrame(bytes.NewReader(data[off:]))

@@ -11,8 +11,10 @@
 // or closed) is cut to end at its last frame. Recovery therefore reads an
 // all-zero frame header in the final segment as the end of the log, and in
 // any other segment as corruption. No real frame has an empty payload, so a
-// zero header is never a frame. ReadFrame, which the replication stream
-// shares, knows nothing of this rule: a stream has no reservation.
+// zero header is never a frame. The frame parser knows nothing of this rule:
+// parseFrame, and ReadFrame, which reads one frame from a stream and hands
+// it to parseFrame, are shared with the replication stream, and a stream has
+// no reservation. Replay, the rule included, lives in recover.go.
 //
 // The payload's first byte is the record type: 'C' for a commit redo record,
 // 'S' for a snapshot. A commit payload is
@@ -336,42 +338,75 @@ func frameAround(b []byte) []byte {
 }
 
 // ReadFrame reads one frame from r. It returns io.EOF at a clean end of
-// input and an error wrapping ErrTorn for a short frame or CRC mismatch.
-// Recovery and the replication follower share it: the wire protocol ships
-// the exact on-disk frame bytes.
+// input and an error wrapping ErrTorn for a short frame or CRC mismatch. The
+// snapshot loader and the replication follower share it: the wire protocol
+// ships the exact on-disk frame bytes. The frame it reads is checked by
+// parseFrame, the parser recovery runs over a whole segment in memory.
 func ReadFrame(r io.Reader) (payload []byte, frameLen int64, err error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto is ReadFrame reading the payload into buf when it fits: the
-// returned payload then aliases buf and is valid until buf's next reuse.
-func readFrameInto(r io.Reader, buf []byte) (payload []byte, frameLen int64, err error) {
-	if cap(buf) < frameHeaderLen {
-		buf = make([]byte, frameHeaderLen)
-	}
-	// The header goes through buf too (a local array would escape into the
-	// Read call); its fields are decoded before the payload overwrites it.
-	hdr := buf[:frameHeaderLen]
+	// The header goes through a slice (a local array would escape into the
+	// Read call), which grows into the whole frame once its length is known;
+	// its spare room holds a small frame, such as an ack, in one allocation.
+	hdr := make([]byte, frameHeaderLen, 64)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF
 		}
 		return nil, 0, fmt.Errorf("%w: short frame header: %v", ErrTorn, err)
 	}
-	n, want := binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
-	if n > maxFrameLen {
-		return nil, 0, fmt.Errorf("%w: implausible frame length %d", ErrTorn, n)
+	n, err := payloadLen(hdr)
+	if err != nil {
+		return nil, 0, err
 	}
-	if int(n) <= cap(buf) {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := append(hdr, make([]byte, n)...)
+	if _, err := io.ReadFull(r, frame[frameHeaderLen:]); err != nil {
 		return nil, 0, fmt.Errorf("%w: short frame payload: %v", ErrTorn, err)
 	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
+	payload, size, err := parseFrame(frame)
+	return payload, int64(size), err
+}
+
+// payloadLen decodes the length field of the frame header hdr, which is an
+// error wrapping ErrTorn when it exceeds maxFrameLen.
+func payloadLen(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n > maxFrameLen {
+		return 0, fmt.Errorf("%w: implausible frame length %d", ErrTorn, n)
+	}
+	return int(n), nil
+}
+
+// frameLen returns the length, header included, of the frame at the start
+// of b, from its header alone. It returns io.EOF for an empty b, and an
+// error wrapping ErrTorn for a short header, an implausible length, or a
+// frame that runs past the end of b.
+func frameLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, io.EOF
+	}
+	if len(b) < frameHeaderLen {
+		return 0, fmt.Errorf("%w: short frame header: %d of %d bytes", ErrTorn, len(b), frameHeaderLen)
+	}
+	n, err := payloadLen(b)
+	if err != nil {
+		return 0, err
+	}
+	if n > len(b)-frameHeaderLen {
+		return 0, fmt.Errorf("%w: short frame payload: %d of %d bytes", ErrTorn, len(b)-frameHeaderLen, n)
+	}
+	return frameHeaderLen + n, nil
+}
+
+// parseFrame parses the frame at the start of b and checks its CRC. The
+// payload it returns aliases b. Errors are frameLen's, or an error wrapping
+// ErrTorn for a CRC mismatch.
+func parseFrame(b []byte) (payload []byte, size int, err error) {
+	size, err = frameLen(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	payload = b[frameHeaderLen:size]
+	if want, got := binary.LittleEndian.Uint32(b[4:8]), crc32.ChecksumIEEE(payload); got != want {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrTorn, want, got)
 	}
-	return payload, frameHeaderLen + int64(n), nil
+	return payload, size, nil
 }

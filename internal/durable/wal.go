@@ -1,20 +1,15 @@
 // The segmented write-ahead log: ordered appends, fsync policies, segment
-// rotation, crashpoint fault injection, and the recovery-on-boot scan.
+// rotation and crashpoint fault injection. The recovery-on-boot scan is in
+// recover.go.
 package durable
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
-
-	"repro/internal/val"
 )
 
 // Fsync policy names, as accepted by engine.Options.Fsync and reported by
@@ -172,6 +167,10 @@ type Log struct {
 	synced   uint64 // commits those fsyncs made durable: synced/fsyncs = batch size
 	sticky   error  // ErrCrashed / wrapped I/O error; wedges the log
 	closed   bool
+	// closing: Close is waiting out the flush in flight. No committer leads
+	// another, or a steady stream of them could keep Close waiting for good;
+	// Close's own sync covers what they appended.
+	closing bool
 	// tap, when set, observes every appended frame in seq order (the
 	// replication feed). Called with l.mu held, immediately after the
 	// append; the frame bytes are only valid during the call. The tap must
@@ -375,7 +374,7 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 		// Acknowledge immediately; acknowledged commits can be lost.
 	case FsyncGroup:
 		for l.sticky == nil && !l.closed && l.flushedSeq < seq {
-			if l.flushing {
+			if l.flushing || l.closing {
 				l.flushCond.Wait()
 			} else {
 				l.flushBatch()
@@ -544,13 +543,15 @@ func (l *Log) Sync() error {
 
 // Close flushes the log, cuts the active segment to its data end (dropping
 // the rest of its preallocated reservation), syncs and closes it. Idempotent;
-// subsequent Commits fail with ErrClosed. If the final flush, cut or fsync
+// subsequent Commits fail with ErrClosed. Close waits out a group flush in
+// flight, and from then on no committer leads another. If the final flush, cut or fsync
 // fails the log is wedged instead, so no committer still waiting is
 // acknowledged for a record that never reached the disk. A wedged log is
 // closed as it stands, zero tail included, as a crash would leave it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.closing = true
 	l.awaitFlush()
 	if l.closed {
 		return nil
@@ -568,257 +569,4 @@ func (l *Log) Close() error {
 	l.seqCond.Broadcast()
 	l.flushCond.Broadcast()
 	return err
-}
-
-// --- recovery ---
-
-// recovery is what a boot-time scan of a WAL directory yields.
-type recovery struct {
-	// values holds the recovered cellID → latest value map (snapshot state
-	// overlaid with every replayed redo record).
-	values map[uint64]val.Value
-	// lastSeq is the highest commit sequence restored (snapshot watermark
-	// included); the reopened log starts at lastSeq+1.
-	lastSeq uint64
-	// commits counts redo records replayed (snapshot state excluded).
-	commits uint64
-	// snapSeq is the snapshot watermark boot started from (0 = none).
-	snapSeq uint64
-	// tornBytes is how many bytes of a torn final frame reached the disk:
-	// from the end of the last whole frame up to the last non-zero byte
-	// after it. The zeros of a preallocated segment's reservation, which
-	// recovery truncates away as well, do not count, so a log abandoned
-	// between frames reports 0; and a torn frame whose last written bytes
-	// are zero cannot be told from the reservation, so they do not count
-	// either.
-	tornBytes int64
-
-	// Replay scratch, reused across every record of every segment.
-	r       *bufio.Reader
-	payload []byte
-	writes  []Entry
-}
-
-// segmentFile pairs a segment path with the first seq its name declares.
-type segmentFile struct {
-	path     string
-	firstSeq uint64
-}
-
-func listSegments(dir string) ([]segmentFile, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []segmentFile
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-			continue
-		}
-		hexSeq := strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix)
-		seq, err := strconv.ParseUint(hexSeq, 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("durable: malformed segment name %q: %v", name, err)
-		}
-		segs = append(segs, segmentFile{path: filepath.Join(dir, name), firstSeq: seq})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-	return segs, nil
-}
-
-// recoverDir scans a WAL directory: loads the snapshot (if any), replays
-// every segment's redo records above the snapshot watermark in sequence
-// order, truncates a torn final frame or a zero tail (reporting the torn
-// bytes), and rejects mid-log corruption or sequence gaps as hard errors. A
-// leftover snapshot.tmp from an interrupted compaction is deleted. An empty
-// or absent directory recovers to the empty state.
-func recoverDir(dir string) (*recovery, error) {
-	rec := &recovery{values: map[uint64]val.Value{}}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	// An interrupted compaction can leave snapshot.tmp behind (crash
-	// between write and rename); it never became the live snapshot, so
-	// drop it.
-	if err := os.Remove(filepath.Join(dir, snapshotTmp)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	if err := loadSnapshot(dir, rec); err != nil {
-		return nil, err
-	}
-	rec.lastSeq = rec.snapSeq
-
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		if err := replaySegment(seg, last, rec); err != nil {
-			return nil, err
-		}
-	}
-	return rec, nil
-}
-
-func loadSnapshot(dir string, rec *recovery) error {
-	path := filepath.Join(dir, snapshotName)
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapshotMagic {
-		return fmt.Errorf("durable: bad snapshot magic in %s", path)
-	}
-	payload, _, err := ReadFrame(r)
-	if err != nil {
-		// The snapshot was written with write-tmp → fsync → rename, so a
-		// torn snapshot means disk corruption, not a crash: refuse.
-		return fmt.Errorf("durable: corrupt snapshot %s: %v", path, err)
-	}
-	seq, values, err := DecodeSnapshotPayload(payload)
-	if err != nil {
-		return fmt.Errorf("durable: corrupt snapshot %s: %v", path, err)
-	}
-	rec.snapSeq = seq
-	rec.values = values
-	return nil
-}
-
-// replaySegment applies seg's redo records above the snapshot watermark to
-// rec. The final segment may end early: in a torn frame (a crash mid-append)
-// or at an all-zero frame header (the unwritten rest of its preallocated
-// reservation, or a frame whose bytes never reached the disk). No real frame
-// has an empty payload, so a zero header is never data. Recovery truncates
-// the final segment there, syncs the cut and stops: nothing past it was ever
-// acknowledged. Every earlier segment was flushed, cut to its data end and
-// synced at rotation, so a torn frame or zero header there is mid-log
-// corruption and recovery refuses to guess past it. The zero-header rule
-// lives here and not in readFrameInto, which the replication stream shares.
-func replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if rec.r == nil {
-		rec.r = bufio.NewReaderSize(f, 1<<20)
-	} else {
-		rec.r.Reset(f)
-	}
-	r := rec.r
-	magic := make([]byte, len(segmentMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segmentMagic {
-		return fmt.Errorf("durable: bad segment magic in %s", seg.path)
-	}
-	offset := int64(len(segmentMagic))
-	for {
-		var payload []byte
-		var frameLen int64
-		if hdr, _ := r.Peek(frameHeaderLen); len(hdr) == frameHeaderLen && zeroHeader(hdr) {
-			err = fmt.Errorf("%w: zero frame header", ErrTorn)
-		} else {
-			payload, frameLen, err = readFrameInto(r, rec.payload)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if errors.Is(err, ErrTorn) {
-			if !lastSegment {
-				return fmt.Errorf("durable: corrupt frame mid-log in %s at offset %d: %v", seg.path, offset, err)
-			}
-			return cutTail(f, seg.path, offset, rec)
-		}
-		if err != nil {
-			return err
-		}
-		rec.payload = payload // readFrameInto grew it if it had to
-		seq, writes, err := decodeCommitInto(payload, rec.writes)
-		if err != nil {
-			// A CRC-valid frame with a malformed payload is corruption the
-			// CRC cannot excuse — refuse even in the final segment.
-			return fmt.Errorf("durable: malformed record in %s at offset %d: %v", seg.path, offset, err)
-		}
-		rec.writes = writes
-		if seq > rec.snapSeq {
-			if seq != rec.lastSeq+1 {
-				return fmt.Errorf("durable: sequence gap in %s at offset %d: got seq %d, want %d",
-					seg.path, offset, seq, rec.lastSeq+1)
-			}
-			for _, w := range writes {
-				rec.values[w.ID] = w.V
-			}
-			rec.lastSeq = seq
-			rec.commits++
-		}
-		offset += frameLen
-	}
-}
-
-func zeroHeader(hdr []byte) bool {
-	for _, b := range hdr {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// cutTail ends the final segment at offset, the end of its last whole frame:
-// it counts the torn bytes past offset into rec, truncates the file there and
-// syncs the cut, so that a later segment can never follow a tail that comes
-// back.
-func cutTail(f *os.File, path string, offset int64, rec *recovery) error {
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	end, err := dataEnd(f, offset, st.Size())
-	if err != nil {
-		return err
-	}
-	rec.tornBytes = end - offset
-	w, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	if err := w.Truncate(offset); err != nil {
-		w.Close()
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// dataEnd returns the offset just past the last non-zero byte of f in
-// [from, size), or from when there is none. It reads backwards from size and
-// stops at the first non-zero byte; the zeros of a preallocated tail before
-// it are unwritten blocks, which the filesystem serves without touching the
-// device.
-func dataEnd(f *os.File, from, size int64) (int64, error) {
-	buf := make([]byte, 64<<10)
-	for end := size; end > from; {
-		n := min(int64(len(buf)), end-from)
-		b := buf[:n]
-		if _, err := f.ReadAt(b, end-n); err != nil {
-			return 0, err
-		}
-		for i := len(b) - 1; i >= 0; i-- {
-			if b[i] != 0 {
-				return end - n + int64(i) + 1, nil
-			}
-		}
-		end -= n
-	}
-	return from, nil
 }
