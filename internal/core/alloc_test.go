@@ -10,15 +10,14 @@ package core
 //
 // An attempt pays per transaction, not per access. Budget accounting:
 //
-//   - the attempt record (0 in steady state): a Tx with its entries and
-//     writer locators inline, in the shape the Thread's hints call for —
-//     small (smallAccessSet entries, smallWriteSet locators) or wide
-//     (wideSet of each). An update attempt's record may have been published
-//     through a locator and handed to helpers, so its owner reuses it only
-//     once no locator names it and after an epoch grace period; a thread
-//     allocates records until it has retired enough to cycle through.
-//     A declared read-only attempt is reachable from its own thread only, so
-//     every one of them runs in the Thread's one record.
+//   - the attempt record (0 in steady state): a Tx with room for
+//     smallAccessSet entries and smallWriteSet writer locators inline. An
+//     update attempt's record may have been published through a locator and
+//     handed to helpers, so its owner reuses it only once no locator names it
+//     and after an epoch grace period; a thread allocates records until it
+//     has retired enough to cycle through. A declared read-only attempt is
+//     reachable from its own thread only, so every one of them runs in the
+//     Thread's one record.
 //   - the tentative versions (0 in steady state): versions outlive the
 //     record, so they cannot ride in it; they are cut from a per-thread
 //     chunk sized by the Thread's hint. Settling promotes them in place and
@@ -27,12 +26,14 @@ package core
 //     attempt aborted) and an epoch grace period has passed; a thread
 //     allocates chunks until it has retired enough versions to cycle
 //     through.
-//   - past the wide shape only: the entry overflow (+1 above wideSet objects)
-//     and the locator overflow (+1 above wideSet writes), each one slice
-//     sized by the Thread's hints behind a small-shape record.
+//   - the entry and locator overflows (0 in steady state): an access set
+//     past the inline arrays moves to a slice sized by the Thread's hints,
+//     and its locators to a chunk sized for the whole transaction. A record
+//     keeps both for its next attempt, so a record that has run the thread's
+//     largest transaction allocates neither again.
 //
-// So: read-only of any length 0, 1-, 2- and 10-write updates 0, a 40-write
-// update 2.
+// So: read-only of any length 0, updates of any size 0, also when a thread
+// alternates large and small ones.
 //
 // Values are written far outside the runtime's small-int interface cache
 // (> 2⁴⁰) through the typed lane (ReadValue/WriteInt), so these budgets
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -51,8 +53,8 @@ import (
 
 // TestRecordSizes pins the layout the budgets are priced in: a timestamp is
 // a tick count and a clock ID, a version publishes each of its two stamps as
-// one atomic word, and the small update record fits the 448-byte size
-// class.
+// one atomic word, and the update record with its inline arrays fits the
+// 448-byte size class.
 func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(timebase.Timestamp{}); got != 16 {
 		t.Errorf("timebase.Timestamp is %d bytes, want 16", got)
@@ -60,8 +62,8 @@ func TestRecordSizes(t *testing.T) {
 	if got := unsafe.Sizeof(version{}); got > 80 {
 		t.Errorf("version is %d bytes, want ≤ 80", got)
 	}
-	if got := unsafe.Sizeof(smallTx{}); got > 448 {
-		t.Errorf("smallTx is %d bytes, want ≤ 448", got)
+	if got := unsafe.Sizeof(Tx{}); got > 448 {
+		t.Errorf("Tx is %d bytes, want ≤ 448", got)
 	}
 }
 
@@ -142,12 +144,17 @@ func TestAllocBudgetUpdateSmall(t *testing.T) {
 	})
 }
 
-// Ten read-modify-writes ride in the wide record.
-func TestAllocBudgetUpdateTen(t *testing.T) { updateBudget(t, 10, 0) }
+// Ten read-modify-writes overflow both inline arrays into slices the
+// record keeps.
+func TestAllocBudgetUpdateTen(t *testing.T) { updateBudget(t, 0, 10) }
 
-// Forty are past the widest shape: the small record's two hint-sized
-// overflow slices take over.
-func TestAllocBudgetUpdateForty(t *testing.T) { updateBudget(t, 40, 2) }
+// Forty also outgrow the linear scan: the index is the Thread's map.
+func TestAllocBudgetUpdateForty(t *testing.T) { updateBudget(t, 0, 40) }
+
+// A thread that alternates forty- and two-write commits: the hints fall
+// after each small one, and a record that ran a small attempt keeps the
+// arrays it grew into in a large one.
+func TestAllocBudgetUpdateAlternating(t *testing.T) { updateBudget(t, 0, 40, 2) }
 
 // bumpAll read-modify-writes every object through the int lane.
 func bumpAll(tx *Tx, objs []*Object) error {
@@ -163,17 +170,24 @@ func bumpAll(tx *Tx, objs []*Object) error {
 	return nil
 }
 
-func updateBudget(t *testing.T, writes int, budget float64) {
+// updateBudget runs one update commit per element of writes, each bumping
+// that many objects, and asserts the steady-state allocations of the round.
+func updateBudget(t *testing.T, budget float64, writes ...int) {
 	rt := counterRT()
-	objs := make([]*Object, writes)
+	objs := make([]*Object, slices.Max(writes))
 	for i := range objs {
 		objs[i] = NewObject(big)
 	}
 	th := rt.Thread(0)
-	fn := func(tx *Tx) error { return bumpAll(tx, objs) }
-	allocBudget(t, fmt.Sprintf("core %d-write update", writes), budget, func() {
-		if err := th.Run(fn); err != nil {
-			t.Fatal(err)
+	fns := make([]func(*Tx) error, len(writes))
+	for i, n := range writes {
+		fns[i] = func(tx *Tx) error { return bumpAll(tx, objs[:n]) }
+	}
+	allocBudget(t, fmt.Sprintf("core %v-write updates", writes), budget, func() {
+		for _, fn := range fns {
+			if err := th.Run(fn); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }
@@ -198,42 +212,6 @@ func TestAllocBudgetForeignCut(t *testing.T) {
 		if a.handed == 0 || b.handed == 0 {
 			t.Errorf("MaxVersions %d: the threads handed back %d and %d versions, want some each", maxV, a.handed, b.handed)
 		}
-	}
-}
-
-// TestShapeFollowsRecentCommits: one large transaction puts the next attempt
-// in the wide record, and the hints decay on every update commit, so a run
-// of small ones ends back in the small record instead of carrying the wide
-// one for good.
-func TestShapeFollowsRecentCommits(t *testing.T) {
-	rt := counterRT()
-	objs := make([]*Object, 10)
-	for i := range objs {
-		objs[i] = NewObject(big)
-	}
-	th := rt.Thread(0)
-	var shape int
-	commit := func(writes int) {
-		t.Helper()
-		if err := th.Run(func(tx *Tx) error {
-			shape = cap(tx.entries)
-			return bumpAll(tx, objs[:writes])
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if commit(10); shape != smallAccessSet {
-		t.Fatalf("first attempt has %d inline entries, want %d", shape, smallAccessSet)
-	}
-	if commit(2); shape != wideSet {
-		t.Fatalf("attempt after a ten-write commit has %d inline entries, want %d", shape, wideSet)
-	}
-	for i := 1; i < 64; i++ {
-		commit(2)
-	}
-	if shape != smallAccessSet || th.entryHint != 2 || th.writeHint != 2 {
-		t.Fatalf("after 64 two-write commits: %d inline entries, hints %d/%d; want %d, 2/2",
-			shape, th.entryHint, th.writeHint, smallAccessSet)
 	}
 }
 
@@ -280,13 +258,17 @@ func heapAfterGC() uint64 {
 // The "cold neighbour" case co-writes one object with the hot set once and
 // never again: its version pins the chunk it was cut from for good, and the
 // superseded versions in that chunk must not lead anywhere. That first
-// commit runs before the hints are up, in a small record with overflow
-// slices; the "wide" variant warms the hints first, so the cold commit runs
-// in a wideTx. Either record is then retired and reused, and a reused record
-// must drop what its previous attempt's entries and locators pointed at.
-// The other versions of the cold commit's chunk are cut, retired and reused
-// as tentative versions of the hot set, each with a new prev: a recycled
-// version must not keep its earlier history reachable either.
+// commit runs before the hints are up, in a fresh record whose entries and
+// locators overflow its inline arrays. The "reused" variant runs hot commits
+// first, so the cold commit runs in a reused record that starts on the entry
+// slice and locator chunk an earlier attempt grew into. Either record is then
+// retired and reused, and a reused record must drop what its previous
+// attempt's entries and locators pointed at, in the inline arrays and in the
+// ones it kept; the cold cases check that at the start of every attempt. The
+// other versions of the cold commit's chunk are cut,
+// retired and reused as tentative versions of the hot set, each with a new
+// prev: a recycled version must not keep its earlier history reachable
+// either.
 func TestHeapPlateau(t *testing.T) {
 	commits := 2_000_000
 	if testing.Short() {
@@ -295,12 +277,12 @@ func TestHeapPlateau(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cold    bool
-		shape   int // of the record the cold commit runs in
+		warm    int // hot commits before the cold one
 		commits int
 	}{
 		{"uniform", false, 0, commits},
-		{"cold neighbour", true, smallAccessSet, commits / 10},
-		{"wide cold neighbour", true, wideSet, commits / 10},
+		{"cold neighbour", true, 0, commits / 10},
+		{"reused cold neighbour", true, 1000, commits / 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := counterRT()
@@ -311,9 +293,10 @@ func TestHeapPlateau(t *testing.T) {
 			th := rt.Thread(0)
 			rng := rand.New(rand.NewSource(7))
 			var pick [10]int
-			var shape int
+			var kept, dirty bool
 			fn := func(tx *Tx) error {
-				shape = cap(tx.entries)
+				kept = cap(tx.entries) > smallAccessSet && cap(tx.locs) > smallWriteSet
+				dirty = dirty || tc.cold && leftovers(tx)
 				for _, i := range pick {
 					v, _, err := tx.ReadInt(objs[i])
 					if err != nil {
@@ -327,41 +310,46 @@ func TestHeapPlateau(t *testing.T) {
 			}
 			hot := len(objs)
 			if tc.cold {
-				// One commit over objects 54..63, then 63 is never written
-				// again while 54..62 stay in the hot set.
-				for k := range pick {
-					pick[k] = hot - 10 + k
-				}
-				// The first commit raises the hints; a second one runs wide.
-				runs := 1
-				if tc.shape == wideSet {
-					runs = 2
-				}
-				for range runs {
-					if err := th.Run(fn); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if shape != tc.shape {
-					t.Fatalf("cold commit ran with %d inline entries, want %d", shape, tc.shape)
-				}
+				// 63 is written once, by the cold commit, and never again.
 				hot--
 			}
 			perm := rng.Perm(hot)
+			commit := func() {
+				// Partial shuffle: ten distinct objects of the hot set.
+				for k := range pick {
+					j := k + rng.Intn(hot-k)
+					perm[k], perm[j] = perm[j], perm[k]
+					pick[k] = perm[k]
+				}
+				if err := th.Run(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range tc.warm {
+				commit()
+			}
+			if tc.cold {
+				// One commit over objects 54..63, while 54..62 stay in the
+				// hot set.
+				for k := range pick {
+					pick[k] = len(objs) - 10 + k
+				}
+				if err := th.Run(fn); err != nil {
+					t.Fatal(err)
+				}
+				if want := tc.warm > 0; kept != want {
+					t.Fatalf("cold commit started on kept overflow arrays: %v, want %v", kept, want)
+				}
+			}
 			var fifths [5]uint64
 			for f := range fifths {
-				for c := 0; c < tc.commits/5; c++ {
-					// Partial shuffle: ten distinct objects of the hot set.
-					for k := range pick {
-						j := k + rng.Intn(hot-k)
-						perm[k], perm[j] = perm[j], perm[k]
-						pick[k] = perm[k]
-					}
-					if err := th.Run(fn); err != nil {
-						t.Fatal(err)
-					}
+				for range tc.commits / 5 {
+					commit()
 				}
 				fifths[f] = heapAfterGC()
+			}
+			if dirty {
+				t.Error("an attempt started on a record that still pointed at its last attempt's objects or versions")
 			}
 			// 10 % plus 64 KiB: which chunks the 256 live versions happen to
 			// pin moves the ~200 KB live heap a few per cent either way; any
@@ -374,4 +362,24 @@ func TestHeapPlateau(t *testing.T) {
 			}
 		})
 	}
+}
+
+// leftovers reports whether a record starting an attempt still points at an
+// object or a version through its entries or locators, inline or kept.
+func leftovers(tx *Tx) bool {
+	for _, es := range [][]entry{tx.inlineEntries[:], tx.entries[:cap(tx.entries)]} {
+		for _, e := range es {
+			if e != (entry{}) {
+				return true
+			}
+		}
+	}
+	for _, ls := range [][]locator{tx.inlineLocs[:], tx.locs[:cap(tx.locs)]} {
+		for _, l := range ls {
+			if l.ver != nil {
+				return true
+			}
+		}
+	}
+	return false
 }

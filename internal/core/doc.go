@@ -52,24 +52,25 @@
 // An attempt pays per transaction, not per access, and a steady workload
 // pays nothing. An update attempt runs in a record — a Tx and, in the same
 // allocation, the arrays its access-set entries and writer locators start
-// out in — and cuts its tentative versions from its thread's chunk. The
-// record comes in two shapes, picked from what the thread's recent commits
-// used: small (8 entries, 4 locators) and wide (16 of each); past the wide
-// shape a small record overflows, once each, into a hint-sized entry slice
-// and locator chunk. Commit builds nothing: whoever settles an object whose
-// writer committed promotes the tentative version in place — stamps the
-// predecessor's upper bound and the version's own validFrom, trims, and
-// publishes the locator embedded in the version — and an aborted writer's
-// locator is replaced by the one embedded in the version it was acquired
-// over. Each stamp is one atomic word that racing settlers CAS from 0 to the
-// same value (see settled), so settling allocates nothing either.
+// out in (8 entries, 4 locators) — and cuts its tentative versions from
+// its thread's chunk. A larger attempt overflows into an entry slice sized
+// by the thread's recent commits and a locator chunk sized for the whole
+// transaction, and the record keeps both for its next attempt, so a record
+// that has run the thread's steady transaction allocates nothing more.
+// Commit builds nothing: whoever settles an object whose writer committed
+// promotes the tentative version in place — stamps the predecessor's upper
+// bound and the version's own validFrom, trims, and publishes the locator
+// embedded in the version — and an aborted writer's locator is replaced by
+// the one embedded in the version it was acquired over. Each stamp is one
+// atomic word that racing settlers CAS from 0 to the same value (see
+// settled), so settling allocates nothing either.
 //
 // Records and versions are recycled, by epoch-based reclamation. A
 // finished update attempt waits while its thread runs two more; by then
 // the next access to an object it wrote may have settled it, and its owner
 // settles any object that still names the record, so no locator names it
-// any more. The owner then retires the record to its list for the
-// record's shape, tagged with the runtime's epoch, and a thread that has
+// any more. The owner then retires the record to its list, tagged with the
+// runtime's epoch, and a thread that has
 // retired a batch of records in one epoch moves the epoch on itself. A
 // version has an owner, the thread whose attempts write it, set when it is
 // cut from a chunk. The settler whose trim unlinks a version from its
@@ -98,17 +99,17 @@
 // Another thread may still hold a record or version: to help a commit, to
 // abort an enemy, to read the version under a writer, or to walk a
 // history. What it may read of them without more ado is what never
-// changes: a locator's writer (for a locator in a record, that record, set
-// when the record is allocated) and a version's owner and embedded
-// locator. To read anything else of another thread's record or version it
-// first pins the epoch (Thread.protect) and loads the pointer again, and
-// it stays pinned until its attempt ends. The epoch advances only when
+// changes: a locator's writer (for a locator in a record or its chunk,
+// that record, set when it is first used) and a version's owner and
+// embedded locator. To read anything else of another thread's record or
+// version it first pins the epoch (Thread.protect) and loads the pointer
+// again, and it stays pinned until its attempt ends. The epoch advances only when
 // every pinned thread has pinned the current one, so nothing is reused
 // while a thread that found it is pinned; its own records and versions,
 // and genesis versions, a thread reads unpinned, so an attempt that never
 // meets another thread's writer or version never pins and never holds
 // reuse up. A record or version that was never published is reusable at
-// once. A thread keeps at most limboCap records per shape and versionCap
+// once. A thread keeps at most limboCap records and versionCap
 // versions (what it retires in epochGrace+1 epochs); past that, and while
 // the epoch is held up, it allocates. The owner pointer does not break the
 // rule that keeps old histories collectable (TestHeapPlateau): apart from

@@ -35,13 +35,14 @@ type Object struct {
 // the one embedded in its version: its writer is nil and its ver is that
 // version, both set when the version is cut from its chunk and never
 // changed, so any thread may read both through any writer-free locator it
-// loaded. A writer locator lives in its attempt's record (or in an overflow
-// chunk of it), and its ver is rewritten, before the CAS that publishes it,
+// loaded. A writer locator lives in its attempt's record (or in a chunk the
+// record keeps), and its ver is rewritten, before the CAS that publishes it,
 // each time a reused record's attempt takes it; its writer is the record
-// itself and is set once, when the record is allocated. So a thread may
-// read the writer of any locator it loaded, but must be pinned before it
-// reads anything else through another thread's record, or any field but
-// owner and selfLoc of another thread's version (see Thread.protect).
+// itself and is set once, when the record is allocated or the locator is
+// first cut from a chunk. So a thread may read the writer of any locator it
+// loaded, but must be pinned before it reads anything else through another
+// thread's record, or any field but owner and selfLoc of another thread's
+// version (see Thread.protect).
 type locator struct {
 	writer *Tx
 	ver    *version

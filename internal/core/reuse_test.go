@@ -652,6 +652,111 @@ func TestReuseOwnCutVersionNestedRun(t *testing.T) {
 	})
 }
 
+// TestReuseGrownRecordsUnderHelpers: writers whose transactions alternate
+// between two and twenty objects, so their records overflow into entry
+// slices and locator chunks that later attempts start on, beside read-only
+// scanners. Each writer first runs alone until its records have grown, as
+// the scanners can hold the epoch up for a whole run. The writers contend,
+// so they help and abort one another and read each other's frozen entries
+// and locators in those arrays while the owners go on reusing them. Each
+// transaction moves one unit from every object it writes but the first to
+// the first, and every scan sees the conserved total.
+func TestReuseGrownRecordsUnderHelpers(t *testing.T) {
+	const accounts, initial, writers, scanners, per = 32, 100, 3, 2, 300
+	rt := counterRT()
+	objs := make([]*Object, accounts)
+	for i := range objs {
+		objs[i] = NewObject(initial)
+	}
+	var grown [writers]int
+	move := func(th *Thread, n, first int) error {
+		return th.Run(func(tx *Tx) error {
+			if cap(tx.entries) > smallAccessSet {
+				grown[th.id]++
+			}
+			for k := range n {
+				o := objs[(first+k)%accounts]
+				v, err := tx.Read(o)
+				if err != nil {
+					return err
+				}
+				d := -1
+				if k == 0 {
+					d = n - 1
+				}
+				if err := tx.Write(o, v.(int)+d); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	threads := make([]*Thread, writers+scanners)
+	for id := range threads {
+		threads[id] = rt.Thread(id)
+	}
+	for _, th := range threads[:writers] {
+		for i := range 64 {
+			if err := move(th, 20, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grown[th.id] = 0
+	}
+	var wg, swg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, th := range threads[writers:] {
+		swg.Add(1)
+		go func() {
+			defer swg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := th.RunReadOnly(func(tx *Tx) error {
+					sum := 0
+					for _, o := range objs {
+						v, err := tx.Read(o)
+						if err != nil {
+							return err
+						}
+						sum += v.(int)
+					}
+					if sum != accounts*initial {
+						t.Errorf("scan saw total %d, want %d", sum, accounts*initial)
+					}
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for _, th := range threads[:writers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range per {
+				if err := move(th, 2+18*(i%2), 5*th.id+i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	swg.Wait()
+	for id, n := range grown {
+		if n == 0 {
+			t.Errorf("writer %d: no attempt beside the others started on a kept entry slice", id)
+		}
+	}
+}
+
 // TestRecycleCutsEachVersionOnce: racing settlers — read-only attempts
 // settling one commit together, and stale ones settling a commit while the
 // next is settled — cut each superseded version exactly once. Every

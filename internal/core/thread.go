@@ -17,9 +17,9 @@ type Thread struct {
 	// index is the reusable object→entry map lent to transactions whose
 	// access set outgrows the linear-scan fast path. Lazily allocated.
 	index map[*Object]int
-	// writeHint and entryHint pick the next update attempt's shape and size
-	// its version chunk and any overflow slices, from what this thread's
-	// recent commits through Run used (see sizeHint).
+	// writeHint sizes the thread's version chunks and an attempt's locator
+	// chunk, entryHint the slice an access set grows into, from what this
+	// thread's recent commits through Run used (see sizeHint).
 	writeHint int
 	entryHint int
 	// roTx is the one record this thread's declared read-only attempts run
@@ -29,13 +29,12 @@ type Thread struct {
 	// oldest at pendingAt, before retire checks them (see retire).
 	pending   [pendingLen]*Tx
 	pendingAt int
-	// small and wide hold the update records of each shape this thread has
-	// retired (see retire), vers the versions it wrote that a trim cut off a
-	// history or that its aborted attempts published (see cut and drain),
-	// until newTx and newWrite reuse them.
-	small limbo[smallTx]
-	wide  limbo[wideTx]
-	vers  limbo[version]
+	// recs holds the update records this thread has retired (see retire),
+	// vers the versions it wrote that a trim cut off a history or that its
+	// aborted attempts published (see cut and drain), until newTx and
+	// newWrite reuse them.
+	recs limbo[Tx]
+	vers limbo[version]
 	// now is the epoch when the thread's outermost update attempt started:
 	// the lists free what was retired epochGrace epochs before it (see
 	// newTx). depth counts the transactions the thread is running, nested
@@ -97,10 +96,10 @@ func (in *inbox) push(v *version) bool {
 // pendingLen is how many later update attempts a finished one waits for
 // before its owner checks that no locator names it any more (see retire).
 //
-// limboCap bounds the records a thread keeps per shape; past it a retired
-// record is left to the collector. The spares carry the thread through a
-// stretch in which the epoch cannot advance, because a pinned thread was
-// descheduled in mid-attempt. advanceAt is how many records a thread
+// limboCap bounds the records a thread keeps; past it a retired record is
+// left to the collector. The spares carry the thread through a stretch in
+// which the epoch cannot advance, because a pinned thread was descheduled
+// in mid-attempt. advanceAt is how many records a thread
 // retires in one epoch before it moves the epoch on itself: the epoch then
 // advances every few attempts, not on every one. The same constants bound
 // the thread's versions (see versionCap).
@@ -111,9 +110,9 @@ const (
 )
 
 // limbo holds what a thread has finished with and may reuse: its update
-// records of one shape, or the versions it wrote. Retired items wait in a
-// FIFO ring, tagged with the epoch each was retired in, until their grace
-// period is over; take pops the oldest. An item that was never published
+// records, or the versions it wrote. Retired items wait in a FIFO ring,
+// tagged with the epoch each was retired in, until their grace period is
+// over; take pops the oldest. An item that was never published
 // goes on a stack and is free at once. A full ring grows to the limit the
 // caller passes, so a steady workload recycles without allocating.
 type limbo[T any] struct {
@@ -283,9 +282,9 @@ func (th *Thread) run(readOnly bool, fn func(*Tx) error) error {
 	}
 }
 
-// newTx starts an attempt. An update attempt runs in a record of the shape
-// the thread's hints call for: the inline entry and locator arrays ride in
-// the same allocation, and once the thread has retired enough records it
+// newTx starts an attempt. An update attempt runs in a record whose inline
+// arrays, or the ones a reused record kept from its last attempt, hold its
+// entries and locators; once the thread has retired enough records it
 // allocates none (see retire). An outermost update attempt also drains the
 // thread's inbox and fixes which of the thread's retired records and
 // versions it and its nested attempts may reuse: those whose grace period
@@ -309,51 +308,50 @@ func (th *Thread) newTx(readOnly bool) *Tx {
 		tx.closed, tx.pinned, tx.cause = false, false, CauseNone
 		tx.status.Store(int32(StatusActive))
 	case readOnly:
-		tx = &Tx{th: th, rt: th.rt, readOnly: true} // no access set, no locators: no arrays
-	case max(th.writeHint, th.entryHint) <= wideSet &&
-		(th.writeHint > smallWriteSet || th.entryHint > smallAccessSet):
-		w := th.wide.take(th.now)
-		if w == nil {
-			w = &wideTx{}
-			w.wide = w
-		}
-		tx = w.ready(th, w.inlineEntries[:], w.inlineLocs[:])
+		tx = &Tx{th: th, rt: th.rt, readOnly: true} // no access set, no locators
 	default:
-		s := th.small.take(th.now)
-		if s == nil {
-			s = &smallTx{}
-			s.small = s
+		if tx = th.recs.take(th.now); tx == nil {
+			tx = new(Tx)
 		}
-		tx = s.ready(th, s.inlineEntries[:], s.inlineLocs[:])
+		tx.ready(th)
 	}
 	tx.begin()
 	return tx
 }
 
-// ready prepares an update record of th for a new attempt; entries and
-// locs are its inline arrays. A fresh record gets its owner and the writer
-// of each inline locator, for good. A reused one is reset field by field: it
-// drops its stale entries and locator versions, so that it keeps no old
-// version reachable, but not the writers, which a thread that loaded one of
-// its locators may still read (see locator).
-func (tx *Tx) ready(th *Thread, entries []entry, locs []locator) *Tx {
+// ready prepares an update record of th for a new attempt. A fresh record
+// gets its owner and the writer of each inline locator, for good, and starts
+// on its inline arrays. A reused one is reset field by field and starts on
+// the entry slice and locator chunk its last attempt ended in, which may have
+// outgrown the inline arrays: it clears every entry and locator version that
+// attempt left in them and in the inline locators (addEntry clears an entry
+// array it leaves), so that it keeps no old version reachable, but not the
+// writers, which a thread that loaded one of its locators may still read
+// (see locator).
+func (tx *Tx) ready(th *Thread) {
 	if tx.th == nil {
 		tx.th, tx.rt = th, th.rt
-		for i := range locs {
-			locs[i].writer = tx
+		for i := range tx.inlineLocs {
+			tx.inlineLocs[i].writer = tx
 		}
-	} else {
-		clear(entries[:min(len(tx.entries), len(entries))])
-		for i := range locs[:min(tx.writes, len(locs))] {
-			locs[i].ver = nil
-		}
-		tx.index, tx.writes = nil, 0
-		tx.update, tx.boxed, tx.closed, tx.cause = false, false, false, CauseNone
-		tx.ct.Store(0)
-		tx.status.Store(int32(StatusActive))
+		tx.entries, tx.locs = tx.inlineEntries[:0], tx.inlineLocs[:0]
+		return
 	}
-	tx.entries, tx.locs = entries[:0], locs[:0]
-	return tx
+	clear(tx.entries)
+	for i := range tx.locs {
+		tx.locs[i].ver = nil
+	}
+	if tx.writes > len(tx.locs) {
+		// The attempt overflowed, maybe out of the inline locators.
+		for i := range tx.inlineLocs {
+			tx.inlineLocs[i].ver = nil
+		}
+	}
+	tx.entries, tx.locs = tx.entries[:0], tx.locs[:0]
+	tx.index, tx.writes = nil, 0
+	tx.update, tx.boxed, tx.closed, tx.cause = false, false, false, CauseNone
+	tx.ct.Store(0)
+	tx.status.Store(int32(StatusActive))
 }
 
 // protect makes it safe for th to look into a record or a version of
@@ -478,7 +476,7 @@ func (th *Thread) finish(tx *Tx) {
 	}
 }
 
-// retire puts a finished update record on its shape's list, tagged with the
+// retire puts a finished update record on the thread's list, tagged with the
 // epoch it is retired in. Before that, no locator may name the record: one
 // that never published a locator was reachable from this thread only and is
 // free at once. One that did waits in pending for pendingLen later update
@@ -516,15 +514,8 @@ func (th *Thread) retire(tx *Tx) {
 			}
 		}
 	}
-	var crowded bool
-	if tx.small != nil {
-		th.small.put(tx.small, tag, limboCap)
-		crowded = th.small.crowded(tag)
-	} else {
-		th.wide.put(tx.wide, tag, limboCap)
-		crowded = th.wide.crowded(tag)
-	}
-	if crowded {
+	th.recs.put(tx, tag, limboCap)
+	if th.recs.crowded(tag) {
 		th.rt.advance(tag)
 	}
 }

@@ -64,38 +64,22 @@ type Tx struct {
 	// writes counts write acquisitions. Their tentative versions are the
 	// thread's (Thread.newVersion): versions outlive the Tx (a committed one
 	// is promoted in place), which is why they are not embedded in it (see
-	// version). Their writer locators are cut from locs, which starts out as
-	// the shape's inline array and overflows into a hint-sized chunk. Writer
-	// locators die at settle, so unlike versions they may live in (and point
-	// at) the attempt's record.
+	// version). Their writer locators are cut from locs: a fresh record's
+	// inline array, then a chunk sized for the whole transaction, which the
+	// record keeps for its next attempt (see ready). Writer locators die at
+	// settle, so unlike versions they may live in (and point at) the
+	// attempt's record.
 	writes int
 	locs   []locator
 
-	// small or wide is the update record this Tx heads, so that the owner
-	// can retire it to the thread's list of that shape; nil for read-only.
-	small *smallTx
-	wide  *wideTx
-}
-
-// smallTx and wideTx are the two shapes of an update attempt's record: the
-// Tx followed by the arrays its entries and locs start out in, so the
-// attempt's owner-side scratch is one allocation. newTx picks the wide one
-// when the thread's recent commits outgrew the small one (a steady 10-write
-// transaction still costs one record); past wideSet the small shape's
-// overflow slices take over again. Helpers may validate the frozen entry
-// array, and an object may hold one of the inline locators, after the owner
-// moved on, so a finished record is reused only once no locator names it
-// and after an epoch grace period (see Thread.retire).
-type smallTx struct {
-	Tx
+	// inlineEntries and inlineLocs are where a fresh record's entries and
+	// locs start out, so that a small attempt's owner-side scratch is one
+	// allocation. Helpers may validate the frozen entry array, and an object
+	// may hold one of the record's locators, after the owner moved on, so a
+	// finished record is reused only once no locator names it and after an
+	// epoch grace period (see Thread.retire).
 	inlineEntries [smallAccessSet]entry
 	inlineLocs    [smallWriteSet]locator
-}
-
-type wideTx struct {
-	Tx
-	inlineEntries [wideSet]entry
-	inlineLocs    [wideSet]locator
 }
 
 // entry is one element of T.O: the object, the committed version the
@@ -366,18 +350,17 @@ func (tx *Tx) WriteValue(o *Object, v val.Value) error {
 	}
 }
 
-// smallAccessSet and smallWriteSet are the lengths of the entry and writer-
-// locator arrays in the small attempt shape (smallTx): most transactions in
-// the paper's workloads touch a handful of objects, and those never allocate
-// a separate access-set backing array.
+// smallAccessSet and smallWriteSet are the lengths of a record's inline
+// entry and writer-locator arrays: most transactions in the paper's
+// workloads touch a handful of objects, and a fresh record holds those
+// without a separate backing array.
 const (
 	smallAccessSet = 8
 	smallWriteSet  = 4
 )
 
-// wideSet is the length of both arrays in the wide shape (wideTx). It is also
-// the access-set size up to which lookup scans the entries instead of
-// maintaining a map: a backward linear scan over a contiguous, warm slice
+// wideSet is the access-set size up to which lookup scans the entries instead
+// of maintaining a map: a backward linear scan over a contiguous, warm slice
 // beats a map's hashing and its per-attempt clearing cost well past 8 (a
 // 10-read-modify-write transaction: 2.7 → 2.35 µs).
 const wideSet = 16
@@ -417,29 +400,33 @@ func cut[T any](chunk *[]T, size int) *T {
 
 // newWrite hands out the tentative version and writer locator for one write
 // acquisition: a version the thread freed, or one cut from its chunk (see
-// Thread.newVersion). A chunk started mid-attempt (for locators: once the
-// shape's inline array is used up) covers what the Thread's hint still
-// expects, and at least doubles what the attempt holds when the hint was
-// too small.
+// Thread.newVersion), which covers what the Thread's hint still expects. A
+// locator chunk (started once the record's locators are used up) covers the
+// whole transaction at the hint, so a reused record that keeps it needs no
+// other; both at least double what the attempt holds when the hint was too
+// small.
 func (tx *Tx) newWrite() (*version, *locator) {
-	size := max(tx.th.writeHint-tx.writes, tx.writes, 1)
+	n, hint := tx.writes, tx.th.writeHint
 	tx.writes++
-	loc := cut(&tx.locs, size)
+	loc := cut(&tx.locs, max(hint, 2*n))
 	if loc.writer == nil {
-		loc.writer = tx // an overflow chunk's; the inline ones have theirs
+		loc.writer = tx // a chunk's; the inline ones have theirs
 	}
-	return tx.th.newVersion(size), loc
+	return tx.th.newVersion(max(hint-n, n, 1)), loc
 }
 
 // addEntry appends (o, read version, tentative version) to T.O and indexes
-// it. An access set that outgrows the shape's inline array moves, once, to a
-// slice sized by the Thread's hint (entries are owner-only until the status
-// CAS freezes them, so they may move; helpers only ever see the final slice).
-// Crossing wideSet promotes the index to the Thread's reusable map.
+// it. An access set that outgrows its array moves to a slice sized by the
+// Thread's hint, or twice as long, which the record keeps for its next
+// attempt; the array it leaves is cleared, so that it points at nothing
+// (entries are owner-only until the status CAS freezes them, so they may
+// move; helpers only ever see the final slice). Crossing wideSet promotes
+// the index to the Thread's reusable map.
 func (tx *Tx) addEntry(o *Object, ver, tent *version) {
 	if n := len(tx.entries); n == cap(tx.entries) {
 		grown := make([]entry, n, max(2*n, tx.th.entryHint))
 		copy(grown, tx.entries)
+		clear(tx.entries)
 		tx.entries = grown
 	}
 	tx.entries = append(tx.entries, entry{obj: o, ver: ver, tent: tent})

@@ -251,6 +251,30 @@ func (e *Engine) WALClose() error {
 // same directory.
 func (e *Engine) Crashed() error { return e.log.Err() }
 
+// journal logs the redo record of a commit the inner engine made at seq,
+// encoded into buf, and returns buf emptied for reuse. The record MUST reach
+// the sequencer, or every later ticket waits forever. Encoding cannot fail
+// (Write screens every payload; a replicated record was decoded from one), so
+// an error is an internal invariant break: it wedges the log so waiters wake
+// instead of hanging. Enough redo bytes since the last snapshot start a
+// compaction.
+func (e *Engine) journal(seq uint64, writes []Entry, buf []byte) ([]byte, error) {
+	b, err := appendCommitPayload(append(buf[:0], framePad[:]...), seq, writes)
+	if err != nil {
+		e.log.mu.Lock()
+		e.log.fail(fmt.Errorf("durable: payload of commit %d became unencodable: %w", seq, err))
+		e.log.mu.Unlock()
+		return b[:0], err
+	}
+	n, err := e.log.Commit(seq, b)
+	if err != nil {
+		return b[:0], err
+	}
+	e.bytesSince.Add(n)
+	e.maybeCompact()
+	return b[:0], nil
+}
+
 // maybeCompact starts a background snapshot when enough redo bytes
 // accumulated since the last one (single-flight).
 func (e *Engine) maybeCompact() {
@@ -268,17 +292,7 @@ func (e *Engine) maybeCompact() {
 	}()
 }
 
-// compact captures a consistent snapshot and installs it. The capture is
-// one read-only inner transaction over the ticket cell and every data cell:
-// serializability makes the ticket value s the exact watermark of the
-// captured state (every commit ≤ s is in it, nothing above s is). Cells can
-// be created concurrently, so after the capture returns the cell count is
-// re-checked: if it grew, a commit ≤ s could have written a cell the
-// capture missed (its NewCell, which appends under mu, happened before that
-// commit, which happened before the capture returned — so the growth is
-// visible here), and the capture retries over the larger set. Compaction is
-// an optimization, so after bounded retries it simply gives up until the
-// next trigger.
+// compact captures a consistent snapshot (CaptureSnapshot) and installs it.
 func (e *Engine) compact() {
 	if e.log.Err() != nil {
 		return
@@ -471,23 +485,8 @@ func (e *Engine) ApplyReplicated(seq uint64, writes []Entry) error {
 	if err != nil {
 		return err
 	}
-	// The inner commit succeeded; the record must reach the follower's log
-	// (same invariant as the primary-side Run path).
-	b := append(make([]byte, 0, frameHeaderLen+16+16*len(writes)), framePad[:]...)
-	b, encErr := appendCommitPayload(b, seq, writes)
-	if encErr != nil {
-		e.log.mu.Lock()
-		e.log.fail(fmt.Errorf("durable: replicated payload became unencodable: %w", encErr))
-		e.log.mu.Unlock()
-		return encErr
-	}
-	n, err := e.log.Commit(seq, b)
-	if err != nil {
-		return err
-	}
-	e.bytesSince.Add(n)
-	e.maybeCompact()
-	return nil
+	_, err = e.journal(seq, writes, make([]byte, 0, frameHeaderLen+16+16*len(writes)))
+	return err
 }
 
 // InstallReplicaSnapshot replaces the follower's state wholesale with a
@@ -589,25 +588,10 @@ func (t *dthread) Run(fn func(engine.Txn) error) error {
 	if tx.seq == 0 {
 		return nil // no writes: nothing to journal
 	}
-	// The inner commit succeeded; the record MUST reach the sequencer, or
-	// every later ticket waits forever. Encoding cannot fail here (Write
-	// screened every payload), so an error is an internal invariant break:
-	// wedge the log so waiters wake instead of hanging.
-	b := append(t.scratch[:0], framePad[:]...)
-	b, encErr := appendCommitPayload(b, tx.seq, tx.writes)
-	t.scratch = b[:0]
-	if encErr != nil {
-		t.e.log.mu.Lock()
-		t.e.log.fail(fmt.Errorf("durable: committed payload became unencodable: %w", encErr))
-		t.e.log.mu.Unlock()
-		return encErr
-	}
-	n, err := t.e.log.Commit(tx.seq, b)
-	if err != nil {
+	var err error
+	if t.scratch, err = t.e.journal(tx.seq, tx.writes, t.scratch); err != nil {
 		return err
 	}
-	t.e.bytesSince.Add(n)
-	t.e.maybeCompact()
 	if g := t.e.gate.Load(); g != nil {
 		// Sync replication: the commit is durable and journaled, but the
 		// client ack waits on the replication gate. A gate error means
