@@ -167,11 +167,11 @@ func BenchmarkSmallTxAllocs(b *testing.B) {
 // BenchmarkReadSetIndex measures the access-set lookup paths. Each
 // transaction reads n distinct objects (n access-set entries — one per
 // object, a read-modify-write included) and then re-reads them all, so
-// every re-read exercises the entry lookup. n ≤ 16 stays on the linear-scan
-// fast path with no map in sight (n ≤ 8 in the small attempt record, 16 in
-// the wide one); larger n promotes to the map. The transactions only read
-// but run through Run: a declared read-only transaction keeps no access set
-// to look up.
+// every re-read exercises the entry lookup. The attempt record holds 8
+// entries inline; lookup scans the entries linearly up to wideSet = 16, so
+// n ≤ 16 runs with no map in sight, and larger n promotes to the map. The
+// transactions only read but run through Run: a declared read-only
+// transaction keeps no access set to look up.
 func BenchmarkReadSetIndex(b *testing.B) {
 	for _, n := range []int{2, 4, 8, 16, 64} {
 		b.Run(fmt.Sprintf("reads=%d", n), func(b *testing.B) {

@@ -29,15 +29,19 @@
 //
 // Redo records carry typed val.Value payloads, so only WAL-serializable
 // values may be written through a durable engine: the numeric lane plus
-// boxed nil, bool, string, float64 and []byte. Writes of anything else fail
-// at Write time with ErrUnsupportedPayload, before a commit can happen.
+// boxed nil, bool, string, float64, []byte and []int. Writes of anything
+// else fail at Write time with ErrUnsupportedPayload, before a commit can
+// happen. That includes cell-graph payloads (the linked-list and skip-list
+// workloads' nodes hold engine.Cell handles, process-local pointers that
+// replay could not rebind).
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -259,7 +263,7 @@ func (e *Engine) Crashed() error { return e.log.Err() }
 // instead of hanging. Enough redo bytes since the last snapshot start a
 // compaction.
 func (e *Engine) journal(seq uint64, writes []Entry, buf []byte) ([]byte, error) {
-	b, err := appendCommitPayload(append(buf[:0], framePad[:]...), seq, writes)
+	b, err := appendRecord(append(buf[:0], framePad[:]...), recCommit, seq, writes)
 	if err != nil {
 		e.log.mu.Lock()
 		e.log.fail(fmt.Errorf("durable: payload of commit %d became unencodable: %w", seq, err))
@@ -309,17 +313,17 @@ func (e *Engine) compact() {
 }
 
 // CaptureSnapshot returns a consistent full-state snapshot: the commit
-// watermark and every cell's value at exactly that watermark. The capture is
-// one read-only inner transaction over the ticket cell and every data cell:
-// serializability makes the ticket value s the exact watermark of the
-// captured state (every commit ≤ s is in it, nothing above s is). Cells can
-// be created concurrently, so after the capture returns the cell count is
-// re-checked: if it grew, a commit ≤ s could have written a cell the
-// capture missed (its NewCell, which appends under mu, happened before that
-// commit, which happened before the capture returned — so the growth is
-// visible here), and the capture retries over the larger set. Compaction
-// and the replication primary's snapshot-then-tail catch-up both feed off
-// this.
+// watermark and every cell's value at exactly that watermark, in cell-id
+// order. The capture is one read-only inner transaction over the ticket cell
+// and every data cell: serializability makes the ticket value s the exact
+// watermark of the captured state (every commit ≤ s is in it, nothing above
+// s is). Cells can be created concurrently, so after the capture returns the
+// cell count is re-checked: if it grew, a commit ≤ s could have written a
+// cell the capture missed (its NewCell, which appends under mu, happened
+// before that commit, which happened before the capture returned — so the
+// growth is visible here), and the capture retries over the larger set.
+// Compaction and the replication primary's snapshot-then-tail catch-up both
+// feed off this.
 func (e *Engine) CaptureSnapshot() (uint64, []Entry, error) {
 	e.snapOnce.Do(func() { e.snapThread = e.inner.Thread(snapThreadID) })
 	e.snapMu.Lock() // the capture thread is single-goroutine
@@ -368,34 +372,30 @@ func (e *Engine) CaptureSnapshot() (uint64, []Entry, error) {
 			entries = append(entries, Entry{ID: uint64(i), V: v})
 		}
 		// Recovered cells the application has not re-created yet still
-		// belong to the durable state: fold them in so a snapshot never
-		// drops them.
+		// belong to the durable state: fold them in, after the live cells
+		// and in id order too, so a snapshot never drops them.
 		for id, v := range e.recovered {
 			if id >= uint64(n) {
 				entries = append(entries, Entry{ID: id, V: v})
 			}
 		}
+		slices.SortFunc(entries[n:], func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
 		return uint64(watermark), entries, nil
 	}
 	return 0, nil, errors.New("durable: snapshot capture kept losing races with cell creation")
 }
 
 // SnapshotFrame captures a consistent snapshot (see CaptureSnapshot) and
-// returns its watermark plus a complete framed 'S' record — the bytes a
-// replication primary ships for follower catch-up and slow-follower resync,
-// identical in format to an on-disk snapshot frame.
+// returns its watermark plus its framed 'S' record, the frame the snapshot
+// file holds — the bytes a replication primary ships for follower catch-up
+// and slow-follower resync.
 func (e *Engine) SnapshotFrame() (uint64, []byte, error) {
 	seq, entries, err := e.CaptureSnapshot()
 	if err != nil {
 		return 0, nil, err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	b := make([]byte, frameHeaderLen, frameHeaderLen+64+16*len(entries))
-	b, err = appendSnapshotPayload(b, seq, entries)
-	if err != nil {
-		return 0, nil, err
-	}
-	return seq, frameAround(b), nil
+	frame, err := snapshotFrame(seq, entries)
+	return seq, frame, err
 }
 
 // AppendedSeq returns the highest commit sequence appended to the log — the
@@ -450,6 +450,23 @@ func (e *Engine) applyCells(writes []Entry) ([]engine.Cell, error) {
 	return cells, nil
 }
 
+// apply is the one transaction a replicated record is applied in, on the
+// apply thread: it sets the ticket cell to seq and writes each entry's value
+// to cells[i], the cell of entries[i].
+func (e *Engine) apply(seq uint64, entries []Entry, cells []engine.Cell) error {
+	return e.applyThread.Run(func(tx engine.Txn) error {
+		if err := engine.Set(tx, e.seqCell, int64(seq)); err != nil {
+			return err
+		}
+		for i, en := range entries {
+			if err := tx.Write(cells[i], en.V.Load()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // ApplyReplicated replays one primary commit on a follower: it applies the
 // record's writes (and advances the ticket cell to seq) in one inner
 // transaction, then journals the record to the follower's own log at the
@@ -471,35 +488,25 @@ func (e *Engine) ApplyReplicated(seq uint64, writes []Entry) error {
 	if err != nil {
 		return err
 	}
-	err = e.applyThread.Run(func(tx engine.Txn) error {
-		if err := engine.Set(tx, e.seqCell, int64(seq)); err != nil {
-			return err
-		}
-		for i, w := range writes {
-			if err := tx.Write(cells[i], w.V.Load()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.apply(seq, writes, cells); err != nil {
 		return err
 	}
-	_, err = e.journal(seq, writes, make([]byte, 0, frameHeaderLen+16+16*len(writes)))
+	_, err = e.journal(seq, writes, make([]byte, 0, FrameHeaderLen+16+16*len(writes)))
 	return err
 }
 
 // InstallReplicaSnapshot replaces the follower's state wholesale with a
-// primary snapshot at watermark seq: the snapshot is written to the
-// follower's own WAL first (so a crash mid-install recovers to either the
-// old state or the new snapshot, never between), then one inner transaction
-// overwrites every cell and the ticket, and only then does the log sequencer
-// jump to seq+1 on a fresh segment — memory first, watermark second, the
-// order ApplyReplicated uses, so AppendedSeq never advertises a seq that
-// reads do not return yet. Serving reads interleave safely — they see the
-// old state or the new one atomically. Refuses to regress behind
-// already-applied records.
-func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value) error {
+// primary snapshot at watermark seq, whose entries are in cell-id order as
+// DecodeRecord returns them: the snapshot is written to the follower's own
+// WAL first (so a crash mid-install recovers to either the old state or the
+// new snapshot, never between), then one inner transaction overwrites every
+// cell and the ticket, and only then does the log sequencer jump to seq+1
+// on a fresh segment — memory first, watermark second, the order
+// ApplyReplicated uses, so AppendedSeq never advertises a seq that reads do
+// not return yet. Serving reads interleave safely — they see the old state
+// or the new one atomically. Refuses to regress behind already-applied
+// records.
+func (e *Engine) InstallReplicaSnapshot(seq uint64, entries []Entry) error {
 	if err := e.log.usable(); err != nil {
 		return err
 	}
@@ -509,13 +516,6 @@ func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value)
 	if cur := e.log.AppendedSeq(); seq < cur {
 		return fmt.Errorf("durable: replica snapshot at %d would regress applied seq %d", seq, cur)
 	}
-	entries := make([]Entry, 0, len(values))
-	for id, v := range values {
-		entries = append(entries, Entry{ID: id, V: v})
-	}
-	// Sort before resolving cells: WriteSnapshot sorts entries in place, and
-	// cells[i] must keep matching entries[i] through the apply below.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	cells, err := e.applyCells(entries)
 	if err != nil {
 		return err
@@ -523,17 +523,7 @@ func (e *Engine) InstallReplicaSnapshot(seq uint64, values map[uint64]val.Value)
 	if err := e.log.WriteSnapshot(seq, entries); err != nil {
 		return err
 	}
-	err = e.applyThread.Run(func(tx engine.Txn) error {
-		if err := engine.Set(tx, e.seqCell, int64(seq)); err != nil {
-			return err
-		}
-		for i, en := range entries {
-			if err := tx.Write(cells[i], en.V.Load()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	err = e.apply(seq, entries, cells)
 	if err == nil {
 		err = e.log.skipTo(seq + 1)
 	}
@@ -574,7 +564,7 @@ func (t *dthread) Attempts() uint64 {
 	return 0
 }
 
-var framePad [frameHeaderLen]byte
+var framePad [FrameHeaderLen]byte
 
 func (t *dthread) Run(fn func(engine.Txn) error) error {
 	if err := t.e.log.Err(); err != nil {

@@ -25,7 +25,7 @@ import (
 // testFrame builds the redo frame Commit expects for seq: one write of seq to
 // cell 0.
 func testFrame(seq uint64) []byte {
-	b, err := appendCommitPayload(append([]byte(nil), framePad[:]...), seq, []Entry{{ID: 0, V: val.OfInt(int(seq))}})
+	b, err := appendRecord(append([]byte(nil), framePad[:]...), recCommit, seq, []Entry{{ID: 0, V: val.OfInt(int(seq))}})
 	if err != nil {
 		panic(err)
 	}

@@ -24,7 +24,7 @@ import (
 func frameEnds(data []byte) []int64 {
 	ends := []int64{int64(len(segmentMagic))}
 	for off := ends[0]; ; {
-		if off+frameHeaderLen <= int64(len(data)) && bytes.Equal(data[off:off+frameHeaderLen], make([]byte, frameHeaderLen)) {
+		if off+FrameHeaderLen <= int64(len(data)) && bytes.Equal(data[off:off+FrameHeaderLen], make([]byte, FrameHeaderLen)) {
 			return ends
 		}
 		_, n, err := ReadFrame(bytes.NewReader(data[off:]))
@@ -243,7 +243,7 @@ func TestPreallocZeroHeaderMidLog(t *testing.T) {
 				return err
 			}
 			defer f.Close()
-			_, err = f.WriteAt(zeros[:frameHeaderLen], int64(len(segmentMagic)))
+			_, err = f.WriteAt(zeros[:FrameHeaderLen], int64(len(segmentMagic)))
 			return err
 		}, 1, int64(len(testFrame(2)))}, // the zeroed header, then the payload
 	}

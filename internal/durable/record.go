@@ -1,38 +1,47 @@
-// Redo-record and snapshot frame encoding for the write-ahead log.
+// Record and frame encoding for the write-ahead log and the replication
+// stream.
 //
 // A log segment is the magic "DWAL0001" followed by frames. Every frame on
 // disk is length-prefixed and CRC-framed:
 //
 //	[u32 len][u32 crc32(payload)][payload]
 //
-// both fixed fields little-endian, crc over the payload bytes only. The
-// active segment is preallocated to Options.SegmentBytes, so past its last
-// frame it holds zeros up to that size; a sealed segment (rotated away from,
-// or closed) is cut to end at its last frame. Recovery therefore reads an
-// all-zero frame header in the final segment as the end of the log, and in
-// any other segment as corruption. No real frame has an empty payload, so a
-// zero header is never a frame. The frame parser knows nothing of this rule:
-// parseFrame, and ReadFrame, which reads one frame from a stream and hands
-// it to parseFrame, are shared with the replication stream, and a stream has
-// no reservation. Replay, the rule included, lives in recover.go.
+// both fixed fields little-endian, crc over the payload bytes only. Frame is
+// the one framer: the log, the snapshot file and every replication message
+// (internal/replica's hello, ack and heartbeat as well as the records it
+// ships) are framed by it. The active segment is preallocated to
+// Options.SegmentBytes, so past its last frame it holds zeros up to that
+// size; a sealed segment (rotated away from, or closed) is cut to end at its
+// last frame. Recovery therefore reads an all-zero frame header in the final
+// segment as the end of the log, and in any other segment as corruption. No
+// real frame has an empty payload, so a zero header is never a frame. The
+// frame parser knows nothing of this rule: parseFrame, and ReadFrame, which
+// reads one frame from a stream and hands it to parseFrame, are shared with
+// the replication stream, and a stream has no reservation. Replay, the rule
+// included, lives in recover.go.
 //
-// The payload's first byte is the record type: 'C' for a commit redo record,
-// 'S' for a snapshot. A commit payload is
+// The payload of a log or snapshot frame is a record, and a commit and a
+// snapshot share one grammar:
 //
-//	'C' | uvarint seq | uvarint nwrites | nwrites × (uvarint cellID, value)
+//	kind | uvarint seq | uvarint n | n × (uvarint cellID, value)
 //
-// and a snapshot payload is
-//
-//	'S' | uvarint watermarkSeq | uvarint ncells | ncells × (uvarint cellID, value)
+// A commit ('C') carries its commit sequence and its writes in program
+// order; a snapshot ('S') carries its watermark and every cell in id order.
+// appendRecord encodes both kinds and DecodeRecord decodes both.
 //
 // Values carry a one-byte kind tag ahead of a kind-specific body; only
-// WAL-serializable payloads are representable (the val numeric lane plus
-// nil, bool, string, float64 and []byte, extended by registered codecs —
-// see EncodableValue and RegisterCodec). The frame
-// reader distinguishes three outcomes callers treat differently: a clean
-// end of file, a torn frame (short read or CRC mismatch — recovery
-// truncates it when it is the log's final frame), and a malformed payload
-// inside a valid frame (always a hard error).
+// WAL-serializable payloads are representable: the val numeric lane plus
+// nil, bool, string, float64, []byte and []int (see EncodableValue). A []int
+// is the one named-codec value:
+//
+//	'u' | uvarint 4 | "ints" | uvarint len(body) | uvarint count | count × varint delta
+//
+// each delta taken from the previous element (the first from 0). A reader
+// refuses any other codec name. The frame reader distinguishes three
+// outcomes callers treat differently: a clean end of file, a torn frame
+// (short read or CRC mismatch — recovery truncates it when it is the log's
+// final frame), and a malformed payload inside a valid frame (always a hard
+// error).
 package durable
 
 import (
@@ -50,7 +59,9 @@ const (
 	recCommit   = 'C'
 	recSnapshot = 'S'
 
-	frameHeaderLen = 8
+	// FrameHeaderLen is the length of a frame's header: the payload's
+	// length and CRC.
+	FrameHeaderLen = 8
 	// maxFrameLen bounds a frame header's length field; anything larger is
 	// treated as a torn/corrupt frame rather than a giant allocation.
 	maxFrameLen = 1 << 28
@@ -69,6 +80,9 @@ const (
 	tagCodec   = 'u' // uvarint len + codec name, uvarint len + codec body
 )
 
+// intsCodec is the codec name a []int value carries.
+const intsCodec = "ints"
+
 // ErrUnsupportedPayload reports a transactional write whose payload the WAL
 // cannot serialize. Durable engines reject such writes at Write time, before
 // anything commits.
@@ -80,18 +94,16 @@ var ErrUnsupportedPayload = errors.New("durable: payload type not WAL-serializab
 var ErrTorn = errors.New("durable: torn frame")
 
 // EncodableValue reports whether v can be carried in a redo record: the
-// numeric lane, a boxed nil, bool, string, float64 or []byte, or any type
-// with a registered codec (see RegisterCodec).
+// numeric lane, a boxed nil, bool, string, float64, []byte or []int.
 func EncodableValue(v val.Value) bool {
 	if v.IsNum() {
 		return true
 	}
 	switch v.Load().(type) {
-	case nil, bool, string, float64, []byte:
+	case nil, bool, string, float64, []byte, []int:
 		return true
 	}
-	_, ok := codecFor(v.Load())
-	return ok
+	return false
 }
 
 // appendValue appends v's tagged encoding to b. It returns an error wrapping
@@ -124,20 +136,15 @@ func appendValue(b []byte, v val.Value) ([]byte, error) {
 		b = append(b, tagBytes)
 		b = binary.AppendUvarint(b, uint64(len(x)))
 		return append(b, x...), nil
-	default:
-		c, ok := codecFor(x)
-		if !ok {
-			return b, fmt.Errorf("%w: %T", ErrUnsupportedPayload, x)
-		}
-		body, err := c.enc(x)
-		if err != nil {
-			return b, fmt.Errorf("durable: codec %q encode: %w", c.name, err)
-		}
+	case []int:
+		body := appendInts(nil, x)
 		b = append(b, tagCodec)
-		b = binary.AppendUvarint(b, uint64(len(c.name)))
-		b = append(b, c.name...)
+		b = binary.AppendUvarint(b, uint64(len(intsCodec)))
+		b = append(b, intsCodec...)
 		b = binary.AppendUvarint(b, uint64(len(body)))
 		return append(b, body...), nil
+	default:
+		return b, fmt.Errorf("%w: %T", ErrUnsupportedPayload, x)
 	}
 }
 
@@ -191,94 +198,71 @@ func decodeValue(b []byte) (val.Value, []byte, error) {
 		if w <= 0 || uint64(len(b[w:])) < m {
 			return val.Value{}, nil, errors.New("durable: truncated codec body")
 		}
-		c, ok := codecNamed(name)
-		if !ok {
-			return val.Value{}, nil, fmt.Errorf("durable: log carries codec %q this process never registered", name)
+		if name != intsCodec {
+			return val.Value{}, nil, fmt.Errorf("durable: log carries codec %q; only %q is known", name, intsCodec)
 		}
-		x, err := c.dec(b[w : w+int(m)])
+		keys, err := decodeInts(b[w : w+int(m)])
 		if err != nil {
-			return val.Value{}, nil, fmt.Errorf("durable: codec %q decode: %w", name, err)
+			return val.Value{}, nil, err
 		}
-		return val.OfAny(x), b[w+int(m):], nil
+		return val.OfAny(keys), b[w+int(m):], nil
 	default:
 		return val.Value{}, nil, fmt.Errorf("durable: unknown value tag %q", tag)
 	}
 }
 
-// Entry is one cell write inside a commit or snapshot, in program order
-// (replay applies entries in order, so later writes to the same cell win,
-// exactly as they did transactionally). It is exported as the unit of the
-// replication feed: internal/replica ships and replays []Entry.
+// appendInts appends the body of a []int value: the count, then each
+// element's delta from the one before. The hash-set workload stores each
+// bucket as a sorted []int, so the deltas stay small; an unsorted slice
+// still round-trips, its deltas going negative.
+func appendInts(b []byte, keys []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	prev := 0
+	for _, k := range keys {
+		b = binary.AppendVarint(b, int64(k-prev))
+		prev = k
+	}
+	return b
+}
+
+// decodeInts inverts appendInts.
+func decodeInts(b []byte) ([]int, error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)-w) { // every delta takes at least a byte
+		return nil, errors.New("durable: ints codec: bad count")
+	}
+	b = b[w:]
+	keys := make([]int, 0, n)
+	prev := 0
+	for i := uint64(0); i < n; i++ {
+		d, w := binary.Varint(b)
+		if w <= 0 {
+			return nil, errors.New("durable: ints codec: truncated delta")
+		}
+		b = b[w:]
+		prev += int(d)
+		keys = append(keys, prev)
+	}
+	if len(b) != 0 {
+		return nil, errors.New("durable: ints codec: trailing bytes")
+	}
+	return keys, nil
+}
+
+// Entry is one cell write inside a commit, in program order (replay applies
+// entries in order, so later writes to the same cell win, exactly as they
+// did transactionally), or one cell of a snapshot, in id order. It is
+// exported as the unit of the replication feed: internal/replica ships and
+// replays []Entry.
 type Entry struct {
 	ID uint64
 	V  val.Value
 }
 
-// appendCommitPayload appends the 'C' payload for (seq, writes) to b.
-func appendCommitPayload(b []byte, seq uint64, writes []Entry) ([]byte, error) {
-	b = append(b, recCommit)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, uint64(len(writes)))
-	var err error
-	for _, w := range writes {
-		b = binary.AppendUvarint(b, w.ID)
-		if b, err = appendValue(b, w.V); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-// DecodeCommitPayload parses a 'C' payload (type byte included).
-func DecodeCommitPayload(b []byte) (seq uint64, writes []Entry, err error) {
-	return decodeCommitInto(b, nil)
-}
-
-// decodeCommitInto is DecodeCommitPayload appending the writes to writes[:0]
-// (replay reuses one slice for the whole log).
-func decodeCommitInto(b []byte, writes []Entry) (uint64, []Entry, error) {
-	if len(b) == 0 || b[0] != recCommit {
-		return 0, nil, errors.New("durable: not a commit record")
-	}
-	b = b[1:]
-	seq, w := binary.Uvarint(b)
-	if w <= 0 {
-		return 0, nil, errors.New("durable: bad commit seq")
-	}
-	b = b[w:]
-	// Every write takes at least one byte: a larger count is corrupt, and
-	// preallocating for it could exhaust memory.
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
-		return 0, nil, errors.New("durable: bad commit write count")
-	}
-	b = b[w:]
-	if writes == nil {
-		writes = make([]Entry, 0, n)
-	}
-	writes = writes[:0]
-	for i := uint64(0); i < n; i++ {
-		id, w := binary.Uvarint(b)
-		if w <= 0 {
-			return 0, nil, errors.New("durable: bad commit cell id")
-		}
-		v, rest, err := decodeValue(b[w:])
-		if err != nil {
-			return 0, nil, err
-		}
-		b = rest
-		writes = append(writes, Entry{ID: id, V: v})
-	}
-	if len(b) != 0 {
-		return 0, nil, errors.New("durable: trailing bytes in commit record")
-	}
-	return seq, writes, nil
-}
-
-// appendSnapshotPayload appends the 'S' payload for a snapshot at watermark
-// seq holding entries (sorted by caller for deterministic bytes).
-func appendSnapshotPayload(b []byte, seq uint64, entries []Entry) ([]byte, error) {
-	b = append(b, recSnapshot)
+// appendRecord appends the record of the given kind (recCommit or
+// recSnapshot) at seq holding entries to b.
+func appendRecord(b []byte, kind byte, seq uint64, entries []Entry) ([]byte, error) {
+	b = append(b, kind)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(len(entries)))
 	var err error
@@ -291,47 +275,53 @@ func appendSnapshotPayload(b []byte, seq uint64, entries []Entry) ([]byte, error
 	return b, nil
 }
 
-// DecodeSnapshotPayload parses an 'S' payload into the watermark and a
-// cellID → value map.
-func DecodeSnapshotPayload(b []byte) (seq uint64, values map[uint64]val.Value, err error) {
-	if len(b) == 0 || b[0] != recSnapshot {
-		return 0, nil, errors.New("durable: not a snapshot record")
+// DecodeRecord parses a commit or snapshot record (kind byte included) and
+// returns its kind, its seq and its entries, appended to entries[:0] so that
+// a caller decoding many records reuses one slice (nil makes one of the
+// record's size). The decoded values share no bytes with b.
+func DecodeRecord(b []byte, entries []Entry) (kind byte, seq uint64, _ []Entry, err error) {
+	if len(b) == 0 || (b[0] != recCommit && b[0] != recSnapshot) {
+		return 0, 0, nil, errors.New("durable: not a commit or snapshot record")
 	}
-	b = b[1:]
+	kind, b = b[0], b[1:]
 	seq, w := binary.Uvarint(b)
 	if w <= 0 {
-		return 0, nil, errors.New("durable: bad snapshot watermark")
+		return 0, 0, nil, errors.New("durable: bad record seq")
 	}
 	b = b[w:]
+	// Every entry takes at least one byte: a larger count is corrupt, and
+	// preallocating for it could exhaust memory.
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > uint64(len(b)-w) {
-		return 0, nil, errors.New("durable: bad snapshot cell count")
+		return 0, 0, nil, errors.New("durable: bad record entry count")
 	}
 	b = b[w:]
-	values = make(map[uint64]val.Value, n)
+	if entries == nil {
+		entries = make([]Entry, 0, n)
+	}
+	entries = entries[:0]
 	for i := uint64(0); i < n; i++ {
 		id, w := binary.Uvarint(b)
 		if w <= 0 {
-			return 0, nil, errors.New("durable: bad snapshot cell id")
+			return 0, 0, nil, errors.New("durable: bad record cell id")
 		}
-		var v val.Value
-		v, b, err = decodeValue(b[w:])
+		v, rest, err := decodeValue(b[w:])
 		if err != nil {
-			return 0, nil, err
+			return 0, 0, nil, err
 		}
-		values[id] = v
+		b = rest
+		entries = append(entries, Entry{ID: id, V: v})
 	}
 	if len(b) != 0 {
-		return 0, nil, errors.New("durable: trailing bytes in snapshot record")
+		return 0, 0, nil, errors.New("durable: trailing bytes in record")
 	}
-	return seq, values, nil
+	return kind, seq, entries, nil
 }
 
-// frameAround prefixes payload (built at b[frameHeaderLen:]) with its length
-// and CRC header in place. b must have been built by appending the payload
-// after frameHeaderLen reserved bytes.
-func frameAround(b []byte) []byte {
-	payload := b[frameHeaderLen:]
+// Frame fills in the header of the frame b, which is FrameHeaderLen
+// reserved bytes followed by the payload, and returns b.
+func Frame(b []byte) []byte {
+	payload := b[FrameHeaderLen:]
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
 	return b
@@ -346,7 +336,7 @@ func ReadFrame(r io.Reader) (payload []byte, frameLen int64, err error) {
 	// The header goes through a slice (a local array would escape into the
 	// Read call), which grows into the whole frame once its length is known;
 	// its spare room holds a small frame, such as an ack, in one allocation.
-	hdr := make([]byte, frameHeaderLen, 64)
+	hdr := make([]byte, FrameHeaderLen, 64)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF
@@ -358,7 +348,7 @@ func ReadFrame(r io.Reader) (payload []byte, frameLen int64, err error) {
 		return nil, 0, err
 	}
 	frame := append(hdr, make([]byte, n)...)
-	if _, err := io.ReadFull(r, frame[frameHeaderLen:]); err != nil {
+	if _, err := io.ReadFull(r, frame[FrameHeaderLen:]); err != nil {
 		return nil, 0, fmt.Errorf("%w: short frame payload: %v", ErrTorn, err)
 	}
 	payload, size, err := parseFrame(frame)
@@ -383,17 +373,17 @@ func frameLen(b []byte) (int, error) {
 	if len(b) == 0 {
 		return 0, io.EOF
 	}
-	if len(b) < frameHeaderLen {
-		return 0, fmt.Errorf("%w: short frame header: %d of %d bytes", ErrTorn, len(b), frameHeaderLen)
+	if len(b) < FrameHeaderLen {
+		return 0, fmt.Errorf("%w: short frame header: %d of %d bytes", ErrTorn, len(b), FrameHeaderLen)
 	}
 	n, err := payloadLen(b)
 	if err != nil {
 		return 0, err
 	}
-	if n > len(b)-frameHeaderLen {
-		return 0, fmt.Errorf("%w: short frame payload: %d of %d bytes", ErrTorn, len(b)-frameHeaderLen, n)
+	if n > len(b)-FrameHeaderLen {
+		return 0, fmt.Errorf("%w: short frame payload: %d of %d bytes", ErrTorn, len(b)-FrameHeaderLen, n)
 	}
-	return frameHeaderLen + n, nil
+	return FrameHeaderLen + n, nil
 }
 
 // parseFrame parses the frame at the start of b and checks its CRC. The
@@ -404,7 +394,7 @@ func parseFrame(b []byte) (payload []byte, size int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	payload = b[frameHeaderLen:size]
+	payload = b[FrameHeaderLen:size]
 	if want, got := binary.LittleEndian.Uint32(b[4:8]), crc32.ChecksumIEEE(payload); got != want {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrTorn, want, got)
 	}

@@ -11,7 +11,7 @@
 //     marks every replayChunk-th frame.
 //   - Pass 2 cuts the frames at marks into up to GOMAXPROCS contiguous runs,
 //     one per worker, the caller replaying the first. A worker checks each
-//     frame's CRC, decodes it with decodeCommitInto, skips seqs at or below
+//     frame's CRC, decodes it with DecodeRecord, skips seqs at or below
 //     the snapshot watermark, checks that the seqs it applies are dense and
 //     keeps the last value per cell. The workers are joined before the runs
 //     are merged in log order, and each boundary is checked for density too.
@@ -148,12 +148,18 @@ func loadSnapshot(dir string, rec *recovery) error {
 		// torn snapshot means disk corruption, not a crash: refuse.
 		return fmt.Errorf("durable: corrupt snapshot %s: %v", path, err)
 	}
-	seq, values, err := DecodeSnapshotPayload(payload)
+	kind, seq, entries, err := DecodeRecord(payload, nil)
+	if err == nil && kind != recSnapshot {
+		err = errors.New("not a snapshot record")
+	}
 	if err != nil {
 		return fmt.Errorf("durable: corrupt snapshot %s: %v", path, err)
 	}
 	rec.snapSeq = seq
-	rec.values = values
+	rec.values = make(map[uint64]val.Value, len(entries))
+	for _, en := range entries {
+		rec.values[en.ID] = en.V
+	}
 	return nil
 }
 
@@ -210,7 +216,7 @@ func (rp *replayer) replaySegment(seg segmentFile, lastSegment bool, rec *recove
 	marks := rp.marks[:0]
 	var stop error
 	for i := 0; off < len(data); i++ {
-		if len(data)-off >= frameHeaderLen && binary.LittleEndian.Uint64(data[off:]) == 0 {
+		if len(data)-off >= FrameHeaderLen && binary.LittleEndian.Uint64(data[off:]) == 0 {
 			stop = fmt.Errorf("%w: zero frame header", ErrTorn)
 			break
 		}
@@ -334,8 +340,13 @@ func (r *replayRun) replay(values map[uint64]val.Value, data []byte, path string
 			fail, failAt = err, at
 			break
 		}
+		var kind byte
 		var seq uint64
-		if seq, writes, err = decodeCommitInto(payload, writes); err != nil {
+		kind, seq, writes, err = DecodeRecord(payload, writes)
+		if err == nil && kind != recCommit {
+			err = errors.New("durable: not a commit record")
+		}
+		if err != nil {
 			// A CRC-valid frame with a malformed payload is corruption the
 			// CRC cannot excuse — refuse even in the final segment.
 			fail, failAt = fmt.Errorf("durable: malformed record in %s at offset %d: %v", path, at, err), at

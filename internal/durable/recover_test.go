@@ -53,7 +53,7 @@ func encodeValues(t testing.TB, values map[uint64]val.Value) string {
 		entries = append(entries, Entry{ID: id, V: v})
 	}
 	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
-	b, err := appendSnapshotPayload(nil, 0, entries)
+	b, err := appendRecord(nil, recSnapshot, 0, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func encodeValues(t testing.TB, values map[uint64]val.Value) string {
 }
 
 // referenceReplay is recovery as one loop over the frames of the segment
-// images, in order: ReadFrame and DecodeCommitPayload applied frame by
+// images, in order: ReadFrame and DecodeRecord applied frame by
 // frame, a zero header or torn frame ending the final segment and refusing
 // any other. It reads the images and writes nothing: the sizes it reports
 // are the ones recovery must leave on disk.
@@ -87,7 +87,7 @@ func referenceReplay(t testing.TB, snapSeq uint64, snapValues map[uint64]val.Val
 			var payload []byte
 			var n int64
 			var err error
-			if rest := img[off:]; len(rest) >= frameHeaderLen && bytes.Equal(rest[:frameHeaderLen], make([]byte, frameHeaderLen)) {
+			if rest := img[off:]; len(rest) >= FrameHeaderLen && bytes.Equal(rest[:FrameHeaderLen], make([]byte, FrameHeaderLen)) {
 				err = ErrTorn
 			} else {
 				payload, n, err = ReadFrame(r)
@@ -113,8 +113,8 @@ func referenceReplay(t testing.TB, snapSeq uint64, snapValues map[uint64]val.Val
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, writes, err := DecodeCommitPayload(payload)
-			if err != nil {
+			kind, seq, writes, err := DecodeRecord(payload, nil)
+			if err != nil || kind != recCommit {
 				return refuse("malformed record", i, off)
 			}
 			if seq > snapSeq {
@@ -191,11 +191,11 @@ func writeLog(t testing.TB, dir string, snapSeq uint64, snapValues map[uint64]va
 	for id, v := range snapValues {
 		entries = append(entries, Entry{ID: id, V: v})
 	}
-	payload, err := appendSnapshotPayload(make([]byte, frameHeaderLen), snapSeq, entries)
+	frame, err := snapshotFrame(snapSeq, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := append([]byte(snapshotMagic), frameAround(payload)...)
+	snap := append([]byte(snapshotMagic), frame...)
 	if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,11 @@ var replayValues = []func(r *rand.Rand) val.Value{
 
 // commitFrame is the whole frame of a commit record.
 func commitFrame(t testing.TB, seq uint64, writes []Entry) []byte {
-	b, err := appendCommitPayload(make([]byte, frameHeaderLen), seq, writes)
+	b, err := appendRecord(make([]byte, FrameHeaderLen), recCommit, seq, writes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return frameAround(b)
+	return Frame(b)
 }
 
 // genLog is a dense log of n commits, seqs 1..n, of one to three writes
@@ -263,13 +263,13 @@ func assemble(t testing.TB, frames [][]byte, writes [][]Entry, cuts []int, idx, 
 				case damageCRC:
 					f[5] ^= 0x5a
 				case damageTruncate:
-					f = f[:frameHeaderLen+(len(f)-frameHeaderLen)/2]
+					f = f[:FrameHeaderLen+(len(f)-FrameHeaderLen)/2]
 				case damageZero:
-					clear(f[:frameHeaderLen])
+					clear(f[:FrameHeaderLen])
 				case damageGap:
 					f = commitFrame(t, uint64(i+2), writes[i])
 				case damageMalformed:
-					f = frameAround(append(f, 0))
+					f = Frame(append(f, 0))
 				}
 			}
 			img = append(img, f...)
@@ -424,7 +424,7 @@ func TestRecoverFrameBeyondOldWindow(t *testing.T) {
 			}
 			l := openTestLog(t, logConfig{dir: dir, policy: FsyncNever, segmentBytes: segBytes})
 			commit := func(seq uint64, v val.Value) {
-				b, err := appendCommitPayload(append([]byte(nil), framePad[:]...), seq, []Entry{{ID: seq % 3, V: v}})
+				b, err := appendRecord(append([]byte(nil), framePad[:]...), recCommit, seq, []Entry{{ID: seq % 3, V: v}})
 				if err != nil {
 					t.Fatal(err)
 				}

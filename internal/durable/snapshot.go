@@ -4,41 +4,35 @@
 package durable
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
-// WriteSnapshot atomically installs a snapshot of entries at watermark seq
-// and deletes every segment the watermark fully covers. The install is
-// write-tmp → fsync → rename → fsync-dir, so a crash leaves either the old
-// snapshot or the new one, never a torn one; a crash between rename and
-// segment deletion leaves stale segments whose records recovery then skips
-// (they are ≤ the watermark). Concurrent appends are safe: only segments
-// strictly older than the active one are ever deleted.
+// WriteSnapshot atomically installs a snapshot of entries, in cell-id
+// order, at watermark seq and deletes every segment the watermark fully
+// covers. The install is write-tmp → fsync → rename → fsync-dir, so a crash
+// leaves either the old snapshot or the new one, never a torn one; a crash
+// between rename and segment deletion leaves stale segments whose records
+// recovery then skips (they are ≤ the watermark). Concurrent appends are
+// safe: only segments strictly older than the active one are ever deleted.
 func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
 	if err := l.Err(); err != nil {
 		return err
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-	buf := make([]byte, len(snapshotMagic)+frameHeaderLen, len(snapshotMagic)+frameHeaderLen+64+8*len(entries))
-	copy(buf, snapshotMagic)
-	payload, err := appendSnapshotPayload(buf, seq, entries)
+	frame, err := snapshotFrame(seq, entries)
 	if err != nil {
 		return err
 	}
-	frameAround(payload[len(snapshotMagic):])
 
 	tmp := filepath.Join(l.cfg.dir, snapshotTmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	if _, err := w.Write(payload); err == nil {
-		err = w.Flush()
+	_, err = f.WriteString(snapshotMagic)
+	if err == nil {
+		_, err = f.Write(frame)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -98,4 +92,16 @@ func (l *Log) truncateCovered(watermark uint64) error {
 		}
 	}
 	return syncDir(l.cfg.dir)
+}
+
+// snapshotFrame is the framed snapshot record of entries, in cell-id order,
+// at watermark seq: the bytes the snapshot file holds after its magic, and
+// the bytes a replication primary ships a follower.
+func snapshotFrame(seq uint64, entries []Entry) ([]byte, error) {
+	b := make([]byte, FrameHeaderLen, FrameHeaderLen+64+16*len(entries))
+	b, err := appendRecord(b, recSnapshot, seq, entries)
+	if err != nil {
+		return nil, err
+	}
+	return Frame(b), nil
 }

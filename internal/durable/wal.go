@@ -299,11 +299,11 @@ func (l *Log) usable() error {
 }
 
 // Commit appends the redo frame for seq (payload pre-encoded by the caller,
-// with frameHeaderLen reserved bytes up front) and blocks per the fsync
+// with FrameHeaderLen reserved bytes up front) and blocks per the fsync
 // policy until the record is acknowledged durable. It returns the frame
 // length appended (the compaction trigger's byte feed).
 func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
-	frame = frameAround(frame)
+	frame = Frame(frame)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.sticky == nil && !l.closed && l.nextSeq != seq {

@@ -155,7 +155,7 @@ func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
 	}()
 	frame, frameLen := frames[2], len(frames[2])
 	keptBytes := int64(len(segmentMagic) + len(frames[0]) + len(frames[1]))
-	if frameLen < frameHeaderLen+3 {
+	if frameLen < FrameHeaderLen+3 {
 		t.Fatalf("implausible frame length %d", frameLen)
 	}
 	// wantTorn is what recovery can see of a cut: the written bytes up to
@@ -175,7 +175,7 @@ func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
 	if testing.Short() {
 		// Keep the boundary cuts (empty tail, torn header, torn payload,
 		// one-byte-short) and thin the middle.
-		cuts = []int{0, 1, frameHeaderLen - 1, frameHeaderLen, frameHeaderLen + 1, frameLen / 2, frameLen - 2, frameLen - 1}
+		cuts = []int{0, 1, FrameHeaderLen - 1, FrameHeaderLen, FrameHeaderLen + 1, frameLen / 2, frameLen - 2, frameLen - 1}
 	}
 	for _, cut := range cuts {
 		dir := t.TempDir()
@@ -277,7 +277,7 @@ func TestCRCCorruptionMidLog(t *testing.T) {
 		t.Fatalf("want ≥ 3 segments, got %d", len(segs))
 	}
 	// Flip one payload byte in the second segment (mid-log).
-	corrupt(t, segs[1].path, int64(len(segmentMagic)+frameHeaderLen+2))
+	corrupt(t, segs[1].path, int64(len(segmentMagic)+FrameHeaderLen+2))
 	_, err = recoverDir(dir)
 	if err == nil || !strings.Contains(err.Error(), "mid-log") {
 		t.Fatalf("recoverDir = %v, want mid-log corruption error", err)
@@ -314,7 +314,7 @@ func TestCRCCorruptionFinalSegment(t *testing.T) {
 	// length here (identical shape), so the last frame starts at
 	// size − (size − magic)/4.
 	frameLen := (st.Size() - int64(len(segmentMagic))) / 4
-	corrupt(t, segs[0].path, st.Size()-frameLen+frameHeaderLen+1)
+	corrupt(t, segs[0].path, st.Size()-frameLen+FrameHeaderLen+1)
 
 	av, bv, cv, rec := readState(t, dir)
 	if av+bv != 2000 || cv != 3 {

@@ -54,16 +54,6 @@ func (h *Histogram) RecordN(d time.Duration, n uint64) {
 	h.buckets[bucketOf(d)].Add(n)
 }
 
-// Merge adds o's counts into h. Both histograms may be concurrently recorded
-// into; the merge is per-bucket atomic.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-}
-
 // Load snapshots the bucket counters into a plain value for analysis.
 func (h *Histogram) Load() Buckets {
 	var b Buckets

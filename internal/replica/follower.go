@@ -168,6 +168,7 @@ func (f *Follower) stream(conn net.Conn) error {
 	if err := f.send(conn, helloFrame(f.eng.AppendedSeq())); err != nil {
 		return err
 	}
+	var entries []durable.Entry // decode scratch, reused for every record
 	for {
 		if f.stopping() {
 			return nil
@@ -182,14 +183,14 @@ func (f *Follower) stream(conn net.Conn) error {
 		}
 		switch payload[0] {
 		case msgCommit:
-			seq, writes, err := durable.DecodeCommitPayload(payload)
-			if err != nil {
+			var seq uint64
+			if _, seq, entries, err = durable.DecodeRecord(payload, entries); err != nil {
 				return err
 			}
 			if seq <= f.eng.AppendedSeq() {
 				continue // already applied (snapshot/tail overlap)
 			}
-			if err := f.eng.ApplyReplicated(seq, writes); err != nil {
+			if err := f.eng.ApplyReplicated(seq, entries); err != nil {
 				// An out-of-order record (stream gap): reconnecting makes
 				// the primary resync us from a snapshot. Anything else —
 				// unknown cell, wedged log — also surfaces as a stream
@@ -200,15 +201,15 @@ func (f *Follower) stream(conn net.Conn) error {
 				return err
 			}
 		case msgSnapshot:
-			seq, values, err := durable.DecodeSnapshotPayload(payload)
-			if err != nil {
+			var seq uint64
+			if _, seq, entries, err = durable.DecodeRecord(payload, entries); err != nil {
 				return err
 			}
 			// Counted before the install publishes the new watermark: whoever
 			// sees AppliedSeq jump to seq sees the snapshot that moved it.
 			f.snapshots.Add(1)
 			if seq > f.eng.AppendedSeq() {
-				if err := f.eng.InstallReplicaSnapshot(seq, values); err != nil {
+				if err := f.eng.InstallReplicaSnapshot(seq, entries); err != nil {
 					return err
 				}
 			}

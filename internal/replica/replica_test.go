@@ -4,6 +4,7 @@
 package replica
 
 import (
+	"encoding/hex"
 	"errors"
 	"net"
 	"sync"
@@ -432,6 +433,24 @@ func TestPromotedFollowerSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestWireGolden pins the control frames' bytes: hello, ack and heartbeat,
+// framed by the durable framer, are the bytes the protocol has always sent.
+func TestWireGolden(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"hello", helloFrame(300), "040000000ef8a8326801ac02"},
+		{"ack", seqFrame(msgAck, 7), "02000000badd5ba36107"},
+		{"heartbeat", seqFrame(msgHeartbeat, 1<<20), "04000000cf22011c62808040"},
+	} {
+		if got := hex.EncodeToString(c.frame); got != c.want {
+			t.Errorf("%s frame %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestWireMalformed: hand-rolled malformed messages are rejected, not
 // misparsed.
 func TestWireMalformed(t *testing.T) {
@@ -475,7 +494,7 @@ func helloPayload(ver, last uint64) []byte {
 	return p
 }
 
-func payloadOf(frame []byte) []byte { return frame[frameHeaderLen:] }
+func payloadOf(frame []byte) []byte { return frame[durable.FrameHeaderLen:] }
 
 func appendUvarint(b []byte, v uint64) []byte {
 	for v >= 0x80 {

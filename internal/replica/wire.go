@@ -9,14 +9,16 @@
 //
 //	[u32 len][u32 crc32(payload)][payload]
 //
-// both fixed fields little-endian — so replicated commit and snapshot
+// both fixed fields little-endian. Frames come from durable's one framer
+// (durable.Frame) and are read by durable.ReadFrame, so only the durable
+// package knows the frame format, and replicated commit and snapshot
 // records are the exact on-disk frame bytes, shipped unmodified. The
 // payload's first byte is the message type:
 //
 //	'h'  hello      follower → primary   'h' | uvarint proto | uvarint lastApplied
 //	'a'  ack        follower → primary   'a' | uvarint appliedSeq
 //	'b'  heartbeat  primary → follower   'b' | uvarint appendedSeq
-//	'C'  commit     primary → follower   a WAL redo record (durable frame grammar)
+//	'C'  commit     primary → follower   a WAL commit record (durable.DecodeRecord)
 //	'S'  snapshot   primary → follower   a WAL snapshot record (ditto)
 //
 // A stream opens with hello; the primary answers with a snapshot (when the
@@ -32,8 +34,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
+
+	"repro/internal/durable"
 )
 
 // protoVersion is the hello's protocol version; a primary refuses anything
@@ -50,30 +53,17 @@ const (
 	msgSnapshot  = 'S'
 )
 
-const frameHeaderLen = 8
-
-// frame wraps payload in the WAL frame header.
-func frame(payload []byte) []byte {
-	b := make([]byte, frameHeaderLen+len(payload))
-	copy(b[frameHeaderLen:], payload)
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
-	return b
-}
-
 // helloFrame builds the follower's opening message.
 func helloFrame(lastApplied uint64) []byte {
-	p := []byte{msgHello}
-	p = binary.AppendUvarint(p, protoVersion)
-	p = binary.AppendUvarint(p, lastApplied)
-	return frame(p)
+	b := append(make([]byte, durable.FrameHeaderLen, 32), msgHello)
+	b = binary.AppendUvarint(b, protoVersion)
+	return durable.Frame(binary.AppendUvarint(b, lastApplied))
 }
 
 // seqFrame builds a one-uvarint message (ack, heartbeat).
 func seqFrame(tag byte, seq uint64) []byte {
-	p := []byte{tag}
-	p = binary.AppendUvarint(p, seq)
-	return frame(p)
+	b := append(make([]byte, durable.FrameHeaderLen, 32), tag)
+	return durable.Frame(binary.AppendUvarint(b, seq))
 }
 
 // uvarint decodes the uvarint at the front of b; w ≤ 0 flags a truncated,

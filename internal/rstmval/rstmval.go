@@ -60,9 +60,6 @@ type STM struct {
 // New creates a universe.
 func New() *STM { return &STM{} }
 
-// CommitCounter exposes the heuristic counter, for tests.
-func (s *STM) CommitCounter() int64 { return s.cc.Load() }
-
 // Object is a single-version cell: a versioned lock word (version<<1|locked)
 // and the typed value slot.
 type Object struct {

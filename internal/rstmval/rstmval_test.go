@@ -37,8 +37,8 @@ func TestWriteCommitRead(t *testing.T) {
 	if got := readInt(t, s, o); got != 7 {
 		t.Errorf("value = %d, want 7", got)
 	}
-	if s.CommitCounter() != 1 {
-		t.Errorf("commit counter = %d, want 1", s.CommitCounter())
+	if n := s.cc.Load(); n != 1 {
+		t.Errorf("commit counter = %d, want 1", n)
 	}
 }
 

@@ -1,102 +1,9 @@
 package stats
 
 import (
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Std != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-}
-
-func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Errorf("N = %d", s.N)
-	}
-	if s.Mean != 5 {
-		t.Errorf("Mean = %v, want 5", s.Mean)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	// Sample std of this classic set is sqrt(32/7).
-	if want := math.Sqrt(32.0 / 7.0); math.Abs(s.Std-want) > 1e-12 {
-		t.Errorf("Std = %v, want %v", s.Std, want)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{42})
-	if s.Mean != 42 || s.Std != 0 || s.Min != 42 || s.Max != 42 {
-		t.Errorf("single summary = %+v", s)
-	}
-}
-
-func TestSummaryBoundsProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			// Skip NaN/Inf and magnitudes whose sum overflows float64.
-			if math.IsNaN(x) || math.Abs(x) > 1e300 {
-				return true
-			}
-		}
-		s := Summarize(xs)
-		if s.N == 0 {
-			return true
-		}
-		return s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := map[float64]float64{0: 1, 50: 3, 100: 5, 25: 2}
-	for p, want := range cases {
-		if got := Percentile(xs, p); got != want {
-			t.Errorf("P%v = %v, want %v", p, got, want)
-		}
-	}
-	if got := Percentile(xs, 90); math.Abs(got-4.6) > 1e-12 {
-		t.Errorf("P90 = %v, want 4.6", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("percentile of empty sample must be NaN")
-	}
-	// Input must not be modified.
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 || unsorted[1] != 1 || unsorted[2] != 2 {
-		t.Errorf("input mutated: %v", unsorted)
-	}
-}
-
-func TestPercentileMonotoneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 500; i++ {
-		n := 1 + rng.Intn(20)
-		xs := make([]float64, n)
-		for j := range xs {
-			xs[j] = rng.Float64() * 100
-		}
-		p1, p2 := rng.Float64()*100, rng.Float64()*100
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		if Percentile(xs, p1) > Percentile(xs, p2)+1e-9 {
-			t.Fatalf("percentile not monotone: P%.1f > P%.1f for %v", p1, p2, xs)
-		}
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("threads", "tx/s")
