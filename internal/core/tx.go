@@ -100,9 +100,6 @@ func (tx *Tx) CT() timebase.Timestamp {
 	return timebase.FromWord(tx.ct.Load())
 }
 
-// ReadOnly reports whether the transaction was started with RunReadOnly.
-func (tx *Tx) ReadOnly() bool { return tx.readOnly }
-
 // begin initializes the attempt (Algorithm 2, Start).
 func (tx *Tx) begin() {
 	tx.lower = tx.th.clock.GetTime()

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,7 +110,7 @@ func TestCodecRecoveryRoundTrip(t *testing.T) {
 // goldenEntries carry every value kind: both numeric tags, nil, both
 // booleans, strings, a float64, byte slices and sorted, unsorted and empty
 // []int, under one- and multi-byte cell ids.
-var goldenEntries = []Entry{
+var goldenEntries = []entry{
 	{0, val.OfInt(42)}, {1, val.OfInt(-7)}, {2, val.OfInt64(1 << 40)},
 	{3, val.OfAny(nil)}, {4, val.OfAny(false)}, {5, val.OfAny(true)},
 	{6, val.OfAny("hello")}, {7, val.OfAny("")}, {8, val.OfAny(3.25)},
@@ -147,13 +150,13 @@ func TestRecordGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%c record frames to\n%x, want\n%x", c.kind, got, want)
 		}
-		payload, n, err := ReadFrame(bytes.NewReader(want))
-		if err != nil || n != int64(len(want)) {
-			t.Fatalf("%c: ReadFrame = %d bytes, %v", c.kind, n, err)
+		frame, payload, err := ReadFrame(bytes.NewReader(want))
+		if err != nil || len(frame) != len(want) {
+			t.Fatalf("%c: ReadFrame = %d bytes, %v", c.kind, len(frame), err)
 		}
-		kind, seq, entries, err := DecodeRecord(payload, nil)
+		kind, seq, entries, err := decodeRecord(payload, nil)
 		if err != nil || kind != c.kind || seq != c.seq || len(entries) != len(goldenEntries) {
-			t.Fatalf("%c: DecodeRecord = %c, %d, %d entries, %v", c.kind, kind, seq, len(entries), err)
+			t.Fatalf("%c: decodeRecord = %c, %d, %d entries, %v", c.kind, kind, seq, len(entries), err)
 		}
 		for i, e := range entries {
 			w := goldenEntries[i]
@@ -162,4 +165,102 @@ func TestRecordGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// paddedRecord is a commit at seq 1 writing an int, a string and a []int,
+// as appendRecord writes it, and paddedFields are the byte offsets of its
+// varints: its seq, entry count, first cell id, int value, string length
+// and first []int delta.
+const paddedRecord = "430103" + "0069d804" + "067305" + "68656c6c6f" + "0b7504696e747309050202" + "02c201d89a01"
+
+var paddedFields = []struct {
+	name string
+	off  int
+	err  string // what the decoder's refusal names
+}{
+	{"seq", 1, "seq"}, {"count", 2, "count"}, {"cell id", 3, "cell id"},
+	{"int value", 5, "varint value"}, {"string length", 9, "string/bytes"}, {"ints delta", 24, "delta"},
+}
+
+// padVarint returns rec with the varint at off spelled one byte longer: its
+// last byte gains a continuation bit and a zero byte follows. A padded
+// []int delta lengthens the codec body, whose length (at offset 22) grows
+// with it.
+func padVarint(rec []byte, off int) []byte {
+	end := off
+	for rec[end] >= 0x80 {
+		end++
+	}
+	out := append(append([]byte(nil), rec[:end]...), rec[end]|0x80, 0)
+	out = append(out, rec[end+1:]...)
+	if off > 22 {
+		out[22]++
+	}
+	return out
+}
+
+// TestRecordRefusesPaddedVarints: a record has one encoding, so a record
+// whose seq, count, cell id, int value, string length or []int delta is
+// zero-padded is malformed. The decoder refuses it, replay refuses a log
+// holding it as a malformed record, and a follower's apply refuses it and
+// leaves its log as it was.
+func TestRecordRefusesPaddedVarints(t *testing.T) {
+	golden, _ := hex.DecodeString(paddedRecord)
+	want, err := appendRecord(nil, recCommit, 1, []entry{
+		{0, val.OfInt(300)}, {6, val.OfAny("hello")}, {11, val.OfAny([]int{1, 2, 3, 100, 10_000})},
+	})
+	if err != nil || !bytes.Equal(golden, want) {
+		t.Fatalf("golden record %x, appendRecord writes %x (%v)", golden, want, err)
+	}
+	for _, c := range paddedFields {
+		rec := padVarint(golden, c.off)
+		if _, _, _, err := decodeRecord(rec, nil); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: padded record %x: %v, want a refusal naming %q", c.name, rec, err, c.err)
+		}
+		dir := t.TempDir()
+		seg := append([]byte(segmentMagic), Frame(append(make([]byte, FrameHeaderLen), rec...))...)
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recoverDir(dir); err == nil || !strings.Contains(err.Error(), "malformed record") {
+			t.Errorf("%s: replay of a padded record: %v, want a malformed record", c.name, err)
+		}
+
+		e := newTestEngine(t, "norec", t.TempDir(), Options{Fsync: FsyncNever})
+		for i := 0; i < 12; i++ {
+			e.NewCell(0)
+		}
+		logDir := e.DurabilityInfo().WALDir
+		before := dirImage(t, logDir)
+		if err := e.ApplyReplicated(Frame(append(make([]byte, FrameHeaderLen), rec...))); err == nil {
+			t.Errorf("%s: padded record applied", c.name)
+		}
+		if err := e.WALSync(); err != nil {
+			t.Fatal(err)
+		}
+		if after := dirImage(t, logDir); e.AppendedSeq() != 0 || !maps.Equal(after, before) {
+			t.Errorf("%s: the refused record moved the log to seq %d", c.name, e.AppendedSeq())
+		}
+		if err := e.WALClose(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dirImage returns the contents of every file in dir by name.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make(map[string]string, len(names))
+	for _, n := range names {
+		b, err := os.ReadFile(filepath.Join(dir, n.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[n.Name()] = string(b)
+	}
+	return img
 }

@@ -276,7 +276,7 @@ func TestCrashpointConformance(t *testing.T) {
 				if !errors.Is(crashErr, ErrCrashed) {
 					t.Fatalf("run never crashed: lastAcked=%d err=%v", lastAcked, crashErr)
 				}
-				if e.Crashed() == nil {
+				if e.log.Err() == nil {
 					t.Fatal("engine not wedged after crashpoint")
 				}
 				if crash.Fired() != point {
@@ -361,7 +361,7 @@ func TestConcurrentGroupCommitCrash(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			if e.Crashed() == nil {
+			if e.log.Err() == nil {
 				t.Fatal("engine never crashed")
 			}
 

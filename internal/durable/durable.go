@@ -123,6 +123,13 @@ type Engine struct {
 	applyMu     sync.Mutex // applyThread is single-goroutine too
 	applyOnce   sync.Once
 	applyThread engine.Thread
+	// The record being applied, under applyMu: its seq, its entries and
+	// their cells, reused for every record, and applyBody, the apply
+	// transaction over them, built once so an apply allocates no closure.
+	applySeq     uint64
+	applyEntries []entry
+	applyCells   []engine.Cell
+	applyBody    func(engine.Txn) error
 }
 
 // Wrap recovers the WAL directory's state and returns a durable engine over
@@ -249,34 +256,18 @@ func (e *Engine) WALClose() error {
 	return err
 }
 
-// Crashed returns the sticky crash error, or nil. After a crashpoint or
-// I/O error the in-memory engine may be ahead of the disk image, so every
-// transaction is refused; discard the engine and Wrap a fresh one over the
-// same directory.
-func (e *Engine) Crashed() error { return e.log.Err() }
-
-// journal logs the redo record of a commit the inner engine made at seq,
-// encoded into buf, and returns buf emptied for reuse. The record MUST reach
-// the sequencer, or every later ticket waits forever. Encoding cannot fail
-// (Write screens every payload; a replicated record was decoded from one), so
-// an error is an internal invariant break: it wedges the log so waiters wake
-// instead of hanging. Enough redo bytes since the last snapshot start a
+// journal logs frame, the framed redo record of a commit the inner engine
+// made at seq. The record MUST reach the sequencer, or every later ticket
+// waits forever. Enough redo bytes since the last snapshot start a
 // compaction.
-func (e *Engine) journal(seq uint64, writes []Entry, buf []byte) ([]byte, error) {
-	b, err := appendRecord(append(buf[:0], framePad[:]...), recCommit, seq, writes)
+func (e *Engine) journal(seq uint64, frame []byte) error {
+	n, err := e.log.Commit(seq, frame)
 	if err != nil {
-		e.log.mu.Lock()
-		e.log.fail(fmt.Errorf("durable: payload of commit %d became unencodable: %w", seq, err))
-		e.log.mu.Unlock()
-		return b[:0], err
-	}
-	n, err := e.log.Commit(seq, b)
-	if err != nil {
-		return b[:0], err
+		return err
 	}
 	e.bytesSince.Add(n)
 	e.maybeCompact()
-	return b[:0], nil
+	return nil
 }
 
 // maybeCompact starts a background snapshot when enough redo bytes
@@ -296,25 +287,25 @@ func (e *Engine) maybeCompact() {
 	}()
 }
 
-// compact captures a consistent snapshot (CaptureSnapshot) and installs it.
+// compact captures a consistent snapshot (SnapshotFrame) and installs it.
 func (e *Engine) compact() {
 	if e.log.Err() != nil {
 		return
 	}
-	watermark, entries, err := e.CaptureSnapshot()
+	watermark, frame, err := e.SnapshotFrame()
 	if err != nil {
 		// Compaction is an optimization: an unencodable cell or exhausted
 		// retries just defers it until the next trigger.
 		return
 	}
-	if e.log.WriteSnapshot(watermark, entries) == nil {
+	if e.log.WriteSnapshot(watermark, frame) == nil {
 		e.bytesSince.Store(0)
 	}
 }
 
-// CaptureSnapshot returns a consistent full-state snapshot: the commit
-// watermark and every cell's value at exactly that watermark, in cell-id
-// order. The capture is one read-only inner transaction over the ticket cell
+// SnapshotFrame captures a consistent full-state snapshot and returns its
+// watermark and its framed 'S' record: every cell's value at exactly that
+// watermark, in cell-id order. The capture is one read-only inner transaction over the ticket cell
 // and every data cell: serializability makes the ticket value s the exact
 // watermark of the captured state (every commit ≤ s is in it, nothing above
 // s is). Cells can be created concurrently, so after the capture returns the
@@ -322,9 +313,9 @@ func (e *Engine) compact() {
 // cell the capture missed (its NewCell, which appends under mu, happened
 // before that commit, which happened before the capture returned — so the
 // growth is visible here), and the capture retries over the larger set.
-// Compaction and the replication primary's snapshot-then-tail catch-up both
-// feed off this.
-func (e *Engine) CaptureSnapshot() (uint64, []Entry, error) {
+// The frame is what the snapshot file holds: compaction writes it, and a
+// replication primary ships it for follower catch-up and resync.
+func (e *Engine) SnapshotFrame() (uint64, []byte, error) {
 	e.snapOnce.Do(func() { e.snapThread = e.inner.Thread(snapThreadID) })
 	e.snapMu.Lock() // the capture thread is single-goroutine
 	defer e.snapMu.Unlock()
@@ -362,40 +353,28 @@ func (e *Engine) CaptureSnapshot() (uint64, []Entry, error) {
 			continue
 		}
 
-		entries := make([]Entry, 0, n)
+		entries := make([]entry, 0, n)
 		for i, v := range vals {
 			if !EncodableValue(v) {
 				// A cell was created with a non-serializable initial and
 				// never overwritten; it cannot be snapshotted.
 				return 0, nil, fmt.Errorf("%w: cell %d", ErrUnsupportedPayload, i)
 			}
-			entries = append(entries, Entry{ID: uint64(i), V: v})
+			entries = append(entries, entry{ID: uint64(i), V: v})
 		}
 		// Recovered cells the application has not re-created yet still
 		// belong to the durable state: fold them in, after the live cells
 		// and in id order too, so a snapshot never drops them.
 		for id, v := range e.recovered {
 			if id >= uint64(n) {
-				entries = append(entries, Entry{ID: id, V: v})
+				entries = append(entries, entry{ID: id, V: v})
 			}
 		}
-		slices.SortFunc(entries[n:], func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
-		return uint64(watermark), entries, nil
+		slices.SortFunc(entries[n:], func(a, b entry) int { return cmp.Compare(a.ID, b.ID) })
+		frame, err := snapshotFrame(uint64(watermark), entries)
+		return uint64(watermark), frame, err
 	}
 	return 0, nil, errors.New("durable: snapshot capture kept losing races with cell creation")
-}
-
-// SnapshotFrame captures a consistent snapshot (see CaptureSnapshot) and
-// returns its watermark plus its framed 'S' record, the frame the snapshot
-// file holds — the bytes a replication primary ships for follower catch-up
-// and slow-follower resync.
-func (e *Engine) SnapshotFrame() (uint64, []byte, error) {
-	seq, entries, err := e.CaptureSnapshot()
-	if err != nil {
-		return 0, nil, err
-	}
-	frame, err := snapshotFrame(seq, entries)
-	return seq, frame, err
 }
 
 // AppendedSeq returns the highest commit sequence appended to the log — the
@@ -430,100 +409,61 @@ func (e *Engine) SetCommitGate(gate func(seq uint64) error) {
 // after sealing the log.
 func (e *Engine) SetStandby(on bool) { e.standby.Store(on) }
 
-// Standby reports whether the engine is in follower standby.
-func (e *Engine) Standby() bool { return e.standby.Load() }
-
-// applyCells resolves redo-entry cell ids to inner-engine cells. Unknown
-// ids are a keyspace mismatch between primary and follower (the
-// deterministic-creation-order contract extends across the replica set:
-// both sides must create the same cells in the same order).
-func (e *Engine) applyCells(writes []Entry) ([]engine.Cell, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cells := make([]engine.Cell, len(writes))
-	for i, w := range writes {
-		if w.ID >= uint64(len(e.cells)) {
-			return nil, fmt.Errorf("durable: replicated write to unknown cell %d (have %d; keyspace mismatch with primary?)", w.ID, len(e.cells))
-		}
-		cells[i] = e.cells[w.ID]
-	}
-	return cells, nil
-}
-
-// apply is the one transaction a replicated record is applied in, on the
-// apply thread: it sets the ticket cell to seq and writes each entry's value
-// to cells[i], the cell of entries[i].
-func (e *Engine) apply(seq uint64, entries []Entry, cells []engine.Cell) error {
-	return e.applyThread.Run(func(tx engine.Txn) error {
-		if err := engine.Set(tx, e.seqCell, int64(seq)); err != nil {
-			return err
-		}
-		for i, en := range entries {
-			if err := tx.Write(cells[i], en.V.Load()); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ApplyReplicated replays one primary commit on a follower: it applies the
-// record's writes (and advances the ticket cell to seq) in one inner
-// transaction, then journals the record to the follower's own log at the
-// same seq — so the follower's WAL is byte-compatible with the primary's
-// history and commit numbering continues seamlessly across a promotion.
-// Records must arrive in dense seq order; a gap is a stream error the
-// caller handles by resyncing from a snapshot.
-func (e *Engine) ApplyReplicated(seq uint64, writes []Entry) error {
+// ApplyReplicated applies one record frame a replication primary shipped, as
+// ReadFrame read it, and journals the frame as it arrived, so the follower
+// encodes no record and its log holds the primary's bytes. The record is
+// decoded once; its entries (an unknown cell id is a keyspace mismatch with
+// the primary) are applied in one inner transaction that also sets the
+// ticket cell to its seq, so numbering continues across a promotion.
+//
+// A commit must carry the next seq (a gap is a stream error: the caller
+// resyncs from a snapshot) and is journaled after it is applied. A snapshot
+// replaces the state wholesale and may not regress the applied seq: its
+// frame becomes the snapshot file first (a crash mid-install recovers the
+// old state or the new one), then it is applied, then the sequencer jumps
+// past its watermark on a fresh segment. Memory always moves before the
+// watermark, so AppendedSeq never advertises a seq reads do not return.
+func (e *Engine) ApplyReplicated(frame []byte) error {
 	if err := e.log.usable(); err != nil {
 		return err
 	}
-	e.applyOnce.Do(func() { e.applyThread = e.inner.Thread(applyThreadID) })
+	e.applyOnce.Do(func() {
+		e.applyThread = e.inner.Thread(applyThreadID)
+		e.applyBody = e.applyTx
+	})
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
-	if want := e.log.AppendedSeq() + 1; seq != want {
-		return fmt.Errorf("durable: replicated record out of order: got seq %d, want %d", seq, want)
-	}
-	cells, err := e.applyCells(writes)
+	kind, seq, entries, err := decodeRecord(frame[FrameHeaderLen:], e.applyEntries)
 	if err != nil {
 		return err
 	}
-	if err := e.apply(seq, writes, cells); err != nil {
-		return err
-	}
-	_, err = e.journal(seq, writes, make([]byte, 0, FrameHeaderLen+16+16*len(writes)))
-	return err
-}
-
-// InstallReplicaSnapshot replaces the follower's state wholesale with a
-// primary snapshot at watermark seq, whose entries are in cell-id order as
-// DecodeRecord returns them: the snapshot is written to the follower's own
-// WAL first (so a crash mid-install recovers to either the old state or the
-// new snapshot, never between), then one inner transaction overwrites every
-// cell and the ticket, and only then does the log sequencer jump to seq+1
-// on a fresh segment — memory first, watermark second, the order
-// ApplyReplicated uses, so AppendedSeq never advertises a seq that reads do
-// not return yet. Serving reads interleave safely — they see the old state
-// or the new one atomically. Refuses to regress behind already-applied
-// records.
-func (e *Engine) InstallReplicaSnapshot(seq uint64, entries []Entry) error {
-	if err := e.log.usable(); err != nil {
-		return err
-	}
-	e.applyOnce.Do(func() { e.applyThread = e.inner.Thread(applyThreadID) })
-	e.applyMu.Lock()
-	defer e.applyMu.Unlock()
-	if cur := e.log.AppendedSeq(); seq < cur {
+	e.applySeq, e.applyEntries = seq, entries
+	switch cur := e.log.AppendedSeq(); {
+	case kind == recCommit && seq != cur+1:
+		return fmt.Errorf("durable: replicated record out of order: got seq %d, want %d", seq, cur+1)
+	case kind == recSnapshot && seq < cur:
 		return fmt.Errorf("durable: replica snapshot at %d would regress applied seq %d", seq, cur)
 	}
-	cells, err := e.applyCells(entries)
-	if err != nil {
+	e.mu.Lock()
+	e.applyCells = e.applyCells[:0]
+	for _, en := range entries {
+		if en.ID >= uint64(len(e.cells)) {
+			e.mu.Unlock()
+			return fmt.Errorf("durable: replicated write to unknown cell %d (have %d; keyspace mismatch with primary?)", en.ID, len(e.cells))
+		}
+		e.applyCells = append(e.applyCells, e.cells[en.ID])
+	}
+	e.mu.Unlock()
+	if kind == recCommit {
+		if err := e.applyThread.Run(e.applyBody); err != nil {
+			return err
+		}
+		return e.journal(seq, frame)
+	}
+	if err := e.log.WriteSnapshot(seq, frame); err != nil {
 		return err
 	}
-	if err := e.log.WriteSnapshot(seq, entries); err != nil {
-		return err
-	}
-	err = e.apply(seq, entries, cells)
+	err = e.applyThread.Run(e.applyBody)
 	if err == nil {
 		err = e.log.skipTo(seq + 1)
 	}
@@ -531,12 +471,31 @@ func (e *Engine) InstallReplicaSnapshot(seq uint64, entries []Entry) error {
 		// The on-disk image already moved to the snapshot; memory or the
 		// sequencer failing to follow leaves them divergent, so wedge rather
 		// than limp on.
-		e.log.mu.Lock()
-		e.log.fail(fmt.Errorf("durable: replica snapshot install failed after the snapshot was written: %w", err))
-		e.log.mu.Unlock()
-		return err
+		return e.log.wedge(fmt.Errorf("durable: replica snapshot install failed after the snapshot was written: %w", err))
 	}
 	e.bytesSince.Store(0)
+	return nil
+}
+
+// applyTx is the one transaction a replicated record is applied in, on the
+// apply thread: it sets the ticket cell to applySeq and writes each of
+// applyEntries to its cell in applyCells. An int goes through the int lane,
+// as dtxn.WriteInt wrote it on the primary, so it is not boxed.
+func (e *Engine) applyTx(tx engine.Txn) error {
+	if err := engine.Set(tx, e.seqCell, int64(e.applySeq)); err != nil {
+		return err
+	}
+	for i, en := range e.applyEntries {
+		var err error
+		if n, _ := en.V.AsInt64(); en.V.Kind() == val.KindInt {
+			err = tx.WriteInt(e.applyCells[i], n)
+		} else {
+			err = tx.Write(e.applyCells[i], en.V.Load())
+		}
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -578,8 +537,15 @@ func (t *dthread) Run(fn func(engine.Txn) error) error {
 	if tx.seq == 0 {
 		return nil // no writes: nothing to journal
 	}
-	var err error
-	if t.scratch, err = t.e.journal(tx.seq, tx.writes, t.scratch); err != nil {
+	frame, err := appendRecord(append(t.scratch[:0], framePad[:]...), recCommit, tx.seq, tx.writes)
+	t.scratch = frame[:0]
+	if err != nil {
+		// Write screens every payload, so this is an internal invariant
+		// break; wedge the log so that later tickets, which wait for this
+		// record, wake instead of hanging.
+		return t.e.log.wedge(fmt.Errorf("durable: payload of commit %d became unencodable: %w", tx.seq, err))
+	}
+	if err := t.e.journal(tx.seq, frame); err != nil {
 		return err
 	}
 	if g := t.e.gate.Load(); g != nil {
@@ -609,7 +575,7 @@ type dtxn struct {
 	e      *Engine
 	itx    engine.Txn
 	seq    uint64
-	writes []Entry
+	writes []entry
 }
 
 func (t *dtxn) reset(e *Engine, itx engine.Txn) {
@@ -661,7 +627,7 @@ func (t *dtxn) Write(c engine.Cell, v any) error {
 	if err := t.itx.Write(dc.inner, v); err != nil {
 		return err
 	}
-	t.writes = append(t.writes, Entry{ID: dc.id, V: w})
+	t.writes = append(t.writes, entry{ID: dc.id, V: w})
 	return nil
 }
 
@@ -677,7 +643,7 @@ func (t *dtxn) WriteInt(c engine.Cell, v int64) error {
 	if err := t.itx.WriteInt(dc.inner, v); err != nil {
 		return err
 	}
-	t.writes = append(t.writes, Entry{ID: dc.id, V: val.OfInt(int(v))})
+	t.writes = append(t.writes, entry{ID: dc.id, V: val.OfInt(int(v))})
 	return nil
 }
 

@@ -25,7 +25,7 @@ import (
 // testFrame builds the redo frame Commit expects for seq: one write of seq to
 // cell 0.
 func testFrame(seq uint64) []byte {
-	b, err := appendRecord(append([]byte(nil), framePad[:]...), recCommit, seq, []Entry{{ID: 0, V: val.OfInt(int(seq))}})
+	b, err := appendRecord(append([]byte(nil), framePad[:]...), recCommit, seq, []entry{{ID: 0, V: val.OfInt(int(seq))}})
 	if err != nil {
 		panic(err)
 	}
@@ -368,7 +368,11 @@ func TestGroupFlushRaces(t *testing.T) {
 	}()
 	waitAppended(l, seq)
 	watermark := seq + 4
-	if err := l.WriteSnapshot(watermark, []Entry{{ID: 0, V: val.OfInt(int(watermark))}}); err != nil {
+	frame, err := snapshotFrame(watermark, []entry{{ID: 0, V: val.OfInt(int(watermark))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshot(watermark, frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.skipTo(watermark + 1); err != nil {
@@ -419,6 +423,54 @@ func TestAllocBudget(t *testing.T) {
 		run() // size the redo scratch before AllocsPerRun's own warm-up
 		if got := testing.AllocsPerRun(100, run); got > 0 {
 			t.Errorf("fsync=%s: %.2f allocs per int-lane transfer, budget 0", policy, got)
+		}
+		if err := e.WALClose(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAllocBudgetReplicated: a follower applies and journals a replicated
+// commit without allocating — the decode scratch, the cells and the apply
+// transaction are the engine's and reused, int writes take the int lane,
+// and the frame is journaled as it came, not encoded again.
+func TestAllocBudgetReplicated(t *testing.T) {
+	for _, policy := range []string{FsyncNever, FsyncGroup} {
+		e := newTestEngine(t, "norec", t.TempDir(), Options{Fsync: policy})
+		a, b := e.NewCell(1000), e.NewCell(1000)
+		// The primary's transfer records, encoded into one reused buffer so
+		// that only the apply is counted.
+		writes := []entry{{ID: 0}, {ID: 1}}
+		frame := make([]byte, FrameHeaderLen, 64)
+		var seq uint64
+		apply := func() {
+			seq++
+			writes[0].V, writes[1].V = val.OfInt(1000-int(seq)), val.OfInt(1000+int(seq))
+			var err error
+			if frame, err = appendRecord(frame[:FrameHeaderLen], recCommit, seq, writes); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ApplyReplicated(Frame(frame)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		apply() // start the apply thread and size its scratch first
+		if got := testing.AllocsPerRun(100, apply); got > 0 {
+			t.Errorf("fsync=%s: %.2f allocs per replicated two-int commit, budget 0", policy, got)
+		}
+		var x, y int
+		if err := e.Thread(1).RunReadOnly(func(tx engine.Txn) error {
+			var err error
+			if x, err = engine.Get[int](tx, a); err != nil {
+				return err
+			}
+			y, err = engine.Get[int](tx, b)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := 1000 - int(seq); x != want || y != 2000-want || e.AppendedSeq() != seq {
+			t.Errorf("fsync=%s: cells %d, %d at seq %d, want %d, %d at %d", policy, x, y, e.AppendedSeq(), want, 2000-want, seq)
 		}
 		if err := e.WALClose(); err != nil {
 			t.Fatal(err)

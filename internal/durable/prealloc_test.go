@@ -27,11 +27,11 @@ func frameEnds(data []byte) []int64 {
 		if off+FrameHeaderLen <= int64(len(data)) && bytes.Equal(data[off:off+FrameHeaderLen], make([]byte, FrameHeaderLen)) {
 			return ends
 		}
-		_, n, err := ReadFrame(bytes.NewReader(data[off:]))
+		frame, _, err := ReadFrame(bytes.NewReader(data[off:]))
 		if err != nil {
 			return ends
 		}
-		off += n
+		off += int64(len(frame))
 		ends = append(ends, off)
 	}
 }

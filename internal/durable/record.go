@@ -27,7 +27,7 @@
 //
 // A commit ('C') carries its commit sequence and its writes in program
 // order; a snapshot ('S') carries its watermark and every cell in id order.
-// appendRecord encodes both kinds and DecodeRecord decodes both.
+// appendRecord encodes both kinds and decodeRecord decodes both.
 //
 // Values carry a one-byte kind tag ahead of a kind-specific body; only
 // WAL-serializable payloads are representable: the val numeric lane plus
@@ -37,11 +37,17 @@
 //	'u' | uvarint 4 | "ints" | uvarint len(body) | uvarint count | count × varint delta
 //
 // each delta taken from the previous element (the first from 0). A reader
-// refuses any other codec name. The frame reader distinguishes three
-// outcomes callers treat differently: a clean end of file, a torn frame
-// (short read or CRC mismatch — recovery truncates it when it is the log's
-// final frame), and a malformed payload inside a valid frame (always a hard
-// error).
+// refuses any other codec name.
+//
+// A record has one encoding: writers emit shortest-form varints, and every
+// varint read, on disk and on the wire, goes through Uvarint (or varint, its
+// signed form), which refuses a zero-padded one as malformed. So a record
+// that decodes re-encodes to its own bytes.
+//
+// The frame reader distinguishes three outcomes callers treat differently: a
+// clean end of file, a torn frame (short read or CRC mismatch — recovery
+// truncates it when it is the log's final frame), and a malformed payload
+// inside a valid frame (always a hard error).
 package durable
 
 import (
@@ -92,6 +98,29 @@ var ErrUnsupportedPayload = errors.New("durable: payload type not WAL-serializab
 // truncation when it is the final frame of the log, and the reconnect signal
 // when a replication stream is cut mid-frame.
 var ErrTorn = errors.New("durable: torn frame")
+
+// Uvarint decodes the uvarint at the front of b and the bytes it took, the
+// one varint reader of the log and the replication wire. w ≤ 0 flags a
+// truncated, overflowing or zero-padded encoding: writers emit the shortest
+// form only, so a padded one is malformed, not another spelling.
+func Uvarint(b []byte) (v uint64, w int) {
+	for i, c := range b {
+		if c == 0 && i > 0 || i == binary.MaxVarintLen64-1 && c > 1 {
+			return 0, 0 // padded, or past 64 bits
+		}
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			return v, i + 1
+		}
+	}
+	return 0, 0
+}
+
+// varint is Uvarint's signed form, the inverse of binary.AppendVarint.
+func varint(b []byte) (int64, int) {
+	u, w := Uvarint(b)
+	return int64(u>>1) ^ -int64(u&1), w
+}
 
 // EncodableValue reports whether v can be carried in a redo record: the
 // numeric lane, a boxed nil, bool, string, float64, []byte or []int.
@@ -156,7 +185,7 @@ func decodeValue(b []byte) (val.Value, []byte, error) {
 	tag, b := b[0], b[1:]
 	switch tag {
 	case tagInt, tagInt64:
-		n, w := binary.Varint(b)
+		n, w := varint(b)
 		if w <= 0 {
 			return val.Value{}, nil, errors.New("durable: bad varint value")
 		}
@@ -171,44 +200,47 @@ func decodeValue(b []byte) (val.Value, []byte, error) {
 	case tagTrue:
 		return val.OfAny(true), b, nil
 	case tagString, tagBytes:
-		n, w := binary.Uvarint(b)
-		if w <= 0 || uint64(len(b[w:])) < n {
-			return val.Value{}, nil, errors.New("durable: truncated string/bytes value")
+		body, rest, ok := prefixed(b)
+		if !ok {
+			return val.Value{}, nil, errors.New("durable: malformed string/bytes length")
 		}
-		body := b[w : w+int(n)]
 		if tag == tagString {
-			return val.OfAny(string(body)), b[w+int(n):], nil
+			return val.OfAny(string(body)), rest, nil
 		}
-		cp := make([]byte, n)
-		copy(cp, body)
-		return val.OfAny(cp), b[int(n)+w:], nil
+		return val.OfAny(append([]byte{}, body...)), rest, nil
 	case tagFloat64:
 		if len(b) < 8 {
 			return val.Value{}, nil, errors.New("durable: truncated float64 value")
 		}
 		return val.OfAny(math.Float64frombits(binary.LittleEndian.Uint64(b))), b[8:], nil
 	case tagCodec:
-		n, w := binary.Uvarint(b)
-		if w <= 0 || uint64(len(b[w:])) < n {
-			return val.Value{}, nil, errors.New("durable: truncated codec name")
+		name, rest, ok := prefixed(b)
+		body, rest, ok2 := prefixed(rest)
+		if !ok || !ok2 {
+			return val.Value{}, nil, errors.New("durable: malformed codec value")
 		}
-		name := string(b[w : w+int(n)])
-		b = b[w+int(n):]
-		m, w := binary.Uvarint(b)
-		if w <= 0 || uint64(len(b[w:])) < m {
-			return val.Value{}, nil, errors.New("durable: truncated codec body")
-		}
-		if name != intsCodec {
+		if string(name) != intsCodec {
 			return val.Value{}, nil, fmt.Errorf("durable: log carries codec %q; only %q is known", name, intsCodec)
 		}
-		keys, err := decodeInts(b[w : w+int(m)])
+		keys, err := decodeInts(body)
 		if err != nil {
 			return val.Value{}, nil, err
 		}
-		return val.OfAny(keys), b[w+int(m):], nil
+		return val.OfAny(keys), rest, nil
 	default:
 		return val.Value{}, nil, fmt.Errorf("durable: unknown value tag %q", tag)
 	}
+}
+
+// prefixed splits the uvarint-length-prefixed field at the front of b into
+// its body and the rest of b; ok is false when the length is malformed or
+// runs past the end of b.
+func prefixed(b []byte) (body, rest []byte, ok bool) {
+	n, w := Uvarint(b)
+	if w <= 0 || uint64(len(b[w:])) < n {
+		return nil, nil, false
+	}
+	return b[w : w+int(n)], b[w+int(n):], true
 }
 
 // appendInts appends the body of a []int value: the count, then each
@@ -227,7 +259,7 @@ func appendInts(b []byte, keys []int) []byte {
 
 // decodeInts inverts appendInts.
 func decodeInts(b []byte) ([]int, error) {
-	n, w := binary.Uvarint(b)
+	n, w := Uvarint(b)
 	if w <= 0 || n > uint64(len(b)-w) { // every delta takes at least a byte
 		return nil, errors.New("durable: ints codec: bad count")
 	}
@@ -235,7 +267,7 @@ func decodeInts(b []byte) ([]int, error) {
 	keys := make([]int, 0, n)
 	prev := 0
 	for i := uint64(0); i < n; i++ {
-		d, w := binary.Varint(b)
+		d, w := varint(b)
 		if w <= 0 {
 			return nil, errors.New("durable: ints codec: truncated delta")
 		}
@@ -249,19 +281,19 @@ func decodeInts(b []byte) ([]int, error) {
 	return keys, nil
 }
 
-// Entry is one cell write inside a commit, in program order (replay applies
+// entry is one cell write inside a commit, in program order (replay applies
 // entries in order, so later writes to the same cell win, exactly as they
-// did transactionally), or one cell of a snapshot, in id order. It is
-// exported as the unit of the replication feed: internal/replica ships and
-// replays []Entry.
-type Entry struct {
+// did transactionally), or one cell of a snapshot, in id order. It never
+// leaves the package: replication ships and journals a record's frame bytes,
+// and only Engine.ApplyReplicated decodes them into entries.
+type entry struct {
 	ID uint64
 	V  val.Value
 }
 
 // appendRecord appends the record of the given kind (recCommit or
 // recSnapshot) at seq holding entries to b.
-func appendRecord(b []byte, kind byte, seq uint64, entries []Entry) ([]byte, error) {
+func appendRecord(b []byte, kind byte, seq uint64, entries []entry) ([]byte, error) {
 	b = append(b, kind)
 	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendUvarint(b, uint64(len(entries)))
@@ -275,33 +307,34 @@ func appendRecord(b []byte, kind byte, seq uint64, entries []Entry) ([]byte, err
 	return b, nil
 }
 
-// DecodeRecord parses a commit or snapshot record (kind byte included) and
+// decodeRecord parses a commit or snapshot record (kind byte included) and
 // returns its kind, its seq and its entries, appended to entries[:0] so that
 // a caller decoding many records reuses one slice (nil makes one of the
-// record's size). The decoded values share no bytes with b.
-func DecodeRecord(b []byte, entries []Entry) (kind byte, seq uint64, _ []Entry, err error) {
+// record's size). The decoded values share no bytes with b. A record it
+// accepts is the one appendRecord writes for what it returns, byte for byte.
+func decodeRecord(b []byte, entries []entry) (kind byte, seq uint64, _ []entry, err error) {
 	if len(b) == 0 || (b[0] != recCommit && b[0] != recSnapshot) {
 		return 0, 0, nil, errors.New("durable: not a commit or snapshot record")
 	}
 	kind, b = b[0], b[1:]
-	seq, w := binary.Uvarint(b)
+	seq, w := Uvarint(b)
 	if w <= 0 {
 		return 0, 0, nil, errors.New("durable: bad record seq")
 	}
 	b = b[w:]
 	// Every entry takes at least one byte: a larger count is corrupt, and
 	// preallocating for it could exhaust memory.
-	n, w := binary.Uvarint(b)
+	n, w := Uvarint(b)
 	if w <= 0 || n > uint64(len(b)-w) {
 		return 0, 0, nil, errors.New("durable: bad record entry count")
 	}
 	b = b[w:]
 	if entries == nil {
-		entries = make([]Entry, 0, n)
+		entries = make([]entry, 0, n)
 	}
 	entries = entries[:0]
 	for i := uint64(0); i < n; i++ {
-		id, w := binary.Uvarint(b)
+		id, w := Uvarint(b)
 		if w <= 0 {
 			return 0, 0, nil, errors.New("durable: bad record cell id")
 		}
@@ -310,7 +343,7 @@ func DecodeRecord(b []byte, entries []Entry) (kind byte, seq uint64, _ []Entry, 
 			return 0, 0, nil, err
 		}
 		b = rest
-		entries = append(entries, Entry{ID: id, V: v})
+		entries = append(entries, entry{ID: id, V: v})
 	}
 	if len(b) != 0 {
 		return 0, 0, nil, errors.New("durable: trailing bytes in record")
@@ -327,32 +360,36 @@ func Frame(b []byte) []byte {
 	return b
 }
 
-// ReadFrame reads one frame from r. It returns io.EOF at a clean end of
-// input and an error wrapping ErrTorn for a short frame or CRC mismatch. The
-// snapshot loader and the replication follower share it: the wire protocol
-// ships the exact on-disk frame bytes. The frame it reads is checked by
-// parseFrame, the parser recovery runs over a whole segment in memory.
-func ReadFrame(r io.Reader) (payload []byte, frameLen int64, err error) {
+// ReadFrame reads one frame from r into a buffer of its own and returns it,
+// header included, and its payload, which aliases it. It returns io.EOF at
+// a clean end of input and an error wrapping ErrTorn for a short frame or
+// CRC mismatch. The snapshot loader and the replication follower share it:
+// the wire protocol ships the exact on-disk frame bytes, and a follower
+// journals the frame it read as it is. The frame is checked by parseFrame,
+// the parser recovery runs over a whole segment in memory.
+func ReadFrame(r io.Reader) (frame, payload []byte, err error) {
 	// The header goes through a slice (a local array would escape into the
 	// Read call), which grows into the whole frame once its length is known;
 	// its spare room holds a small frame, such as an ack, in one allocation.
 	hdr := make([]byte, FrameHeaderLen, 64)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
-			return nil, 0, io.EOF
+			return nil, nil, io.EOF
 		}
-		return nil, 0, fmt.Errorf("%w: short frame header: %v", ErrTorn, err)
+		return nil, nil, fmt.Errorf("%w: short frame header: %v", ErrTorn, err)
 	}
 	n, err := payloadLen(hdr)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	frame := append(hdr, make([]byte, n)...)
+	frame = append(hdr, make([]byte, n)...)
 	if _, err := io.ReadFull(r, frame[FrameHeaderLen:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: short frame payload: %v", ErrTorn, err)
+		return nil, nil, fmt.Errorf("%w: short frame payload: %v", ErrTorn, err)
 	}
-	payload, size, err := parseFrame(frame)
-	return payload, int64(size), err
+	if payload, _, err = parseFrame(frame); err != nil {
+		return nil, nil, err
+	}
+	return frame, payload, nil
 }
 
 // payloadLen decodes the length field of the frame header hdr, which is an

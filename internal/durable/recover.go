@@ -11,7 +11,7 @@
 //     marks every replayChunk-th frame.
 //   - Pass 2 cuts the frames at marks into up to GOMAXPROCS contiguous runs,
 //     one per worker, the caller replaying the first. A worker checks each
-//     frame's CRC, decodes it with DecodeRecord, skips seqs at or below
+//     frame's CRC, decodes it with decodeRecord, skips seqs at or below
 //     the snapshot watermark, checks that the seqs it applies are dense and
 //     keeps the last value per cell. The workers are joined before the runs
 //     are merged in log order, and each boundary is checked for density too.
@@ -25,7 +25,6 @@
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -129,26 +128,23 @@ func recoverDir(dir string) (*recovery, error) {
 
 func loadSnapshot(dir string, rec *recovery) error {
 	path := filepath.Join(dir, snapshotName)
-	f, err := os.Open(path)
+	img, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapshotMagic {
+	if len(img) < len(snapshotMagic) || string(img[:len(snapshotMagic)]) != snapshotMagic {
 		return fmt.Errorf("durable: bad snapshot magic in %s", path)
 	}
-	payload, _, err := ReadFrame(r)
+	payload, _, err := parseFrame(img[len(snapshotMagic):])
 	if err != nil {
 		// The snapshot was written with write-tmp → fsync → rename, so a
 		// torn snapshot means disk corruption, not a crash: refuse.
 		return fmt.Errorf("durable: corrupt snapshot %s: %v", path, err)
 	}
-	kind, seq, entries, err := DecodeRecord(payload, nil)
+	kind, seq, entries, err := decodeRecord(payload, nil)
 	if err == nil && kind != recSnapshot {
 		err = errors.New("not a snapshot record")
 	}
@@ -181,7 +177,7 @@ type replayer struct {
 type replayRun struct {
 	from, to int
 	values   map[uint64]val.Value
-	writes   []Entry // decode scratch
+	writes   []entry // decode scratch
 	applied  uint64  // commits applied (seqs above the snapshot watermark)
 	first    uint64  // seq of the first commit applied
 	firstAt  int     // its offset
@@ -342,7 +338,7 @@ func (r *replayRun) replay(values map[uint64]val.Value, data []byte, path string
 		}
 		var kind byte
 		var seq uint64
-		kind, seq, writes, err = DecodeRecord(payload, writes)
+		kind, seq, writes, err = decodeRecord(payload, writes)
 		if err == nil && kind != recCommit {
 			err = errors.New("durable: not a commit record")
 		}

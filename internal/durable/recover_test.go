@@ -48,11 +48,11 @@ func (o replayOutcome) String() string {
 // encodeValues is the cells of values as one snapshot payload, in id order.
 func encodeValues(t testing.TB, values map[uint64]val.Value) string {
 	t.Helper()
-	entries := make([]Entry, 0, len(values))
+	entries := make([]entry, 0, len(values))
 	for id, v := range values {
-		entries = append(entries, Entry{ID: id, V: v})
+		entries = append(entries, entry{ID: id, V: v})
 	}
-	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.ID, b.ID) })
 	b, err := appendRecord(nil, recSnapshot, 0, entries)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func encodeValues(t testing.TB, values map[uint64]val.Value) string {
 }
 
 // referenceReplay is recovery as one loop over the frames of the segment
-// images, in order: ReadFrame and DecodeRecord applied frame by
+// images, in order: ReadFrame and decodeRecord applied frame by
 // frame, a zero header or torn frame ending the final segment and refusing
 // any other. It reads the images and writes nothing: the sizes it reports
 // are the ones recovery must leave on disk.
@@ -84,13 +84,12 @@ func referenceReplay(t testing.TB, snapSeq uint64, snapValues map[uint64]val.Val
 		off := int64(len(segmentMagic))
 		r := bytes.NewReader(img[off:])
 		for {
-			var payload []byte
-			var n int64
+			var frame, payload []byte
 			var err error
 			if rest := img[off:]; len(rest) >= FrameHeaderLen && bytes.Equal(rest[:FrameHeaderLen], make([]byte, FrameHeaderLen)) {
 				err = ErrTorn
 			} else {
-				payload, n, err = ReadFrame(r)
+				frame, payload, err = ReadFrame(r)
 			}
 			if err == io.EOF {
 				break
@@ -113,7 +112,7 @@ func referenceReplay(t testing.TB, snapSeq uint64, snapValues map[uint64]val.Val
 			if err != nil {
 				t.Fatal(err)
 			}
-			kind, seq, writes, err := DecodeRecord(payload, nil)
+			kind, seq, writes, err := decodeRecord(payload, nil)
 			if err != nil || kind != recCommit {
 				return refuse("malformed record", i, off)
 			}
@@ -127,7 +126,7 @@ func referenceReplay(t testing.TB, snapSeq uint64, snapValues map[uint64]val.Val
 				out.lastSeq = seq
 				out.commits++
 			}
-			off += n
+			off += int64(len(frame))
 		}
 	}
 	out.values = encodeValues(t, values)
@@ -187,9 +186,9 @@ func writeLog(t testing.TB, dir string, snapSeq uint64, snapValues map[uint64]va
 		}
 		return
 	}
-	entries := make([]Entry, 0, len(snapValues))
+	entries := make([]entry, 0, len(snapValues))
 	for id, v := range snapValues {
-		entries = append(entries, Entry{ID: id, V: v})
+		entries = append(entries, entry{ID: id, V: v})
 	}
 	frame, err := snapshotFrame(snapSeq, entries)
 	if err != nil {
@@ -212,7 +211,7 @@ var replayValues = []func(r *rand.Rand) val.Value{
 }
 
 // commitFrame is the whole frame of a commit record.
-func commitFrame(t testing.TB, seq uint64, writes []Entry) []byte {
+func commitFrame(t testing.TB, seq uint64, writes []entry) []byte {
 	b, err := appendRecord(make([]byte, FrameHeaderLen), recCommit, seq, writes)
 	if err != nil {
 		t.Fatal(err)
@@ -222,11 +221,11 @@ func commitFrame(t testing.TB, seq uint64, writes []Entry) []byte {
 
 // genLog is a dense log of n commits, seqs 1..n, of one to three writes
 // over 24 cells each.
-func genLog(t testing.TB, r *rand.Rand, n int) (frames [][]byte, writes [][]Entry) {
+func genLog(t testing.TB, r *rand.Rand, n int) (frames [][]byte, writes [][]entry) {
 	for seq := 1; seq <= n; seq++ {
-		ws := make([]Entry, 1+r.Intn(3))
+		ws := make([]entry, 1+r.Intn(3))
 		for i := range ws {
-			ws[i] = Entry{ID: uint64(r.Intn(24)), V: replayValues[r.Intn(len(replayValues))](r)}
+			ws[i] = entry{ID: uint64(r.Intn(24)), V: replayValues[r.Intn(len(replayValues))](r)}
 		}
 		frames = append(frames, commitFrame(t, uint64(seq), ws))
 		writes = append(writes, ws)
@@ -250,7 +249,7 @@ var damageNames = [damageKinds]string{"none", "crc", "truncate", "zero", "gap", 
 // assemble builds the segment images of frames split at cuts (cuts[i] is
 // the index of segment i+1's first frame), with frame idx damaged as kind
 // says and pad zero bytes after the final segment's data.
-func assemble(t testing.TB, frames [][]byte, writes [][]Entry, cuts []int, idx, kind, pad int) [][]byte {
+func assemble(t testing.TB, frames [][]byte, writes [][]entry, cuts []int, idx, kind, pad int) [][]byte {
 	bounds := append(append([]int{0}, cuts...), len(frames))
 	var images [][]byte
 	for s := 0; s+1 < len(bounds); s++ {
@@ -424,7 +423,7 @@ func TestRecoverFrameBeyondOldWindow(t *testing.T) {
 			}
 			l := openTestLog(t, logConfig{dir: dir, policy: FsyncNever, segmentBytes: segBytes})
 			commit := func(seq uint64, v val.Value) {
-				b, err := appendRecord(append([]byte(nil), framePad[:]...), recCommit, seq, []Entry{{ID: seq % 3, V: v}})
+				b, err := appendRecord(append([]byte(nil), framePad[:]...), recCommit, seq, []entry{{ID: seq % 3, V: v}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,19 +9,16 @@ import (
 	"path/filepath"
 )
 
-// WriteSnapshot atomically installs a snapshot of entries, in cell-id
-// order, at watermark seq and deletes every segment the watermark fully
-// covers. The install is write-tmp → fsync → rename → fsync-dir, so a crash
-// leaves either the old snapshot or the new one, never a torn one; a crash
-// between rename and segment deletion leaves stale segments whose records
-// recovery then skips (they are ≤ the watermark). Concurrent appends are
-// safe: only segments strictly older than the active one are ever deleted.
-func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
+// WriteSnapshot atomically installs frame, a framed snapshot record at
+// watermark seq as snapshotFrame builds it, and deletes every segment the
+// watermark fully covers. The install is write-tmp → fsync → rename →
+// fsync-dir, so a crash leaves either the old snapshot or the new one, never
+// a torn one; a crash between rename and segment deletion leaves stale
+// segments whose records recovery then skips (they are ≤ the watermark).
+// Concurrent appends are safe: only segments strictly older than the active
+// one are ever deleted.
+func (l *Log) WriteSnapshot(seq uint64, frame []byte) error {
 	if err := l.Err(); err != nil {
-		return err
-	}
-	frame, err := snapshotFrame(seq, entries)
-	if err != nil {
 		return err
 	}
 
@@ -47,10 +44,7 @@ func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
 	if l.cfg.crash.fire(CrashMidSnapshotRename) {
 		// Crash between writing snapshot.tmp and the rename: the tmp file
 		// is left behind for boot to ignore and clean up.
-		l.mu.Lock()
-		l.fail(ErrCrashed)
-		l.mu.Unlock()
-		return ErrCrashed
+		return l.wedge(ErrCrashed)
 	}
 
 	if err := os.Rename(tmp, filepath.Join(l.cfg.dir, snapshotName)); err != nil {
@@ -64,10 +58,7 @@ func (l *Log) WriteSnapshot(seq uint64, entries []Entry) error {
 		// Crash between the rename and old-segment truncation: the new
 		// snapshot is live, the covered segments linger; boot skips their
 		// records (all ≤ the watermark).
-		l.mu.Lock()
-		l.fail(ErrCrashed)
-		l.mu.Unlock()
-		return ErrCrashed
+		return l.wedge(ErrCrashed)
 	}
 
 	return l.truncateCovered(seq)
@@ -96,8 +87,9 @@ func (l *Log) truncateCovered(watermark uint64) error {
 
 // snapshotFrame is the framed snapshot record of entries, in cell-id order,
 // at watermark seq: the bytes the snapshot file holds after its magic, and
-// the bytes a replication primary ships a follower.
-func snapshotFrame(seq uint64, entries []Entry) ([]byte, error) {
+// the bytes a replication primary ships a follower, which writes them to its
+// own snapshot file as they came.
+func snapshotFrame(seq uint64, entries []entry) ([]byte, error) {
 	b := make([]byte, FrameHeaderLen, FrameHeaderLen+64+16*len(entries))
 	b, err := appendRecord(b, recSnapshot, seq, entries)
 	if err != nil {

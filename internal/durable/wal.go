@@ -277,7 +277,17 @@ func (l *Log) fail(err error) {
 	l.flushCond.Broadcast()
 }
 
-// Err returns the sticky crash/I/O error, or nil.
+// wedge is fail for a caller not holding l.mu; it returns err.
+func (l *Log) wedge(err error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fail(err)
+	return err
+}
+
+// Err returns the sticky crash/I/O error, or nil. Once it is set, memory may
+// be ahead of the disk: the engine refuses every transaction, and recovery
+// is a fresh Wrap over the same directory.
 func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -45,9 +45,10 @@ func init() {
 	Register("lsa/extsync", lsaInfo("multi-version LSA on the externally synchronized ±dev clock", "nodes", "deviation"),
 		func(o Options) (Engine, error) {
 			// One simulated 1 GHz per-node clock device (ticks are
-			// nanoseconds) with the advertised deviation bound from Options.
+			// nanoseconds) with the advertised deviation bound from Options,
+			// checked against the device's worst-case error.
 			dev := hwclock.New(hwclock.Config{TickHz: 1_000_000_000, Nodes: o.Nodes, Seed: 1})
-			tb, err := timebase.NewExtSyncClockFrom(dev, o.Deviation)
+			tb, err := timebase.NewExtSyncClock(dev, o.Deviation)
 			if err != nil {
 				return nil, err
 			}

@@ -198,6 +198,3 @@ func (nr *nodeRegister) nextJitter(bound int64) int64 {
 		}
 	}
 }
-
-// TickPeriod returns the duration of one device tick.
-func (d *Device) TickPeriod() time.Duration { return d.tickPeriod }

@@ -144,7 +144,7 @@ func TestMaxErrorTicks(t *testing.T) {
 
 func TestTickPeriod(t *testing.T) {
 	d := New(Config{TickHz: 20_000_000, Nodes: 1})
-	if got := d.TickPeriod(); got != 50*time.Nanosecond {
+	if got := d.tickPeriod; got != 50*time.Nanosecond {
 		t.Errorf("20 MHz tick period = %v, want 50ns", got)
 	}
 }

@@ -67,9 +67,6 @@ type STM struct {
 // New creates a universe with the sequence lock at zero.
 func New() *STM { return &STM{} }
 
-// Sequence exposes the sequence-lock value, for tests.
-func (s *STM) Sequence() int64 { return s.seq.Load() }
-
 // waitEven spins until the sequence lock seq is even (quiescent) and returns
 // its value. Writers hold a lock only for the write-back, so the spin is
 // short; after a few iterations it yields to the scheduler in case the

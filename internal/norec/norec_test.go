@@ -25,7 +25,7 @@ func TestReadInitialAndCommit(t *testing.T) {
 		t.Errorf("value = %d, want 42", got)
 	}
 	// One update commit bumps the sequence lock by exactly two.
-	if seq := s.Sequence(); seq != 2 {
+	if seq := s.seq.Load(); seq != 2 {
 		t.Errorf("sequence lock = %d, want 2", seq)
 	}
 }
@@ -61,7 +61,7 @@ func TestReadOnlyRejectsWrite(t *testing.T) {
 		t.Fatalf("got %v, want ErrReadOnly", err)
 	}
 	// A read-only transaction must not move the sequence lock.
-	if seq := s.Sequence(); seq != 0 {
+	if seq := s.seq.Load(); seq != 0 {
 		t.Errorf("sequence lock = %d, want 0", seq)
 	}
 }

@@ -49,8 +49,8 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 // FollowerStats is the follower's replication telemetry snapshot.
 type FollowerStats struct {
 	// AppliedSeq is the applied-seq watermark (the follower's own WAL
-	// high-water mark: every applied record is re-journaled at its original
-	// seq).
+	// high-water mark: every applied record is journaled, as it arrived, at
+	// its original seq).
 	AppliedSeq uint64
 	// Connected reports a currently live stream to the primary.
 	Connected bool
@@ -168,13 +168,12 @@ func (f *Follower) stream(conn net.Conn) error {
 	if err := f.send(conn, helloFrame(f.eng.AppendedSeq())); err != nil {
 		return err
 	}
-	var entries []durable.Entry // decode scratch, reused for every record
 	for {
 		if f.stopping() {
 			return nil
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(f.opt.StreamTimeout))
-		payload, _, err := durable.ReadFrame(conn)
+		frame, payload, err := durable.ReadFrame(conn)
 		if err != nil {
 			return err // torn frame, deadline, or cut: the reconnect signal
 		}
@@ -182,34 +181,26 @@ func (f *Follower) stream(conn net.Conn) error {
 			return errors.New("replica: empty message")
 		}
 		switch payload[0] {
-		case msgCommit:
-			var seq uint64
-			if _, seq, entries, err = durable.DecodeRecord(payload, entries); err != nil {
+		case msgCommit, msgSnapshot:
+			seq, err := parseRecordSeq(payload)
+			if err != nil {
 				return err
 			}
-			if seq <= f.eng.AppendedSeq() {
+			if payload[0] == msgSnapshot {
+				// Counted before the install publishes the new watermark:
+				// whoever sees AppliedSeq jump to seq sees the snapshot that
+				// moved it.
+				f.snapshots.Add(1)
+			} else if seq <= f.eng.AppendedSeq() {
 				continue // already applied (snapshot/tail overlap)
 			}
-			if err := f.eng.ApplyReplicated(seq, entries); err != nil {
-				// An out-of-order record (stream gap): reconnecting makes
-				// the primary resync us from a snapshot. Anything else —
-				// unknown cell, wedged log — also surfaces as a stream
-				// death and retries, which is the best a replica can do.
-				return err
-			}
-			if err := f.send(conn, seqFrame(msgAck, seq)); err != nil {
-				return err
-			}
-		case msgSnapshot:
-			var seq uint64
-			if _, seq, entries, err = durable.DecodeRecord(payload, entries); err != nil {
-				return err
-			}
-			// Counted before the install publishes the new watermark: whoever
-			// sees AppliedSeq jump to seq sees the snapshot that moved it.
-			f.snapshots.Add(1)
+			// A commit out of order (a stream gap) fails, and reconnecting
+			// makes the primary resync us from a snapshot; anything else —
+			// malformed record, unknown cell, wedged log — also surfaces as
+			// a stream death and retries, the best a replica can do. The
+			// ack is the applied watermark: seq itself after a commit.
 			if seq > f.eng.AppendedSeq() {
-				if err := f.eng.InstallReplicaSnapshot(seq, entries); err != nil {
+				if err := f.eng.ApplyReplicated(frame); err != nil {
 					return err
 				}
 			}

@@ -188,7 +188,7 @@ func (p *Primary) Serve(ln net.Listener) error {
 func (p *Primary) HandleConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetReadDeadline(time.Now().Add(p.opt.StreamTimeout))
-	payload, _, err := durable.ReadFrame(conn)
+	_, payload, err := durable.ReadFrame(conn)
 	if err != nil {
 		return
 	}
@@ -429,7 +429,7 @@ func (s *stream) writer() {
 func (s *stream) reader() {
 	for {
 		_ = s.conn.SetReadDeadline(time.Now().Add(s.p.opt.StreamTimeout))
-		payload, _, err := durable.ReadFrame(s.conn)
+		_, payload, err := durable.ReadFrame(s.conn)
 		if err != nil {
 			s.fail()
 			return

@@ -4,9 +4,14 @@
 package replica
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
+	"io"
+	"maps"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -152,11 +157,89 @@ func (c *cluster) waitCaughtUp(fn *node, d time.Duration) {
 	})
 }
 
+// walRecords reads every log segment in dir with durable.ReadFrame, after
+// its magic, up to its end or the zero tail of its preallocation (which
+// ReadFrame reads as a frame with an empty payload), and returns each commit
+// record by seq, and the watermark of the snapshot file (0 if none).
+func walRecords(t *testing.T, dir string) (records map[uint64][]byte, snapSeq uint64) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records = make(map[uint64][]byte)
+	for _, path := range segs {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(img, []byte("DWAL0001")) {
+			t.Fatalf("%s: no segment magic", path)
+		}
+		r := bytes.NewReader(img[8:])
+		for {
+			_, payload, err := durable.ReadFrame(r)
+			if err == io.EOF || err == nil && len(payload) == 0 {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			seq, err := parseRecordSeq(payload)
+			if err != nil || payload[0] != msgCommit || records[seq] != nil {
+				t.Fatalf("%s: record %x is not one new commit (%v)", path, payload, err)
+			}
+			records[seq] = payload
+		}
+	}
+	img, err := os.ReadFile(filepath.Join(dir, "snapshot"))
+	if errors.Is(err, os.ErrNotExist) {
+		return records, 0
+	}
+	if err != nil || !bytes.HasPrefix(img, []byte("DSNAP001")) {
+		t.Fatalf("snapshot in %s: %v", dir, err)
+	}
+	_, payload, err := durable.ReadFrame(bytes.NewReader(img[8:]))
+	if err == nil {
+		snapSeq, err = parseRecordSeq(payload)
+	}
+	if err != nil {
+		t.Fatalf("snapshot in %s: %v", dir, err)
+	}
+	return records, snapSeq
+}
+
+// sameRecords is the byte-identity oracle: with both logs flushed, the
+// follower holds every seq from its last snapshot install (or the start)
+// up to its watermark, and each of those commit records equals the
+// primary's byte for byte. It is sound because the follower journals the
+// frames it received and a record has one encoding. Call it once the
+// follower has stopped applying and before it commits on its own.
+func sameRecords(t *testing.T, primary, follower *durable.Engine) {
+	t.Helper()
+	for _, e := range []*durable.Engine{primary, follower} {
+		if err := e.WALSync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prim, _ := walRecords(t, primary.DurabilityInfo().WALDir)
+	fol, snapSeq := walRecords(t, follower.DurabilityInfo().WALDir)
+	applied := follower.AppendedSeq()
+	for seq := snapSeq + 1; seq <= applied; seq++ {
+		if got, want := fol[seq], prim[seq]; got == nil || !bytes.Equal(got, want) {
+			t.Errorf("commit %d: follower journaled %x, primary %x", seq, got, want)
+		}
+	}
+}
+
 func TestLiveTailReplication(t *testing.T) {
 	c := newCluster(t, 4, fastPrimary())
 	fn := newNode(t, 4)
 	fol := NewFollower(fn.eng, c.dial, fastFollower())
 	defer fol.Close()
+	// Commits made before the primary registers the stream would reach the
+	// follower as a catch-up snapshot, not as the tail this test ships.
+	waitFor(t, 5*time.Second, "stream registered", func() bool { return c.prim.Stats().Followers == 1 })
 
 	for i := 0; i < 50; i++ {
 		if err := c.pn.bump(i % 4); err != nil {
@@ -177,6 +260,8 @@ func TestLiveTailReplication(t *testing.T) {
 	if st.Followers != 1 || st.Accepts == 0 {
 		t.Errorf("primary stats: %+v, want 1 live follower", st)
 	}
+	fol.Close()
+	sameRecords(t, c.pn.eng, fn.eng)
 }
 
 func TestSnapshotCatchUp(t *testing.T) {
@@ -196,6 +281,8 @@ func TestSnapshotCatchUp(t *testing.T) {
 	if s := fol.Stats(); s.Snapshots == 0 {
 		t.Errorf("stats %+v: catch-up from behind must install a snapshot", s)
 	}
+	fol.Close()
+	sameRecords(t, c.pn.eng, fn.eng)
 }
 
 func TestQuorumGate(t *testing.T) {
@@ -227,6 +314,8 @@ func TestQuorumGate(t *testing.T) {
 	if got := fn.read(t, 0); got != 2 {
 		t.Errorf("follower cell after acked commit = %d, want 2", got)
 	}
+	fol.Close()
+	sameRecords(t, c.pn.eng, fn.eng)
 }
 
 func TestPartitionAndReconnect(t *testing.T) {
@@ -272,6 +361,8 @@ func TestPartitionAndReconnect(t *testing.T) {
 	if s := fol.Stats(); s.Reconnects == 0 {
 		t.Errorf("stats %+v: partition must force a reconnect", s)
 	}
+	fol.Close()
+	sameRecords(t, c.pn.eng, fn.eng)
 }
 
 func TestSlowFollowerResyncNeverBlocksCommits(t *testing.T) {
@@ -312,6 +403,8 @@ func TestSlowFollowerResyncNeverBlocksCommits(t *testing.T) {
 	if got := fn.read(t, 0) + fn.read(t, 1); got != 300 {
 		t.Errorf("follower total %d, want 300", got)
 	}
+	fol.Close()
+	sameRecords(t, c.pn.eng, fn.eng)
 }
 
 func TestTornStreamReconnects(t *testing.T) {
@@ -338,12 +431,23 @@ func TestTornStreamReconnects(t *testing.T) {
 		}
 	}
 	c.waitCaughtUp(fn, 10*time.Second)
-	if got := fn.read(t, 0); got != 25 {
-		t.Errorf("follower cell = %d, want 25", got)
+	// The commits above may all arrive in the resync snapshot; these ride
+	// the tail of the new stream.
+	waitFor(t, 5*time.Second, "stream re-registered", func() bool { return c.prim.Stats().Followers == 1 })
+	for i := 0; i < 5; i++ {
+		if err := c.pn.bump(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.waitCaughtUp(fn, 5*time.Second)
+	if got := fn.read(t, 0); got != 30 {
+		t.Errorf("follower cell = %d, want 30", got)
 	}
 	if s := fol.Stats(); s.Reconnects == 0 {
 		t.Errorf("stats %+v: torn stream must force a reconnect", s)
 	}
+	fol.Close()
+	sameRecords(t, c.pn.eng, fn.eng)
 }
 
 func TestPromoteDuringCatchup(t *testing.T) {
@@ -363,6 +467,7 @@ func TestPromoteDuringCatchup(t *testing.T) {
 	if err := fol.Promote(); !errors.Is(err, ErrPromoted) {
 		t.Errorf("second promote: err = %v, want ErrPromoted", err)
 	}
+	sameRecords(t, c.pn.eng, fn.eng)
 
 	// The promoted node serves update transactions, numbered densely after
 	// whatever it applied.
@@ -397,6 +502,7 @@ func TestPromotedFollowerSurvivesRestart(t *testing.T) {
 		fn.cells = append(fn.cells, feng.NewCell(0))
 	}
 	fol := NewFollower(feng, c.dial, fastFollower())
+	waitFor(t, 5*time.Second, "stream registered", func() bool { return c.prim.Stats().Followers == 1 })
 	for i := 0; i < 40; i++ {
 		if err := c.pn.bump(i % 2); err != nil {
 			t.Fatal(err)
@@ -406,6 +512,7 @@ func TestPromotedFollowerSurvivesRestart(t *testing.T) {
 	if err := fol.Promote(); err != nil {
 		t.Fatal(err)
 	}
+	sameRecords(t, c.pn.eng, feng)
 	if err := fn.bump(0); err != nil {
 		t.Fatal(err)
 	}
@@ -523,4 +630,109 @@ func TestFollowerAheadRefused(t *testing.T) {
 		t.Error("ahead follower got a frame; want the stream dropped")
 	}
 	waitFor(t, 5*time.Second, "stream drop", func() bool { return c.prim.Stats().Followers == 0 })
+}
+
+// paddedRecord is a commit at seq 1 writing cell 0 an int, cell 6 a string
+// and cell 11 a []int, as the primary's log holds it; paddedFields are the
+// byte offsets of its seq, entry count, first cell id, int value, string
+// length and first []int delta (internal/durable refuses the same six).
+const paddedRecord = "430103" + "0069d804" + "067305" + "68656c6c6f" + "0b7504696e747309050202" + "02c201d89a01"
+
+var paddedFields = []struct {
+	name string
+	off  int
+}{{"seq", 1}, {"count", 2}, {"cell id", 3}, {"int value", 5}, {"string length", 9}, {"ints delta", 24}}
+
+// padVarint returns rec with the varint at off spelled one byte longer; a
+// padded []int delta also grows the codec body length at offset 22.
+func padVarint(rec []byte, off int) []byte {
+	end := off
+	for rec[end] >= 0x80 {
+		end++
+	}
+	out := append(append([]byte(nil), rec[:end]...), rec[end]|0x80, 0)
+	out = append(out, rec[end+1:]...)
+	if off > 22 {
+		out[22]++
+	}
+	return out
+}
+
+// TestFollowerDropsPaddedRecord: a record with a zero-padded varint is not
+// its one encoding but a malformed one. A follower sent it drops the stream
+// without acking and redials, and its log is left as it was. The same
+// record unpadded is applied and acked.
+func TestFollowerDropsPaddedRecord(t *testing.T) {
+	golden, _ := hex.DecodeString(paddedRecord)
+	for _, c := range append([]struct {
+		name string
+		off  int
+	}{{"unpadded", -1}}, paddedFields...) {
+		t.Run(c.name, func(t *testing.T) {
+			rec := golden
+			if c.off >= 0 {
+				rec = padVarint(golden, c.off)
+			}
+			fn := newNode(t, 12)
+			dir := fn.eng.DurabilityInfo().WALDir
+			before := dirImage(t, dir)
+			conns := make(chan net.Conn, 16)
+			fol := NewFollower(fn.eng, func() (net.Conn, error) {
+				l := NewLink()
+				conns <- l.B()
+				return l.A(), nil
+			}, fastFollower())
+			defer fol.Close()
+
+			// The test plays the primary: read the hello, send the record.
+			conn := <-conns
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, payload, err := durable.ReadFrame(conn); err != nil || payload[0] != msgHello {
+				t.Fatalf("hello: %x, %v", payload, err)
+			}
+			if _, err := conn.Write(durable.Frame(append(make([]byte, durable.FrameHeaderLen), rec...))); err != nil {
+				t.Fatal(err)
+			}
+			_, payload, err := durable.ReadFrame(conn)
+			if c.off < 0 {
+				if seq, perr := parseSeqPayload(payload); err != nil || payload[0] != msgAck || perr != nil || seq != 1 {
+					t.Fatalf("unpadded record: follower answered %x, %v; want an ack of seq 1", payload, err)
+				}
+				return
+			}
+			if err != io.EOF {
+				t.Fatalf("padded record: follower answered %x, %v; want the stream closed", payload, err)
+			}
+			select {
+			case <-conns: // the follower redials
+			case <-time.After(5 * time.Second):
+				t.Fatal("follower did not redial after dropping the stream")
+			}
+			fol.Close()
+			if err := fn.eng.WALSync(); err != nil {
+				t.Fatal(err)
+			}
+			if after := dirImage(t, dir); fn.eng.AppendedSeq() != 0 || !maps.Equal(after, before) {
+				t.Errorf("padded record moved the follower's log to seq %d", fn.eng.AppendedSeq())
+			}
+		})
+	}
+}
+
+// dirImage returns the contents of every file in dir by name.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make(map[string]string, len(names))
+	for _, n := range names {
+		b, err := os.ReadFile(filepath.Join(dir, n.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[n.Name()] = string(b)
+	}
+	return img
 }

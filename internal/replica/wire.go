@@ -12,14 +12,20 @@
 // both fixed fields little-endian. Frames come from durable's one framer
 // (durable.Frame) and are read by durable.ReadFrame, so only the durable
 // package knows the frame format, and replicated commit and snapshot
-// records are the exact on-disk frame bytes, shipped unmodified. The
-// payload's first byte is the message type:
+// records are the exact on-disk frame bytes: shipped unmodified, and
+// journaled by the follower as they arrive (durable.Engine.ApplyReplicated),
+// so a follower's log equals its primary's byte for byte. The payload's
+// first byte is the message type:
 //
 //	'h'  hello      follower → primary   'h' | uvarint proto | uvarint lastApplied
 //	'a'  ack        follower → primary   'a' | uvarint appliedSeq
 //	'b'  heartbeat  primary → follower   'b' | uvarint appendedSeq
-//	'C'  commit     primary → follower   a WAL commit record (durable.DecodeRecord)
-//	'S'  snapshot   primary → follower   a WAL snapshot record (ditto)
+//	'C'  commit     primary → follower   a WAL commit record: 'C' | uvarint seq | writes
+//	'S'  snapshot   primary → follower   a WAL snapshot record: 'S' | uvarint seq | cells
+//
+// Every uvarint is read by durable.Uvarint, the log's own reader, which
+// refuses a zero-padded encoding: the writers emit only the shortest form,
+// so each message has exactly one spelling.
 //
 // A stream opens with hello; the primary answers with a snapshot (when the
 // follower is behind, or after a slow-follower buffer drop) and then the
@@ -66,16 +72,15 @@ func seqFrame(tag byte, seq uint64) []byte {
 	return durable.Frame(binary.AppendUvarint(b, seq))
 }
 
-// uvarint decodes the uvarint at the front of b; w ≤ 0 flags a truncated,
-// overflowing or zero-padded encoding. The encoders (binary.AppendUvarint)
-// only emit the shortest form, so a padded one is malformed, not another
-// spelling of the same message.
-func uvarint(b []byte) (v uint64, w int) {
-	v, w = binary.Uvarint(b)
-	if w > 1 && b[w-1] == 0 {
-		return 0, 0
+// parseRecordSeq decodes the seq of a commit or snapshot payload, the
+// uvarint after its kind byte. The rest of the record is the durable
+// engine's to decode, once, when it applies the frame.
+func parseRecordSeq(p []byte) (uint64, error) {
+	seq, w := durable.Uvarint(p[1:])
+	if w <= 0 {
+		return 0, fmt.Errorf("replica: malformed %q record seq", p[0])
 	}
-	return v, w
+	return seq, nil
 }
 
 // parseSeqPayload decodes a tagged one-uvarint payload.
@@ -83,7 +88,7 @@ func parseSeqPayload(p []byte) (uint64, error) {
 	if len(p) < 2 {
 		return 0, fmt.Errorf("replica: truncated %q message", p)
 	}
-	seq, w := uvarint(p[1:])
+	seq, w := durable.Uvarint(p[1:])
 	if w <= 0 || 1+w != len(p) {
 		return 0, fmt.Errorf("replica: malformed %q message", p[0])
 	}
@@ -96,7 +101,7 @@ func parseHello(p []byte) (lastApplied uint64, err error) {
 		return 0, errors.New("replica: stream did not open with hello")
 	}
 	p = p[1:]
-	ver, w := uvarint(p)
+	ver, w := durable.Uvarint(p)
 	if w <= 0 {
 		return 0, errors.New("replica: malformed hello version")
 	}
@@ -104,7 +109,7 @@ func parseHello(p []byte) (lastApplied uint64, err error) {
 	if ver == 0 || ver > protoVersion {
 		return 0, fmt.Errorf("replica: hello speaks protocol %d, this primary speaks %d", ver, protoVersion)
 	}
-	last, w2 := uvarint(p[w:])
+	last, w2 := durable.Uvarint(p[w:])
 	if w2 <= 0 || w+w2 != len(p) {
 		return 0, errors.New("replica: malformed hello watermark")
 	}
