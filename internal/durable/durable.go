@@ -123,9 +123,9 @@ type Engine struct {
 	applyMu     sync.Mutex // applyThread is single-goroutine too
 	applyOnce   sync.Once
 	applyThread engine.Thread
-	// The record being applied, under applyMu: its seq, its entries and
-	// their cells, reused for every record, and applyBody, the apply
-	// transaction over them, built once so an apply allocates no closure.
+	// The record being applied, under applyMu: its seq, entries and cells,
+	// reused across commits, and applyBody, the apply transaction over them,
+	// built by Wrap so an apply allocates no closure.
 	applySeq     uint64
 	applyEntries []entry
 	applyCells   []engine.Cell
@@ -162,6 +162,7 @@ func Wrap(inner engine.Engine, opt Options) (e *Engine, err error) {
 		recovered: rec.values,
 		tempDir:   tempDir,
 	}
+	e.applyBody = e.applyTx
 	// The ticket cell is created before any application cell and resumes
 	// from the recovered sequence, so commit numbering continues densely
 	// across restarts.
@@ -305,26 +306,25 @@ func (e *Engine) compact() {
 
 // SnapshotFrame captures a consistent full-state snapshot and returns its
 // watermark and its framed 'S' record: every cell's value at exactly that
-// watermark, in cell-id order. The capture is one read-only inner transaction over the ticket cell
-// and every data cell: serializability makes the ticket value s the exact
-// watermark of the captured state (every commit ≤ s is in it, nothing above
-// s is). Cells can be created concurrently, so after the capture returns the
-// cell count is re-checked: if it grew, a commit ≤ s could have written a
-// cell the capture missed (its NewCell, which appends under mu, happened
-// before that commit, which happened before the capture returned — so the
-// growth is visible here), and the capture retries over the larger set.
-// The frame is what the snapshot file holds: compaction writes it, and a
-// replication primary ships it for follower catch-up and resync.
+// watermark, in cell-id order. The capture is one read-only inner transaction
+// over the ticket cell and every data cell: serializability makes the ticket
+// value s the exact watermark of the captured state (every commit ≤ s is in
+// it, nothing above s is). Cells can be created concurrently, so after the
+// capture returns the cell count is re-checked: if it grew, a commit ≤ s
+// could have written a cell the capture missed (its NewCell, which appends
+// under mu, happened before that commit, which happened before the capture
+// returned — so the growth is visible here), and the capture retries over the
+// larger set. The frame is what the snapshot file holds: compaction writes
+// it, and a replication primary ships it for follower catch-up and resync.
 func (e *Engine) SnapshotFrame() (uint64, []byte, error) {
 	e.snapOnce.Do(func() { e.snapThread = e.inner.Thread(snapThreadID) })
 	e.snapMu.Lock() // the capture thread is single-goroutine
 	defer e.snapMu.Unlock()
 	for try := 0; try < 8; try++ {
 		e.mu.Lock()
-		n := len(e.cells)
-		cells := make([]engine.Cell, n)
-		copy(cells, e.cells)
+		cells := slices.Clone(e.cells)
 		e.mu.Unlock()
+		n := len(cells)
 
 		var watermark int64
 		vals := make([]val.Value, n)
@@ -419,23 +419,27 @@ func (e *Engine) SetStandby(on bool) { e.standby.Store(on) }
 // A commit must carry the next seq (a gap is a stream error: the caller
 // resyncs from a snapshot) and is journaled after it is applied. A snapshot
 // replaces the state wholesale and may not regress the applied seq: its
-// frame becomes the snapshot file first (a crash mid-install recovers the
-// old state or the new one), then it is applied, then the sequencer jumps
-// past its watermark on a fresh segment. Memory always moves before the
-// watermark, so AppendedSeq never advertises a seq reads do not return.
+// frame, reframed like a commit's, becomes the snapshot file first (a crash
+// mid-install recovers the old state or the new one), then it is applied,
+// then the sequencer jumps past its watermark on a fresh segment. Memory
+// always moves before the watermark, so AppendedSeq never advertises a seq
+// reads do not return.
 func (e *Engine) ApplyReplicated(frame []byte) error {
 	if err := e.log.usable(); err != nil {
 		return err
 	}
-	e.applyOnce.Do(func() {
-		e.applyThread = e.inner.Thread(applyThreadID)
-		e.applyBody = e.applyTx
-	})
+	e.applyOnce.Do(func() { e.applyThread = e.inner.Thread(applyThreadID) })
+	if len(frame) < FrameHeaderLen {
+		return fmt.Errorf("durable: replicated frame of %d bytes is shorter than its header", len(frame))
+	}
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	kind, seq, entries, err := decodeRecord(frame[FrameHeaderLen:], e.applyEntries)
 	if err != nil {
 		return err
+	}
+	if kind == recSnapshot { // an entry per cell: keep none of their values
+		defer func() { e.applyEntries, e.applyCells = nil, nil }()
 	}
 	e.applySeq, e.applyEntries = seq, entries
 	switch cur := e.log.AppendedSeq(); {
@@ -460,7 +464,7 @@ func (e *Engine) ApplyReplicated(frame []byte) error {
 		}
 		return e.journal(seq, frame)
 	}
-	if err := e.log.WriteSnapshot(seq, frame); err != nil {
+	if err := e.log.WriteSnapshot(seq, Frame(frame)); err != nil {
 		return err
 	}
 	err = e.applyThread.Run(e.applyBody)
@@ -660,7 +664,6 @@ var Wrapped = []string{"glock", "lsa/shared", "norec"}
 
 func init() {
 	for _, base := range Wrapped {
-		base := base
 		info, ok := engine.Describe(base)
 		if !ok {
 			panic(fmt.Sprintf("durable: base engine %q not registered", base))

@@ -371,6 +371,12 @@ func TestRecoverLeavesNoGoroutine(t *testing.T) {
 	frames, writes := genLog(t, r, 300)
 	cuts := []int{150}
 	dir := t.TempDir()
+	// Workers an earlier test's recovery joined may still be returning (at
+	// GOMAXPROCS=1 they can wait a while for the processor): let them exit
+	// before the count is taken.
+	for deadline := time.Now().Add(5 * time.Second); replayWorkerStack() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	start := runtime.NumGoroutine()
 	for _, c := range []struct {
 		name      string
@@ -404,6 +410,13 @@ func TestRecoverLeavesNoGoroutine(t *testing.T) {
 	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "(*replayRun).replay") {
 		t.Fatalf("a replay worker is still running after Wrap returned:\n%s", stacks)
 	}
+}
+
+// replayWorkerStack reports whether any goroutine is a segment replay
+// worker, replaying or returning.
+func replayWorkerStack() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*replayer).replaySegment.func1")
 }
 
 // TestRecoverFrameBeyondOldWindow: a commit of a 3 MiB []byte between small

@@ -249,9 +249,7 @@ func (p *Primary) drop(s *stream) {
 	s.qmu.Unlock()
 	s.conn.Close()
 	p.mu.Lock()
-	if _, live := p.followers[s]; live {
-		delete(p.followers, s)
-	}
+	delete(p.followers, s)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	if !wasDead {
