@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -180,6 +182,22 @@ var paddedFields = []struct {
 }{
 	{"seq", 1, "seq"}, {"count", 2, "count"}, {"cell id", 3, "cell id"},
 	{"int value", 5, "varint value"}, {"string length", 9, "string/bytes"}, {"ints delta", 24, "delta"},
+}
+
+// TestFrameCRC: the frame checksum is crc32.ChecksumIEEE for every length
+// from 0 to 256 bytes, over random, all-zero and all-0xFF payloads, on both
+// sides of the length where it hands over to hash/crc32.
+func TestFrameCRC(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for n := 0; n <= 256; n++ {
+		random := make([]byte, n)
+		r.Read(random)
+		for _, p := range [][]byte{random, make([]byte, n), bytes.Repeat([]byte{0xff}, n)} {
+			if got, want := checksum(p), crc32.ChecksumIEEE(p); got != want {
+				t.Fatalf("checksum(%x) = %08x, crc32.ChecksumIEEE = %08x", p, got, want)
+			}
+		}
+	}
 }
 
 // padVarint returns rec with the varint at off spelled one byte longer: its

@@ -427,7 +427,7 @@ func TestRecoveredCellsBeyondRecreation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, want := range map[uint64]int{0: 99, 1: 11, 2: 12, 3: 13} {
-		v, ok := rec.values[id]
+		v, ok := rec.values.get(id)
 		if !ok {
 			t.Errorf("cell %d dropped by compaction", id)
 			continue

@@ -37,7 +37,6 @@
 package durable
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"os"
@@ -103,7 +102,7 @@ type Engine struct {
 
 	mu        sync.Mutex
 	cells     []engine.Cell
-	recovered map[uint64]val.Value // never mutated after Wrap
+	recovered cellTable // never mutated after Wrap
 
 	seqCell engine.Cell // the ticket cell, on the inner engine
 
@@ -205,7 +204,7 @@ func (e *Engine) Name() string { return e.name }
 func (e *Engine) NewCell(initial any) engine.Cell {
 	e.mu.Lock()
 	id := uint64(len(e.cells))
-	if v, ok := e.recovered[id]; ok {
+	if v, ok := e.recovered.get(id); ok {
 		initial = v.Load()
 	}
 	c := e.inner.NewCell(initial)
@@ -258,7 +257,7 @@ func (e *Engine) WALClose() error {
 }
 
 // journal logs frame, the framed redo record of a commit the inner engine
-// made at seq. The record MUST reach the sequencer, or every later ticket
+// made at seq, as it is. The record MUST reach the sequencer, or every later ticket
 // waits forever. Enough redo bytes since the last snapshot start a
 // compaction.
 func (e *Engine) journal(seq uint64, frame []byte) error {
@@ -365,12 +364,7 @@ func (e *Engine) SnapshotFrame() (uint64, []byte, error) {
 		// Recovered cells the application has not re-created yet still
 		// belong to the durable state: fold them in, after the live cells
 		// and in id order too, so a snapshot never drops them.
-		for id, v := range e.recovered {
-			if id >= uint64(n) {
-				entries = append(entries, entry{ID: id, V: v})
-			}
-		}
-		slices.SortFunc(entries[n:], func(a, b entry) int { return cmp.Compare(a.ID, b.ID) })
+		entries = e.recovered.appendFrom(entries, uint64(n))
 		frame, err := snapshotFrame(uint64(watermark), entries)
 		return uint64(watermark), frame, err
 	}
@@ -411,7 +405,9 @@ func (e *Engine) SetStandby(on bool) { e.standby.Store(on) }
 
 // ApplyReplicated applies one record frame a replication primary shipped, as
 // ReadFrame read it, and journals the frame as it arrived, so the follower
-// encodes no record and its log holds the primary's bytes. The record is
+// encodes no record and its log holds the primary's bytes. ReadFrame checked
+// the frame's header and CRC, and a commit's frame is journaled unchecked, so
+// a caller passes nothing else. The record is
 // decoded once; its entries (an unknown cell id is a keyspace mismatch with
 // the primary) are applied in one inner transaction that also sets the
 // ticket cell to its seq, so numbering continues across a promotion.
@@ -419,7 +415,7 @@ func (e *Engine) SetStandby(on bool) { e.standby.Store(on) }
 // A commit must carry the next seq (a gap is a stream error: the caller
 // resyncs from a snapshot) and is journaled after it is applied. A snapshot
 // replaces the state wholesale and may not regress the applied seq: its
-// frame, reframed like a commit's, becomes the snapshot file first (a crash
+// frame, reframed, becomes the snapshot file first (a crash
 // mid-install recovers the old state or the new one), then it is applied,
 // then the sequencer jumps past its watermark on a fresh segment. Memory
 // always moves before the watermark, so AppendedSeq never advertises a seq
@@ -549,7 +545,7 @@ func (t *dthread) Run(fn func(engine.Txn) error) error {
 		// record, wake instead of hanging.
 		return t.e.log.wedge(fmt.Errorf("durable: payload of commit %d became unencodable: %w", tx.seq, err))
 	}
-	if err := t.e.journal(tx.seq, frame); err != nil {
+	if err := t.e.journal(tx.seq, Frame(frame)); err != nil {
 		return err
 	}
 	if g := t.e.gate.Load(); g != nil {

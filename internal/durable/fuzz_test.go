@@ -114,7 +114,7 @@ func FuzzDecodeRecord(f *testing.F) {
 // counts as torn exactly the bytes up to the last non-zero one past that
 // point, and a second recovery finds the same log with nothing to cut.
 func FuzzReplayTail(f *testing.F) {
-	next := Frame(testFrame(4))
+	next := testFrame(4)
 	f.Add(uint8(2), []byte(nil), uint16(0))
 	f.Add(uint8(2), []byte(nil), uint16(4096))
 	f.Add(uint8(3), next[:5], uint16(100))
@@ -122,11 +122,12 @@ func FuzzReplayTail(f *testing.F) {
 	f.Add(uint8(3), next, uint16(30))
 	f.Add(uint8(3), append(make([]byte, FrameHeaderLen), next...), uint16(0))
 	f.Add(uint8(0), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff}, uint16(7))
+	f.Add(uint8(3), commitFrame(f, 4, []entry{{ID: hugeID, V: val.OfInt(4)}}), uint16(40))
 	f.Fuzz(func(t *testing.T, nframes uint8, tail []byte, pad uint16) {
 		valid := uint64(nframes % 5)
 		img := []byte(segmentMagic)
 		for seq := uint64(1); seq <= valid; seq++ {
-			img = append(img, Frame(testFrame(seq))...)
+			img = append(img, testFrame(seq)...)
 		}
 		img = append(img, tail...)
 		img = append(img, make([]byte, pad%8192)...)

@@ -22,14 +22,14 @@ import (
 	"repro/internal/val"
 )
 
-// testFrame builds the redo frame Commit expects for seq: one write of seq to
-// cell 0.
+// testFrame builds the framed redo record Commit takes for seq: one write of
+// seq to cell 0.
 func testFrame(seq uint64) []byte {
 	b, err := appendRecord(append([]byte(nil), framePad[:]...), recCommit, seq, []entry{{ID: 0, V: val.OfInt(int(seq))}})
 	if err != nil {
 		panic(err)
 	}
-	return b
+	return Frame(b)
 }
 
 func openTestLog(t testing.TB, cfg logConfig) *Log {
@@ -517,19 +517,24 @@ func BenchmarkLogCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkReplay is recovery-on-boot over a 20k-commit log, per commit.
+// BenchmarkReplay is recovery-on-boot, per commit, over two logs: 20k
+// one-write commits, and the 200k two-int transfers over 1024 cells that a
+// restart of the bench's durable_group workload replays, two segments long.
 func BenchmarkReplay(b *testing.B) {
-	const commits = 20_000
-	dir := b.TempDir()
-	l := openTestLog(b, logConfig{dir: dir, policy: FsyncNever})
-	for seq := uint64(1); seq <= commits; seq++ {
-		if _, err := l.Commit(seq, testFrame(seq)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		b.Fatal(err)
-	}
+	b.Run("20k", func(b *testing.B) {
+		dir := b.TempDir()
+		writeTestLog(b, dir, 20_000, testFrame)
+		benchReplay(b, dir, 20_000)
+	})
+	b.Run("transfer", func(b *testing.B) {
+		dir := b.TempDir()
+		writeTransferLog(b, dir)
+		benchReplay(b, dir, transferCommits)
+	})
+}
+
+// benchReplay times recovering the log of commits commits in dir.
+func benchReplay(b *testing.B, dir string, commits uint64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -538,7 +543,7 @@ func BenchmarkReplay(b *testing.B) {
 			b.Fatalf("recovered %d commits, err %v", rec.commits, err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/commits, "ns/commit")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(commits), "ns/commit")
 }
 
 // TestApplyReplicatedSnapshot: a replicated snapshot is installed from its

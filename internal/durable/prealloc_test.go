@@ -157,7 +157,7 @@ func TestPreallocAbandonedLog(t *testing.T) {
 				t.Errorf("recovered %d commits through seq %d, want %d", rec.commits, rec.lastSeq, workers*each)
 			}
 			for w, c := range cells {
-				if got := rec.values[c.(*dcell).id].Load(); got != acked[w] {
+				if got := recoveredValue(rec, c.(*dcell).id); got != acked[w] {
 					t.Errorf("worker %d: recovered %v, acknowledged %d", w, got, acked[w])
 				}
 			}
@@ -355,7 +355,7 @@ func TestPreallocFailureFallsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{acked.Load(), rec.lastSeq, rec.commits, rec.tornBytes, rec.values[0].Load()}
+		return outcome{acked.Load(), rec.lastSeq, rec.commits, rec.tornBytes, recoveredValue(rec, 0)}
 	}
 	for _, abandon := range []bool{false, true} {
 		want := run(t, false, abandon)

@@ -6,19 +6,23 @@
 //
 //	[u32 len][u32 crc32(payload)][payload]
 //
-// both fixed fields little-endian, crc over the payload bytes only. Frame is
-// the one framer: the log, the snapshot file and every replication message
+// both fixed fields little-endian, crc over the payload bytes only: the IEEE
+// CRC-32 of hash/crc32, which checksum computes with a slicing-by-8 table of
+// its own below 64 bytes, the size of nearly every record. Frame is the one
+// framer: the log, the snapshot file and every replication message
 // (internal/replica's hello, ack and heartbeat as well as the records it
-// ships) are framed by it. The active segment is preallocated to
-// Options.SegmentBytes, so past its last frame it holds zeros up to that
-// size; a sealed segment (rotated away from, or closed) is cut to end at its
-// last frame. Recovery therefore reads an all-zero frame header in the final
-// segment as the end of the log, and in any other segment as corruption. No
-// real frame has an empty payload, so a zero header is never a frame. The
-// frame parser knows nothing of this rule: parseFrame, and ReadFrame, which
-// reads one frame from a stream and hands it to parseFrame, are shared with
-// the replication stream, and a stream has no reservation. Replay, the rule
-// included, lives in recover.go.
+// ships) are framed by it, and a frame is framed once: the log journals a
+// commit's frame as Frame or ReadFrame made it, and checks no CRC again.
+//
+// The active segment is preallocated to Options.SegmentBytes, so past its
+// last frame it holds zeros up to that size; a sealed segment (rotated away
+// from, or closed) is cut to end at its last frame. Recovery therefore reads
+// an all-zero frame header in the final segment as the end of the log, and
+// in any other segment as corruption. No real frame has an empty payload, so
+// a zero header is never a frame. The frame parser knows nothing of this
+// rule: parseFrame, and ReadFrame, which reads one frame from a stream and
+// hands it to parseFrame, are shared with the replication stream, and a
+// stream has no reservation. Replay, the rule included, lives in recover.go.
 //
 // The payload of a log or snapshot frame is a record, and a commit and a
 // snapshot share one grammar:
@@ -102,8 +106,25 @@ var ErrTorn = errors.New("durable: torn frame")
 // Uvarint decodes the uvarint at the front of b and the bytes it took, the
 // one varint reader of the log and the replication wire. w ≤ 0 flags a
 // truncated, overflowing or zero-padded encoding: writers emit the shortest
-// form only, so a padded one is malformed, not another spelling.
+// form only, so a padded one is malformed, not another spelling. A varint of
+// one to three bytes, nearly every id, count, value and seq a record holds,
+// is decoded without a loop; a last byte of zero is padding, which
+// uvarintLong refuses.
 func Uvarint(b []byte) (v uint64, w int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	if len(b) > 1 && b[1] < 0x80 && b[1] != 0 {
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
+	}
+	if len(b) > 2 && b[1] >= 0x80 && b[2] < 0x80 && b[2] != 0 {
+		return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14, 3
+	}
+	return uvarintLong(b)
+}
+
+// uvarintLong is Uvarint for any length.
+func uvarintLong(b []byte) (v uint64, w int) {
 	for i, c := range b {
 		if c == 0 && i > 0 || i == binary.MaxVarintLen64-1 && c > 1 {
 			return 0, 0 // padded, or past 64 bits
@@ -338,12 +359,34 @@ func decodeRecord(b []byte, entries []entry) (kind byte, seq uint64, _ []entry, 
 		if w <= 0 {
 			return 0, 0, nil, errors.New("durable: bad record cell id")
 		}
-		v, rest, err := decodeValue(b[w:])
-		if err != nil {
+		b = b[w:]
+		var v val.Value
+		if len(b) > 1 && (b[0] == tagInt || b[0] == tagInt64) {
+			// The int lane, most of what a log holds, decoded in line;
+			// decodeValue does the same for these tags.
+			x, w := varint(b[1:])
+			if w <= 0 {
+				return 0, 0, nil, errors.New("durable: bad varint value")
+			}
+			if b[0] == tagInt {
+				v = val.OfInt(int(x))
+			} else {
+				v = val.OfInt64(x)
+			}
+			b = b[1+w:]
+		} else if v, b, err = decodeValue(b); err != nil {
 			return 0, 0, nil, err
 		}
-		b = rest
-		entries = append(entries, entry{ID: id, V: v})
+		// The entry is stored a field at a time: a composite literal of its
+		// size is assembled on the stack by narrow stores and copied out by
+		// wide loads, which stall on store forwarding.
+		if len(entries) < cap(entries) {
+			entries = entries[:len(entries)+1]
+		} else {
+			entries = append(entries, entry{})
+		}
+		en := &entries[len(entries)-1]
+		en.ID, en.V = id, v
 	}
 	if len(b) != 0 {
 		return 0, 0, nil, errors.New("durable: trailing bytes in record")
@@ -356,7 +399,7 @@ func decodeRecord(b []byte, entries []entry) (kind byte, seq uint64, _ []entry, 
 func Frame(b []byte) []byte {
 	payload := b[FrameHeaderLen:]
 	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(b[4:8], checksum(payload))
 	return b
 }
 
@@ -432,8 +475,62 @@ func parseFrame(b []byte) (payload []byte, size int, err error) {
 		return nil, 0, err
 	}
 	payload = b[FrameHeaderLen:size]
-	if want, got := binary.LittleEndian.Uint32(b[4:8]), crc32.ChecksumIEEE(payload); got != want {
+	if want, got := binary.LittleEndian.Uint32(b[4:8]), checksum(payload); got != want {
 		return nil, 0, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrTorn, want, got)
 	}
 	return payload, size, nil
+}
+
+// crcShort is the payload length below which checksum runs its own loop. A
+// log record is 10–30 bytes, and hash/crc32 takes those a byte at a time:
+// its slicing-by-8 loop starts at 16 bytes and its CLMUL path at 64.
+const crcShort = 64
+
+// crcTable is the slicing-by-8 table of the IEEE polynomial (Kounavis and
+// Berry, ISCC 2005): crcTable[0] is the byte-at-a-time table, and
+// crcTable[k][b] the CRC of byte b followed by k zero bytes. So k ≤ 8 bytes
+// fold into the CRC in one step: xor them into its low bytes, and the CRC is
+// the xor of what is left above them with crcTable[k-1-j][byte j], j < k.
+var crcTable = func() (t [8][256]uint32) {
+	t[0] = *crc32.MakeTable(crc32.IEEE)
+	for b := range 256 {
+		c := t[0][b]
+		for k := 1; k < 8; k++ {
+			c = t[0][byte(c)] ^ c>>8
+			t[k][b] = c
+		}
+	}
+	return t
+}()
+
+// checksum is crc32.ChecksumIEEE(p), the CRC of a frame's payload: below
+// crcShort bytes eight bytes per table step, then the rest in at most two
+// steps, of four bytes and of one to three.
+func checksum(p []byte) uint32 {
+	if len(p) >= crcShort {
+		return crc32.ChecksumIEEE(p)
+	}
+	t := &crcTable
+	crc := ^uint32(0)
+	for ; len(p) >= 8; p = p[8:] {
+		crc ^= binary.LittleEndian.Uint32(p)
+		crc = t[0][p[7]] ^ t[1][p[6]] ^ t[2][p[5]] ^ t[3][p[4]] ^
+			t[4][byte(crc>>24)] ^ t[5][byte(crc>>16)] ^ t[6][byte(crc>>8)] ^ t[7][byte(crc)]
+	}
+	if len(p) >= 4 {
+		crc ^= binary.LittleEndian.Uint32(p)
+		crc = t[0][byte(crc>>24)] ^ t[1][byte(crc>>16)] ^ t[2][byte(crc>>8)] ^ t[3][byte(crc)]
+		p = p[4:]
+	}
+	switch len(p) {
+	case 3:
+		crc ^= uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16
+		crc = crc>>24 ^ t[0][byte(crc>>16)] ^ t[1][byte(crc>>8)] ^ t[2][byte(crc)]
+	case 2:
+		crc ^= uint32(p[0]) | uint32(p[1])<<8
+		crc = crc>>16 ^ t[0][byte(crc>>8)] ^ t[1][byte(crc)]
+	case 1:
+		crc = crc>>8 ^ t[0][byte(crc)^p[0]]
+	}
+	return ^crc
 }

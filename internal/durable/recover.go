@@ -1,20 +1,26 @@
 // Recovery on boot: load the snapshot, then replay every segment's redo
 // records above its watermark.
 //
-// A segment is read whole into one buffer, reused for the next, so recovery
-// holds the largest segment in memory: SegmentBytes plus at most one frame.
-// It is then replayed in two passes over that buffer, in place:
+// A segment's image is its whole file: on Linux the file mapped read-only
+// (image_linux.go), so replay reads the page cache in place and allocates no
+// buffer; elsewhere one buffer read whole, reused for the next segment
+// (image_other.go). The mapping is gone before the final segment is cut and
+// before recovery returns, and no decoded value shares a byte with it. The
+// image is replayed in two passes, in place:
 //
 //   - Pass 1, on the caller, walks the frame headers only: it finds where the
 //     segment's frames end (at the end of the file, at an all-zero header, or
 //     at a header whose length is implausible or runs past the file) and
-//     marks every replayChunk-th frame.
+//     marks the first frame of every chunk of replayChunk frames, doubling
+//     the chunk whenever the marks would pass maxMarks.
 //   - Pass 2 cuts the frames at marks into up to GOMAXPROCS contiguous runs,
 //     one per worker, the caller replaying the first. A worker checks each
 //     frame's CRC, decodes it with decodeRecord, skips seqs at or below
 //     the snapshot watermark, checks that the seqs it applies are dense and
-//     keeps the last value per cell. The workers are joined before the runs
-//     are merged in log order, and each boundary is checked for density too.
+//     keeps the last value per cell in a cellTable: a slice indexed by cell
+//     id, since ids are dense creation indices, and a map for the rare id at
+//     or above denseCells. The workers are joined before the runs are merged
+//     in log order, and each boundary is checked for density too.
 //
 // Commit records carry a dense sequence and the last write to a cell wins,
 // so the merged state is the one a frame-by-frame replay reaches. The
@@ -25,13 +31,15 @@
 package durable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,9 +50,9 @@ import (
 
 // recovery is what a boot-time scan of a WAL directory yields.
 type recovery struct {
-	// values holds the recovered cellID → latest value map (snapshot state
+	// values holds the recovered latest value per cell id (snapshot state
 	// overlaid with every replayed redo record).
-	values map[uint64]val.Value
+	values cellTable
 	// lastSeq is the highest commit sequence restored (snapshot watermark
 	// included); the reopened log starts at lastSeq+1.
 	lastSeq uint64
@@ -60,6 +68,95 @@ type recovery struct {
 	// are zero cannot be told from the reservation, so they do not count
 	// either.
 	tornBytes int64
+}
+
+// denseCells bounds the cell ids a cellTable keeps in a slice. Ids are the
+// cells' creation indices, dense from 0, so the slice grows to the highest
+// id written and no further. An id at or above the bound, which only a store
+// of more cells or a CRC-valid but corrupt record writes, goes to a map: no
+// record makes a table allocate more than denseCells slots (2.1 MiB).
+const denseCells = 1 << 16
+
+// cellTable is a last-value-per-cell-id table: slices indexed by id below
+// denseCells, a map above.
+type cellTable struct {
+	vals []val.Value
+	// set[id] tells a value written from none: the zero val.Value is a
+	// boxed nil. A slice of its own, and not a field beside the value, keeps
+	// a write to plain stores: a 40-byte slot would be assembled on the
+	// stack and copied, and the copy stalls on store forwarding.
+	set    []bool
+	sparse map[uint64]val.Value
+}
+
+// put records v as the value of cell id. It checks both lengths, which are
+// equal, so that the compiler drops the stores' bounds checks.
+func (t *cellTable) put(id uint64, v val.Value) {
+	if id < uint64(len(t.vals)) && id < uint64(len(t.set)) {
+		t.vals[id], t.set[id] = v, true
+		return
+	}
+	t.grow(id, v)
+}
+
+// grow is put for an id past the slices: it extends them to the power of two
+// above id, so a table grows a logarithmic number of times, or puts an id at
+// or above denseCells in the map.
+func (t *cellTable) grow(id uint64, v val.Value) {
+	if id >= denseCells {
+		if t.sparse == nil {
+			t.sparse = map[uint64]val.Value{}
+		}
+		t.sparse[id] = v
+		return
+	}
+	n := 1<<bits.Len64(id) - len(t.vals)
+	t.vals = append(t.vals, make([]val.Value, n)...)
+	t.set = append(t.set, make([]bool, n)...)
+	t.vals[id], t.set[id] = v, true
+}
+
+// get returns the value of cell id and whether the table has one.
+func (t *cellTable) get(id uint64) (val.Value, bool) {
+	if id < uint64(len(t.set)) {
+		return t.vals[id], t.set[id]
+	}
+	v, ok := t.sparse[id]
+	return v, ok
+}
+
+// merge puts every cell o has at o's value, and empties o, keeping its
+// slices' room for the next segment.
+func (t *cellTable) merge(o *cellTable) {
+	for id, ok := range o.set {
+		if ok {
+			t.put(uint64(id), o.vals[id])
+		}
+	}
+	for id, v := range o.sparse {
+		t.put(id, v)
+	}
+	clear(o.vals)
+	clear(o.set)
+	clear(o.sparse)
+}
+
+// appendFrom appends an entry per cell with an id at or above from to
+// entries, in id order.
+func (t *cellTable) appendFrom(entries []entry, from uint64) []entry {
+	for id := from; id < uint64(len(t.set)); id++ {
+		if t.set[id] {
+			entries = append(entries, entry{ID: id, V: t.vals[id]})
+		}
+	}
+	n := len(entries)
+	for id, v := range t.sparse {
+		if id >= from {
+			entries = append(entries, entry{ID: id, V: v})
+		}
+	}
+	slices.SortFunc(entries[n:], func(a, b entry) int { return cmp.Compare(a.ID, b.ID) })
+	return entries
 }
 
 // segmentFile pairs a segment path with the first seq its name declares.
@@ -97,7 +194,7 @@ func listSegments(dir string) ([]segmentFile, error) {
 // leftover snapshot.tmp from an interrupted compaction is deleted. An empty
 // or absent directory recovers to the empty state.
 func recoverDir(dir string) (*recovery, error) {
-	rec := &recovery{values: map[uint64]val.Value{}}
+	rec := &recovery{}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -152,22 +249,27 @@ func loadSnapshot(dir string, rec *recovery) error {
 		return fmt.Errorf("durable: corrupt snapshot %s: %v", path, err)
 	}
 	rec.snapSeq = seq
-	rec.values = make(map[uint64]val.Value, len(entries))
 	for _, en := range entries {
-		rec.values[en.ID] = en.V
+		rec.values.put(en.ID, en.V)
 	}
 	return nil
 }
 
-// replayChunk is how many frames pass 1 groups under one mark: runs are cut
-// at marks, so a segment is split into at most one run per replayChunk
-// frames, and pass 1 keeps one offset per chunk rather than per frame.
-const replayChunk = 16
+// replayChunk is how many frames pass 1 groups under one mark at first: runs
+// are cut at marks, so a segment is split into at most one run per
+// replayChunk frames, and pass 1 keeps one offset per chunk rather than per
+// frame. A segment of more than maxMarks chunks doubles its chunks, as often
+// as it takes, and drops every other mark: its marks take a fixed 8 KiB, and
+// every run still gets many chunks.
+const (
+	replayChunk = 16
+	maxMarks    = 1024
+)
 
 // replayer is the scratch of one recovery, reused for every segment: the
-// segment image, where its chunks start, and the replay runs.
+// segment image (see load), where its chunks start, and the replay runs.
 type replayer struct {
-	buf   []byte
+	image []byte
 	marks []int
 	runs  []replayRun
 }
@@ -176,13 +278,13 @@ type replayer struct {
 // the last value per cell they write, and the first frame that failed.
 type replayRun struct {
 	from, to int
-	values   map[uint64]val.Value
-	writes   []entry // decode scratch
-	applied  uint64  // commits applied (seqs above the snapshot watermark)
-	first    uint64  // seq of the first commit applied
-	firstAt  int     // its offset
-	last     uint64  // seq of the last commit applied
-	err      error   // the first failure, at offset errAt; nothing after it is applied
+	values   cellTable // every run's but the first, kept for the next segment
+	writes   []entry   // decode scratch
+	applied  uint64    // commits applied (seqs above the snapshot watermark)
+	first    uint64    // seq of the first commit applied
+	firstAt  int       // its offset
+	last     uint64    // seq of the last commit applied
+	err      error     // the first failure, at offset errAt; nothing after it is applied
 	errAt    int
 }
 
@@ -201,15 +303,31 @@ func (rp *replayer) replaySegment(seg segmentFile, lastSegment bool, rec *recove
 	if err != nil {
 		return err
 	}
+	cut, err := rp.replayImage(data, seg.path, lastSegment, rec)
+	if uerr := rp.unload(); err == nil {
+		err = uerr
+	}
+	if err != nil || cut < 0 {
+		return err
+	}
+	return cutTail(seg.path, cut)
+}
+
+// replayImage replays the segment image data, the file at path, into rec.
+// It returns the offset the final segment must be cut at, or -1.
+func (rp *replayer) replayImage(data []byte, path string, lastSegment bool, rec *recovery) (cut int, err error) {
 	if len(data) < len(segmentMagic) || string(data[:len(segmentMagic)]) != segmentMagic {
-		return fmt.Errorf("durable: bad segment magic in %s", seg.path)
+		return -1, fmt.Errorf("durable: bad segment magic in %s", path)
 	}
 
-	// Pass 1: frame boundaries. Every replayChunk-th frame's offset is a
-	// mark; off ends at the end of the last whole frame, and stop is why the
-	// walk ended there before the end of the data, or nil.
+	// Pass 1: frame boundaries. Every chunk-th frame's offset is a mark; off
+	// ends at the end of the last whole frame, and stop is why the walk ended
+	// there before the end of the data, or nil.
 	off := len(segmentMagic)
-	marks := rp.marks[:0]
+	if rp.marks == nil {
+		rp.marks = make([]int, 0, maxMarks)
+	}
+	marks, chunk := rp.marks[:0], replayChunk
 	var stop error
 	for i := 0; off < len(data); i++ {
 		if len(data)-off >= FrameHeaderLen && binary.LittleEndian.Uint64(data[off:]) == 0 {
@@ -221,7 +339,13 @@ func (rp *replayer) replaySegment(seg segmentFile, lastSegment bool, rec *recove
 			stop = err
 			break
 		}
-		if i%replayChunk == 0 {
+		if i%chunk == 0 && len(marks) == maxMarks {
+			for j := range maxMarks / 2 {
+				marks[j] = marks[2*j]
+			}
+			marks, chunk = marks[:maxMarks/2], 2*chunk
+		}
+		if i%chunk == 0 {
 			marks = append(marks, off)
 		}
 		off += n
@@ -229,49 +353,44 @@ func (rp *replayer) replaySegment(seg segmentFile, lastSegment bool, rec *recove
 	rp.marks = marks
 
 	// Pass 2: verify, decode and apply the frames in runs, then merge the
-	// runs in log order; the earliest failure by offset wins. Every commit
-	// applied writes its map's header, so the first run applies straight
-	// into rec.values and each other run fills a map its own worker makes:
-	// maps made back to back by one goroutine sit side by side, and workers
-	// writing neighbouring headers contend for their cache lines.
+	// runs in log order; the earliest failure by offset wins. The first run
+	// applies straight into rec.values, and each other run into a table of
+	// its own, which its worker grows.
 	runs := rp.split(off)
 	var wg sync.WaitGroup
 	for k := 1; k < len(runs); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runs[k].replay(map[uint64]val.Value{}, data, seg.path, rec.snapSeq)
+			runs[k].replay(&runs[k].values, data, path, rec.snapSeq)
 		}()
 	}
-	runs[0].replay(rec.values, data, seg.path, rec.snapSeq)
+	runs[0].replay(&rec.values, data, path, rec.snapSeq)
 	wg.Wait()
 
 	for k := range runs {
 		r := &runs[k]
 		if r.applied > 0 && r.first != rec.lastSeq+1 {
-			return gapError(seg.path, r.firstAt, r.first, rec.lastSeq+1)
+			return -1, gapError(path, r.firstAt, r.first, rec.lastSeq+1)
 		}
 		if k > 0 {
-			for id, v := range r.values {
-				rec.values[id] = v
-			}
+			rec.values.merge(&r.values)
 		}
 		if r.applied > 0 {
 			rec.lastSeq = r.last
 			rec.commits += r.applied
 		}
 		if r.err != nil {
-			return endSegment(seg.path, lastSegment, data, r.errAt, r.err, rec)
+			return endSegment(path, lastSegment, data, r.errAt, r.err, rec)
 		}
 	}
 	if stop != nil {
-		return endSegment(seg.path, lastSegment, data, off, stop, rec)
+		return endSegment(path, lastSegment, data, off, stop, rec)
 	}
-	return nil
+	return -1, nil
 }
 
-// read loads the whole file at path into rp.buf, which keeps the largest
-// segment's size for the next.
+// read loads the segment file at path with load; unload releases it.
 func (rp *replayer) read(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -282,12 +401,8 @@ func (rp *replayer) read(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := int(st.Size())
-	if cap(rp.buf) < size {
-		rp.buf = make([]byte, size)
-	}
-	data := rp.buf[:size]
-	if _, err := io.ReadFull(f, data); err != nil {
+	data, err := rp.load(f, int(st.Size()))
+	if err != nil {
 		return nil, fmt.Errorf("durable: read segment %s: %w", path, err)
 	}
 	return data, nil
@@ -314,18 +429,20 @@ func (rp *replayer) split(end int) []replayRun {
 		rp.runs[k] = replayRun{
 			from:   mark(k * chunks / workers),
 			to:     mark((k + 1) * chunks / workers),
+			values: rp.runs[k].values,
 			writes: rp.runs[k].writes,
 		}
 	}
 	return rp.runs
 }
 
-// replay replays the run's frames in data into values: it stops at the
-// first frame that fails its CRC, is malformed, or does not carry the seq
-// after the last one the run applied. The runs sit side by side in one
-// slice, so the loop keeps its state in locals and stores it once at the
-// end, not per frame.
-func (r *replayRun) replay(values map[uint64]val.Value, data []byte, path string, snapSeq uint64) {
+// replay replays the run's frames in data into into: it stops at the first
+// frame that fails its CRC, is malformed, or does not carry the seq after
+// the last one the run applied. The runs sit side by side in one slice, so
+// the loop keeps its state, the table included, in locals and stores it once
+// at the end, not per frame.
+func (r *replayRun) replay(into *cellTable, data []byte, path string, snapSeq uint64) {
+	values := *into
 	writes := r.writes
 	var applied, first, last uint64
 	var firstAt, failAt int
@@ -355,15 +472,15 @@ func (r *replayRun) replay(values map[uint64]val.Value, data []byte, path string
 				fail, failAt = gapError(path, at, seq, last+1), at
 				break
 			}
-			for _, w := range writes {
-				values[w.ID] = w.V
+			for i := range writes { // by index: an entry copied out stalls
+				values.put(writes[i].ID, writes[i].V)
 			}
 			last = seq
 			applied++
 		}
 		at += size
 	}
-	r.values, r.writes = values, writes
+	*into, r.writes = values, writes
 	r.applied, r.first, r.firstAt, r.last, r.err, r.errAt = applied, first, firstAt, last, fail, failAt
 }
 
@@ -371,26 +488,26 @@ func gapError(path string, at int, got, want uint64) error {
 	return fmt.Errorf("durable: sequence gap in %s at offset %d: got seq %d, want %d", path, at, got, want)
 }
 
-// endSegment handles a replay that stopped at offset at for err. A torn
-// frame (or zero header) in the final segment ends the log there: cutTail.
-// Anywhere else it is mid-log corruption; any other error is returned as it
-// is.
-func endSegment(path string, lastSegment bool, data []byte, at int, err error, rec *recovery) error {
+// endSegment handles a replay of the segment image data that stopped at
+// offset at for err. A torn frame (or zero header) in the final segment ends
+// the log there: it counts the torn bytes past at into rec and returns at as
+// the offset to cut the segment at. Anywhere else it is mid-log corruption;
+// any other error is returned as it is.
+func endSegment(path string, lastSegment bool, data []byte, at int, err error, rec *recovery) (cut int, _ error) {
 	if !errors.Is(err, ErrTorn) {
-		return err
+		return -1, err
 	}
 	if !lastSegment {
-		return fmt.Errorf("durable: corrupt frame mid-log in %s at offset %d: %v", path, at, err)
+		return -1, fmt.Errorf("durable: corrupt frame mid-log in %s at offset %d: %v", path, at, err)
 	}
-	return cutTail(path, data, at, rec)
+	rec.tornBytes = int64(dataEnd(data, at) - at)
+	return at, nil
 }
 
-// cutTail ends the final segment, whose bytes are data, at offset, the end of
-// its last whole frame: it counts the torn bytes past offset into rec,
-// truncates the file there and syncs the cut, so that a later segment can
+// cutTail ends the final segment at offset, the end of its last whole frame:
+// it truncates the file there and syncs the cut, so that a later segment can
 // never follow a tail that comes back.
-func cutTail(path string, data []byte, offset int, rec *recovery) error {
-	rec.tornBytes = int64(dataEnd(data, offset) - offset)
+func cutTail(path string, offset int) error {
 	w, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err != nil {
 		return err

@@ -47,17 +47,28 @@ func (o replayOutcome) String() string {
 
 // encodeValues is the cells of values as one snapshot payload, in id order.
 func encodeValues(t testing.TB, values map[uint64]val.Value) string {
-	t.Helper()
 	entries := make([]entry, 0, len(values))
 	for id, v := range values {
 		entries = append(entries, entry{ID: id, V: v})
 	}
 	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.ID, b.ID) })
+	return encodeEntries(t, entries)
+}
+
+// encodeEntries is entries, in id order, as one snapshot payload.
+func encodeEntries(t testing.TB, entries []entry) string {
+	t.Helper()
 	b, err := appendRecord(nil, recSnapshot, 0, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// recoveredValue is the value rec recovered for cell id, or nil.
+func recoveredValue(rec *recovery, id uint64) any {
+	v, _ := rec.values.get(id)
+	return v.Load()
 }
 
 // referenceReplay is recovery as one loop over the frames of the segment
@@ -161,7 +172,7 @@ func recoverOutcome(t testing.TB, dir string) replayOutcome {
 		out.errAt, _ = strconv.ParseInt(m[3], 10, 64)
 		return out
 	}
-	out.values = encodeValues(t, rec.values)
+	out.values = encodeEntries(t, rec.values.appendFrom(nil, 0))
 	out.lastSeq, out.commits, out.tornBytes = rec.lastSeq, rec.commits, rec.tornBytes
 	return out
 }
@@ -219,13 +230,21 @@ func commitFrame(t testing.TB, seq uint64, writes []entry) []byte {
 	return Frame(b)
 }
 
+// hugeID is a cell id whose uvarint takes five bytes, far past denseCells.
+const hugeID = 1 << 34
+
 // genLog is a dense log of n commits, seqs 1..n, of one to three writes
-// over 24 cells each.
+// each: over 24 cells, and one write in eight to an id at or just above
+// denseCells or to hugeID, which a recovered-state table keeps in its map.
 func genLog(t testing.TB, r *rand.Rand, n int) (frames [][]byte, writes [][]entry) {
 	for seq := 1; seq <= n; seq++ {
 		ws := make([]entry, 1+r.Intn(3))
 		for i := range ws {
-			ws[i] = entry{ID: uint64(r.Intn(24)), V: replayValues[r.Intn(len(replayValues))](r)}
+			id := uint64(r.Intn(24))
+			if r.Intn(8) == 0 {
+				id = []uint64{denseCells, denseCells + 1, hugeID}[r.Intn(3)]
+			}
+			ws[i] = entry{ID: id, V: replayValues[r.Intn(len(replayValues))](r)}
 		}
 		frames = append(frames, commitFrame(t, uint64(seq), ws))
 		writes = append(writes, ws)
@@ -440,7 +459,7 @@ func TestRecoverFrameBeyondOldWindow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := l.Commit(seq, b); err != nil {
+				if _, err := l.Commit(seq, Frame(b)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -462,12 +481,153 @@ func TestRecoverFrameBeyondOldWindow(t *testing.T) {
 			if rec.lastSeq != 5 || rec.commits != 5 || rec.tornBytes != 0 {
 				t.Fatalf("recovered seq %d, %d commits, torn %d; want 5, 5, 0", rec.lastSeq, rec.commits, rec.tornBytes)
 			}
-			if got, ok := rec.values[0].Load().([]byte); !ok || !bytes.Equal(got, big) {
+			if got, ok := recoveredValue(rec, 0).([]byte); !ok || !bytes.Equal(got, big) {
 				t.Fatalf("cell 0 recovered %d bytes, want the %d-byte value", len(got), len(big))
 			}
-			if rec.values[1].Load() != 4 || rec.values[2].Load() != 5 {
-				t.Fatalf("cells 1, 2 = %v, %v; want 4, 5", rec.values[1].Load(), rec.values[2].Load())
+			if recoveredValue(rec, 1) != 4 || recoveredValue(rec, 2) != 5 {
+				t.Fatalf("cells 1, 2 = %v, %v; want 4, 5", recoveredValue(rec, 1), recoveredValue(rec, 2))
 			}
 		})
+	}
+}
+
+// transferCommits is the length of writeTransferLog's log.
+const transferCommits = 200_000
+
+// writeTransferLog writes into dir the log a restart of the bench's
+// durable_group workload replays: transferCommits transfers between random
+// accounts of 1024, each a commit of two ints, in two 4 MiB segments. It
+// returns every account's last balance.
+func writeTransferLog(t testing.TB, dir string) (balance []int) {
+	const cells = 1024
+	r := rand.New(rand.NewSource(1))
+	balance = make([]int, cells)
+	for i := range balance {
+		balance[i] = 1000
+	}
+	writes := make([]entry, 2)
+	writeTestLog(t, dir, transferCommits, func(seq uint64) []byte {
+		from, to := r.Intn(cells), r.Intn(cells)
+		amount := 1 + r.Intn(9)
+		balance[from] -= amount
+		balance[to] += amount
+		writes[0] = entry{ID: uint64(from), V: val.OfInt(balance[from])}
+		writes[1] = entry{ID: uint64(to), V: val.OfInt(balance[to])}
+		return commitFrame(t, seq, writes)
+	})
+	return balance
+}
+
+// writeTestLog commits frame(seq) for seqs 1..commits to a log in dir.
+func writeTestLog(t testing.TB, dir string, commits uint64, frame func(seq uint64) []byte) {
+	l := openTestLog(t, logConfig{dir: dir, policy: FsyncNever})
+	for seq := uint64(1); seq <= commits; seq++ {
+		if _, err := l.Commit(seq, frame(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverAlloc recovers dir and returns the recovery and the bytes it
+// allocated.
+func recoverAlloc(t *testing.T, dir string) (*recovery, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec, err := recoverDir(dir)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRecoverAllocBudget: recovering the two-segment transfer log, every
+// account's last balance included, allocates less than 1 MiB in all,
+// whatever GOMAXPROCS: a segment is read in place, not into a buffer of its
+// size, its marks are bounded, and the recovered state is a table of one
+// slot per cell, not a map.
+func TestRecoverAllocBudget(t *testing.T) {
+	dir := t.TempDir()
+	balance := writeTransferLog(t, dir)
+	if segs, _ := listSegments(dir); len(segs) != 2 {
+		t.Fatalf("the transfer log has %d segments, want 2", len(segs))
+	}
+	rec, alloc := recoverAlloc(t, dir)
+	if rec.commits != transferCommits || rec.lastSeq != transferCommits {
+		t.Fatalf("recovered %d commits through seq %d, want %d", rec.commits, rec.lastSeq, transferCommits)
+	}
+	for id, want := range balance {
+		if got := recoveredValue(rec, uint64(id)); got != want {
+			t.Fatalf("account %d recovered %v, want %d", id, got, want)
+		}
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("recovering %d commits allocated %d bytes, budget 1 MiB", rec.commits, alloc)
+	}
+	t.Logf("%d commits, %d bytes allocated", rec.commits, alloc)
+}
+
+// TestRecoverHugeID: a log whose only write is to a cell id of five varint
+// bytes recovers that write, and its table costs no memory for the id.
+func TestRecoverHugeID(t *testing.T) {
+	dir := t.TempDir()
+	writeTestLog(t, dir, 1, func(seq uint64) []byte {
+		return commitFrame(t, seq, []entry{{ID: hugeID, V: val.OfInt(7)}})
+	})
+	rec, alloc := recoverAlloc(t, dir)
+	if got := recoveredValue(rec, hugeID); got != 7 || rec.lastSeq != 1 {
+		t.Fatalf("recovered %v at seq %d, want 7 at 1", got, rec.lastSeq)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("recovering one write to cell %d allocated %d bytes, budget 1 MiB", uint64(hugeID), alloc)
+	}
+}
+
+// TestCellTable: a table written across the bound of its slices, in two
+// halves merged as replay's runs are, holds what a map does, and appendFrom
+// lists it in id order from any id.
+func TestCellTable(t *testing.T) {
+	ids := []uint64{0, 1, 2, 5, 31, 32, 33, 100, denseCells - 2, denseCells - 1, denseCells, denseCells + 1, 1 << 21, hugeID}
+	r := rand.New(rand.NewSource(3))
+	for round := 0; round < 50; round++ {
+		var a, b cellTable
+		want := map[uint64]val.Value{}
+		for i := 0; i < 40; i++ {
+			id, v := ids[r.Intn(len(ids))], replayValues[r.Intn(len(replayValues))](r)
+			if i < 20 {
+				a.put(id, v)
+			} else {
+				b.put(id, v)
+			}
+			want[id] = v
+		}
+		a.merge(&b)
+		if got, ok := b.get(ids[0]); ok || len(b.appendFrom(nil, 0)) != 0 {
+			t.Fatalf("merged table kept %v", got)
+		}
+		for _, id := range append(ids, 3, denseCells+2, hugeID+1) {
+			got, ok := a.get(id)
+			w, wok := want[id]
+			if ok != wok || encodeEntries(t, []entry{{id, got}}) != encodeEntries(t, []entry{{id, w}}) {
+				t.Fatalf("round %d: cell %d = %v, %v; want %v, %v", round, id, got.Load(), ok, w.Load(), wok)
+			}
+		}
+		for _, from := range []uint64{0, 6, denseCells - 1, denseCells + 1, hugeID + 1} {
+			var wantFrom []entry
+			for id, v := range want {
+				if id >= from {
+					wantFrom = append(wantFrom, entry{ID: id, V: v})
+				}
+			}
+			slices.SortFunc(wantFrom, func(a, b entry) int { return cmp.Compare(a.ID, b.ID) })
+			if got := encodeEntries(t, a.appendFrom(nil, from)); got != encodeEntries(t, wantFrom) {
+				t.Fatalf("round %d: appendFrom(%d) = %x, want %x", round, from, got, encodeEntries(t, wantFrom))
+			}
+		}
 	}
 }

@@ -308,12 +308,12 @@ func (l *Log) usable() error {
 	return nil
 }
 
-// Commit appends the redo frame for seq (payload pre-encoded by the caller,
-// with FrameHeaderLen reserved bytes up front) and blocks per the fsync
-// policy until the record is acknowledged durable. It returns the frame
-// length appended (the compaction trigger's byte feed).
+// Commit appends the redo frame for seq, as Frame or ReadFrame made it: the
+// log journals it as it is and checks nothing, so a record is framed, and
+// its CRC computed, once. It blocks per the fsync policy until the record is
+// acknowledged durable, and returns the frame length appended (the
+// compaction trigger's byte feed).
 func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
-	frame = Frame(frame)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.sticky == nil && !l.closed && l.nextSeq != seq {

@@ -111,7 +111,7 @@ func readState(t *testing.T, dir string) (a, b, c int, rec *recovery) {
 		t.Fatal(err)
 	}
 	get := func(id uint64) int {
-		v, ok := rec.values[id]
+		v, ok := rec.values.get(id)
 		if !ok {
 			t.Fatalf("cell %d missing from recovery", id)
 		}
