@@ -20,8 +20,9 @@ import (
 // (SIGKILL — no handlers, no flush, exactly `kill -9`) while the recovery
 // audit is driving acknowledged transfers over TCP, restart it over the
 // same WAL directory, and require the audit to find every acked commit
-// again. The in-process crashpoint tests cover every deterministic fault;
-// this covers the one thing they cannot — a dead process.
+// again. The in-process tests in internal/durable kill the disk at every
+// file operation of a run, through a test file system; this covers the one
+// thing they cannot — a dead process.
 func TestKillNineRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real server binary; skipped in -short")

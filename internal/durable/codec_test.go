@@ -240,7 +240,7 @@ func TestRecordRefusesPaddedVarints(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := recoverDir(dir); err == nil || !strings.Contains(err.Error(), "malformed record") {
+		if _, err := recoverDir(osFS{}, dir); err == nil || !strings.Contains(err.Error(), "malformed record") {
 			t.Errorf("%s: replay of a padded record: %v, want a malformed record", c.name, err)
 		}
 

@@ -94,7 +94,7 @@ func TestRegistryWrappers(t *testing.T) {
 
 // TestBankRecoveryRoundTrip is the in-process half of the headline proof:
 // for every wrapped backend, a concurrent bank run closes cleanly (or is
-// left mid-flight by a crashpoint elsewhere in this file), reboots from the
+// left mid-flight by a crash elsewhere in this file), reboots from the
 // same directory, and the conserved sum plus every acknowledged commit
 // survive.
 func TestBankRecoveryRoundTrip(t *testing.T) {
@@ -208,58 +208,50 @@ func TestBankRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// crashStates are the four crash states the WAL's tests name, each a fault
+// of the test file system that kills the disk at the first operation it
+// matches once armed: a final frame landed in part (6 bytes of it), a frame
+// landed but not synced, a snapshot written but not renamed, and a snapshot
+// renamed with the segments it covers still there.
+var crashStates = []struct {
+	name     string
+	snapshot bool // compaction meets the fault, not a commit
+	dies     func(op *fsOp) bool
+}{
+	{"after-partial-record", false, func(op *fsOp) bool { op.land = 6; return op.kind == opWrite }},
+	{"after-record-before-sync", false, func(op *fsOp) bool { return op.kind == opSync }},
+	{"mid-snapshot-rename", true, func(op *fsOp) bool { return op.kind == opRename }},
+	{"after-snapshot-rename", true, func(op *fsOp) bool { return op.kind == opRemove && isSegment(op.path) }},
+}
+
 // TestCrashpointConformance is the injected-fault half of the headline
-// proof: for every wrapped backend and every crashpoint, a single-threaded
-// bank run is killed mid-commit (or mid-compaction), the wedged engine is
+// proof: for every wrapped backend and every crash state, a single-threaded
+// bank run loses its disk mid-commit (or mid-compaction), the dead engine is
 // discarded, and a fresh boot from the directory restores a state that (a)
 // conserves the sum, (b) contains every acknowledged commit, and (c) is an
 // exact seq-dense prefix of the run (counter == recovered seq).
 func TestCrashpointConformance(t *testing.T) {
-	points := []string{
-		CrashAfterPartialRecord,
-		CrashAfterRecordBeforeSync,
-		CrashMidSnapshotRename,
-		CrashAfterSnapshotRename,
-	}
 	for _, base := range Wrapped {
-		for _, point := range points {
-			t.Run("durable/"+base+"/"+point, func(t *testing.T) {
+		for _, state := range crashStates {
+			t.Run("durable/"+base+"/"+state.name, func(t *testing.T) {
 				dir := t.TempDir()
-				crash := &Crashpoints{}
-				opt := Options{Crash: crash}
-				snapshotPoint := point == CrashMidSnapshotRename || point == CrashAfterSnapshotRename
-				if snapshotPoint {
-					// Tiny threshold: the first commit triggers compaction,
-					// whose crashpoint then wedges the log asynchronously.
-					opt.SnapshotBytes = 1
+				fs := &testFS{}
+				opt := Options{}
+				if state.snapshot {
+					// Tiny threshold and segments: every commit rotates and
+					// starts a compaction, which meets the fault
+					// asynchronously.
+					opt.SnapshotBytes, opt.SegmentBytes = 1, 1
 				}
-				e := newTestEngine(t, base, dir, opt)
+				e := newTestEngineFS(t, base, dir, opt, fs)
 				th := e.Thread(0)
 				a, b, c := bankCells(e)
 
 				lastAcked := 0
-				armAt := 5
 				var crashErr error
 				for i := 1; i <= 200; i++ {
-					if !snapshotPoint && i == armAt {
-						crash.mu.Lock()
-						switch point {
-						case CrashAfterPartialRecord:
-							crash.AfterPartialRecord = true
-							crash.PartialBytes = 6
-						case CrashAfterRecordBeforeSync:
-							crash.AfterRecordBeforeSync = true
-						}
-						crash.mu.Unlock()
-					}
-					if snapshotPoint && i == armAt {
-						crash.mu.Lock()
-						if point == CrashMidSnapshotRename {
-							crash.MidSnapshotRename = true
-						} else {
-							crash.AfterSnapshotRename = true
-						}
-						crash.mu.Unlock()
+					if i == 5 {
+						fs.dieAt(state.dies)
 					}
 					if err := transfer(th, a, b, c, i); err != nil {
 						crashErr = err
@@ -267,54 +259,27 @@ func TestCrashpointConformance(t *testing.T) {
 					}
 					lastAcked = i
 				}
-				if crashErr == nil && snapshotPoint {
+				if crashErr == nil && state.snapshot {
 					// Compaction crashes asynchronously; wait it out, then
-					// the next transfer must observe the wedged log.
+					// the next transfer must find the disk dead.
 					e.compactWG.Wait()
 					crashErr = transfer(th, a, b, c, 201)
 				}
-				if !errors.Is(crashErr, ErrCrashed) {
+				if !errors.Is(crashErr, errDied) {
 					t.Fatalf("run never crashed: lastAcked=%d err=%v", lastAcked, crashErr)
 				}
 				if e.log.Err() == nil {
-					t.Fatal("engine not wedged after crashpoint")
+					t.Fatal("engine not wedged after the crash")
 				}
-				if crash.Fired() != point {
-					t.Fatalf("fired %q, want %q", crash.Fired(), point)
+				if d := fs.died(); d == nil || !state.dies(&fsOp{kind: d.kind, path: d.path}) {
+					t.Fatalf("the disk died at %+v, not at the %s fault", d, state.name)
 				}
+				e.compactWG.Wait()
+				e.WALClose()
 
-				// Discard the wedged engine; recover a fresh one.
-				e2 := newTestEngine(t, base, dir, Options{})
-				defer e2.WALClose()
-				a2, b2, c2 := bankCells(e2)
-				var av, bv, cv int
-				if err := e2.Thread(0).RunReadOnly(func(tx engine.Txn) error {
-					var err error
-					if av, err = engine.Get[int](tx, a2); err != nil {
-						return err
-					}
-					if bv, err = engine.Get[int](tx, b2); err != nil {
-						return err
-					}
-					cv, err = engine.Get[int](tx, c2)
-					return err
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if av+bv != 2000 {
-					t.Errorf("conserved sum %d+%d, want 2000", av, bv)
-				}
-				if cv < lastAcked {
-					t.Errorf("acked commit lost: counter %d < last acked %d", cv, lastAcked)
-				}
-				info := e2.DurabilityInfo()
-				if uint64(cv) != info.RecoveredSeq {
-					t.Errorf("counter %d != recovered seq %d (not a dense prefix)", cv, info.RecoveredSeq)
-				}
-				if av != 1000-cv || bv != 1000+cv {
-					t.Errorf("state a=%d b=%d not the seq-%d prefix", av, bv, cv)
-				}
-				if snapshotPoint && point == CrashAfterSnapshotRename && info.SnapshotSeq == 0 {
+				// Discard the dead engine; recover a fresh one.
+				info := checkBankRecovery(t, base, dir, lastAcked)
+				if state.name == "after-snapshot-rename" && info.SnapshotSeq == 0 {
 					t.Error("snapshot was installed but boot ignored it")
 				}
 			})
@@ -322,15 +287,140 @@ func TestCrashpointConformance(t *testing.T) {
 	}
 }
 
-// TestConcurrentGroupCommitCrash: a crashpoint under concurrent load and
-// group fsync still recovers every acknowledged commit — the group flush
-// happens before the acknowledgment, so acked ⇒ durable even batched.
+// checkBankRecovery boots base over dir, the directory of a bank run
+// (bankCells, transfer) that crashed after acknowledging lastAcked
+// transfers, and checks that the recovered state conserves the sum, holds
+// every acknowledged transfer and is the exact prefix its counter names.
+func checkBankRecovery(t *testing.T, base, dir string, lastAcked int) engine.DurabilityInfo {
+	t.Helper()
+	e := newTestEngine(t, base, dir, Options{})
+	defer e.WALClose()
+	a, b, c := bankCells(e)
+	var av, bv, cv int
+	if err := e.Thread(0).RunReadOnly(func(tx engine.Txn) error {
+		var err error
+		if av, err = engine.Get[int](tx, a); err != nil {
+			return err
+		}
+		if bv, err = engine.Get[int](tx, b); err != nil {
+			return err
+		}
+		cv, err = engine.Get[int](tx, c)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if av+bv != 2000 {
+		t.Errorf("conserved sum %d+%d, want 2000", av, bv)
+	}
+	if cv < lastAcked {
+		t.Errorf("acked commit lost: counter %d < last acked %d", cv, lastAcked)
+	}
+	info := e.DurabilityInfo()
+	if uint64(cv) != info.RecoveredSeq {
+		t.Errorf("counter %d != recovered seq %d (not a dense prefix)", cv, info.RecoveredSeq)
+	}
+	if av != 1000-cv || bv != 1000+cv {
+		t.Errorf("state a=%d b=%d not the seq-%d prefix", av, bv, cv)
+	}
+	return info
+}
+
+// TestCrashAtEveryFileOperation kills the disk at every file operation of
+// one run in turn, not at a few named points: a single-threaded bank run on
+// durable/norec under group commit, over segments small enough to rotate
+// several times, with one compaction halfway. The disk dies at operation k
+// (a write lands half its bytes first), and a fresh boot must meet the
+// conformance checks above, with the snapshot installed exactly when k came
+// after its rename. Under -short only some k run, the first and the last of
+// each kind among them.
+func TestCrashAtEveryFileOperation(t *testing.T) {
+	const transfers = 40
+	// run does the bank run over fs in a fresh directory.
+	run := func(fs *testFS) (dir string, lastAcked int) {
+		dir = t.TempDir()
+		e, err := wrap(engine.MustNew("norec", engine.Options{}),
+			Options{Dir: dir, Fsync: FsyncGroup, SnapshotBytes: -1, SegmentBytes: 128}, fs)
+		if err != nil {
+			return dir, 0
+		}
+		defer e.WALClose()
+		th := e.Thread(0)
+		a, b, c := bankCells(e)
+		for i := 1; i <= transfers; i++ {
+			if i == transfers/2 {
+				e.compact()
+			}
+			if err := transfer(th, a, b, c, i); err != nil {
+				return dir, lastAcked
+			}
+			lastAcked = i
+		}
+		return dir, lastAcked
+	}
+
+	clean := &testFS{}
+	if _, acked := run(clean); acked != transfers {
+		t.Fatalf("the clean run acknowledged %d of %d transfers", acked, transfers)
+	}
+	ops := clean.record()
+	renamed := opIndex(ops, 0, func(op fsOp) bool { return op.kind == opRename })
+	segments := 0
+	for _, op := range ops {
+		if op.kind == opCreate && isSegment(op.path) {
+			segments++
+		}
+	}
+	if segments < 4 || renamed < 0 {
+		t.Fatalf("the run made %d segments and renamed at %d; want several rotations and a compaction", segments, renamed)
+	}
+
+	ks := make([]int, 0, len(ops))
+	first, last := map[string]int{}, map[string]int{}
+	for k, op := range ops {
+		if _, ok := first[op.kind]; !ok {
+			first[op.kind] = k
+		}
+		last[op.kind] = k
+	}
+	for k, op := range ops {
+		if !testing.Short() || k%5 == 0 || k == first[op.kind] || k == last[op.kind] {
+			ks = append(ks, k)
+		}
+	}
+	for _, k := range ks {
+		fs := &testFS{fault: func(op *fsOp) error {
+			if op.n == k {
+				op.land = len(op.data) / 2
+				return errDied
+			}
+			return nil
+		}}
+		dir, acked := run(fs)
+		if d := fs.died(); d == nil || d.kind != ops[k].kind {
+			t.Fatalf("op %d: the disk died at %+v, want a %s (the run is not deterministic)", k, d, ops[k].kind)
+		}
+		info := checkBankRecovery(t, "norec", dir, acked)
+		if installed := info.SnapshotSeq > 0; installed != (k > renamed) {
+			t.Errorf("died at op %d (%s), the rename at %d: snapshot seq %d", k, ops[k].kind, renamed, info.SnapshotSeq)
+		}
+		if t.Failed() {
+			t.Fatalf("died at op %d: %+v", k, ops[k])
+		}
+	}
+	t.Logf("%d file operations, %d crash states checked", len(ops), len(ks))
+}
+
+// TestConcurrentGroupCommitCrash: the disk dies in a batch write under
+// concurrent load and group fsync, and recovery still finds every
+// acknowledged commit — the group flush happens before the acknowledgment,
+// so acked ⇒ durable even batched.
 func TestConcurrentGroupCommitCrash(t *testing.T) {
 	for _, base := range Wrapped {
 		t.Run("durable/"+base, func(t *testing.T) {
 			dir := t.TempDir()
-			crash := &Crashpoints{}
-			e := newTestEngine(t, base, dir, Options{Fsync: FsyncGroup, Crash: crash})
+			fs := &testFS{}
+			e := newTestEngineFS(t, base, dir, Options{Fsync: FsyncGroup}, fs)
 			const nThreads = 4
 			cells := make([]engine.Cell, nThreads)
 			for i := range cells {
@@ -345,10 +435,7 @@ func TestConcurrentGroupCommitCrash(t *testing.T) {
 					th := e.Thread(w)
 					for i := 1; i <= 500; i++ {
 						if w == 0 && i == 40 {
-							crash.mu.Lock()
-							crash.AfterPartialRecord = true
-							crash.PartialBytes = 3
-							crash.mu.Unlock()
+							fs.dieAt(func(op *fsOp) bool { op.land = 3; return op.kind == opWrite })
 						}
 						err := th.Run(func(tx engine.Txn) error {
 							return engine.Set(tx, cells[w], i)
@@ -364,6 +451,7 @@ func TestConcurrentGroupCommitCrash(t *testing.T) {
 			if e.log.Err() == nil {
 				t.Fatal("engine never crashed")
 			}
+			e.WALClose()
 
 			e2 := newTestEngine(t, base, dir, Options{})
 			defer e2.WALClose()
@@ -422,7 +510,7 @@ func TestRecoveredCellsBeyondRecreation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := recoverDir(dir)
+	rec, err := recoverDir(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

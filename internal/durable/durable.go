@@ -84,8 +84,6 @@ type Options struct {
 	// preallocated to SegmentBytes, and cut back to its data when it is
 	// sealed or the log closes.
 	SegmentBytes int64
-	// Crash arms the deterministic fault-injection seam (nil = no faults).
-	Crash *Crashpoints
 }
 
 // Engine wraps an inner engine with the WAL. It implements engine.Engine
@@ -135,7 +133,13 @@ type Engine struct {
 // inner. Recovery happens here — before the first NewCell — so the caller
 // must not have created any cell on inner yet, and must create its cells in
 // the same order as the run that produced the log.
-func Wrap(inner engine.Engine, opt Options) (e *Engine, err error) {
+func Wrap(inner engine.Engine, opt Options) (*Engine, error) {
+	return wrap(inner, opt, osFS{})
+}
+
+// wrap is Wrap over the file system fs: every file operation on the WAL
+// directory goes through it, all but the temp directory's making and removal.
+func wrap(inner engine.Engine, opt Options, fs fileSystem) (e *Engine, err error) {
 	dir, tempDir := opt.Dir, opt.Dir == ""
 	if tempDir {
 		if dir, err = os.MkdirTemp("", "durable-wal-"); err != nil {
@@ -147,7 +151,7 @@ func Wrap(inner engine.Engine, opt Options) (e *Engine, err error) {
 			}
 		}()
 	}
-	rec, err := recoverDir(dir)
+	rec, err := recoverDir(fs, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +175,7 @@ func Wrap(inner engine.Engine, opt Options) (e *Engine, err error) {
 		policy:       opt.Fsync,
 		segmentBytes: opt.SegmentBytes,
 		startSeq:     rec.lastSeq + 1,
-		crash:        opt.Crash,
+		fs:           fs,
 	})
 	if err != nil {
 		return nil, err

@@ -164,7 +164,7 @@ func FuzzReplayTail(f *testing.F) {
 		if rec.sizes[0] != end {
 			t.Fatalf("recovery left %d bytes, replay ended at %d", rec.sizes[0], end)
 		}
-		rec2, err := recoverDir(dir)
+		rec2, err := recoverDir(osFS{}, dir)
 		if err != nil {
 			t.Fatalf("second recovery: %v", err)
 		}

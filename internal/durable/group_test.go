@@ -2,8 +2,8 @@ package durable
 
 // Tests and benchmarks for demand-driven group commit: the leader/follower
 // flusher in Log.Commit, its error paths, and its interplay with everything
-// else that touches the segment file. The sync seam (logConfig.sync) stands
-// in for the device: slow, instant, counting or failing.
+// else that touches the segment file. A test file system's fault on sync
+// stands in for the device: slow, instant, counting or failing.
 
 import (
 	"errors"
@@ -11,7 +11,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -37,11 +36,32 @@ func openTestLog(t testing.TB, cfg logConfig) *Log {
 	if cfg.dir == "" {
 		cfg.dir = t.TempDir()
 	}
+	if cfg.fs == nil {
+		cfg.fs = osFS{}
+	}
 	cfg.startSeq = 1
 	l, err := openLog(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+// openSyncLog opens a test log over a test file system whose fault, from
+// the moment the log is open, is sync for every fsync and nothing else:
+// the fsyncs of the log's data, rotation and Close, not that of the segment
+// openLog makes.
+func openSyncLog(t testing.TB, cfg logConfig, sync func() error) *Log {
+	t.Helper()
+	fs := &testFS{}
+	cfg.fs = fs
+	l := openTestLog(t, cfg)
+	fs.setFault(func(op *fsOp) error {
+		if op.kind != opSync {
+			return nil
+		}
+		return sync()
+	})
 	return l
 }
 
@@ -70,11 +90,11 @@ func waitAppended(l *Log, seq uint64) {
 // commits — and nobody is acknowledged before an fsync covered its record.
 func TestGroupCommitSharesFsyncs(t *testing.T) {
 	var syncs atomic.Int64
-	l := openTestLog(t, logConfig{policy: FsyncGroup, sync: func(f *os.File) error {
+	l := openSyncLog(t, logConfig{policy: FsyncGroup}, func() error {
 		syncs.Add(1)
 		time.Sleep(time.Millisecond)
-		return f.Sync()
-	}})
+		return nil
+	})
 	defer l.Close()
 	const committers, each = 8, 40
 	var ticket atomic.Uint64
@@ -110,7 +130,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 // lone group commit costs microseconds — nothing in the path waits for a
 // clock — and wal.go has no way to wait for one: no time import, no goroutine.
 func TestGroupLoneCommitterWaitsForNoTimer(t *testing.T) {
-	l := openTestLog(t, logConfig{policy: FsyncGroup, sync: func(*os.File) error { return nil }})
+	l := openSyncLog(t, logConfig{policy: FsyncGroup}, func() error { return errSkip })
 	defer l.Close()
 	const n = 200
 	frames := make([][]byte, n+1)
@@ -151,11 +171,11 @@ func TestGroupFsyncErrorWedgesBatch(t *testing.T) {
 	boom := errors.New("injected fsync failure")
 	var syncs atomic.Int64
 	release := make(chan struct{})
-	l := openTestLog(t, logConfig{policy: FsyncGroup, sync: func(*os.File) error {
+	l := openSyncLog(t, logConfig{policy: FsyncGroup}, func() error {
 		syncs.Add(1)
 		<-release
 		return boom
-	}})
+	})
 	errs := make(chan error, 3)
 	for seq := uint64(1); seq <= 3; seq++ {
 		go func(seq uint64) {
@@ -191,7 +211,7 @@ func TestGroupFsyncErrorWedgesBatch(t *testing.T) {
 func TestCloseSyncErrorAcknowledgesNobody(t *testing.T) {
 	boom := errors.New("injected fsync failure")
 	t.Run("unsynced tail", func(t *testing.T) {
-		l := openTestLog(t, logConfig{policy: FsyncNever, sync: func(*os.File) error { return boom }})
+		l := openSyncLog(t, logConfig{policy: FsyncNever}, func() error { return boom })
 		for seq := uint64(1); seq <= 2; seq++ {
 			if _, err := l.Commit(seq, testFrame(seq)); err != nil {
 				t.Fatal(err)
@@ -213,13 +233,13 @@ func TestCloseSyncErrorAcknowledgesNobody(t *testing.T) {
 		// the next fsync, seq 2 was never synced and must not be acknowledged.
 		var syncs atomic.Int64
 		release := make(chan struct{})
-		l := openTestLog(t, logConfig{policy: FsyncGroup, sync: func(*os.File) error {
+		l := openSyncLog(t, logConfig{policy: FsyncGroup}, func() error {
 			if syncs.Add(1) == 1 {
 				<-release
-				return nil
+				return errSkip
 			}
 			return boom
-		}})
+		})
 		errs := make([]chan error, 3)
 		for seq := uint64(1); seq <= 2; seq++ {
 			errs[seq] = make(chan error, 1)
@@ -257,12 +277,12 @@ func TestCloseSyncErrorAcknowledgesNobody(t *testing.T) {
 func TestGroupCloseWaitsOutOneFlush(t *testing.T) {
 	var syncs atomic.Int64
 	release := make(chan struct{})
-	l := openTestLog(t, logConfig{policy: FsyncGroup, sync: func(*os.File) error {
+	l := openSyncLog(t, logConfig{policy: FsyncGroup}, func() error {
 		if syncs.Add(1) == 1 {
 			<-release
 		}
-		return nil
-	}})
+		return errSkip
+	})
 	var ticket atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -305,10 +325,10 @@ func TestGroupFlushRaces(t *testing.T) {
 	dir := t.TempDir()
 	// The short sleep keeps a flush in flight most of the time; the tiny
 	// segment size rotates every few records.
-	l := openTestLog(t, logConfig{dir: dir, policy: FsyncGroup, segmentBytes: 128, sync: func(f *os.File) error {
+	l := openSyncLog(t, logConfig{dir: dir, policy: FsyncGroup, segmentBytes: 128}, func() error {
 		time.Sleep(100 * time.Microsecond)
-		return f.Sync()
-	}})
+		return nil
+	})
 	var ticket, maxAcked atomic.Uint64
 	// commitLoop commits until the budget is spent or the log refuses.
 	commitLoop := func(wg *sync.WaitGroup, budget int) {
@@ -392,7 +412,7 @@ func TestGroupFlushRaces(t *testing.T) {
 	}
 	wg.Wait()
 
-	rec, err := recoverDir(dir)
+	rec, err := recoverDir(osFS{}, dir)
 	if err != nil {
 		t.Fatalf("recovery after the races: %v", err)
 	}
@@ -538,7 +558,7 @@ func benchReplay(b *testing.B, dir string, commits uint64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec, err := recoverDir(dir)
+		rec, err := recoverDir(osFS{}, dir)
 		if err != nil || rec.commits != commits {
 			b.Fatalf("recovered %d commits, err %v", rec.commits, err)
 		}

@@ -39,7 +39,7 @@ func frameEnds(data []byte) []int64 {
 // segmentImages reads every segment in dir, in log order.
 func segmentImages(t *testing.T, dir string) [][]byte {
 	t.Helper()
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func preallocWorks(t *testing.T) bool {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := preallocate(f, 4096); err != nil {
+	if err := (osFile{f}).Preallocate(4096); err != nil {
 		return false
 	}
 	st, err := f.Stat()
@@ -146,7 +146,7 @@ func TestPreallocAbandonedLog(t *testing.T) {
 				t.Errorf("active segment: size %d, want the %d-byte reservation", sizes[last], segBytes)
 			}
 
-			rec, err := recoverDir(dir)
+			rec, err := recoverDir(osFS{}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestPreallocAbandonedLog(t *testing.T) {
 				t.Errorf("recovered active segment: size %d, data end %d", got, want)
 			}
 
-			rec2, err := recoverDir(dir)
+			rec2, err := recoverDir(osFS{}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +210,7 @@ func TestPreallocSealedSegmentsEndAtData(t *testing.T) {
 			t.Errorf("after Close, segment %d: size %d, data end %d", i, sizes[i], ends[i])
 		}
 	}
-	if rec, err := recoverDir(dir); err != nil || rec.lastSeq != 100 || rec.tornBytes != 0 {
+	if rec, err := recoverDir(osFS{}, dir); err != nil || rec.lastSeq != 100 || rec.tornBytes != 0 {
 		t.Fatalf("recovery: %v", err)
 	}
 }
@@ -261,7 +261,7 @@ func TestPreallocZeroHeaderMidLog(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			segs, err := listSegments(dir)
+			segs, err := listSegments(osFS{}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +271,7 @@ func TestPreallocZeroHeaderMidLog(t *testing.T) {
 			if err := p.plant(segs[1].path); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := recoverDir(dir); err == nil || !strings.Contains(err.Error(), "mid-log") {
+			if _, err := recoverDir(osFS{}, dir); err == nil || !strings.Contains(err.Error(), "mid-log") {
 				t.Fatalf("recoverDir = %v, want mid-log corruption error", err)
 			}
 			// The same zeros in the final segment end the log there.
@@ -281,7 +281,7 @@ func TestPreallocZeroHeaderMidLog(t *testing.T) {
 			if err := os.Remove(segs[2].path); err != nil {
 				t.Fatal(err)
 			}
-			rec, err := recoverDir(dir)
+			rec, err := recoverDir(osFS{}, dir)
 			if err != nil {
 				t.Fatalf("zeros in the final segment: %v", err)
 			}
@@ -307,14 +307,17 @@ func TestPreallocFailureFallsBack(t *testing.T) {
 	run := func(t *testing.T, failing, abandon bool) outcome {
 		dir := t.TempDir()
 		var calls atomic.Int64
-		cfg := logConfig{dir: dir, policy: FsyncGroup, segmentBytes: 1024, prealloc: func(f *os.File, size int64) error {
+		fs := &testFS{fault: func(op *fsOp) error {
+			if op.kind != opPrealloc {
+				return nil
+			}
 			calls.Add(1)
 			if failing {
 				return boom
 			}
-			return preallocate(f, size)
+			return nil
 		}}
-		l := openTestLog(t, cfg)
+		l := openTestLog(t, logConfig{dir: dir, policy: FsyncGroup, segmentBytes: 1024, fs: fs})
 		var ticket, acked atomic.Uint64
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {
@@ -351,7 +354,7 @@ func TestPreallocFailureFallsBack(t *testing.T) {
 		} else if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := recoverDir(dir)
+		rec, err := recoverDir(osFS{}, dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,12 @@
 // Recovery on boot: load the snapshot, then replay every segment's redo
 // records above its watermark.
 //
-// A segment's image is its whole file: on Linux the file mapped read-only
-// (image_linux.go), so replay reads the page cache in place and allocates no
-// buffer; elsewhere one buffer read whole, reused for the next segment
-// (image_other.go). The mapping is gone before the final segment is cut and
-// before recovery returns, and no decoded value shares a byte with it. The
-// image is replayed in two passes, in place:
+// A segment's image is its whole file, as the file seam's LoadImage returns
+// it: on Linux the file mapped read-only, so replay reads the page cache in
+// place and allocates no buffer; elsewhere one buffer read whole, reused for
+// the next segment (fs_linux.go, fs_other.go). The mapping is gone before
+// the final segment is cut and before recovery returns, and no decoded value
+// shares a byte with it. The image is replayed in two passes, in place:
 //
 //   - Pass 1, on the caller, walks the frame headers only: it finds where the
 //     segment's frames end (at the end of the file, at an all-zero header, or
@@ -165,14 +165,13 @@ type segmentFile struct {
 	firstSeq uint64
 }
 
-func listSegments(dir string) ([]segmentFile, error) {
-	entries, err := os.ReadDir(dir)
+func listSegments(fs fileSystem, dir string) ([]segmentFile, error) {
+	names, err := fs.List(dir)
 	if err != nil {
 		return nil, err
 	}
 	var segs []segmentFile
-	for _, e := range entries {
-		name := e.Name()
+	for _, name := range names {
 		if !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
 			continue
 		}
@@ -193,27 +192,27 @@ func listSegments(dir string) ([]segmentFile, error) {
 // bytes), and rejects mid-log corruption or sequence gaps as hard errors. A
 // leftover snapshot.tmp from an interrupted compaction is deleted. An empty
 // or absent directory recovers to the empty state.
-func recoverDir(dir string) (*recovery, error) {
+func recoverDir(fs fileSystem, dir string) (*recovery, error) {
 	rec := &recovery{}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
 	// An interrupted compaction can leave snapshot.tmp behind (crash
 	// between write and rename); it never became the live snapshot, so
 	// drop it.
-	if err := os.Remove(filepath.Join(dir, snapshotTmp)); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := fs.Remove(filepath.Join(dir, snapshotTmp)); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	if err := loadSnapshot(dir, rec); err != nil {
+	if err := loadSnapshot(fs, dir, rec); err != nil {
 		return nil, err
 	}
 	rec.lastSeq = rec.snapSeq
 
-	segs, err := listSegments(dir)
+	segs, err := listSegments(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	var rp replayer
+	rp := replayer{fs: fs}
 	for i, seg := range segs {
 		last := i == len(segs)-1
 		if err := rp.replaySegment(seg, last, rec); err != nil {
@@ -223,9 +222,9 @@ func recoverDir(dir string) (*recovery, error) {
 	return rec, nil
 }
 
-func loadSnapshot(dir string, rec *recovery) error {
+func loadSnapshot(fs fileSystem, dir string, rec *recovery) error {
 	path := filepath.Join(dir, snapshotName)
-	img, err := os.ReadFile(path)
+	img, err := fs.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -267,9 +266,11 @@ const (
 )
 
 // replayer is the scratch of one recovery, reused for every segment: the
-// segment image (see load), where its chunks start, and the replay runs.
+// buffer the file seam may load a segment image into, where its chunks
+// start, and the replay runs.
 type replayer struct {
-	image []byte
+	fs    fileSystem
+	buf   []byte
 	marks []int
 	runs  []replayRun
 }
@@ -299,24 +300,32 @@ type replayRun struct {
 // corruption and recovery refuses to guess past it. The zero-header rule
 // lives here and not in parseFrame, which the replication stream shares.
 func (rp *replayer) replaySegment(seg segmentFile, lastSegment bool, rec *recovery) error {
-	data, err := rp.read(seg.path)
+	data, err := rp.fs.LoadImage(seg.path, rp.buf)
 	if err != nil {
-		return err
+		return fmt.Errorf("durable: read segment %s: %w", seg.path, err)
 	}
 	cut, err := rp.replayImage(data, seg.path, lastSegment, rec)
-	if uerr := rp.unload(); err == nil {
+	var uerr error
+	if rp.buf, uerr = rp.fs.ReleaseImage(data); err == nil {
 		err = uerr
 	}
 	if err != nil || cut < 0 {
 		return err
 	}
-	return cutTail(seg.path, cut)
+	return cutTail(rp.fs, seg.path, cut)
 }
 
 // replayImage replays the segment image data, the file at path, into rec.
 // It returns the offset the final segment must be cut at, or -1.
 func (rp *replayer) replayImage(data []byte, path string, lastSegment bool, rec *recovery) (cut int, err error) {
 	if len(data) < len(segmentMagic) || string(data[:len(segmentMagic)]) != segmentMagic {
+		// A crash after the final segment was made and before its magic
+		// landed leaves a prefix of the magic, then zeros: a segment that
+		// never held a record, cut to nothing and made again by the log.
+		if end := dataEnd(data, 0); lastSegment && end <= len(segmentMagic) && string(data[:end]) == segmentMagic[:end] {
+			rec.tornBytes = int64(end)
+			return 0, nil
+		}
 		return -1, fmt.Errorf("durable: bad segment magic in %s", path)
 	}
 
@@ -388,24 +397,6 @@ func (rp *replayer) replayImage(data []byte, path string, lastSegment bool, rec 
 		return endSegment(path, lastSegment, data, off, stop, rec)
 	}
 	return -1, nil
-}
-
-// read loads the segment file at path with load; unload releases it.
-func (rp *replayer) read(path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	data, err := rp.load(f, int(st.Size()))
-	if err != nil {
-		return nil, fmt.Errorf("durable: read segment %s: %w", path, err)
-	}
-	return data, nil
 }
 
 // split resets rp.runs to one run per worker over the chunks rp.marks
@@ -507,20 +498,19 @@ func endSegment(path string, lastSegment bool, data []byte, at int, err error, r
 // cutTail ends the final segment at offset, the end of its last whole frame:
 // it truncates the file there and syncs the cut, so that a later segment can
 // never follow a tail that comes back.
-func cutTail(path string, offset int) error {
-	w, err := os.OpenFile(path, os.O_WRONLY, 0)
+func cutTail(fs fileSystem, path string, offset int) error {
+	w, err := fs.OpenWrite(path)
 	if err != nil {
 		return err
 	}
-	if err := w.Truncate(int64(offset)); err != nil {
-		w.Close()
-		return err
+	err = w.Truncate(int64(offset))
+	if err == nil {
+		err = w.Sync()
 	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		return err
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	return w.Close()
+	return err
 }
 
 // dataEnd returns the offset just past the last non-zero byte of data at or

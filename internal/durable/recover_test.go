@@ -149,11 +149,11 @@ var refusal = regexp.MustCompile(`(corrupt frame mid-log|malformed record|sequen
 // recoverOutcome runs recoverDir over dir and reports what it left.
 func recoverOutcome(t testing.TB, dir string) replayOutcome {
 	t.Helper()
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, rerr := recoverDir(dir)
+	rec, rerr := recoverDir(osFS{}, dir)
 	var out replayOutcome
 	for _, seg := range segs {
 		st, err := os.Stat(seg.path)
@@ -407,7 +407,7 @@ func TestRecoverLeavesNoGoroutine(t *testing.T) {
 		{"gap", 120, damageGap},
 	} {
 		writeLog(t, dir, 0, nil, assemble(t, frames, writes, cuts, c.idx, c.kind, 0))
-		_, err := recoverDir(dir)
+		_, err := recoverDir(osFS{}, dir)
 		if (err == nil) != (c.kind == damageNone || c.kind == damageTruncate) {
 			t.Fatalf("%s log: recoverDir = %v", c.name, err)
 		}
@@ -471,10 +471,10 @@ func TestRecoverFrameBeyondOldWindow(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if segs, _ := listSegments(dir); (len(segs) > 1) != sealed {
+			if segs, _ := listSegments(osFS{}, dir); (len(segs) > 1) != sealed {
 				t.Fatalf("%d segments, want the big frame sealed: %v", len(segs), sealed)
 			}
-			rec, err := recoverDir(dir)
+			rec, err := recoverDir(osFS{}, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -538,7 +538,7 @@ func recoverAlloc(t *testing.T, dir string) (*recovery, uint64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	rec, err := recoverDir(dir)
+	rec, err := recoverDir(osFS{}, dir)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +554,7 @@ func recoverAlloc(t *testing.T, dir string) (*recovery, uint64) {
 func TestRecoverAllocBudget(t *testing.T) {
 	dir := t.TempDir()
 	balance := writeTransferLog(t, dir)
-	if segs, _ := listSegments(dir); len(segs) != 2 {
+	if segs, _ := listSegments(osFS{}, dir); len(segs) != 2 {
 		t.Fatalf("the transfer log has %d segments, want 2", len(segs))
 	}
 	rec, alloc := recoverAlloc(t, dir)

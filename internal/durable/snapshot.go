@@ -5,7 +5,7 @@ package durable
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 )
 
@@ -23,11 +23,12 @@ func (l *Log) WriteSnapshot(seq uint64, frame []byte) error {
 	}
 
 	tmp := filepath.Join(l.cfg.dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	fs := l.cfg.fs
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	_, err = f.WriteString(snapshotMagic)
+	_, err = io.WriteString(f, snapshotMagic)
 	if err == nil {
 		_, err = f.Write(frame)
 	}
@@ -41,26 +42,12 @@ func (l *Log) WriteSnapshot(seq uint64, frame []byte) error {
 		return fmt.Errorf("durable: snapshot write: %w", err)
 	}
 
-	if l.cfg.crash.fire(CrashMidSnapshotRename) {
-		// Crash between writing snapshot.tmp and the rename: the tmp file
-		// is left behind for boot to ignore and clean up.
-		return l.wedge(ErrCrashed)
-	}
-
-	if err := os.Rename(tmp, filepath.Join(l.cfg.dir, snapshotName)); err != nil {
+	if err := fs.Rename(tmp, filepath.Join(l.cfg.dir, snapshotName)); err != nil {
 		return err
 	}
-	if err := syncDir(l.cfg.dir); err != nil {
+	if err := fs.SyncDir(l.cfg.dir); err != nil {
 		return err
 	}
-
-	if l.cfg.crash.fire(CrashAfterSnapshotRename) {
-		// Crash between the rename and old-segment truncation: the new
-		// snapshot is live, the covered segments linger; boot skips their
-		// records (all ≤ the watermark).
-		return l.wedge(ErrCrashed)
-	}
-
 	return l.truncateCovered(seq)
 }
 
@@ -71,18 +58,18 @@ func (l *Log) WriteSnapshot(seq uint64, frame []byte) error {
 // this cannot race the appender — nor a group flush in flight, which always
 // has the active segment open: rotation waits for it before switching files.
 func (l *Log) truncateCovered(watermark uint64) error {
-	segs, err := listSegments(l.cfg.dir)
+	segs, err := listSegments(l.cfg.fs, l.cfg.dir)
 	if err != nil {
 		return err
 	}
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i+1].firstSeq <= watermark+1 {
-			if err := os.Remove(segs[i].path); err != nil {
+			if err := l.cfg.fs.Remove(segs[i].path); err != nil {
 				return err
 			}
 		}
 	}
-	return syncDir(l.cfg.dir)
+	return l.cfg.fs.SyncDir(l.cfg.dir)
 }
 
 // snapshotFrame is the framed snapshot record of entries, in cell-id order,

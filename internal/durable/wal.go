@@ -1,13 +1,13 @@
-// The segmented write-ahead log: ordered appends, fsync policies, segment
-// rotation and crashpoint fault injection. The recovery-on-boot scan is in
-// recover.go.
+// The segmented write-ahead log: ordered appends, fsync policies and segment
+// rotation, every file operation through the file seam (fs.go). The
+// recovery-on-boot scan is in recover.go.
 package durable
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sync"
 )
@@ -33,105 +33,16 @@ const (
 	defaultSegmentBytes = 4 << 20
 )
 
-var (
-	// ErrCrashed is the sticky error a Log reports after a crashpoint fired
-	// (or after an I/O error): the in-memory engine state may be ahead of
-	// the disk image, so the engine refuses all further transactions. The
-	// only way forward is to discard the engine and recover from the
-	// directory.
-	ErrCrashed = errors.New("durable: write-ahead log crashed")
-	// ErrClosed reports use after an orderly WALClose.
-	ErrClosed = errors.New("durable: write-ahead log closed")
-)
-
-// Crashpoints is the deterministic fault-injection seam inside the WAL
-// writer. Each point fires at most once; after firing the Log wedges with
-// ErrCrashed, simulating the process dying at exactly that instant (the
-// in-memory engine "loses its memory" — tests discard it and recover a
-// fresh one from the directory). Zero value = no faults.
-type Crashpoints struct {
-	// AfterPartialRecord: the next commit writes only PartialBytes bytes of
-	// its frame (synced, so the torn prefix is exactly what recovery sees),
-	// then crashes — the torn-final-record case.
-	AfterPartialRecord bool
-	// PartialBytes is how many bytes of the frame AfterPartialRecord leaves
-	// behind (clamped to frame length − 1 so the record is genuinely torn).
-	PartialBytes int
-	// AfterRecordBeforeSync: the next commit writes its full frame to the
-	// OS but crashes before fsync — the record may or may not survive a
-	// real power cut; in-process recovery sees it (recovering more than was
-	// acknowledged is always legal).
-	AfterRecordBeforeSync bool
-	// MidSnapshotRename: the next snapshot crashes after writing and
-	// syncing snapshot.tmp but before the atomic rename — boot must ignore
-	// and clean up the leftover tmp.
-	MidSnapshotRename bool
-	// AfterSnapshotRename: the next snapshot crashes after the rename but
-	// before old-segment truncation — boot must skip the segment records
-	// the snapshot already covers.
-	AfterSnapshotRename bool
-
-	mu    sync.Mutex
-	fired string
-}
-
-// Crashpoint names, as reported by Fired.
-const (
-	CrashAfterPartialRecord    = "after-partial-record"
-	CrashAfterRecordBeforeSync = "after-record-before-sync"
-	CrashMidSnapshotRename     = "mid-snapshot-rename"
-	CrashAfterSnapshotRename   = "after-snapshot-rename"
-)
-
-// fire consumes the named point if armed (each fires at most once).
-func (c *Crashpoints) fire(name string) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var armed *bool
-	switch name {
-	case CrashAfterPartialRecord:
-		armed = &c.AfterPartialRecord
-	case CrashAfterRecordBeforeSync:
-		armed = &c.AfterRecordBeforeSync
-	case CrashMidSnapshotRename:
-		armed = &c.MidSnapshotRename
-	case CrashAfterSnapshotRename:
-		armed = &c.AfterSnapshotRename
-	}
-	if armed == nil || !*armed {
-		return false
-	}
-	*armed = false
-	c.fired = name
-	return true
-}
-
-// Fired returns the name of the crashpoint that fired, or "".
-func (c *Crashpoints) Fired() string {
-	if c == nil {
-		return ""
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fired
-}
+// ErrClosed reports use after an orderly WALClose.
+var ErrClosed = errors.New("durable: write-ahead log closed")
 
 // logConfig parameterizes openLog.
 type logConfig struct {
 	dir          string
 	policy       string // FsyncAlways | FsyncGroup | FsyncNever
 	segmentBytes int64
-	startSeq     uint64 // first seq this log will accept (recovered lastSeq+1)
-	crash        *Crashpoints
-	// sync forces a segment file to stable storage; tests substitute a slow,
-	// counting or failing one (nil = (*os.File).Sync).
-	sync func(*os.File) error
-	// prealloc reserves a new segment's segmentBytes on disk; tests
-	// substitute a failing one (nil = preallocate).
-	prealloc func(f *os.File, size int64) error
+	startSeq     uint64     // first seq this log will accept (recovered lastSeq+1)
+	fs           fileSystem // every file operation of the log
 }
 
 // Log is the append side of the WAL. Commit acknowledgments respect the
@@ -154,7 +65,7 @@ type Log struct {
 	seqCond   *sync.Cond // append turnstile: waits for nextSeq == seq
 	flushCond *sync.Cond // signalled when flushedSeq advances or flushing clears
 
-	f           *os.File
+	f           file
 	buf         *bufio.Writer
 	segSize     int64  // bytes written into the current segment
 	nextSeq     uint64 // seq the next append must carry
@@ -165,7 +76,7 @@ type Log struct {
 	flushing bool
 	fsyncs   uint64 // data fsyncs that advanced flushedSeq
 	synced   uint64 // commits those fsyncs made durable: synced/fsyncs = batch size
-	sticky   error  // ErrCrashed / wrapped I/O error; wedges the log
+	sticky   error  // the first I/O error, wrapped; wedges the log
 	closed   bool
 	// closing: Close is waiting out the flush in flight. No committer leads
 	// another, or a steady stream of them could keep Close waiting for good;
@@ -181,12 +92,6 @@ type Log struct {
 func openLog(cfg logConfig) (*Log, error) {
 	if cfg.segmentBytes <= 0 {
 		cfg.segmentBytes = defaultSegmentBytes
-	}
-	if cfg.sync == nil {
-		cfg.sync = (*os.File).Sync
-	}
-	if cfg.prealloc == nil {
-		cfg.prealloc = preallocate
 	}
 	switch cfg.policy {
 	case FsyncAlways, FsyncGroup, FsyncNever:
@@ -234,22 +139,21 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	// The name can pre-exist only if that segment held zero records (boot
 	// reuses firstSeq = lastSeq+1, which lands inside an old segment only
 	// when the old segment is empty), so truncating is safe.
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := l.cfg.fs.Create(path)
 	if err != nil {
 		return err
 	}
 	// A failed reservation leaves a segment that grows by append: slower
 	// fsyncs, the same log.
-	_ = l.cfg.prealloc(f, l.cfg.segmentBytes)
-	if _, err := f.WriteString(segmentMagic); err != nil {
-		f.Close()
-		return err
+	_ = f.Preallocate(l.cfg.segmentBytes)
+	_, err = io.WriteString(f, segmentMagic)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = l.cfg.fs.SyncDir(l.cfg.dir)
 	}
-	if err := syncDir(l.cfg.dir); err != nil {
+	if err != nil {
 		f.Close()
 		return err
 	}
@@ -257,15 +161,6 @@ func (l *Log) openSegment(firstSeq uint64) error {
 	l.buf = bufio.NewWriterSize(f, 1<<16)
 	l.segSize = int64(len(segmentMagic))
 	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // fail wedges the log with err and wakes every waiter. Called with l.mu held.
@@ -285,7 +180,7 @@ func (l *Log) wedge(err error) error {
 	return err
 }
 
-// Err returns the sticky crash/I/O error, or nil. Once it is set, memory may
+// Err returns the sticky I/O error, or nil. Once it is set, memory may
 // be ahead of the disk: the engine refuses every transaction, and recovery
 // is a fresh Wrap over the same directory.
 func (l *Log) Err() error {
@@ -295,7 +190,7 @@ func (l *Log) Err() error {
 }
 
 // usable reports why a new update transaction must be refused: the sticky
-// crash error, ErrClosed after an orderly close, or nil.
+// I/O error, ErrClosed after an orderly close, or nil.
 func (l *Log) usable() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -326,29 +221,6 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 		return 0, ErrClosed
 	}
 
-	if l.cfg.crash.fire(CrashAfterPartialRecord) {
-		// Leave exactly PartialBytes of the frame behind, synced, then
-		// wedge: the deterministic torn-final-record fault.
-		cut := l.cfg.crash.PartialBytes
-		if cut >= len(frame) {
-			cut = len(frame) - 1
-		}
-		if cut < 0 {
-			cut = 0
-		}
-		if err := l.buf.Flush(); err == nil {
-			if _, err = l.f.Write(frame[:cut]); err == nil {
-				err = l.f.Sync()
-			}
-			if err != nil {
-				l.fail(fmt.Errorf("durable: crashpoint write: %w", err))
-				return 0, l.sticky
-			}
-		}
-		l.fail(ErrCrashed)
-		return 0, ErrCrashed
-	}
-
 	if _, err := l.buf.Write(frame); err != nil {
 		l.fail(fmt.Errorf("durable: append: %w", err))
 		return 0, l.sticky
@@ -362,17 +234,6 @@ func (l *Log) Commit(seq uint64, frame []byte) (int64, error) {
 		l.tap(seq, frame)
 	}
 	l.seqCond.Broadcast()
-
-	if l.cfg.crash.fire(CrashAfterRecordBeforeSync) {
-		// Full frame reaches the OS, no fsync: after a real power cut the
-		// record's fate would be undecided; in-process it survives.
-		if err := l.buf.Flush(); err != nil {
-			l.fail(fmt.Errorf("durable: crashpoint flush: %w", err))
-			return 0, l.sticky
-		}
-		l.fail(ErrCrashed)
-		return 0, ErrCrashed
-	}
 
 	switch l.cfg.policy {
 	case FsyncAlways:
@@ -426,7 +287,7 @@ func (l *Log) flushBatch() {
 	f := l.f
 	l.flushing = true
 	l.mu.Unlock()
-	err := l.cfg.sync(f)
+	err := f.Sync()
 	l.mu.Lock()
 	l.flushing = false
 	if err != nil {
@@ -465,7 +326,7 @@ func (l *Log) syncAppended() error {
 	if err := l.buf.Flush(); err != nil {
 		return fmt.Errorf("durable: flush: %w", err)
 	}
-	if err := l.cfg.sync(l.f); err != nil {
+	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("durable: fsync: %w", err)
 	}
 	l.markSynced(l.appendedSeq)

@@ -69,6 +69,12 @@ func TestValueCodecRoundTrip(t *testing.T) {
 // unless opt overrides.
 func newTestEngine(t *testing.T, base, dir string, opt Options) *Engine {
 	t.Helper()
+	return newTestEngineFS(t, base, dir, opt, osFS{})
+}
+
+// newTestEngineFS is newTestEngine over the file system fs.
+func newTestEngineFS(t *testing.T, base, dir string, opt Options, fs fileSystem) *Engine {
+	t.Helper()
 	if opt.Fsync == "" {
 		opt.Fsync = FsyncAlways
 	}
@@ -76,7 +82,7 @@ func newTestEngine(t *testing.T, base, dir string, opt Options) *Engine {
 		opt.SnapshotBytes = -1
 	}
 	opt.Dir = dir
-	e, err := Wrap(engine.MustNew(base, engine.Options{}), opt)
+	e, err := wrap(engine.MustNew(base, engine.Options{}), opt, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,7 @@ func transfer(th engine.Thread, a, b, c engine.Cell, i int) error {
 // directly — no engine involved.
 func readState(t *testing.T, dir string) (a, b, c int, rec *recovery) {
 	t.Helper()
-	rec, err := recoverDir(dir)
+	rec, err := recoverDir(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +130,15 @@ func readState(t *testing.T, dir string) (a, b, c int, rec *recovery) {
 	return get(0), get(1), get(2), rec
 }
 
-// TestTornFinalRecordEveryTruncationPoint drives the after-partial-record
-// crashpoint through every possible cut of the final frame: recovery must
-// truncate the torn tail (reporting its size) and restore exactly the
+// TestTornFinalRecordEveryTruncationPoint kills the disk in the write of the
+// final frame, after it landed cut bytes, for every possible cut: recovery
+// must truncate the torn tail (reporting its size) and restore exactly the
 // acknowledged prefix, for every cut. The active segment is preallocated, so
 // the cut bytes are followed by zeros: tornBytes counts the written bytes up
 // to the last non-zero one, and the expected value per cut is computed from
-// the bytes of the frame the crashpoint writes.
+// the bytes of the frame the write lands.
 func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
-	// The frames of a clean log of three transfers: the crashpoint cuts the
-	// third.
+	// The frames of a clean log of three transfers: the crash cuts the third.
 	frames := func() [][]byte {
 		dir := t.TempDir()
 		e := newTestEngine(t, "norec", dir, Options{})
@@ -179,8 +184,8 @@ func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
 	}
 	for _, cut := range cuts {
 		dir := t.TempDir()
-		crash := &Crashpoints{}
-		e := newTestEngine(t, "norec", dir, Options{Crash: crash})
+		fs := &testFS{}
+		e := newTestEngineFS(t, "norec", dir, Options{}, fs)
 		th := e.Thread(0)
 		a, b, c := bankCells(e)
 		for i := 1; i <= 2; i++ {
@@ -188,17 +193,15 @@ func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		crash.mu.Lock()
-		crash.AfterPartialRecord = true
-		crash.PartialBytes = cut
-		crash.mu.Unlock()
-		if err := transfer(th, a, b, c, 3); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("cut %d: err = %v, want ErrCrashed", cut, err)
+		fs.dieAt(func(op *fsOp) bool { op.land = cut; return op.kind == opWrite })
+		if err := transfer(th, a, b, c, 3); !errors.Is(err, errDied) {
+			t.Fatalf("cut %d: err = %v, want the disk dead", cut, err)
 		}
 		// The wedged engine refuses everything from here.
-		if err := th.Run(func(tx engine.Txn) error { return nil }); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("cut %d: post-crash Run err = %v, want ErrCrashed", cut, err)
+		if err := th.Run(func(tx engine.Txn) error { return nil }); !errors.Is(err, errDied) {
+			t.Fatalf("cut %d: post-crash Run err = %v, want the disk dead", cut, err)
 		}
+		e.WALClose()
 
 		av, bv, cv, rec := readState(t, dir)
 		if av+bv != 2000 {
@@ -222,13 +225,13 @@ func TestTornFinalRecordEveryTruncationPoint(t *testing.T) {
 	}
 }
 
-// TestAfterRecordBeforeSync: the full record reached the OS before the
-// crash, so in-process recovery sees it — recovering an unacknowledged
-// commit is legal (more than acked, never less).
+// TestAfterRecordBeforeSync: the disk dies at the fsync of a commit whose
+// full record reached the OS, so in-process recovery sees it — recovering an
+// unacknowledged commit is legal (more than acked, never less).
 func TestAfterRecordBeforeSync(t *testing.T) {
 	dir := t.TempDir()
-	crash := &Crashpoints{}
-	e := newTestEngine(t, "norec", dir, Options{Crash: crash})
+	fs := &testFS{}
+	e := newTestEngineFS(t, "norec", dir, Options{}, fs)
 	th := e.Thread(0)
 	a, b, c := bankCells(e)
 	for i := 1; i <= 2; i++ {
@@ -236,12 +239,11 @@ func TestAfterRecordBeforeSync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	crash.mu.Lock()
-	crash.AfterRecordBeforeSync = true
-	crash.mu.Unlock()
-	if err := transfer(th, a, b, c, 3); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v, want ErrCrashed", err)
+	fs.dieAt(func(op *fsOp) bool { return op.kind == opSync })
+	if err := transfer(th, a, b, c, 3); !errors.Is(err, errDied) {
+		t.Fatalf("err = %v, want the disk dead", err)
 	}
+	e.WALClose()
 	av, bv, cv, rec := readState(t, dir)
 	if av+bv != 2000 {
 		t.Errorf("sum %d+%d, want 2000", av, bv)
@@ -269,7 +271,7 @@ func TestCRCCorruptionMidLog(t *testing.T) {
 	if err := e.WALClose(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestCRCCorruptionMidLog(t *testing.T) {
 	}
 	// Flip one payload byte in the second segment (mid-log).
 	corrupt(t, segs[1].path, int64(len(segmentMagic)+FrameHeaderLen+2))
-	_, err = recoverDir(dir)
+	_, err = recoverDir(osFS{}, dir)
 	if err == nil || !strings.Contains(err.Error(), "mid-log") {
 		t.Fatalf("recoverDir = %v, want mid-log corruption error", err)
 	}
@@ -299,7 +301,7 @@ func TestCRCCorruptionFinalSegment(t *testing.T) {
 	if err := e.WALClose(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +382,7 @@ func TestSnapshotOnlyBoot(t *testing.T) {
 	if err := e.WALClose(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +431,9 @@ func TestSnapshotCompactionTruncatesSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := listSegments(dir)
+	before, _ := listSegments(osFS{}, dir)
 	e.compact()
-	after, err := listSegments(dir)
+	after, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,16 +456,23 @@ func TestSnapshotCompactionTruncatesSegments(t *testing.T) {
 	}
 }
 
-// TestSnapshotRenameCrashpoints: a compaction interrupted before the rename
-// leaves the old state intact (tmp ignored and cleaned); interrupted after
-// the rename but before truncation leaves stale segments whose records
-// recovery must skip, not re-apply.
+// TestSnapshotRenameCrashpoints: a compaction whose disk dies at the rename
+// leaves the old state intact (tmp ignored and cleaned); one whose disk dies
+// after the rename, at the first covered segment's removal, leaves stale
+// segments whose records recovery must skip, not re-apply.
 func TestSnapshotRenameCrashpoints(t *testing.T) {
-	for _, point := range []string{CrashMidSnapshotRename, CrashAfterSnapshotRename} {
-		t.Run(point, func(t *testing.T) {
+	states := []struct {
+		name string
+		dies func(op *fsOp) bool
+	}{
+		{"mid-snapshot-rename", func(op *fsOp) bool { return op.kind == opRename }},
+		{"after-snapshot-rename", func(op *fsOp) bool { return op.kind == opRemove && isSegment(op.path) }},
+	}
+	for _, state := range states {
+		t.Run(state.name, func(t *testing.T) {
 			dir := t.TempDir()
-			crash := &Crashpoints{}
-			e := newTestEngine(t, "norec", dir, Options{Crash: crash, SegmentBytes: 1})
+			fs := &testFS{}
+			e := newTestEngineFS(t, "norec", dir, Options{SegmentBytes: 1}, fs)
 			th := e.Thread(0)
 			a, b, c := bankCells(e)
 			for i := 1; i <= 4; i++ {
@@ -471,35 +480,30 @@ func TestSnapshotRenameCrashpoints(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			crash.mu.Lock()
-			switch point {
-			case CrashMidSnapshotRename:
-				crash.MidSnapshotRename = true
-			case CrashAfterSnapshotRename:
-				crash.AfterSnapshotRename = true
-			}
-			crash.mu.Unlock()
+			fs.dieAt(state.dies)
 			e.compact()
-			if crash.Fired() != point {
-				t.Fatalf("crashpoint %s did not fire", point)
+			if fs.died() == nil {
+				t.Fatalf("compaction never reached the %s crash", state.name)
 			}
-			if err := th.Run(func(tx engine.Txn) error { return nil }); !errors.Is(err, ErrCrashed) {
-				t.Fatalf("post-crash Run err = %v, want ErrCrashed", err)
+			// The dead disk takes no more commits.
+			if err := transfer(th, a, b, c, 5); !errors.Is(err, errDied) {
+				t.Fatalf("post-crash transfer err = %v, want the disk dead", err)
 			}
+			e.WALClose()
 
 			av, bv, cv, rec := readState(t, dir)
 			if av+bv != 2000 || cv != 4 || rec.lastSeq != 4 {
 				t.Errorf("recovered a=%d b=%d c=%d lastSeq=%d, want sum 2000, c 4, last 4", av, bv, cv, rec.lastSeq)
 			}
-			switch point {
-			case CrashMidSnapshotRename:
+			switch state.name {
+			case "mid-snapshot-rename":
 				if rec.snapSeq != 0 || rec.commits != 4 {
 					t.Errorf("snapSeq=%d commits=%d, want 0/4 (snapshot never installed)", rec.snapSeq, rec.commits)
 				}
 				if _, err := os.Stat(filepath.Join(dir, snapshotTmp)); !errors.Is(err, os.ErrNotExist) {
 					t.Errorf("leftover snapshot.tmp not cleaned: %v", err)
 				}
-			case CrashAfterSnapshotRename:
+			case "after-snapshot-rename":
 				// Snapshot live, stale segments still on disk: their
 				// records are ≤ the watermark and must be skipped, not
 				// re-applied (re-applying absolute values would regress
@@ -527,7 +531,7 @@ func TestSequenceGapIsCorruption(t *testing.T) {
 	if err := e.WALClose(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +539,7 @@ func TestSequenceGapIsCorruption(t *testing.T) {
 	if err := os.Remove(segs[1].path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recoverDir(dir); err == nil || !strings.Contains(err.Error(), "sequence gap") {
+	if _, err := recoverDir(osFS{}, dir); err == nil || !strings.Contains(err.Error(), "sequence gap") {
 		t.Fatalf("recoverDir = %v, want sequence-gap error", err)
 	}
 }
