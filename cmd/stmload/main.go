@@ -66,7 +66,6 @@ func main() {
 		skipSum     = flag.Bool("skip-sum", false, "recovery audit: skip the conserved-sum check (other clients ran non-transfer traffic)")
 		engName     = flag.String("engine", "norec", "in-process engine backend when -addr is empty")
 		connMode    = flag.String("conn-mode", stmserve.ModeThread, "in-process connection mapping: thread|pool")
-		poolWorkers = flag.Int("pool-workers", runtime.GOMAXPROCS(0), "in-process engine threads in pool mode")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		tracePath   = flag.String("trace", "", "write an execution trace to this file")
@@ -99,7 +98,7 @@ func main() {
 		dial = stmserve.NetDialer(*addr)
 	} else {
 		if opt.Nodes == 0 {
-			opt.Nodes = *poolWorkers
+			opt.Nodes = runtime.GOMAXPROCS(0)
 		}
 		eng, err := engine.New(*engName, opt)
 		if err != nil {
@@ -110,7 +109,7 @@ func main() {
 			kv = 1024
 		}
 		svc, err := stmserve.New(eng, stmserve.Config{
-			Keys: kv, Mode: *connMode, PoolWorkers: *poolWorkers,
+			Keys: kv, Mode: *connMode,
 		})
 		if err != nil {
 			fatal(err)

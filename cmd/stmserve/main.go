@@ -5,14 +5,14 @@
 // is tested without sockets.
 //
 //	stmserve -engine norec                          line protocol on :7070
-//	stmserve -engine lsa/shared -conn-mode pool     bounded worker pool instead of thread-per-conn
+//	stmserve -engine lsa/shared -conn-mode pool     GOMAXPROCS engine threads instead of one per conn
 //	stmserve -engine tl2 -http-api localhost:8080   plus the HTTP/JSON API (/op, /engines, /stats)
 //	stmserve -engine lsa/extsync -deviation 500     engine tunables via the shared Options flags
 //
 // The two -conn-mode values are the experiment cmd/stmload exists to run:
-// "thread" gives every connection its own engine thread (state grows with
-// connections, no queueing), "pool" multiplexes all connections over
-// -pool-workers long-lived threads (fixed state, queueing under load).
+// "thread" lends every connection its own engine thread (state grows with
+// connections, no queueing), "pool" lends each request one of GOMAXPROCS
+// long-lived threads (fixed state, waiting for a thread under load).
 // SIGINT/SIGTERM shut down gracefully and print the per-op latency table
 // and the engine's abort taxonomy.
 //
@@ -54,21 +54,20 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", ":7070", "line-protocol listen address")
-		httpAPI     = flag.String("http-api", "", "also serve the HTTP/JSON API on this address (POST /op, GET /engines, /stats, /healthz)")
-		engName     = flag.String("engine", "norec", "engine backend (see lsabench -list-engines)")
-		keys        = flag.Int("keys", 1024, "keyspace size")
-		initial     = flag.Int64("initial", 1000, "initial balance per key")
-		connMode    = flag.String("conn-mode", stmserve.ModeThread, "connection-to-engine-thread mapping: thread|pool")
-		poolWorkers = flag.Int("pool-workers", runtime.GOMAXPROCS(0), "engine threads in pool mode")
-		replListen  = flag.String("repl-listen", "", "stream the WAL to followers on this address (primary role; durable engines only)")
-		follow      = flag.String("follow", "", "replicate from the primary at this address (hot-standby role; durable engines only)")
-		replAck     = flag.String("repl-ack", "none", "replication ack mode: none (commits ack locally) or quorum (client acks wait for -repl-quorum follower acks)")
-		replQuorum  = flag.Int("repl-quorum", 1, "follower acks a commit needs in -repl-ack quorum mode")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		tracePath   = flag.String("trace", "", "write an execution trace to this file")
-		httpAddr    = flag.String("http", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
+		listen     = flag.String("listen", ":7070", "line-protocol listen address")
+		httpAPI    = flag.String("http-api", "", "also serve the HTTP/JSON API on this address (POST /op, GET /engines, /stats, /healthz)")
+		engName    = flag.String("engine", "norec", "engine backend (see lsabench -list-engines)")
+		keys       = flag.Int("keys", 1024, "keyspace size")
+		initial    = flag.Int64("initial", 1000, "initial balance per key")
+		connMode   = flag.String("conn-mode", stmserve.ModeThread, "connection-to-engine-thread mapping: thread|pool")
+		replListen = flag.String("repl-listen", "", "stream the WAL to followers on this address (primary role; durable engines only)")
+		follow     = flag.String("follow", "", "replicate from the primary at this address (hot-standby role; durable engines only)")
+		replAck    = flag.String("repl-ack", "none", "replication ack mode: none (commits ack locally) or quorum (client acks wait for -repl-quorum follower acks)")
+		replQuorum = flag.Int("repl-quorum", 1, "follower acks a commit needs in -repl-ack quorum mode")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		tracePath  = flag.String("trace", "", "write an execution trace to this file")
+		httpAddr   = flag.String("http", "", "serve expvar and pprof on this address (e.g. localhost:6060)")
 	)
 	var opt engine.Options
 	opt.BindFlags(flag.CommandLine)
@@ -86,10 +85,10 @@ func main() {
 		fatal(fmt.Errorf("-repl-quorum %d: must be ≥ 1", *replQuorum))
 	}
 	if opt.Nodes == 0 {
-		// Engine threads are created per connection (thread mode) or per
-		// pool worker; size the per-node time bases for the pool upper
-		// bound and let larger ids share clocks modulo Nodes.
-		opt.Nodes = *poolWorkers
+		// Engine threads are made per open connection (thread mode) or
+		// GOMAXPROCS of them (pool mode); size the per-node time bases for
+		// the pool and let larger ids share clocks modulo Nodes.
+		opt.Nodes = runtime.GOMAXPROCS(0)
 	}
 
 	stopDiag, err := diag.Start(diag.Flags{
@@ -112,7 +111,7 @@ func main() {
 			di.WALDir, di.FsyncPolicy, di.RecoveredCommits, di.RecoveredSeq, di.SnapshotSeq, di.TornTailBytes)
 	}
 	svc, err := stmserve.New(eng, stmserve.Config{
-		Keys: *keys, Initial: *initial, Mode: *connMode, PoolWorkers: *poolWorkers,
+		Keys: *keys, Initial: *initial, Mode: *connMode,
 	})
 	if err != nil {
 		fatal(err)

@@ -241,7 +241,7 @@ func TestCrashpointConformance(t *testing.T) {
 					// Tiny threshold and segments: every commit rotates and
 					// starts a compaction, which meets the fault
 					// asynchronously.
-					opt.SnapshotBytes, opt.SegmentBytes = 1, 1
+					opt.SnapshotBytes, opt.segmentBytes = 1, 1
 				}
 				e := newTestEngineFS(t, base, dir, opt, fs)
 				th := e.Thread(0)
@@ -340,7 +340,7 @@ func TestCrashAtEveryFileOperation(t *testing.T) {
 	run := func(fs *testFS) (dir string, lastAcked int) {
 		dir = t.TempDir()
 		e, err := wrap(engine.MustNew("norec", engine.Options{}),
-			Options{Dir: dir, Fsync: FsyncGroup, SnapshotBytes: -1, SegmentBytes: 128}, fs)
+			Options{Dir: dir, Fsync: FsyncGroup, SnapshotBytes: -1, segmentBytes: 128}, fs)
 		if err != nil {
 			return dir, 0
 		}

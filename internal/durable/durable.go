@@ -79,11 +79,11 @@ type Options struct {
 	// compaction. 0 selects the 8 MiB default; negative disables
 	// compaction.
 	SnapshotBytes int64
-	// SegmentBytes rotates log segments (0 = 4 MiB default). It is also
-	// the disk space the open segment holds: each new segment is
-	// preallocated to SegmentBytes, and cut back to its data when it is
-	// sealed or the log closes.
-	SegmentBytes int64
+	// segmentBytes rotates log segments (0 = 4 MiB default); tests shrink
+	// it to force rotation. It is also the disk space the open segment
+	// holds: each new segment is preallocated to it, and cut back to its
+	// data when it is sealed or the log closes.
+	segmentBytes int64
 }
 
 // Engine wraps an inner engine with the WAL. It implements engine.Engine
@@ -173,7 +173,7 @@ func wrap(inner engine.Engine, opt Options, fs fileSystem) (e *Engine, err error
 	l, err := openLog(logConfig{
 		dir:          dir,
 		policy:       opt.Fsync,
-		segmentBytes: opt.SegmentBytes,
+		segmentBytes: opt.segmentBytes,
 		startSeq:     rec.lastSeq + 1,
 		fs:           fs,
 	})
@@ -292,18 +292,17 @@ func (e *Engine) maybeCompact() {
 }
 
 // compact captures a consistent snapshot (SnapshotFrame) and installs it.
+// Compaction is an optimization: whichever way an attempt ends, the redo
+// count restarts, so a failed one (an unencodable cell, exhausted retries,
+// a full disk) is retried after another SnapshotBytes of log, not on the
+// next commit.
 func (e *Engine) compact() {
+	defer e.bytesSince.Store(0)
 	if e.log.Err() != nil {
 		return
 	}
-	watermark, frame, err := e.SnapshotFrame()
-	if err != nil {
-		// Compaction is an optimization: an unencodable cell or exhausted
-		// retries just defers it until the next trigger.
-		return
-	}
-	if e.log.WriteSnapshot(watermark, frame) == nil {
-		e.bytesSince.Store(0)
+	if watermark, frame, err := e.SnapshotFrame(); err == nil {
+		_ = e.log.WriteSnapshot(watermark, frame) // a failure waits, as above
 	}
 }
 
@@ -651,14 +650,6 @@ func (t *dtxn) WriteInt(c engine.Cell, v int64) error {
 	return nil
 }
 
-func (t *dtxn) UpdateInt(c engine.Cell, f func(int64) int64) (bool, error) {
-	n, ok, err := t.ReadInt(c)
-	if !ok || err != nil {
-		return ok, err
-	}
-	return true, t.WriteInt(c, f(n))
-}
-
 // Wrapped lists the inner backends registered as "durable/<name>" wrappers.
 var Wrapped = []string{"glock", "lsa/shared", "norec"}
 
@@ -670,7 +661,7 @@ func init() {
 		}
 		caps := info.Capabilities
 		caps.Durable = true
-		caps.Tunables = append(append([]string{}, caps.Tunables...), "wal", "fsync", "snapshot", "segment")
+		caps.Tunables = append(append([]string{}, caps.Tunables...), "wal", "fsync", "snapshot")
 		engine.Register("durable/"+base, engine.Info{
 			Summary:      "recoverable " + base + ": redo WAL + compacting snapshot, crash recovery on boot",
 			Capabilities: caps,
@@ -683,7 +674,6 @@ func init() {
 				Dir:           o.WALDir,
 				Fsync:         o.Fsync,
 				SnapshotBytes: o.SnapshotBytes,
-				SegmentBytes:  o.SegmentBytes,
 			})
 		})
 	}

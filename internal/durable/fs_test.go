@@ -313,7 +313,7 @@ func TestFileOperationOrder(t *testing.T) {
 		// before the first commit written into it is acknowledged.
 		dir := t.TempDir()
 		fs := &testFS{}
-		e := newTestEngineFS(t, "norec", dir, Options{Fsync: FsyncGroup, SegmentBytes: 128}, fs)
+		e := newTestEngineFS(t, "norec", dir, Options{Fsync: FsyncGroup, segmentBytes: 128}, fs)
 		defer e.WALClose()
 		th := e.Thread(0)
 		a, b, c := bankCells(e)
@@ -476,7 +476,7 @@ func TestDiskFullInGroupBatch(t *testing.T) {
 func TestDiskFullWritingSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	fs := &testFS{}
-	e := newTestEngineFS(t, "norec", dir, Options{SegmentBytes: 1}, fs)
+	e := newTestEngineFS(t, "norec", dir, Options{segmentBytes: 1}, fs)
 	th := e.Thread(0)
 	a, b, c := bankCells(e)
 	for i := 1; i <= 4; i++ {
@@ -517,5 +517,63 @@ func TestDiskFullWritingSnapshot(t *testing.T) {
 	if info := e2.DurabilityInfo(); info.SnapshotSeq != 0 || info.RecoveredSeq != 8 || info.RecoveredCommits != 8 {
 		t.Errorf("boot: snapshot %d, %d commits through seq %d; want no snapshot and 8 through 8",
 			info.SnapshotSeq, info.RecoveredCommits, info.RecoveredSeq)
+	}
+}
+
+// TestFailedCompactionWaitsForMoreLog: while no snapshot.tmp can be written,
+// a failed compaction restarts the redo count as a successful one does, so
+// the next attempt waits for another SnapshotBytes of log instead of
+// starting on every commit; every commit is still acknowledged and
+// recovered. Each commit waits out the compaction it started, so the count
+// of attempts does not depend on how fast a capture runs.
+func TestFailedCompactionWaitsForMoreLog(t *testing.T) {
+	const snapBytes, commits = 64, 50
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, snapshotTmp)
+	fs := &testFS{}
+	fs.setFault(func(op *fsOp) error {
+		if op.kind == opWrite && op.path == tmp {
+			return syscall.ENOSPC
+		}
+		return nil
+	})
+	e := newTestEngineFS(t, "norec", dir, Options{SnapshotBytes: snapBytes}, fs)
+	th := e.Thread(0)
+	a, b, c := bankCells(e)
+	for i := 1; i <= commits; i++ {
+		if err := transfer(th, a, b, c, i); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+		e.compactWG.Wait() // the compaction this commit started, if any
+	}
+	if err := e.WALClose(); err != nil {
+		t.Fatal(err)
+	}
+
+	creates := 0
+	for _, op := range fs.record() {
+		if op.kind == opCreate && op.path == tmp {
+			creates++
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, segmentPrefix+"*"+segmentSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appended int64
+	for _, p := range segs {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended += st.Size() - int64(len(segmentMagic))
+	}
+	if limit := 1 + int(appended/snapBytes); creates == 0 || creates > limit {
+		t.Errorf("%d commits (%d bytes of log) created snapshot.tmp %d times, want 1..%d",
+			commits, appended, creates, limit)
+	}
+	if ga, gb, gc, rec := readState(t, dir); ga != 1000-commits || gb != 1000+commits || gc != commits || rec.lastSeq != commits {
+		t.Errorf("recovered a=%d b=%d counter=%d through seq %d, want %d %d %d through %d",
+			ga, gb, gc, rec.lastSeq, 1000-commits, 1000+commits, commits, commits)
 	}
 }

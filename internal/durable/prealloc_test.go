@@ -1,6 +1,6 @@
 package durable
 
-// Tests for preallocated segments: the active segment reserves SegmentBytes
+// Tests for preallocated segments: the active segment reserves segmentBytes
 // up front, sealed segments end at their data, and recovery reads a zero
 // frame header in the final segment as the end of the log.
 
@@ -105,7 +105,7 @@ func TestPreallocAbandonedLog(t *testing.T) {
 	for _, policy := range []string{FsyncGroup, FsyncAlways} {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
-			e := newTestEngine(t, "norec", dir, Options{Fsync: policy, SegmentBytes: segBytes})
+			e := newTestEngine(t, "norec", dir, Options{Fsync: policy, segmentBytes: segBytes})
 			const workers, each = 4, 60
 			cells := make([]engine.Cell, workers)
 			for w := range cells {

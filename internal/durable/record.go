@@ -14,7 +14,7 @@
 // ships) are framed by it, and a frame is framed once: the log journals a
 // commit's frame as Frame or ReadFrame made it, and checks no CRC again.
 //
-// The active segment is preallocated to Options.SegmentBytes, so past its
+// The active segment is preallocated to the segment size (4 MiB), so past its
 // last frame it holds zeros up to that size; a sealed segment (rotated away
 // from, or closed) is cut to end at its last frame. Recovery therefore reads
 // an all-zero frame header in the final segment as the end of the log, and

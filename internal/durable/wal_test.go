@@ -258,9 +258,9 @@ func TestAfterRecordBeforeSync(t *testing.T) {
 // guessing past it.
 func TestCRCCorruptionMidLog(t *testing.T) {
 	dir := t.TempDir()
-	// SegmentBytes = 1: every commit rotates, so each record lands in its
+	// segmentBytes = 1: every commit rotates, so each record lands in its
 	// own segment and a trailing empty segment is always active.
-	e := newTestEngine(t, "norec", dir, Options{SegmentBytes: 1})
+	e := newTestEngine(t, "norec", dir, Options{segmentBytes: 1})
 	th := e.Thread(0)
 	a, b, c := bankCells(e)
 	for i := 1; i <= 4; i++ {
@@ -423,7 +423,7 @@ func TestSnapshotOnlyBoot(t *testing.T) {
 // records above the watermark.
 func TestSnapshotCompactionTruncatesSegments(t *testing.T) {
 	dir := t.TempDir()
-	e := newTestEngine(t, "norec", dir, Options{SegmentBytes: 1})
+	e := newTestEngine(t, "norec", dir, Options{segmentBytes: 1})
 	th := e.Thread(0)
 	a, b, c := bankCells(e)
 	for i := 1; i <= 4; i++ {
@@ -472,7 +472,7 @@ func TestSnapshotRenameCrashpoints(t *testing.T) {
 		t.Run(state.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fs := &testFS{}
-			e := newTestEngineFS(t, "norec", dir, Options{SegmentBytes: 1}, fs)
+			e := newTestEngineFS(t, "norec", dir, Options{segmentBytes: 1}, fs)
 			th := e.Thread(0)
 			a, b, c := bankCells(e)
 			for i := 1; i <= 4; i++ {
@@ -520,7 +520,7 @@ func TestSnapshotRenameCrashpoints(t *testing.T) {
 // record deleted mid-stream) must be refused.
 func TestSequenceGapIsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	e := newTestEngine(t, "norec", dir, Options{SegmentBytes: 1})
+	e := newTestEngine(t, "norec", dir, Options{segmentBytes: 1})
 	th := e.Thread(0)
 	a, b, c := bankCells(e)
 	for i := 1; i <= 3; i++ {

@@ -135,10 +135,6 @@ func (t valueTxn[O, T]) WriteInt(c Cell, v int64) error {
 	return t.tx.WriteValue(cellOf[O](c), val.OfInt(int(v)))
 }
 
-func (t valueTxn[O, T]) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
 // cellOf recovers the backend's cell type. A handle another backend created
 // (cells are only valid with the engine that made them) fails the assertion,
 // and the runtime's panic names both the received and the expected type.

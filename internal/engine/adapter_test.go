@@ -50,7 +50,7 @@ func TestValueLaneAdapter(t *testing.T) {
 				if sum != 28 {
 					t.Errorf("sum = %d, want 28", sum)
 				}
-				if _, err := tx.UpdateInt(cells[0], func(n int64) int64 { return n + sum }); err != nil {
+				if err := Update(tx, cells[0], func(n int64) int64 { return n + sum }); err != nil {
 					return err
 				}
 				return tx.WriteInt(cells[1], sum)

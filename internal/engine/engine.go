@@ -74,21 +74,6 @@ type IntTxn interface {
 	ReadInt(c Cell) (v int64, ok bool, err error)
 	// WriteInt installs v through the numeric lane without boxing.
 	WriteInt(c Cell, v int64) error
-	// UpdateInt applies f as a read-modify-write through the numeric lane.
-	// ok is false (and nothing is written) when the cell holds a boxed
-	// payload.
-	UpdateInt(c Cell, f func(int64) int64) (ok bool, err error)
-}
-
-// updateIntVia implements IntTxn.UpdateInt in terms of ReadInt/WriteInt —
-// shared by every adapter wrapper (each is a one-pointer struct, so the
-// interface conversion here does not allocate).
-func updateIntVia(t IntTxn, c Cell, f func(int64) int64) (bool, error) {
-	n, ok, err := t.ReadInt(c)
-	if !ok || err != nil {
-		return ok, err
-	}
-	return true, t.WriteInt(c, f(n))
 }
 
 // Thread is one worker's execution context. A Thread must be used by a

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"flag"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -133,7 +132,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative deviation", Options{Deviation: -5}, "Deviation"},
 		{"negative words", Options{Words: -3}, "Words"},
 		{"unknown fsync policy", Options{Fsync: "sometimes"}, "fsync policy"},
-		{"negative segment bytes", Options{SegmentBytes: -1}, "SegmentBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -153,7 +151,6 @@ func TestOptionsValidate(t *testing.T) {
 		{}, {Nodes: 4}, {MaxVersions: 1},
 		{Fsync: "always"}, {Fsync: "group"}, {Fsync: "never"},
 		{SnapshotBytes: -1}, {SnapshotBytes: 1 << 20},
-		{SegmentBytes: 1 << 16},
 	}
 	for _, opt := range good {
 		if err := opt.Validate(); err != nil {
@@ -187,7 +184,6 @@ func TestBindFlags(t *testing.T) {
 		"-nodes", "4", "-max-versions", "2", "-deviation", "500",
 		"-words", "1024",
 		"-wal", "/tmp/wal", "-fsync", "always", "-snapshot", "4096",
-		"-segment", "65536",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -195,7 +191,6 @@ func TestBindFlags(t *testing.T) {
 	want := Options{
 		Nodes: 4, MaxVersions: 2, Deviation: 500, Words: 1024,
 		WALDir: "/tmp/wal", Fsync: "always", SnapshotBytes: 4096,
-		SegmentBytes: 65536,
 	}
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("parsed options %+v, want %+v", o, want)
@@ -240,16 +235,9 @@ func TestEveryBackendRoundTrips(t *testing.T) {
 			if got != 42 {
 				t.Errorf("read back %d, want 42", got)
 			}
-			// Drive UpdateInt directly (Get/Set cover ReadInt/WriteInt).
+			// A read-modify-write through the int64 side of the lane.
 			if err := th.Run(func(tx Txn) error {
-				done, err := tx.UpdateInt(c, func(v int64) int64 { return v * 2 })
-				if err != nil {
-					return err
-				}
-				if !done {
-					return fmt.Errorf("UpdateInt refused an int-lane cell")
-				}
-				return nil
+				return Update(tx, c, func(v int64) int64 { return v * 2 })
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +249,7 @@ func TestEveryBackendRoundTrips(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got != 84 {
-				t.Errorf("UpdateInt result = %d, want 84", got)
+				t.Errorf("Update[int64] result = %d, want 84", got)
 			}
 			if s := eng.Stats(); s.Commits < 3 {
 				t.Errorf("stats did not count commits: %+v", s)

@@ -130,10 +130,6 @@ func (t lsaTxn) Write(c Cell, v any) error { return t.tx.Write(lsaCell(c), v) }
 func (t lsaTxn) ReadInt(c Cell) (int64, bool, error) { return t.tx.ReadInt(lsaCell(c)) }
 func (t lsaTxn) WriteInt(c Cell, v int64) error      { return t.tx.WriteInt(lsaCell(c), v) }
 
-func (t lsaTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
 // lsaCell recovers the core's cell type; like cellOf, a foreign handle fails
 // the assertion with a runtime panic naming both types.
 func lsaCell(c Cell) *core.Object { return c.(*core.Object) }

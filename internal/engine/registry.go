@@ -42,10 +42,6 @@ type Options struct {
 	// compaction in the durable backends. 0 selects the default (8 MiB);
 	// negative disables automatic compaction.
 	SnapshotBytes int64
-	// SegmentBytes is the durable backends' WAL segment rotation size, and
-	// the disk space their open segment reserves. 0 selects the default
-	// (4 MiB).
-	SegmentBytes int64
 }
 
 // fsyncPolicies are the recognized Options.Fsync values ("" selects the
@@ -83,9 +79,6 @@ func (o Options) Validate() error {
 				o.Fsync, strings.Join(fsyncPolicies, ", "))
 		}
 	}
-	if o.SegmentBytes < 0 {
-		return fmt.Errorf("engine: SegmentBytes = %d, must be ≥ 1 (or 0 for the default)", o.SegmentBytes)
-	}
 	return nil
 }
 
@@ -118,7 +111,6 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.WALDir, "wal", o.WALDir, "durable/* write-ahead-log directory (empty = temp dir, no cross-restart recovery)")
 	fs.StringVar(&o.Fsync, "fsync", o.Fsync, "durable/* sync policy: "+strings.Join(fsyncPolicies, "|")+" (empty = group)")
 	fs.Int64Var(&o.SnapshotBytes, "snapshot", o.SnapshotBytes, "durable/* live-log bytes that trigger snapshot compaction (0 = default 8 MiB, < 0 disables)")
-	fs.Int64Var(&o.SegmentBytes, "segment", o.SegmentBytes, "durable/* WAL segment rotation size in bytes (0 = default 4 MiB)")
 }
 
 // Capabilities declares, at registration time, what an engine offers beyond
@@ -138,7 +130,7 @@ type Capabilities struct {
 	Durable bool `json:"durable,omitempty"`
 	// Tunables are the Options fields the backend consumes, named as the
 	// BindFlags flags ("nodes", "max-versions", "deviation", "words", and
-	// the durable backends' "wal", "fsync", "snapshot", "segment").
+	// the durable backends' "wal", "fsync", "snapshot").
 	Tunables []string `json:"tunables,omitempty"`
 }
 

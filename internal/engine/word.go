@@ -255,10 +255,6 @@ func (t wordTxn) WriteInt(c Cell, v int64) error {
 	return t.Write(c, int(v)) // |v| ≥ 2⁶²: the word cannot hold it tagged
 }
 
-func (t wordTxn) UpdateInt(c Cell, f func(int64) int64) (bool, error) {
-	return updateIntVia(t, c, f)
-}
-
 func wordCellOf(c Cell) wordCell {
 	a, ok := c.(wordCell)
 	if !ok {

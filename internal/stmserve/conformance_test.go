@@ -34,8 +34,7 @@ func forEachEngineAndMode(t *testing.T, keys int, initial int64, fn func(t *test
 				t.Run(mode, func(t *testing.T) {
 					eng := engine.MustNew(name, engine.Options{Nodes: confWorkers})
 					svc, err := stmserve.New(eng, stmserve.Config{
-						Keys: keys, Initial: initial,
-						Mode: mode, PoolWorkers: confWorkers,
+						Keys: keys, Initial: initial, Mode: mode,
 					})
 					if err != nil {
 						t.Fatal(err)

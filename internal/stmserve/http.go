@@ -18,7 +18,8 @@ import (
 //
 // HTTP has no connection affinity worth preserving, so each request opens a
 // Session and closes it. In ModeThread the closed session hands its engine
-// Thread on, so the Thread count tracks the peak concurrent request count.
+// Thread on, so the Thread count tracks the peak concurrent request count;
+// in ModePool the request borrows one of the GOMAXPROCS Threads.
 func NewHTTPHandler(svc *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /op", func(w http.ResponseWriter, r *http.Request) {

@@ -99,7 +99,7 @@ func TestRunLoadOverTCP(t *testing.T) {
 	for _, mode := range []string{ModeThread, ModePool} {
 		t.Run(mode, func(t *testing.T) {
 			eng := engine.MustNew("norec", engine.Options{})
-			svc, err := New(eng, Config{Keys: 64, Mode: mode, PoolWorkers: 2})
+			svc, err := New(eng, Config{Keys: 64, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

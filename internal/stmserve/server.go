@@ -10,8 +10,8 @@ import (
 )
 
 // Server serves the line protocol over stream connections. It is a thin
-// shell: each connection gets one Session (so the executor decides the
-// Thread mapping), a reused Request/Response pair, and a read loop — all
+// shell: each connection gets one Session (so Config.Mode decides how long
+// a Thread is held), a reused Request/Response pair, and a read loop — all
 // transactional semantics live in the Service. ServeConn is exported so
 // tests drive it over net.Pipe without sockets.
 type Server struct {

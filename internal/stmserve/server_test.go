@@ -97,7 +97,7 @@ func TestServerServeShutdown(t *testing.T) {
 	for _, mode := range []string{ModeThread, ModePool} {
 		t.Run(mode, func(t *testing.T) {
 			eng := engine.MustNew("norec", engine.Options{})
-			svc, err := New(eng, Config{Keys: 8, Mode: mode, PoolWorkers: 2})
+			svc, err := New(eng, Config{Keys: 8, Mode: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestHTTPSequentialReuseThread(t *testing.T) {
 		}
 		runtime.GC()
 	}
-	if got := svc.nextID.Load(); got != 1 {
+	if got := threadsMade(svc); got != 1 {
 		t.Fatalf("100 sequential requests created %d engine threads, want 1", got)
 	}
 }

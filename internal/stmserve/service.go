@@ -17,21 +17,21 @@
 // backend stays zero-allocation through the service layer (transaction
 // closures are prebuilt per thread, not per request).
 //
-// The interesting design problem is the connection→engine.Thread mapping —
-// engine Threads are single-goroutine execution contexts and the engines'
-// unit of reuse — so the Service supports two executors, selectable by
-// Config.Mode and designed to be compared under load (cmd/stmload):
+// Engine Threads are single-goroutine execution contexts and the engines'
+// unit of reuse. The Service owns one set of them (executor.go), and every
+// request runs on the calling goroutine with a Thread lent from that set.
+// Config.Mode only sets how long a loan lasts, and cmd/stmload compares the
+// two under load:
 //
-//   - ModeThread (goroutine-per-connection): every open Session owns a
-//     Thread, which a closed one hands on to the next; thousands of
-//     concurrent connections mean thousands of Threads. No queueing, no
-//     cross-connection interference, but per-node time bases share clock
-//     registers modulo Options.Nodes and per-thread engine state multiplies.
-//   - ModePool: a bounded set of workers, each owning one long-lived
-//     Thread, multiplexes all sessions' requests over one queue. Thread
-//     count (and engine-side state) stays fixed no matter how many
-//     connections arrive, at the price of queueing delay — which the
-//     per-op latency histograms make visible.
+//   - ModeThread: a Session holds a Thread from open to Close and then hands
+//     it to the next Session; thousands of concurrent connections mean
+//     thousands of Threads. No queueing, no cross-connection interference,
+//     but per-node time bases share clock registers modulo Options.Nodes and
+//     per-thread engine state multiplies.
+//   - ModePool: the set holds GOMAXPROCS Threads and each request borrows
+//     one for its own run. Thread count (and engine-side state) stays fixed
+//     no matter how many connections arrive, at the price of waiting for a
+//     free Thread under load, which the per-op latency histograms show.
 package stmserve
 
 import (
@@ -134,13 +134,11 @@ func (r *Response) Reset() {
 // Bool reads a predicate result (CAS, set ops): true iff Vals[0] == 1.
 func (r *Response) Bool() bool { return len(r.Vals) > 0 && r.Vals[0] == 1 }
 
-// Executor modes for Config.Mode.
+// Modes for Config.Mode.
 const (
-	// ModeThread maps each Session to its own engine.Thread
-	// (goroutine-per-connection).
+	// ModeThread lends each Session its own engine.Thread until Close.
 	ModeThread = "thread"
-	// ModePool multiplexes all Sessions over a bounded worker pool of
-	// long-lived Threads.
+	// ModePool lends each request one of GOMAXPROCS long-lived Threads.
 	ModePool = "pool"
 )
 
@@ -156,9 +154,6 @@ type Config struct {
 	// Mode selects the connection→Thread mapping: ModeThread (default) or
 	// ModePool.
 	Mode string `json:"mode"`
-	// PoolWorkers bounds the worker pool in ModePool. Default
-	// runtime.GOMAXPROCS(0).
-	PoolWorkers int `json:"pool_workers,omitempty"`
 }
 
 func (c Config) withDefaults() Config {
@@ -171,9 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.Mode == "" {
 		c.Mode = ModeThread
 	}
-	if c.PoolWorkers <= 0 {
-		c.PoolWorkers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -182,8 +174,8 @@ func (c Config) withDefaults() Config {
 var ErrClosed = errors.New("stmserve: service closed")
 
 // opMetrics is one operation's service-side telemetry: a latency histogram
-// (queueing included in ModePool — that is the point of the comparison) and
-// completion counters. All fields are concurrency-safe.
+// (in ModePool the wait for a Thread included — that is the point of the
+// comparison) and completion counters. All fields are concurrency-safe.
 type opMetrics struct {
 	hist latency.Histogram
 	ops  atomic.Uint64
@@ -198,9 +190,8 @@ type Service struct {
 	cfg     Config
 	vals    []engine.Cell // balances, initially cfg.Initial each
 	members []engine.Cell // set-membership lane, initially 0
-	exec    executor
+	threads threadSet
 	metrics [numOps]opMetrics
-	nextID  atomic.Int64
 	closed  atomic.Bool
 
 	// Replication hooks, installed by the shell (cmd/stmserve) so this
@@ -280,12 +271,11 @@ func New(eng engine.Engine, cfg Config) (*Service, error) {
 		s.vals[i] = eng.NewCell(int(cfg.Initial))
 		s.members[i] = eng.NewCell(0)
 	}
-	switch cfg.Mode {
-	case ModeThread:
-		s.exec = &threadExecutor{svc: s}
-	case ModePool:
-		s.exec = newPoolExecutor(s, cfg.PoolWorkers)
+	limit := 0
+	if cfg.Mode == ModePool {
+		limit = runtime.GOMAXPROCS(0)
 	}
+	s.threads.init(s, limit)
 	return s, nil
 }
 
@@ -298,46 +288,49 @@ func (s *Service) Keys() int { return s.cfg.Keys }
 // Mode returns the connection→Thread mapping in effect.
 func (s *Service) Mode() string { return s.cfg.Mode }
 
-// Close shuts the service down: subsequent Exec calls (and pool requests in
-// flight past their handoff) fail with ErrClosed. Close after every session
+// Close shuts the service down: subsequent Exec calls (and pool requests
+// still waiting for a Thread) fail with ErrClosed. Close after every session
 // is quiesced for a clean shutdown. When the engine is durable, the WAL is
-// flushed and closed last — after the executor has stopped accepting work —
-// so every acknowledged commit is on disk before Close returns.
+// flushed and closed last — after the Thread set has stopped lending — so
+// every acknowledged commit is on disk before Close returns.
 func (s *Service) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.exec.close()
+	s.threads.close()
 	if d, ok := s.eng.(engine.Durable); ok {
 		return d.WALClose()
 	}
 	return nil
 }
 
-// nextThreadID hands out dense engine thread ids.
-func (s *Service) nextThreadID() int { return int(s.nextID.Add(1) - 1) }
-
 // Session is one connection's execution context. Like the engine Thread it
 // may own, a Session must be driven by a single goroutine at a time.
 type Session struct {
-	svc  *Service
-	sess execSession // nil once closed
+	svc    *Service
+	ap     *applier // the Thread held until Close (ModeThread only)
+	closed bool
 }
 
-// Session opens a connection context. In ModeThread it owns an
+// Session opens a connection context. In ModeThread it holds an
 // engine.Thread until Close, a closed session's or else a new one; in
-// ModePool it is a lightweight handle onto the shared queue.
+// ModePool it holds none, and each Exec borrows one.
 func (s *Service) Session() *Session {
-	return &Session{svc: s, sess: s.exec.session()}
+	ss := &Session{svc: s}
+	if s.cfg.Mode == ModeThread {
+		ss.ap, _ = s.threads.get() // fails only once s is closed, and so does Exec
+	}
+	return ss
 }
 
-// Close releases the session's executor resources; Exec then fails with
-// ErrClosed. Closing twice is a no-op.
+// Close hands the session's Thread back; Exec then fails with ErrClosed.
+// Closing twice is a no-op.
 func (ss *Session) Close() {
-	if ss.sess != nil {
-		ss.sess.close()
-		ss.sess = nil
+	if ss.ap != nil {
+		ss.svc.threads.put(ss.ap)
+		ss.ap = nil
 	}
+	ss.closed = true
 }
 
 // Exec runs one request to completion, filling resp. Operation failures are
@@ -347,7 +340,7 @@ func (ss *Session) Close() {
 func (ss *Session) Exec(req *Request, resp *Response) error {
 	resp.Reset()
 	svc := ss.svc
-	if svc.closed.Load() || ss.sess == nil {
+	if svc.closed.Load() || ss.closed {
 		resp.Err = ErrClosed.Error()
 		return ErrClosed
 	}
@@ -377,7 +370,11 @@ func (ss *Session) Exec(req *Request, resp *Response) error {
 			err = errors.New("stmserve: not a standby (no promote hook installed)")
 		}
 	default:
-		err = ss.sess.do(req, resp)
+		if ss.ap != nil {
+			err = ss.ap.do(req, resp)
+		} else {
+			err = svc.threads.do(req, resp)
+		}
 	}
 	m := &svc.metrics[op]
 	m.hist.Record(time.Since(start))
@@ -585,7 +582,7 @@ func (a *applier) checkKeys(ks []int) error {
 }
 
 // do validates and executes one transactional request on the applier's
-// Thread. It is the single dispatch point both executors share.
+// Thread. It is the single dispatch point both modes share.
 func (a *applier) do(req *Request, resp *Response) error {
 	a.req, a.resp = req, resp
 	defer func() { a.req, a.resp = nil, nil }()

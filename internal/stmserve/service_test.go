@@ -2,9 +2,11 @@ package stmserve
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -196,7 +198,7 @@ func TestServiceClose(t *testing.T) {
 	for _, mode := range []string{ModeThread, ModePool} {
 		t.Run(mode, func(t *testing.T) {
 			eng := engine.MustNew("norec", engine.Options{})
-			svc, err := New(eng, Config{Keys: 4, Mode: mode, PoolWorkers: 2})
+			svc, err := New(eng, Config{Keys: 4, Mode: mode})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -243,13 +245,21 @@ func TestOpTextRoundTrip(t *testing.T) {
 	}
 }
 
+// threadsMade reads how many engine threads svc has made.
+func threadsMade(svc *Service) int {
+	svc.threads.mu.Lock()
+	defer svc.threads.mu.Unlock()
+	return svc.threads.made
+}
+
 // TestPoolModeSharedThreads checks the defining property of ModePool: many
-// sessions, bounded engine threads, and requests still execute correctly
-// when sessions outnumber workers.
+// sessions, GOMAXPROCS engine threads, and requests still execute correctly
+// when sessions outnumber threads.
 func TestPoolModeSharedThreads(t *testing.T) {
-	svc := newTestService(t, Config{Keys: 8, Mode: ModePool, PoolWorkers: 2})
+	svc := newTestService(t, Config{Keys: 8, Mode: ModePool})
 	done := make(chan error)
-	const sessions = 8
+	procs := runtime.GOMAXPROCS(0)
+	sessions := 4 * procs
 	for i := 0; i < sessions; i++ {
 		go func(id int) {
 			sess := svc.Session()
@@ -269,9 +279,9 @@ func TestPoolModeSharedThreads(t *testing.T) {
 			t.Fatalf("session failed: %v", err)
 		}
 	}
-	// Pool mode created exactly PoolWorkers engine threads (+0 per session).
-	if got := svc.nextID.Load(); got != 2 {
-		t.Fatalf("pool mode allocated %d engine threads, want 2", got)
+	// Pool mode created exactly GOMAXPROCS engine threads (+0 per session).
+	if got := threadsMade(svc); got != procs {
+		t.Fatalf("pool mode allocated %d engine threads, want %d", got, procs)
 	}
 	// Conservation: transfers moved value around but the sum is intact.
 	sess := svc.Session()
@@ -316,7 +326,7 @@ func TestSessionSequentialReuseThread(t *testing.T) {
 		exec(t, sess, &Request{Op: OpTransfer, Key: i % 8, Key2: (i + 1) % 8, Val: 1})
 		sess.Close()
 	}
-	if got := svc.nextID.Load(); got != 1 {
+	if got := threadsMade(svc); got != 1 {
 		t.Fatalf("1000 sequential sessions created %d engine threads, want 1", got)
 	}
 }
@@ -326,7 +336,7 @@ func TestSessionSequentialReuseThread(t *testing.T) {
 // also when two goroutines open and close sessions side by side.
 func TestSessionConcurrentDistinctThreads(t *testing.T) {
 	svc := newLSAService(t)
-	thread := func(s *Session) engine.Thread { return s.sess.(*threadSession).ap.th }
+	thread := func(s *Session) engine.Thread { return s.ap.th }
 	for range 3 {
 		a, b := svc.Session(), svc.Session()
 		if thread(a) == thread(b) {
@@ -353,7 +363,7 @@ func TestSessionConcurrentDistinctThreads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := svc.nextID.Load(); got != 2 {
+	if got := threadsMade(svc); got != 2 {
 		t.Fatalf("two sessions at a time created %d engine threads, want 2", got)
 	}
 }
@@ -363,7 +373,7 @@ func TestSessionConcurrentDistinctThreads(t *testing.T) {
 func TestSessionExecAfterClose(t *testing.T) {
 	for _, mode := range []string{ModeThread, ModePool} {
 		t.Run(mode, func(t *testing.T) {
-			svc := newTestService(t, Config{Keys: 4, Initial: 100, Mode: mode, PoolWorkers: 1})
+			svc := newTestService(t, Config{Keys: 4, Initial: 100, Mode: mode})
 			old := svc.Session()
 			old.Close()
 			old.Close() // idempotent
@@ -379,5 +389,81 @@ func TestSessionExecAfterClose(t *testing.T) {
 				t.Fatalf("key 0 = %d after a write on a closed session, want 100", got)
 			}
 		})
+	}
+}
+
+// blockingEngine is norec with engine threads whose transactions block
+// until release is closed, announcing each on entered.
+type blockingEngine struct {
+	engine.Engine
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (e *blockingEngine) Thread(int) engine.Thread { return blockingThread{e} }
+
+type blockingThread struct{ e *blockingEngine }
+
+func (blockingThread) ID() int { return 0 }
+
+func (t blockingThread) Run(func(engine.Txn) error) error {
+	t.e.entered <- struct{}{}
+	<-t.e.release
+	return nil
+}
+
+func (t blockingThread) RunReadOnly(fn func(engine.Txn) error) error { return t.Run(fn) }
+
+// TestPoolCloseWakesWaiter: with every pool thread lent to a blocked
+// request, an Exec waiting for a thread returns ErrClosed once the Service
+// closes, and the requests in flight still finish.
+func TestPoolCloseWakesWaiter(t *testing.T) {
+	eng := &blockingEngine{
+		Engine:  engine.MustNew("norec", engine.Options{}),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	svc, err := New(eng, Config{Keys: 4, Mode: ModePool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(done chan<- error) {
+		sess := svc.Session()
+		defer sess.Close()
+		var resp Response
+		done <- sess.Exec(&Request{Op: OpWrite, Key: 0, Val: 1}, &resp)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	inFlight := make(chan error, procs)
+	for range procs {
+		go write(inFlight)
+		<-eng.entered
+	}
+	waiter := make(chan error, 1)
+	go write(waiter)
+	// Close only once the waiter is parked in get.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*threadSet).get") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no Exec ever waited for a pool thread")
+		}
+	}
+	svc.Close()
+	select {
+	case err := <-waiter:
+		if err != ErrClosed {
+			t.Fatalf("waiting Exec = %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Service.Close did not wake the Exec waiting for a thread")
+	}
+	close(eng.release)
+	for range procs {
+		if err := <-inFlight; err != nil {
+			t.Fatalf("request in flight at Close = %v, want nil", err)
+		}
 	}
 }
